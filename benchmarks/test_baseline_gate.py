@@ -77,7 +77,17 @@ class TestGateLibrary:
         assert apply_override(cfg, "seed=9").seed == 9
         with pytest.raises(ValueError, match="key=value"):
             apply_override(cfg, "runtime.ampi_send_overhead")
-        with pytest.raises(ValueError, match="unknown config section"):
+        # every dataclass-typed section of MachineConfig is addressable,
+        # through the one validated-replace path
+        assert apply_override(cfg, "memory.allocator=pool").memory.allocator == "pool"
+        assert apply_override(cfg, "collectives.hierarchical_enabled=false") \
+            .collectives.hierarchical_enabled is False
+        assert apply_override(cfg, "multirail.enabled=true").multirail.enabled is True
+        with pytest.raises(ValueError, match=r"unknown UcxConfig override\(s\) "
+                                             r"\['indexed_matching'\]; valid fields"):
+            apply_override(cfg, "ucx.indexed_matching=false")
+        with pytest.raises(ValueError, match="unknown config section 'nope'.*"
+                                             "'memory'.*'collectives'.*'multirail'"):
             apply_override(cfg, "nope.x=1")
 
 

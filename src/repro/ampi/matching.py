@@ -5,7 +5,7 @@ the **unexpected queue**; if the receive comes first, it waits in the
 **request queue**.  Matching is MPI-semantics FIFO on ``(comm, source,
 tag)`` with ``ANY_SOURCE``/``ANY_TAG`` wildcards.
 
-Both queues are indexed by the full ``(comm, src, tag)`` triple by default
+Both queues are indexed by the full ``(comm, src, tag)`` triple
 (:class:`~repro.core.matchq.IndexedMatchQueue`): wildcard-free receives and
 all envelopes are exact-bucket entries, receives using ``ANY_SOURCE`` or
 ``ANY_TAG`` fall back to the FIFO wildcard list.  Matched entries are
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.device_buffer import CkDeviceBuffer
-from repro.core.matchq import make_match_queue
+from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
 from repro.sim.primitives import SimEvent
 
@@ -78,16 +78,11 @@ def _recv_key(req: PostedMpiRecv):
 
 
 class MatchEngine:
-    """Per-rank unexpected + posted queues.
+    """Per-rank unexpected + posted queues (see module docstring)."""
 
-    ``indexed`` selects the hash-bucketed queues (the default; see module
-    docstring) or the reference linear lists — matching order and the
-    reported ``scanned`` counts are bit-identical either way.
-    """
-
-    def __init__(self, indexed: bool = True) -> None:
-        self.unexpected = make_match_queue(indexed)
-        self.posted = make_match_queue(indexed)
+    def __init__(self) -> None:
+        self.unexpected = IndexedMatchQueue()
+        self.posted = IndexedMatchQueue()
         # cumulative virtual scan length (drives the modeled match cost)
         self.scanned_total = 0
 

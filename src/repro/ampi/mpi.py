@@ -157,7 +157,7 @@ class AmpiRank(_CollectiveApi):
         self.ampi = ampi
         self.rank = rank
         self.pe = pe
-        self.matching = MatchEngine(indexed=ampi.rt.indexed_matching)
+        self.matching = MatchEngine()
         telemetry = ampi.machine.tracer.timeline
         if telemetry.enabled:
             self.matching.posted.depth_probe = telemetry.queue_probe(

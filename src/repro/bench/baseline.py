@@ -13,18 +13,19 @@ Usage::
 the fingerprints; ``check`` re-runs the suite and exits nonzero when any
 fingerprint drifts outside tolerance **or** any workload overruns its
 wall-clock budget (``--no-budget`` skips the latter).  ``--override
-section.key=value`` perturbs the config before running (sections:
-``topology``, ``cuda``, ``ucx``, ``tags``, ``runtime``, or a bare
-top-level field) — handy both for what-if runs and for demonstrating that
-the gate trips.
+section.key=value`` perturbs the config before running (a section is any
+dataclass-typed field of :class:`~repro.config.MachineConfig` — ``ucx``,
+``runtime``, ``memory``, ... — or omit it for a top-level field) — handy
+both for what-if runs and for demonstrating that the gate trips.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from dataclasses import is_dataclass, replace
+from typing import List, Optional, get_type_hints
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, _validated_replace
 from repro.obs.baseline import (
     DEFAULT_BASELINE_PATH,
     check_baseline,
@@ -33,7 +34,10 @@ from repro.obs.baseline import (
     save_baseline,
 )
 
-_SECTIONS = ("topology", "cuda", "ucx", "tags", "runtime")
+#: the config sections ``--override section.key=value`` may name
+_SECTIONS = tuple(
+    name for name, tp in get_type_hints(MachineConfig).items() if is_dataclass(tp)
+)
 
 
 def _parse_value(text: str):
@@ -60,16 +64,6 @@ def apply_override(cfg: MachineConfig, spec: str) -> MachineConfig:
             raise ValueError(
                 f"unknown config section {section!r}; valid: {_SECTIONS}"
             )
-        if section == "ucx":
-            return cfg.with_ucx(**{name: value})
-        if section == "runtime":
-            return cfg.with_runtime(**{name: value})
-        if section == "topology":
-            return cfg.with_topology(**{name: value})
-        from dataclasses import replace
-
-        from repro.config import _validated_replace
-
         sub = _validated_replace(getattr(cfg, section), {name: value})
         return replace(cfg, **{section: sub})
     return cfg.with_overrides(**{key: value})

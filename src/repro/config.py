@@ -185,11 +185,6 @@ class UcxConfig:
     send_overhead: float = 0.25e-6  # ucp_tag_send_nb bookkeeping
     recv_overhead: float = 0.25e-6  # ucp_tag_recv_nb bookkeeping
     tag_match_cost: float = 0.10e-6  # scan/match of one queue entry
-    # Host-side data structure of the matching queues: hash buckets with a
-    # wildcard fallback (True) or the reference linear lists (False).  The
-    # *modeled* scan cost above is charged identically either way; this flag
-    # only changes simulator wall-clock, never simulated time.
-    indexed_matching: bool = True
     request_alloc_cost: float = 0.05e-6
     progress_overhead: float = 0.15e-6  # one ucp_worker_progress poll
     rndv_rts_cost: float = 0.30e-6  # control message handling (each side)
@@ -374,8 +369,6 @@ class RuntimeConfig:
     gpu_pointer_check_cost: float = 0.45e-6  # cuPointerGetAttribute on miss
     gpu_pointer_cache_hit_cost: float = 0.05e-6
     ampi_match_cost: float = 0.15e-6  # per unexpected/posted queue probe
-    # Indexed (hash-bucketed) AMPI matching queues; see UcxConfig.
-    indexed_matching: bool = True
     ampi_callback_overhead: float = 0.9e-6  # completion callbacks (x2 paths)
     ampi_metadata_allocs: int = 2  # heap allocations noted in §IV-B1
     # Reproduction of the measured artifact in §IV-B2: AMPI-H bandwidth dips

@@ -78,8 +78,8 @@ class UcxMachineLayer:
 
         ``tag_scans`` is the total *virtual* scan length (entries a linear
         FIFO scan would have inspected across all matches) — the quantity the
-        modeled ``tag_match_cost`` delay is charged on, and therefore
-        invariant under ``UcxConfig.indexed_matching``.
+        modeled ``tag_match_cost`` delay is charged on, whatever the
+        host-side queue structure does to find the match.
         """
         stats = {
             "sends": 0,

@@ -10,12 +10,14 @@ counts with many outstanding messages.
 
 This module provides two interchangeable queue implementations:
 
-* :class:`LinearMatchQueue` — the reference implementation: a FIFO list with
-  an O(n) scan, kept for golden comparisons and as executable documentation
-  of the semantics.
 * :class:`IndexedMatchQueue` — exact-key hash buckets plus a wildcard
   fallback list, the structure real UCX (and the MPICH tag-matching
-  extensions) use.  Exact lookups are O(1) amortised.
+  extensions) use.  Exact lookups are O(1) amortised.  Both engines
+  construct it directly.
+* :class:`LinearMatchQueue` — a FIFO list with an O(n) scan: executable
+  documentation of the semantics and the oracle the tests compare the
+  indexed queue against (``tests/test_matching_golden.py``).  Nothing under
+  ``src/`` instantiates it.
 
 Both preserve *bit-identical matching order and modeled cost*:
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["LinearMatchQueue", "IndexedMatchQueue", "make_match_queue"]
+__all__ = ["LinearMatchQueue", "IndexedMatchQueue"]
 
 
 class LinearMatchQueue:
@@ -322,8 +324,3 @@ class IndexedMatchQueue:
 
     def __iter__(self) -> Iterator[Any]:
         return (item for item in self._slots if item is not None)
-
-
-def make_match_queue(indexed: bool = True):
-    """Factory used by the UCP worker and the AMPI match engine."""
-    return IndexedMatchQueue() if indexed else LinearMatchQueue()

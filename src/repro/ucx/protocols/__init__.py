@@ -11,6 +11,8 @@ The split mirrors how UCX layers UCP protocols over UCT transports:
 * :mod:`repro.ucx.protocols.rndv` — RTS control message, receiver-driven
   data fetch, FIN back to the sender.  The data path is chosen at *match*
   time from both buffers' locations.
+* :mod:`repro.ucx.protocols.am` — the host-message (active-message) path
+  with the same eager / RTS + single-copy-fetch cost structure.
 * :mod:`repro.ucx.protocols.cuda_ipc` — intra-node device rendezvous cost
   (IPC handle open/cache + NVLink/X-Bus route).
 * :mod:`repro.ucx.protocols.pipeline` — inter-node device rendezvous via

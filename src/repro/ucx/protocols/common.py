@@ -4,6 +4,19 @@ from __future__ import annotations
 
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
+from repro.ucx.status import UcsStatus
+
+
+def host_copy_time(ctx, size: int) -> float:
+    """Memoized host-memory memcpy time for ``size`` bytes (the staging
+    copy of host eager messages, tagged and AM alike)."""
+    cache = ctx.staging_time_cache
+    key = ("host", size)
+    t = cache.get(key)
+    if t is None:
+        t = ctx.machine.cfg.topology.host_mem.transfer_time(size)
+        cache[key] = t
+    return t
 
 
 def staging_copy_time(ctx, buf: Buffer, size: int) -> float:
@@ -20,14 +33,9 @@ def staging_copy_time(ctx, buf: Buffer, size: int) -> float:
     # the context (keyed by path so a mid-run GDRCopy availability change
     # cannot serve a stale branch).  The cached value is computed with the
     # exact expression of the uncached path, so timing is bit-identical.
-    cache = ctx.staging_time_cache
     if not buf.on_device:
-        key = ("host", size)
-        t = cache.get(key)
-        if t is None:
-            t = ctx.machine.cfg.topology.host_mem.transfer_time(size)
-            cache[key] = t
-        return t
+        return host_copy_time(ctx, size)
+    cache = ctx.staging_time_cache
     if ctx.gdrcopy.available:
         ctx.gdrcopy.copies += 1  # the statistic still counts every copy
         key = ("gdr", size)
@@ -55,3 +63,15 @@ def do_staged_copy(dst: Buffer, src: Buffer, size: int) -> None:
 
 def host_location_of(machine: Machine, node: int):
     return machine.host_location(node)
+
+
+def fail_truncated(worker, msg, posted) -> None:
+    """The matched message does not fit the posted buffer: fail the receive.
+
+    Also closes the flight record — a truncated transfer never reaches
+    ``completed()``, and an open record would absorb the stages of the next
+    same-tag transfer."""
+    flight = worker.ctx.machine.tracer.flight
+    if flight.enabled:
+        flight.failed(msg.tag, "truncated")
+    posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.hardware.memory import Buffer
 from repro.ucx.constants import CTRL_MSG_BYTES
-from repro.ucx.protocols.common import staging_copy_time
+from repro.ucx.protocols.common import fail_truncated, staging_copy_time
 from repro.ucx.request import UcxRequest
 from repro.ucx.status import UcsStatus
 from repro.ucx.wire import WireKind, WireMessage
@@ -30,7 +30,7 @@ def start_send(
     size: int,
     tag: int,
     req: UcxRequest,
-    wire_seq=None,
+    wire_seq: int,
     pre_cost: float = 0.0,
 ) -> None:
     """Begin an eager send from ``worker`` to ``remote``.
@@ -97,17 +97,7 @@ def finish_recv(
     """Complete a matched eager receive: copy out of the bounce, finish."""
     ctx = worker.ctx
     if msg.size > posted.size:
-        trunc_flight = ctx.machine.tracer.flight
-
-        def _truncate() -> None:
-            # close the flight record (same leak as the rendezvous
-            # truncation path: an open record would absorb the next
-            # same-tag transfer's stages)
-            if trunc_flight.enabled:
-                trunc_flight.failed(msg.tag, "truncated")
-            posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
-
-        worker.sim.schedule(pre_delay, _truncate)
+        worker.sim.schedule(pre_delay, fail_truncated, worker, msg, posted)
         return
     copy_out = staging_copy_time(ctx, posted.buf, msg.size)
     tracer = ctx.machine.tracer

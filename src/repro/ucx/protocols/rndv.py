@@ -27,6 +27,7 @@ from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
 from repro.obs.tracing import NULL_SPAN
 from repro.ucx.constants import CTRL_MSG_BYTES
+from repro.ucx.protocols.common import fail_truncated
 from repro.ucx.protocols.cuda_ipc import ipc_setup_cost
 from repro.ucx.protocols.multirail import plan_striping, striped_transfer
 from repro.ucx.protocols.pipeline import (
@@ -36,6 +37,7 @@ from repro.ucx.protocols.pipeline import (
 )
 from repro.ucx.request import UcxRequest
 from repro.ucx.status import UcsStatus
+from repro.ucx.transport import end_then
 from repro.ucx.wire import WireKind, WireMessage, next_rndv_id
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +51,7 @@ def start_send(
     size: int,
     tag: int,
     req: UcxRequest,
-    wire_seq=None,
+    wire_seq: int,
     pre_cost: float = 0.0,
 ) -> None:
     """Send the RTS; the request completes when the FIN returns.
@@ -59,7 +61,8 @@ def start_send(
     """
     rndv_id = next_rndv_id()
     worker.pending_rndv_sends[rndv_id] = req
-    worker._rndv_remote[rndv_id] = remote.worker_id
+    worker._rndv_high = req.rndv_id = rndv_id
+    req.rndv_remote = remote.worker_id
     msg = WireMessage(
         kind=WireKind.RTS,
         tag=tag,
@@ -70,20 +73,15 @@ def start_send(
         sent_at=worker.sim.now,
         src_was_device=buf.on_device,
         wire_seq=wire_seq,
+        send_req=req,
     )
-    delay = worker._rts_post_cost + pre_cost
+    fire, args = worker.transmit, (remote, msg, CTRL_MSG_BYTES)
     tracer = worker.ctx.machine.tracer
     if tracer.enabled:
         sp = tracer.span("ucx.rndv", "rndv_rts", size=size, tag=tag,
                          device=buf.on_device)
-
-        def _rts() -> None:
-            sp.end()
-            worker.transmit(remote, msg, CTRL_MSG_BYTES)
-
-        worker.sim.schedule(delay, _rts)
-    else:
-        worker.sim.schedule(delay, worker.transmit, remote, msg, CTRL_MSG_BYTES)
+        fire, args = end_then, (sp, fire, args)
+    worker.sim.schedule(worker._rts_post_cost + pre_cost, fire, *args)
 
 
 def start_transfer(
@@ -99,24 +97,13 @@ def start_transfer(
     sim = worker.sim
     # the receiver is committed from here on: the sender can no longer
     # cancel this rendezvous (see UcpWorker.cancel)
-    ctx.worker(msg.src_worker)._rndv_started.add(msg.rndv_id)
+    msg.send_req.rndv_committed = True
 
     if msg.size > posted.size:
-        trunc_flight = machine.tracer.flight
-
         def _truncate() -> None:
-            # close the flight record: a truncated transfer never reaches
-            # completed(), and leaving it open would absorb the stages of
-            # the next same-tag transfer
-            if trunc_flight.enabled:
-                trunc_flight.failed(msg.tag, "truncated")
-            posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))
+            fail_truncated(worker, msg, posted)
             # release the sender too: the rendezvous is over
-            fin = WireMessage(
-                kind=WireKind.FIN, tag=msg.tag, size=0,
-                src_worker=worker.worker_id, rndv_id=msg.rndv_id, sent_at=sim.now,
-            )
-            worker.transmit(ctx.worker(msg.src_worker), fin, CTRL_MSG_BYTES)
+            _send_fin(worker, msg)
 
         sim.schedule(pre_delay, _truncate)
         return
@@ -258,30 +245,30 @@ def start_transfer(
         if flight.enabled:
             flight.completed(msg.tag)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
-        fin = WireMessage(
-            kind=WireKind.FIN,
-            tag=msg.tag,
-            size=0,
-            src_worker=worker.worker_id,
-            rndv_id=msg.rndv_id,
-            sent_at=sim.now,
-        )
-        worker.transmit(ctx.worker(msg.src_worker), fin, CTRL_MSG_BYTES)
+        _send_fin(worker, msg)
 
     sim.schedule(pre_delay + setup, _begin)
+
+
+def _send_fin(worker: "UcpWorker", rts: WireMessage) -> None:
+    """Tell the sender of ``rts`` that the receiver is done with its buffer."""
+    fin = WireMessage(
+        kind=WireKind.FIN, tag=rts.tag, size=0, src_worker=worker.worker_id,
+        rndv_id=rts.rndv_id, sent_at=worker.sim.now,
+    )
+    worker.transmit(worker.ctx.worker(rts.src_worker), fin, CTRL_MSG_BYTES)
 
 
 def finish_send(worker: "UcpWorker", msg: WireMessage) -> None:
     """FIN arrived back at the sender: complete the pending send request."""
     req = worker.pending_rndv_sends.pop(msg.rndv_id, None)
     if req is None:
-        if msg.rndv_id in worker._rndv_done or msg.rndv_id in worker._rndv_cancelled:
+        if msg.rndv_id <= worker._rndv_high:
             # duplicate or late FIN for a rendezvous that already ended
             # (sender timed out, or the FIN was stalled and retransmitted)
             worker.ctx.machine.tracer.count("ucx", "late_fin_ignored")
             return
         raise RuntimeError(f"FIN for unknown rendezvous id {msg.rndv_id}")
-    worker._rndv_done.add(msg.rndv_id)
     flight = worker.ctx.machine.tracer.flight
     if flight.enabled:
         flight.send_completed(msg.tag)

@@ -27,6 +27,7 @@ class UcxRequest:
     __slots__ = (
         "sim", "kind", "tag", "size", "cb", "event",
         "status", "info", "posted_at", "completed_at", "span", "op",
+        "rndv_id", "rndv_remote", "rndv_committed",
     )
 
     def __init__(
@@ -51,6 +52,11 @@ class UcxRequest:
         self.span: Any = None
         # which API created the request: "tag" (cancellable) or "am"
         self.op = "tag"
+        # rendezvous sends: the id the FIN will carry (0 = not one), the worker
+        # the RTS went to, whether that receiver committed to the data fetch
+        self.rndv_id = 0
+        self.rndv_remote = -1
+        self.rndv_committed = False
 
     @property
     def completed(self) -> bool:

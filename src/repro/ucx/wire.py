@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.hardware.memory import Buffer
 
@@ -54,3 +54,7 @@ class WireMessage:
     #: slot or the ordered stream stalls forever); an ERR for a FIN carries
     #: the rndv_id so the original sender's pending request can fail.
     failed_kind: Optional[WireKind] = None
+    #: for RTS: the sender's request.  The receiver marks it committed when
+    #: it starts the data fetch and drops the RTS if it was cancelled — the
+    #: sender-side rendezvous state a real receiver reaches through the RTS.
+    send_req: Any = None

@@ -12,48 +12,37 @@ entry ``(tag, mask)`` iff ``t & mask == tag & mask``.  This ordering
 guarantee is what the Charm++ machine layer's per-(PE, counter) device tags
 rely on for correctness.
 
-Both queues are :class:`~repro.core.matchq.IndexedMatchQueue` instances by
-default (hash buckets on the full tag, wildcard-mask fallback list), so the
+Both queues are :class:`~repro.core.matchq.IndexedMatchQueue` instances
+(hash buckets on the full tag, wildcard-mask fallback list), so the
 host-side lookup is O(1) amortised for full-mask traffic while the *modeled*
 ``tag_match_cost * scanned`` delay still charges the virtual linear-scan
-length.  ``UcxConfig.indexed_matching=False`` selects the reference linear
-lists; simulated results are bit-identical either way.
+length.
 
-Fault injection and recovery
-----------------------------
+Frames
+------
 
-When the machine carries a non-empty :class:`~repro.faults.plan.FaultPlan`,
-every non-loopback frame consults the :class:`~repro.faults.injector.
-FaultInjector` before hitting the wire.  A faulted frame is retransmitted
-after an exponential-backoff wait; a frame that exhausts its budget makes
-the sender *give up*: the pending request (if any) fails with
-``ERR_ENDPOINT_TIMEOUT`` and a ``WireKind.ERR`` notification is delivered
-to the peer.  The notification models the peer's own timeout firing for the
-same frame — the model's failure detector is symmetric — so it travels
-out-of-band (zero extra delay, never itself faulted).  Sequenced ERR frames
-inherit the lost frame's ``wire_seq``: the ordered per-pair stream *must*
-consume every slot or it stalls behind the loss forever.  Receivers drop
-retransmit duplicates by sequence number (already-delivered or held).
+Two message streams run over :mod:`repro.ucx.transport`, which sequences,
+faults, retransmits and de-duplicates their frames identically: the tagged
+stream (this module with ``protocols/eager.py`` and ``rndv.py``) and the AM
+host-message stream (``protocols/am.py``).  What stays here is what arriving
+tagged frames *mean* (``_on_wire``) and what giving up on one does
+(``_give_up``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from functools import partial
+from typing import Dict, Optional
 
-from repro.core.matchq import make_match_queue
-from repro.faults.injector import CORRUPT, STALL
-from repro.hardware.links import path_transfer
+from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.tracing import NULL_SPAN
-from repro.ucx.constants import (
-    CTRL_MSG_BYTES,
-    LOOPBACK_LATENCY,
-    TAG_MASK_FULL,
-    WIRE_HEADER_BYTES,
-)
+from repro.ucx import transport
+from repro.ucx.constants import TAG_MASK_FULL, WIRE_HEADER_BYTES
 from repro.ucx.endpoint import UcpEndpoint
+from repro.ucx.protocols import am as am_proto
 from repro.ucx.protocols import eager as eager_proto
 from repro.ucx.protocols import rndv as rndv_proto
 from repro.ucx.protocols.select import Protocol, choose_send_protocol
@@ -85,36 +74,34 @@ class UcpWorker:
         self.worker_id = worker_id
         self.node = node
         self.socket = socket
-        indexed = ctx.cfg.indexed_matching
-        self.posted = make_match_queue(indexed)
-        self.unexpected = make_match_queue(indexed)
+        self.posted = IndexedMatchQueue()
+        self.unexpected = IndexedMatchQueue()
         telemetry = ctx.telemetry
         if telemetry.enabled:
             self.posted.depth_probe = telemetry.queue_probe(
                 "matchq.ucx.posted")
             self.unexpected.depth_probe = telemetry.queue_probe(
                 "matchq.ucx.unexpected")
-        self.pending_rndv_sends: Dict[int, UcxRequest] = {}
         self._endpoints: Dict[int, UcpEndpoint] = {}
-        # per-directed-pair wire sequencing: matchable messages (EAGER/RTS)
-        # are processed in send order even when control frames physically
-        # arrive first (ordered-QP semantics)
-        self._tx_seq: Dict[int, int] = {}
-        self._rx_next: Dict[int, int] = {}
-        self._rx_held: Dict[int, Dict[int, WireMessage]] = {}
-        # the AM (host-message) stream is sequenced independently
-        self._am_tx_seq: Dict[int, int] = {}
-        self._am_rx_next: Dict[int, int] = {}
-        self._am_rx_held: Dict[int, dict] = {}
-        # rendezvous lifecycle, for cancellation and loss recovery:
-        # ids that finished (FIN seen / gave up) so late or duplicate FINs
-        # are ignored; ids the local sender cancelled; ids whose receiver
-        # already committed to the data fetch (cancellation fails); and
-        # which remote each locally-initiated id was addressed to
-        self._rndv_done: Set[int] = set()
-        self._rndv_cancelled: Set[int] = set()
-        self._rndv_started: Set[int] = set()
-        self._rndv_remote: Dict[int, int] = {}
+        # the two frame streams, sequenced independently, and where each
+        # enters the fabric (repro.ucx.transport says why these differ)
+        machine = ctx.machine
+        tracer = machine.tracer
+        self.tag_loc = machine.host_location(node)
+        self.am_loc = machine.host_location(node, socket)
+        self.tag_stream = transport.SequencedStream(tracer, self._process_in_order)
+        self.am_stream = transport.SequencedStream(
+            tracer, partial(am_proto.release, self))
+        self._am_handler = None
+        self._am_error_handler = None
+        # per-source time of the latest scheduled AM handler invocation
+        self._am_last_deliver: Dict[int, float] = {}
+        # Rendezvous sends awaiting their FIN (per-rendezvous state is on
+        # the request: UcxRequest.rndv_*), and the highest id issued here:
+        # ids only grow, so a FIN for a non-pending id up to it is a late or
+        # duplicate one (the rendezvous ended: FIN seen, gave up, cancelled).
+        self.pending_rndv_sends: Dict[int, UcxRequest] = {}
+        self._rndv_high = 0
         # Composite per-operation cost constants, each summed exactly once
         # here.  Float addition is not associative, so semantically-equal
         # delays derived at different call sites must come from these shared
@@ -127,9 +114,6 @@ class UcpWorker:
         self._rts_post_cost = (
             cfg.send_overhead + cfg.request_alloc_cost + cfg.rndv_rts_cost
         )
-        # per-size host staging-copy times (benchmark loops and halo
-        # exchanges revisit a handful of sizes)
-        self._host_copy_times: Dict[int, float] = {}
         # statistics
         self.sends = 0
         self.recvs = 0
@@ -138,14 +122,6 @@ class UcpWorker:
         # total virtual scan length over all matches (what a linear scan
         # would have inspected); the modeled matching delay is proportional
         self.tag_scans = 0
-
-    def _host_copy_time(self, size: int) -> float:
-        """Memoized host-memory staging-copy time for ``size`` bytes."""
-        t = self._host_copy_times.get(size)
-        if t is None:
-            t = self.ctx.machine.cfg.topology.host_mem.transfer_time(size)
-            self._host_copy_times[size] = t
-        return t
 
     # -- endpoints ------------------------------------------------------------
     def ep(self, remote_id: int) -> UcpEndpoint:
@@ -168,22 +144,22 @@ class UcpWorker:
             self._evict_lru_endpoint()
         ep = UcpEndpoint(self, self.ctx.worker(remote_id))
         self._endpoints[remote_id] = ep
-        self.ctx.ep_total += 1
-        if self.ctx.telemetry.enabled:
-            self.ctx.telemetry.sample("ucx.ep_table", self.ctx.ep_total,
-                                      "endpoints")
+        self._ep_table_resized(+1)
         return ep
+
+    def _ep_table_resized(self, delta: int) -> None:
+        self.ctx.ep_total += delta
+        if self.ctx.telemetry.enabled:
+            self.ctx.telemetry.sample("ucx.ep_table", self.ctx.ep_total, "endpoints")
 
     def _evict_lru_endpoint(self) -> None:
         victim_id = next(iter(self._endpoints))
         victim = self._endpoints.pop(victim_id)
         victim.closed = True
-        self.ctx.ep_total -= 1
         self.ctx.machine.tracer.count("ucx", "ep_evicted")
         if self.ctx.telemetry.enabled:
             self.ctx.telemetry.bump("ucx.ep_evictions")
-            self.ctx.telemetry.sample("ucx.ep_table", self.ctx.ep_total,
-                                      "endpoints")
+        self._ep_table_resized(-1)
         if self.ctx.mapping_enabled:
             self.ctx.drop_pair_mappings(self.worker_id, victim_id)
 
@@ -216,39 +192,20 @@ class UcpWorker:
             flight.ensure(tag, src_pe=self.worker_id,
                           dst_pe=ep.remote.worker_id, size=size)
             flight.ucx_send(tag, proto.value)
+        sp = NULL_SPAN
         if tracer.enabled:
             sp = tracer.span("ucx", "tag_send", tag=tag, size=size, proto=proto.value)
-            req.span = sp
             tracer.observe("ucx.send_size_bytes", size)
-            _user_cb = req.cb
-
-            def _send_done(r, _sp=sp, _cb=_user_cb):
-                _sp.end()
-                tracer.observe(
-                    "ucx.send_latency_seconds",
-                    r.completed_at - r.posted_at,
-                    LATENCY_BUCKETS,
-                )
-                if _cb is not None:
-                    _cb(r)
-
-            req.cb = _send_done
-        else:
-            sp = NULL_SPAN
+            self._observe_completion(req, sp, "ucx.send_latency_seconds")
         # lazy wireup: the endpoint's first message pays connection setup
         # (0.0 when the lifecycle model is off — adding it then is exact)
         pre = ep.mark_established() if self.ctx.ep_lifecycle_enabled else 0.0
         # matching order follows the tag_send_nb call order, whatever the
         # protocols' differing pre-send delays do to physical arrival order
-        seq = self._tx_seq.get(ep.remote.worker_id, 0)
-        self._tx_seq[ep.remote.worker_id] = seq + 1
+        seq = self.tag_stream.next_seq(ep.remote.worker_id)
+        start_send = (eager_proto if proto is Protocol.EAGER else rndv_proto).start_send
         with tracer.under(sp):
-            if proto is Protocol.EAGER:
-                eager_proto.start_send(self, ep.remote, buf, size, tag, req,
-                                       wire_seq=seq, pre_cost=pre)
-            else:
-                rndv_proto.start_send(self, ep.remote, buf, size, tag, req,
-                                      wire_seq=seq, pre_cost=pre)
+            start_send(self, ep.remote, buf, size, tag, req, seq, pre)
         return req
 
     def tag_recv_nb(
@@ -267,57 +224,27 @@ class UcpWorker:
         if size > buf.size:
             raise UcxError(f"recv size {size} exceeds buffer size {buf.size}")
         self.recvs += 1
-        cfg = self.ctx.cfg
         req = UcxRequest(self.sim, RequestKind.RECV, tag, size, cb)
         posted = PostedRecv(tag, mask, buf, size, req)
-        base = self._recv_post_cost
         tracer = self.ctx.machine.tracer
         tracer.count("ucx", "recv")
-        tracer.charge("ucx", base)
+        tracer.charge("ucx", self._recv_post_cost)
         if tracer.enabled:
             sp = tracer.span("ucx", "tag_recv", tag=tag, size=size)
-            req.span = sp
-            _user_cb = req.cb
-
-            def _recv_done(r, _sp=sp, _cb=_user_cb):
-                _sp.end()
-                tracer.observe(
-                    "ucx.recv_latency_seconds",
-                    r.completed_at - r.posted_at,
-                    LATENCY_BUCKETS,
-                )
-                if _cb is not None:
-                    _cb(r)
-
-            req.cb = _recv_done
+            self._observe_completion(req, sp, "ucx.recv_latency_seconds")
 
         # unexpected messages carry concrete tags (their queue key); a
-        # full-mask receive is an exact lookup, a masked one falls back to
-        # the FIFO scan.
+        # full-mask receive is an exact lookup (and is itself bucketed under
+        # its tag when posted), a masked one falls back to the FIFO scan.
         lookup = (tag & TAG_MASK_FULL) if mask == TAG_MASK_FULL else None
         msg, scanned = self.unexpected.match(
             lookup, lambda m: (m.tag & mask) == (tag & mask)
         )
         if msg is not None:
-            self.unexpected_hits += 1
-            self.tag_scans += scanned
-            tracer.count("ucx", "unexpected_hit")
-            tracer.charge("ucx", cfg.tag_match_cost * scanned)
-            if tracer.enabled:
-                tracer.span(
-                    "ucx.match", "tag_match",
-                    tag=msg.tag, scanned=scanned, unexpected=True,
-                ).close_at(self.sim.now + cfg.tag_match_cost * scanned)
-            if tracer.flight.enabled:
-                tracer.flight.matched(msg.tag, posted_at=req.posted_at,
-                                      unexpected=True)
-            delay = base + cfg.tag_match_cost * scanned
-            self._dispatch_match(msg, posted, delay)
+            self._matched(msg, posted, self._recv_post_cost, scanned, True)
             return req
 
-        self.posted.append(
-            posted, key=((tag & TAG_MASK_FULL) if mask == TAG_MASK_FULL else None)
-        )
+        self.posted.append(posted, key=lookup)
         return req
 
     def tag_probe_nb(self, tag: int, mask: int = TAG_MASK_FULL):
@@ -347,58 +274,52 @@ class UcpWorker:
         """
         if req.completed:
             return False
-        tracer = self.ctx.machine.tracer
-        flight = tracer.flight
-        if req.kind is RequestKind.RECV:
+        recv = req.kind is RequestKind.RECV
+        if recv:
             if self.posted.remove_first(lambda p: p.req is req) is None:
                 return False
-            tracer.count("ucx", "cancel_recv")
-            if flight.enabled:
-                flight.recv_cancelled(req.tag)
-            req.complete(UcsStatus.ERR_CANCELED)
-            return True
-        if getattr(req, "op", "tag") == "am":
+        elif req.op == "am":
             return False  # AM sends are not cancellable (no UCP handle)
-        for rid, pending in self.pending_rndv_sends.items():
-            if pending is not req:
-                continue
-            if rid in self._rndv_started:
+        elif req.rndv_id:
+            if req.rndv_committed:
                 return False  # receiver is already fetching the data
-            del self.pending_rndv_sends[rid]
-            # the RTS still consumes its wire_seq slot at the receiver (it
-            # is dropped there, see _process_in_order), so the ordered
-            # stream keeps flowing past the cancelled message
-            self._rndv_cancelled.add(rid)
-            self._rndv_done.add(rid)
-            remote_id = self._rndv_remote.get(rid)
-            if remote_id is not None:
-                # retract the RTS if it sits unmatched at the peer
-                self.ctx.worker(remote_id).unexpected.remove_first(
-                    lambda m: m.kind is WireKind.RTS and m.rndv_id == rid
-                )
-            tracer.count("ucx", "cancel_send")
-            if flight.enabled:
-                flight.cancelled(req.tag)
-            req.complete(UcsStatus.ERR_CANCELED)
-            return True
-        # an eager send still staging its payload; the copy-in closure sees
-        # the completed request and emits a slot-consuming ERR frame instead
-        # of the payload
-        tracer.count("ucx", "cancel_send")
+            del self.pending_rndv_sends[req.rndv_id]
+            # retract the RTS if it sits unmatched at the peer; one still in
+            # flight consumes its wire_seq slot at the receiver, which drops
+            # it on seeing the cancelled request (see _process_in_order), so
+            # the ordered stream keeps flowing
+            self.ctx.worker(req.rndv_remote).unexpected.remove_first(
+                lambda m: m.send_req is req
+            )
+        # else: an eager send still staging its payload; the copy-in closure
+        # sees the completed request and emits a slot-consuming ERR frame
+        # instead of the payload
+        tracer = self.ctx.machine.tracer
+        tracer.count("ucx", "cancel_recv" if recv else "cancel_send")
+        flight = tracer.flight
         if flight.enabled:
-            flight.cancelled(req.tag)
+            (flight.recv_cancelled if recv else flight.cancelled)(req.tag)
         req.complete(UcsStatus.ERR_CANCELED)
         return True
 
-    # -- active-message host path -----------------------------------------------
-    #
-    # The Charm++ UCX machine layer moves ordinary host messages over UCP
-    # with preposted wildcard buffers.  Rather than fabricate those buffers,
-    # the model provides an AM-style path with the *same cost structure* as
-    # the tagged protocols (eager copy-in/wire/copy-out below the host
-    # rendezvous threshold; RTS + single-copy fetch above it) that delivers
-    # to a worker-level handler installed by the machine layer.
+    def _observe_completion(self, req: UcxRequest, sp, latency_metric: str) -> None:
+        """Traced requests only: completion ends ``sp`` and records the
+        post-to-completion latency before the user's callback runs."""
+        tracer = self.ctx.machine.tracer
+        user_cb = req.cb
 
+        def _done(r: UcxRequest) -> None:
+            sp.end()
+            tracer.observe(
+                latency_metric, r.completed_at - r.posted_at, LATENCY_BUCKETS
+            )
+            if user_cb is not None:
+                user_cb(r)
+
+        req.span = sp
+        req.cb = _done
+
+    # -- active-message host path (cost model: protocols/am.py) ------------------
     def set_am_handler(self, handler) -> None:
         """Install the callable invoked as ``handler(payload, size, src_id)``
         when an AM host message is delivered to this worker."""
@@ -418,422 +339,68 @@ class UcpWorker:
         self.sends += 1
         ep.messages_sent += 1
         ep.bytes_sent += size
-        cfg = self.ctx.cfg
         req = UcxRequest(self.sim, RequestKind.SEND, 0, size, None)
         req.op = "am"
-        remote = ep.remote
         tracer = self.ctx.machine.tracer
         tracer.count("ucx", "am_send")
         tracer.charge("ucx", self._send_post_cost)
         if tracer.enabled:
             sp = tracer.span(
                 "ucx", "am_send",
-                size=size, rndv=size >= cfg.host_rndv_threshold,
+                size=size, rndv=size >= self.ctx.cfg.host_rndv_threshold,
             )
             req.span = sp
             req.cb = lambda r, _sp=sp: _sp.end()
-
-        # both AM protocols share one per-pair sequence stream: delivery
-        # follows send order even across the eager/rendezvous boundary (a
-        # small message sent after a large one must not overtake its fetch)
-        seq = self._am_tx_seq.get(remote.worker_id, 0)
-        self._am_tx_seq[remote.worker_id] = seq + 1
-
+        seq = self.am_stream.next_seq(ep.remote.worker_id)
         # first traffic through the endpoint pays lazy connection setup
         pre = ep.mark_established() if self.ctx.ep_lifecycle_enabled else 0.0
-        if size < cfg.host_rndv_threshold:
-            # eager: copy-in, wire, copy-out
-            copy = self._host_copy_time(size)
-            delay = self._send_post_cost + copy + pre
-
-            def _send_eager() -> None:
-                req.complete()
-                self._am_wire(remote, size, payload, extra_rx=copy, seq=seq)
-
-            self.sim.schedule(delay, _send_eager)
-        else:
-            # rendezvous: RTS, then a single-copy fetch of the data
-            delay = self._rts_post_cost + pre
-
-            def _send_rts() -> None:
-                self._am_wire(
-                    remote, CTRL_MSG_BYTES, None, rndv=(size, payload, req), seq=seq
-                )
-
-            self.sim.schedule(delay, _send_rts)
+        am_proto.start_send(self, ep.remote, size, payload, req, seq, pre)
         return req
 
-    def _am_wire(
-        self,
-        remote: "UcpWorker",
-        nbytes: int,
-        payload,
-        extra_rx: float = 0.0,
-        rndv=None,
-        seq=None,
-        attempt: int = 0,
-    ) -> None:
-        machine = self.ctx.machine
-        tracer = machine.tracer
-        if remote.worker_id == self.worker_id:
-            if tracer.enabled:
-                sp = tracer.span("link", "am_wire", bytes=nbytes)
-                self.sim.schedule(
-                    LOOPBACK_LATENCY,
-                    lambda: (sp.end(),
-                             self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq)),
-                )
-            else:
-                self.sim.schedule(
-                    LOOPBACK_LATENCY, self._am_arrive, remote, nbytes, payload, extra_rx, rndv, seq
-                )
-            return
-        injector = machine.fault_injector
-        if injector is None:
-            self._am_put_on_wire(remote, nbytes, payload, extra_rx, rndv, seq)
-            return
-        fault = injector.frame_fault(
-            self.worker_id, remote.worker_id, "am", self.sim.now
-        )
-        if fault is None:
-            self._am_put_on_wire(remote, nbytes, payload, extra_rx, rndv, seq)
-            return
-        verb, stall = fault
-        if verb == STALL:
-            # late, not lost: deliver with the stall added; if the stall
-            # outlives the retry timer the sender also retransmits, and the
-            # receiver dedups the duplicate by sequence number
-            self._am_put_on_wire(
-                remote, nbytes, payload, extra_rx, rndv, seq, extra_time=stall
-            )
-            if attempt < injector.max_retries and stall >= injector.retry_wait(attempt):
-                self._am_schedule_retransmit(
-                    remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-                )
-            return
-        if verb == CORRUPT:
-            # the frame occupies the wire but fails its integrity check
-            route = machine.route(
-                machine.host_location(self.node, self.socket),
-                machine.host_location(remote.node, remote.socket),
-            )
-            path_transfer(self.sim, route, nbytes + WIRE_HEADER_BYTES)
-        if attempt >= injector.max_retries:
-            self._am_give_up(remote, nbytes, rndv, seq)
-            return
-        self._am_schedule_retransmit(
-            remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-        )
-
-    def _am_put_on_wire(
-        self,
-        remote: "UcpWorker",
-        nbytes: int,
-        payload,
-        extra_rx: float,
-        rndv,
-        seq,
-        extra_time: float = 0.0,
-    ) -> None:
-        machine = self.ctx.machine
-        tracer = machine.tracer
-        route = machine.route(
-            machine.host_location(self.node, self.socket),
-            machine.host_location(remote.node, remote.socket),
-        )
-        if tracer.enabled:
-            sp = tracer.span("link", "am_wire", bytes=nbytes)
-            path_transfer(
-                self.sim, route, nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
-            ).add_callback(
-                lambda _ev: (sp.end(),
-                             self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq))
-            )
-        else:
-            path_transfer(
-                self.sim, route, nbytes + WIRE_HEADER_BYTES, extra_time=extra_time
-            ).add_callback(
-                lambda _ev: self._am_arrive(remote, nbytes, payload, extra_rx, rndv, seq)
-            )
-
-    def _am_schedule_retransmit(
-        self, remote, nbytes, payload, extra_rx, rndv, seq, injector, attempt
-    ) -> None:
-        tracer = self.ctx.machine.tracer
-        tracer.count("fault", "retransmit")
-        if tracer.timeline.enabled:
-            tracer.timeline.bump("fault.retransmits")
-        wait = injector.retry_wait(attempt)
-        if tracer.enabled:
-            tracer.span(
-                "fault", "retransmit_wait", kind="am", attempt=attempt,
-            ).close_at(self.sim.now + wait)
-        self.sim.schedule(
-            wait, self._am_wire, remote, nbytes, payload, extra_rx, rndv, seq,
-            attempt + 1,
-        )
-
-    def _am_give_up(self, remote: "UcpWorker", nbytes: int, rndv, seq) -> None:
-        """The retransmit budget for an AM frame is exhausted."""
-        tracer = self.ctx.machine.tracer
-        tracer.count("fault", "endpoint_timeout")
-        if rndv is not None:
-            size, _payload, send_req = rndv
-            if not send_req.completed:
-                send_req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
-            lost = size
-        else:
-            lost = nbytes
-        if seq is not None:
-            # the receiver must consume the sequence slot or its ordered AM
-            # stream stalls behind the lost message forever; a "lost" entry
-            # surfaces the error at delivery order
-            self.sim.schedule(
-                0.0, remote._am_enqueue, self.worker_id, seq, ("lost", lost)
-            )
-
-    def _am_arrive(self, remote: "UcpWorker", nbytes: int, payload, extra_rx: float, rndv, seq=None) -> None:
-        cfg = self.ctx.cfg
-        machine = self.ctx.machine
-        src = self.worker_id
-        if rndv is None:
-            if seq is None:
-                remote._am_deliver(nbytes, payload, src, cfg.progress_overhead + extra_rx)
-                return
-            remote._am_enqueue(src, seq, ("msg", nbytes, payload, extra_rx))
-            return
-        size, data_payload, send_req = rndv
-        if seq is not None and not remote._am_reserve(src, seq):
-            # duplicate RTS from a stall-retransmit race: one fetch only
-            machine.tracer.count("fault", "duplicate_dropped")
-            return
-        # receiver fetches the data with a single copy (CMA within a node,
-        # RDMA get across nodes; the latter pins the pages first -- a CPU/
-        # driver cost that delays the get without occupying the wire)
-        route = machine.route(
-            machine.host_location(self.node, self.socket),
-            machine.host_location(remote.node, remote.socket),
-        )
-        reg = cfg.host_rndv_reg_overhead if remote.node != self.node else 0.0
-
-        def _fetched(_ev) -> None:
-            if not send_req.completed:
-                send_req.complete()
-            if seq is None:
-                remote._am_deliver(size, data_payload, src, cfg.progress_overhead)
-            else:
-                remote._am_enqueue(
-                    src, seq, ("msg", size, data_payload, 0.0), reserved=True
-                )
-
-        tracer = machine.tracer
-
-        def _start_fetch() -> None:
-            if tracer.enabled:
-                sp = tracer.span("link", "am_fetch", bytes=size)
-                path_transfer(self.sim, route, size).add_callback(
-                    lambda _ev: (sp.end(), _fetched(_ev))
-                )
-            else:
-                path_transfer(self.sim, route, size).add_callback(_fetched)
-
-        self.sim.schedule(
-            cfg.progress_overhead + cfg.rndv_rts_cost + reg, _start_fetch
-        )
-
-    # -- AM receive ordering ------------------------------------------------------
-    #
-    # Held entries per source are tagged tuples:
-    #   ("msg", nbytes, payload, extra_rx)  — ready to deliver
-    #   ("pending",)                        — rendezvous fetch in progress
-    #   ("lost", nbytes)                    — sender gave up on this slot
-
-    def _am_reserve(self, src: int, seq: int) -> bool:
-        """Claim ``seq`` for an in-progress rendezvous fetch.  Returns False
-        when the slot was already delivered, reserved, or filled (the frame
-        is a retransmit duplicate)."""
-        if seq < self._am_rx_next.get(src, 0):
-            return False
-        held = self._am_rx_held.setdefault(src, {})
-        if seq in held:
-            return False
-        held[seq] = ("pending",)
-        return True
-
-    def _am_enqueue(self, src: int, seq: int, entry, reserved: bool = False) -> None:
-        """File ``entry`` under ``seq`` and deliver everything now in order.
-        Duplicates (slot already delivered or occupied) are dropped unless
-        the caller holds the slot's reservation."""
-        held = self._am_rx_held.setdefault(src, {})
-        if not reserved:
-            if seq < self._am_rx_next.get(src, 0) or seq in held:
-                self.ctx.machine.tracer.count("fault", "duplicate_dropped")
-                return
-        held[seq] = entry
-        self._am_drain(src)
-
-    def _am_drain(self, src: int) -> None:
-        cfg = self.ctx.cfg
-        held = self._am_rx_held.get(src)
-        while held:
-            nxt = self._am_rx_next.get(src, 0)
-            entry = held.get(nxt)
-            if entry is None or entry[0] == "pending":
-                return
-            del held[nxt]
-            self._am_rx_next[src] = nxt + 1
-            if entry[0] == "lost":
-                tracer = self.ctx.machine.tracer
-                tracer.count("fault", "am_message_lost")
-                handler = getattr(self, "_am_error_handler", None)
-                if handler is None:
-                    raise UcxError(
-                        f"worker {self.worker_id}: AM message from {src} lost "
-                        f"({entry[1]} bytes) and no AM error handler installed"
-                    )
-                handler(entry[1], src)
-                continue
-            _kind, nbytes, payload, extra_rx = entry
-            self._am_deliver(nbytes, payload, src, cfg.progress_overhead + extra_rx)
-
-    def _am_deliver(self, size: int, payload, src_id: int, delay: float) -> None:
-        handler = getattr(self, "_am_handler", None)
-        if handler is None:
-            raise UcxError(f"worker {self.worker_id} has no AM handler installed")
-        # keep handler invocation order consistent with delivery order: a
-        # drained held message must not fire before its predecessor just
-        # because its copy-out is cheaper
-        if not hasattr(self, "_am_last_deliver"):
-            self._am_last_deliver = {}
-        at = max(self.sim.now + delay, self._am_last_deliver.get(src_id, 0.0))
-        self._am_last_deliver[src_id] = at
-        self.sim.schedule(at - self.sim.now, handler, payload, size, src_id)
-
-    # -- wire ----------------------------------------------------------------------
+    # -- the tagged stream ----------------------------------------------------------
     def transmit(
         self,
         remote: "UcpWorker",
         msg: WireMessage,
         wire_bytes: Optional[int] = None,
     ) -> None:
-        """Push ``msg`` onto the wire towards ``remote``.
+        """Push ``msg`` onto the tagged stream towards ``remote``.
 
         Control and eager messages travel host-to-host (device payloads were
-        staged by the eager protocol before transmit).  Loopback bypasses
-        the link fabric.  With fault injection active, non-loopback frames
-        go through the retransmit machinery; ERR notifications are exempt
-        (they model the symmetric timeout, not a frame).
+        staged by the eager protocol before transmit).  ERR notifications
+        are exempt from fault injection: they model the symmetric timeout,
+        not a frame.  Only EAGER/RTS frames belong to a flight record.
         """
         nbytes = (wire_bytes if wire_bytes is not None else msg.size) + WIRE_HEADER_BYTES
-        tracer = self.ctx.machine.tracer
-        if remote.worker_id == self.worker_id:
-            if tracer.enabled:
-                sp = tracer.span("link", "wire", kind=msg.kind.name,
-                                 tag=msg.tag, bytes=nbytes)
-                self.sim.schedule(
-                    LOOPBACK_LATENCY, lambda: (sp.end(), remote._on_wire(msg))
-                )
-            else:
-                self.sim.schedule(LOOPBACK_LATENCY, remote._on_wire, msg)
-            return
-        injector = self.ctx.machine.fault_injector
-        if injector is not None and msg.kind is not WireKind.ERR:
-            self._transmit_faulty(remote, msg, nbytes, injector, 0)
-            return
-        self._put_on_wire(remote, msg, nbytes)
-
-    def _put_on_wire(
-        self, remote: "UcpWorker", msg: WireMessage, nbytes: int,
-        extra_time: float = 0.0,
-    ) -> None:
-        machine = self.ctx.machine
-        tracer = machine.tracer
-        route = machine.route(
-            machine.host_location(self.node), machine.host_location(remote.node)
-        )
-        if tracer.enabled:
-            sp = tracer.span("link", "wire", kind=msg.kind.name,
-                             tag=msg.tag, bytes=nbytes)
-            path_transfer(self.sim, route, nbytes, extra_time=extra_time).add_callback(
-                lambda _ev: (sp.end(), remote._on_wire(msg))
-            )
-        else:
-            path_transfer(self.sim, route, nbytes, extra_time=extra_time).add_callback(
-                lambda _ev: remote._on_wire(msg)
-            )
-
-    def _transmit_faulty(
-        self, remote: "UcpWorker", msg: WireMessage, nbytes: int, injector, attempt: int
-    ) -> None:
-        fault = injector.frame_fault(
-            self.worker_id, remote.worker_id, msg.kind.value, self.sim.now
-        )
-        if fault is None:
-            self._put_on_wire(remote, msg, nbytes)
-            return
-        verb, stall = fault
-        if verb == STALL:
-            # late, not lost: deliver with the stall added; when the stall
-            # outlives the retry timer, the sender retransmits anyway and
-            # the receiver drops whichever copy arrives second
-            self._put_on_wire(remote, msg, nbytes, extra_time=stall)
-            if attempt < injector.max_retries and stall >= injector.retry_wait(attempt):
-                self._schedule_retransmit(remote, msg, nbytes, injector, attempt)
-            return
-        if verb == CORRUPT:
-            # the frame occupies the wire but fails its integrity check
-            machine = self.ctx.machine
-            route = machine.route(
-                machine.host_location(self.node), machine.host_location(remote.node)
-            )
-            path_transfer(self.sim, route, nbytes)
-        if attempt >= injector.max_retries:
-            self._give_up(remote, msg)
-            return
-        self._schedule_retransmit(remote, msg, nbytes, injector, attempt)
-
-    def _schedule_retransmit(
-        self, remote: "UcpWorker", msg: WireMessage, nbytes: int, injector, attempt: int
-    ) -> None:
-        tracer = self.ctx.machine.tracer
-        tracer.count("fault", "retransmit")
-        if tracer.timeline.enabled:
-            tracer.timeline.bump("fault.retransmits")
-        flight = tracer.flight
-        if flight.enabled and msg.kind in (WireKind.EAGER, WireKind.RTS):
-            flight.retransmitted(msg.tag)
-        wait = injector.retry_wait(attempt)
-        if tracer.enabled:
-            tracer.span(
-                "fault", "retransmit_wait",
-                kind=msg.kind.name, tag=msg.tag, attempt=attempt,
-            ).close_at(self.sim.now + wait)
-        self.sim.schedule(
-            wait, self._transmit_faulty, remote, msg, nbytes, injector, attempt + 1
-        )
+        kind = msg.kind
+        spans = None
+        if self.ctx.machine.tracer.enabled:
+            retry_attrs = {"kind": kind.name, "tag": msg.tag}
+            spans = ("wire", dict(retry_attrs, bytes=nbytes), retry_attrs)
+        transport.send(self, remote, (
+            nbytes, None if kind is WireKind.ERR else kind.value,
+            self.tag_loc, remote.tag_loc, spans,
+            msg.tag if kind is WireKind.EAGER or kind is WireKind.RTS else None,
+            UcpWorker._on_wire, (remote, msg), self._give_up,
+        ))
 
     def _give_up(self, remote: "UcpWorker", msg: WireMessage) -> None:
-        """A tagged-path frame exhausted its retransmit budget."""
+        """A tagged-stream frame exhausted its retransmit budget: fail the
+        pending request (if any) and notify the peer with an ERR frame.
+
+        The ERR models the peer's own timeout firing for the same frame —
+        the failure detector is symmetric — so it travels out-of-band (zero
+        delay, never itself faulted).  It inherits the lost frame's
+        ``wire_seq``: the ordered stream *must* consume every slot or it
+        stalls behind the loss forever."""
         tracer = self.ctx.machine.tracer
-        tracer.count("fault", "endpoint_timeout")
-        flight = tracer.flight
-        if msg.kind is WireKind.FIN:
-            # the lost FIN's destination is the original rendezvous sender:
-            # surface the timeout on its still-pending send request
-            err = WireMessage(
-                kind=WireKind.ERR, tag=msg.tag, size=msg.size,
-                src_worker=self.worker_id, rndv_id=msg.rndv_id,
-                sent_at=self.sim.now, failed_kind=WireKind.FIN,
-            )
-            self.sim.schedule(0.0, remote._on_wire, err)
-            return
-        if flight.enabled:
-            flight.failed(msg.tag, "endpoint_timeout")
-        if msg.kind is WireKind.RTS:
-            req = self.pending_rndv_sends.pop(msg.rndv_id, None)
-            self._rndv_done.add(msg.rndv_id)
-            if req is not None and not req.completed:
-                req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
+        if msg.kind is not WireKind.FIN:
+            # (a lost FIN's destination is the original rendezvous sender:
+            # the ERR below lets it fail its still-pending send)
+            if tracer.flight.enabled:
+                tracer.flight.failed(msg.tag, "endpoint_timeout")
+            if msg.kind is WireKind.RTS:
+                self._fail_rndv_send(msg.rndv_id)
         err = WireMessage(
             kind=WireKind.ERR, tag=msg.tag, size=msg.size,
             src_worker=self.worker_id, rndv_id=msg.rndv_id,
@@ -841,59 +408,45 @@ class UcpWorker:
         )
         self.sim.schedule(0.0, remote._on_wire, err)
 
+    def _fail_rndv_send(self, rndv_id: int) -> None:
+        """The rendezvous will never complete (its RTS or FIN was lost)."""
+        req = self.pending_rndv_sends.pop(rndv_id, None)
+        if req is not None and not req.completed:
+            req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
+
     def _on_wire(self, msg: WireMessage) -> None:
-        """A message arrived (called at its simulated arrival instant)."""
+        """A tagged frame arrived (called at its simulated arrival instant)."""
         tracer = self.ctx.machine.tracer
         tracer.count("ucx", "arrive")
         tracer.charge("ucx", self.ctx.cfg.progress_overhead)
-        if msg.kind is WireKind.ERR and msg.failed_kind is WireKind.FIN:
-            # a FIN addressed to us was lost: our rendezvous send will never
-            # see its completion notification — fail it
-            req = self.pending_rndv_sends.pop(msg.rndv_id, None)
-            self._rndv_done.add(msg.rndv_id)
-            if req is not None and not req.completed:
-                req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
-            return
-        if msg.kind is WireKind.FIN:
+        kind = msg.kind
+        if kind is WireKind.FIN:
             rndv_proto.finish_send(self, msg)
-            return
-        # enforce per-pair matching order: hold early arrivals until their
-        # predecessors on the same directed pair have been processed, and
-        # drop retransmit duplicates (slot already delivered or held)
-        src = msg.src_worker
-        if msg.wire_seq is not None:
-            expected = self._rx_next.get(src, 0)
-            if msg.wire_seq < expected or msg.wire_seq in self._rx_held.get(src, {}):
-                tracer.count("fault", "duplicate_dropped")
-                return
-            if msg.wire_seq != expected:
-                self._rx_held.setdefault(src, {})[msg.wire_seq] = msg
-                return
-        self._process_in_order(msg)
-        held = self._rx_held.get(src)
-        while held:
-            nxt = self._rx_next.get(src, 0)
-            follow = held.pop(nxt, None)
-            if follow is None:
-                break
-            self._process_in_order(follow)
+        elif kind is WireKind.ERR and msg.failed_kind is WireKind.FIN:
+            # a FIN addressed to us was lost: our rendezvous send will never
+            # see its completion notification
+            self._fail_rndv_send(msg.rndv_id)
+        else:
+            # matchable frames (and the ERR frames standing in for them)
+            # are processed in per-pair send order
+            self.tag_stream.offer(msg.src_worker, msg.wire_seq, msg)
 
-    def _process_in_order(self, msg: WireMessage) -> None:
-        cfg = self.ctx.cfg
-        src = msg.src_worker
-        if msg.wire_seq is not None:
-            self._rx_next[src] = msg.wire_seq + 1
-        if msg.kind is WireKind.ERR and msg.failed_kind is None:
+    def _process_in_order(self, src: int, msg: WireMessage) -> None:
+        kind = msg.kind
+        if kind is WireKind.ERR and msg.failed_kind is None:
             # slot consumer for a cancelled eager send: the sequence
             # advances but there is nothing to match
             self.ctx.machine.tracer.count("ucx", "cancelled_frame_slot")
             return
-        if msg.kind is WireKind.RTS and msg.rndv_id in self.ctx.worker(src)._rndv_cancelled:
+        if kind is WireKind.RTS and msg.send_req.status is UcsStatus.ERR_CANCELED:
             # the sender cancelled while the RTS was in flight: consume the
-            # sequence slot but never match the descriptor
+            # sequence slot but never match the descriptor.  (Only a cancel
+            # does this.  A send that gave up may still have a stalled RTS
+            # copy released here, when that copy was held before the give-up
+            # ERR came for the same slot; it is matched and the data fetched,
+            # and the sender ignores the FIN as late.)
             self.ctx.machine.tracer.count("ucx", "cancelled_rts_dropped")
             return
-        base = cfg.progress_overhead
         # posted receives with a full mask are bucketed under their tag;
         # masked receives live in the wildcard fallback and are checked via
         # the predicate — FIFO order across both is preserved by slot order.
@@ -901,30 +454,41 @@ class UcpWorker:
             msg.tag & TAG_MASK_FULL, lambda p: p.matches(msg.tag)
         )
         if posted is not None:
-            self.expected_hits += 1
-            self.tag_scans += scanned
-            tracer = self.ctx.machine.tracer
-            tracer.count("ucx", "expected_hit")
-            tracer.charge("ucx", cfg.tag_match_cost * scanned)
-            if tracer.enabled:
-                tracer.span(
-                    "ucx.match", "tag_match",
-                    tag=msg.tag, scanned=scanned, unexpected=False,
-                ).close_at(self.sim.now + cfg.tag_match_cost * scanned)
-            if tracer.flight.enabled:
-                tracer.flight.matched(msg.tag, posted_at=posted.req.posted_at,
-                                      unexpected=False)
-            delay = base + cfg.tag_match_cost * scanned
-            self._dispatch_match(msg, posted, delay)
-            return
-        self.unexpected.append(msg, key=msg.tag & TAG_MASK_FULL)
+            self._matched(msg, posted, self.ctx.cfg.progress_overhead, scanned, False)
+        else:
+            self.unexpected.append(msg, key=msg.tag & TAG_MASK_FULL)
 
-    def _dispatch_match(self, msg: WireMessage, posted: PostedRecv, delay: float) -> None:
-        if msg.kind is WireKind.EAGER:
+    def _matched(
+        self, msg: WireMessage, posted: PostedRecv, base: float, scanned: int,
+        unexpected: bool,
+    ) -> None:
+        """Account one tag match (``scanned`` is the virtual linear-scan
+        length it is charged for) and hand the pair to its protocol."""
+        cost = self.ctx.cfg.tag_match_cost * scanned
+        self.tag_scans += scanned
+        tracer = self.ctx.machine.tracer
+        if unexpected:
+            self.unexpected_hits += 1
+            tracer.count("ucx", "unexpected_hit")
+        else:
+            self.expected_hits += 1
+            tracer.count("ucx", "expected_hit")
+        tracer.charge("ucx", cost)
+        if tracer.enabled:
+            tracer.span(
+                "ucx.match", "tag_match",
+                tag=msg.tag, scanned=scanned, unexpected=unexpected,
+            ).close_at(self.sim.now + cost)
+        if tracer.flight.enabled:
+            tracer.flight.matched(msg.tag, posted_at=posted.req.posted_at,
+                                  unexpected=unexpected)
+        delay = base + cost
+        kind = msg.kind
+        if kind is WireKind.EAGER:
             eager_proto.finish_recv(self, msg, posted, delay)
-        elif msg.kind is WireKind.RTS:
+        elif kind is WireKind.RTS:
             rndv_proto.start_transfer(self, msg, posted, delay)
-        elif msg.kind is WireKind.ERR:
+        elif kind is WireKind.ERR:
             # the peer exhausted its retransmit budget for the frame this
             # receive would have consumed
             self.sim.schedule(

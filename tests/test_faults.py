@@ -40,6 +40,54 @@ def make_pair(config, gpus=(0, 1)):
     return m, ctx, wa, wb
 
 
+#: The transport's one fault state machine serves both frame streams; the
+#: worker-level recovery cases below run on every kind of first frame:
+#: name -> (API, message size, the ``LinkFaultRule.kinds`` that select it).
+FRAMES = {
+    "tagged-eager": ("tag", 64, ("eager",)),
+    "tagged-rndv": ("tag", 256 * KB, ("rts",)),
+    "am-eager": ("am", 64, ("am",)),
+    "am-rndv": ("am", 32 * KB, ("am",)),  # >= host_rndv_threshold
+}
+frames = pytest.mark.parametrize("frame", sorted(FRAMES))
+
+
+class OneMessage:
+    """One message from worker ``wa`` to worker ``wb`` over the tagged or
+    the AM API; after ``m.sim.run()`` the properties say how it ended."""
+
+    def __init__(self, m, wa, wb, frame):
+        api_, self.size, _kinds = FRAMES[frame]
+        self.tagged = api_ == "tag"
+        self.delivered = []  # AM handler invocations
+        self.lost = []  # AM error-handler invocations
+        if self.tagged:
+            src, self.dst = m.alloc_host(0, self.size), m.alloc_host(0, self.size)
+            src.data[:] = 4
+            self.rreq = wb.tag_recv_nb(self.dst, self.size, tag=1)
+            self.sreq = wa.tag_send_nb(wa.ep(1), src, self.size, tag=1)
+        else:
+            wb.set_am_handler(lambda payload, size, src: self.delivered.append(
+                (payload, size, src)))
+            wb.set_am_error_handler(lambda size, src: self.lost.append((size, src)))
+            self.sreq = wa.am_send(wa.ep(1), self.size, payload="hello")
+
+    @property
+    def arrived_once(self):
+        if self.tagged:
+            return (self.rreq.status is UcsStatus.OK and self.sreq.status is UcsStatus.OK
+                    and (self.dst.data == 4).all())
+        return (self.delivered == [("hello", self.size, 0)] and not self.lost
+                and self.sreq.status is UcsStatus.OK)
+
+
+def one_message(plan, frame):
+    m, ctx, wa, wb = make_pair(MachineConfig.summit(nodes=2).with_faults(plan))
+    msg = OneMessage(m, wa, wb, frame)
+    m.sim.run()
+    return m, msg
+
+
 # ---------------------------------------------------------------------------
 # the plan object
 # ---------------------------------------------------------------------------
@@ -204,55 +252,40 @@ class TestRecovery:
         assert rreq.completed and sreq.completed
         assert (dst.data == 77).all()
 
-    def test_corrupt_occupies_wire_then_retransmits(self):
-        plan = FaultPlan(
-            seed=0,
-            link_rules=(LinkFaultRule(corrupt_p=1.0, max_faults=2),),
-        )
-        cfg = MachineConfig.summit(nodes=2).with_faults(plan)
-        m, ctx, wa, wb = make_pair(cfg)
-        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
-        src.data[:] = 4
-        rreq = wb.tag_recv_nb(dst, 64, tag=1)
-        wa.tag_send_nb(wa.ep(1), src, 64, tag=1)
-        m.sim.run()
-        assert rreq.completed and (dst.data == 4).all()
+    @frames
+    def test_corrupt_occupies_wire_then_retransmits(self, frame):
+        plan = FaultPlan(seed=0, link_rules=(
+            LinkFaultRule(corrupt_p=1.0, max_faults=2, kinds=FRAMES[frame][2]),))
+        m, msg = one_message(plan, frame)
+        assert msg.arrived_once
         assert m.tracer.counters["fault.corrupt"] == 2
         assert m.tracer.counters["fault.retransmit"] == 2
 
-    def test_long_stall_produces_deduped_duplicate(self):
+    @frames
+    def test_long_stall_produces_deduped_duplicate(self, frame):
         # stall far beyond the first retry timeout: the retransmit arrives
         # first, the stalled original becomes a duplicate the receiver drops
         plan = FaultPlan(
             seed=0,
             link_rules=(LinkFaultRule(stall_p=1.0, stall_seconds=5e-4,
-                                      max_faults=1),),
+                                      max_faults=1, kinds=FRAMES[frame][2]),),
             retry_timeout=20e-6,
         )
-        cfg = MachineConfig.summit(nodes=2).with_faults(plan)
-        m, ctx, wa, wb = make_pair(cfg)
-        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
-        src.data[:] = 8
-        rreq = wb.tag_recv_nb(dst, 64, tag=1)
-        wa.tag_send_nb(wa.ep(1), src, 64, tag=1)
-        m.sim.run()
-        assert rreq.completed and (dst.data == 8).all()
+        m, msg = one_message(plan, frame)
+        assert msg.arrived_once
         assert m.tracer.counters["fault.stall"] == 1
-        assert m.tracer.counters["fault.duplicate_dropped"] >= 1
+        assert m.tracer.counters["fault.retransmit"] == 1
+        assert m.tracer.counters["fault.duplicate_dropped"] == 1
 
-    def test_max_faults_budget_limits_rule(self):
-        plan = FaultPlan(
-            seed=0, link_rules=(LinkFaultRule(drop_p=1.0, max_faults=3),)
-        )
-        cfg = MachineConfig.summit(nodes=2).with_faults(plan)
-        m, ctx, wa, wb = make_pair(cfg)
-        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
-        rreq = wb.tag_recv_nb(dst, 64, tag=1)
-        wa.tag_send_nb(wa.ep(1), src, 64, tag=1)
-        m.sim.run()
+    @frames
+    def test_max_faults_budget_limits_rule(self, frame):
+        plan = FaultPlan(seed=0, link_rules=(
+            LinkFaultRule(drop_p=1.0, max_faults=3, kinds=FRAMES[frame][2]),))
+        m, msg = one_message(plan, frame)
         # three drops consumed the budget; the fourth attempt goes through
-        assert rreq.completed and rreq.status is UcsStatus.OK
+        assert msg.arrived_once
         assert m.tracer.counters["fault.drop"] == 3
+        assert m.tracer.counters["fault.retransmit"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +300,36 @@ def _down_cfg(**plan_overrides):
 
 
 class TestEndpointTimeout:
+    @frames
+    def test_give_up_surfaces_endpoint_timeout(self, frame):
+        """The budget (first attempt + 2 retries) is spent on every stream
+        alike; what giving up *does* is the stream's own."""
+        plan = FaultPlan.endpoint_down(src=0, dst=1, from_t=0.0,
+                                       retry_timeout=10e-6, max_retries=2)
+        m, msg = one_message(plan, frame)
+        assert m.tracer.counters["fault.drop"] == 3
+        assert m.tracer.counters["fault.retransmit"] == 2
+        assert m.tracer.counters["fault.endpoint_timeout"] == 1
+        rndv = frame.endswith("rndv")
+        # eager sends complete locally at copy-in (UCX semantics): the loss
+        # is the receiver's problem; a rendezvous send fails with its RTS
+        assert msg.sreq.status is (UcsStatus.ERR_ENDPOINT_TIMEOUT if rndv
+                                   else UcsStatus.OK)
+        if msg.tagged:
+            assert msg.rreq.status is UcsStatus.ERR_ENDPOINT_TIMEOUT
+        else:
+            assert msg.lost == [(msg.size, 0)] and not msg.delivered
+            assert m.tracer.counters["fault.am_message_lost"] == 1
+
+    def test_am_loss_without_error_handler_raises(self):
+        from repro.ucx.status import UcxError
+
+        m, ctx, wa, wb = make_pair(_down_cfg())
+        wb.set_am_handler(lambda payload, size, src: None)
+        wa.am_send(wa.ep(1), 64, payload="x")
+        with pytest.raises(UcxError, match="no AM error handler"):
+            m.sim.run()
+
     def test_sender_and_receiver_observe_timeout(self):
         m, ctx, wa, wb = make_pair(_down_cfg())
         size = 256 * KB  # rendezvous: the RTS never gets through
@@ -277,6 +340,40 @@ class TestEndpointTimeout:
         assert sreq.status is UcsStatus.ERR_ENDPOINT_TIMEOUT
         assert rreq.status is UcsStatus.ERR_ENDPOINT_TIMEOUT
         assert m.tracer.counters["fault.endpoint_timeout"] >= 1
+
+    def test_given_up_rts_held_behind_a_stalled_frame_still_matches(self):
+        """An RTS copy that stalled past the retry timer waits at the
+        receiver behind an even later eager frame; its retransmits are all
+        dropped, so the sender gives up — and the give-up ERR, arriving for
+        an occupied slot, is the copy that gets de-duplicated.  The held RTS
+        is a real descriptor of a send that was never cancelled: its receive
+        must complete (the sender, already failed, ignores the FIN)."""
+        plan = FaultPlan(
+            seed=0, retry_timeout=50e-6, retry_backoff=1.0, max_retries=3,
+            link_rules=(
+                LinkFaultRule(src=0, dst=1, kinds=("eager",), stall_p=1.0,
+                              stall_seconds=1e-3, max_faults=4),
+                LinkFaultRule(src=0, dst=1, kinds=("rts",), stall_p=1.0,
+                              stall_seconds=60e-6, max_faults=1),
+                LinkFaultRule(src=0, dst=1, kinds=("rts",), drop_p=1.0),
+            ))
+        m, ctx, wa, wb = make_pair(MachineConfig.summit(nodes=2).with_faults(plan))
+        size = 1 * MB
+        src, dst = m.alloc_host(0, size), m.alloc_host(0, size)
+        src.data[:] = 9
+        small = wb.tag_recv_nb(m.alloc_host(0, 8), 8, tag=1)
+        big = wb.tag_recv_nb(dst, size, tag=2)
+        wa.tag_send_nb(wa.ep(1), m.alloc_host(0, 8), 8, tag=1)
+        sreq = wa.tag_send_nb(wa.ep(1), src, size, tag=2)
+        m.sim.run()
+        assert sreq.status is UcsStatus.ERR_ENDPOINT_TIMEOUT
+        assert small.status is UcsStatus.OK
+        assert big.status is UcsStatus.OK and (dst.data == 9).all()
+        counters = m.tracer.counters
+        assert counters["fault.endpoint_timeout"] == 1
+        assert counters["ucx.late_fin_ignored"] == 1
+        assert counters["ucx.cancelled_rts_dropped"] == 0
+        assert wa.pending_rndv_sends == {}
 
     def test_eager_receiver_observes_timeout(self):
         m, ctx, wa, wb = make_pair(_down_cfg())
@@ -488,6 +585,58 @@ class TestSurfacing:
         recs = sess.flight_records()
         assert recs and all(r.complete for r in recs)
         assert sum(r.retransmits for r in recs) > 0
+
+    def test_lossy_observation_output_is_pinned(self):
+        """What a traced, flight-recorded run of the
+        ``osu_latency_ampi_inter_64K_lossy`` baseline shape reports, pinned
+        to literals recorded before the tagged and AM wire paths were merged
+        into ``ucx/transport.py``.  ``tests/test_obs_golden.py`` only
+        compares observation on against off; this is what notices a span
+        dropped or renamed in both."""
+        from collections import Counter
+
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .faults(FaultPlan.lossy(drop_p=0.08, seed=1234))
+                .trace().flight().build())
+        run_latency("ampi", 64 * KB, "inter", True, session=sess, iters=6, skip=2)
+        assert Counter((s.category, s.name) for s in sess.tracer.spans) == {
+            ("ampi", "mpi_recv"): 16, ("ampi", "mpi_send"): 16,
+            ("converse", "cmi_recv_device"): 16, ("converse", "cmi_send"): 16,
+            ("converse", "cmi_send_device"): 16,
+            ("fault", "retransmit_wait"): 8,
+            ("link", "am_wire"): 16, ("link", "rndv_data"): 16,
+            ("link", "wire"): 32,
+            ("machine", "lrts_recv_device"): 16,
+            ("machine", "lrts_send_device"): 16,
+            ("ucx", "am_send"): 16, ("ucx", "tag_recv"): 16,
+            ("ucx", "tag_send"): 16, ("ucx.match", "tag_match"): 16,
+            ("ucx.rndv", "rndv_fetch"): 16, ("ucx.rndv", "rndv_rts"): 16,
+        }
+        # the transport's spans keep their attributes too (exported traces)
+        assert {(s.category, s.name, tuple(s.attrs)) for s in sess.tracer.spans
+                if s.category in ("link", "fault")} == {
+            ("fault", "retransmit_wait", ("kind", "attempt")),  # AM frames
+            ("fault", "retransmit_wait", ("kind", "tag", "attempt")),
+            ("link", "am_wire", ("bytes",)),
+            ("link", "rndv_data", ("tag", "bytes")),
+            ("link", "wire", ("kind", "tag", "bytes")),
+        }
+        assert sess.critical_path().blame == {
+            "fault_recovery": 4.920546990365464e-05,
+            "host_metadata": 1.3884990414968645e-05,
+            "link": 0.00016809785261715147,
+            "machine": 1.0087209303696387e-05,
+            "model": 6.0000000000000056e-05,
+            "ucx_protocol": 0.00036509413136300413,
+        }
+        summary = sess.flight_summary()
+        assert (summary["n_records"], summary["n_complete"]) == (16, 16)
+        assert summary["delayed_posting_seconds"] == 0.0003340966771120734
+        # 8 frames were retransmitted; the 2 that were RTS frames of a
+        # device transfer are the ones a flight record counts
+        assert sess.counters["fault.retransmit"] == 8
+        assert [r.retransmits for r in sess.tracer.flight.records()] == [
+            0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_builder_faults_none_is_noop(self):
         sess = api.session(MachineConfig.summit(nodes=2)) \

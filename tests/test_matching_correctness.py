@@ -26,6 +26,7 @@ from repro.ampi.matching import (
     PostedMpiRecv,
 )
 from repro.config import MachineConfig, RuntimeConfig
+from repro.core.matchq import IndexedMatchQueue, LinearMatchQueue
 from repro.hardware.memory import DeviceAllocator, host_buffer
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -51,13 +52,21 @@ def _env(src=0, dst=0, tag=0, comm=0, size=8, seq=0, value=None):
                         seq=seq, value=value)
 
 
-@pytest.mark.parametrize("indexed", [True, False])
+def _engine(queue_cls):
+    """A ``MatchEngine`` on ``queue_cls`` queues (it builds indexed ones; the
+    linear oracle must show the same identity semantics)."""
+    eng = MatchEngine()
+    eng.unexpected, eng.posted = queue_cls(), queue_cls()
+    return eng
+
+
+@pytest.mark.parametrize("queue_cls", [IndexedMatchQueue, LinearMatchQueue])
 class TestIdentityRemoval:
-    def test_unexpected_removal_never_compares_entries(self, indexed):
+    def test_unexpected_removal_never_compares_entries(self, queue_cls):
         """Matching an envelope that is *not* first in the unexpected queue
         must not equality-compare it against its predecessors (the seed's
         ``list.remove`` did, and raises here)."""
-        eng = MatchEngine(indexed=indexed)
+        eng = _engine(queue_cls)
         early = _env(tag=1, value=_EqBomb())
         late = _env(tag=2, value=_EqBomb(), seq=1)
         assert eng.match_envelope(early) == (None, 0)
@@ -70,10 +79,10 @@ class TestIdentityRemoval:
         # the non-matching predecessor is still queued
         assert list(eng.unexpected) == [early]
 
-    def test_posted_removal_never_compares_entries(self, indexed):
+    def test_posted_removal_never_compares_entries(self, queue_cls):
         """Same hazard on the request queue: matching the second posted
         receive must not equality-compare posted entries."""
-        eng = MatchEngine(indexed=indexed)
+        eng = _engine(queue_cls)
         bomb = _EqBomb()
         first = PostedMpiRecv(src=1, tag=ANY_TAG, comm=0, buf=None,
                               capacity=1 << 30, event=bomb)
@@ -86,11 +95,11 @@ class TestIdentityRemoval:
         assert req is second and scanned == 2
         assert list(eng.posted) == [first]
 
-    def test_two_identical_receives_each_match_once(self, indexed):
+    def test_two_identical_receives_each_match_once(self, queue_cls):
         """Two receives with identical fields (the dataclass-equal pair of
         the hazard) must stay distinct entries: two envelopes complete them
         in FIFO order, each exactly once."""
-        eng = MatchEngine(indexed=indexed)
+        eng = _engine(queue_cls)
 
         class _AlwaysEqual:
             def __eq__(self, other):
@@ -112,11 +121,11 @@ class TestIdentityRemoval:
         assert got_second is req2 and scanned2 == 1
         assert len(eng.posted) == 0
 
-    def test_wildcard_and_exact_fifo_interleaving(self, indexed):
+    def test_wildcard_and_exact_fifo_interleaving(self, queue_cls):
         """FIFO order must hold across the exact-bucket/wildcard split: an
         earlier wildcard receive wins over a later exact one and vice
         versa."""
-        eng = MatchEngine(indexed=indexed)
+        eng = _engine(queue_cls)
         wild = PostedMpiRecv(src=ANY_SOURCE, tag=ANY_TAG, comm=0, buf=None,
                              capacity=64, event="wild")
         exact = PostedMpiRecv(src=0, tag=1, comm=0, buf=None,

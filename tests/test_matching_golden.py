@@ -1,27 +1,26 @@
-"""Golden comparison: indexed matching must be *bit-identical* to linear.
+"""Golden comparison: the indexed matching queue against its linear oracle.
 
-``IndexedMatchQueue`` is a pure host-side optimisation — the simulated
-world (completion times, event counts, tracer counters, virtual scan
-lengths) must not move by one bit when it replaces the linear reference
-queues.  These tests run the same deterministic mixed workload (host +
-device messages, exact and wildcard receives) under both
-``indexed_matching`` settings and compare full result fingerprints.
+``IndexedMatchQueue`` is what both matching engines run on;
+``LinearMatchQueue`` — a FIFO list with a linear scan — is kept in
+``core/matchq.py`` as the executable definition of the semantics.  The
+differential below drives both with the same seeded operation stream and
+requires identical answers, including the virtual scan length the modeled
+matching cost is charged on.
+
+``make_plan``/``_make_program`` are the mixed host + device, exact +
+wildcard MPI workload shared with ``tests/test_obs_golden.py``.
 """
 
-import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from repro.ampi import Ampi
-from repro.charm import Charm
-from repro.config import MachineConfig
-from repro.openmpi import OpenMpi
+from repro.core.matchq import IndexedMatchQueue, LinearMatchQueue
 
 ANY = -1  # MPI_ANY_SOURCE / MPI_ANY_TAG in both layers
 
 N_RANKS = 12
-NODES = 2
 CAPACITY = 64 * 1024  # recv buffers; every planned message fits
 
 
@@ -55,15 +54,6 @@ def make_plan(seed, n_msgs, device_fraction=0.25):
     return plan
 
 
-def _config(indexed):
-    cfg = MachineConfig.summit(nodes=NODES)
-    return dataclasses.replace(
-        cfg,
-        ucx=dataclasses.replace(cfg.ucx, indexed_matching=indexed),
-        runtime=dataclasses.replace(cfg.runtime, indexed_matching=indexed),
-    )
-
-
 def _make_program(plan, sim, payloads, finish_times):
     def program(mpi):
         cuda = mpi.charm.cuda
@@ -91,70 +81,53 @@ def _make_program(plan, sim, payloads, finish_times):
     return program
 
 
-def run_openmpi(plan, indexed):
-    lib = OpenMpi(_config(indexed))
-    payloads, finish = {}, {}
-    done = lib.launch(_make_program(plan, lib.machine.sim, payloads, finish))
-    lib.run_until(done, max_events=50_000_000)
-    sim = lib.machine.sim
-    workers = list(lib.ucp._workers.values())
-    return {
-        "payloads": payloads,
-        "finish_times": finish,
-        "now": sim.now,
-        "event_count": sim.event_count,
-        "counters": dict(lib.machine.tracer.counters),
-        "tag_scans": sum(w.tag_scans for w in workers),
-        "expected_hits": sum(w.expected_hits for w in workers),
-        "unexpected_hits": sum(w.unexpected_hits for w in workers),
-    }
+class _Entry:
+    """A queue entry with identity semantics and the tag it matches on."""
+
+    def __init__(self, tag):
+        self.tag = tag
 
 
-def run_ampi(plan, indexed):
-    charm = Charm(_config(indexed))
-    lib = Ampi(charm)
-    payloads, finish = {}, {}
-    done = lib.launch(_make_program(plan, charm.sim, payloads, finish))
-    charm.run_until(done, max_events=50_000_000)
-    stats = charm.layer.matching_stats()
-    return {
-        "payloads": payloads,
-        "finish_times": finish,
-        "now": charm.sim.now,
-        "event_count": charm.sim.event_count,
-        "counters": dict(charm.machine.tracer.counters),
-        "ucx_stats": stats,
-        "ampi_scanned": sum(r.matching.scanned_total for r in lib.ranks),
-    }
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_openmpi_indexed_bit_identical_to_linear(seed):
-    plan = make_plan(seed, n_msgs=60)
-    linear = run_openmpi(plan, indexed=False)
-    indexed = run_openmpi(plan, indexed=True)
-    assert indexed == linear
-    # sanity: the workload actually exercised matching
-    assert linear["tag_scans"] > 0
-    assert len(linear["payloads"]) == 60
-
-
-@pytest.mark.parametrize("seed", [1, 4])
-def test_ampi_indexed_bit_identical_to_linear(seed):
-    plan = make_plan(seed, n_msgs=60)
-    linear = run_ampi(plan, indexed=True), run_ampi(plan, indexed=False)
-    indexed, linear = linear[0], linear[1]
-    assert indexed == linear
-    assert linear["ampi_scanned"] > 0
-    assert len(linear["payloads"]) == 60
-
-
-def test_wildcard_heavy_workload_identical():
-    """All-wildcard receives force the fallback list: the indexed queue is
-    pure overhead here, but semantics must still be identical."""
-    plan = make_plan(seed=9, n_msgs=40, device_fraction=0.0)
-    plan = [(i, s, d, t, sz, dev, True, True)
-            for (i, s, d, t, sz, dev, _ws, _wt) in plan]
-    linear = run_openmpi(plan, indexed=False)
-    indexed = run_openmpi(plan, indexed=True)
-    assert indexed == linear
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_queue_matches_linear_oracle(seed, monkeypatch):
+    """Random ``append``/``match``/``peek``/``remove_first`` over exact,
+    masked and ``key=None`` entries: identical ``(item, scanned)``, length
+    and iteration order after every step, through several compactions."""
+    # compact after a handful of tombstones instead of 64, so the stream
+    # below crosses many compactions with live entries on both sides
+    monkeypatch.setattr(IndexedMatchQueue, "_COMPACT_SLACK", 3)
+    compactions = []
+    real_compact = IndexedMatchQueue._compact
+    monkeypatch.setattr(
+        IndexedMatchQueue, "_compact",
+        lambda q: (compactions.append(1), real_compact(q))[1],
+    )
+    rng = random.Random(seed)
+    lin, idx = LinearMatchQueue(), IndexedMatchQueue()
+    tags = range(6)
+    for _step in range(1500):
+        op = rng.random()
+        tag = rng.choice(tags)
+        if op < 0.45:
+            # an exact entry is filed under its tag; a wildcard entry
+            # (key=None, tag None) matches every lookup
+            entry = _Entry(None if rng.random() < 0.25 else tag)
+            for q in (lin, idx):
+                q.append(entry, key=entry.tag)
+        elif op < 0.8:
+            # exact lookup, or a masked one (key=None) over tag parity
+            if rng.random() < 0.7:
+                key, pred = tag, lambda e, t=tag: e.tag is None or e.tag == t
+            else:
+                key, pred = None, lambda e, t=tag: e.tag is None or e.tag % 2 == t % 2
+            if rng.random() < 0.75:
+                assert idx.match(key, pred) == lin.match(key, pred)
+            else:
+                assert idx.peek(key, pred) is lin.peek(key, pred)
+        else:
+            victim = rng.choice(list(lin)) if len(lin) else None
+            assert (idx.remove_first(lambda e: e is victim)
+                    is lin.remove_first(lambda e: e is victim))
+        assert len(idx) == len(lin)
+        assert list(idx) == list(lin)
+    assert len(compactions) > 10

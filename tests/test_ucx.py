@@ -368,9 +368,9 @@ class TestCancel:
         rreq = wb.tag_recv_nb(dst, size, tag=6)
         sreq = wa.tag_send_nb(wa.ep(1), src, size, tag=6)
         # drain until the receiver has committed to the transfer
-        while not wa._rndv_started and m.sim.step():
+        while not sreq.rndv_committed and m.sim.step():
             pass
-        assert wa._rndv_started
+        assert sreq.rndv_committed
         assert wa.cancel(sreq) is False
         m.sim.run()
         assert sreq.completed and rreq.completed
