@@ -43,7 +43,7 @@ from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SENT
 from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
 
@@ -158,12 +158,10 @@ class AmpiRank(_CollectiveApi):
         self.rank = rank
         self.pe = pe
         self.matching = MatchEngine()
-        telemetry = ampi.machine.tracer.timeline
-        if telemetry.enabled:
-            self.matching.posted.depth_probe = telemetry.queue_probe(
-                "matchq.ampi.posted")
-            self.matching.unexpected.depth_probe = telemetry.queue_probe(
-                "matchq.ampi.unexpected")
+        tracer = ampi.machine.tracer
+        self.matching.posted.depth_probe = tracer.queue_probe("matchq.ampi.posted")
+        self.matching.unexpected.depth_probe = tracer.queue_probe(
+            "matchq.ampi.unexpected")
         self._seq_to: Dict[int, int] = {}
         self._cpu_free = 0.0  # serialises per-call CPU costs of nb ops
 
@@ -356,15 +354,9 @@ class AmpiRank(_CollectiveApi):
             is_dev = False
 
         tracer = ampi.machine.tracer
-        tracer.count("ampi", "send")
-        if tracer.enabled:
-            asp = tracer.span(
-                "ampi", "mpi_send",
-                rank=self.rank, dst=dst, tag=tag, size=nbytes, device=is_dev,
-            )
-            ev.add_callback(lambda _e, _sp=asp: _sp.end())
-        else:
-            asp = NULL_SPAN
+        asp = tracer.stage(AMPI_SEND, attrs=(self.rank, dst, tag, nbytes, is_dev))
+        if asp:
+            ev.add_callback(lambda _e: asp.end())
 
         if buf is not None and is_dev:
             # Fig. 7: CkDeviceBuffer + callback; GPU data via LrtsSendDevice.
@@ -388,8 +380,7 @@ class AmpiRank(_CollectiveApi):
                         on_complete=_notify_sender, on_error=_send_failed,
                     )
                     ampi._send_envelope(self.pe, env, host_bytes=0)
-                if tracer.flight.enabled:
-                    tracer.flight.metadata_sent(dev_meta.tag)
+                tracer.stage(METADATA_SENT, dev_meta.tag)
 
             tracer.charge("ampi", pre)
             sim.schedule(self._cpu_delay(pre), _go_device)
@@ -439,12 +430,11 @@ class AmpiRank(_CollectiveApi):
         ev = SimEvent(sim, name=f"mpi.recv r{self.rank}")
         req = PostedMpiRecv(src=src, tag=tag, comm=comm, buf=buf, capacity=capacity, event=ev)
         tracer = ampi.machine.tracer
-        tracer.count("ampi", "recv")
-        tracer.charge("ampi", rt.ampi_recv_overhead)
-        if tracer.enabled:
-            rsp = tracer.span("ampi", "mpi_recv", rank=self.rank, src=src, tag=tag)
+        rsp = tracer.stage(
+            AMPI_RECV, cost=rt.ampi_recv_overhead, attrs=(self.rank, src, tag))
+        if rsp:
             req.span = rsp
-            ev.add_callback(lambda _e, _sp=rsp: _sp.end())
+            ev.add_callback(lambda _e: rsp.end())
 
         def _post() -> None:
             env, scanned = self.matching.match_recv(req)
@@ -523,12 +513,12 @@ class Ampi:
     def _handle_envelope(self, pe, msg: CmiMessage) -> None:
         env: AmpiEnvelope = msg.payload
         tracer = self.machine.tracer
-        if tracer.flight.enabled and env.dev_meta is not None:
-            tracer.flight.metadata_arrived(env.dev_meta.tag)
+        if env.dev_meta is not None:
+            tracer.stage(METADATA_ARRIVED, env.dev_meta.tag)
         rank = self.ranks[env.dst]
         req, scanned = rank.matching.match_envelope(env)
         pe.charge(self.rt.ampi_match_cost * scanned)
-        self.machine.tracer.charge("ampi", self.rt.ampi_match_cost * scanned)
+        tracer.charge("ampi", self.rt.ampi_match_cost * scanned)
         if req is not None:
             self._complete_recv(rank, env, req)
 

@@ -86,8 +86,8 @@ class Session:
 
     # -- observability -------------------------------------------------------------
     def metrics_snapshot(self) -> Dict:
-        """Plain-dict metrics snapshot (``counters`` / ``gauges`` /
-        ``histograms`` / ``time_by_category``)."""
+        """Plain-dict metrics snapshot (``counters`` / ``histograms`` /
+        ``time_by_category``)."""
         return metrics_snapshot(self.machine.tracer)
 
     def chrome_trace(self) -> Dict:

@@ -11,6 +11,7 @@ from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition, weak_scaling_domain
 from repro.apps.jacobi3d.mpi_impl import run_ampi_jacobi, run_openmpi_jacobi
 from repro.config import MachineConfig
+from repro.obs.cli import add_observation_args, observed, report
 
 #: paper §IV-C: weak-scaling base domain edge (1536³ doubles), strong 3072³
 WEAK_BASE = 1536
@@ -148,26 +149,11 @@ def main(argv=None) -> None:
     parser.add_argument("--scaling", choices=["weak", "strong"], default="weak")
     parser.add_argument("--host-staging", action="store_true")
     parser.add_argument("--iters", type=int, default=4)
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome-trace timeline of the run "
-                             "(open in ui.perfetto.dev)")
-    parser.add_argument("--flight-out", metavar="PATH", default=None,
-                        help="write the flight-recorder JSON (per-message "
-                             "halo-exchange lifecycles + aggregate)")
-    parser.add_argument("--blame", action="store_true",
-                        help="print the critical-path layer-blame report "
-                             "and delayed-posting summary")
     parser.add_argument("--fault-plan", metavar="PLAN", default=None,
                         help="deterministic fault plan: inline JSON (starts "
                              "with '{') or a JSON file path; see "
                              "repro.faults.FaultPlan")
-    parser.add_argument("--timeline-out", metavar="PATH", default=None,
-                        help="write the resource-telemetry timeline JSON "
-                             "(inspect with python -m repro.bench.timeline "
-                             "summary)")
-    parser.add_argument("--congestion", action="store_true",
-                        help="print the congestion-attribution report "
-                             "(top contended links, endpoint thrash)")
+    add_observation_args(parser)
     args = parser.parse_args(argv)
 
     if args.sweep:
@@ -196,15 +182,10 @@ def main(argv=None) -> None:
         cfg = cfg.with_faults(fault_plan)
 
     sess = None
-    want_telemetry = args.timeline_out or args.congestion
-    if (args.trace_out or args.flight_out or args.blame
-            or fault_plan is not None or want_telemetry):
+    plain_cfg, cfg = cfg, observed(cfg, args)
+    if cfg is not plain_cfg or fault_plan is not None:
         import repro.api as api
 
-        if args.trace_out or args.flight_out or args.blame:
-            cfg = cfg.with_trace(True).with_flight(True)
-        if want_telemetry:
-            cfg = cfg.with_telemetry(True)
         sess = api.session(cfg).model(args.model).build()
     result = run_jacobi(
         args.model, nodes=args.nodes, scaling=args.scaling,
@@ -216,40 +197,8 @@ def main(argv=None) -> None:
           f"{args.scaling} scaling, domain {result.domain}")
     print(f"overall time per iteration: {result.iter_time * 1e3:9.3f} ms")
     print(f"comm    time per iteration: {result.comm_time * 1e3:9.3f} ms")
-    if args.trace_out:
-        path = sess.export_chrome_trace(args.trace_out)
-        print(f"# trace written to {path}")
-    if args.flight_out:
-        import json
-
-        doc = {
-            "records": [r.to_dict() for r in sess.flight_records()],
-            "aggregate": sess.flight_summary(),
-        }
-        with open(args.flight_out, "w") as f:
-            json.dump(doc, f, indent=2)
-        print(f"# flight records written to {args.flight_out}")
-    if args.blame:
-        agg = sess.flight_summary()
-        print("# layer blame")
-        print(sess.critical_path().format())
-        for proto in ("rndv", "eager"):
-            p = agg["by_protocol"][proto]
-            print(f"# {proto}: n={p['n']}, delayed-posting "
-                  f"{p['delayed_posting_seconds'] * 1e6:.2f} us total "
-                  f"(max {p['max_delayed_posting_seconds'] * 1e6:.2f} us)")
-    if args.timeline_out:
-        path = sess.export_timeline(args.timeline_out)
-        print(f"# telemetry timeline written to {path}")
-    if args.congestion:
-        print(sess.congestion_report().format())
-    if fault_plan is not None:
-        counters = sess.metrics_snapshot()["counters"]
-        faults = {k: v for k, v in sorted(counters.items())
-                  if k.startswith("fault.")}
-        print("# fault counters: "
-              + (", ".join(f"{k}={v}" for k, v in faults.items()) or "none"))
-
+    if sess is not None:
+        report(sess, args)
 
 if __name__ == "__main__":
     main()

@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.apps.osu import bandwidth as bw_mod
 from repro.apps.osu import latency as lat_mod
 from repro.config import KB, MachineConfig, MB
+from repro.obs.cli import add_observation_args, observed, report
 
 #: The OSU message-size ladder used in the paper's figures: 1 B to 4 MB.
 OSU_SIZES: List[int] = [1 << i for i in range(23)]  # 1 ... 4 MiB
@@ -130,31 +131,15 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--host-staging", action="store_true",
                         help="run the -H variant instead of GPU-aware -D")
     parser.add_argument("--max-size", type=int, default=4 * MB)
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome-trace timeline (open in "
-                             "ui.perfetto.dev) of the largest-size run")
-    parser.add_argument("--flight-out", metavar="PATH", default=None,
-                        help="write the flight-recorder JSON (per-message "
-                             "lifecycles + aggregate) of the largest-size run")
-    parser.add_argument("--blame", action="store_true",
-                        help="print the critical-path layer-blame report and "
-                             "delayed-posting summary of the largest-size run")
     parser.add_argument("--fault-plan", metavar="PLAN", default=None,
                         help="deterministic fault plan: inline JSON (starts "
                              "with '{') or a JSON file path; see "
                              "repro.faults.FaultPlan")
-    parser.add_argument("--timeline-out", metavar="PATH", default=None,
-                        help="write the resource-telemetry timeline JSON of "
-                             "the largest-size run (inspect with python -m "
-                             "repro.bench.timeline summary)")
-    parser.add_argument("--congestion", action="store_true",
-                        help="print the congestion-attribution report of the "
-                             "largest-size run (top contended links, "
-                             "endpoint thrash)")
     parser.add_argument("--multirail", action="store_true",
                         help="stripe large transfers across disjoint rails "
                              "with graph-batched launches (the ablation "
                              "pairs this sweep against a run without it)")
+    add_observation_args(parser, run="the largest-size run")
     args = parser.parse_args(argv)
 
     fault_plan = None
@@ -189,19 +174,10 @@ def main(argv: Optional[List[str]] = None) -> None:
         for s, v in series.items():
             print(f"{_fmt_size(s):>8}  {v / 1e6:16.2f}")
 
-    sess = None
-    want_telemetry = args.timeline_out or args.congestion
-    if (args.trace_out or args.flight_out or args.blame
-            or fault_plan is not None or want_telemetry):
-        import json
-
+    scfg = observed(cfg, args)
+    if scfg is not cfg or fault_plan is not None:
         import repro.api as api
 
-        scfg = cfg
-        if args.trace_out or args.flight_out or args.blame:
-            scfg = scfg.with_trace(True).with_flight(True)
-        if want_telemetry:
-            scfg = scfg.with_telemetry(True)
         sess = api.session(scfg).model(args.model).build()
         if args.benchmark == "latency":
             run_latency(args.model, sizes[-1], args.placement,
@@ -209,39 +185,7 @@ def main(argv: Optional[List[str]] = None) -> None:
         else:
             run_bandwidth(args.model, sizes[-1], args.placement,
                           not args.host_staging, session=sess)
-        if args.trace_out:
-            path = sess.export_chrome_trace(args.trace_out)
-            print(f"# trace ({_fmt_size(sizes[-1])} run) written to {path}")
-        if args.flight_out:
-            doc = {
-                "records": [r.to_dict() for r in sess.flight_records()],
-                "aggregate": sess.flight_summary(),
-            }
-            with open(args.flight_out, "w") as f:
-                json.dump(doc, f, indent=2)
-            print(f"# flight records ({_fmt_size(sizes[-1])} run) "
-                  f"written to {args.flight_out}")
-        if args.blame:
-            agg = sess.flight_summary()
-            print(f"# layer blame ({_fmt_size(sizes[-1])} run)")
-            print(sess.critical_path().format())
-            for proto in ("rndv", "eager"):
-                p = agg["by_protocol"][proto]
-                print(f"# {proto}: n={p['n']}, delayed-posting "
-                      f"{p['delayed_posting_seconds'] * 1e6:.2f} us total "
-                      f"(max {p['max_delayed_posting_seconds'] * 1e6:.2f} us)")
-        if args.timeline_out:
-            path = sess.export_timeline(args.timeline_out)
-            print(f"# telemetry timeline ({_fmt_size(sizes[-1])} run) "
-                  f"written to {path}")
-        if args.congestion:
-            print(sess.congestion_report().format())
-        if fault_plan is not None:
-            counters = sess.metrics_snapshot()["counters"]
-            faults = {k: v for k, v in sorted(counters.items())
-                      if k.startswith("fault.")}
-            print(f"# fault counters ({_fmt_size(sizes[-1])} run): "
-                  + (", ".join(f"{k}={v}" for k, v in faults.items()) or "none"))
+        report(sess, args, f" ({_fmt_size(sizes[-1])} run)")
 
 
 if __name__ == "__main__":

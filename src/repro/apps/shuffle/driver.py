@@ -17,6 +17,7 @@ from repro.apps.shuffle.charm4py_impl import run_charm4py_shuffle
 from repro.apps.shuffle.common import ShuffleCollector, ShufflePlan, ShuffleResult
 from repro.apps.shuffle.mpi_impl import shuffle_mpi_program
 from repro.config import KB, MachineConfig
+from repro.obs.cli import add_observation_args, observed, report
 
 _MODELS = ("ampi", "openmpi", "charm4py")
 
@@ -122,17 +123,7 @@ def main(argv=None) -> None:
     parser.add_argument("--ablation", action="store_true",
                         help="run pool-on AND pool-off on the same plan and "
                              "print the amortisation gap")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome-trace timeline of the run")
-    parser.add_argument("--flight-out", metavar="PATH", default=None,
-                        help="write the flight-recorder JSON")
-    parser.add_argument("--timeline-out", metavar="PATH", default=None,
-                        help="write the resource-telemetry timeline JSON "
-                             "(inspect with python -m repro.bench.timeline "
-                             "summary)")
-    parser.add_argument("--congestion", action="store_true",
-                        help="print the congestion-attribution report "
-                             "(top contended links, endpoint thrash)")
+    add_observation_args(parser)
     args = parser.parse_args(argv)
 
     common = dict(
@@ -154,18 +145,13 @@ def main(argv=None) -> None:
         return
 
     sess = None
-    want_telemetry = args.timeline_out or args.congestion
-    if args.trace_out or args.flight_out or want_telemetry:
-        cfg = MachineConfig.summit(nodes=args.nodes)
-        cfg = cfg.with_pool(args.pool).with_ucx(
-            mapping_cost=args.mapping_cost,
-            ep_setup_cost=args.ep_setup_cost,
-            max_endpoints=args.max_endpoints,
-        )
-        if args.trace_out or args.flight_out:
-            cfg = cfg.with_trace(True).with_flight(True)
-        if want_telemetry:
-            cfg = cfg.with_telemetry(True)
+    plain_cfg = MachineConfig.summit(nodes=args.nodes).with_pool(args.pool).with_ucx(
+        mapping_cost=args.mapping_cost,
+        ep_setup_cost=args.ep_setup_cost,
+        max_endpoints=args.max_endpoints,
+    )
+    cfg = observed(plain_cfg, args)
+    if cfg is not plain_cfg:
         if args.model == "charm4py":
             sess = api.session(cfg).model("charm4py").build()
         else:
@@ -173,25 +159,8 @@ def main(argv=None) -> None:
                     .ranks(cfg.topology.total_gpus).build())
     result = run_shuffle(pool=args.pool, session=sess, **common)
     _print_result(result, "pool" if args.pool else "direct")
-    if args.trace_out:
-        path = sess.export_chrome_trace(args.trace_out)
-        print(f"# trace written to {path}")
-    if args.flight_out:
-        import json
-
-        doc = {
-            "records": [r.to_dict() for r in sess.flight_records()],
-            "aggregate": sess.flight_summary(),
-        }
-        with open(args.flight_out, "w") as f:
-            json.dump(doc, f, indent=2)
-        print(f"# flight records written to {args.flight_out}")
-    if args.timeline_out:
-        path = sess.export_timeline(args.timeline_out)
-        print(f"# telemetry timeline written to {path}")
-    if args.congestion:
-        print(sess.congestion_report().format())
-
+    if sess is not None:
+        report(sess, args)
 
 if __name__ == "__main__":
     main()

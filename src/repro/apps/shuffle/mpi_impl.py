@@ -28,8 +28,7 @@ def shuffle_mpi_program(mpi, plan: ShufflePlan, collector: ShuffleCollector):
     chunks = 0
     for rnd in range(plan.rounds):
         tracer.count("shuffle", "round_start")
-        sp = tracer.span("shuffle", "round", rank=me, round=rnd) \
-            if tracer.enabled else None
+        sp = tracer.span("shuffle", "round", rank=me, round=rnd)
         reqs = []
         bufs = []
         for src in peers:
@@ -49,7 +48,6 @@ def shuffle_mpi_program(mpi, plan: ShufflePlan, collector: ShuffleCollector):
         yield mpi.waitall(reqs)
         for buf in bufs:
             mpi.free_device(buf)
-        if sp is not None:
-            sp.end()
+        sp.end()
         collector.report_round(rnd, mpi.sim.now)
     collector.report_rank(moved, chunks)

@@ -24,6 +24,7 @@ from repro.charm.reduction import ReductionManager
 from repro.charm.zerocopy import PendingInvocation
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
+from repro.obs.stages import METADATA_ARRIVED, METADATA_SENT
 from repro.sim.primitives import SimEvent, Timeout
 
 
@@ -301,10 +302,8 @@ class Charm:
             device_bufs=list(dev_bufs),
         )
         self.converse.cmi_send(src_pe, msg)
-        flight = self.machine.tracer.flight
-        if flight.enabled:
-            for b in dev_bufs:
-                flight.metadata_sent(b.tag)
+        for b in dev_bufs:
+            self.machine.tracer.stage(METADATA_SENT, b.tag)
 
     def pe_of_gpu(self, gpu: int) -> int:
         """Inverse of the 1:1 PE<->GPU mapping."""
@@ -328,10 +327,8 @@ class Charm:
         if not msg.device_bufs:
             return self._run_entry(pe, chare, method, args)
 
-        flight = self.machine.tracer.flight
-        if flight.enabled:
-            for b in msg.device_bufs:
-                flight.metadata_arrived(b.tag)
+        for b in msg.device_bufs:
+            self.machine.tracer.stage(METADATA_ARRIVED, b.tag)
         post_fn = getattr(chare, f"{method}_post", None)
         if post_fn is None:
             raise RuntimeError(

@@ -27,6 +27,7 @@ import numpy as np
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer
 from repro.hardware.memory import Buffer
+from repro.obs.stages import C4P_SEND_DEVICE, C4P_SEND_HOST, METADATA_SENT
 from repro.sim.primitives import SimEvent, Timeout
 
 
@@ -95,20 +96,15 @@ class Channel:
             cost = c4p.cython.call_cost() + c4p.cython.device_send_cost()
             dev_meta = CkDeviceBuffer(ptr=buf, size=size)
             tracer = self.charm.machine.tracer
-            tracer.count("charm4py", "channel_send_device")
-            tracer.charge("charm4py", cost)
-            sp = tracer.span(
-                "charm4py", "channel_send",
-                src_pe=src_pe, dst_pe=dst_pe, size=size, device=True,
-            )
+            sp = tracer.stage(
+                C4P_SEND_DEVICE, cost=cost, attrs=(src_pe, dst_pe, size, True))
 
             def _go() -> None:
                 with tracer.under(sp):
                     self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
                     pkt = _Packet(kind="dev", dev_meta=dev_meta)
                     self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
-                if tracer.flight.enabled:
-                    tracer.flight.metadata_sent(dev_meta.tag)
+                tracer.stage(METADATA_SENT, dev_meta.tag)
                 sp.end()
 
             sim.schedule(cost, _go)
@@ -120,12 +116,8 @@ class Channel:
         cost = c4p.cython.call_cost() + c4p.cython.serialize_cost(nbytes)
         value = args[0] if len(args) == 1 else args
         tracer = self.charm.machine.tracer
-        tracer.count("charm4py", "channel_send_host")
-        tracer.charge("charm4py", cost)
-        sp = tracer.span(
-            "charm4py", "channel_send",
-            src_pe=src_pe, dst_pe=dst_pe, size=nbytes, device=False,
-        )
+        sp = tracer.stage(
+            C4P_SEND_HOST, cost=cost, attrs=(src_pe, dst_pe, nbytes, False))
 
         def _go_host() -> None:
             with tracer.under(sp):

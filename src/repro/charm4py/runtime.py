@@ -20,6 +20,7 @@ from repro.charm4py.futures import Future
 from repro.collectives.ops import ReduceOp
 from repro.config import MachineConfig
 from repro.core.device_buffer import DeviceRdmaOp, DeviceRecvType
+from repro.obs.stages import C4P_RECV, METADATA_ARRIVED
 
 
 class _PyInvoker:
@@ -143,8 +144,8 @@ class Charm4py:
         pe.charge(self.rt.cython_crossing_overhead)
         tracer = self.charm.machine.tracer
         tracer.charge("charm4py", self.rt.cython_crossing_overhead)
-        if tracer.flight.enabled and pkt.kind == "dev":
-            tracer.flight.metadata_arrived(pkt.dev_meta.tag)
+        if pkt.kind == "dev":
+            tracer.stage(METADATA_ARRIVED, pkt.dev_meta.tag)
         ep = self._endpoint(key, owner_id)
         if ep.waiting:
             future, dst = ep.waiting.popleft()
@@ -175,21 +176,6 @@ class Charm4py:
         if meta.size > size:
             raise ValueError(f"incoming GPU data of {meta.size} B exceeds posted {size} B")
         pe_index = self.charm.chare_pe[owner_id]
-        rsp = tracer.span(
-            "charm4py", "channel_recv", pe=pe_index, size=meta.size, device=True,
-        )
-
-        def _recv_complete(_op, _sp=rsp) -> None:
-            _sp.end()
-            future.send(None)
-
-        op = DeviceRdmaOp(
-            dest=buf,
-            size=meta.size,
-            tag=meta.tag,
-            recv_type=DeviceRecvType.CHARM4PY,
-            on_complete=_recv_complete,
-        )
         # Rendezvous-size device receives cross the Cython layer several
         # times (RTS handling, posting, completion); pipelined inter-node
         # transfers additionally pay a Python-side cost per staged chunk.
@@ -204,7 +190,20 @@ class Charm4py:
             dst_node = self.charm.pe_object(pe_index).node
             if src_node != dst_node and not ucx.gpudirect_rdma:
                 delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
-        tracer.charge("charm4py", delay)
+        rsp = tracer.stage(
+            C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))
+
+        def _recv_complete(_op) -> None:
+            rsp.end()
+            future.send(None)
+
+        op = DeviceRdmaOp(
+            dest=buf,
+            size=meta.size,
+            tag=meta.tag,
+            recv_type=DeviceRecvType.CHARM4PY,
+            on_complete=_recv_complete,
+        )
         if delay > 0.0:
             def _post() -> None:
                 with tracer.under(rsp):

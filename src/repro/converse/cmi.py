@@ -17,6 +17,7 @@ from repro.converse.pe import Pe
 from repro.core.device_buffer import CmiDeviceBuffer, DeviceRdmaOp
 from repro.core.machine_ucx import UcxMachineLayer
 from repro.hardware.topology import Machine
+from repro.obs.stages import CMI_RECV_DEVICE, CMI_SEND, CMI_SEND_DEVICE
 
 
 class Converse:
@@ -64,9 +65,7 @@ class Converse:
         rt = self.runtime_cfg
         wire = msg.wire_size(rt.converse_header_bytes, rt.device_metadata_bytes)
         pe = self.pes[src_pe]
-        tracer = self.machine.tracer
-        tracer.count("converse", "send")
-        with tracer.span("converse", "cmi_send", handler=msg.handler, bytes=wire):
+        with self.machine.tracer.stage(CMI_SEND, attrs=(msg.handler, wire)):
             self.layer.send_host_message(
                 src_pe, msg.dst_pe, msg, wire, departure_delay=pe.current_delay()
             )
@@ -82,11 +81,8 @@ class Converse:
         """``CmiSendDevice`` (paper Fig. 6, step 2): hand the GPU buffer to
         the machine layer; the assigned tag lands in ``dev_buf.tag``."""
         pe = self.pes[src_pe]
-        tracer = self.machine.tracer
-        tracer.count("converse", "send_device")
-        with tracer.span(
-            "converse", "cmi_send_device",
-            src_pe=src_pe, dst_pe=dst_pe, size=dev_buf.size,
+        with self.machine.tracer.stage(
+            CMI_SEND_DEVICE, attrs=(src_pe, dst_pe, dev_buf.size)
         ):
             return self.layer.lrts_send_device(
                 src_pe, dst_pe, dev_buf,
@@ -98,9 +94,7 @@ class Converse:
     def cmi_recv_device(self, pe_index: int, op: DeviceRdmaOp) -> None:
         """``CmiRecvDevice``: post the receive for announced GPU data."""
         pe = self.pes[pe_index]
-        tracer = self.machine.tracer
-        tracer.count("converse", "recv_device")
-        with tracer.span("converse", "cmi_recv_device", pe=pe_index, size=op.size):
+        with self.machine.tracer.stage(CMI_RECV_DEVICE, attrs=(pe_index, op.size)):
             self.layer.lrts_recv_device(
                 pe_index, op, departure_delay=pe.current_delay()
             )

@@ -25,6 +25,7 @@ from repro.core.device_buffer import CmiDeviceBuffer, DeviceRdmaOp, DeviceRecvTy
 from repro.core.device_tags import TagGenerator
 from repro.hardware.cuda import CudaRuntime
 from repro.hardware.topology import Machine
+from repro.obs.stages import LRTS_RECV_DEVICE, LRTS_SEND_DEVICE
 from repro.ucx.context import UcpContext
 from repro.ucx.request import UcxRequest
 from repro.ucx.status import UcsStatus
@@ -162,16 +163,9 @@ class UcxMachineLayer:
         ep = worker.ep(dst_pe)
         delay = departure_delay + rt.lrts_send_device_overhead + rt.heap_alloc_cost
         tracer = self.machine.tracer
-        tracer.count("machine", "send_device")
-        tracer.charge("machine", self._send_device_charge)
-        if tracer.flight.enabled:
-            # data is ready at the sender from this call on; the flight
-            # recorder measures posting delay against this instant
-            tracer.flight.begin(tag, src_pe=src_pe, dst_pe=dst_pe,
-                                size=dev_buf.size)
-        sp = tracer.span(
-            "machine", "lrts_send_device",
-            src_pe=src_pe, dst_pe=dst_pe, size=dev_buf.size, tag=tag,
+        sp = tracer.stage(
+            LRTS_SEND_DEVICE, tag, dst_pe, self._send_device_charge,
+            (src_pe, dst_pe, dev_buf.size, tag),
         )
 
         def _complete(_req: UcxRequest) -> None:
@@ -202,13 +196,9 @@ class UcxMachineLayer:
         self.device_recvs += 1
         worker = self.workers[pe]
         tracer = self.machine.tracer
-        tracer.count("machine", "recv_device")
-        tracer.charge("machine", self._recv_device_charge)
-        if tracer.flight.enabled:
-            tracer.flight.recv_posted(op.tag)
-        sp = tracer.span(
-            "machine", "lrts_recv_device",
-            pe=pe, size=op.size, tag=op.tag, recv_type=op.recv_type.name,
+        sp = tracer.stage(
+            LRTS_RECV_DEVICE, op.tag, pe, self._recv_device_charge,
+            (pe, op.size, op.tag, op.recv_type.name),
         )
 
         def _complete(req: UcxRequest) -> None:

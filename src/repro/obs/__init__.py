@@ -55,7 +55,6 @@ from repro.obs.timeline import (
 from repro.obs.tracing import (
     NULL_SPAN,
     Span,
-    TraceRecord,
     Tracer,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "Telemetry",
     "TimeSeries",
     "timeline_dict",
-    "TraceRecord",
     "Tracer",
 ]

@@ -158,7 +158,7 @@ def export_chrome_trace(
 
 def metrics_snapshot(tracer: Tracer) -> Dict:
     """Plain-dict snapshot of the tracer's metrics registry (stable schema:
-    ``counters`` / ``gauges`` / ``histograms`` / ``time_by_category``)."""
+    ``counters`` / ``histograms`` / ``time_by_category``)."""
     return tracer.metrics.snapshot()
 
 

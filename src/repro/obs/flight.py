@@ -21,8 +21,9 @@ defined as zero.
 Determinism contract (enforced by ``tests/test_obs_golden.py``): the
 recorder never calls ``sim.schedule``, never changes a modeled delay and
 never touches the metrics counters — simulated results are bit-identical
-with recording on or off.  All hook sites guard with
-``if flight.enabled:`` so the disabled hot path pays one attribute load.
+with recording on or off.  No hot-path site calls the recorder: its stage
+methods are the handlers the stage table (:mod:`repro.obs.stages`) names,
+driven from ``Tracer.stage`` only while flight recording is on.
 """
 
 from __future__ import annotations
@@ -140,10 +141,14 @@ class FlightRecorder:
 
     Tags are unique per in-flight device message on the machine-layer path
     (per-PE counters), but direct-UCX models reuse application tags across
-    iterations and may keep several same-tag sends in flight.  The recorder
-    therefore keeps a FIFO list of open records per tag and applies each
-    stage update to the oldest record still missing that stage — valid
-    because UCP tag matching itself is FIFO per tag.
+    iterations and may keep several same-tag sends in flight — to one peer
+    or, in an all-to-all, to every peer at once.  An open record is
+    therefore identified by ``(tag, destination worker)``: the recorder
+    keeps a FIFO list of open records per tag and applies each stage update
+    to the oldest record for that destination still missing the stage —
+    valid because UCP tag matching itself is FIFO per tag and pair.  A stage
+    reported without ``dst`` (the machine layer's unique tags; a recorder
+    driven directly) falls back to FIFO per tag.
     """
 
     def __init__(self, sim, enabled: bool = False) -> None:
@@ -154,41 +159,34 @@ class FlightRecorder:
         self._next_seq = 0
 
     # -- record creation ----------------------------------------------------------
-    def begin(self, tag: int, src_pe: int, dst_pe: int, size: int) -> None:
+    def begin(self, tag: int, src_pe: int, dst_pe: int,
+              size: int) -> Optional[FlightRecord]:
         """Open a record at ``sim.now`` (the ``LrtsSendDevice`` call)."""
         if not self.enabled:
-            return
+            return None
         rec = FlightRecord(
             tag=tag, src_pe=src_pe, dst_pe=dst_pe, size=size,
             seq=self._next_seq, enqueued_at=self.sim.now,
         )
         self._next_seq += 1
         self._open.setdefault(tag, []).append(rec)
-
-    def ensure(self, tag: int, src_pe: int, dst_pe: int, size: int) -> None:
-        """Open a record unless one for ``tag`` is already in flight — the
-        entry point for device sends that bypass the machine layer and call
-        ``ucp_tag_send_nb`` directly (OpenMPI)."""
-        if not self.enabled:
-            return
-        if self._open.get(tag):
-            return
-        self.begin(tag, src_pe, dst_pe, size)
+        return rec
 
     # -- stage updates ------------------------------------------------------------
-    def _first_missing(self, tag: int, attr: str) -> Optional[FlightRecord]:
+    def _first_missing(self, tag: int, attr: str,
+                       dst: Optional[int] = None) -> Optional[FlightRecord]:
         for rec in self._open.get(tag, ()):
-            if getattr(rec, attr) is None:
+            if getattr(rec, attr) is None and (dst is None or rec.dst_pe == dst):
                 return rec
         return None
 
-    def metadata_sent(self, tag: int) -> None:
-        rec = self._first_missing(tag, "metadata_sent_at")
+    def metadata_sent(self, tag: int, dst: Optional[int] = None) -> None:
+        rec = self._first_missing(tag, "metadata_sent_at", dst)
         if rec is not None:
             rec.metadata_sent_at = self.sim.now
 
-    def metadata_arrived(self, tag: int) -> None:
-        rec = self._first_missing(tag, "metadata_arrived_at")
+    def metadata_arrived(self, tag: int, dst: Optional[int] = None) -> None:
+        rec = self._first_missing(tag, "metadata_arrived_at", dst)
         if rec is not None:
             rec.metadata_arrived_at = self.sim.now
 
@@ -197,35 +195,42 @@ class FlightRecorder:
         if rec is not None:
             rec.recv_posted_at = self.sim.now
 
-    def ucx_send(self, tag: int, protocol: str) -> None:
-        rec = self._first_missing(tag, "ucx_send_at")
+    def ucx_send(self, tag: int, protocol: str, dst: Optional[int] = None,
+                 src: Optional[int] = None, size: int = 0) -> None:
+        """``ucp_tag_send_nb`` entered.  A send with no open record still
+        waiting for this stage bypassed the machine layer (OpenMPI calls UCP
+        directly): given its ``src``, its record is opened here."""
+        rec = self._first_missing(tag, "ucx_send_at", dst)
+        if rec is None and src is not None:
+            rec = self.begin(tag, src, dst, size)
         if rec is not None:
             rec.ucx_send_at = self.sim.now
             rec.protocol = protocol
 
-    def matched(self, tag: int, posted_at: float, unexpected: bool) -> None:
+    def matched(self, tag: int, posted_at: float, unexpected: bool,
+                dst: Optional[int] = None) -> None:
         """Record the tag match; ``posted_at`` is the original
         ``ucp_tag_recv_nb`` time of the matching request (which, for
         pre-posted receives, predates the match)."""
-        rec = self._first_missing(tag, "matched_at")
+        rec = self._first_missing(tag, "matched_at", dst)
         if rec is not None:
             rec.matched_at = self.sim.now
             rec.matched_unexpected = unexpected
             rec.ucx_recv_posted_at = posted_at
 
-    def lane(self, tag: int, lane: str) -> None:
-        rec = self._first_missing(tag, "lane")
+    def lane(self, tag: int, lane: str, dst: Optional[int] = None) -> None:
+        rec = self._first_missing(tag, "lane", dst)
         if rec is not None:
             rec.lane = lane
 
-    def send_completed(self, tag: int) -> None:
-        rec = self._first_missing(tag, "send_completed_at")
+    def send_completed(self, tag: int, dst: Optional[int] = None) -> None:
+        rec = self._first_missing(tag, "send_completed_at", dst)
         if rec is not None:
             rec.send_completed_at = self.sim.now
 
-    def completed(self, tag: int) -> None:
+    def completed(self, tag: int, dst: Optional[int] = None) -> None:
         """Data landed in the destination buffer; finalize the record."""
-        rec = self._first_missing(tag, "completed_at")
+        rec = self._first_missing(tag, "completed_at", dst)
         if rec is None:
             return
         rec.completed_at = self.sim.now
@@ -239,33 +244,33 @@ class FlightRecorder:
         self._done.append(rec)
 
     # -- fault stage --------------------------------------------------------------
-    def retransmitted(self, tag: int) -> None:
+    def retransmitted(self, tag: int, dst: Optional[int] = None) -> None:
         """One frame of this transfer was faulted and rescheduled."""
-        rec = self._first_missing(tag, "completed_at")
+        rec = self._first_missing(tag, "completed_at", dst)
         if rec is not None:
             rec.retransmits += 1
 
-    def failed(self, tag: int, error: str) -> None:
+    def failed(self, tag: int, error: str, dst: Optional[int] = None) -> None:
         """The transfer terminally failed (timeout, truncation, or send
         cancellation): record why and close the record so it cannot absorb
         the stages of the next same-tag transfer."""
-        rec = self._first_missing(tag, "failed_at")
+        rec = self._first_missing(tag, "failed_at", dst)
         if rec is None:
             return
         rec.error = error
         rec.failed_at = self.sim.now
         self._close(rec)
 
-    def cancelled(self, tag: int) -> None:
+    def cancelled(self, tag: int, dst: Optional[int] = None) -> None:
         """The sender cancelled the transfer before the payload shipped."""
-        self.failed(tag, "cancelled")
+        self.failed(tag, "cancelled", dst)
 
-    def recv_cancelled(self, tag: int) -> None:
+    def recv_cancelled(self, tag: int, dst: Optional[int] = None) -> None:
         """A posted receive for ``tag`` was cancelled before matching: roll
         the record's posting stages back so a repost fills them afresh (the
         transfer itself is still in flight from the sender's side)."""
         for rec in self._open.get(tag, ()):
-            if rec.matched_at is None and (
+            if rec.matched_at is None and (dst is None or rec.dst_pe == dst) and (
                 rec.recv_posted_at is not None or rec.ucx_recv_posted_at is not None
             ):
                 rec.recv_posted_at = None

@@ -1,15 +1,14 @@
-"""Typed metrics registry: counters, gauges, histograms, per-layer time.
+"""Typed metrics registry: counters, histograms, per-layer time.
 
-The registry subsumes the tuple-keyed counter dict that used to live inside
-:class:`~repro.obs.tracing.Tracer` while keeping its near-free fast path:
-counters are a plain dict keyed by the ``(category, event)`` tuple (no
-f-string formatting or ``Counter`` hashing per event) and the dotted-key
-:class:`collections.Counter` view is materialised lazily on read.
+Counters are a plain dict keyed by the ``(category, event)`` tuple (no
+f-string formatting or ``Counter`` hashing per event); the tracer's
+``count``/``stage`` entries increment :attr:`MetricsRegistry.counts`
+directly, and the dotted-key :class:`collections.Counter` view is built on
+read (end of run).
 
 On top of the counters the registry adds the typed instruments the
 observability subsystem needs:
 
-* **gauges** — last-written values (queue depths, cache sizes);
 * **histograms** — fixed bucket ladders for message sizes
   (:data:`SIZE_BUCKETS`, the OSU power-of-two ladder) and latencies
   (:data:`LATENCY_BUCKETS`, a 1-2-5 ladder in seconds);
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Message-size ladder (bytes): the OSU sweep's powers of two, 1 B .. 4 MiB.
 #: Values above the last bound land in the implicit +inf bucket.
@@ -74,13 +73,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms and per-layer time for one simulation."""
+    """Counters, histograms and per-layer time for one simulation."""
 
     def __init__(self) -> None:
-        # (category, event) -> count; the per-message hot path writes here
-        self._counts: Dict[Tuple[str, str], int] = {}
-        self._counters_view: Optional[Counter] = None
-        self._gauges: Dict[str, float] = {}
+        #: (category, event) -> count; the per-message hot path writes here
+        self.counts: Dict[Tuple[str, str], int] = {}
         self._histograms: Dict[str, Histogram] = {}
         # category -> modeled simulated seconds charged by that layer
         self._times: Dict[str, float] = {}
@@ -88,28 +85,16 @@ class MetricsRegistry:
     # -- counters (hot path) -------------------------------------------------
     def inc(self, category: str, event: str, n: int = 1) -> None:
         key = (category, event)
-        counts = self._counts
+        counts = self.counts
         counts[key] = counts.get(key, 0) + n
-        self._counters_view = None
 
     def counter(self, category: str, event: str) -> int:
-        return self._counts.get((category, event), 0)
+        return self.counts.get((category, event), 0)
 
     @property
     def counters(self) -> Counter:
-        """Counter view keyed ``"category.event"`` (built lazily on read)."""
-        view = self._counters_view
-        if view is None:
-            view = Counter({f"{c}.{e}": n for (c, e), n in self._counts.items()})
-            self._counters_view = view
-        return view
-
-    # -- gauges ----------------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def gauge(self, name: str) -> Optional[float]:
-        return self._gauges.get(name)
+        """Counter view keyed ``"category.event"`` (built on each read)."""
+        return Counter({f"{c}.{e}": n for (c, e), n in self.counts.items()})
 
     # -- histograms -------------------------------------------------------------
     def histogram(self, name: str, bounds: Sequence[float] = SIZE_BUCKETS) -> Histogram:
@@ -135,15 +120,12 @@ class MetricsRegistry:
     def snapshot(self) -> Dict:
         """Plain-dict snapshot (the stable export format; JSON-serialisable)."""
         return {
-            "counters": {f"{c}.{e}": n for (c, e), n in self._counts.items()},
-            "gauges": dict(self._gauges),
+            "counters": {f"{c}.{e}": n for (c, e), n in self.counts.items()},
             "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
             "time_by_category": dict(self._times),
         }
 
     def reset(self) -> None:
-        self._counts.clear()
-        self._counters_view = None
-        self._gauges.clear()
+        self.counts.clear()
         self._histograms.clear()
         self._times.clear()

@@ -1,0 +1,155 @@
+"""The stage table: what each message-lifecycle stage means to each recorder.
+
+A hot-path site reports *what happened* — ``tracer.stage(STAGE, tag, dst,
+cost=..., attrs=(...))`` — and names no recorder.  Each :class:`Stage` row
+below declares, once, who hears about it:
+
+``counter``
+    the always-on ``(category, event)`` counter it increments (identical with
+    observation on or off, so fingerprints cannot diverge);
+``span`` / ``names``
+    the ``(category, name)`` span it opens when tracing, and the attribute
+    keys, in order, that the span stores for the leading values of the
+    site's ``attrs`` tuple (values past the last name are facts only the
+    flight recorder wants);
+``charge``
+    the layer its modelled CPU ``cost`` is attributed to when tracing;
+``flight``
+    the :class:`~repro.obs.flight.FlightRecorder` update it drives when flight
+    recording is on, as ``flight(recorder, tag, dst, *attrs)`` — ``(tag,
+    dst)`` identifies the device transfer, ``dst`` being the destination
+    worker where the site knows it.
+
+The site passes values, not keywords: a ``**kwargs`` call builds a dict on
+every message whether or not anything is recording, a tuple does not.
+
+Telemetry's cumulative series subscribe to counters, not to sites:
+:data:`COUNTER_SERIES` maps a counter key to the monotone series sampled
+whenever that counter moves (through ``stage`` or plain ``tracer.count``).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.obs.flight import FlightRecorder
+
+__all__ = ["COUNTER_SERIES", "Stage"]
+
+#: counter key -> telemetry series bumped with it (when telemetry is on)
+COUNTER_SERIES: Dict[Tuple[str, str], str] = {
+    ("ucx", "ep_evicted"): "ucx.ep_evictions",
+    ("ucx", "ep_connect"): "ucx.ep_connects",
+    ("ucx", "mapping_evicted"): "ucx.mapping_evictions",
+    ("ucx", "rail.striped"): "ucx.rail.striped_transfers",
+    ("fault", "retransmit"): "fault.retransmits",
+}
+
+
+class Stage:
+    """One row of the table (see the module docstring for the fields)."""
+
+    __slots__ = ("counter", "span", "names", "charge", "flight", "series")
+
+    def __init__(
+        self,
+        counter: Optional[Tuple[str, str]] = None,
+        span: Optional[Tuple[str, str]] = None,
+        names: Tuple[str, ...] = (),
+        charge: Optional[str] = None,
+        flight: Optional[Callable] = None,
+    ) -> None:
+        self.counter = counter
+        self.span = span
+        self.names = names
+        self.charge = charge
+        self.flight = flight
+        self.series = COUNTER_SERIES.get(counter)
+
+
+# -- model layers: operation entries -------------------------------------------
+AMPI_SEND = Stage(("ampi", "send"), ("ampi", "mpi_send"),
+                  ("rank", "dst", "tag", "size", "device"))
+AMPI_RECV = Stage(("ampi", "recv"), ("ampi", "mpi_recv"),
+                  ("rank", "src", "tag"), charge="ampi")
+OMPI_SEND = Stage(("openmpi", "send"), ("openmpi", "mpi_send"),
+                  ("rank", "dst", "tag", "size"), charge="openmpi")
+OMPI_RECV = Stage(("openmpi", "recv"), ("openmpi", "mpi_recv"),
+                  ("rank", "src", "tag"), charge="openmpi")
+_C4P_SEND = ("src_pe", "dst_pe", "size", "device")
+C4P_SEND_DEVICE = Stage(("charm4py", "channel_send_device"),
+                        ("charm4py", "channel_send"), _C4P_SEND, charge="charm4py")
+C4P_SEND_HOST = Stage(("charm4py", "channel_send_host"),
+                      ("charm4py", "channel_send"), _C4P_SEND, charge="charm4py")
+C4P_RECV = Stage(None, ("charm4py", "channel_recv"), ("pe", "size", "device"),
+                 charge="charm4py")
+
+# the host metadata message that announces a device transfer (§III-A): the
+# receive cannot be posted until it has arrived and been scheduled
+METADATA_SENT = Stage(flight=FlightRecorder.metadata_sent)
+METADATA_ARRIVED = Stage(flight=FlightRecorder.metadata_arrived)
+
+# -- Converse and the UCX machine layer ----------------------------------------
+CMI_SEND = Stage(("converse", "send"), ("converse", "cmi_send"), ("handler", "bytes"))
+CMI_SEND_DEVICE = Stage(("converse", "send_device"), ("converse", "cmi_send_device"),
+                        ("src_pe", "dst_pe", "size"))
+CMI_RECV_DEVICE = Stage(("converse", "recv_device"), ("converse", "cmi_recv_device"),
+                        ("pe", "size"))
+# data is ready at the sender from LrtsSendDevice on: posting delay is
+# measured against this instant
+LRTS_SEND_DEVICE = Stage(
+    ("machine", "send_device"), ("machine", "lrts_send_device"),
+    ("src_pe", "dst_pe", "size", "tag"), charge="machine",
+    flight=lambda fr, tag, dst, src_pe, _dst_pe, size, _tag:
+        fr.begin(tag, src_pe, dst, size))
+LRTS_RECV_DEVICE = Stage(
+    ("machine", "recv_device"), ("machine", "lrts_recv_device"),
+    ("pe", "size", "tag", "recv_type"), charge="machine",
+    flight=lambda fr, tag, dst, *_: fr.recv_posted(tag))
+
+# -- UCP worker -------------------------------------------------------------------
+# host sends have no flight record; device sends that bypassed the machine
+# layer (OpenMPI) get theirs opened here
+TAG_SEND = Stage(
+    ("ucx", "send"), ("ucx", "tag_send"), ("tag", "size", "proto"), charge="ucx",
+    flight=lambda fr, tag, dst, _tag, size, proto, src, buf:
+        buf.on_device and fr.ucx_send(tag, proto, dst, src, size))
+TAG_RECV = Stage(("ucx", "recv"), ("ucx", "tag_recv"), ("tag", "size"), charge="ucx")
+AM_SEND = Stage(("ucx", "am_send"), ("ucx", "am_send"), ("size", "rndv"), charge="ucx")
+ARRIVE = Stage(("ucx", "arrive"), charge="ucx")
+
+
+def _match(counter: Tuple[str, str]) -> Stage:
+    return Stage(
+        counter, ("ucx.match", "tag_match"), ("tag", "scanned", "unexpected"),
+        charge="ucx",
+        flight=lambda fr, tag, dst, _tag, _scanned, unexpected, posted_at:
+            fr.matched(tag, posted_at, unexpected, dst))
+
+
+MATCH_EXPECTED = _match(("ucx", "expected_hit"))
+MATCH_UNEXPECTED = _match(("ucx", "unexpected_hit"))
+CANCEL_SEND = Stage(("ucx", "cancel_send"), flight=FlightRecorder.cancelled)
+CANCEL_RECV = Stage(("ucx", "cancel_recv"), flight=FlightRecorder.recv_cancelled)
+
+# -- UCP protocols and the frame transport ---------------------------------------
+EAGER_SEND = Stage(None, ("ucx.eager", "eager_send"), ("size", "tag", "device"))
+EAGER_RECV = Stage(None, ("ucx.eager", "eager_recv"), ("size", "tag", "device"))
+RNDV_RTS = Stage(None, ("ucx.rndv", "rndv_rts"), ("size", "tag", "device"))
+RNDV_FETCH = Stage(
+    None, ("ucx.rndv", "rndv_fetch"), ("size", "tag", "lane"),
+    flight=lambda fr, tag, dst, _size, _tag, lane: fr.lane(tag, lane, dst))
+RNDV_DATA = Stage(None, ("link", "rndv_data"), ("tag", "bytes"))
+# the transport's spans take ready-made attribute dicts (``more``): its
+# frames carry them only when traced
+TAG_WIRE = Stage(None, ("link", "wire"))
+AM_WIRE = Stage(None, ("link", "am_wire"))
+AM_FETCH = Stage(None, ("link", "am_fetch"), ("bytes",))
+SEND_COMPLETED = Stage(flight=FlightRecorder.send_completed)
+DATA_LANDED = Stage(flight=FlightRecorder.completed)
+RETRANSMIT = Stage(("fault", "retransmit"), ("fault", "retransmit_wait"),
+                   flight=FlightRecorder.retransmitted)
+# terminal failures close the record so it cannot absorb the stages of the
+# next same-tag transfer
+TRUNCATED = Stage(flight=lambda fr, tag, dst: fr.failed(tag, "truncated", dst))
+TIMED_OUT = Stage(flight=lambda fr, tag, dst: fr.failed(tag, "endpoint_timeout", dst))

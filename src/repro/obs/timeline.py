@@ -129,9 +129,12 @@ class Telemetry:
     """Registry of named :class:`TimeSeries` plus the aggregates the
     congestion report is built from.
 
-    Disabled by default: every public entry point returns immediately
-    when ``enabled`` is False, and the instrumentation sites themselves
-    are guarded so the off-path cost is one attribute check.
+    Disabled by default.  Nothing outside ``repro.obs`` calls ``sample``
+    or ``bump``: message-path code goes through the tracer (``count`` /
+    ``stage`` feed the cumulative series of
+    :data:`repro.obs.stages.COUNTER_SERIES`, ``gauge`` and ``queue_probe``
+    the resource sizes), and the resource probes below are installed once by
+    ``hardware/topology.py`` as ``None``-when-off callables.
     """
 
     def __init__(self, sim, enabled: bool = False,

@@ -13,40 +13,36 @@ with first-class :class:`Span` objects:
   parent inside a *later* scheduled callback, so work the simulator runs
   on behalf of that operation still nests under it.
 
-Determinism contract (enforced by ``tests/test_obs_golden.py``): tracing
+The tracer is also the one door into observation for the hot path:
+:meth:`Tracer.stage` takes a row of the stage table
+(:mod:`repro.obs.stages`) plus what happened, and decides which recorders
+hear about it — the always-on counter, the span tree and per-layer time
+(``trace``), the flight recorder (``flight``), the telemetry series
+(``telemetry``).  Sites name no recorder and test no switch.
+
+Determinism contract (enforced by ``tests/test_obs_golden.py``): observation
 code never calls ``sim.schedule``, never changes a modeled delay, and the
-per-event counters are incremented identically whether tracing is enabled
-or not.  With tracing disabled every ``tracer.span(...)`` returns the
-shared :data:`NULL_SPAN` — no allocation, no bookkeeping — keeping the hot
-path near-free.
+per-event counters are incremented identically whatever is switched on.
+With tracing disabled every ``stage``/``span`` returns the shared
+:data:`NULL_SPAN` — no allocation, no bookkeeping — and with nothing
+switched on ``stage`` is one dict increment and one boolean test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stages import COUNTER_SERIES, Stage
 from repro.obs.timeline import DEFAULT_CAPACITY as TELEMETRY_CAPACITY
 from repro.obs.timeline import Telemetry
 
 __all__ = [
     "NULL_SPAN",
     "Span",
-    "TraceRecord",
     "Tracer",
 ]
-
-
-@dataclass
-class TraceRecord:
-    """One flat trace event (the ``emit`` API, kept for point events)."""
-
-    time: float
-    category: str
-    event: str
-    detail: Dict = field(default_factory=dict)
 
 
 class _NullSpan:
@@ -94,16 +90,24 @@ class Span:
     __slots__ = ("_tracer", "sid", "parent_sid", "category", "name",
                  "start", "end_time", "attrs")
 
-    def __init__(self, tracer: "Tracer", sid: int, parent_sid: int,
-                 category: str, name: str, start: float, attrs: Dict) -> None:
+    def __init__(self, tracer: "Tracer", category: str, name: str,
+                 parent: Optional["Span"], attrs: Dict) -> None:
+        """Open a span at ``sim.now`` and register it with ``tracer``;
+        ``parent`` overrides the ambient active-span stack."""
         self._tracer = tracer
-        self.sid = sid
-        self.parent_sid = parent_sid
+        self.sid = sid = tracer._next_sid
+        tracer._next_sid = sid + 1
+        if parent is None:
+            stack = tracer._stack
+            self.parent_sid = stack[-1].sid if stack else -1
+        else:
+            self.parent_sid = parent.sid
         self.category = category
         self.name = name
-        self.start = start
+        self.start = tracer.sim.now
         self.end_time: Optional[float] = None
         self.attrs = attrs
+        tracer.spans.append(self)
 
     # -- context-manager form (synchronous nesting) ------------------------------
     def __enter__(self) -> "Span":
@@ -181,24 +185,12 @@ class _Under:
             stack.pop()
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return NULL_SPAN
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_CTX = _NullContext()
-
-
 class Tracer:
     """Span-tree tracer + metrics registry for one simulated machine.
 
-    Cheap to keep around disabled: ``count`` is a dict increment, ``span``
-    returns :data:`NULL_SPAN`, ``charge``/``emit`` return immediately.
+    Cheap to keep around disabled: ``count`` and ``stage`` are a dict
+    increment, ``span`` returns :data:`NULL_SPAN`, ``charge`` returns
+    immediately.  The three switches are fixed at construction.
     """
 
     def __init__(self, sim, enabled: bool = False, flight: bool = False,
@@ -207,10 +199,13 @@ class Tracer:
         self.sim = sim
         self.enabled = enabled
         self.metrics = MetricsRegistry()
+        self._counts = self.metrics.counts
         self.flight = FlightRecorder(sim, enabled=flight)
         self.timeline = Telemetry(sim, enabled=telemetry,
                                   capacity=telemetry_capacity)
-        self.records: List[TraceRecord] = []
+        self._flight_on = flight
+        self._telemetry_on = telemetry
+        self._quiet = not (enabled or flight or telemetry)
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         # link waits are attributed to the ambient span's category
@@ -230,23 +225,14 @@ class Tracer:
         receive-side span to the posted request it completes)."""
         if not self.enabled:
             return NULL_SPAN
-        if parent is None:
-            stack = self._stack
-            parent_sid = stack[-1].sid if stack else -1
-        else:
-            parent_sid = parent.sid
-        sid = self._next_sid
-        self._next_sid = sid + 1
-        sp = Span(self, sid, parent_sid, category, name or category,
-                  self.sim.now, attrs)
-        self.spans.append(sp)
-        return sp
+        return Span(self, category, name or category, parent, attrs)
 
     def under(self, span: Optional[Span]):
         """Context manager making ``span`` the ambient parent (no-op for
-        ``None``/``NULL_SPAN`` or when tracing is disabled)."""
+        ``None``/``NULL_SPAN`` or when tracing is disabled: ``NULL_SPAN`` is
+        its own do-nothing context)."""
         if not self.enabled or span is None or span is NULL_SPAN:
-            return _NULL_CTX
+            return NULL_SPAN
         return _Under(self, span)
 
     @property
@@ -259,9 +245,64 @@ class Tracer:
     def span_roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_sid == -1]
 
+    # -- the lifecycle-stage entry ------------------------------------------------
+    def stage(self, st: Stage, tag: Optional[int] = None,
+              dst: Optional[int] = None, cost: Optional[float] = None,
+              attrs: tuple = (), parent: Optional[Span] = None,
+              more: Optional[Dict] = None) -> Span:
+        """Report that stage ``st`` of a message happened now.
+
+        ``(tag, dst)`` identify the device transfer (``tag`` is ``None`` for
+        a message no flight record follows, ``dst`` — the destination worker
+        — where the site knows it); ``cost`` is the modelled CPU time the
+        site charges here; ``attrs`` are the facts of the event, in the order
+        of the stage's ``names``; ``more`` is a ready-made dict of further
+        span attributes (sites build one only when traced).  Returns the span
+        the stage opens, or :data:`NULL_SPAN`.  What each recorder does with
+        the stage is the table's business (:mod:`repro.obs.stages`), not the
+        caller's."""
+        key = st.counter
+        if key is not None:
+            counts = self._counts
+            counts[key] = counts.get(key, 0) + 1
+        if self._quiet:
+            return NULL_SPAN
+        if self._flight_on and tag is not None and st.flight is not None:
+            st.flight(self.flight, tag, dst, *attrs)
+        if self._telemetry_on and st.series is not None:
+            self.timeline.bump(st.series)
+        if not self.enabled:
+            return NULL_SPAN
+        if cost is not None:
+            self.metrics.add_time(st.charge, cost)
+        if st.span is None:
+            return NULL_SPAN
+        span_attrs = dict(zip(st.names, attrs)) if attrs else {}
+        if more:
+            span_attrs.update(more)
+        return Span(self, st.span[0], st.span[1], parent, span_attrs)
+
+    # -- resource gauges (telemetry-only; see repro.obs.timeline) -------------------
+    def gauge(self, name: str, value: float, unit: str = "") -> None:
+        """Sample the current size of a resource (endpoint table, mapping
+        cache) into its telemetry series."""
+        if self._telemetry_on:
+            self.timeline.sample(name, value, unit)
+
+    def queue_probe(self, name: str) -> Optional[Callable[[int], None]]:
+        """The ``depth_probe`` for a match queue named ``name``: ``None``
+        (the queue's own off-switch) unless telemetry is on."""
+        return self.timeline.queue_probe(name) if self._telemetry_on else None
+
     # -- metrics shims (identical on/off so fingerprints cannot diverge) -----------
     def count(self, category: str, event: str, n: int = 1) -> None:
-        self.metrics.inc(category, event, n)
+        key = (category, event)
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + n
+        if self._telemetry_on:
+            series = COUNTER_SERIES.get(key)
+            if series is not None:
+                self.timeline.bump(series, n)
 
     def charge(self, category: str, seconds: float) -> None:
         """Attribute modeled CPU time to a layer (enabled-only; simulated
@@ -276,26 +317,9 @@ class Tracer:
             else:
                 self.metrics.observe(name, value, bounds)
 
-    # -- flat point events (legacy emit API, still supported) ----------------------
-    def emit(self, category: str, event: str, **detail) -> None:
-        self.metrics.inc(category, event)
-        if self.enabled:
-            self.records.append(TraceRecord(self.sim.now, category, event, detail))
-
     @property
     def counters(self):
         return self.metrics.counters
-
-    def filter(self, category: Optional[str] = None,
-               event: Optional[str] = None) -> List[TraceRecord]:
-        out = []
-        for r in self.records:
-            if category is not None and r.category != category:
-                continue
-            if event is not None and r.event != event:
-                continue
-            out.append(r)
-        return out
 
     # -- span time accounting --------------------------------------------------------
     def time_in(self, category: str) -> float:
@@ -305,7 +329,6 @@ class Tracer:
 
     # -- lifecycle ------------------------------------------------------------------------
     def reset(self) -> None:
-        self.records.clear()
         self.spans.clear()
         self._stack.clear()
         self._next_sid = 0

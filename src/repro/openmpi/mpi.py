@@ -22,6 +22,7 @@ from repro.collectives.ops import ReduceOp
 from repro.config import MachineConfig
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
+from repro.obs.stages import OMPI_RECV, OMPI_SEND
 from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
 from repro.ucx.context import UcpContext
@@ -118,10 +119,9 @@ class OmpiRank:
         ev = SimEvent(self.sim, name=f"ompi.send r{self.rank}->r{dst}")
         ucp_tag = encode_mpi_tag(self.rank, tag, _ctx)
         tracer = self.lib.machine.tracer
-        tracer.count("openmpi", "send")
-        tracer.charge("openmpi", self.lib.rt.ompi_send_overhead)
-        sp = tracer.span(
-            "openmpi", "mpi_send", rank=self.rank, dst=dst, tag=tag, size=nbytes
+        sp = tracer.stage(
+            OMPI_SEND, cost=self.lib.rt.ompi_send_overhead,
+            attrs=(self.rank, dst, tag, nbytes),
         )
 
         def _complete(_req) -> None:
@@ -152,9 +152,10 @@ class OmpiRank:
         )
         mask = match_mask(src, tag)  # ctx bits are always matched
         tracer = self.lib.machine.tracer
-        tracer.count("openmpi", "recv")
-        tracer.charge("openmpi", self.lib.rt.ompi_recv_overhead)
-        sp = tracer.span("openmpi", "mpi_recv", rank=self.rank, src=src, tag=tag)
+        sp = tracer.stage(
+            OMPI_RECV, cost=self.lib.rt.ompi_recv_overhead,
+            attrs=(self.rank, src, tag),
+        )
 
         def _complete(req) -> None:
             sp.end()

@@ -69,9 +69,6 @@ class UcpContext:
             machine.add_device_free_hook(self._drop_base_mappings)
             machine.add_host_free_hook(self._drop_base_mappings)
         self._worker_cls = UcpWorker
-        # resource telemetry (repro.obs.timeline): endpoint-table size,
-        # mapping-cache size, eviction/connect churn
-        self.telemetry = machine.tracer.timeline
         self.ep_total = 0  # endpoints across all workers (live, not closed)
 
     # -- first-touch peer mappings -----------------------------------------------
@@ -97,15 +94,11 @@ class UcpContext:
             victim = next(iter(self.map_cache))
             self._drop_mapping_keys((victim,))
             self.machine.tracer.count("ucx", "mapping_evicted")
-            if self.telemetry.enabled:
-                self.telemetry.bump("ucx.mapping_evictions")
         self.map_cache[key] = None
         self._map_by_base.setdefault(base, set()).add(key)
         self._map_by_pair.setdefault(pair, set()).add(key)
         self.machine.tracer.count("ucx", "mapping_new")
-        if self.telemetry.enabled:
-            self.telemetry.sample("ucx.mapping_cache", len(self.map_cache),
-                                  "entries")
+        self.machine.tracer.gauge("ucx.mapping_cache", len(self.map_cache), "entries")
         return self.mapping_cost
 
     def _drop_mapping_keys(self, keys) -> None:
@@ -119,9 +112,7 @@ class UcpContext:
                     bucket.discard(key)
                     if not bucket:
                         del index[idx_key]
-        if self.telemetry.enabled:
-            self.telemetry.sample("ucx.mapping_cache", len(self.map_cache),
-                                  "entries")
+        self.machine.tracer.gauge("ucx.mapping_cache", len(self.map_cache), "entries")
 
     def _drop_base_mappings(self, buf) -> None:
         """Real free of a buffer: its mappings die (free-hook callback)."""

@@ -40,8 +40,6 @@ class UcpEndpoint:
         if not ctx.ep_lifecycle_enabled:
             return 0.0
         ctx.machine.tracer.count("ucx", "ep_connect")
-        if ctx.telemetry.enabled:
-            ctx.telemetry.bump("ucx.ep_connects")
         return ctx.ep_setup_cost
 
     @property

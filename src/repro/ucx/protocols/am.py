@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.hardware.links import path_transfer
+from repro.obs.stages import AM_FETCH, AM_WIRE
 from repro.ucx import transport
 from repro.ucx.constants import CTRL_MSG_BYTES, WIRE_HEADER_BYTES
 from repro.ucx.protocols.common import host_copy_time
@@ -67,7 +68,8 @@ def _wire(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: int)
     on the worker's AM stream."""
     spans = None
     if worker.ctx.machine.tracer.enabled:
-        spans = ("am_wire", {"bytes": nbytes}, {"kind": "am"})
+        # two attribute dicts per frame: only worth building when traced
+        spans = (AM_WIRE, {"bytes": nbytes}, {"kind": "am"})
     transport.send(worker, remote, (
         nbytes + WIRE_HEADER_BYTES, "am", worker.am_loc, remote.am_loc, spans,
         None,  # host messages have no flight record
@@ -102,8 +104,8 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
 
     def _start_fetch() -> None:
         done = path_transfer(sim, route, size)
-        if tracer.enabled:
-            sp = tracer.span("link", "am_fetch", bytes=size)
+        sp = tracer.stage(AM_FETCH, attrs=(size,))
+        if sp:
             done.add_callback(lambda _ev: sp.end())
         done.add_callback(_fetched)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
+from repro.obs.stages import TRUNCATED
 from repro.ucx.status import UcsStatus
 
 
@@ -71,7 +72,5 @@ def fail_truncated(worker, msg, posted) -> None:
     Also closes the flight record — a truncated transfer never reaches
     ``completed()``, and an open record would absorb the stages of the next
     same-tag transfer."""
-    flight = worker.ctx.machine.tracer.flight
-    if flight.enabled:
-        flight.failed(msg.tag, "truncated")
+    worker.ctx.machine.tracer.stage(TRUNCATED, msg.tag, worker.worker_id)
     posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))

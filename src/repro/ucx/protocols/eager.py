@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.hardware.memory import Buffer
+from repro.obs.stages import DATA_LANDED, EAGER_RECV, EAGER_SEND, SEND_COMPLETED
 from repro.ucx.constants import CTRL_MSG_BYTES
 from repro.ucx.protocols.common import fail_truncated, staging_copy_time
 from repro.ucx.request import UcxRequest
@@ -47,9 +48,7 @@ def start_send(
         pre_cost += ctx.mapping_charge(buf, worker.worker_id, remote.worker_id)
     delay = worker._send_post_cost + copy_in + pre_cost
     tracer = ctx.machine.tracer
-    sp = tracer.span(
-        "ucx.eager", "eager_send", size=size, tag=tag, device=buf.on_device
-    )
+    sp = tracer.stage(EAGER_SEND, attrs=(size, tag, buf.on_device))
 
     # The bounce travels with the message; by delivery time it logically
     # lives in the receiver's host memory.
@@ -79,9 +78,7 @@ def start_send(
             )
             worker.transmit(remote, slot, CTRL_MSG_BYTES)
             return
-        flight = ctx.machine.tracer.flight
-        if flight.enabled:
-            flight.send_completed(tag)
+        tracer.stage(SEND_COMPLETED, tag, remote.worker_id)
         req.complete(UcsStatus.OK)
         worker.transmit(remote, msg)
 
@@ -101,18 +98,15 @@ def finish_recv(
         return
     copy_out = staging_copy_time(ctx, posted.buf, msg.size)
     tracer = ctx.machine.tracer
-    sp = tracer.span(
-        "ucx.eager", "eager_recv",
-        size=msg.size, tag=msg.tag, device=posted.buf.on_device,
+    sp = tracer.stage(
+        EAGER_RECV, attrs=(msg.size, msg.tag, posted.buf.on_device),
         parent=posted.req.span,
     )
 
     def _done() -> None:
         posted.buf.copy_from(msg.bounce, msg.size)
         sp.end()
-        flight = ctx.machine.tracer.flight
-        if flight.enabled:
-            flight.completed(msg.tag)
+        tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
 
     worker.sim.schedule(pre_delay + copy_out, _done)

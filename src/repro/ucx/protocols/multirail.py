@@ -130,7 +130,6 @@ def striped_transfer(
     cfg = machine.cfg
     mr = cfg.multirail
     tracer = machine.tracer
-    telem = sim.telemetry
 
     chunk_sizes = split_chunks(size, mr.chunk_bytes)
     queues = assign_chunks(chunk_sizes, [rail.bandwidth for rail in rails])
@@ -141,8 +140,6 @@ def striped_transfer(
         if queue:
             tracer.count("ucx", f"rail.{rail.index}.chunks", len(queue))
             tracer.count("ucx", f"rail.{rail.index}.bytes", sum(queue))
-    if telem is not None:
-        telem.bump("ucx.rail.striped_transfers")
 
     barrier = SimEvent(sim, name="multirail_barrier")
     remaining = [len(chunk_sizes)]
@@ -153,24 +150,20 @@ def striped_transfer(
             barrier.succeed(None)
 
     def _run_rail(rail, queue: List[int]) -> None:
-        if tracer.enabled:
-            rail_sp = tracer.span(
-                "ucx.rail", f"rail{rail.index}", parent=parent_span,
-                rail=rail.index, chunks=len(queue), bytes=sum(queue), tag=tag,
-            )
-        else:
-            rail_sp = None
+        rail_sp = tracer.span(
+            "ucx.rail", f"rail{rail.index}", parent=parent_span,
+            rail=rail.index, chunks=len(queue), bytes=sum(queue), tag=tag,
+        )
+        inflight = f"ucx.rail.{rail.index}.inflight_chunks"
         state = {"next": 0, "live": 0}
 
         def _done(_ev) -> None:
             state["live"] -= 1
-            if telem is not None:
-                telem.sample(f"ucx.rail.{rail.index}.inflight_chunks",
-                             state["live"], "chunks")
+            tracer.gauge(inflight, state["live"], "chunks")
             _chunk_landed()
             if state["next"] < len(queue):
                 _issue()
-            elif state["live"] == 0 and rail_sp is not None:
+            elif state["live"] == 0:
                 rail_sp.end()
 
         def _issue() -> None:
@@ -180,9 +173,7 @@ def striped_transfer(
                 csize = queue[state["next"]]
                 state["next"] += 1
                 state["live"] += 1
-                if telem is not None:
-                    telem.sample(f"ucx.rail.{rail.index}.inflight_chunks",
-                                 state["live"], "chunks")
+                tracer.gauge(inflight, state["live"], "chunks")
                 with tracer.under(rail_sp):
                     done = path_transfer(sim, rail.route, csize,
                                          extra_time=per_chunk)

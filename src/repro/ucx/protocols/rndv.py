@@ -25,6 +25,13 @@ from typing import TYPE_CHECKING
 
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
+from repro.obs.stages import (
+    DATA_LANDED,
+    RNDV_DATA,
+    RNDV_FETCH,
+    RNDV_RTS,
+    SEND_COMPLETED,
+)
 from repro.obs.tracing import NULL_SPAN
 from repro.ucx.constants import CTRL_MSG_BYTES
 from repro.ucx.protocols.common import fail_truncated
@@ -76,10 +83,9 @@ def start_send(
         send_req=req,
     )
     fire, args = worker.transmit, (remote, msg, CTRL_MSG_BYTES)
-    tracer = worker.ctx.machine.tracer
-    if tracer.enabled:
-        sp = tracer.span("ucx.rndv", "rndv_rts", size=size, tag=tag,
-                         device=buf.on_device)
+    sp = worker.ctx.machine.tracer.stage(
+        RNDV_RTS, attrs=(size, tag, msg.src_was_device))
+    if sp:
         fire, args = end_then, (sp, fire, args)
     worker.sim.schedule(worker._rts_post_cost + pre_cost, fire, *args)
 
@@ -121,7 +127,8 @@ def start_transfer(
     setup = cfg.rndv_rts_cost  # receiver-side RTR/control handling
     pipelined = inter_node and any_device and not cfg.gpudirect_rdma
     ipc_fallback = False
-    if not inter_node and src.on_device and dst.on_device:
+    ipc_pair = not inter_node and src.on_device and dst.on_device
+    if ipc_pair:
         injector = machine.fault_injector
         if injector is not None and injector.ipc_open_fails():
             # cuIpcOpenMemHandle failed: fall back to pipelined staging
@@ -203,34 +210,32 @@ def start_transfer(
             stripe_rails = plan_striping(machine, src_loc, dst_loc, msg.size)
 
     tracer = machine.tracer
-    flight = tracer.flight
-    if tracer.enabled or flight.enabled:
-        if pipelined or ipc_fallback:
-            lane = "pipeline"
-        elif not inter_node and src.on_device and dst.on_device:
-            lane = "cuda_ipc"
-        elif inter_node:
-            lane = "rdma_get"
-        else:
-            lane = "cma"
-        if flight.enabled:
-            flight.lane(msg.tag, lane)
-    if tracer.enabled:
-        attrs = {"size": msg.size, "tag": msg.tag, "lane": lane}
-        if pipelined or ipc_fallback:
-            attrs["chunks"] = pipeline_chunks(machine.cfg, msg.size)
-        if stripe_rails is not None:
-            attrs["rails"] = len(stripe_rails)
-        sp = tracer.span("ucx.rndv", "rndv_fetch", parent=posted.req.span, **attrs)
+    if pipelined or ipc_fallback:
+        lane = "pipeline"
+    elif ipc_pair:
+        lane = "cuda_ipc"
+    elif inter_node:
+        lane = "rdma_get"
     else:
-        sp = NULL_SPAN
+        lane = "cma"
+    more = None
+    if tracer.enabled:
+        # span-only detail, not worth computing for an untraced fetch
+        more = {}
+        if pipelined or ipc_fallback:
+            more["chunks"] = pipeline_chunks(machine.cfg, msg.size)
+        if stripe_rails is not None:
+            more["rails"] = len(stripe_rails)
+    sp = tracer.stage(
+        RNDV_FETCH, msg.tag, worker.worker_id, attrs=(msg.size, msg.tag, lane),
+        parent=posted.req.span, more=more,
+    )
 
     wire_sp = [NULL_SPAN]
 
     def _begin() -> None:
-        if tracer.enabled:
-            wire_sp[0] = tracer.span("link", "rndv_data", parent=sp,
-                                     tag=msg.tag, bytes=msg.size)
+        wire_sp[0] = tracer.stage(
+            RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
         if stripe_rails is not None:
             done = striped_transfer(sim, machine, stripe_rails, msg.size,
                                     parent_span=wire_sp[0], tag=msg.tag)
@@ -242,8 +247,7 @@ def start_transfer(
         dst.copy_from(src, msg.size)
         wire_sp[0].end()
         sp.end()
-        if flight.enabled:
-            flight.completed(msg.tag)
+        tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
         _send_fin(worker, msg)
 
@@ -269,7 +273,5 @@ def finish_send(worker: "UcpWorker", msg: WireMessage) -> None:
             worker.ctx.machine.tracer.count("ucx", "late_fin_ignored")
             return
         raise RuntimeError(f"FIN for unknown rendezvous id {msg.rndv_id}")
-    flight = worker.ctx.machine.tracer.flight
-    if flight.enabled:
-        flight.send_completed(msg.tag)
+    worker.ctx.machine.tracer.stage(SEND_COMPLETED, msg.tag, msg.src_worker)
     req.complete(UcsStatus.OK)

@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict
 
 from repro.faults.injector import CORRUPT, STALL
 from repro.hardware.links import path_transfer
+from repro.obs.stages import RETRANSMIT
 from repro.ucx.constants import LOOPBACK_LATENCY
 
 __all__ = ["PENDING", "SequencedStream", "end_then", "send"]
@@ -104,10 +105,10 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
 
     ``nbytes`` includes the protocol header.  ``fault_kind`` is the frame
     kind fault rules select on (``None`` exempts the frame).  ``spans`` is
-    ``None`` unless tracing: ``(name, attrs, retry_attrs)`` for the
-    ``("link", name)`` span covering each copy on the wire and for the
-    ``retransmit_wait`` span between copies.  ``flight_tag`` is set for
-    frames whose retransmits the flight record counts.
+    ``None`` unless tracing: ``(stage, attrs, retry_attrs)`` for the wire
+    stage covering each copy on the wire and for the ``retransmit_wait``
+    span between copies.  ``flight_tag`` is the device-transfer tag of a
+    frame whose retransmits belong to that transfer's record, else ``None``.
     """
     (nbytes, fault_kind, src_loc, dst_loc, spans, flight_tag,
      deliver, args, on_give_up) = frame
@@ -131,9 +132,9 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
         # retransmits anyway and the receiver drops whichever copy arrives
         # second (by sequence number).
         fire, fire_args = deliver, args
-        if tracer.enabled:
+        if spans is not None:
             fire = end_then
-            fire_args = (tracer.span("link", spans[0], **spans[1]), deliver, args)
+            fire_args = (tracer.stage(spans[0], more=spans[1]), deliver, args)
         if loopback:
             sim.schedule(LOOPBACK_LATENCY, fire, *fire_args)
         else:
@@ -151,14 +152,11 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
             tracer.count("fault", "endpoint_timeout")
             on_give_up(*args)
             return
-    tracer.count("fault", "retransmit")
-    if tracer.timeline.enabled:
-        tracer.timeline.bump("fault.retransmits")
-    if flight_tag is not None and tracer.flight.enabled:
-        tracer.flight.retransmitted(flight_tag)
     wait = injector.retry_wait(attempt)
-    if tracer.enabled:
-        tracer.span(
-            "fault", "retransmit_wait", **spans[2], attempt=attempt
-        ).close_at(sim.now + wait)
+    sp = tracer.stage(
+        RETRANSMIT, flight_tag, remote.worker_id,
+        more=None if spans is None else dict(spans[2], attempt=attempt),
+    )
+    if sp:
+        sp.close_at(sim.now + wait)
     sim.schedule(wait, send, worker, remote, frame, attempt + 1)

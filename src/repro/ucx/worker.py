@@ -38,7 +38,18 @@ from typing import Dict, Optional
 from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
 from repro.obs.metrics import LATENCY_BUCKETS
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.stages import (
+    AM_SEND,
+    ARRIVE,
+    CANCEL_RECV,
+    CANCEL_SEND,
+    MATCH_EXPECTED,
+    MATCH_UNEXPECTED,
+    TAG_RECV,
+    TAG_SEND,
+    TAG_WIRE,
+    TIMED_OUT,
+)
 from repro.ucx import transport
 from repro.ucx.constants import TAG_MASK_FULL, WIRE_HEADER_BYTES
 from repro.ucx.endpoint import UcpEndpoint
@@ -76,17 +87,13 @@ class UcpWorker:
         self.socket = socket
         self.posted = IndexedMatchQueue()
         self.unexpected = IndexedMatchQueue()
-        telemetry = ctx.telemetry
-        if telemetry.enabled:
-            self.posted.depth_probe = telemetry.queue_probe(
-                "matchq.ucx.posted")
-            self.unexpected.depth_probe = telemetry.queue_probe(
-                "matchq.ucx.unexpected")
+        machine = ctx.machine
+        tracer = machine.tracer
+        self.posted.depth_probe = tracer.queue_probe("matchq.ucx.posted")
+        self.unexpected.depth_probe = tracer.queue_probe("matchq.ucx.unexpected")
         self._endpoints: Dict[int, UcpEndpoint] = {}
         # the two frame streams, sequenced independently, and where each
         # enters the fabric (repro.ucx.transport says why these differ)
-        machine = ctx.machine
-        tracer = machine.tracer
         self.tag_loc = machine.host_location(node)
         self.am_loc = machine.host_location(node, socket)
         self.tag_stream = transport.SequencedStream(tracer, self._process_in_order)
@@ -149,16 +156,13 @@ class UcpWorker:
 
     def _ep_table_resized(self, delta: int) -> None:
         self.ctx.ep_total += delta
-        if self.ctx.telemetry.enabled:
-            self.ctx.telemetry.sample("ucx.ep_table", self.ctx.ep_total, "endpoints")
+        self.ctx.machine.tracer.gauge("ucx.ep_table", self.ctx.ep_total, "endpoints")
 
     def _evict_lru_endpoint(self) -> None:
         victim_id = next(iter(self._endpoints))
         victim = self._endpoints.pop(victim_id)
         victim.closed = True
         self.ctx.machine.tracer.count("ucx", "ep_evicted")
-        if self.ctx.telemetry.enabled:
-            self.ctx.telemetry.bump("ucx.ep_evictions")
         self._ep_table_resized(-1)
         if self.ctx.mapping_enabled:
             self.ctx.drop_pair_mappings(self.worker_id, victim_id)
@@ -184,17 +188,11 @@ class UcpWorker:
         req = UcxRequest(self.sim, RequestKind.SEND, tag, size, cb)
         proto = choose_send_protocol(cfg, buf, size)
         tracer = self.ctx.machine.tracer
-        tracer.count("ucx", "send")
-        tracer.charge("ucx", self._send_post_cost)
-        flight = tracer.flight
-        if flight.enabled and buf.on_device:
-            # direct-UCX device sends (OpenMPI) have no machine-layer record
-            flight.ensure(tag, src_pe=self.worker_id,
-                          dst_pe=ep.remote.worker_id, size=size)
-            flight.ucx_send(tag, proto.value)
-        sp = NULL_SPAN
-        if tracer.enabled:
-            sp = tracer.span("ucx", "tag_send", tag=tag, size=size, proto=proto.value)
+        sp = tracer.stage(
+            TAG_SEND, tag, ep.remote.worker_id, self._send_post_cost,
+            (tag, size, proto.value, self.worker_id, buf),
+        )
+        if sp:
             tracer.observe("ucx.send_size_bytes", size)
             self._observe_completion(req, sp, "ucx.send_latency_seconds")
         # lazy wireup: the endpoint's first message pays connection setup
@@ -226,11 +224,9 @@ class UcpWorker:
         self.recvs += 1
         req = UcxRequest(self.sim, RequestKind.RECV, tag, size, cb)
         posted = PostedRecv(tag, mask, buf, size, req)
-        tracer = self.ctx.machine.tracer
-        tracer.count("ucx", "recv")
-        tracer.charge("ucx", self._recv_post_cost)
-        if tracer.enabled:
-            sp = tracer.span("ucx", "tag_recv", tag=tag, size=size)
+        sp = self.ctx.machine.tracer.stage(
+            TAG_RECV, cost=self._recv_post_cost, attrs=(tag, size))
+        if sp:
             self._observe_completion(req, sp, "ucx.recv_latency_seconds")
 
         # unexpected messages carry concrete tags (their queue key); a
@@ -294,11 +290,10 @@ class UcpWorker:
         # else: an eager send still staging its payload; the copy-in closure
         # sees the completed request and emits a slot-consuming ERR frame
         # instead of the payload
-        tracer = self.ctx.machine.tracer
-        tracer.count("ucx", "cancel_recv" if recv else "cancel_send")
-        flight = tracer.flight
-        if flight.enabled:
-            (flight.recv_cancelled if recv else flight.cancelled)(req.tag)
+        # the transfer's destination, where known (not for an eager send)
+        dst = self.worker_id if recv else req.rndv_remote if req.rndv_id else None
+        self.ctx.machine.tracer.stage(
+            CANCEL_RECV if recv else CANCEL_SEND, req.tag, dst)
         req.complete(UcsStatus.ERR_CANCELED)
         return True
 
@@ -341,16 +336,13 @@ class UcpWorker:
         ep.bytes_sent += size
         req = UcxRequest(self.sim, RequestKind.SEND, 0, size, None)
         req.op = "am"
-        tracer = self.ctx.machine.tracer
-        tracer.count("ucx", "am_send")
-        tracer.charge("ucx", self._send_post_cost)
-        if tracer.enabled:
-            sp = tracer.span(
-                "ucx", "am_send",
-                size=size, rndv=size >= self.ctx.cfg.host_rndv_threshold,
-            )
+        sp = self.ctx.machine.tracer.stage(
+            AM_SEND, cost=self._send_post_cost,
+            attrs=(size, size >= self.ctx.cfg.host_rndv_threshold),
+        )
+        if sp:
             req.span = sp
-            req.cb = lambda r, _sp=sp: _sp.end()
+            req.cb = lambda r: sp.end()
         seq = self.am_stream.next_seq(ep.remote.worker_id)
         # first traffic through the endpoint pays lazy connection setup
         pre = ep.mark_established() if self.ctx.ep_lifecycle_enabled else 0.0
@@ -375,8 +367,9 @@ class UcpWorker:
         kind = msg.kind
         spans = None
         if self.ctx.machine.tracer.enabled:
+            # two attribute dicts per frame: only worth building when traced
             retry_attrs = {"kind": kind.name, "tag": msg.tag}
-            spans = ("wire", dict(retry_attrs, bytes=nbytes), retry_attrs)
+            spans = (TAG_WIRE, dict(retry_attrs, bytes=nbytes), retry_attrs)
         transport.send(self, remote, (
             nbytes, None if kind is WireKind.ERR else kind.value,
             self.tag_loc, remote.tag_loc, spans,
@@ -393,12 +386,10 @@ class UcpWorker:
         delay, never itself faulted).  It inherits the lost frame's
         ``wire_seq``: the ordered stream *must* consume every slot or it
         stalls behind the loss forever."""
-        tracer = self.ctx.machine.tracer
         if msg.kind is not WireKind.FIN:
             # (a lost FIN's destination is the original rendezvous sender:
             # the ERR below lets it fail its still-pending send)
-            if tracer.flight.enabled:
-                tracer.flight.failed(msg.tag, "endpoint_timeout")
+            self.ctx.machine.tracer.stage(TIMED_OUT, msg.tag, remote.worker_id)
             if msg.kind is WireKind.RTS:
                 self._fail_rndv_send(msg.rndv_id)
         err = WireMessage(
@@ -416,9 +407,7 @@ class UcpWorker:
 
     def _on_wire(self, msg: WireMessage) -> None:
         """A tagged frame arrived (called at its simulated arrival instant)."""
-        tracer = self.ctx.machine.tracer
-        tracer.count("ucx", "arrive")
-        tracer.charge("ucx", self.ctx.cfg.progress_overhead)
+        self.ctx.machine.tracer.stage(ARRIVE, cost=self.ctx.cfg.progress_overhead)
         kind = msg.kind
         if kind is WireKind.FIN:
             rndv_proto.finish_send(self, msg)
@@ -466,22 +455,17 @@ class UcpWorker:
         length it is charged for) and hand the pair to its protocol."""
         cost = self.ctx.cfg.tag_match_cost * scanned
         self.tag_scans += scanned
-        tracer = self.ctx.machine.tracer
         if unexpected:
             self.unexpected_hits += 1
-            tracer.count("ucx", "unexpected_hit")
         else:
             self.expected_hits += 1
-            tracer.count("ucx", "expected_hit")
-        tracer.charge("ucx", cost)
-        if tracer.enabled:
-            tracer.span(
-                "ucx.match", "tag_match",
-                tag=msg.tag, scanned=scanned, unexpected=unexpected,
-            ).close_at(self.sim.now + cost)
-        if tracer.flight.enabled:
-            tracer.flight.matched(msg.tag, posted_at=posted.req.posted_at,
-                                  unexpected=unexpected)
+        sp = self.ctx.machine.tracer.stage(
+            MATCH_UNEXPECTED if unexpected else MATCH_EXPECTED,
+            msg.tag, self.worker_id, cost,
+            (msg.tag, scanned, unexpected, posted.req.posted_at),
+        )
+        if sp:
+            sp.close_at(self.sim.now + cost)
         delay = base + cost
         kind = msg.kind
         if kind is WireKind.EAGER:

@@ -118,15 +118,8 @@ class TestMetricsRegistry:
         assert m.counter("ucx", "send") == 3
         assert m.counters["ucx.send"] == 3
         assert m.counters["ampi.recv"] == 1
-        m.inc("ucx", "send")  # view invalidated and rebuilt
+        m.inc("ucx", "send")  # the view is built on read
         assert m.counters["ucx.send"] == 4
-
-    def test_gauges(self):
-        m = MetricsRegistry()
-        assert m.gauge("depth") is None
-        m.set_gauge("depth", 7)
-        m.set_gauge("depth", 3)
-        assert m.gauge("depth") == 3
 
     def test_histogram_buckets(self):
         h = Histogram("sizes", bounds=(10, 100))
@@ -155,11 +148,10 @@ class TestMetricsRegistry:
     def test_snapshot_schema_and_json(self):
         m = MetricsRegistry()
         m.inc("ucx", "send")
-        m.set_gauge("g", 1.5)
         m.observe("sizes", 64)
         m.add_time("ampi", 3e-6)
         snap = m.snapshot()
-        assert set(snap) == {"counters", "gauges", "histograms", "time_by_category"}
+        assert set(snap) == {"counters", "histograms", "time_by_category"}
         assert snap["counters"] == {"ucx.send": 1}
         assert snap["time_by_category"]["ampi"] == pytest.approx(3e-6)
         json.dumps(snap)  # must be JSON-serialisable as-is
@@ -167,13 +159,11 @@ class TestMetricsRegistry:
     def test_reset(self):
         m = MetricsRegistry()
         m.inc("a", "b")
-        m.set_gauge("g", 1)
         m.observe("h", 2)
         m.add_time("c", 1.0)
         m.reset()
         snap = m.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {},
-                        "time_by_category": {}}
+        assert snap == {"counters": {}, "histograms": {}, "time_by_category": {}}
 
 
 class TestTracerMetricsIntegration:

@@ -1,13 +1,18 @@
-"""Golden comparison: tracing/flight on must be *bit-identical* to off.
+"""Golden comparison: observation on must be *bit-identical* to off.
 
-The observability layer is observation-only — spans, charges, histograms
-and flight records never call ``sim.schedule``, never change a modeled
-delay, and counters are incremented identically in both modes.  These
-tests run the same deterministic workloads with ``trace``/``flight``
-on and off and compare full simulation fingerprints (clocks, event
-counts, payloads, counters), in the style of
-``tests/test_matching_golden.py``.
+The observability layer is observation-only — spans, charges, histograms,
+flight records and telemetry series never call ``sim.schedule``, never
+change a modeled delay, and counters are incremented identically whatever
+is switched on.  One matrix checks it: every subset of the three switches
+``{trace, flight, telemetry}`` x every workload shape below, each run
+compared against the all-off fingerprint of its shape (clock, event count,
+counters, and the shape's own results), in the style of
+``tests/test_matching_golden.py``.  A run with a switch on must also have
+recorded something through it, or the comparison would be vacuous.
 """
+
+import functools
+import itertools
 
 import pytest
 
@@ -16,188 +21,93 @@ from repro.apps.osu.runner import run_bandwidth, run_latency
 from repro.config import MachineConfig
 from tests.test_matching_golden import _make_program, make_plan
 
-
-def _config(trace, flight=False):
-    return MachineConfig.summit(nodes=2).with_trace(trace).with_flight(flight)
-
-
-# ---------------------------------------------------------------------------
-# mixed matching workload (host + device, exact + wildcard receives)
-# ---------------------------------------------------------------------------
-
-def _run_mixed(model, plan, trace):
-    sess = api.session(_config(trace)).model(model).build()
-    payloads, finish = {}, {}
-    done = sess.launch(_make_program(plan, sess.sim, payloads, finish))
-    sess.run_until(done, max_events=50_000_000)
-    return {
-        "payloads": payloads,
-        "finish_times": finish,
-        "now": sess.now,
-        "event_count": sess.sim.event_count,
-        "counters": dict(sess.counters),
-    }
+SWITCHES = ("trace", "flight", "telemetry")
+SUBSETS = [
+    subset for r in range(len(SWITCHES) + 1)
+    for subset in itertools.combinations(SWITCHES, r)
+]
 
 
-@pytest.mark.parametrize("model,seed", [("openmpi", 0), ("openmpi", 2), ("ampi", 1)])
-def test_mixed_workload_fingerprint(model, seed):
-    plan = make_plan(seed, n_msgs=50)
-    off = _run_mixed(model, plan, trace=False)
-    on = _run_mixed(model, plan, trace=True)
-    assert on == off
-    assert len(off["payloads"]) == 50
-
-
-# ---------------------------------------------------------------------------
-# OSU microbenchmarks across all four models
-# ---------------------------------------------------------------------------
-
-def _latency_fingerprint(model, trace, size, placement):
-    sess = api.session(_config(trace)).model(model).build()
-    lat = run_latency(model, size, placement, True, session=sess, iters=6, skip=2)
-    return {
-        "latency": lat,
-        "now": sess.now,
-        "event_count": sess.sim.event_count,
-        "counters": dict(sess.counters),
-    }
-
-
-@pytest.mark.parametrize("model", ["charm", "ampi", "openmpi", "charm4py"])
-@pytest.mark.parametrize("placement,size", [("intra", 8), ("inter", 256 * 1024)])
-def test_osu_latency_fingerprint(model, placement, size):
-    off = _latency_fingerprint(model, False, size, placement)
-    on = _latency_fingerprint(model, True, size, placement)
-    assert on == off
-    assert off["latency"] > 0
-
-    # tracing actually produced a span tree on the traced run
-    sess = api.session(_config(True)).model(model).build()
-    run_latency(model, size, placement, True, session=sess, iters=6, skip=2)
-    assert sess.tracer.spans
-    assert any(s.parent_sid >= 0 for s in sess.tracer.spans)
-
-
-@pytest.mark.parametrize("model", ["charm", "ampi", "openmpi", "charm4py"])
-@pytest.mark.parametrize("placement,size", [("intra", 8), ("inter", 256 * 1024)])
-def test_osu_latency_flight_fingerprint(model, placement, size):
-    """Flight recording must not disturb the simulation fingerprint."""
-
-    def fp(flight):
-        sess = api.session(_config(False, flight)).model(model).build()
-        lat = run_latency(model, size, placement, True, session=sess,
-                          iters=6, skip=2)
-        return {
-            "latency": lat,
-            "now": sess.now,
-            "event_count": sess.sim.event_count,
-            "counters": dict(sess.counters),
-        }
-
-    off, on = fp(False), fp(True)
-    assert on == off
-
-    # the flight run actually recorded complete lifecycles
-    sess = api.session(_config(False, True)).model(model).build()
-    run_latency(model, size, placement, True, session=sess, iters=6, skip=2)
-    recs = sess.flight_records()
-    assert recs and all(r.complete for r in recs)
-    proto = "rndv" if size >= 4096 else "eager"
-    assert all(r.protocol == proto for r in recs)
-    if proto == "rndv":
-        assert sess.flight_summary()["delayed_posting_seconds"] >= 0.0
-
-
-@pytest.mark.parametrize("model,seed", [("openmpi", 0), ("ampi", 1)])
-def test_mixed_workload_flight_fingerprint(model, seed):
-    """Flight on/off fingerprints also match under mixed wildcard matching."""
-    plan = make_plan(seed, n_msgs=30)
-
-    def fp(flight):
-        sess = api.session(_config(False, flight)).model(model).build()
+def _mixed(model, seed):
+    """Mixed matching workload: host + device, exact + wildcard receives."""
+    def run(sess):
+        plan = make_plan(seed, n_msgs=50)
         payloads, finish = {}, {}
         done = sess.launch(_make_program(plan, sess.sim, payloads, finish))
         sess.run_until(done, max_events=50_000_000)
-        return {
-            "payloads": payloads,
-            "finish_times": finish,
-            "now": sess.now,
-            "event_count": sess.sim.event_count,
-            "counters": dict(sess.counters),
-        }
-
-    assert fp(True) == fp(False)
+        assert len(payloads) == 50
+        return {"payloads": payloads, "finish_times": finish}
+    return model, run, None
 
 
-# ---------------------------------------------------------------------------
-# resource telemetry: on/off fingerprints across all four models
-# ---------------------------------------------------------------------------
-
-def _telemetry_config(enabled):
-    return MachineConfig.summit(nodes=2).with_telemetry(enabled)
-
-
-@pytest.mark.parametrize("model", ["charm", "ampi", "openmpi", "charm4py"])
-@pytest.mark.parametrize("placement,size", [("intra", 8), ("inter", 256 * 1024)])
-def test_osu_latency_telemetry_fingerprint(model, placement, size):
-    """Telemetry sampling must not perturb the simulation by a single bit."""
-
-    def fp(telemetry):
-        sess = api.session(_telemetry_config(telemetry)).model(model).build()
+def _latency(model, placement, size):
+    def run(sess):
         lat = run_latency(model, size, placement, True, session=sess,
                           iters=6, skip=2)
-        return {
-            "latency": lat,
-            "now": sess.now,
-            "event_count": sess.sim.event_count,
-            "counters": dict(sess.counters),
-        }
-
-    off, on = fp(False), fp(True)
-    assert on == off
-
-    # the telemetry run actually recorded series (and the off run cannot)
-    sess = api.session(_telemetry_config(True)).model(model).build()
-    run_latency(model, size, placement, True, session=sess, iters=6, skip=2)
-    doc = sess.timeline()
-    assert doc["enabled"] and doc["series"]
-    if size >= 4096:  # tiny messages may bypass the modeled links entirely
-        assert any(name.startswith("link.") for name in doc["series"])
+        assert lat > 0
+        return {"latency": lat}
+    return model, run, size
 
 
-@pytest.mark.parametrize("model,seed", [("openmpi", 0), ("ampi", 1)])
-def test_mixed_workload_telemetry_fingerprint(model, seed):
-    plan = make_plan(seed, n_msgs=30)
-
-    def fp(telemetry):
-        sess = api.session(_telemetry_config(telemetry)).model(model).build()
-        payloads, finish = {}, {}
-        done = sess.launch(_make_program(plan, sess.sim, payloads, finish))
-        sess.run_until(done, max_events=50_000_000)
-        return {
-            "payloads": payloads,
-            "finish_times": finish,
-            "now": sess.now,
-            "event_count": sess.sim.event_count,
-            "counters": dict(sess.counters),
-        }
-
-    assert fp(True) == fp(False)
-
-
-@pytest.mark.parametrize("model", ["ampi", "charm4py"])
-def test_osu_bandwidth_fingerprint(model):
-    def fp(trace):
-        sess = api.session(_config(trace)).model(model).build()
+def _bandwidth(model):
+    def run(sess):
         bw = run_bandwidth(model, 64 * 1024, "inter", True, session=sess,
                            loops=2, skip=1, window=8)
-        return {
-            "bw": bw,
-            "now": sess.now,
-            "event_count": sess.sim.event_count,
-            "counters": dict(sess.counters),
-        }
+        assert bw > 0
+        return {"bw": bw}
+    return model, run, 64 * 1024
 
-    off, on = fp(False), fp(True)
-    assert on == off
-    assert off["bw"] > 0
+
+#: name -> (model, run(sess) -> results, device message size if uniform)
+SHAPES = {
+    "mixed-openmpi-0": _mixed("openmpi", 0),
+    "mixed-openmpi-2": _mixed("openmpi", 2),
+    "mixed-ampi-1": _mixed("ampi", 1),
+    "bw-ampi": _bandwidth("ampi"),
+    "bw-charm4py": _bandwidth("charm4py"),
+}
+for _model in ("charm", "ampi", "openmpi", "charm4py"):
+    SHAPES[f"lat-{_model}-intra-8"] = _latency(_model, "intra", 8)
+    SHAPES[f"lat-{_model}-inter-256K"] = _latency(_model, "inter", 256 * 1024)
+
+
+def _run(shape, on):
+    model, run, _size = SHAPES[shape]
+    cfg = (MachineConfig.summit(nodes=2).with_trace("trace" in on)
+           .with_flight("flight" in on).with_telemetry("telemetry" in on))
+    sess = api.session(cfg).model(model).build()
+    fingerprint = run(sess)
+    fingerprint.update(now=sess.now, event_count=sess.sim.event_count,
+                       counters=dict(sess.counters))
+    return fingerprint, sess
+
+
+@functools.lru_cache(maxsize=None)
+def _all_off(shape):
+    return _run(shape, ())[0]
+
+
+@pytest.mark.parametrize("on", SUBSETS, ids=lambda on: "+".join(on) or "off")
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_observation_never_moves_the_simulation(shape, on):
+    fingerprint, sess = _run(shape, on)
+    assert fingerprint == _all_off(shape)
+
+    size = SHAPES[shape][2]
+    spans, records = sess.tracer.spans, sess.flight_records()
+    series = sess.timeline()["series"]
+    # each switch records through its own recorder, and only when on
+    assert bool(spans) == ("trace" in on)
+    assert bool(series) == ("telemetry" in on)
+    if "trace" in on:
+        assert any(s.parent_sid >= 0 for s in spans)
+    if "flight" in on:
+        assert records and all(r.complete for r in records)
+        if size is not None:
+            proto = "rndv" if size >= 4096 else "eager"
+            assert all(r.protocol == proto for r in records)
+    else:
+        assert not records
+    if "telemetry" in on and size is not None and size >= 4096:
+        # tiny messages may bypass the modeled links entirely
+        assert any(name.startswith("link.") for name in series)
