@@ -109,11 +109,11 @@ class TestTolerances:
             fp["posting"],
             delayed_posting_us=fp["posting"]["delayed_posting_us"] + 5e-13,
         )
-        report = check_baseline(
-            {**doc, "entries": {name: noisy}},
-            budgets={name: None},
-        )
+        report = check_baseline({**doc, "entries": {name: noisy}})
         assert report.ok, report.format()
+        # host time is reported, never judged
+        assert report.wallclock[name] > 0.0
+        assert "wall-clock" in report.format()
 
         # 100x drift of a near-zero quantity: under the old hidden 1e-9
         # floor this passed; with the explicit atol it must fail
@@ -121,24 +121,9 @@ class TestTolerances:
         drifted["posting"] = dict(fp["posting"],
                                   delayed_posting_us=2e-10)
         baseline_doc = {**doc, "entries": {name: drifted}}
-        fresh = check_baseline(baseline_doc, budgets={name: None})
+        fresh = check_baseline(baseline_doc)
         assert any("delayed_posting_us" in f for f in fresh.failures), \
             fresh.format()
-
-    def test_wallclock_budget_trips(self):
-        doc = collect_baseline(workloads=FAST_WORKLOADS[:1])
-        name = FAST_WORKLOADS[0]
-        report = check_baseline(doc, budgets={name: 0.0})
-        assert not report.ok
-        assert any("wall-clock" in f and "budget" in f
-                   for f in report.failures), report.format()
-        assert report.wallclock[name] > 0.0
-
-    def test_wallclock_budget_disabled_with_none(self):
-        doc = collect_baseline(workloads=FAST_WORKLOADS[:1])
-        name = FAST_WORKLOADS[0]
-        report = check_baseline(doc, budgets={name: None})
-        assert report.ok, report.format()
 
 
 class TestGateCli:

@@ -6,14 +6,13 @@ Usage::
                                           [--workloads NAME ...]
     python -m repro.bench.baseline check  [--baseline BENCH_baseline.json]
                                           [--rtol 0.01] [--atol 1e-12]
-                                          [--no-budget]
                                           [--override runtime.ampi_send_overhead=6e-6]
 
 ``record`` runs the workload suite of :mod:`repro.obs.baseline` and writes
-the fingerprints; ``check`` re-runs the suite and exits nonzero when any
-fingerprint drifts outside tolerance **or** any workload overruns its
-wall-clock budget (``--no-budget`` skips the latter).  ``--override
-section.key=value`` perturbs the config before running (a section is any
+the fingerprints; ``check`` re-runs the suite, prints the wall-clock it
+took, and exits nonzero when any fingerprint drifts outside tolerance.
+``--override section.key=value`` perturbs the config before running (a
+section is any
 dataclass-typed field of :class:`~repro.config.MachineConfig` — ``ucx``,
 ``runtime``, ``memory``, ... — or omit it for a top-level field) — handy
 both for what-if runs and for demonstrating that the gate trips.
@@ -103,8 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     chk.add_argument("--atol", type=float, default=None,
                      help="absolute tolerance floor for modeled times "
                           "(default: the baseline's recorded atol)")
-    chk.add_argument("--no-budget", action="store_true",
-                     help="skip the per-workload wall-clock budget assertion")
     chk.add_argument("--override", action="append", default=[],
                      metavar="SECTION.KEY=VALUE",
                      help="config perturbation (repeatable)")
@@ -119,10 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     doc = load_baseline(args.baseline)
-    # --no-budget: an explicit None budget per entry disables the assertion
-    budgets = dict.fromkeys(doc.get("entries", {}), None) if args.no_budget else None
-    report = check_baseline(doc, cfg, rtol=args.rtol, atol=args.atol,
-                            budgets=budgets)
+    report = check_baseline(doc, cfg, rtol=args.rtol, atol=args.atol)
     print(report.format())
     return 0 if report.ok else 1
 

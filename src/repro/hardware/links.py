@@ -177,7 +177,11 @@ def path_transfer(
             else:
                 hold = links.latency + size / bw
         else:
-            hold = links.hold_time(size)
+            # Route.hold_time with its memo read in place: one call fewer
+            # on every message that revisits a size
+            hold = links._holds.get(size)
+            if hold is None:
+                hold = links.hold_time(size)
     else:
         ordered = sorted(links, key=lambda l: l.link_id)
         if ordered and injector is not None:
@@ -193,42 +197,66 @@ def path_transfer(
         sim.schedule(hold, done.succeed, None)
         return done
 
-    # telemetry observes acquisition waits and occupancy; it never schedules
-    # and never alters `hold`, so enabling it cannot perturb the simulation
-    telem = sim.telemetry
-    if telem is not None:
-        t_req = sim.now
-        req_cat = telem.ambient_category()
-    blocked_on = None
-
-    def _finish() -> None:
-        if telem is not None:
-            # before release(): release hooks run synchronously and the next
-            # waiter may re-acquire inside the loop below
-            telem.link_released(ordered, size)
-        for link in ordered:
-            link.bytes_carried += size
-            link.release()
-        done.succeed(None)
-
-    def _try_acquire() -> None:
-        nonlocal blocked_on
-        for link in ordered:
-            if link.in_use >= link.capacity:
-                if telem is not None:
-                    blocked_on = link.name
-                link.on_next_release(_try_acquire)
-                return
-        for link in ordered:
-            granted = link.acquire()
-            assert granted.triggered  # free slot was just checked
-        if telem is not None:
-            telem.link_acquired(ordered, size, sim.now - t_req,
-                                blocked_on, req_cat)
-        sim.schedule(hold, _finish)
-
     if not ordered:
         sim.schedule(hold, done.succeed, None)
     else:
-        _try_acquire()
+        _Transfer(sim, ordered, size, hold, done).try_acquire()
     return done
+
+
+class _Transfer:
+    """One bulk transfer of :func:`path_transfer`: waits for its links, holds
+    them, releases them.
+
+    An object whose bound methods are handed to ``sim.schedule`` and
+    ``Link.on_next_release`` rather than a pair of closures: a closure that
+    re-registers *itself* is a reference cycle, one per transfer, and the
+    engine's loop runs with the cyclic collector suspended.
+
+    Telemetry observes acquisition waits and occupancy; it never schedules
+    and never alters ``hold``, so enabling it cannot perturb the simulation.
+    """
+
+    __slots__ = ("sim", "ordered", "size", "hold", "done",
+                 "telem", "t_req", "req_cat", "blocked_on")
+
+    def __init__(self, sim: Simulator, ordered: Sequence[Link], size: int,
+                 hold: float, done: SimEvent) -> None:
+        self.sim = sim
+        self.ordered = ordered
+        self.size = size
+        self.hold = hold
+        self.done = done
+        self.telem = telem = sim.telemetry
+        self.t_req = sim.now
+        self.req_cat = None if telem is None else telem.ambient_category()
+        self.blocked_on = None
+
+    def try_acquire(self) -> None:
+        ordered = self.ordered
+        for link in ordered:
+            if link.in_use >= link.capacity:
+                if self.telem is not None:
+                    self.blocked_on = link.name
+                link.on_next_release(self.try_acquire)
+                return
+        for link in ordered:
+            took = link.try_acquire()
+            assert took  # free slot was just checked
+        sim = self.sim
+        if self.telem is not None:
+            self.telem.link_acquired(ordered, self.size, sim.now - self.t_req,
+                                     self.blocked_on, self.req_cat)
+        sim.schedule(self.hold, self.finish)
+
+    def finish(self) -> None:
+        ordered = self.ordered
+        size = self.size
+        if self.telem is not None:
+            # before release(): release hooks run synchronously and the next
+            # waiter may re-acquire inside the loop below
+            self.telem.link_released(ordered, size)
+        for link in ordered:
+            link.bytes_carried += size
+            link.release()
+        self.done.succeed(None)

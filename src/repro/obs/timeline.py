@@ -205,11 +205,8 @@ class Telemetry:
 
     def engine_probe(self, sim) -> Callable[[], None]:
         def probe() -> None:
-            now = sim.now
             self._series("engine.pending_events", "events").sample(
-                now, sim.pending_events)
-            self._series("engine.calendar_engaged", "bool").sample(
-                now, 1.0 if sim.calendar_engaged else 0.0)
+                sim.now, sim.pending_events)
 
         return probe
 

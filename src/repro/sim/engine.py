@@ -39,25 +39,34 @@ The agenda is a slot store plus packed integer keys:
   generation counter so slot reuse can never rebind them: ``Handle.time``
   and ``Handle.cancelled`` stay truthful after the event fired, after the
   slot was recycled, and across double cancels.
-* Large agendas engage a calendar-queue lane: keys beyond the serving
-  bucket are parked in coarse time buckets and only heapified when their
-  bucket comes up.  Bucket routing uses one monotone function of the event
-  time, so the serve order is provably the global key order — results are
-  bit-identical whether or not the lane is engaged (the engage threshold is
-  a pure function of agenda size, keeping runs deterministic).
+* The agenda itself is one binary heap of those keys.
+
+The one dispatch loop and the cyclic collector
+----------------------------------------------
+``step``, ``run`` and ``run_until_complete`` are three stop conditions over
+one loop (:meth:`Simulator._dispatch`).  That loop suspends CPython's cyclic
+garbage collector while it runs and restores the collector's previous state
+when it exits, however it exits.  This is safe because the simulator's own
+layers create **no cyclic garbage per message** — every request, event,
+transfer and envelope is freed by reference counting the moment its last
+holder lets go (``tests/test_gc_quiet.py`` enforces it for every model and
+protocol) — so a collection inside the loop could only ever walk the live
+session and free nothing; at 384 GPUs that walk was a third of the host
+time.  A user program that does build reference cycles still has them
+collected: the collection is merely deferred to the first allocation after
+the loop exits.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from struct import Struct
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 _TIME_BITS = Struct(">d").pack
 _FROM_BYTES = int.from_bytes
 _SLOT_MASK = 0xFFFFFFFF
-#: bucket indices are capped here so ``inf`` event times route finitely
-_BUCKET_CAP = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -132,12 +141,6 @@ class Simulator:
     1.5
     """
 
-    #: agenda size at which the calendar lane engages / folds back
-    _CALENDAR_ENGAGE = 8192
-    _CALENDAR_DISENGAGE = 2048
-    #: target live keys per calendar bucket when choosing the bucket width
-    _CALENDAR_PER_BUCKET = 8.0
-
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
@@ -155,17 +158,8 @@ class Simulator:
         self._gen: List[int] = []
         self._free: List[int] = []
         self._tombstones = 0  # cancelled keys not yet reaped
-        # serving heap of packed keys + total keys across all structures
+        # the agenda: a heap of packed keys (live and tombstoned)
         self._cur: List[int] = []
-        self._agenda = 0
-        # calendar lane state (engaged only for large agendas)
-        self._engaged = False
-        self._engage_at = self._CALENDAR_ENGAGE
-        self._base = 0.0
-        self._width = 0.0
-        self._bidx = 0
-        self._buckets: Dict[int, List[int]] = {}
-        self._bucket_order: List[int] = []  # heap of pending bucket indices
 
     @property
     def now(self) -> float:
@@ -180,12 +174,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events currently scheduled."""
-        return self._agenda - self._tombstones
-
-    @property
-    def calendar_engaged(self) -> bool:
-        """Whether the calendar-queue tier is currently serving the agenda."""
-        return self._engaged
+        return len(self._cur) - self._tombstones
 
     def set_probe(self, fn: Optional[Callable[[], None]],
                   every: int = 256) -> None:
@@ -226,114 +215,12 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         key = (_FROM_BYTES(_TIME_BITS(t), "big") << 96) | (seq << 32) | slot
-        self._agenda += 1
-        if self._engaged:
-            self._route_key(key, t)
-        else:
-            cur = self._cur
-            heapq.heappush(cur, key)
-            if len(cur) >= self._engage_at:
-                self._engage()
+        heapq.heappush(self._cur, key)
         return Handle(self, slot, gen, t)
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
         return self.schedule(when - self._now, fn, *args)
-
-    # -- calendar lane -------------------------------------------------------
-    def _route_key(self, key: int, t: float) -> None:
-        """File ``key`` by its time bucket.  The routing function is a single
-        monotone map of ``t`` shared by every push, so all keys at or below
-        the serving bucket are in the serving heap and every bucket's keys
-        strictly follow the heap's — serve order equals global key order."""
-        q = (t - self._base) / self._width
-        i = int(q) if q < _BUCKET_CAP else _BUCKET_CAP
-        if i <= self._bidx:
-            heapq.heappush(self._cur, key)
-        else:
-            bucket = self._buckets.get(i)
-            if bucket is None:
-                self._buckets[i] = [key]
-                heapq.heappush(self._bucket_order, i)
-            else:
-                bucket.append(key)
-
-    def _engage(self) -> None:
-        """Switch the agenda to calendar mode, sizing buckets from the live
-        time spread.  Deterministic: depends only on agenda contents."""
-        fns = self._fn
-        times = self._time
-        inf = float("inf")
-        lo = hi = None
-        live = 0
-        for key in self._cur:
-            slot = key & _SLOT_MASK
-            if fns[slot] is None:
-                continue
-            t = times[slot]
-            if t == inf:
-                continue
-            live += 1
-            if lo is None or t < lo:
-                lo = t
-            if hi is None or t > hi:
-                hi = t
-        if live < 2 or not (hi - lo) > 0.0:
-            # degenerate spread: stay on the plain heap, back off the trigger
-            self._engage_at *= 2
-            return
-        self._engaged = True
-        self._base = self._now
-        self._width = (hi - lo) / max(live / self._CALENDAR_PER_BUCKET, 1.0)
-        self._bidx = 0
-        self._buckets = {}
-        self._bucket_order = []
-        old = self._cur
-        self._cur = []
-        for key in old:
-            slot = key & _SLOT_MASK
-            if fns[slot] is None:
-                # reap tombstones while redistributing
-                self._free_slot(slot)
-                self._tombstones -= 1
-                self._agenda -= 1
-                continue
-            self._route_key(key, times[slot])
-
-    def _advance_bucket(self) -> bool:
-        """Serving heap drained: promote the next non-empty bucket (or fold
-        a small remainder back into plain-heap mode).  Returns False when
-        the whole agenda is empty."""
-        order = self._bucket_order
-        buckets = self._buckets
-        while order:
-            i = heapq.heappop(order)
-            keys = buckets.pop(i, None)
-            if not keys:
-                continue
-            self._bidx = i
-            if self._agenda <= self._CALENDAR_DISENGAGE:
-                for rest in buckets.values():
-                    keys.extend(rest)
-                self._disengage(keys)
-                return True
-            cur = self._cur  # empty here; refill in place
-            cur.extend(keys)
-            heapq.heapify(cur)
-            return True
-        self._disengage([])
-        return False
-
-    def _disengage(self, keys: List[int]) -> None:
-        self._engaged = False
-        self._buckets = {}
-        self._bucket_order = []
-        self._bidx = 0
-        self._width = 0.0
-        self._engage_at = self._CALENDAR_ENGAGE
-        cur = self._cur
-        cur.extend(keys)
-        heapq.heapify(cur)
 
     # -- slot bookkeeping ----------------------------------------------------
     def _free_slot(self, slot: int) -> None:
@@ -343,23 +230,19 @@ class Simulator:
         self._free.append(slot)
 
     def _next_live(self) -> Optional[int]:
-        """Bring a live key to the head of the serving heap; reaps tombstoned
-        keys (reclaiming their slots) and advances calendar buckets."""
+        """Bring a live key to the head of the agenda, reaping tombstoned
+        keys (and reclaiming their slots) on the way."""
         cur = self._cur
         fns = self._fn
-        pop = heapq.heappop
-        while True:
-            while cur:
-                key = cur[0]
-                slot = key & _SLOT_MASK
-                if fns[slot] is not None:
-                    return key
-                pop(cur)
-                self._free_slot(slot)
-                self._tombstones -= 1
-                self._agenda -= 1
-            if not self._engaged or not self._advance_bucket():
-                return None
+        while cur:
+            key = cur[0]
+            slot = key & _SLOT_MASK
+            if fns[slot] is not None:
+                return key
+            heapq.heappop(cur)
+            self._free_slot(slot)
+            self._tombstones -= 1
+        return None
 
     # -- execution -----------------------------------------------------------
     def peek(self) -> Optional[float]:
@@ -367,27 +250,67 @@ class Simulator:
         key = self._next_live()
         return None if key is None else self._time[key & _SLOT_MASK]
 
+    def _dispatch(self, until: Optional[float], stop: Any,
+                  budget: Optional[int]) -> int:
+        """The one dispatch loop: fire events in key order until the agenda
+        drains, the next event lies beyond ``until`` (the clock then moves
+        to ``until``), ``stop`` (a ``SimEvent``) has triggered, or ``budget``
+        events have fired.  Returns the number fired.
+
+        Runs with the cyclic garbage collector suspended (see the module
+        docstring); the collector's previous state is restored on exit.
+        """
+        cur = self._cur
+        fns = self._fn
+        argl = self._args
+        times = self._time
+        gens = self._gen
+        free = self._free
+        pop = heapq.heappop
+        fired = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while cur and not (stop is not None and stop.triggered):
+                slot = cur[0] & _SLOT_MASK
+                fn = fns[slot]
+                if fn is None:  # tombstones at the head: reap them
+                    self._next_live()
+                    continue
+                t = times[slot]
+                if until is not None and t > until:
+                    self._now = until
+                    break
+                pop(cur)
+                args = argl[slot]
+                # _free_slot, inlined: once per fired event
+                gens[slot] += 1
+                fns[slot] = None
+                argl[slot] = None
+                free.append(slot)
+                if t < self._now:  # pragma: no cover - defensive
+                    raise SimulationError(
+                        "event agenda corrupted: time went backwards"
+                    )
+                self._now = t
+                self._event_count += 1
+                fn(*args)
+                probe = self._probe
+                if probe is not None and not (
+                    self._event_count & self._probe_mask
+                ):
+                    probe()
+                fired += 1
+                if budget is not None and fired >= budget:
+                    break
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return fired
+
     def step(self) -> bool:
         """Execute the next event. Returns ``False`` if the agenda was empty."""
-        key = self._next_live()
-        if key is None:
-            return False
-        heapq.heappop(self._cur)
-        slot = key & _SLOT_MASK
-        fn = self._fn[slot]
-        args = self._args[slot]
-        t = self._time[slot]
-        self._agenda -= 1
-        self._free_slot(slot)
-        if t < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event agenda corrupted: time went backwards")
-        self._now = t
-        self._event_count += 1
-        fn(*args)
-        probe = self._probe
-        if probe is not None and not (self._event_count & self._probe_mask):
-            probe()
-        return True
+        return self._dispatch(None, None, 1) == 1
 
     def run(
         self,
@@ -405,54 +328,25 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        executed = 0
-        pop = heapq.heappop
-        times = self._time
-        fns = self._fn
-        argl = self._args
         try:
-            while True:
-                key = self._next_live()
-                if key is None:
-                    return
-                slot = key & _SLOT_MASK
-                t = times[slot]
-                if until is not None and t > until:
-                    self._now = until
-                    return
-                pop(self._cur)
-                fn = fns[slot]
-                args = argl[slot]
-                self._agenda -= 1
-                self._free_slot(slot)
-                if t < self._now:  # pragma: no cover - defensive
-                    raise SimulationError(
-                        "event agenda corrupted: time went backwards"
-                    )
-                self._now = t
-                self._event_count += 1
-                fn(*args)
-                probe = self._probe
-                if probe is not None and not (
-                    self._event_count & self._probe_mask
-                ):
-                    probe()
-                executed += 1
-                if max_events is not None and executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely an event loop"
-                    )
+            self._bounded(until, None, max_events)
         finally:
             self._running = False
 
     def run_until_complete(self, event: "Any", *, max_events: Optional[int] = None) -> Any:
         """Run until ``event`` (a :class:`~repro.sim.primitives.SimEvent`)
         is triggered; returns its value or raises its failure exception."""
-        executed = 0
-        while not event.triggered:
-            if not self.step():
-                raise SimulationError("agenda drained before event triggered (deadlock?)")
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+        self._bounded(None, event, max_events)
+        if not event.triggered:
+            raise SimulationError("agenda drained before event triggered (deadlock?)")
         return event.result()
+
+    def _bounded(self, until: Optional[float], stop: Any,
+                 max_events: Optional[int]) -> None:
+        """Dispatch, raising once more than ``max_events`` events fired."""
+        if max_events is None:
+            self._dispatch(until, stop, None)
+        elif self._dispatch(until, stop, max_events + 1) > max_events:
+            raise SimulationError(
+                f"exceeded max_events={max_events}; likely an event loop"
+            )

@@ -74,7 +74,9 @@ class SimEvent:
         return self
 
     def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        # once triggered, add_callback runs callbacks at once: the list is
+        # never appended to again, so it is dropped, not replaced
+        callbacks, self._callbacks = self._callbacks, ()
         for cb in callbacks:
             cb(self)
 
@@ -95,9 +97,13 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
-        super().__init__(sim, name=f"timeout({delay})")
+        super().__init__(sim, name="timeout")
         self.delay = delay
         sim.schedule(delay, self.succeed, value)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "triggered" if self._triggered else "pending"
+        return f"<Timeout {self.delay} {state}>"
 
 
 class AllOf(SimEvent):
@@ -208,7 +214,7 @@ class SimQueue:
             self._items.append(item)
 
     def get(self) -> SimEvent:
-        ev = SimEvent(self.sim, name=f"{self.name}.get")
+        ev = SimEvent(self.sim, name="queue.get")
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -226,3 +232,7 @@ class SimQueue:
     def remove(self, item: Any) -> None:
         """Remove a specific buffered item (used by matching logic)."""
         self._items.remove(item)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<SimQueue {self.name!r} items={len(self._items)} "
+                f"waiters={len(self._waiters)}>")

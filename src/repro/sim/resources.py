@@ -57,12 +57,24 @@ class Resource:
     # -- acquire/release ----------------------------------------------------
     def acquire(self) -> SimEvent:
         """Returns an event that succeeds when a slot is granted."""
-        ev = SimEvent(self.sim, name=f"{self.name}.acquire")
-        if self._in_use < self.capacity:
-            self._grant(ev)
+        ev = SimEvent(self.sim, name="resource.acquire")
+        if self.try_acquire():
+            ev.succeed(self)
         else:
             self._waiters.append(ev)
         return ev
+
+    def try_acquire(self) -> bool:
+        """Take a slot now if one is free; never queues.  The event-free
+        form of :meth:`acquire` for callers that checked (or only want) an
+        immediate grant — one per link per bulk transfer."""
+        if self._in_use >= self.capacity:
+            return False
+        self._in_use += 1
+        self.total_acquisitions += 1
+        if self._busy_since is None:
+            self._busy_since = self.sim.now
+        return True
 
     def release(self) -> None:
         if self._in_use <= 0:
@@ -72,7 +84,8 @@ class Resource:
             self.busy_time += self.sim.now - self._busy_since
             self._busy_since = None
         if self._waiters:
-            self._grant(self._waiters.popleft())
+            self.try_acquire()  # the slot just freed
+            self._waiters.popleft().succeed(self)
         if self._release_hooks:
             hooks, self._release_hooks = self._release_hooks, []
             for hook in hooks:
@@ -83,12 +96,9 @@ class Resource:
         multi-resource acquisition to retry)."""
         self._release_hooks.append(hook)
 
-    def _grant(self, ev: SimEvent) -> None:
-        self._in_use += 1
-        self.total_acquisitions += 1
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-        ev.succeed(self)
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<{type(self).__name__} {self.name!r} "
+                f"{self._in_use}/{self.capacity} waiting={len(self._waiters)}>")
 
     # -- composite helper ----------------------------------------------------
     def occupy(self, duration: float) -> SimEvent:
@@ -96,7 +106,7 @@ class Resource:
         event.  This is the common idiom for charging a transfer to a link:
         the returned event succeeds at the moment the resource is freed.
         """
-        done = SimEvent(self.sim, name=f"{self.name}.occupy")
+        done = SimEvent(self.sim, name="resource.occupy")
 
         def _granted(_ev: SimEvent) -> None:
             self.sim.schedule(duration, _finish)

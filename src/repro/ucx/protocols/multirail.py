@@ -149,42 +149,16 @@ def striped_transfer(
         if remaining[0] == 0:
             barrier.succeed(None)
 
-    def _run_rail(rail, queue: List[int]) -> None:
-        rail_sp = tracer.span(
-            "ucx.rail", f"rail{rail.index}", parent=parent_span,
-            rail=rail.index, chunks=len(queue), bytes=sum(queue), tag=tag,
-        )
-        inflight = f"ucx.rail.{rail.index}.inflight_chunks"
-        state = {"next": 0, "live": 0}
-
-        def _done(_ev) -> None:
-            state["live"] -= 1
-            tracer.gauge(inflight, state["live"], "chunks")
-            _chunk_landed()
-            if state["next"] < len(queue):
-                _issue()
-            elif state["live"] == 0:
-                rail_sp.end()
-
-        def _issue() -> None:
-            # chunks beyond the in-flight window start from completion
-            # callbacks, bounding queued link acquisitions per rail
-            while state["next"] < len(queue) and state["live"] < mr.window:
-                csize = queue[state["next"]]
-                state["next"] += 1
-                state["live"] += 1
-                tracer.gauge(inflight, state["live"], "chunks")
-                with tracer.under(rail_sp):
-                    done = path_transfer(sim, rail.route, csize,
-                                         extra_time=per_chunk)
-                done.add_callback(_done)
-
-        _issue()
-
     def _start() -> None:
         for rail, queue in zip(rails, queues):
             if queue:
-                _run_rail(rail, queue)
+                rail_sp = tracer.span(
+                    "ucx.rail", f"rail{rail.index}", parent=parent_span,
+                    rail=rail.index, chunks=len(queue), bytes=sum(queue),
+                    tag=tag,
+                )
+                _RailRun(sim, tracer, rail, queue, mr.window, per_chunk,
+                         rail_sp, _chunk_landed).issue()
 
     if upfront > 0.0:
         # graph capture+launch happens once, before any chunk kicks; it is
@@ -193,3 +167,54 @@ def striped_transfer(
     else:
         _start()
     return barrier
+
+
+class _RailRun:
+    """One rail's share of a striped transfer: works through its chunk queue
+    with at most ``window`` chunks in flight.
+
+    An object handing out bound methods, not a pair of closures that call
+    each other — that pair would be a reference cycle per rail per transfer,
+    and the engine's loop runs with the cyclic collector suspended.
+    """
+
+    __slots__ = ("sim", "tracer", "rail", "queue", "window", "per_chunk",
+                 "span", "chunk_landed", "inflight", "next", "live")
+
+    def __init__(self, sim, tracer, rail, queue: List[int], window: int,
+                 per_chunk: float, span, chunk_landed) -> None:
+        self.sim = sim
+        self.tracer = tracer
+        self.rail = rail
+        self.queue = queue
+        self.window = window
+        self.per_chunk = per_chunk
+        self.span = span
+        self.chunk_landed = chunk_landed
+        self.inflight = f"ucx.rail.{rail.index}.inflight_chunks"
+        self.next = 0
+        self.live = 0
+
+    def issue(self) -> None:
+        # chunks beyond the in-flight window start from completion
+        # callbacks, bounding queued link acquisitions per rail
+        tracer = self.tracer
+        queue = self.queue
+        while self.next < len(queue) and self.live < self.window:
+            csize = queue[self.next]
+            self.next += 1
+            self.live += 1
+            tracer.gauge(self.inflight, self.live, "chunks")
+            with tracer.under(self.span):
+                done = path_transfer(self.sim, self.rail.route, csize,
+                                     extra_time=self.per_chunk)
+            done.add_callback(self._done)
+
+    def _done(self, _ev) -> None:
+        self.live -= 1
+        self.tracer.gauge(self.inflight, self.live, "chunks")
+        self.chunk_landed()
+        if self.next < len(self.queue):
+            self.issue()
+        elif self.live == 0:
+            self.span.end()

@@ -18,14 +18,21 @@ class RequestKind(enum.Enum):
 class UcxRequest:
     """Handle for one in-flight ``tag_send_nb`` / ``tag_recv_nb``.
 
-    ``event`` is a :class:`SimEvent` that processes may yield on; ``cb`` (the
-    UCP completion callback) is invoked from "progress context" — i.e. at the
-    simulated instant of completion.  ``info`` carries the matched tag and
-    received length for receives, mirroring ``ucp_tag_recv_info_t``.
+    ``cb`` (the UCP completion callback) is invoked from "progress context"
+    — i.e. at the simulated instant of completion.  ``info`` carries the
+    matched tag and received length for receives, mirroring
+    ``ucp_tag_recv_info_t``.
+
+    ``event`` is a :class:`SimEvent` that processes may yield on.  It is
+    created on first access (already succeeded if the request has completed):
+    the runtimes complete requests through ``cb`` and never touch it, and an
+    event whose value is its own request is a reference cycle — one per
+    message would break the engine's no-cyclic-garbage contract
+    (``sim/engine.py``).
     """
 
     __slots__ = (
-        "sim", "kind", "tag", "size", "cb", "event",
+        "sim", "kind", "tag", "size", "cb", "_event",
         "status", "info", "posted_at", "completed_at", "span", "op",
         "rndv_id", "rndv_remote", "rndv_committed",
     )
@@ -43,7 +50,7 @@ class UcxRequest:
         self.tag = tag
         self.size = size
         self.cb = cb
-        self.event = SimEvent(sim, name=f"ucx.{kind.value}")
+        self._event: Optional[SimEvent] = None
         self.status = UcsStatus.INPROGRESS
         self.info: Any = None
         self.posted_at = sim.now
@@ -62,6 +69,15 @@ class UcxRequest:
     def completed(self) -> bool:
         return self.status is not UcsStatus.INPROGRESS
 
+    @property
+    def event(self) -> SimEvent:
+        ev = self._event
+        if ev is None:
+            ev = self._event = SimEvent(self.sim, name="ucx.request")
+            if self.completed:
+                ev.succeed(self)
+        return ev
+
     def complete(self, status: UcsStatus = UcsStatus.OK, info: Any = None) -> None:
         if self.completed:
             raise RuntimeError("request completed twice")
@@ -70,7 +86,8 @@ class UcxRequest:
         self.completed_at = self.sim.now
         if self.cb is not None:
             self.cb(self)
-        self.event.succeed(self)
+        if self._event is not None:
+            self._event.succeed(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

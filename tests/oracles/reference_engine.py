@@ -1,11 +1,12 @@
-"""The previous heap-of-entries event core, kept as a golden reference.
+"""The original heap-of-entries event core, kept as a test oracle.
 
-This is the pre-slot-core :class:`repro.sim.engine.Simulator` implementation
-(binary heap of ``_Entry`` dataclasses, lazy-deletion compaction), retained
-verbatim so the property-style stress tests can assert that the slot-based
-core fires the exact same events in the exact same order under randomized
-schedule/cancel workloads.  Nothing in the runtime imports this module; it
-can be deleted together with those tests once the new core has soaked.
+A binary heap of ``_Entry`` dataclasses ordered by ``(time, seq)`` with
+lazy-deletion compaction — small and obviously FIFO on ties, which is what
+makes it an oracle for :class:`repro.sim.engine.Simulator` (slot store,
+packed integer keys, one dispatch loop).  ``tests/test_engine_stress.py``
+replays randomized schedule/cancel workloads on both and requires the exact
+same events in the exact same order.  Like ``LinearMatchQueue`` it is never
+imported by the runtime.
 
 Known (historical) wart, preserved on purpose: ``Handle.cancel`` on an
 already-fired entry still counts toward ``_cancelled_count`` even though the

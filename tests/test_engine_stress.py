@@ -1,16 +1,11 @@
 """Property-style stress tests for the slot-based event core.
 
-Randomized (seeded) schedule/cancel workloads are replayed on both the new
-slot core (:class:`repro.sim.engine.Simulator`) and the retained old heap
-core (:class:`repro.sim.reference.ReferenceSimulator`); the firing order,
-firing times, clock and event counts must match exactly.  The reference
-core is the golden oracle until the slot core has soaked, after which both
-it and these comparisons can be deleted.
-
-The calendar-lane tests force engagement with tiny thresholds so the
-bucket fast lane — normally reserved for paper-scale agendas — is exercised
-end to end (engage, bucket advance, disengage) and shown to be bit-exact
-against plain-heap order.
+Randomized (seeded) schedule/cancel workloads are replayed on both the
+engine (:class:`repro.sim.engine.Simulator`) and the heap-of-entries oracle
+(:class:`tests.oracles.reference_engine.ReferenceSimulator`); the firing
+order, firing times, clock and event counts must match exactly.  The engine
+has one dispatch loop behind ``run``, ``step`` and ``run_until_complete``,
+so the differential drives it once through each.
 """
 
 import random
@@ -18,7 +13,8 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.reference import ReferenceSimulator
+from repro.sim.primitives import SimEvent
+from tests.oracles.reference_engine import ReferenceSimulator
 
 
 class _Workload:
@@ -74,10 +70,27 @@ class _Workload:
         return eid
 
 
-def _run_workload(sim, seed: int, roots: int = 200):
+def _drive_run(sim) -> None:
+    sim.run(max_events=50_000)
+
+
+def _drive_step(sim) -> None:
+    while sim.step():
+        pass
+
+
+def _drive_run_until_complete(sim) -> None:
+    # the stop event fires from an infinitely late timer, i.e. after every
+    # other event of the workload, whatever the workload schedules
+    done = SimEvent(sim)
+    sim.schedule(float("inf"), done.succeed)
+    sim.run_until_complete(done, max_events=50_000)
+
+
+def _run_workload(sim, seed: int, roots: int = 200, drive=_drive_run):
     w = _Workload(sim, seed)
     w.seed_events(roots)
-    sim.run(max_events=50_000)
+    drive(sim)
     return w.log, sim.now, sim.event_count
 
 
@@ -90,50 +103,25 @@ def test_firing_order_matches_reference(seed):
     assert new_count == ref_count
 
 
-@pytest.mark.parametrize("seed", [3, 17, 2024])
-def test_firing_order_matches_reference_with_calendar_forced(seed):
-    sim = Simulator()
-    # force the calendar lane to engage (and fold back) inside a workload
-    # the plain heap would otherwise serve alone
-    sim._CALENDAR_ENGAGE = 64
-    sim._CALENDAR_DISENGAGE = 16
-    sim._engage_at = 64
-    new_log, new_now, new_count = _run_workload(sim, seed, roots=500)
-    ref_log, ref_now, ref_count = _run_workload(ReferenceSimulator(), seed,
-                                                roots=500)
+@pytest.mark.parametrize("drive", [_drive_step, _drive_run_until_complete],
+                         ids=["step", "run_until_complete"])
+def test_every_entry_point_fires_the_reference_order(drive):
+    # larger agenda than above (500 roots): deep heap, many ties
+    new_log, _, new_count = _run_workload(Simulator(), 2024, roots=500,
+                                          drive=drive)
+    ref_log, _, ref_count = _run_workload(ReferenceSimulator(), 2024,
+                                          roots=500)
     assert new_log == ref_log
-    assert new_now == ref_now
-    assert new_count == ref_count
+    # the stop event's own timer is the one event the workload did not log
+    own = 1 if drive is _drive_run_until_complete else 0
+    assert new_count == ref_count + own == len(new_log) + own
 
 
-def test_calendar_lane_engages_and_disengages():
+def test_ties_and_infinite_times():
     sim = Simulator()
-    sim._CALENDAR_ENGAGE = 64
-    sim._CALENDAR_DISENGAGE = 16
-    sim._engage_at = 64
-    fired = []
-    rng = random.Random(5)
-    expect = []
-    for i in range(1000):
-        d = rng.random() * 1e-3
-        expect.append((d, i))
-        sim.schedule(d, fired.append, i)
-    assert sim._engaged  # the push volume crossed the engage threshold
-    sim.run()
-    assert fired == [i for _, i in sorted(expect)]
-    assert not sim._engaged  # drained agendas fold back to the plain heap
-    assert sim.pending_events == 0
-    assert len(sim._free) == len(sim._fn)  # every slot reclaimed
-
-
-def test_calendar_lane_handles_ties_and_infinite_times():
-    sim = Simulator()
-    sim._CALENDAR_ENGAGE = 32
-    sim._CALENDAR_DISENGAGE = 8
-    sim._engage_at = 32
     fired = []
     for i in range(50):
-        sim.schedule(1.0, fired.append, i)  # all-tied: engagement refused
+        sim.schedule(1.0, fired.append, i)  # all tied: FIFO
     for i in range(50, 100):
         sim.schedule(float(i), fired.append, i)
     h = sim.schedule(float("inf"), fired.append, "never")
@@ -142,21 +130,5 @@ def test_calendar_lane_handles_ties_and_infinite_times():
     h.cancel()
     sim.run()
     assert fired == list(range(100))
-
-
-def test_degenerate_spread_backs_off_then_engages():
-    sim = Simulator()
-    sim._CALENDAR_ENGAGE = 32
-    sim._CALENDAR_DISENGAGE = 8
-    sim._engage_at = 32
-    # first wave is all-tied: _engage must refuse and double the trigger
-    for i in range(40):
-        sim.schedule(1.0, lambda: None)
-    assert not sim._engaged
-    assert sim._engage_at == 64
-    # a spread-out second wave crosses the doubled trigger and engages
-    for i in range(40):
-        sim.schedule(1.0 + i * 0.01, lambda: None)
-    assert sim._engaged
-    sim.run()
     assert sim.pending_events == 0
+    assert len(sim._free) == len(sim._fn)  # every slot reclaimed

@@ -2,20 +2,16 @@
 
 Waves of seeded mixed host/device traffic run on ONE session with the
 pooled allocator and a lossy fault plan — the regime where queues churn,
-the pool cycles slabs, and retransmits fire.  The gate asserts the three
-promises the telemetry tentpole makes:
+the pool cycles slabs, and retransmits fire.  The gate asserts the two
+promises the telemetry tentpole makes (a runaway sampling path is caught by
+the per-test wall-clock ceiling the root ``conftest.py`` applies):
 
 * **bounded memory**: every retained ring buffer stays within its
   capacity no matter how many samples the soak offers, and the
   congestion aggregates stay bounded by link count / window cap;
 * **zero perturbation**: the full fingerprint of the soak with
-  telemetry on is bit-identical to telemetry off, faults and all;
-* **bounded wall-clock**: the whole soak finishes inside its
-  ``WALLCLOCK_BUDGETS`` entry, so a runaway sampling path fails CI the
-  same way a modeled-perf regression would.
+  telemetry on is bit-identical to telemetry off, faults and all.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -23,7 +19,6 @@ import pytest
 import repro.api as api
 from repro.config import MachineConfig
 from repro.faults import FaultPlan
-from repro.obs.baseline import WALLCLOCK_BUDGETS
 from tests.test_stress_random_traffic import make_plan
 
 N_RANKS = 12
@@ -89,10 +84,8 @@ def _run_soak(telemetry):
 
 
 def test_soak_bounded_and_bit_identical():
-    t0 = time.monotonic()
     sess_off, fp_off = _run_soak(telemetry=False)
     sess_on, fp_on = _run_soak(telemetry=True)
-    elapsed = time.monotonic() - t0
 
     # -- zero perturbation: identical fingerprints, faults and all --------
     assert fp_on == fp_off
@@ -130,11 +123,6 @@ def test_soak_bounded_and_bit_identical():
         assert len(rec["windows"]) <= telem._sat_window_cap
     # the telemetry-off session carries no series at all
     assert not sess_off.tracer.timeline.series
-
-    # -- bounded wall-clock ------------------------------------------------
-    budget = WALLCLOCK_BUDGETS["soak_telemetry_smoke"]
-    assert elapsed < budget, (
-        f"soak took {elapsed:.1f}s, budget {budget:.0f}s")
 
 
 def test_soak_telemetry_deterministic():
