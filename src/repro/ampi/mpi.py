@@ -336,7 +336,7 @@ class AmpiRank(_CollectiveApi):
         elif tag < 0:
             raise ValueError("negative tags are reserved")
 
-        ev = SimEvent(sim, name=f"mpi.send r{self.rank}->r{dst}")
+        ev = SimEvent(sim, name="mpi.send")
         env = AmpiEnvelope(
             src=self.rank, dst=dst, tag=tag, comm=comm, size=nbytes,
             seq=self._next_seq(dst),
@@ -362,7 +362,7 @@ class AmpiRank(_CollectiveApi):
             # Fig. 7: CkDeviceBuffer + callback; GPU data via LrtsSendDevice.
             def _notify_sender() -> None:
                 tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.schedule(rt.ampi_callback_overhead, ev.succeed, None)
+                sim.call_later(rt.ampi_callback_overhead, ev.succeed, None)
 
             def _send_failed(status) -> None:
                 ev.fail(MpiCommError(
@@ -383,7 +383,7 @@ class AmpiRank(_CollectiveApi):
                 tracer.stage(METADATA_SENT, dev_meta.tag)
 
             tracer.charge("ampi", pre)
-            sim.schedule(self._cpu_delay(pre), _go_device)
+            sim.call_later(self._cpu_delay(pre), _go_device)
             return ev
 
         if value is not None or buf is None:
@@ -413,7 +413,7 @@ class AmpiRank(_CollectiveApi):
                 ev.succeed(None)
 
         tracer.charge("ampi", pre)
-        sim.schedule(self._cpu_delay(pre), _go_host)
+        sim.call_later(self._cpu_delay(pre), _go_host)
         return ev
 
     def _recv_impl(
@@ -427,7 +427,7 @@ class AmpiRank(_CollectiveApi):
         ampi = self.ampi
         rt = ampi.rt
         sim = self.sim
-        ev = SimEvent(sim, name=f"mpi.recv r{self.rank}")
+        ev = SimEvent(sim, name="mpi.recv")
         req = PostedMpiRecv(src=src, tag=tag, comm=comm, buf=buf, capacity=capacity, event=ev)
         tracer = ampi.machine.tracer
         rsp = tracer.stage(
@@ -441,9 +441,9 @@ class AmpiRank(_CollectiveApi):
             if env is not None:
                 tracer.charge("ampi", rt.ampi_match_cost * scanned)
                 delay = rt.ampi_match_cost * scanned
-                sim.schedule(delay, ampi._complete_recv, self, env, req)
+                sim.call_later(delay, ampi._complete_recv, self, env, req)
 
-        sim.schedule(self._cpu_delay(rt.ampi_recv_overhead), _post)
+        sim.call_later(self._cpu_delay(rt.ampi_recv_overhead), _post)
         return ev
 
 
@@ -556,7 +556,7 @@ class Ampi:
 
             def _done(_op: DeviceRdmaOp) -> None:
                 tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.schedule(rt.ampi_callback_overhead, req.event.succeed, status)
+                sim.call_later(rt.ampi_callback_overhead, req.event.succeed, status)
 
             def _failed(_op: DeviceRdmaOp, ucs_status) -> None:
                 req.event.fail(MpiCommError(
@@ -590,7 +590,7 @@ class Ampi:
                 req.buf.copy_from(env.payload, env.size)
                 req.event.succeed(status)
 
-            sim.schedule(copy, _copied)
+            sim.call_later(copy, _copied)
             return
 
         if env.src_host_buf is not None:  # zero-copy rendezvous fetch
@@ -618,7 +618,7 @@ class Ampi:
                 else 0.0
             )
 
-            def _fetched(_ev) -> None:
+            def _fetched() -> None:
                 def _unpacked() -> None:
                     req.buf.copy_from(env.src_host_buf, env.size)
                     req.event.succeed(status)
@@ -631,13 +631,11 @@ class Ampi:
                     )
                     self.charm.converse.cmi_send(rank.pe, fin)
 
-                sim.schedule(unpack, _unpacked)
+                sim.call_later(unpack, _unpacked)
 
             # pinning is CPU work on the receiving rank: serialise it
-            sim.schedule(
-                rank._cpu_delay(pin) if pin else 0.0,
-                lambda: path_transfer(sim, route, env.size).add_callback(_fetched),
-            )
+            sim.call_later(rank._cpu_delay(pin) if pin else 0.0, path_transfer,
+                           sim, route, env.size, 0.0, _fetched)
             return
 
         # value-based message (collectives) or zero-byte message

@@ -50,7 +50,7 @@ class JacobiBlock(Chare):
                 ev.succeed(None)
 
     def _wait_halos(self, it: int, needed: int) -> SimEvent:
-        ev = SimEvent(self.charm.sim, name=f"halos.it{it}")
+        ev = SimEvent(self.charm.sim, name="halos")
         if self._halo_counts.get(it, 0) == needed:
             ev.succeed(None)
         else:

@@ -327,7 +327,7 @@ def ablation_early_post(size: int = 1 * MB, quiet: bool = False) -> Dict[str, fl
                 + rt.heap_alloc_cost
             )
             wb.set_am_handler(
-                lambda payload, sz, src_id: m.sim.schedule(
+                lambda payload, sz, src_id: m.sim.call_later(
                     runtime_path,
                     lambda: holder.update(req=wb.tag_recv_nb(dst, size, tag=9)),
                 )

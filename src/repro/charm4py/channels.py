@@ -107,7 +107,7 @@ class Channel:
                 tracer.stage(METADATA_SENT, dev_meta.tag)
                 sp.end()
 
-            sim.schedule(cost, _go)
+            sim.call_later(cost, _go)
             return Timeout(sim, cost)
 
         if any(isinstance(a, Buffer) and a.on_device for a in args):
@@ -125,7 +125,7 @@ class Channel:
                 self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
             sp.end()
 
-        sim.schedule(cost, _go_host)
+        sim.call_later(cost, _go_host)
         return Timeout(sim, cost)
 
     def _post_packet(self, src_pe: int, dst_pe: int, pkt: _Packet, host_bytes: int) -> None:
@@ -151,5 +151,5 @@ class Channel:
             dst = (args[0], args[1])
         future = c4p.make_future()
         cost = c4p.cython.call_cost()
-        c4p.sim.schedule(cost, c4p._post_channel_recv, self.key, self.local_id, future, dst)
+        c4p.sim.call_later(cost, c4p._post_channel_recv, self.key, self.local_id, future, dst)
         return future.get()

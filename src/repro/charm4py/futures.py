@@ -25,7 +25,7 @@ class Future:
     def __init__(self, runtime) -> None:
         self.runtime = runtime
         self.fid = next(_future_ids)
-        self._event = SimEvent(runtime.sim, name=f"future{self.fid}")
+        self._event = SimEvent(runtime.sim, name="future")
 
     @property
     def fulfilled(self) -> bool:
@@ -39,4 +39,7 @@ class Future:
         """Fulfil the future; the waiting coroutine resumes after the
         Python-side fulfilment cost."""
         cost = self.runtime.cython.future_cost()
-        self.runtime.sim.schedule(cost, self._event.succeed, value)
+        self.runtime.sim.call_later(cost, self._event.succeed, value)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Future {self.fid} {'fulfilled' if self.fulfilled else 'pending'}>"

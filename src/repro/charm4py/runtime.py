@@ -167,7 +167,7 @@ class Charm4py:
                 raise TypeError("channel.recv(buffer, size) but a host object arrived")
             cost = self.cython.serialize_cost(pkt.nbytes)  # deserialisation
             tracer.charge("charm4py", cost)
-            self.sim.schedule(cost, future.send, pkt.value)
+            self.sim.call_later(cost, future.send, pkt.value)
             return
         if dst is None:
             raise TypeError("GPU data arrived but recv() posted no device buffer")
@@ -209,7 +209,7 @@ class Charm4py:
                 with tracer.under(rsp):
                     self.charm.converse.cmi_recv_device(pe_index, op)
 
-            self.sim.schedule(delay, _post)
+            self.sim.call_later(delay, _post)
         else:
             with tracer.under(rsp):
                 self.charm.converse.cmi_recv_device(pe_index, op)

@@ -131,7 +131,7 @@ class UcxMachineLayer:
         worker = self.workers[src_pe]
         ep = worker.ep(dst_pe)
         if departure_delay > 0.0:
-            self.sim.schedule(departure_delay, worker.am_send, ep, wire_bytes, (dst_pe, msg))
+            self.sim.call_later(departure_delay, worker.am_send, ep, wire_bytes, (dst_pe, msg))
         else:
             worker.am_send(ep, wire_bytes, (dst_pe, msg))
 
@@ -183,7 +183,7 @@ class UcxMachineLayer:
             with tracer.under(sp):
                 worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, tag, cb=_complete)
 
-        self.sim.schedule(delay, _launch)
+        self.sim.call_later(delay, _launch)
         return tag
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
@@ -220,4 +220,4 @@ class UcxMachineLayer:
             with tracer.under(sp):
                 worker.tag_recv_nb(op.dest, op.size, op.tag, cb=_complete)
 
-        self.sim.schedule(delay, _post)
+        self.sim.call_later(delay, _post)

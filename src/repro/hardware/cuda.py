@@ -77,19 +77,18 @@ class CudaRuntime:
         links = self.machine.route(
             self.machine.location_of(src), self.machine.location_of(dst)
         )
-        launch = self.cfg.memcpy_launch_overhead
+        return stream.enqueue(
+            self._start_memcpy, links, n, self.cfg.memcpy_launch_overhead, dst, src)
 
-        def _starter() -> SimEvent:
-            ev = SimEvent(self.sim, name="memcpy")
+    def _start_memcpy(self, op, links, n: int, launch: float,
+                      dst: Buffer, src: Buffer) -> None:
+        path_transfer(self.sim, links, n, launch,
+                      self._memcpy_done, (op, dst, src, n))
 
-            def _wire_done(_e: SimEvent) -> None:
-                dst.copy_from(src, n)
-                ev.succeed(None)
-
-            path_transfer(self.sim, links, n, extra_time=launch).add_callback(_wire_done)
-            return ev
-
-        return stream.enqueue(_starter)
+    @staticmethod
+    def _memcpy_done(op, dst: Buffer, src: Buffer, n: int) -> None:
+        dst.copy_from(src, n)
+        op.succeed(None)
 
     def memcpy_dtoh(self, dst: Buffer, src: Buffer, stream: Stream, nbytes=None) -> SimEvent:
         if not src.on_device or dst.on_device:
@@ -105,11 +104,8 @@ class CudaRuntime:
         """cudaStreamSynchronize: completes ``sync_overhead`` after the
         stream drains (spin-wait cost on the calling CPU)."""
         done = SimEvent(self.sim, name="streamSync")
-
-        def _drained(_e: SimEvent) -> None:
-            self.sim.schedule(self.cfg.stream_sync_overhead, done.succeed, None)
-
-        stream.drained().add_callback(_drained)
+        stream.drained(self.sim.call_later,
+                       (self.cfg.stream_sync_overhead, done.succeed, None))
         return done
 
     # -- kernels -------------------------------------------------------------------

@@ -52,5 +52,5 @@ class GdrCopy:
             dst.copy_from(src, n)
             ev.succeed(None)
 
-        self.sim.schedule(self.copy_time(n), _done)
+        self.sim.call_later(self.copy_time(n), _done)
         return ev

@@ -46,12 +46,26 @@ class DeviceEventRecord:
     fence: SimEvent
 
 
+class StreamOp(SimEvent):
+    """One operation on a :class:`Stream`: its completion event, carrying
+    what starts it.  ``_begin`` is the callback its predecessor fires."""
+
+    __slots__ = ("start", "args")
+
+    def _begin(self, _prev: Optional[SimEvent] = None) -> None:
+        self.start(self, *self.args)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<StreamOp {self.start.__name__}{self.args} done={self._triggered}>"
+
+
 class Stream:
     """An in-order CUDA stream.
 
     Operations are chained: each op starts when its predecessor's completion
-    event fires.  ``enqueue`` takes a *starter* callable that, when invoked,
-    begins the operation and returns its completion :class:`SimEvent`.
+    event fires.  ``enqueue`` takes a *starter*, called as ``start(op,
+    *args)`` when the op's turn comes: it begins the operation and arranges
+    for ``op.succeed(value)`` at its completion.
     """
 
     def __init__(self, sim: Simulator, gpu: "Gpu", index: int) -> None:
@@ -61,28 +75,32 @@ class Stream:
         self._tail: Optional[SimEvent] = None
         self.ops_enqueued = 0
 
-    def enqueue(self, starter: Callable[[], SimEvent]) -> SimEvent:
+    def enqueue(self, start: Callable[..., None], *args) -> StreamOp:
         """Enqueue an async operation; returns its completion event."""
-        done = SimEvent(self.sim, name=f"gpu{self.gpu.index}.s{self.index}.op")
+        op = StreamOp(self.sim, name="stream.op")
+        op.start = start
+        op.args = args
         self.ops_enqueued += 1
-
-        def _start(_prev: Optional[SimEvent] = None) -> None:
-            starter().add_callback(lambda ev: done.succeed(ev.result() if ev.ok else None))
-
-        if self._tail is None or self._tail.triggered:
-            _start()
+        tail = self._tail
+        self._tail = op
+        if tail is None or tail._triggered:
+            op._begin()
         else:
-            self._tail.add_callback(_start)
-        self._tail = done
-        return done
+            tail.add_callback(op._begin)
+        return op
 
-    def drained(self) -> SimEvent:
-        """Event that fires when all currently-enqueued work completes."""
-        ev = SimEvent(self.sim, name=f"gpu{self.gpu.index}.s{self.index}.drained")
-        if self._tail is None or self._tail.triggered:
-            ev.succeed(None)
+    def drained(self, then=None, then_args: tuple = ()) -> Optional[SimEvent]:
+        """Run ``then(*then_args)`` when all currently-enqueued work has
+        completed; without ``then``, return an event that fires then."""
+        ev = None
+        if then is None:
+            ev = SimEvent(self.sim, name="stream.drained")
+            then, then_args = ev.succeed, (None,)
+        tail = self._tail
+        if tail is None or tail._triggered:
+            then(*then_args)
         else:
-            self._tail.add_callback(lambda _e: ev.succeed(None))
+            tail.add_callback(lambda _e: then(*then_args))
         return ev
 
 
@@ -125,16 +143,13 @@ class Gpu:
         stream = stream or self.default_stream
         self.kernels_launched += 1
         dur = launch_overhead + kernel.duration(self.mem_bandwidth, self.FLOP_RATE)
+        return stream.enqueue(self._start_kernel, kernel, dur)
 
-        def _starter() -> SimEvent:
-            ev = SimEvent(self.sim, name=f"kernel.{kernel.name}")
+    def _start_kernel(self, op: StreamOp, kernel: Kernel, dur: float) -> None:
+        self.exec_units.occupy(dur, self._kernel_done, (op, kernel))
 
-            def _complete(_occ: SimEvent) -> None:
-                if kernel.body is not None:
-                    kernel.body()
-                ev.succeed(None)
-
-            self.exec_units.occupy(dur).add_callback(_complete)
-            return ev
-
-        return stream.enqueue(_starter)
+    @staticmethod
+    def _kernel_done(op: StreamOp, kernel: Kernel) -> None:
+        if kernel.body is not None:
+            kernel.body()
+        op.succeed(None)

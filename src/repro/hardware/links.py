@@ -1,17 +1,18 @@
 """Hardware links as FIFO resources with alpha-beta timing.
 
-A transfer along a *path* of links acquires every link (in a canonical,
-deadlock-free order), holds them for the serialisation time of the
-bottleneck link, then releases them.  Path latency is the sum of the link
-alphas.  This coarse "cut-through with bottleneck occupancy" model keeps
-aggregate bandwidth caps correct (six GPUs sharing one NIC serialize; three
-pairs sharing the X-Bus cap at the X-Bus rate) without simulating packets.
+A transfer along a *path* of links acquires every link atomically, holds
+them for the path latency (the sum of the link alphas) plus the
+serialisation time of the bottleneck link, then releases them and runs its
+continuation (:func:`path_transfer`).  This coarse "cut-through with
+bottleneck occupancy" model keeps aggregate bandwidth caps correct (six GPUs
+sharing one NIC serialize; three pairs sharing the X-Bus cap at the X-Bus
+rate) without simulating packets.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.config import LinkParams
 from repro.sim.engine import Simulator
@@ -145,10 +146,12 @@ def path_transfer(
     links: Iterable[Link],
     size: int,
     extra_time: float = 0.0,
-) -> SimEvent:
-    """Move ``size`` bytes along ``links``; returns the completion event.
+    then=None,
+    then_args: tuple = (),
+) -> Optional[SimEvent]:
+    """Move ``size`` bytes along ``links``, then run ``then(*then_args)``.
 
-    The event succeeds ``path_latency + size/bottleneck_bw + extra_time``
+    The continuation runs ``path_latency + size/bottleneck_bw + extra_time``
     after all links have been acquired.  Acquisition is **atomic**: the
     transfer waits until every link on the path has a free slot and only
     then occupies them all — a transfer never holds one link while queueing
@@ -156,9 +159,15 @@ def path_transfer(
     traffic (the behaviour of credit-based wormhole fabrics at the
     granularity we model).  Control-sized messages (<= ``CTRL_BYPASS_BYTES``)
     do not occupy the links at all: they ride inline ahead of bulk data.
+
+    Without ``then`` the completion is an event, created here and returned
+    for the caller to wait on; protocol code passes its next step instead.
     """
-    done = SimEvent(sim, name="path_transfer")
-    injector = getattr(sim, "fault_injector", None)
+    done = None
+    if then is None:
+        done = SimEvent(sim, name="path_transfer")
+        then, then_args = done.succeed, (None,)
+    injector = sim.fault_injector
     if type(links) is Route:
         # memoized fast lane: order and cost terms were computed when the
         # route was first resolved (see Machine.route)
@@ -191,16 +200,12 @@ def path_transfer(
             hold = path_latency(ordered) + (size / path_bottleneck(ordered) if ordered else 0.0)
     hold += extra_time
 
-    if size <= CTRL_BYPASS_BYTES:
+    if size <= CTRL_BYPASS_BYTES or not ordered:
         for link in ordered:
             link.bytes_carried += size
-        sim.schedule(hold, done.succeed, None)
-        return done
-
-    if not ordered:
-        sim.schedule(hold, done.succeed, None)
+        sim.call_later(hold, then, *then_args)
     else:
-        _Transfer(sim, ordered, size, hold, done).try_acquire()
+        _Transfer(sim, ordered, size, hold, then, then_args).try_acquire()
     return done
 
 
@@ -208,7 +213,7 @@ class _Transfer:
     """One bulk transfer of :func:`path_transfer`: waits for its links, holds
     them, releases them.
 
-    An object whose bound methods are handed to ``sim.schedule`` and
+    An object whose bound methods are handed to ``sim.call_later`` and
     ``Link.on_next_release`` rather than a pair of closures: a closure that
     re-registers *itself* is a reference cycle, one per transfer, and the
     engine's loop runs with the cyclic collector suspended.
@@ -217,16 +222,17 @@ class _Transfer:
     and never alters ``hold``, so enabling it cannot perturb the simulation.
     """
 
-    __slots__ = ("sim", "ordered", "size", "hold", "done",
+    __slots__ = ("sim", "ordered", "size", "hold", "then", "then_args",
                  "telem", "t_req", "req_cat", "blocked_on")
 
     def __init__(self, sim: Simulator, ordered: Sequence[Link], size: int,
-                 hold: float, done: SimEvent) -> None:
+                 hold: float, then, then_args: tuple) -> None:
         self.sim = sim
         self.ordered = ordered
         self.size = size
         self.hold = hold
-        self.done = done
+        self.then = then
+        self.then_args = then_args
         self.telem = telem = sim.telemetry
         self.t_req = sim.now
         self.req_cat = None if telem is None else telem.ambient_category()
@@ -247,7 +253,7 @@ class _Transfer:
         if self.telem is not None:
             self.telem.link_acquired(ordered, self.size, sim.now - self.t_req,
                                      self.blocked_on, self.req_cat)
-        sim.schedule(self.hold, self.finish)
+        sim.call_later(self.hold, self.finish)
 
     def finish(self) -> None:
         ordered = self.ordered
@@ -259,4 +265,4 @@ class _Transfer:
         for link in ordered:
             link.bytes_carried += size
             link.release()
-        self.done.succeed(None)
+        self.then(*self.then_args)

@@ -51,8 +51,8 @@ class Buffer:
         ``data.nbytes`` must equal ``size``.
     """
 
-    __slots__ = ("kind", "size", "node", "device", "data", "address", "freed",
-                 "base")
+    __slots__ = ("kind", "on_device", "size", "node", "device", "data",
+                 "address", "freed", "base")
 
     def __init__(
         self,
@@ -71,6 +71,7 @@ class Buffer:
         if data is not None and data.nbytes != size:
             raise ValueError(f"data is {data.nbytes} bytes but size={size}")
         self.kind = kind
+        self.on_device = kind is MemoryKind.DEVICE  # read on every message
         self.size = size
         self.node = node
         self.device = device
@@ -80,10 +81,6 @@ class Buffer:
         self.base: Optional["Buffer"] = None  # set on sub-range views
 
     # -- predicates ---------------------------------------------------------
-    @property
-    def on_device(self) -> bool:
-        return self.kind is MemoryKind.DEVICE
-
     @property
     def is_virtual(self) -> bool:
         """True when the buffer tracks size only (no real payload)."""

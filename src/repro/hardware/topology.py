@@ -10,7 +10,7 @@ separately rather than one end-to-end route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import MachineConfig
@@ -36,16 +36,25 @@ class Location:
     ``socket`` is a routing hint for host locations: inter-node traffic
     leaves/enters through the NIC rail of that socket (socket-affine HCA
     binding).  Device locations derive their socket from the GPU.
+
+    A route-cache key on every message: ``on_device`` and the hash are
+    computed once, and :class:`Machine` interns one instance per place.
     """
 
     node: int
     kind: MemoryKind
     device: Optional[int] = None  # global GPU index for DEVICE locations
     socket: int = 0
+    on_device: bool = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def on_device(self) -> bool:
-        return self.kind is MemoryKind.DEVICE
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "on_device", self.kind is MemoryKind.DEVICE)
+        object.__setattr__(
+            self, "_hash", hash((self.node, self.kind, self.device, self.socket)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Node:
@@ -156,6 +165,7 @@ class Machine:
             for g, pool in self.pools.items():
                 pool.probe = timeline.pool_probe(g)
         self._route_cache: Dict[tuple, Route] = {}
+        self._locations: Dict[tuple, Location] = {}  # (node, device, socket)
         # Multi-path transfer planning (repro.hardware.rails): enumerates
         # disjoint link paths per (src, dst) pair for the striped protocols.
         # Constructed lazily-cheap either way; consulted only when
@@ -185,9 +195,17 @@ class Machine:
         return self.local_gpu(gpu) // self.cfg.topology.gpus_per_socket
 
     def location_of(self, buf: Buffer) -> Location:
-        if buf.on_device:
-            return Location(buf.node, MemoryKind.DEVICE, buf.device)
-        return Location(buf.node, MemoryKind.HOST, None)
+        return (self._locations.get((buf.node, buf.device, 0))
+                or self._location(buf.node, buf.device))
+
+    def _location(self, node: int, device: Optional[int], socket: int = 0) -> Location:
+        """The interned location: ``device`` is ``None`` for host memory."""
+        key = (node, device, socket)
+        loc = self._locations.get(key)
+        if loc is None:
+            kind = MemoryKind.HOST if device is None else MemoryKind.DEVICE
+            loc = self._locations[key] = Location(node, kind, device, socket)
+        return loc
 
     # -- allocation -------------------------------------------------------------
     def _maybe_payload(self, size: int, materialize: Optional[bool]) -> Optional[np.ndarray]:
@@ -336,7 +354,7 @@ class Machine:
         return links
 
     def host_location(self, node: int, socket: int = 0) -> Location:
-        return Location(node, MemoryKind.HOST, None, socket=socket)
+        return self._location(node, None, socket)
 
     def device_location(self, gpu: int) -> Location:
-        return Location(self.node_of_gpu(gpu), MemoryKind.DEVICE, gpu)
+        return self._location(self.node_of_gpu(gpu), gpu)

@@ -116,7 +116,7 @@ class OmpiRank:
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0, *,
              _ctx: int = 1) -> SimEvent:
-        ev = SimEvent(self.sim, name=f"ompi.send r{self.rank}->r{dst}")
+        ev = SimEvent(self.sim, name="ompi.send")
         ucp_tag = encode_mpi_tag(self.rank, tag, _ctx)
         tracer = self.lib.machine.tracer
         sp = tracer.stage(
@@ -139,14 +139,14 @@ class OmpiRank:
             with tracer.under(sp):
                 self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=_complete)
 
-        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_send_overhead), _post)
+        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_send_overhead), _post)
         return ev
 
     def recv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG,
         *, _ctx: int = 1,
     ) -> SimEvent:
-        ev = SimEvent(self.sim, name=f"ompi.recv r{self.rank}")
+        ev = SimEvent(self.sim, name="ompi.recv")
         want = encode_mpi_tag(
             0 if src == ANY_SOURCE else src, 0 if tag == ANY_TAG else tag, _ctx
         )
@@ -177,7 +177,7 @@ class OmpiRank:
             with tracer.under(sp):
                 self.worker.tag_recv_nb(buf, capacity, want, mask, cb=_complete)
 
-        self.sim.schedule(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
+        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
         return ev
 
     def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:

@@ -20,26 +20,35 @@ precomputed ``_send_post_cost``/``_rts_post_cost`` constants on
 :class:`repro.ucx.worker.UcpWorker`) and every site that schedules with it
 must reuse that shared sum, never re-add the parts.
 
+``call_later``, ``schedule`` and continuations
+----------------------------------------------
+"Run this function after this modelled delay" is the one primitive:
+:meth:`Simulator.call_later` inserts the timer and returns nothing, so a
+timer nobody cancels costs an agenda slot and no object; every layer above
+the engine uses it.  :meth:`Simulator.schedule` is ``call_later`` plus a
+:class:`Handle`, for the caller that may cancel the timer or ask when it is
+due (``tests/test_hot_path_budget.py`` rejects a discarded handle).
+
+Operations that *complete later* (``links.path_transfer``,
+``Resource.occupy``, ``Stream.drained``) take their continuation — ``then,
+then_args`` — and the timer that ends the operation calls it directly.  A
+``SimEvent`` is the right tool only where something *waits*: a process
+yields on it, several parties subscribe, or it can fail.  Called without
+``then`` those operations build that event themselves, with its ``succeed``
+as the continuation: one implementation, two spellings.
+
 Event core layout
 -----------------
-The agenda is a slot store plus packed integer keys:
-
-* Each scheduled event occupies a *slot* in parallel arrays (``_fn``,
-  ``_args``, ``_time``, ``_gen``) recycled through a freelist — no
-  per-event entry objects on the hot path.
-* The ordering key is one Python int, ``(time_bits << 96) | (seq << 32) |
-  slot``, where ``time_bits`` is the big-endian IEEE-754 bit pattern of the
-  event time.  For the non-negative times the engine produces, that bit
-  pattern is order-isomorphic to numeric order, so a single integer
-  comparison replaces a ``(time, seq)`` tuple comparison.  (``seq`` is
-  assumed to stay below 2**64 — about six centuries of nanosecond-spaced
-  events.)
-* ``Handle.cancel`` tombstones the slot in O(1) (``_fn[slot] = None``);
-  the dead key is discarded lazily when it surfaces.  Handles carry a
-  generation counter so slot reuse can never rebind them: ``Handle.time``
-  and ``Handle.cancelled`` stay truthful after the event fired, after the
-  slot was recycled, and across double cancels.
-* The agenda itself is one binary heap of those keys.
+* Each timer occupies a *slot* in parallel arrays (``_fn``, ``_args``,
+  ``_time``, ``_gen``) recycled through a freelist — no per-event objects.
+* The agenda is one binary heap of Python ints, ``(time_bits << 96) | (seq
+  << 32) | slot``, where ``time_bits`` is the big-endian IEEE-754 pattern of
+  the event time: for non-negative times it is order-isomorphic to numeric
+  order, so one integer comparison replaces a ``(time, seq)`` tuple's.
+  (``seq`` is assumed to stay below 2**64.)
+* ``Handle.cancel`` tombstones the slot in O(1) (``_fn[slot] = None``); the
+  dead key is discarded lazily when it surfaces, and the slot's generation
+  counter keeps a recycled slot from rebinding old handles.
 
 The one dispatch loop and the cyclic collector
 ----------------------------------------------
@@ -132,8 +141,8 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.5, fired.append, "a")
-    >>> _ = sim.schedule(0.5, fired.append, "b")
+    >>> sim.call_later(1.5, fired.append, "a")
+    >>> sim.call_later(0.5, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -149,6 +158,7 @@ class Simulator:
         # observation hooks (repro.obs): fault injector and telemetry attach
         # themselves here; both are read-only with respect to the agenda
         self.telemetry = None
+        self.fault_injector = None
         self._probe: Optional[Callable[[], None]] = None
         self._probe_mask = 255
         # slot store (parallel arrays + freelist)
@@ -187,9 +197,9 @@ class Simulator:
         self._probe_mask = every - 1
 
     # -- scheduling ----------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
-
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now.  The hot-path form:
+        nothing is returned, so nothing is allocated beyond the agenda slot.
         ``delay`` must be non-negative (NaN rejected); a zero delay fires
         after all events already scheduled for the current instant (FIFO).
         """
@@ -202,24 +212,47 @@ class Simulator:
             self._fn[slot] = fn
             self._args[slot] = args
             self._time[slot] = t
-            gen = self._gen[slot]
         else:
-            slot = len(self._fn)
-            if slot > _SLOT_MASK:  # pragma: no cover - 2**32 concurrent events
-                raise SimulationError("agenda exceeded 2**32 concurrent events")
-            self._fn.append(fn)
-            self._args.append(args)
-            self._time.append(t)
-            self._gen.append(0)
-            gen = 0
+            slot = self._new_slot(t, fn, args)
         seq = self._seq
         self._seq = seq + 1
         key = (_FROM_BYTES(_TIME_BITS(t), "big") << 96) | (seq << 32) | slot
         heapq.heappush(self._cur, key)
-        return Handle(self, slot, gen, t)
+
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
+        """:meth:`call_later` plus a :class:`Handle` on the timer, for the
+        caller that may cancel it.  (The insert is repeated, not forwarded:
+        re-spreading ``*args`` through a second call costs a quarter more.)"""
+        if not (delay >= 0.0):
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        t = self._now + delay
+        free = self._free
+        if free:
+            slot = free.pop()
+            self._fn[slot] = fn
+            self._args[slot] = args
+            self._time[slot] = t
+        else:
+            slot = self._new_slot(t, fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        key = (_FROM_BYTES(_TIME_BITS(t), "big") << 96) | (seq << 32) | slot
+        heapq.heappush(self._cur, key)
+        return Handle(self, slot, self._gen[slot], t)
+
+    def _new_slot(self, t: float, fn: Callable[..., Any], args: tuple) -> int:
+        """Grow the slot store by one (the freelist was empty)."""
+        slot = len(self._fn)
+        if slot > _SLOT_MASK:  # pragma: no cover - 2**32 concurrent events
+            raise SimulationError("agenda exceeded 2**32 concurrent events")
+        self._fn.append(fn)
+        self._args.append(args)
+        self._time.append(t)
+        self._gen.append(0)
+        return slot
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
-        """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
+        """:meth:`schedule` at absolute simulated time ``when``."""
         return self.schedule(when - self._now, fn, *args)
 
     # -- slot bookkeeping ----------------------------------------------------
@@ -271,7 +304,7 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while cur and not (stop is not None and stop.triggered):
+            while cur and not (stop is not None and stop._triggered):
                 slot = cur[0] & _SLOT_MASK
                 fn = fns[slot]
                 if fn is None:  # tombstones at the head: reap them

@@ -1,12 +1,13 @@
-"""Synchronization primitives: events, timeouts, combinators, queues.
+"""Synchronization primitives: what a process *waits on*.
 
-These follow the SimPy vocabulary because it is the lingua franca of Python
-discrete-event simulation: a :class:`SimEvent` is a one-shot occurrence that
-processes may wait on; :class:`Timeout` is an event that fires after a fixed
-delay; :class:`AllOf`/:class:`AnyOf` combine events; :class:`SimQueue` is an
-unbounded producer/consumer queue (used for PE message queues and UCX
-matching); :class:`Latch` is a countdown barrier (used for windowed
-bandwidth tests and halo-exchange completion).
+SimPy's vocabulary, the lingua franca of Python discrete-event simulation:
+a :class:`SimEvent` is a one-shot occurrence carrying a value or a failure;
+:class:`Timeout` is one that the engine timer succeeds after a fixed delay;
+:class:`AllOf`/:class:`AnyOf` combine events; :class:`SimQueue` is an
+unbounded producer/consumer queue (PE message queues); :class:`Latch` is a
+countdown barrier.  Code that only chains a next step does not need these:
+it hands the step to ``Simulator.call_later`` or to an operation's ``then``
+(see ``sim/engine.py``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class SimEvent:
             raise EventAlreadyTriggered(self.name)
         self._triggered = True
         self._value = value
-        self._dispatch()
+        # once triggered, add_callback runs callbacks at once: the list is
+        # never appended to again, so it is dropped, not replaced
+        callbacks, self._callbacks = self._callbacks, ()
+        for cb in callbacks:
+            cb(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -70,15 +75,10 @@ class SimEvent:
             raise EventAlreadyTriggered(self.name)
         self._triggered = True
         self._exc = exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
-        # once triggered, add_callback runs callbacks at once: the list is
-        # never appended to again, so it is dropped, not replaced
         callbacks, self._callbacks = self._callbacks, ()
         for cb in callbacks:
             cb(self)
+        return self
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
         if self._triggered:
@@ -92,14 +92,15 @@ class SimEvent:
 
 
 class Timeout(SimEvent):
-    """An event that succeeds ``delay`` seconds after construction."""
+    """An event the engine timer succeeds ``delay`` seconds after
+    construction, resuming whoever sleeps on it from the timer itself."""
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
         super().__init__(sim, name="timeout")
         self.delay = delay
-        sim.schedule(delay, self.succeed, value)
+        sim.call_later(delay, self.succeed, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"

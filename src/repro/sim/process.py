@@ -52,24 +52,24 @@ class Process(SimEvent):
         self._waiting_on: Optional[SimEvent] = None
         # Start on the next tick of the current instant so the creator
         # finishes its own step first (mirrors SimPy semantics).
-        sim.schedule(0.0, self._resume, None, None)
+        sim.call_later(0.0, self._resume, None, None)
 
     # -- control -----------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:
             return
-        self.sim.schedule(0.0, self._throw, Interrupt(cause))
+        self.sim.call_later(0.0, self._throw, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process; it observes :class:`ProcessKilled`."""
         if self.triggered:
             return
-        self.sim.schedule(0.0, self._throw, ProcessKilled())
+        self.sim.call_later(0.0, self._throw, ProcessKilled())
 
     # -- engine plumbing ----------------------------------------------------
     def _resume(self, send_value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         self._waiting_on = None
         try:
@@ -93,7 +93,7 @@ class Process(SimEvent):
 
     def _wait_on(self, target: Any) -> None:
         if target is None:
-            self.sim.schedule(0.0, self._resume, None, None)
+            self.sim.call_later(0.0, self._resume, None, None)
             return
         if isinstance(target, SimEvent):
             self._waiting_on = target
@@ -105,17 +105,9 @@ class Process(SimEvent):
         )
 
     def _on_event(self, ev: SimEvent) -> None:
-        if self.triggered:
-            return
         if ev is not self._waiting_on:
             return  # stale wake-up after an interrupt redirected the process
-        if ev.ok:
-            self._resume(ev.result(), None)
-        else:
-            try:
-                ev.result()
-            except BaseException as exc:  # noqa: BLE001
-                self._resume(None, exc)
+        self._resume(ev._value, ev._exc)
 
     def _throw(self, exc: BaseException) -> None:
         self._waiting_on = None

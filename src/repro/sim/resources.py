@@ -28,7 +28,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[SimEvent] = deque()
+        self._waiters: deque = deque()  # (fn, args) to run once granted
         self._release_hooks: list = []
         # statistics
         self.total_acquisitions = 0
@@ -58,11 +58,15 @@ class Resource:
     def acquire(self) -> SimEvent:
         """Returns an event that succeeds when a slot is granted."""
         ev = SimEvent(self.sim, name="resource.acquire")
-        if self.try_acquire():
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
+        self._when_granted(ev.succeed, (self,))
         return ev
+
+    def _when_granted(self, fn, args: tuple) -> None:
+        """Run ``fn(*args)`` holding a slot: now, or in FIFO turn on release."""
+        if self.try_acquire():
+            fn(*args)
+        else:
+            self._waiters.append((fn, args))
 
     def try_acquire(self) -> bool:
         """Take a slot now if one is free; never queues.  The event-free
@@ -85,7 +89,8 @@ class Resource:
             self._busy_since = None
         if self._waiters:
             self.try_acquire()  # the slot just freed
-            self._waiters.popleft().succeed(self)
+            fn, args = self._waiters.popleft()
+            fn(*args)
         if self._release_hooks:
             hooks, self._release_hooks = self._release_hooks, []
             for hook in hooks:
@@ -101,19 +106,20 @@ class Resource:
                 f"{self._in_use}/{self.capacity} waiting={len(self._waiters)}>")
 
     # -- composite helper ----------------------------------------------------
-    def occupy(self, duration: float) -> SimEvent:
-        """Acquire, hold for ``duration``, release; returns the completion
-        event.  This is the common idiom for charging a transfer to a link:
-        the returned event succeeds at the moment the resource is freed.
+    def occupy(self, duration: float, then=None, then_args: tuple = ()):
+        """Acquire, hold for ``duration``, release, then run
+        ``then(*then_args)`` — at the moment the resource is freed: the idiom
+        for charging an operation to a resource.  Without ``then`` the
+        completion is an event, created here and returned to wait on.
         """
-        done = SimEvent(self.sim, name="resource.occupy")
-
-        def _granted(_ev: SimEvent) -> None:
-            self.sim.schedule(duration, _finish)
-
-        def _finish() -> None:
-            self.release()
-            done.succeed(None)
-
-        self.acquire().add_callback(_granted)
+        done = None
+        if then is None:
+            done = SimEvent(self.sim, name="resource.occupy")
+            then, then_args = done.succeed, (None,)
+        self._when_granted(
+            self.sim.call_later, (duration, self._vacate, then, then_args))
         return done
+
+    def _vacate(self, then, then_args: tuple) -> None:
+        self.release()
+        then(*then_args)

@@ -53,11 +53,11 @@ def start_send(
             req.complete()
             _wire(worker, remote, size, payload, copy, None, seq)
 
-        worker.sim.schedule(worker._send_post_cost + copy + pre_cost, _send_eager)
+        worker.sim.call_later(worker._send_post_cost + copy + pre_cost, _send_eager)
     else:
         # rendezvous: RTS, then a single-copy fetch of the data; the request
         # completes when the fetch does
-        worker.sim.schedule(
+        worker.sim.call_later(
             worker._rts_post_cost + pre_cost, _wire,
             worker, remote, CTRL_MSG_BYTES, None, 0.0, (size, payload, req), seq,
         )
@@ -95,7 +95,8 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
     route = machine.route(worker.am_loc, remote.am_loc)
     reg = cfg.host_rndv_reg_overhead if remote.node != worker.node else 0.0
 
-    def _fetched(_ev) -> None:
+    def _fetched(sp) -> None:
+        sp.end()
         if not send_req.completed:
             send_req.complete()
         remote.am_stream.offer(
@@ -103,13 +104,10 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
         )
 
     def _start_fetch() -> None:
-        done = path_transfer(sim, route, size)
-        sp = tracer.stage(AM_FETCH, attrs=(size,))
-        if sp:
-            done.add_callback(lambda _ev: sp.end())
-        done.add_callback(_fetched)
+        path_transfer(sim, route, size, then=_fetched,
+                      then_args=(tracer.stage(AM_FETCH, attrs=(size,)),))
 
-    sim.schedule(cfg.progress_overhead + cfg.rndv_rts_cost + reg, _start_fetch)
+    sim.call_later(cfg.progress_overhead + cfg.rndv_rts_cost + reg, _start_fetch)
 
 
 def _give_up(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: int) -> None:
@@ -122,7 +120,7 @@ def _give_up(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: i
             send_req.complete(UcsStatus.ERR_ENDPOINT_TIMEOUT)
     # the receiver must consume the sequence slot or its ordered AM stream
     # stalls behind the lost message forever
-    worker.sim.schedule(
+    worker.sim.call_later(
         0.0, remote.am_stream.offer, worker.worker_id, seq, ("lost", lost)
     )
 
@@ -151,4 +149,4 @@ def release(worker: "UcpWorker", src: int, entry) -> None:
         worker._am_last_deliver.get(src, 0.0),
     )
     worker._am_last_deliver[src] = at
-    sim.schedule(at - sim.now, worker._am_handler, payload, size, src)
+    sim.call_later(at - sim.now, worker._am_handler, payload, size, src)

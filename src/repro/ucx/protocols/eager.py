@@ -82,7 +82,7 @@ def start_send(
         req.complete(UcsStatus.OK)
         worker.transmit(remote, msg)
 
-    worker.sim.schedule(delay, _copied)
+    worker.sim.call_later(delay, _copied)
 
 
 def finish_recv(
@@ -94,7 +94,7 @@ def finish_recv(
     """Complete a matched eager receive: copy out of the bounce, finish."""
     ctx = worker.ctx
     if msg.size > posted.size:
-        worker.sim.schedule(pre_delay, fail_truncated, worker, msg, posted)
+        worker.sim.call_later(pre_delay, fail_truncated, worker, msg, posted)
         return
     copy_out = staging_copy_time(ctx, posted.buf, msg.size)
     tracer = ctx.machine.tracer
@@ -109,4 +109,4 @@ def finish_recv(
         tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
 
-    worker.sim.schedule(pre_delay + copy_out, _done)
+    worker.sim.call_later(pre_delay + copy_out, _done)

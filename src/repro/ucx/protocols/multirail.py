@@ -37,10 +37,9 @@ order.  Two identical runs interleave chunks identically (pinned by
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.hardware.links import path_transfer
-from repro.sim.primitives import SimEvent
 
 __all__ = ["plan_striping", "split_chunks", "assign_chunks", "striped_transfer"]
 
@@ -118,14 +117,16 @@ def striped_transfer(
     machine,
     rails,
     size: int,
+    then: Callable[[], None],
     parent_span=None,
     tag: Optional[int] = None,
-) -> SimEvent:
-    """Move ``size`` bytes across ``rails``; returns the completion barrier.
+) -> None:
+    """Move ``size`` bytes across ``rails``, then run ``then()``.
 
-    Mirrors :func:`~repro.hardware.links.path_transfer`'s contract (one
-    event, succeeds when all data has landed) so rendezvous callers swap it
-    in without touching their completion handling.
+    Mirrors the continuation form of
+    :func:`~repro.hardware.links.path_transfer` (``then`` runs when all data
+    has landed) so rendezvous callers swap it in without touching their
+    completion handling.
     """
     cfg = machine.cfg
     mr = cfg.multirail
@@ -141,13 +142,12 @@ def striped_transfer(
             tracer.count("ucx", f"rail.{rail.index}.chunks", len(queue))
             tracer.count("ucx", f"rail.{rail.index}.bytes", sum(queue))
 
-    barrier = SimEvent(sim, name="multirail_barrier")
     remaining = [len(chunk_sizes)]
 
     def _chunk_landed() -> None:
         remaining[0] -= 1
         if remaining[0] == 0:
-            barrier.succeed(None)
+            then()
 
     def _start() -> None:
         for rail, queue in zip(rails, queues):
@@ -163,10 +163,9 @@ def striped_transfer(
     if upfront > 0.0:
         # graph capture+launch happens once, before any chunk kicks; it is
         # driver work and occupies no link
-        sim.schedule(upfront, _start)
+        sim.call_later(upfront, _start)
     else:
         _start()
-    return barrier
 
 
 class _RailRun:
@@ -206,11 +205,10 @@ class _RailRun:
             self.live += 1
             tracer.gauge(self.inflight, self.live, "chunks")
             with tracer.under(self.span):
-                done = path_transfer(self.sim, self.rail.route, csize,
-                                     extra_time=self.per_chunk)
-            done.add_callback(self._done)
+                path_transfer(self.sim, self.rail.route, csize,
+                              self.per_chunk, self._done)
 
-    def _done(self, _ev) -> None:
+    def _done(self) -> None:
         self.live -= 1
         self.tracer.gauge(self.inflight, self.live, "chunks")
         self.chunk_landed()

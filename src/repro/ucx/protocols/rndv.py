@@ -87,7 +87,7 @@ def start_send(
         RNDV_RTS, attrs=(size, tag, msg.src_was_device))
     if sp:
         fire, args = end_then, (sp, fire, args)
-    worker.sim.schedule(worker._rts_post_cost + pre_cost, fire, *args)
+    worker.sim.call_later(worker._rts_post_cost + pre_cost, fire, *args)
 
 
 def start_transfer(
@@ -111,7 +111,7 @@ def start_transfer(
             # release the sender too: the rendezvous is over
             _send_fin(worker, msg)
 
-        sim.schedule(pre_delay, _truncate)
+        sim.call_later(pre_delay, _truncate)
         return
 
     src, dst = msg.src_buf, posted.buf
@@ -237,13 +237,12 @@ def start_transfer(
         wire_sp[0] = tracer.stage(
             RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
         if stripe_rails is not None:
-            done = striped_transfer(sim, machine, stripe_rails, msg.size,
-                                    parent_span=wire_sp[0], tag=msg.tag)
+            striped_transfer(sim, machine, stripe_rails, msg.size, _data_arrived,
+                             parent_span=wire_sp[0], tag=msg.tag)
         else:
-            done = path_transfer(sim, route, msg.size)
-        done.add_callback(_data_arrived)
+            path_transfer(sim, route, msg.size, then=_data_arrived)
 
-    def _data_arrived(_ev) -> None:
+    def _data_arrived() -> None:
         dst.copy_from(src, msg.size)
         wire_sp[0].end()
         sp.end()
@@ -251,7 +250,7 @@ def start_transfer(
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
         _send_fin(worker, msg)
 
-    sim.schedule(pre_delay + setup, _begin)
+    sim.call_later(pre_delay + setup, _begin)
 
 
 def _send_fin(worker: "UcpWorker", rts: WireMessage) -> None:

@@ -136,11 +136,10 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
             fire = end_then
             fire_args = (tracer.stage(spans[0], more=spans[1]), deliver, args)
         if loopback:
-            sim.schedule(LOOPBACK_LATENCY, fire, *fire_args)
+            sim.call_later(LOOPBACK_LATENCY, fire, *fire_args)
         else:
-            path_transfer(
-                sim, machine.route(src_loc, dst_loc), nbytes, extra_time=stall
-            ).add_callback(lambda _ev: fire(*fire_args))
+            path_transfer(sim, machine.route(src_loc, dst_loc), nbytes, stall,
+                          fire, fire_args)
         if (verb is None or attempt >= injector.max_retries
                 or stall < injector.retry_wait(attempt)):
             return
@@ -159,4 +158,4 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
     )
     if sp:
         sp.close_at(sim.now + wait)
-    sim.schedule(wait, send, worker, remote, frame, attempt + 1)
+    sim.call_later(wait, send, worker, remote, frame, attempt + 1)

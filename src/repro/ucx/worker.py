@@ -397,7 +397,7 @@ class UcpWorker:
             src_worker=self.worker_id, rndv_id=msg.rndv_id,
             sent_at=self.sim.now, wire_seq=msg.wire_seq, failed_kind=msg.kind,
         )
-        self.sim.schedule(0.0, remote._on_wire, err)
+        self.sim.call_later(0.0, remote._on_wire, err)
 
     def _fail_rndv_send(self, rndv_id: int) -> None:
         """The rendezvous will never complete (its RTS or FIN was lost)."""
@@ -475,7 +475,7 @@ class UcpWorker:
         elif kind is WireKind.ERR:
             # the peer exhausted its retransmit budget for the frame this
             # receive would have consumed
-            self.sim.schedule(
+            self.sim.call_later(
                 delay, posted.req.complete,
                 UcsStatus.ERR_ENDPOINT_TIMEOUT, (msg.tag, msg.size),
             )

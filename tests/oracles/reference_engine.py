@@ -92,6 +92,10 @@ class ReferenceSimulator:
         heapq.heappush(self._heap, entry)
         return ReferenceHandle(entry, self)
 
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """The engine's handle-free form: here, a schedule nobody cancels."""
+        self.schedule(delay, fn, *args)
+
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> ReferenceHandle:
         return self.schedule(when - self._now, fn, *args)
 

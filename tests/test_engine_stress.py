@@ -1,6 +1,7 @@
 """Property-style stress tests for the slot-based event core.
 
-Randomized (seeded) schedule/cancel workloads are replayed on both the
+Randomized (seeded) workloads interleaving ``call_later``, ``schedule``,
+``schedule_at`` and cancels at bit-equal times are replayed on both the
 engine (:class:`repro.sim.engine.Simulator`) and the heap-of-entries oracle
 (:class:`tests.oracles.reference_engine.ReferenceSimulator`); the firing
 order, firing times, clock and event counts must match exactly.  The engine
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.primitives import SimEvent
 from tests.oracles.reference_engine import ReferenceSimulator
 
@@ -44,7 +45,12 @@ class _Workload:
     def _spawn(self, delay: float) -> None:
         eid = self.next_id
         self.next_id += 1
-        self.handles.append(self.sim.schedule(delay, self._fire, eid))
+        if self.rng.random() < 0.5:
+            # the handle-free form shares the agenda, seq and key with
+            # schedule: ties between the two must still fire FIFO
+            assert self.sim.call_later(delay, self._fire, eid) is None
+        else:
+            self.handles.append(self.sim.schedule(delay, self._fire, eid))
 
     def _fire(self, eid: int) -> None:
         self.log.append((eid, self.sim.now))
@@ -115,6 +121,39 @@ def test_every_entry_point_fires_the_reference_order(drive):
     # the stop event's own timer is the one event the workload did not log
     own = 1 if drive is _drive_run_until_complete else 0
     assert new_count == ref_count + own == len(new_log) + own
+
+
+@pytest.mark.parametrize("delay", [-1e-9, -1.0, float("-inf"), float("nan")])
+def test_call_later_rejects_what_schedule_rejects(delay):
+    sim = Simulator()
+    errors = []
+    for arm in (sim.schedule, sim.call_later):
+        with pytest.raises(SimulationError) as exc:
+            arm(delay, lambda: None)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert sim.pending_events == 0 and sim._seq == 0  # nothing half-armed
+
+
+def test_schedule_handle_names_the_slot_call_later_took():
+    # schedule is call_later + Handle: the handle must bind the event just
+    # armed, on a fresh slot and on a recycled one, among handle-free events
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, "a")
+    h1 = sim.schedule(1.0, fired.append, "b")  # fresh slot
+    sim.call_later(1.0, fired.append, "c")
+    assert h1.pending and h1.time == 1.0
+    h1.cancel()
+    sim.run()
+    assert fired == ["a", "c"]
+    h2 = sim.schedule(0.5, fired.append, "d")  # recycled slot
+    sim.call_later(0.5, fired.append, "e")
+    assert h2.pending and h2.time == 1.5 and not h1.pending
+    h2.cancel()
+    h1.cancel()  # stale handle on a recycled slot: must not touch "e"
+    sim.run()
+    assert fired == ["a", "c", "e"] and h2.cancelled
 
 
 def test_ties_and_infinite_times():

@@ -20,6 +20,9 @@ from repro.apps.osu.runner import run_bandwidth, run_latency
 from repro.apps.shuffle.driver import run_shuffle
 from repro.config import KB, MB, MachineConfig
 from repro.faults import FaultPlan
+from repro.hardware.cuda import CudaRuntime
+from repro.hardware.gpu import Kernel, StreamOp
+from repro.hardware.topology import Machine
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.primitives import SimEvent
 from repro.ucx.request import RequestKind, UcxRequest
@@ -105,6 +108,65 @@ def test_allreduce_64_ranks_leaves_no_cyclic_garbage():
     n = cyclic_garbage(sess, lambda s: s.run_until(
         s.launch(program), max_events=200_000_000))
     assert n == 0
+
+
+# -- hardware/gpu.py and hardware/cuda.py, driven directly
+def _cuda():
+    machine = Machine(_two_nodes())
+    return CudaRuntime(machine)
+
+
+def test_kernels_leave_no_cyclic_garbage_and_share_the_sms_fifo():
+    """One kernel is one ``StreamOp`` and no closure.  Two streams of one GPU
+    contend for its capacity-1 execution units: a kernel that finds them busy
+    is granted in FIFO turn from the release, not by stream or by luck."""
+    cuda = _cuda()
+    sim = cuda.sim
+    gpu = cuda.gpu(0)
+    other = cuda.create_stream(0)
+    order = []
+
+    def kernel(name):
+        return Kernel(name, bytes_moved=1 << 20, body=lambda: order.append(name))
+
+    def run(_):
+        # a0 holds the SMs; b0 (other stream) blocks first, then a1 cannot
+        # even start until a0 completes, by which time b0 has the grant
+        ops = [cuda.launch(0, kernel("a0")), cuda.launch(0, kernel("b0"), other),
+               cuda.launch(0, kernel("a1")), cuda.launch(0, kernel("b1"), other)]
+        assert gpu.exec_units.in_use == 1 and gpu.exec_units.queue_length == 1
+        sim.run_until_complete(cuda.stream_synchronize(other))
+        sim.run()
+        assert all(op.triggered and type(op) is StreamOp for op in ops)
+
+    assert cyclic_garbage(cuda, run) == 0
+    assert order == ["a0", "b0", "a1", "b1"]
+    assert gpu.exec_units.in_use == 0 and gpu.exec_units.total_acquisitions == 4
+
+
+def test_memcpy_and_stream_synchronize_leave_no_cyclic_garbage():
+    cuda = _cuda()
+    sim = cuda.sim
+    stream = cuda.create_stream(0)
+    dev = cuda.malloc(0, 64 * KB, materialize=True)
+    host = cuda.malloc_host(0, 64 * KB, materialize=True)
+    host.fill(7)
+
+    def run(_):
+        for _ in range(8):
+            cuda.memcpy_htod(dev, host, stream)
+            cuda.memcpy_dtoh(host, dev, stream)
+            sim.run_until_complete(cuda.stream_synchronize(stream))
+        # a synchronize posted behind pending work, and one on an idle stream
+        cuda.memcpy_htod(dev, host, stream)
+        behind = cuda.stream_synchronize(stream)
+        sim.run()
+        idle = cuda.stream_synchronize(stream)
+        sim.run()
+        assert behind.triggered and idle.triggered
+
+    assert cyclic_garbage(cuda, run) == 0
+    assert stream.ops_enqueued == 17 and bytes(dev.data[:4]) == b"\x07" * 4
 
 
 def test_lossy_garbage_does_not_grow_with_messages():

@@ -109,3 +109,77 @@ class TestRailAffinity:
         node0 = machine.nodes[0]
         assert node0.nic_tx[0].bytes_carried >= size
         assert node0.nic_tx[1].bytes_carried >= size
+
+
+class TestContinuationForm:
+    """``path_transfer(..., then=...)`` is the one implementation; the event
+    form is that with ``event.succeed`` as the continuation.  Both must
+    complete at bit-identical times, in every lane of the function."""
+
+    @staticmethod
+    def _completion_times(cfg, use_then, plan):
+        """Replay ``plan`` — ``(start_delay, route_name, size, extra)`` rows
+        — and return each transfer's completion time, in plan order."""
+        machine = Machine(cfg)
+        sim = machine.sim
+        routes = {
+            "nic": machine.route(machine.host_location(0), machine.host_location(1)),
+            "nvlink": machine.route(machine.device_location(0),
+                                    machine.device_location(1)),
+            "unrouted": [machine.nodes[0].nic_tx[0], machine.nodes[1].nic_rx[0]],
+            "empty": [],
+        }
+        times = [None] * len(plan)
+
+        def landed(i):
+            assert times[i] is None
+            times[i] = sim.now
+
+        def start(i, route, size, extra):
+            if use_then:
+                assert path_transfer(sim, route, size, extra, landed, (i,)) is None
+            else:
+                path_transfer(sim, route, size, extra).add_callback(
+                    lambda _e: landed(i))
+
+        for i, (delay, name, size, extra) in enumerate(plan):
+            sim.call_later(delay, start, i, routes[name], size, extra)
+        sim.run()
+        assert None not in times
+        return times, sim.event_count
+
+    PLAN = [
+        # a contended NIC rail: three bulk transfers queue, FIFO
+        (0.0, "nic", 4 * MB, 0.0),
+        (0.0, "nic", 1 * MB, 0.0),
+        (1e-6, "nic", 2 * MB, 3e-6),
+        # the same links as a plain list (the unmemoized lane)
+        (2e-6, "unrouted", 1 * MB, 0.0),
+        # control-sized: bypasses occupancy, rides ahead of the bulk
+        (0.0, "nic", 64, 0.0),
+        (1e-6, "nic", CTRL_BYPASS_BYTES, 1e-6),
+        # an empty route: latency-free, extra_time only
+        (0.0, "empty", 4 * MB, 2e-6),
+        (5e-6, "empty", 8, 0.0),
+        # an uncontended NVLink pair
+        (0.0, "nvlink", 1 * MB, 0.0),
+    ]
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "degraded"])
+    def test_bit_identical_to_the_event_form(self, faults):
+        cfg = MachineConfig.summit(nodes=2)
+        if faults:
+            from repro.faults import BandwidthWindow, FaultPlan
+
+            # the window opens mid-plan: some transfers sample factor 1.0
+            # (memoized hold reused), later ones the degraded bottleneck
+            cfg = cfg.with_faults(FaultPlan(
+                bandwidth_windows=(BandwidthWindow("n0.nic*", 0.5, t0=1e-6),)))
+        by_event, n_event = self._completion_times(cfg, False, self.PLAN)
+        by_then, n_then = self._completion_times(cfg, True, self.PLAN)
+        assert by_then == by_event  # ==, not approx: bit-identical floats
+        assert n_then == n_event  # the continuation adds or drops no event
+        if faults:
+            clean, _ = self._completion_times(
+                MachineConfig.summit(nodes=2), True, self.PLAN)
+            assert by_then != clean  # the window really was sampled
