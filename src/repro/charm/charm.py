@@ -25,7 +25,7 @@ from repro.charm.zerocopy import PendingInvocation
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
 from repro.obs.stages import METADATA_ARRIVED, METADATA_SENT
-from repro.sim.primitives import SimEvent, Timeout
+from repro.sim.primitives import SimEvent
 
 
 def marshal_bytes(args: Tuple[Any, ...]) -> int:
@@ -426,14 +426,14 @@ class Charm:
             except StopIteration:
                 debt = pe.take_debt()
                 if debt > 0.0:
-                    yield Timeout(self.sim, debt)
+                    yield debt
                 return
             finally:
                 self._current_pe = None
             exc = None
             debt = pe.take_debt()
             if debt > 0.0:
-                yield Timeout(self.sim, debt)
+                yield debt
             try:
                 to_send = yield item
             except BaseException as e:  # noqa: BLE001 - forwarded to the entry

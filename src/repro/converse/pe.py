@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.primitives import SimQueue, Timeout
+from repro.sim.primitives import SimQueue
 from repro.sim.process import Process
 
 
@@ -56,26 +56,22 @@ class Pe:
         debt, self._debt = self._debt, 0.0
         return debt
 
-    def work(self, cost: float) -> Timeout:
-        """For process contexts (AMPI ranks, Charm4py coroutines): a yieldable
-        event representing ``cost`` seconds of CPU work on this PE."""
-        return Timeout(self.sim, cost)
-
     # -- scheduling ---------------------------------------------------------------
     def enqueue(self, msg) -> None:
         self.queue.put(msg)
 
     def _scheduler_loop(self):
-        cfg = self.converse.runtime_cfg
+        # a process sleeps on a bare float; the config may hold an int
+        pickup = float(self.converse.runtime_cfg.scheduler_pickup_overhead)
         while True:
             msg = yield self.queue.get()
-            yield Timeout(self.sim, cfg.scheduler_pickup_overhead)
+            yield pickup
             self.messages_processed += 1
             start = self.sim.now
             continuation = self.converse.dispatch(self, msg)
             debt = self.take_debt()
             if debt > 0.0:
-                yield Timeout(self.sim, debt)
+                yield debt
             if continuation is not None:
                 # A *threaded* entry method (Charm++ [threaded] / Charm4py
                 # coroutine): the handler returned a generator that may block
@@ -84,6 +80,6 @@ class Pe:
                 # scheduler resumes pumping messages whenever the coroutine
                 # suspends.  We model that by running the continuation as a
                 # concurrent process; its CPU costs are charged through the
-                # Timeouts it yields.
+                # sleeps it yields.
                 Process(self.sim, continuation, name=f"pe{self.index}.threaded")
-            self.busy_time += (self.sim.now - start) + cfg.scheduler_pickup_overhead
+            self.busy_time += (self.sim.now - start) + pickup

@@ -7,6 +7,21 @@ continuation (:func:`path_transfer`).  This coarse "cut-through with
 bottleneck occupancy" model keeps aggregate bandwidth caps correct (six GPUs
 sharing one NIC serialize; three pairs sharing the X-Bus cap at the X-Bus
 rate) without simulating packets.
+
+The parked-transfer wake
+------------------------
+A bulk transfer that cannot take all its links parks *itself* on the first
+busy one (``Link._parked``, FIFO).  Every :meth:`Link.release` re-examines
+the transfers parked on that link, oldest first: one whose links are now all
+free starts; any other is appended to *its* first busy link — this link
+again, keeping its place among the stayers, or another, behind whoever
+waits there.  The policy is deliberately the naive one (a release looks at
+everything parked on the link): the order of re-examination and re-parking
+decides who is granted next, and ``tests/test_link_model.py`` holds it to
+the hook-per-waiter implementation it replaced
+(``tests/oracles/hook_wake.py``), grant for grant.  One loop
+(:func:`_examine`) serves submission and release; it saves host time only:
+a failed re-examination is a few attribute reads, not a callback.
 """
 
 from __future__ import annotations
@@ -36,6 +51,15 @@ class Link(Resource):
         self.params = params
         self.link_id = next(_link_ids)
         self.bytes_carried = 0
+        self._parked: list = []  # blocked _Transfers, oldest first
+
+    def release(self) -> None:
+        """Free a slot, then re-examine the transfers parked here, in order."""
+        super().release()
+        parked = self._parked
+        if parked:
+            self._parked = []
+            _examine(parked)
 
     @property
     def latency(self) -> float:
@@ -213,8 +237,8 @@ class _Transfer:
     """One bulk transfer of :func:`path_transfer`: waits for its links, holds
     them, releases them.
 
-    An object whose bound methods are handed to ``sim.call_later`` and
-    ``Link.on_next_release`` rather than a pair of closures: a closure that
+    An object that parks itself on a ``Link`` and hands its bound ``finish``
+    to ``sim.call_later``, rather than a pair of closures: a closure that
     re-registers *itself* is a reference cycle, one per transfer, and the
     engine's loop runs with the cyclic collector suspended.
 
@@ -239,13 +263,13 @@ class _Transfer:
         self.blocked_on = None
 
     def try_acquire(self) -> None:
+        """Submission: start now or park; :meth:`Link.release` does the rest."""
+        _examine((self,))
+
+    def start(self) -> None:
+        """Occupy every link (all were just seen free) and arm the timer
+        that ends the hold."""
         ordered = self.ordered
-        for link in ordered:
-            if link.in_use >= link.capacity:
-                if self.telem is not None:
-                    self.blocked_on = link.name
-                link.on_next_release(self.try_acquire)
-                return
         for link in ordered:
             took = link.try_acquire()
             assert took  # free slot was just checked
@@ -259,10 +283,26 @@ class _Transfer:
         ordered = self.ordered
         size = self.size
         if self.telem is not None:
-            # before release(): release hooks run synchronously and the next
-            # waiter may re-acquire inside the loop below
+            # before release(): parked transfers are re-examined synchronously
+            # and the next one may re-acquire inside the loop below
             self.telem.link_released(ordered, size)
         for link in ordered:
             link.bytes_carried += size
             link.release()
         self.then(*self.then_args)
+
+
+def _examine(transfers) -> None:
+    """Start each transfer whose links all have a free slot; park every other
+    on its first busy link.  The one statement of the wake policy (see the
+    module docstring): who is granted a contended link next follows from the
+    order of this loop and of the ``_parked`` lists it appends to."""
+    for xfer in transfers:
+        for link in xfer.ordered:
+            if link._in_use >= link.capacity:
+                if xfer.telem is not None:
+                    xfer.blocked_on = link.name
+                link._parked.append(xfer)
+                break
+        else:
+            xfer.start()

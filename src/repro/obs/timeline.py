@@ -262,8 +262,8 @@ class Telemetry:
                 self._sat_since[name] = now
 
     def link_released(self, links, size: int) -> None:
-        """Called just *before* the links are released (release hooks run
-        synchronously and may re-acquire)."""
+        """Called just *before* the links are released (a release wakes the
+        parked transfers synchronously and they may re-acquire)."""
         now = self.sim.now
         self._inflight_total -= size
         self.sample("net.inflight_bytes", self._inflight_total, "bytes")

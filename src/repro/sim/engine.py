@@ -1,4 +1,4 @@
-"""Core event loop: a monotonic simulated clock over a slot-based agenda.
+"""Core event loop: a monotonic simulated clock over a heap of plain tuples.
 
 Determinism contract
 --------------------
@@ -23,9 +23,9 @@ must reuse that shared sum, never re-add the parts.
 ``call_later``, ``schedule`` and continuations
 ----------------------------------------------
 "Run this function after this modelled delay" is the one primitive:
-:meth:`Simulator.call_later` inserts the timer and returns nothing, so a
-timer nobody cancels costs an agenda slot and no object; every layer above
-the engine uses it.  :meth:`Simulator.schedule` is ``call_later`` plus a
+:meth:`Simulator.call_later` pushes one agenda entry and returns nothing, so
+a timer nobody cancels costs a 4-tuple and no object; every layer above the
+engine uses it.  :meth:`Simulator.schedule` is the same push plus a
 :class:`Handle`, for the caller that may cancel the timer or ask when it is
 due (``tests/test_hot_path_budget.py`` rejects a discarded handle).
 
@@ -37,18 +37,18 @@ yields on it, several parties subscribe, or it can fail.  Called without
 ``then`` those operations build that event themselves, with its ``succeed``
 as the continuation: one implementation, two spellings.
 
-Event core layout
------------------
-* Each timer occupies a *slot* in parallel arrays (``_fn``, ``_args``,
-  ``_time``, ``_gen``) recycled through a freelist — no per-event objects.
-* The agenda is one binary heap of Python ints, ``(time_bits << 96) | (seq
-  << 32) | slot``, where ``time_bits`` is the big-endian IEEE-754 pattern of
-  the event time: for non-negative times it is order-isomorphic to numeric
-  order, so one integer comparison replaces a ``(time, seq)`` tuple's.
-  (``seq`` is assumed to stay below 2**64.)
-* ``Handle.cancel`` tombstones the slot in O(1) (``_fn[slot] = None``); the
-  dead key is discarded lazily when it surfaces, and the slot's generation
-  counter keeps a recycled slot from rebinding old handles.
+The agenda
+----------
+* One binary heap of ``(time, seq, fn, args)`` tuples.  ``seq`` is unique,
+  so a comparison never reaches ``fn``; tuple order on ``(time, seq)`` *is*
+  the determinism contract above, with nothing to encode or decode.
+* A cancellable timer is the entry ``(time, seq, None, handle)``: the
+  :class:`Handle` owns the callback, its arguments and the fired/cancelled
+  state, so ``cancel`` is an O(1) tombstone that lets go of the callback at
+  once.  The dead entry is discarded when it surfaces at the head, without
+  advancing the clock and without counting as an event; ``_tombstones``
+  counts the ones still buried so ``pending_events`` stays exact.
+* ``Simulator.now`` is a plain attribute, written only by the dispatch loop.
 
 The one dispatch loop and the cyclic collector
 ----------------------------------------------
@@ -69,13 +69,8 @@ the loop exits.
 from __future__ import annotations
 
 import gc
-import heapq
-from struct import Struct
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
-
-_TIME_BITS = Struct(">d").pack
-_FROM_BYTES = int.from_bytes
-_SLOT_MASK = 0xFFFFFFFF
 
 
 class SimulationError(RuntimeError):
@@ -85,35 +80,33 @@ class SimulationError(RuntimeError):
 class Handle:
     """Cancellation handle returned by :meth:`Simulator.schedule`.
 
-    Identity-stable: the handle snapshots its event's time and tracks its
-    slot *generation*, so it keeps reporting correctly after the engine
-    recycles the slot (post-fire or post-cancel).  ``cancel`` after the
-    event has fired is a no-op — the event ran, and ``cancelled`` stays
-    ``False`` rather than misreporting it as suppressed.
+    The handle *is* the cancellable timer's state: the agenda entry only
+    points at it, and it owns the callback and its arguments until the timer
+    fires or is cancelled.  ``cancel`` after the event has fired is a no-op
+    — the event ran, and ``cancelled`` stays ``False`` rather than
+    misreporting it as suppressed.
     """
 
-    __slots__ = ("_sim", "_slot", "_gen", "_time", "_cancelled")
+    __slots__ = ("_sim", "_time", "_fn", "_args", "_cancelled")
 
-    def __init__(self, sim: "Simulator", slot: int, gen: int, time: float) -> None:
+    def __init__(self, sim: "Simulator", time: float,
+                 fn: Callable[..., Any], args: tuple) -> None:
         self._sim = sim
-        self._slot = slot
-        self._gen = gen
         self._time = time
+        self._fn: Optional[Callable[..., Any]] = fn  # None once fired or cancelled
+        self._args: Optional[tuple] = args
         self._cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing; safe to call multiple times,
-        and a no-op once the event has already fired."""
-        if self._cancelled:
-            return
-        sim = self._sim
-        slot = self._slot
-        if sim._gen[slot] != self._gen:
-            return  # the event already fired; nothing to suppress
+        and a no-op once the event has already fired.  The callback and its
+        arguments are let go at once, not when the dead entry surfaces."""
+        if self._fn is None:
+            return  # already fired, or already cancelled
         self._cancelled = True
-        sim._fn[slot] = None
-        sim._args[slot] = None
-        sim._tombstones += 1
+        self._fn = None
+        self._args = None
+        self._sim._tombstones += 1
 
     @property
     def cancelled(self) -> bool:
@@ -123,7 +116,7 @@ class Handle:
     @property
     def pending(self) -> bool:
         """True while the event is still scheduled (not fired, not cancelled)."""
-        return not self._cancelled and self._sim._gen[self._slot] == self._gen
+        return self._fn is not None
 
     @property
     def time(self) -> float:
@@ -151,7 +144,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in seconds.  Read freely; only the dispatch
+        #: loop writes it.
+        self.now: float = 0.0
         self._seq: int = 0
         self._event_count = 0
         self._running = False
@@ -161,20 +156,10 @@ class Simulator:
         self.fault_injector = None
         self._probe: Optional[Callable[[], None]] = None
         self._probe_mask = 255
-        # slot store (parallel arrays + freelist)
-        self._fn: List[Optional[Callable[..., Any]]] = []
-        self._args: List[Any] = []
-        self._time: List[float] = []
-        self._gen: List[int] = []
-        self._free: List[int] = []
-        self._tombstones = 0  # cancelled keys not yet reaped
-        # the agenda: a heap of packed keys (live and tombstoned)
-        self._cur: List[int] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        # the agenda: a heap of (time, seq, fn, args), or (time, seq, None,
+        # handle) for a cancellable timer
+        self._cur: List[tuple] = []
+        self._tombstones = 0  # cancelled entries not yet reaped
 
     @property
     def event_count(self) -> int:
@@ -199,133 +184,80 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` ``delay`` seconds from now.  The hot-path form:
-        nothing is returned, so nothing is allocated beyond the agenda slot.
+        nothing is returned, so nothing is allocated beyond the agenda entry.
         ``delay`` must be non-negative (NaN rejected); a zero delay fires
         after all events already scheduled for the current instant (FIFO).
         """
         if not (delay >= 0.0):
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        t = self._now + delay
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._fn[slot] = fn
-            self._args[slot] = args
-            self._time[slot] = t
-        else:
-            slot = self._new_slot(t, fn, args)
         seq = self._seq
         self._seq = seq + 1
-        key = (_FROM_BYTES(_TIME_BITS(t), "big") << 96) | (seq << 32) | slot
-        heapq.heappush(self._cur, key)
+        heappush(self._cur, (self.now + delay, seq, fn, args))
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """:meth:`call_later` plus a :class:`Handle` on the timer, for the
-        caller that may cancel it.  (The insert is repeated, not forwarded:
-        re-spreading ``*args`` through a second call costs a quarter more.)"""
+        caller that may cancel it."""
         if not (delay >= 0.0):
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        t = self._now + delay
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._fn[slot] = fn
-            self._args[slot] = args
-            self._time[slot] = t
-        else:
-            slot = self._new_slot(t, fn, args)
+        t = self.now + delay
+        handle = Handle(self, t, fn, args)
         seq = self._seq
         self._seq = seq + 1
-        key = (_FROM_BYTES(_TIME_BITS(t), "big") << 96) | (seq << 32) | slot
-        heapq.heappush(self._cur, key)
-        return Handle(self, slot, self._gen[slot], t)
-
-    def _new_slot(self, t: float, fn: Callable[..., Any], args: tuple) -> int:
-        """Grow the slot store by one (the freelist was empty)."""
-        slot = len(self._fn)
-        if slot > _SLOT_MASK:  # pragma: no cover - 2**32 concurrent events
-            raise SimulationError("agenda exceeded 2**32 concurrent events")
-        self._fn.append(fn)
-        self._args.append(args)
-        self._time.append(t)
-        self._gen.append(0)
-        return slot
+        heappush(self._cur, (t, seq, None, handle))
+        return handle
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """:meth:`schedule` at absolute simulated time ``when``."""
-        return self.schedule(when - self._now, fn, *args)
-
-    # -- slot bookkeeping ----------------------------------------------------
-    def _free_slot(self, slot: int) -> None:
-        self._gen[slot] += 1
-        self._fn[slot] = None
-        self._args[slot] = None
-        self._free.append(slot)
-
-    def _next_live(self) -> Optional[int]:
-        """Bring a live key to the head of the agenda, reaping tombstoned
-        keys (and reclaiming their slots) on the way."""
-        cur = self._cur
-        fns = self._fn
-        while cur:
-            key = cur[0]
-            slot = key & _SLOT_MASK
-            if fns[slot] is not None:
-                return key
-            heapq.heappop(cur)
-            self._free_slot(slot)
-            self._tombstones -= 1
-        return None
+        return self.schedule(when - self.now, fn, *args)
 
     # -- execution -----------------------------------------------------------
     def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the agenda is empty."""
-        key = self._next_live()
-        return None if key is None else self._time[key & _SLOT_MASK]
+        """Time of the next pending event, or ``None`` if the agenda is empty.
+        Cancelled timers at the head of the agenda are reaped on the way."""
+        cur = self._cur
+        while cur:
+            t, _, fn, handle = cur[0]
+            if fn is not None or handle._fn is not None:
+                return t
+            heappop(cur)
+            self._tombstones -= 1
+        return None
 
     def _dispatch(self, until: Optional[float], stop: Any,
                   budget: Optional[int]) -> int:
-        """The one dispatch loop: fire events in key order until the agenda
-        drains, the next event lies beyond ``until`` (the clock then moves
-        to ``until``), ``stop`` (a ``SimEvent``) has triggered, or ``budget``
-        events have fired.  Returns the number fired.
+        """The one dispatch loop: fire events in ``(time, seq)`` order until
+        the agenda drains, the next event lies beyond ``until`` (the clock
+        then moves to ``until``), ``stop`` (a ``SimEvent``) has triggered, or
+        ``budget`` events have fired.  Returns the number fired.
 
         Runs with the cyclic garbage collector suspended (see the module
         docstring); the collector's previous state is restored on exit.
         """
         cur = self._cur
-        fns = self._fn
-        argl = self._args
-        times = self._time
-        gens = self._gen
-        free = self._free
-        pop = heapq.heappop
+        pop = heappop
         fired = 0
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             while cur and not (stop is not None and stop._triggered):
-                slot = cur[0] & _SLOT_MASK
-                fn = fns[slot]
-                if fn is None:  # tombstones at the head: reap them
-                    self._next_live()
-                    continue
-                t = times[slot]
+                t, _, fn, args = cur[0]
+                if fn is None and args._fn is None:
+                    self.peek()  # cancelled timers at the head: reap them;
+                    continue     # the clock does not move
                 if until is not None and t > until:
-                    self._now = until
+                    self.now = until
                     break
                 pop(cur)
-                args = argl[slot]
-                # _free_slot, inlined: once per fired event
-                gens[slot] += 1
-                fns[slot] = None
-                argl[slot] = None
-                free.append(slot)
-                if t < self._now:  # pragma: no cover - defensive
+                if fn is None:  # a cancellable timer: ``args`` is its Handle
+                    handle = args
+                    fn = handle._fn
+                    args = handle._args
+                    handle._fn = handle._args = None  # fired
+                if t < self.now:  # pragma: no cover - defensive
                     raise SimulationError(
                         "event agenda corrupted: time went backwards"
                     )
-                self._now = t
+                self.now = t
                 self._event_count += 1
                 fn(*args)
                 probe = self._probe

@@ -93,7 +93,12 @@ class SimEvent:
 
 class Timeout(SimEvent):
     """An event the engine timer succeeds ``delay`` seconds after
-    construction, resuming whoever sleeps on it from the timer itself."""
+    construction, resuming whoever sleeps on it from the timer itself.
+
+    For the caller that keeps the event: returns it, combines it
+    (``AnyOf``/``AllOf``), or wants ``value`` sent back.  A process that
+    merely sleeps yields the delay as a bare ``float`` instead (see
+    ``sim/process.py``) and no event is built."""
 
     __slots__ = ("delay",)
 

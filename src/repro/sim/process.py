@@ -5,6 +5,10 @@ A process is a Python generator that ``yield``\\ s awaitables:
 * a :class:`~repro.sim.primitives.SimEvent` (including :class:`Timeout`,
   :class:`AllOf`, :class:`AnyOf`, or another :class:`Process`) — the process
   resumes when the event triggers and receives its value via ``send``;
+* a bare ``float`` — the process sleeps that many seconds on the engine
+  timer itself: one ``call_later``, no event object.  Yield the delay when
+  nobody else needs the wake-up; build a ``Timeout`` when the event is kept,
+  combined (``AnyOf``/``AllOf``) or carries a value;
 * ``None`` — the process yields control and resumes at the same instant
   (after already-queued events for that instant).
 
@@ -50,6 +54,7 @@ class Process(SimEvent):
             raise TypeError(f"Process requires a generator, got {type(gen).__name__}")
         self._gen = gen
         self._waiting_on: Optional[SimEvent] = None
+        self._nap = 0  # bumped per sleep and per throw: stales older wakes
         # Start on the next tick of the current instant so the creator
         # finishes its own step first (mirrors SimPy semantics).
         sim.call_later(0.0, self._resume, None, None)
@@ -95,13 +100,17 @@ class Process(SimEvent):
         if target is None:
             self.sim.call_later(0.0, self._resume, None, None)
             return
+        if isinstance(target, float):
+            self._nap = nap = self._nap + 1
+            self.sim.call_later(target, self._wake, nap)
+            return
         if isinstance(target, SimEvent):
             self._waiting_on = target
             target.add_callback(self._on_event)
             return
         raise TypeError(
             f"process {self.name!r} yielded {type(target).__name__}; "
-            "expected SimEvent or None"
+            "expected SimEvent, float or None"
         )
 
     def _on_event(self, ev: SimEvent) -> None:
@@ -109,8 +118,13 @@ class Process(SimEvent):
             return  # stale wake-up after an interrupt redirected the process
         self._resume(ev._value, ev._exc)
 
+    def _wake(self, nap: int) -> None:
+        if nap == self._nap:  # else an interrupt overtook this sleep
+            self._resume(None, None)
+
     def _throw(self, exc: BaseException) -> None:
         self._waiting_on = None
+        self._nap += 1
         self._resume(None, exc)
 
 

@@ -7,6 +7,12 @@ requests are granted strictly FIFO.  This gives first-order contention: two
 chares hammering the same NIC serialize, while transfers on disjoint NVLinks
 proceed in parallel — the effect that shapes the Jacobi3D communication
 times at scale.
+
+A :class:`Resource` knows one kind of waiter: the ``(fn, args)`` pair that
+wants *this* resource, granted in FIFO turn by :meth:`release`.  Waiting for
+several resources at once (every link of a path free at the same moment) is
+``hardware/links.py``'s business: those waiters park on the ``Link`` they
+found busy and ``Link.release`` re-examines them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: deque = deque()  # (fn, args) to run once granted
-        self._release_hooks: list = []
         # statistics
         self.total_acquisitions = 0
         self.busy_time = 0.0
@@ -91,15 +96,6 @@ class Resource:
             self.try_acquire()  # the slot just freed
             fn, args = self._waiters.popleft()
             fn(*args)
-        if self._release_hooks:
-            hooks, self._release_hooks = self._release_hooks, []
-            for hook in hooks:
-                hook()
-
-    def on_next_release(self, hook) -> None:
-        """Fire ``hook()`` once, after the next release (used by atomic
-        multi-resource acquisition to retry)."""
-        self._release_hooks.append(hook)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} {self.name!r} "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.hardware.memory import Buffer
-from repro.hardware.topology import Machine
 from repro.obs.stages import TRUNCATED
 from repro.ucx.status import UcsStatus
 
@@ -55,15 +54,6 @@ def staging_copy_time(ctx, buf: Buffer, size: int) -> float:
         )
         cache[key] = t
     return t
-
-
-def do_staged_copy(dst: Buffer, src: Buffer, size: int) -> None:
-    """Functional payload movement for a staged (eager) hop."""
-    dst.copy_from(src, size)
-
-
-def host_location_of(machine: Machine, node: int):
-    return machine.host_location(node)
 
 
 def fail_truncated(worker, msg, posted) -> None:

@@ -2,16 +2,16 @@
 
 A binary heap of ``_Entry`` dataclasses ordered by ``(time, seq)`` with
 lazy-deletion compaction — small and obviously FIFO on ties, which is what
-makes it an oracle for :class:`repro.sim.engine.Simulator` (slot store,
-packed integer keys, one dispatch loop).  ``tests/test_engine_stress.py``
+makes it an oracle for :class:`repro.sim.engine.Simulator` (a heap of
+plain tuples, handle-owned cancellable timers, one dispatch loop).  ``tests/test_engine_stress.py``
 replays randomized schedule/cancel workloads on both and requires the exact
 same events in the exact same order.  Like ``LinearMatchQueue`` it is never
 imported by the runtime.
 
 Known (historical) wart, preserved on purpose: ``Handle.cancel`` on an
 already-fired entry still counts toward ``_cancelled_count`` even though the
-entry is no longer in the heap — the bookkeeping bug the slot core's
-generation-checked handles fix.  The stress tests steer around it by only
+entry is no longer in the heap — the bookkeeping bug the engine's
+handles, which know whether they fired, do not have.  The stress tests steer around it by only
 comparing firing order, which the bug never affected.
 """
 

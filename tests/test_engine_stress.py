@@ -1,4 +1,4 @@
-"""Property-style stress tests for the slot-based event core.
+"""Property-style stress tests for the event core.
 
 Randomized (seeded) workloads interleaving ``call_later``, ``schedule``,
 ``schedule_at`` and cancels at bit-equal times are replayed on both the
@@ -170,4 +170,4 @@ def test_ties_and_infinite_times():
     sim.run()
     assert fired == list(range(100))
     assert sim.pending_events == 0
-    assert len(sim._free) == len(sim._fn)  # every slot reclaimed
+    assert len(sim._cur) == 0 and sim._tombstones == 0  # nothing left behind

@@ -170,20 +170,38 @@ def test_memcpy_and_stream_synchronize_leave_no_cyclic_garbage():
 
 
 def test_lossy_garbage_does_not_grow_with_messages():
-    """A run that drops and retransmits frames may keep a bounded amount of
-    per-session bookkeeping in cycles, but nothing per delivered message."""
+    """A run that drops and retransmits frames leaves nothing for the
+    collector either — with cancellable timers in the agenda throughout:
+    some fire during the run, some are cancelled (reaped and still buried),
+    some stay armed.  A ``Handle`` points at its simulator and, while in the
+    agenda, the simulator at it; that is live structure, never garbage."""
     def lossy(iters):
         cfg = _two_nodes().with_faults(FaultPlan.lossy(drop_p=0.05, seed=3))
         sess = api.session(cfg).model("ampi").build()
-        n = cyclic_garbage(sess, lambda s: run_latency(
-            "ampi", 64 * KB, "inter", True, session=s, iters=iters, skip=2))
+        sim = sess.sim
+        handles = []
+
+        def run(s):
+            # 0.1 us .. 10 s: the run covers some and never reaches others
+            handles.extend(sim.schedule(10.0 ** (i % 9 - 7), list, [i])
+                           for i in range(90))
+            for h in handles[::3]:
+                h.cancel()
+            run_latency("ampi", 64 * KB, "inter", True, session=s,
+                        iters=iters, skip=2)
+
+        n = cyclic_garbage(sess, run)
         assert sess.counters["fault.retransmit"] > 0
+        fired = [h for h in handles if not h.pending and not h.cancelled]
+        armed = [h for h in handles if h.pending]
+        assert fired and armed and sim._tombstones > 0
+        assert sim.pending_events >= len(armed)
         return n
 
     few, many = lossy(12), lossy(48)
     print(f"lossy 64K cyclic garbage: {few} objects after 14 round trips, "
           f"{many} after 50")
-    assert many <= few
+    assert few == 0 and many == 0
 
 
 # -- the collector's state around the loop

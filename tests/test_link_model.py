@@ -1,12 +1,22 @@
 """Tests for link-model refinements: control bypass, rails, pipelined
-rendezvous occupancy."""
+rendezvous occupancy, and the order in which blocked transfers are woken."""
+
+import random
+import sys
 
 import pytest
 
-from repro.config import MachineConfig, MB
-from repro.hardware.links import CTRL_BYPASS_BYTES, path_transfer, path_transfer_time
+import repro.hardware.links as links_mod
+from repro.config import KB, LinkParams, MachineConfig, MB
+from repro.faults import BandwidthWindow, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.hardware.links import (
+    CTRL_BYPASS_BYTES, Link, Route, _Transfer, path_transfer, path_transfer_time,
+)
 from repro.hardware.topology import Machine
+from repro.sim.engine import Simulator
 from repro.ucx.context import UcpContext
+from tests.oracles.hook_wake import HookLink, HookTransfer
 
 
 @pytest.fixture
@@ -169,8 +179,6 @@ class TestContinuationForm:
     def test_bit_identical_to_the_event_form(self, faults):
         cfg = MachineConfig.summit(nodes=2)
         if faults:
-            from repro.faults import BandwidthWindow, FaultPlan
-
             # the window opens mid-plan: some transfers sample factor 1.0
             # (memoized hold reused), later ones the degraded bottleneck
             cfg = cfg.with_faults(FaultPlan(
@@ -183,3 +191,171 @@ class TestContinuationForm:
             clean, _ = self._completion_times(
                 MachineConfig.summit(nodes=2), True, self.PLAN)
             assert by_then != clean  # the window really was sampled
+
+
+# ---------------------------------------------------------------------------
+# who is granted next: the parked-transfer wake against the hook-per-waiter
+# implementation it replaced (tests/oracles/hook_wake.py)
+# ---------------------------------------------------------------------------
+
+class _GrantLog(Simulator):
+    """Records every grant: the timer that ends a hold is armed exactly when
+    a bulk transfer takes its links, by either implementation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.grants = []
+
+    def call_later(self, delay, fn, *args):
+        xfer = getattr(fn, "__self__", None)
+        if isinstance(xfer, _Transfer):
+            self.grants.append((self.now, xfer.then_args[0], xfer.blocked_on))
+        super().call_later(delay, fn, *args)
+
+
+class _Telemetry:
+    """What ``_Transfer`` asks of ``sim.telemetry``, recorded."""
+
+    def __init__(self) -> None:
+        self.acquired = []
+
+    def ambient_category(self) -> str:
+        return "test"
+
+    def link_acquired(self, links, size, waited, blocker, category) -> None:
+        self.acquired.append((tuple(l.name for l in links), size, waited, blocker))
+
+    def link_released(self, links, size) -> None:
+        pass
+
+
+_LINK_PARAMS = [  # (latency, bandwidth, capacity): L2 takes two at a time
+    (1.0e-6, 12.5e9, 1), (0.7e-6, 42.1e9, 1), (0.4e-6, 58.0e9, 2),
+    (1.3e-6, 12.5e9, 1), (0.9e-6, 17.0e9, 1), (0.5e-6, 25.0e9, 1),
+]
+
+
+def _random_plan(seed: int):
+    """30-200 bulk transfers over random 1-3-link subsets of six links, at
+    start times quantized so that many tie and most find a link busy."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(rng.randint(30, 200)):
+        subset = rng.sample(range(6), rng.randint(1, 3))
+        size = rng.choice([CTRL_BYPASS_BYTES + 1, 4 * KB, 64 * KB, 256 * KB,
+                           MB, rng.randint(600, 4 * MB)])
+        rows.append((rng.randint(0, 60) * 5e-6, subset, size))
+    return rows
+
+
+def _replay(plan, link_cls, degraded: bool, telemetry: bool):
+    sim = _GrantLog()
+    if telemetry:
+        sim.telemetry = _Telemetry()
+    if degraded:
+        # opens and closes mid-plan: holds are sampled inside and outside it
+        sim.fault_injector = FaultInjector(FaultPlan(bandwidth_windows=(
+            BandwidthWindow("L[13]", 0.5, t0=40e-6, t1=600e-6),)), None)
+    links = [link_cls(sim, LinkParams(lat, bw), f"L{i}", capacity=cap)
+             for i, (lat, bw, cap) in enumerate(_LINK_PARAMS)]
+    done = [None] * len(plan)
+
+    def landed(i):
+        assert done[i] is None
+        done[i] = sim.now
+
+    for i, (start, subset, size) in enumerate(plan):
+        path = [links[j] for j in subset]
+        sim.call_later(start, path_transfer, sim,
+                       Route(path) if i % 2 else path, size, 0.0, landed, (i,))
+    sim.run()
+    assert None not in done and all(l.in_use == 0 for l in links)
+    return {
+        "grants": sim.grants,
+        "done": done,
+        "events": sim.event_count,
+        "links": [(l.total_acquisitions, l.busy_time, l.bytes_carried)
+                  for l in links],
+        "acquired": sim.telemetry.acquired if telemetry else None,
+    }
+
+
+class TestWakeOrder:
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["quiet", "telemetry"])
+    @pytest.mark.parametrize("degraded", [False, True], ids=["clean", "degraded"])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_grants_match_the_hook_wake(self, seed, degraded, telemetry, monkeypatch):
+        plan = _random_plan(seed)
+        new = _replay(plan, Link, degraded, telemetry)
+        monkeypatch.setattr(links_mod, "_Transfer", HookTransfer)
+        old = _replay(plan, HookLink, degraded, telemetry)
+        # every float compared with ==: same grants at the same instants
+        assert new["grants"] == old["grants"]
+        assert new["done"] == old["done"]
+        assert new["events"] == old["events"]
+        assert new["links"] == old["links"]
+        assert new["acquired"] == old["acquired"]
+        # the plan did contend: some transfer was granted out of plan order
+        # after waiting, and under telemetry it knows on which link
+        waited = [g for g in new["grants"] if g[0] > plan[g[1]][0]]
+        assert waited and [g[1] for g in new["grants"]] != sorted(
+            range(len(plan)), key=lambda i: plan[i][0])
+        if telemetry:
+            assert all(g[2] is not None for g in waited)
+
+    def test_a_release_reexamines_only_what_is_still_parked(self):
+        """N transfers parked on one capacity-1 link: the k-th release looks
+        at the N-k+1 still parked, starts exactly the oldest, re-parks the
+        rest in order — and no ``try_acquire`` frame runs after submission."""
+
+        class CountingLink(Link):
+            # under telemetry a failed examination records the blocking
+            # link's name, and nothing else here reads it
+            name_reads = 0
+
+            @property
+            def name(self):
+                self.name_reads += 1
+                return self._name
+
+            @name.setter
+            def name(self, value):
+                self._name = value
+
+        class Telemetry(_Telemetry):
+            def link_acquired(self, *args) -> None:  # reads no name
+                pass
+
+        n = 9
+        sim = _GrantLog()
+        sim.telemetry = Telemetry()
+        link = CountingLink(sim, LinkParams(1e-6, 1e9), "hot")
+        frames = 0
+
+        def count(frame, event, _arg):
+            nonlocal frames
+            if event == "call" and frame.f_code is _Transfer.try_acquire.__code__:
+                frames += 1
+
+        finished = []
+        sys.setprofile(count)
+        try:
+            for i in range(n + 1):  # transfer 0 takes the link, 1..n park
+                path_transfer(sim, [link], 4 * KB, then=finished.append,
+                              then_args=(i,))
+            assert frames == n + 1 and link.name_reads == n
+            assert [x.then_args[0] for x in link._parked] == list(range(1, n + 1))
+            for k in range(1, n + 1):
+                reads = link.name_reads
+                assert len(link._parked) == n - k + 1
+                assert sim.step()  # transfer k-1 finishes: the k-th release
+                assert link.name_reads - reads == n - k  # the ones re-parked
+                assert [x.then_args[0] for x in link._parked] == list(
+                    range(k + 1, n + 1))
+                assert sim.grants[-1][1] == k and len(sim.grants) == k + 1
+            assert sim.step() and not sim.step()
+        finally:
+            sys.setprofile(None)
+        assert frames == n + 1  # once each, at submission
+        assert finished == list(range(n + 1))
+        assert link.total_acquisitions == n + 1 and link.in_use == 0

@@ -312,7 +312,7 @@ class TestProtocolSelectionBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# engine slot reclamation under heavy cancellation
+# engine agenda reclamation under heavy cancellation
 # ---------------------------------------------------------------------------
 
 class TestHeapCompaction:
@@ -329,20 +329,23 @@ class TestHeapCompaction:
         sim.run()
         assert fired == list(range(0, 1000, 10))
         assert sim.now == 990.0
-        # every tombstone was reaped and every slot returned to the freelist
+        # every tombstone was reaped: the agenda is empty
         assert sim._tombstones == 0
         assert sim.pending_events == 0
-        assert len(sim._free) == len(sim._fn)
+        assert len(sim._cur) == 0
 
     def test_slot_storage_bounded_under_churn(self):
-        # schedule/cancel churn must recycle slots, not grow the arrays
+        # schedule/cancel churn must not grow the agenda: a run reaps every
+        # tombstone, so no round ever sees more than its own 50 entries
         sim = Simulator()
         for _ in range(100):
             handles = [sim.schedule(1.0, lambda: None) for _ in range(50)]
             for h in handles:
                 h.cancel()
+            assert len(sim._cur) <= 50
             sim.run()
-        assert len(sim._fn) <= 50
+            assert len(sim._cur) == 0
+        assert sim.now == 0.0 and sim.event_count == 0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()

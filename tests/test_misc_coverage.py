@@ -58,13 +58,6 @@ class TestRequestObject:
 
 
 class TestPeHelpers:
-    def test_work_event_duration(self):
-        charm = Charm(MachineConfig.summit(nodes=1))
-        pe = charm.pe_object(0)
-        ev = pe.work(5e-6)
-        charm.run()
-        assert ev.triggered and charm.time == pytest.approx(5e-6)
-
     def test_negative_charge_rejected(self):
         charm = Charm(MachineConfig.summit(nodes=1))
         with pytest.raises(ValueError):

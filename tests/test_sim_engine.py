@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -182,12 +184,12 @@ def test_nan_delay_rejected():
 
 
 class TestHandleIdentity:
-    """Regression tests: handles must stay truthful across slot reuse.
+    """Regression tests: a handle stays truthful after its timer is gone.
 
-    The old engine's lazy-deletion compaction rebound heap entries under
+    The first engine's lazy-deletion compaction rebound heap entries under
     live handles; cancel-after-fire and double-cancel of a compacted entry
-    corrupted the cancellation bookkeeping.  The slot core's generation
-    counters make every one of these a safe no-op.
+    corrupted the cancellation bookkeeping.  A handle now owns its timer's
+    state outright, so a stale one has nothing of anyone else's to touch.
     """
 
     def test_cancel_after_fire_is_noop(self):
@@ -206,22 +208,24 @@ class TestHandleIdentity:
         h1 = sim.schedule(1.0, fired.append, "a")
         sim.run()
         h2 = sim.schedule(1.0, fired.append, "b")
-        assert h2._slot == h1._slot  # the freelist recycled the slot
         h1.cancel()  # stale handle: must not cancel h2's event
+        assert h2.pending and sim.pending_events == 1
         sim.run()
         assert fired == ["a", "b"]
         assert not h1.cancelled and not h2.cancelled
+        assert len(sim._cur) == 0 and sim._tombstones == 0
 
     def test_double_cancel_of_reclaimed_entry(self):
         sim = Simulator()
         fired = []
         h = sim.schedule(1.0, fired.append, "x")
         h.cancel()
-        sim.run()  # reaps the tombstone, frees the slot
+        sim.run()  # reaps the tombstone
+        assert len(sim._cur) == 0 and sim._tombstones == 0
         h2 = sim.schedule(2.0, fired.append, "y")
-        assert h2._slot == h._slot
         h.cancel()  # second cancel of a reclaimed entry: pure no-op
         assert h.cancelled  # the first cancel did suppress the event
+        assert h2.pending and sim.pending_events == 1 and sim._tombstones == 0
         sim.run()
         assert fired == ["y"]
 
@@ -246,3 +250,70 @@ class TestHandleIdentity:
         h2 = sim.schedule(1.0, lambda: None)
         h2.cancel()
         assert not h2.pending and h2.cancelled
+
+
+class TestTombstones:
+    """A cancelled timer is a dead agenda entry until it surfaces: it must
+    never be counted, never move the clock, and hold nothing alive."""
+
+    def test_cancelled_head_beyond_until_with_a_live_timer_behind(self):
+        sim = Simulator()
+        fired = []
+        sim.call_later(1.0, fired.append, "a")
+        dead = sim.schedule(5.0, fired.append, "dead")
+        sim.call_later(7.0, fired.append, "late")
+        dead.cancel()
+        sim.run(until=3.0)
+        assert fired == ["a"] and sim.now == 3.0 and sim.event_count == 1
+        sim.run(until=6.0)  # only the tombstone lies in (3, 6]
+        assert fired == ["a"] and sim.now == 6.0 and sim.event_count == 1
+        assert sim.pending_events == 1 and sim._tombstones == 0
+        sim.run()
+        assert fired == ["a", "late"] and sim.now == 7.0
+
+    def test_cancelled_head_beyond_until_with_nothing_behind(self):
+        sim = Simulator()
+        sim.call_later(1.0, lambda: None)
+        sim.run()
+        dead = sim.schedule(5.0, lambda: None)
+        dead.cancel()
+        sim.run(until=3.0)  # the agenda drains: the clock is left alone
+        assert sim.now == 1.0 and sim.event_count == 1
+        assert len(sim._cur) == 0 and sim._tombstones == 0
+
+    def test_cancelled_last_timer_does_not_advance_the_clock(self):
+        sim = Simulator()
+        sim.call_later(1.0, lambda: None)
+        last = sim.schedule(9.0, lambda: None)
+        last.cancel()
+        sim.run()
+        assert sim.now == 1.0 and sim.event_count == 1
+        assert not sim.step() and sim.now == 1.0
+
+    def test_peek_reaps_every_leading_tombstone(self):
+        sim = Simulator()
+        dead = [sim.schedule(float(i), lambda: None) for i in range(1, 4)]
+        sim.call_later(4.0, lambda: None)
+        buried = sim.schedule(5.0, lambda: None)
+        for h in dead + [buried]:
+            h.cancel()
+        assert sim._tombstones == 4 and sim.pending_events == 1
+        assert sim.peek() == 4.0
+        assert sim._tombstones == 1 and sim.pending_events == 1
+        assert sim.now == 0.0
+        sim.run()
+        assert sim.peek() is None and sim._tombstones == 0
+
+    def test_cancel_releases_the_callback_arguments_at_once(self):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        gone = weakref.ref(payload)
+        h = sim.schedule(1.0, lambda p: None, payload)
+        del payload
+        assert gone() is not None  # the armed timer keeps it alive
+        h.cancel()
+        assert gone() is None  # ... and lets go before the entry is reaped
+        assert sim._tombstones == 1

@@ -69,17 +69,6 @@ def test_utilisation_accounting(sim):
     assert r.total_acquisitions == 1
 
 
-def test_on_next_release_fires_once(sim):
-    r = Resource(sim, capacity=1)
-    r.acquire()
-    hits = []
-    r.on_next_release(lambda: hits.append(sim.now))
-    r.release()
-    r.acquire()
-    r.release()
-    assert hits == [0.0]
-
-
 def test_queue_length(sim):
     r = Resource(sim, capacity=1)
     r.acquire()
