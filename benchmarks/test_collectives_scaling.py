@@ -39,10 +39,9 @@ def _measure(collective, nbytes, *, p, nodes, algorithm=None, coll=None,
              model="ampi"):
     """Run one device collective at size ``nbytes`` over ``p`` ranks and
     return (modeled seconds, which-algorithm counters)."""
-    sess = api.build(
-        MachineConfig.summit(nodes=nodes), model,
-        n_ranks=p, collectives=dict(coll or {}),
-    )
+    cfg = MachineConfig.summit(nodes=nodes).override(
+        {f"collectives.{k}": v for k, v in (coll or {}).items()})
+    sess = api.session(cfg).model(model).ranks(p).build()
 
     def program(rank):
         buf = rank.charm.cuda.malloc(rank.gpu, nbytes)

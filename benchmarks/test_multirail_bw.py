@@ -27,7 +27,7 @@ def _mb_per_s(series, model, size):
 def test_multirail_fig12_sweep_beats_single_rail(benchmark, osu_sizes):
     sizes = sorted(set(osu_sizes) | set(STRIPED_SIZES))
     cfg_off = MachineConfig.summit(nodes=2)
-    cfg_on = cfg_off.with_multirail()
+    cfg_on = cfg_off.override({"multirail.enabled": True})
 
     def sweep():
         off = figures.fig12(sizes=sizes, config=cfg_off, quiet=True)
@@ -61,7 +61,7 @@ def test_multirail_fig12_sweep_beats_single_rail(benchmark, osu_sizes):
 def test_multirail_fig13_inter_node_dual_rail(benchmark, osu_sizes):
     sizes = sorted(set(osu_sizes) | {4 * MB})
     cfg_off = MachineConfig.summit(nodes=2)
-    cfg_on = cfg_off.with_multirail()
+    cfg_on = cfg_off.override({"multirail.enabled": True})
 
     def sweep():
         off = figures.fig13(sizes=sizes, config=cfg_off, quiet=True)

@@ -18,8 +18,7 @@ SIZES = (8, 4096, 256 * 1024)  # eager small, eager large, rendezvous
 
 
 def test_traced_osu_sweep_exports_valid_timeline(tmp_path):
-    cfg = MachineConfig.summit(nodes=2).with_trace(True)
-    sess = api.session(cfg).model("ampi").build()
+    sess = api.session(MachineConfig.summit(nodes=2)).model("ampi").trace().build()
     for size in SIZES:
         lat = run_latency("ampi", size, "inter", True, session=sess,
                           iters=4, skip=1)

@@ -25,7 +25,7 @@ import pytest
 
 import repro.api as api
 from repro.apps.shuffle import ShufflePlan, chunk_bytes, run_shuffle
-from repro.apps.shuffle.driver import DEFAULT_EP_SETUP_COST, DEFAULT_MAPPING_COST
+from repro.apps.shuffle.driver import DEMO_OVERRIDES
 from repro.config import MachineConfig
 
 NODES = 2
@@ -46,8 +46,8 @@ def _cfg(pool: bool, mapping: bool = True) -> MachineConfig:
 
 
 def _run(model: str, pool: bool, mapping: bool = True):
-    cfg = _cfg(pool, mapping).with_flight(True)
-    builder = api.session(cfg).model(model)
+    cfg = _cfg(pool, mapping)
+    builder = api.session(cfg).model(model).flight()
     if model != "charm4py":
         builder = builder.ranks(cfg.topology.total_gpus)
     sess = builder.build()
@@ -86,9 +86,8 @@ class TestPoolAblation:
         bit-identically (the default-off contract — pre-existing
         workloads cannot shift)."""
         _, fp_explicit = _run("ampi", pool=False, mapping=False)
-        cfg = (MachineConfig.summit(nodes=NODES).with_virtual_payload()
-               .with_flight(True))
-        sess = (api.session(cfg).model("ampi")
+        cfg = MachineConfig.summit(nodes=NODES).with_virtual_payload()
+        sess = (api.session(cfg).model("ampi").flight()
                 .ranks(cfg.topology.total_gpus).build())
         run_shuffle("ampi", rounds=ROUNDS, session=sess)
         assert sess.baseline_fingerprint() == fp_explicit
@@ -129,5 +128,5 @@ class TestPlanGeometry:
 
     def test_cli_defaults_charge_first_touch(self):
         # the CLI ablation must exercise the cost model out of the box
-        assert DEFAULT_MAPPING_COST > 0.0
-        assert DEFAULT_EP_SETUP_COST > 0.0
+        assert DEMO_OVERRIDES["ucx.mapping_cost"] > 0.0
+        assert DEMO_OVERRIDES["ucx.ep_setup_cost"] > 0.0

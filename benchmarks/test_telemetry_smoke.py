@@ -25,9 +25,8 @@ SHUFFLE_NODES = 11
 
 
 def test_shuffle_telemetry_exports_counter_tracks(tmp_path):
-    cfg = (MachineConfig.summit(nodes=SHUFFLE_NODES)
-           .with_pool(True).with_telemetry(True).with_trace(True))
-    sess = (api.session(cfg).model("ampi")
+    cfg = MachineConfig.summit(nodes=SHUFFLE_NODES).with_pool(True)
+    sess = (api.session(cfg).model("ampi").telemetry().trace()
             .ranks(cfg.topology.total_gpus).build())
     result = run_shuffle(model="ampi", rounds=1, chunk=16 * KB, session=sess)
     assert result.plan.n_ranks >= 64
@@ -49,8 +48,8 @@ def test_shuffle_telemetry_exports_counter_tracks(tmp_path):
 
 
 def test_intra_node_sweep_blames_nvlink():
-    cfg = MachineConfig.summit(nodes=2).with_telemetry(True)
-    sess = api.session(cfg).model("ampi").build()
+    sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+            .telemetry().build())
     for size in (256 * KB, 1 * MB, 4 * MB):
         bw = run_bandwidth("ampi", size, "intra", True, session=sess,
                            loops=2, skip=1, window=8)
@@ -66,10 +65,9 @@ def test_intra_node_sweep_blames_nvlink():
 
 
 def test_endpoint_thrash_gate():
-    cfg = (MachineConfig.summit(nodes=2)
-           .with_telemetry(True)
-           .with_ucx(mapping_cost=1e-3, ep_setup_cost=2e-5, max_endpoints=4))
-    sess = (api.session(cfg).model("ampi")
+    cfg = MachineConfig.summit(nodes=2).with_ucx(
+        mapping_cost=1e-3, ep_setup_cost=2e-5, max_endpoints=4)
+    sess = (api.session(cfg).model("ampi").telemetry()
             .ranks(cfg.topology.total_gpus).build())
     run_shuffle(model="ampi", rounds=2, chunk=16 * KB, session=sess)
 

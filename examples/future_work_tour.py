@@ -52,10 +52,10 @@ def demo_hierarchical_allreduce():
     # every flat algorithm.  Force flat to see what that choice is worth.
     times = {}
     for label, knobs in (("auto (hierarchical)", {}),
-                         ("best flat", {"hierarchical_enabled": False})):
+                         ("best flat", {"collectives.hierarchical_enabled": False})):
         sess = (api.session(MachineConfig.summit(nodes=11))
                 .model("ampi").ranks(64).trace()
-                .collectives(**knobs).build())
+                .set(knobs).build())
 
         def program(rank):
             buf = rank.charm.cuda.malloc(rank.gpu, 1 * MB)

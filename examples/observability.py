@@ -32,8 +32,8 @@ def show_tree(tracer, span, depth=0, max_depth=3):
 
 
 def main():
-    cfg = MachineConfig.summit(nodes=2).with_trace(True).with_flight(True)
-    sess = api.session(cfg).model("ampi").build()
+    sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+            .trace().flight().build())
 
     lat = run_latency("ampi", 4096, "inter", True, session=sess, iters=8, skip=2)
     print(f"AMPI inter-node 4 KiB device latency: {lat * 1e6:.2f} us\n")

@@ -401,10 +401,9 @@ class AmpiRank(_CollectiveApi):
             env.host_send_id = next(_host_send_ids)
             ampi.pending_host_sends[env.host_send_id] = ev
             complete_on_delivery = False
-            if rt.ampi_payload_copy:
-                # AMPI packs the user's host data into its message object
-                # before handing it to the runtime (datatype handling).
-                pre += self.ampi.machine.cfg.topology.host_mem.transfer_time(nbytes)
+            # AMPI packs the user's host data into its message object
+            # before handing it to the runtime (datatype handling).
+            pre += self.ampi.machine.cfg.topology.host_mem.transfer_time(nbytes)
 
         def _go_host() -> None:
             with tracer.under(asp):
@@ -612,11 +611,7 @@ class Ampi:
 
             # unpack from the message object into the user's recv buffer
             # (charged to the receiving PE after the fetch, not to the link)
-            unpack = (
-                self.machine.cfg.topology.host_mem.transfer_time(env.size)
-                if self.rt.ampi_payload_copy
-                else 0.0
-            )
+            unpack = self.machine.cfg.topology.host_mem.transfer_time(env.size)
 
             def _fetched() -> None:
                 def _unpacked() -> None:

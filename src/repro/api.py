@@ -37,7 +37,7 @@ from repro.obs.congestion import CongestionReport, congestion_report
 from repro.obs.critical_path import CriticalPathReport, critical_path
 from repro.obs.timeline import timeline_dict
 
-__all__ = ["MODELS", "Session", "SessionBuilder", "session", "build"]
+__all__ = ["MODELS", "Session", "SessionBuilder", "session"]
 
 #: Model names accepted by :meth:`SessionBuilder.model`.
 MODELS = ("charm", "ampi", "openmpi", "charm4py")
@@ -174,24 +174,18 @@ class Session:
 
 
 class SessionBuilder:
-    """Fluent builder: ``api.session(cfg).model("ampi").trace().build()``."""
+    """Fluent builder: ``api.session(cfg).model("ampi").trace().build()``.
+
+    The builder carries a config; every option method derives the next one
+    through :meth:`MachineConfig.override` the moment it is called, so a bad
+    value fails at the call that passed it and ``build`` only constructs."""
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
-        self._config = config
+        self._config = config if config is not None else MachineConfig.default()
         self._model = "charm"
-        self._nodes: Optional[int] = None
-        self._trace: Optional[bool] = None
-        self._flight: Optional[bool] = None
-        self._telemetry: Optional[bool] = None
-        self._telemetry_capacity: Optional[int] = None
-        self._gdrcopy: Optional[bool] = None
         self._n_ranks: Optional[int] = None
         self._ranks_per_pe: int = 1
         self._n_pes: Optional[int] = None
-        self._faults = None
-        self._collectives: Optional[Dict] = None
-        self._memory: Optional[Dict] = None
-        self._multirail: Optional[Dict] = None
 
     def model(self, name: str) -> "SessionBuilder":
         if name not in MODELS:
@@ -199,18 +193,19 @@ class SessionBuilder:
         self._model = name
         return self
 
-    def nodes(self, nodes: int) -> "SessionBuilder":
-        self._nodes = nodes
+    def set(self, *overrides) -> "SessionBuilder":
+        """Any config field by name — same arguments as
+        :meth:`MachineConfig.override`, e.g.
+        ``.set({"multirail.enabled": True, "multirail.chunk_bytes": 256 * KB})``."""
+        self._config = self._config.override(*overrides)
         return self
 
     def trace(self, enabled: bool = True) -> "SessionBuilder":
-        self._trace = enabled
-        return self
+        return self.set({"trace": enabled})
 
     def flight(self, enabled: bool = True) -> "SessionBuilder":
         """Enable message-lifecycle flight recording (observation-only)."""
-        self._flight = enabled
-        return self
+        return self.set({"flight": enabled})
 
     def telemetry(self, enabled: bool = True,
                   capacity: Optional[int] = None) -> "SessionBuilder":
@@ -218,54 +213,21 @@ class SessionBuilder:
         link/queue/pool/endpoint occupancy series behind
         :meth:`Session.timeline` and :meth:`Session.congestion_report`.
         ``capacity`` overrides the per-series ring-buffer size."""
-        self._telemetry = enabled
+        changes = {"telemetry": enabled}
         if capacity is not None:
-            self._telemetry_capacity = capacity
-        return self
-
-    def gdrcopy(self, enabled: bool) -> "SessionBuilder":
-        self._gdrcopy = enabled
-        return self
+            changes["telemetry_capacity"] = capacity
+        return self.set(changes)
 
     def faults(self, plan) -> "SessionBuilder":
         """Attach a deterministic :class:`repro.faults.FaultPlan`.  An empty
-        plan is bit-identical to no plan; ``None`` clears a previous one."""
-        self._faults = plan
-        return self
-
-    def collectives(self, **overrides) -> "SessionBuilder":
-        """Collective-algorithm knobs (``CollectivesConfig`` fields):
-        per-collective forced algorithms (``allreduce_algorithm="ring"``),
-        the global ``algorithm``, ``ring_chunk``, ``hierarchical_enabled``."""
-        merged = dict(self._collectives or {})
-        merged.update(overrides)
-        self._collectives = merged
-        return self
-
-    def memory(self, **overrides) -> "SessionBuilder":
-        """Allocator knobs (``MemoryConfig`` fields): ``allocator="pool"``,
-        ``pool_slab_bytes``, ``pool_bin_quantum``, ``pool_max_bytes``,
-        ``pool_auto_trim``, ``pool_retain_slabs``."""
-        merged = dict(self._memory or {})
-        merged.update(overrides)
-        self._memory = merged
-        return self
-
-    def multirail(self, enabled: bool = True, **overrides) -> "SessionBuilder":
-        """Multi-rail striped bulk transfers (``MultirailConfig`` fields):
-        ``max_rails``, ``chunk_bytes``, ``min_bytes``, ``window``,
-        ``graph_launch``.  Default off — ``multirail()`` turns striping on,
-        ``multirail(False)`` pins it off explicitly."""
-        merged = dict(self._multirail or {})
-        merged.update(overrides)
-        merged["enabled"] = enabled
-        self._multirail = merged
-        return self
+        plan is bit-identical to no plan; ``None`` detaches one."""
+        return self.set({"faults": plan})
 
     def pool(self, enabled: bool = True) -> "SessionBuilder":
-        """Shorthand: route device allocation through the slab pool (or
-        explicitly through the direct allocator with ``pool(False)``)."""
-        return self.memory(allocator="pool" if enabled else "direct")
+        """Route device allocation through the slab pool (or explicitly
+        through the direct allocator with ``pool(False)``)."""
+        self._config = self._config.with_pool(enabled)
+        return self
 
     def ranks(self, n_ranks: Optional[int] = None, ranks_per_pe: int = 1) -> "SessionBuilder":
         """MPI-model rank layout (AMPI virtualisation via ``ranks_per_pe``)."""
@@ -285,31 +247,7 @@ class SessionBuilder:
         from repro.charm4py import Charm4py
         from repro.openmpi import OpenMpi
 
-        cfg = self._config if self._config is not None else MachineConfig.default()
-        if self._nodes is not None:
-            cfg = cfg.with_nodes(self._nodes)
-        if self._gdrcopy is False:
-            cfg = cfg.without_gdrcopy()
-        if self._trace is not None:
-            cfg = cfg.with_trace(self._trace)
-        if self._flight is not None:
-            cfg = cfg.with_flight(self._flight)
-        if self._telemetry is not None or self._telemetry_capacity is not None:
-            cfg = cfg.with_telemetry(
-                self._telemetry if self._telemetry is not None
-                else cfg.telemetry,
-                capacity=self._telemetry_capacity,
-            )
-        if self._faults is not None:
-            cfg = cfg.with_faults(self._faults)
-        if self._collectives:
-            cfg = cfg.with_collectives(**self._collectives)
-        if self._memory:
-            cfg = cfg.with_memory(**self._memory)
-        if self._multirail is not None:
-            mr = dict(self._multirail)
-            cfg = cfg.with_multirail(mr.pop("enabled", True), **mr)
-
+        cfg = self._config
         name = self._model
         charm = None
         if name == "charm":
@@ -332,47 +270,3 @@ class SessionBuilder:
 def session(config: Optional[MachineConfig] = None) -> SessionBuilder:
     """Start building a session: ``api.session(cfg).model("ampi").build()``."""
     return SessionBuilder(config)
-
-
-def build(
-    config: Optional[MachineConfig] = None, model: str = "charm", **kwargs
-) -> Session:
-    """One-shot convenience: ``api.build(cfg, "openmpi", n_ranks=2)``.
-
-    Keyword arguments map to the builder methods: ``nodes``, ``trace``,
-    ``flight``, ``telemetry``, ``gdrcopy``, ``faults``, ``collectives``
-    (a dict of ``CollectivesConfig`` overrides), ``multirail`` (a bool or a
-    dict of ``MultirailConfig`` overrides), ``n_ranks``, ``ranks_per_pe``,
-    ``n_pes``.
-    """
-    b = session(config).model(model)
-    if "nodes" in kwargs:
-        b.nodes(kwargs.pop("nodes"))
-    if "collectives" in kwargs:
-        b.collectives(**kwargs.pop("collectives"))
-    if "memory" in kwargs:
-        b.memory(**kwargs.pop("memory"))
-    if "multirail" in kwargs:
-        mr = kwargs.pop("multirail")
-        if isinstance(mr, bool):
-            b.multirail(mr)
-        else:
-            mr = dict(mr)
-            b.multirail(mr.pop("enabled", True), **mr)
-    if "trace" in kwargs:
-        b.trace(kwargs.pop("trace"))
-    if "flight" in kwargs:
-        b.flight(kwargs.pop("flight"))
-    if "telemetry" in kwargs:
-        b.telemetry(kwargs.pop("telemetry"))
-    if "gdrcopy" in kwargs:
-        b.gdrcopy(kwargs.pop("gdrcopy"))
-    if "faults" in kwargs:
-        b.faults(kwargs.pop("faults"))
-    if "n_ranks" in kwargs or "ranks_per_pe" in kwargs:
-        b.ranks(kwargs.pop("n_ranks", None), kwargs.pop("ranks_per_pe", 1))
-    if "n_pes" in kwargs:
-        b.pes(kwargs.pop("n_pes"))
-    if kwargs:
-        raise TypeError(f"unknown session option(s): {sorted(kwargs)}")
-    return b.build()

@@ -10,7 +10,7 @@ from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition, weak_scaling_domain
 from repro.apps.jacobi3d.mpi_impl import run_ampi_jacobi, run_openmpi_jacobi
-from repro.config import MachineConfig
+from repro.config import MachineConfig, add_override_arg
 from repro.obs.cli import add_observation_args, observed, report
 
 #: paper §IV-C: weak-scaling base domain edge (1536³ doubles), strong 3072³
@@ -153,6 +153,7 @@ def main(argv=None) -> None:
                         help="deterministic fault plan: inline JSON (starts "
                              "with '{') or a JSON file path; see "
                              "repro.faults.FaultPlan")
+    add_override_arg(parser)
     add_observation_args(parser)
     args = parser.parse_args(argv)
 
@@ -173,17 +174,15 @@ def main(argv=None) -> None:
     if args.model is None:
         parser.error("model is required unless --sweep is given")
 
-    fault_plan = None
-    cfg = MachineConfig.summit(nodes=args.nodes)
+    cfg = MachineConfig.summit(nodes=args.nodes).override(*args.override)
     if args.fault_plan:
         from repro.faults import FaultPlan
 
-        fault_plan = FaultPlan.load(args.fault_plan)
-        cfg = cfg.with_faults(fault_plan)
+        cfg = cfg.with_faults(FaultPlan.load(args.fault_plan))
 
     sess = None
     plain_cfg, cfg = cfg, observed(cfg, args)
-    if cfg is not plain_cfg or fault_plan is not None:
+    if cfg is not plain_cfg or cfg.faults is not None:
         import repro.api as api
 
         sess = api.session(cfg).model(args.model).build()

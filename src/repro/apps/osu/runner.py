@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.osu import bandwidth as bw_mod
 from repro.apps.osu import latency as lat_mod
-from repro.config import KB, MachineConfig, MB
+from repro.config import KB, MachineConfig, MB, add_override_arg
 from repro.obs.cli import add_observation_args, observed, report
 
 #: The OSU message-size ladder used in the paper's figures: 1 B to 4 MB.
@@ -135,27 +135,20 @@ def main(argv: Optional[List[str]] = None) -> None:
                         help="deterministic fault plan: inline JSON (starts "
                              "with '{') or a JSON file path; see "
                              "repro.faults.FaultPlan")
-    parser.add_argument("--multirail", action="store_true",
-                        help="stripe large transfers across disjoint rails "
-                             "with graph-batched launches (the ablation "
-                             "pairs this sweep against a run without it)")
+    add_override_arg(parser)
     add_observation_args(parser, run="the largest-size run")
     args = parser.parse_args(argv)
 
-    fault_plan = None
-    cfg = MachineConfig.summit(nodes=2)
-    if args.multirail:
-        cfg = cfg.with_multirail()
+    cfg = MachineConfig.summit(nodes=2).override(*args.override)
     if args.fault_plan:
         from repro.faults import FaultPlan
 
-        fault_plan = FaultPlan.load(args.fault_plan)
-        cfg = cfg.with_faults(fault_plan)
+        cfg = cfg.with_faults(FaultPlan.load(args.fault_plan))
 
     sizes = [s for s in OSU_SIZES if s <= args.max_size]
     variant = "H" if args.host_staging else "D"
     label = f"{args.model}-{variant} ({args.placement}-node)"
-    if args.multirail:
+    if cfg.multirail.enabled:
         label += " +multirail"
     if args.benchmark == "latency":
         series = run_latency_sweep(
@@ -175,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             print(f"{_fmt_size(s):>8}  {v / 1e6:16.2f}")
 
     scfg = observed(cfg, args)
-    if scfg is not cfg or fault_plan is not None:
+    if scfg is not cfg or cfg.faults is not None:
         import repro.api as api
 
         sess = api.session(scfg).model(args.model).build()

@@ -16,15 +16,20 @@ import repro.api as api
 from repro.apps.shuffle.charm4py_impl import run_charm4py_shuffle
 from repro.apps.shuffle.common import ShuffleCollector, ShufflePlan, ShuffleResult
 from repro.apps.shuffle.mpi_impl import shuffle_mpi_program
-from repro.config import KB, MachineConfig
+from repro.config import KB, MachineConfig, add_override_arg
 from repro.obs.cli import add_observation_args, observed, report
 
 _MODELS = ("ampi", "openmpi", "charm4py")
 
-#: CLI ablation defaults: plausible Summit-scale first-touch charges
-#: (cuIpcOpenMemHandle / ibv_reg_mr-shaped, tens of microseconds).
-DEFAULT_MAPPING_COST = 20e-6
-DEFAULT_EP_SETUP_COST = 10e-6
+#: What the CLI applies on top of Summit before the user's ``--override``:
+#: the slab pool, and plausible Summit-scale first-touch charges
+#: (cuIpcOpenMemHandle / ibv_reg_mr-shaped, tens of microseconds) so the
+#: ablation exercises the cost model out of the box.
+DEMO_OVERRIDES = {
+    "memory.allocator": "pool",
+    "ucx.mapping_cost": 20e-6,
+    "ucx.ep_setup_cost": 10e-6,
+}
 
 
 def run_shuffle(
@@ -33,20 +38,15 @@ def run_shuffle(
     rounds: int = 3,
     chunk: int = 64 * KB,
     seed: int = 0,
-    pool: Optional[bool] = None,
-    mapping_cost: Optional[float] = None,
-    ep_setup_cost: Optional[float] = None,
-    max_endpoints: Optional[int] = None,
     config: Optional[MachineConfig] = None,
     session=None,
 ) -> ShuffleResult:
     """Run one shuffle and return its result.
 
     One rank per GPU (``nodes * gpus_per_node`` ranks, so ``n*(n-1)``
-    directed pairs).  ``pool`` / ``mapping_cost`` / ``ep_setup_cost`` /
-    ``max_endpoints`` override the machine config when given; pass a
-    pre-built :class:`repro.api.Session` via ``session`` to run on it
-    instead (its config wins, as for the other app drivers).
+    directed pairs).  Pass a pre-built :class:`repro.api.Session` via
+    ``session`` to run on it instead (its config wins, as for the other app
+    drivers).
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; pick from {_MODELS}")
@@ -54,17 +54,6 @@ def run_shuffle(
         cfg = session.config
     else:
         cfg = config if config is not None else MachineConfig.summit(nodes=nodes)
-        if pool is not None:
-            cfg = cfg.with_pool(pool)
-        ucx = {}
-        if mapping_cost is not None:
-            ucx["mapping_cost"] = mapping_cost
-        if ep_setup_cost is not None:
-            ucx["ep_setup_cost"] = ep_setup_cost
-        if max_endpoints is not None:
-            ucx["max_endpoints"] = max_endpoints
-        if ucx:
-            cfg = cfg.with_ucx(**ucx)
     plan = ShufflePlan(
         n_ranks=cfg.topology.total_gpus, rounds=rounds, chunk=chunk, seed=seed
     )
@@ -103,38 +92,21 @@ def main(argv=None) -> None:
                         help="nominal partition size in bytes (chunks vary "
                              "deterministically in [chunk/2, chunk])")
     parser.add_argument("--seed", type=int, default=0)
-    pool_group = parser.add_mutually_exclusive_group()
-    pool_group.add_argument("--pool", dest="pool", action="store_true",
-                            default=True,
-                            help="route device allocation through the slab "
-                                 "pool (default)")
-    pool_group.add_argument("--no-pool", dest="pool", action="store_false",
-                            help="direct cudaMalloc/cudaFree per chunk")
-    parser.add_argument("--mapping-cost", type=float,
-                        default=DEFAULT_MAPPING_COST,
-                        help="first-touch per-(buffer, peer) mapping charge "
-                             "in seconds (0 disables the model)")
-    parser.add_argument("--ep-setup-cost", type=float,
-                        default=DEFAULT_EP_SETUP_COST,
-                        help="lazy endpoint connection-setup charge in "
-                             "seconds (0 disables)")
-    parser.add_argument("--max-endpoints", type=int, default=None,
-                        help="per-worker endpoint cap (LRU close beyond it)")
     parser.add_argument("--ablation", action="store_true",
                         help="run pool-on AND pool-off on the same plan and "
                              "print the amortisation gap")
+    add_override_arg(parser)
     add_observation_args(parser)
     args = parser.parse_args(argv)
 
-    common = dict(
-        model=args.model, nodes=args.nodes, rounds=args.rounds,
-        chunk=args.chunk, seed=args.seed, mapping_cost=args.mapping_cost,
-        ep_setup_cost=args.ep_setup_cost, max_endpoints=args.max_endpoints,
-    )
+    cfg = (MachineConfig.summit(nodes=args.nodes)
+           .override(DEMO_OVERRIDES).override(*args.override))
+    common = dict(model=args.model, rounds=args.rounds, chunk=args.chunk,
+                  seed=args.seed)
 
     if args.ablation:
-        pooled = run_shuffle(pool=True, **common)
-        direct = run_shuffle(pool=False, **common)
+        pooled = run_shuffle(config=cfg.with_pool(True), **common)
+        direct = run_shuffle(config=cfg.with_pool(False), **common)
         _print_result(pooled, "pool")
         _print_result(direct, "direct")
         if pooled.total_time > 0:
@@ -145,20 +117,14 @@ def main(argv=None) -> None:
         return
 
     sess = None
-    plain_cfg = MachineConfig.summit(nodes=args.nodes).with_pool(args.pool).with_ucx(
-        mapping_cost=args.mapping_cost,
-        ep_setup_cost=args.ep_setup_cost,
-        max_endpoints=args.max_endpoints,
-    )
-    cfg = observed(plain_cfg, args)
+    plain_cfg, cfg = cfg, observed(cfg, args)
     if cfg is not plain_cfg:
-        if args.model == "charm4py":
-            sess = api.session(cfg).model("charm4py").build()
-        else:
-            sess = (api.session(cfg).model(args.model)
-                    .ranks(cfg.topology.total_gpus).build())
-    result = run_shuffle(pool=args.pool, session=sess, **common)
-    _print_result(result, "pool" if args.pool else "direct")
+        builder = api.session(cfg).model(args.model)
+        if args.model != "charm4py":
+            builder = builder.ranks(cfg.topology.total_gpus)
+        sess = builder.build()
+    result = run_shuffle(config=cfg, session=sess, **common)
+    _print_result(result, cfg.memory.allocator)
     if sess is not None:
         report(sess, args)
 

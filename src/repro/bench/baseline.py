@@ -11,20 +11,17 @@ Usage::
 ``record`` runs the workload suite of :mod:`repro.obs.baseline` and writes
 the fingerprints; ``check`` re-runs the suite, prints the wall-clock it
 took, and exits nonzero when any fingerprint drifts outside tolerance.
-``--override section.key=value`` perturbs the config before running (a
-section is any
-dataclass-typed field of :class:`~repro.config.MachineConfig` — ``ucx``,
-``runtime``, ``memory``, ... — or omit it for a top-level field) — handy
-both for what-if runs and for demonstrating that the gate trips.
+``--override section.key=value`` perturbs the config before running
+(:meth:`repro.config.MachineConfig.override`) — handy both for what-if runs
+and for demonstrating that the gate trips.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import is_dataclass, replace
-from typing import List, Optional, get_type_hints
+from typing import List, Optional
 
-from repro.config import MachineConfig, _validated_replace
+from repro.config import MachineConfig, add_override_arg
 from repro.obs.baseline import (
     DEFAULT_BASELINE_PATH,
     check_baseline,
@@ -32,47 +29,6 @@ from repro.obs.baseline import (
     load_baseline,
     save_baseline,
 )
-
-#: the config sections ``--override section.key=value`` may name
-_SECTIONS = tuple(
-    name for name, tp in get_type_hints(MachineConfig).items() if is_dataclass(tp)
-)
-
-
-def _parse_value(text: str):
-    for conv in (int, float):
-        try:
-            return conv(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def apply_override(cfg: MachineConfig, spec: str) -> MachineConfig:
-    """Apply one ``section.key=value`` (or top-level ``key=value``) override."""
-    if "=" not in spec:
-        raise ValueError(f"override {spec!r} is not of the form key=value")
-    key, _, text = spec.partition("=")
-    value = _parse_value(text.strip())
-    key = key.strip()
-    if "." in key:
-        section, _, name = key.partition(".")
-        if section not in _SECTIONS:
-            raise ValueError(
-                f"unknown config section {section!r}; valid: {_SECTIONS}"
-            )
-        sub = _validated_replace(getattr(cfg, section), {name: value})
-        return replace(cfg, **{section: sub})
-    return cfg.with_overrides(**{key: value})
-
-
-def _build_config(overrides: List[str]) -> MachineConfig:
-    cfg = MachineConfig.summit(nodes=2)
-    for spec in overrides:
-        cfg = apply_override(cfg, spec)
-    return cfg
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -85,9 +41,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     rec = sub.add_parser("record", help="run the suite and write the baseline")
     rec.add_argument("--out", default=DEFAULT_BASELINE_PATH,
                      help=f"output path (default {DEFAULT_BASELINE_PATH})")
-    rec.add_argument("--override", action="append", default=[],
-                     metavar="SECTION.KEY=VALUE",
-                     help="config perturbation (repeatable)")
+    add_override_arg(rec)
     rec.add_argument("--workloads", action="append", default=None,
                      metavar="NAME",
                      help="record only the named workload(s) (repeatable; "
@@ -102,12 +56,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     chk.add_argument("--atol", type=float, default=None,
                      help="absolute tolerance floor for modeled times "
                           "(default: the baseline's recorded atol)")
-    chk.add_argument("--override", action="append", default=[],
-                     metavar="SECTION.KEY=VALUE",
-                     help="config perturbation (repeatable)")
+    add_override_arg(chk)
 
     args = parser.parse_args(argv)
-    cfg = _build_config(args.override)
+    cfg = MachineConfig.summit(nodes=2).override(*args.override)
 
     if args.command == "record":
         doc = collect_baseline(cfg, workloads=args.workloads)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
+from repro.bench.paper import ANATOMY, PEAK_BW, TABLE1
 from repro.config import MachineConfig, MB
 
 
@@ -68,16 +69,17 @@ def _anchors() -> List[Anchor]:
 
         return ampi_overhead_anatomy(quiet=True)["ampi_outside_ucx_us"]
 
-    return [
-        Anchor("charm intra peak bw", 44.7, "GB/s", 0.15, bw("charm", "intra")),
-        Anchor("ampi intra peak bw", 45.4, "GB/s", 0.15, bw("ampi", "intra")),
-        Anchor("charm4py intra peak bw", 35.5, "GB/s", 0.15, bw("charm4py", "intra")),
-        Anchor("charm inter peak bw", 10.0, "GB/s", 0.15, bw("charm", "inter")),
-        Anchor("charm4py inter peak bw", 6.0, "GB/s", 0.15, bw("charm4py", "inter")),
-        Anchor("charm eager speedup", 4.4, "x", 0.35, eager_speedup("charm")),
-        Anchor("ampi eager speedup", 3.6, "x", 0.35, eager_speedup("ampi")),
-        Anchor("charm4py eager speedup", 1.9, "x", 0.35, eager_speedup("charm4py")),
-        Anchor("ampi non-UCX overhead", 8.0, "us", 0.6, anatomy_outside_ucx),
+    peaks = [Anchor(f"{model} {placement} peak bw", PEAK_BW[model][placement],
+                    "GB/s", 0.15, bw(model, placement))
+             for model, placement in (("charm", "intra"), ("ampi", "intra"),
+                                      ("charm4py", "intra"), ("charm", "inter"),
+                                      ("charm4py", "inter"))]
+    eager = [Anchor(f"{model} eager speedup", TABLE1[model]["eager_intra"],
+                    "x", 0.35, eager_speedup(model))
+             for model in ("charm", "ampi", "charm4py")]
+    return peaks + eager + [
+        Anchor("ampi non-UCX overhead", ANATOMY["ampi_outside_ucx_us"], "us",
+               0.6, anatomy_outside_ucx),
     ]
 
 

@@ -11,7 +11,6 @@ design-choice studies listed in DESIGN.md §6.
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.jacobi3d.driver import run_jacobi
@@ -246,7 +245,7 @@ def ampi_overhead_anatomy(size: int = 8, quiet: bool = False) -> Dict[str, objec
     m.sim.run_until_complete(req.event)
     ucx_time = m.sim.now - t0
 
-    sess = api.session(cfg.with_trace(True)).model("ampi").build()
+    sess = api.session(cfg).model("ampi").trace().build()
     ampi_lat = run_latency("ampi", size, "intra", True, session=sess)
     snap = sess.metrics_snapshot()
     n_msgs = snap["counters"]["converse.send_device"]
@@ -282,7 +281,7 @@ def ablation_gdrcopy(sizes: Sequence[int] = EAGER_SIZES, quiet: bool = False) ->
     from repro.apps.osu.runner import run_latency_sweep
 
     on = run_latency_sweep("charm", "intra", True, sizes, MachineConfig.summit(nodes=2))
-    off = run_latency_sweep("charm", "intra", True, sizes, MachineConfig.summit(nodes=2).without_gdrcopy())
+    off = run_latency_sweep("charm", "intra", True, sizes, MachineConfig.summit(nodes=2).with_ucx(gdrcopy_enabled=False))
     s_on = Series("gdrcopy-on", [(k, v * 1e6) for k, v in on.items()])
     s_off = Series("gdrcopy-off", [(k, v * 1e6) for k, v in off.items()])
     if not quiet:
@@ -360,8 +359,7 @@ def ablation_rndv_threshold(
 
     out: Dict[int, Series] = {}
     for th in thresholds:
-        cfg = MachineConfig.summit(nodes=2)
-        cfg = replace(cfg, ucx=replace(cfg.ucx, device_eager_threshold=th))
+        cfg = MachineConfig.summit(nodes=2).with_ucx(device_eager_threshold=th)
         sweep = run_latency_sweep("charm", "intra", True, sizes, cfg)
         out[th] = Series(f"thresh={th//KB}K", [(k, v * 1e6) for k, v in sweep.items()])
     if not quiet:
@@ -380,8 +378,7 @@ def ablation_pipeline_chunk(
 
     out = {}
     for chunk in chunks:
-        cfg = MachineConfig.summit(nodes=2)
-        cfg = replace(cfg, ucx=replace(cfg.ucx, pipeline_chunk=chunk))
+        cfg = MachineConfig.summit(nodes=2).with_ucx(pipeline_chunk=chunk)
         out[chunk] = run_bandwidth("charm", size, "inter", True, cfg) / 1e9
     if not quiet:
         print("# Ablation: pipeline chunk size (Charm++ inter-node 4 MB bandwidth, GB/s)")
@@ -396,8 +393,7 @@ def ablation_gpudirect(size: int = 4 * MB, quiet: bool = False) -> Dict[str, flo
     from repro.apps.osu.runner import run_latency
 
     staged = run_latency("charm", size, "inter", True, MachineConfig.summit(nodes=2))
-    cfg = MachineConfig.summit(nodes=2)
-    cfg = replace(cfg, ucx=replace(cfg.ucx, gpudirect_rdma=True))
+    cfg = MachineConfig.summit(nodes=2).with_ucx(gpudirect_rdma=True)
     gdr = run_latency("charm", size, "inter", True, cfg)
     result = {"pipelined_us": staged * 1e6, "gpudirect_us": gdr * 1e6}
     if not quiet:
@@ -434,11 +430,10 @@ def ablation_overdecomposition(
 def ablation_ampi_dip(quiet: bool = False) -> Dict[str, Series]:
     """The AMPI-H 128 KB bandwidth dip (SIV-B2) with the quirk model on/off."""
     from repro.apps.osu.runner import run_bandwidth_sweep
-    from dataclasses import replace as _r
 
     sizes = [32 * KB, 64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB]
     on_cfg = MachineConfig.summit(nodes=2)
-    off_cfg = _r(on_cfg, runtime=_r(on_cfg.runtime, model_ampi_128k_dip=False))
+    off_cfg = on_cfg.override({"runtime.model_ampi_128k_dip": False})
     on = run_bandwidth_sweep("ampi", "intra", False, sizes, on_cfg)
     off = run_bandwidth_sweep("ampi", "intra", False, sizes, off_cfg)
     s_on = Series("dip-modelled", [(k, v / 1e6) for k, v in on.items()])

@@ -283,7 +283,7 @@ class Charm:
 
         host_bytes = marshal_bytes(args)
         cost = rt.charm_send_overhead
-        if rt.charm_pack_copy and host_bytes > 0:
+        if host_bytes > 0:
             cost += topo.host_mem.transfer_time(host_bytes)
         pe.charge(cost)
 
@@ -318,7 +318,7 @@ class Charm:
         chare_id, method, args = msg.payload
         chare = self.chares[chare_id]
         cost = rt.entry_dispatch_overhead
-        if rt.charm_pack_copy and msg.host_bytes > 0:
+        if msg.host_bytes > 0:
             cost += topo.host_mem.transfer_time(msg.host_bytes)
         # models layered on Charm++ (Charm4py) add their own dispatch cost
         cost += getattr(chare, "dispatch_overhead", 0.0)

@@ -16,13 +16,14 @@ Three groups of parameters:
 
 The defaults model one Summit node/network; experiments that want a
 different machine (more nodes, GDRCopy disabled, different tag-bit split)
-copy a config with :func:`dataclasses.replace`.
+derive one with :meth:`MachineConfig.override` — the single path every
+surface (builder, CLIs, benchmarks) goes through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from repro.faults.plan import FaultPlan
 
@@ -70,6 +71,10 @@ class TopologyConfig:
     host_mem_channels: int = 1  # effective concurrent memcpy streams per node (NUMA-limited)
     nic_rails: int = 2  # Summit nodes have dual-rail EDR InfiniBand
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.nodes, int) or self.nodes < 1:
+            raise ValueError(f"nodes must be a positive int, got {self.nodes!r}")
+
     @property
     def gpus_per_node(self) -> int:
         return self.sockets_per_node * self.gpus_per_socket
@@ -92,7 +97,6 @@ class CudaConfig:
     # Opening a CUDA IPC handle is very expensive; UCX caches handles.
     ipc_handle_open_cost: float = 80.0e-6
     ipc_cached_open_cost: float = 0.4e-6
-    event_record_overhead: float = 0.4e-6
     # CUDA-graph launch batching (the multirail striped protocols): capturing
     # the per-chunk copy kernels into one graph pays a single launch of the
     # whole graph, then a small per-chunk node cost, instead of a full
@@ -171,7 +175,6 @@ class UcxConfig:
     # Pipelined host staging for inter-node device rendezvous: chunk size of
     # the bounce buffers (UCX_RNDV_PIPELINE defaults are of this order).
     pipeline_chunk: int = 512 * KB
-    pipeline_num_stages: int = 2  # double buffering
     pipeline_per_chunk_cost: float = 0.8e-6  # progress + DMA kicks per chunk
     # Summit-era UCX stages inter-node device rendezvous through host memory;
     # setting this True instead takes the direct GPUDirect-RDMA route
@@ -188,8 +191,6 @@ class UcxConfig:
     request_alloc_cost: float = 0.05e-6
     progress_overhead: float = 0.15e-6  # one ucp_worker_progress poll
     rndv_rts_cost: float = 0.30e-6  # control message handling (each side)
-    # Eager host protocol copies through bounce buffers on both sides.
-    eager_copy_per_side: bool = True
     # Inter-node host rendezvous registers (pins) the source pages with the
     # NIC before the RDMA get; amortised cost per message.
     host_rndv_reg_overhead: float = 14.0e-6
@@ -345,9 +346,6 @@ class RuntimeConfig:
     entry_dispatch_overhead: float = 0.45e-6  # unpack env + invoke entry
     converse_header_bytes: int = 96  # CmiMessage + envelope on the wire
     charm_send_overhead: float = 0.50e-6  # proxy call, env setup, marshalling
-    # Messages above this size are packed/unpacked with an explicit copy on
-    # the Charm++ side (message payloads always travel inside the message).
-    charm_pack_copy: bool = True
     post_entry_overhead: float = 0.30e-6  # running the post entry method
     callback_invoke_overhead: float = 0.30e-6
     reduction_overhead: float = 0.40e-6  # per contribution/combine step
@@ -361,9 +359,6 @@ class RuntimeConfig:
     # -- AMPI ----------------------------------------------------------------
     ampi_send_overhead: float = 3.0e-6  # msg creation, comm lookup, locality
     ampi_recv_overhead: float = 2.2e-6  # request handling, matching
-    # AMPI copies user host payloads between user buffers and its message
-    # objects on both sides of the rendezvous path (datatype handling).
-    ampi_payload_copy: bool = True
     # Device-pointer detection (paper §III-C: per-PE software cache of
     # addresses known to be on the GPU).
     gpu_pointer_check_cost: float = 0.45e-6  # cuPointerGetAttribute on miss
@@ -445,107 +440,128 @@ class MachineConfig:
     faults: Optional[FaultPlan] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.telemetry_capacity < 1:
+            raise ValueError("telemetry_capacity must be >= 1")
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise TypeError(
+                f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
+            )
+
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def summit(cls, nodes: int = 2, **overrides) -> "MachineConfig":
+    def summit(cls, nodes: int = 2) -> "MachineConfig":
         """The calibrated Summit configuration used by all paper experiments."""
-        cfg = cls(topology=TopologyConfig(nodes=nodes))
-        if overrides:
-            cfg = _validated_replace(cfg, overrides)
-        return cfg
+        return cls(topology=TopologyConfig(nodes=nodes))
 
     @classmethod
     def default(cls) -> "MachineConfig":
         """A 2-node Summit machine (enough for all microbenchmarks)."""
         return cls.summit(nodes=2)
 
-    # -- validated copy helpers -----------------------------------------------
+    # -- the one derivation path ------------------------------------------------
+    def override(self, *overrides) -> "MachineConfig":
+        """Copy with fields replaced by name.
+
+        Each argument is a ``"section.field=value"`` string (the CLI
+        spelling; a top-level field has no section) or a mapping of dotted
+        keys to values::
+
+            cfg.override("ucx.max_endpoints=4", "trace=true")
+            cfg.override({"memory.allocator": "pool", "ucx.mapping_cost": 1e-3})
+
+        Names are checked against the dataclasses, string values are
+        converted by the field's declared type (``none`` for an
+        ``Optional``; ``true/false/1/0`` for a ``bool``), and all keys of
+        one section are applied in a single ``replace``, so coupled fields
+        (the three tag-bit widths) validate together, once, in the
+        section's ``__post_init__``.
+        """
+        changes = {}
+        for item in overrides:
+            if isinstance(item, str):
+                key, eq, text = item.partition("=")
+                if not eq:
+                    raise ValueError(f"override {item!r} is not of the form key=value")
+                changes[key.strip()] = text.strip()
+            else:
+                changes.update(item)
+        return _derive(self, changes)
+
+    # -- shorthands (one-line delegations; everything else spells the key) ----
     def with_nodes(self, nodes: int) -> "MachineConfig":
-        if not isinstance(nodes, int) or nodes < 1:
-            raise ValueError(f"nodes must be a positive int, got {nodes!r}")
-        return replace(self, topology=replace(self.topology, nodes=nodes))
-
-    def without_gdrcopy(self) -> "MachineConfig":
-        return replace(self, ucx=replace(self.ucx, gdrcopy_enabled=False))
-
-    def with_trace(self, enabled: bool = True) -> "MachineConfig":
-        return replace(self, trace=bool(enabled))
-
-    def with_flight(self, enabled: bool = True) -> "MachineConfig":
-        return replace(self, flight=bool(enabled))
-
-    def with_telemetry(self, enabled: bool = True,
-                       capacity: Optional[int] = None) -> "MachineConfig":
-        """Copy with resource-telemetry sampling toggled; ``capacity``
-        optionally overrides the per-series ring-buffer size."""
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError("telemetry capacity must be >= 1")
-            return replace(self, telemetry=bool(enabled),
-                           telemetry_capacity=int(capacity))
-        return replace(self, telemetry=bool(enabled))
-
-    def with_virtual_payload(self, enabled: bool = True) -> "MachineConfig":
-        """Copy with virtual-payload mode toggled (see the field docs:
-        timing-identical, data movement skipped)."""
-        return replace(self, virtual_payload=bool(enabled))
+        return self.override({"topology.nodes": nodes})
 
     def with_faults(self, plan: Optional[FaultPlan]) -> "MachineConfig":
-        """Copy with a :class:`repro.faults.FaultPlan` attached (``None``
-        detaches).  Empty plans are kept as-is; the machine treats them
-        exactly like ``None``."""
-        if plan is not None and not isinstance(plan, FaultPlan):
-            raise TypeError(
-                f"with_faults expects a FaultPlan or None, got {type(plan).__name__}"
-            )
-        return replace(self, faults=plan)
+        """An empty plan is kept as-is; the machine treats it like ``None``."""
+        return self.override({"faults": plan})
 
-    def with_overrides(self, **overrides) -> "MachineConfig":
-        """Copy with top-level field overrides; unknown keys raise
-        :class:`ValueError` naming the valid fields."""
-        return _validated_replace(self, overrides)
+    def with_virtual_payload(self, enabled: bool = True) -> "MachineConfig":
+        return self.override({"virtual_payload": enabled})
+
+    def with_pool(self, enabled: bool = True) -> "MachineConfig":
+        """The pool-on/pool-off ablation pair."""
+        return self.override({"memory.allocator": "pool" if enabled else "direct"})
 
     def with_ucx(self, **overrides) -> "MachineConfig":
-        return replace(self, ucx=_validated_replace(self.ucx, overrides))
-
-    def with_runtime(self, **overrides) -> "MachineConfig":
-        return replace(self, runtime=_validated_replace(self.runtime, overrides))
-
-    def with_topology(self, **overrides) -> "MachineConfig":
-        return replace(self, topology=_validated_replace(self.topology, overrides))
-
-    def with_collectives(self, **overrides) -> "MachineConfig":
-        return replace(
-            self, collectives=_validated_replace(self.collectives, overrides)
-        )
-
-    def with_memory(self, **overrides) -> "MachineConfig":
-        """Copy with :class:`MemoryConfig` overrides, e.g.
-        ``cfg.with_memory(allocator="pool", pool_slab_bytes=8 * MB)``."""
-        return replace(self, memory=_validated_replace(self.memory, overrides))
-
-    def with_pool(self, enabled: bool = True, **overrides) -> "MachineConfig":
-        """Shorthand for the pool-on/pool-off ablation pair."""
-        kind = "pool" if enabled else "direct"
-        return self.with_memory(allocator=kind, **overrides)
-
-    def with_multirail(self, enabled: bool = True, **overrides) -> "MachineConfig":
-        """Copy with multi-rail striping toggled plus optional
-        :class:`MultirailConfig` overrides, e.g.
-        ``cfg.with_multirail(chunk_bytes=256 * KB, graph_launch=False)``."""
-        merged = dict(overrides)
-        merged["enabled"] = bool(enabled)
-        return replace(self, multirail=_validated_replace(self.multirail, merged))
+        return self.override({f"ucx.{k}": v for k, v in overrides.items()})
 
 
-def _validated_replace(cfg, overrides: dict):
-    """``dataclasses.replace`` with an explicit unknown-key error listing the
-    valid field names (instead of ``replace``'s bare TypeError)."""
-    valid = {f.name for f in fields(cfg)}
-    unknown = sorted(set(overrides) - valid)
+def add_override_arg(parser) -> None:
+    """Declare ``--override`` — the one config option of every ``repro-*``
+    command line; apply with ``cfg.override(*args.override)``."""
+    parser.add_argument("--override", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE",
+                        help="set any config field by name, e.g. "
+                             "ucx.max_endpoints=4, multirail.enabled=true or "
+                             "seed=7 (repeatable; see repro.config)")
+
+
+def _derive(cfg, changes: dict, path: str = ""):
+    """``replace`` on dataclass ``cfg`` with dotted-key ``changes``: a key
+    ``a.b`` recurses into the dataclass-valued field ``a``."""
+    names = [f.name for f in fields(cfg)]
+    direct, nested = {}, {}
+    for key, value in changes.items():
+        head, dot, rest = key.partition(".")
+        if dot:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            direct[key] = value
+    unknown = sorted(set(direct) - set(names))
     if unknown:
         raise ValueError(
             f"unknown {type(cfg).__name__} override(s) {unknown}; "
-            f"valid fields: {sorted(valid)}"
+            f"valid fields: {sorted(names)}"
         )
-    return replace(cfg, **overrides)
+    if any(isinstance(v, str) for v in direct.values()):
+        types = get_type_hints(type(cfg))
+        direct = {k: _coerce(v, types[k], path + k) if isinstance(v, str) else v
+                  for k, v in direct.items()}
+    for head, sub in nested.items():
+        section = direct.get(head, getattr(cfg, head, None))
+        if not is_dataclass(section):
+            valid = [n for n in names if is_dataclass(getattr(cfg, n))]
+            raise ValueError(f"unknown config section {path + head!r}; valid: {valid}")
+        direct[head] = _derive(section, sub, f"{path}{head}.")
+    return replace(cfg, **direct)
+
+
+def _coerce(text: str, tp, key: str):
+    """``text`` as a value of the declared field type ``tp``."""
+    if get_origin(tp) is Union:  # Optional[T]
+        if text.lower() == "none":
+            return None
+        (tp,) = (a for a in get_args(tp) if a is not type(None))
+    if tp is bool:
+        if text.lower() in ("true", "1"):
+            return True
+        if text.lower() in ("false", "0"):
+            return False
+        raise ValueError(f"{key} expects true/false/1/0, got {text!r}")
+    if tp in (int, float, str):
+        try:
+            return tp(text)
+        except ValueError:
+            raise ValueError(f"{key} expects {tp.__name__}, got {text!r}") from None
+    raise ValueError(f"{key} ({tp.__name__}) cannot be set from a string")

@@ -167,18 +167,18 @@ _SHUFFLE_EP_SETUP_COST = 2e-5
 _THRASH_MAX_ENDPOINTS = 4
 
 
-def _run_shuffle_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
+def _run_shuffle_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
     import repro.api as api
     from repro.apps.shuffle.driver import run_shuffle
 
     _, model, pooled, nodes = spec[:4]
     thrash = len(spec) > 4 and spec[4] == "thrash"
-    cfg = config if config is not None else MachineConfig.summit(nodes=2)
-    cfg = (cfg.with_nodes(nodes).with_virtual_payload().with_flight(True)
-           .with_pool(pooled)
-           .with_ucx(mapping_cost=_SHUFFLE_MAPPING_COST,
-                     ep_setup_cost=_SHUFFLE_EP_SETUP_COST,
-                     max_endpoints=_THRASH_MAX_ENDPOINTS if thrash else None))
+    cfg = cfg.with_pool(pooled).override({
+        "topology.nodes": nodes, "virtual_payload": True, "flight": True,
+        "ucx.mapping_cost": _SHUFFLE_MAPPING_COST,
+        "ucx.ep_setup_cost": _SHUFFLE_EP_SETUP_COST,
+        "ucx.max_endpoints": _THRASH_MAX_ENDPOINTS if thrash else None,
+    })
     builder = api.session(cfg).model(model)
     if model != "charm4py":
         builder = builder.ranks(cfg.topology.total_gpus)
@@ -199,15 +199,14 @@ _BW_MR_LOOPS = 2
 _BW_MR_WINDOW = 16
 
 
-def _run_bw_mr_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
+def _run_bw_mr_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
     import repro.api as api
     from repro.apps.osu.runner import run_bandwidth
 
     variant = spec[1]
-    cfg = config if config is not None else MachineConfig.summit(nodes=2)
-    cfg = cfg.with_flight(True)
+    cfg = cfg.override({"flight": True})
     if variant != "off":
-        cfg = cfg.with_multirail()
+        cfg = cfg.override({"multirail.enabled": True})
     if variant == "raildown":
         from repro.faults import FaultPlan
 
@@ -222,15 +221,15 @@ def _run_bw_mr_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
     return fp
 
 
-def _run_coll_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
+def _run_coll_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
     import repro.api as api
 
     variant = spec[1]
-    cfg = config if config is not None else MachineConfig.summit(nodes=2)
     # virtual payloads: the fingerprint pins modeled time, not numerics
-    cfg = cfg.with_nodes(_COLL_NODES).with_virtual_payload().with_flight(True)
+    cfg = cfg.override({"topology.nodes": _COLL_NODES, "virtual_payload": True,
+                        "flight": True})
     if variant == "flat":
-        cfg = cfg.with_collectives(hierarchical_enabled=False)
+        cfg = cfg.override({"collectives.hierarchical_enabled": False})
     sess = api.session(cfg).model("ampi").ranks(_COLL_RANKS).build()
 
     def program(rank):
@@ -241,17 +240,17 @@ def _run_coll_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
     return sess.baseline_fingerprint()
 
 
-def _run_jacobi_workload(spec: Tuple, config: Optional[MachineConfig]) -> Dict:
+def _run_jacobi_workload(spec: Tuple, base_cfg: MachineConfig) -> Dict:
     import repro.api as api
     from repro.apps.jacobi3d.driver import run_jacobi
 
     _, model, scaling, ladder = spec
-    base_cfg = config if config is not None else MachineConfig.summit(nodes=2)
     points: Dict[str, Dict] = {}
     for nodes in ladder:
         # virtual payloads: timing-identical (tests/test_virtual_payload.py)
         # but skips every dead-weight memcpy of the paper-scale domains
-        cfg = base_cfg.with_nodes(nodes).with_virtual_payload().with_flight(True)
+        cfg = base_cfg.override({"topology.nodes": nodes,
+                                 "virtual_payload": True, "flight": True})
         sess = api.session(cfg).model(model).build()
         result = run_jacobi(model, nodes=nodes, scaling=scaling,
                             iters=_JACOBI_ITERS, warmup=_JACOBI_WARMUP,
@@ -278,21 +277,21 @@ def run_workload(name: str, config: Optional[MachineConfig] = None) -> Dict:
         raise KeyError(
             f"unknown baseline workload {name!r}; known: {sorted(WORKLOADS)}"
         )
+    cfg = config if config is not None else MachineConfig.summit(nodes=2)
     if spec[0] == "jacobi":
-        return _run_jacobi_workload(spec, config)
+        return _run_jacobi_workload(spec, cfg)
     if spec[0] == "coll":
-        return _run_coll_workload(spec, config)
+        return _run_coll_workload(spec, cfg)
     if spec[0] == "shuffle":
-        return _run_shuffle_workload(spec, config)
+        return _run_shuffle_workload(spec, cfg)
     if spec[0] == "bw_mr":
-        return _run_bw_mr_workload(spec, config)
+        return _run_bw_mr_workload(spec, cfg)
     model, size, placement = spec[:3]
-    cfg = (config if config is not None else MachineConfig.summit(nodes=2))
     if len(spec) == 4:
         cfg = cfg.with_faults(_fault_plan(spec[3]))
     # flight recording feeds the posting fingerprint; it is observation-only
     # so the modeled quantities are identical to a plain run
-    sess = api.session(cfg.with_flight(True)).model(model).build()
+    sess = api.session(cfg).model(model).flight().build()
     latency = run_latency(model, size, placement, True,
                           session=sess, iters=_ITERS, skip=_SKIP)
     fp = sess.baseline_fingerprint()

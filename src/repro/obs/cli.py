@@ -38,9 +38,9 @@ def observed(cfg, args):
     """``cfg`` with the switches the parsed flags imply; ``cfg`` itself
     (the same object) when they ask for nothing."""
     if args.trace_out or args.flight_out or args.blame:
-        cfg = cfg.with_trace(True).with_flight(True)
+        cfg = cfg.override({"trace": True, "flight": True})
     if args.timeline_out or args.congestion:
-        cfg = cfg.with_telemetry(True)
+        cfg = cfg.override({"telemetry": True})
     return cfg
 
 

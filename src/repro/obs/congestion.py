@@ -93,7 +93,7 @@ def congestion_report(tracer, top_n: int = 5) -> CongestionReport:
     """Build a :class:`CongestionReport` from a session's tracer.
 
     Requires telemetry to have been enabled for the run
-    (``SessionBuilder.telemetry()`` / ``MachineConfig.with_telemetry()``).
+    (``SessionBuilder.telemetry()`` / the ``telemetry`` config field).
     """
     telem = tracer.timeline
     if not telem.enabled:

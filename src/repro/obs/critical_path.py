@@ -127,7 +127,7 @@ def critical_path(tracer, t0: Optional[float] = None,
     if not spans:
         raise ValueError(
             "critical_path: no spans recorded — build the session with "
-            "tracing enabled (config.with_trace() / builder.trace())"
+            "tracing enabled (builder.trace() / the trace config field)"
         )
     if t0 is None:
         t0 = min(s.start for s in spans)

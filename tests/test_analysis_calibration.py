@@ -102,3 +102,17 @@ class TestCalibrationAnchors:
         results = check_anchors(quiet=True)
         drifted = [r.anchor.name for r in results if not r.within_tolerance]
         assert not drifted, f"calibration drifted: {drifted}"
+
+    def test_frozen_benchmark_anchors_equal_paper_values(self):
+        """``benchmarks/perf/anchors.json`` is frozen outside ``src/`` on
+        purpose; it must restate ``bench/paper.py`` (which the calibration
+        anchors read) name for name."""
+        import json
+        from pathlib import Path
+
+        from repro.bench.calibration import _anchors
+
+        path = Path(__file__).parent.parent / "benchmarks/perf/anchors.json"
+        frozen = {a["name"]: (a["paper"], a["unit"])
+                  for a in json.loads(path.read_text())["anchors"]}
+        assert frozen == {a.name: (a.paper_value, a.unit) for a in _anchors()}

@@ -1,7 +1,12 @@
 """Smoke tests for the CLI entry points and the example scripts."""
 
+import argparse
+import importlib
+import re
 import runpy
+import shlex
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -11,7 +16,8 @@ from repro.apps.osu import runner as osu_runner
 from repro.apps.shuffle import driver as shuffle_driver
 from repro.bench import figures
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 class TestOsuCli:
@@ -63,6 +69,62 @@ class TestShuffleCli:
     def test_bad_model_rejected(self):
         with pytest.raises(SystemExit):
             shuffle_driver.main(["mvapich"])
+
+
+class TestOverrideOption:
+    def test_declared_once_and_taken_by_all_four_clis(self):
+        declared = [p for p in (ROOT / "src").rglob("*.py")
+                    if '"--override"' in p.read_text()]
+        assert [p.name for p in declared] == ["config.py"]
+        for command in ("repro-osu latency charm", "repro-jacobi3d charm",
+                        "repro-shuffle", "repro-baseline check"):
+            _parse_only(command + " --override seed=1")
+
+    def test_shuffle_demo_defaults_then_user_override(self, capsys):
+        shuffle_driver.main(["ampi", "--nodes", "1", "--rounds", "1",
+                             "--override", "memory.allocator=direct"])
+        assert "shuffle ampi [direct]" in capsys.readouterr().out
+
+    def test_osu_multirail_by_override(self, capsys):
+        osu_runner.main(["bandwidth", "ampi", "--max-size", "64",
+                         "--override", "multirail.enabled=true"])
+        assert "+multirail" in capsys.readouterr().out
+
+    def test_bad_override_names_the_valid_fields(self):
+        with pytest.raises(ValueError, match="valid fields"):
+            jacobi_driver.main(["charm", "--override", "ucx.gdrcopy=false"])
+
+
+def _parse_only(command: str) -> None:
+    """Run ``command`` (a ``repro-*`` line) through its console script's
+    argument parser and nothing else: ``parse_args`` returns into an
+    exception, so no simulation starts; a line that does not parse exits."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    script, *argv = shlex.split(command, comments=True)
+    module, _, func = scripts[script].partition(":")
+
+    class Parsed(Exception):
+        pass
+
+    real = argparse.ArgumentParser.parse_args
+
+    def parse_then_stop(self, args=None, namespace=None):
+        real(self, args, namespace)
+        raise Parsed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", parse_then_stop)
+        with pytest.raises(Parsed):
+            getattr(importlib.import_module(module), func)(argv)
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    commands = [line for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S)
+                for line in block.splitlines() if line.startswith("repro-")]
+    assert len(commands) > 15
+    for command in commands:
+        _parse_only(command)
 
 
 class TestFiguresCli:

@@ -87,10 +87,8 @@ class TestReduceOp:
 
 class TestShimModuleRemoved:
     def test_import_raises_with_pointer_to_methods(self):
-        # the two-PR deprecation window closed: the module body is gone,
-        # and any straggler import gets told where the API went
-        with pytest.raises(ImportError,
-                           match=r"removed.*rank\.allreduce.*repro\.collectives"):
+        # the deprecation window and the tombstone after it are both gone
+        with pytest.raises(ImportError):
             importlib.import_module("repro.ampi.collectives")
 
     def test_method_api_covers_the_old_surface(self):
@@ -175,7 +173,8 @@ class TestSessionFacade:
     def test_collectives_summary_and_knobs(self):
         sess = (api.session(MachineConfig.summit(nodes=2))
                 .model("ampi").ranks(8).trace()
-                .collectives(allreduce_algorithm="ring", ring_chunk=128 * 1024)
+                .set({"collectives.allreduce_algorithm": "ring",
+                      "collectives.ring_chunk": 128 * 1024})
                 .build())
         assert sess.config.collectives.allreduce_algorithm == "ring"
         assert sess.config.collectives.ring_chunk == 128 * 1024
@@ -190,10 +189,3 @@ class TestSessionFacade:
         assert summary["invocations"]["allreduce.ring"] == 8
         assert summary["intra_time_us"] > 0
         assert summary["inter_time_us"] > 0
-
-    def test_build_kwarg(self):
-        sess = api.build(
-            MachineConfig.summit(nodes=1), "openmpi",
-            collectives={"hierarchical_enabled": False},
-        )
-        assert sess.config.collectives.hierarchical_enabled is False

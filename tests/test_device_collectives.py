@@ -26,7 +26,7 @@ def _build(n_ranks, coll=None):
     nodes = -(-n_ranks // 6)
     cfg = MachineConfig.summit(nodes=nodes)
     if coll:
-        cfg = cfg.with_collectives(**coll)
+        cfg = cfg.override({f"collectives.{k}": v for k, v in coll.items()})
     charm = Charm(cfg)
     return charm, Ampi(charm, n_ranks=n_ranks)
 

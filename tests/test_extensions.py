@@ -1,4 +1,4 @@
-"""Tests for the beyond-the-paper extensions: streams, probe/cancel,
+"""Tests for the beyond-the-paper extensions: probe/cancel,
 device collectives, sub-communicators, load balancing."""
 
 import numpy as np
@@ -6,11 +6,10 @@ import pytest
 
 from repro.ampi import Ampi
 from repro.charm import Charm, Chare
-from repro.config import KB, MachineConfig
+from repro.config import MachineConfig
 from repro.hardware.topology import Machine
 from repro.ucx.context import UcpContext
 from repro.ucx.status import UcsStatus
-from repro.ucx.stream import StreamChannel, stream_pair
 
 
 def make_workers(nodes=1):
@@ -19,60 +18,6 @@ def make_workers(nodes=1):
     wa = ctx.create_worker(0, 0, 0)
     wb = ctx.create_worker(1, 0, 0)
     return m, wa, wb
-
-
-class TestStreamApi:
-    def test_ordered_delivery(self):
-        m, wa, wb = make_workers()
-        tx, rx = stream_pair(wa, wb)
-        # rx side receives in send order, no tags involved
-        srcs = []
-        for i in range(3):
-            s = m.alloc_host(0, 8)
-            s.data[:] = i + 1
-            srcs.append(s)
-            tx.send_nb(s, 8)
-        got = []
-        for _ in range(3):
-            d = m.alloc_host(0, 8)
-            req = rx.recv_nb(d, 8)
-            m.sim.run()
-            assert req.completed
-            got.append(int(d.data[0]))
-        assert got == [1, 2, 3]
-
-    def test_device_payloads_through_stream(self):
-        m, wa, wb = make_workers()
-        tx, rx = stream_pair(wa, wb)
-        src = m.alloc_device(0, 32 * KB, materialize=True)
-        dst = m.alloc_device(1, 32 * KB, materialize=True)
-        src.data[:] = 77
-        rx.recv_nb(dst, 32 * KB)
-        tx.send_nb(src, 32 * KB)
-        m.sim.run()
-        assert (dst.data == 77).all()
-
-    def test_bidirectional(self):
-        m, wa, wb = make_workers()
-        ab, ba = stream_pair(wa, wb)
-        s1, s2 = m.alloc_host(0, 8), m.alloc_host(0, 8)
-        d1, d2 = m.alloc_host(0, 8), m.alloc_host(0, 8)
-        s1.data[:] = 1
-        s2.data[:] = 2
-        ab.send_nb(s1, 8)
-        ba.send_nb(s2, 8)
-        r1 = ba.recv_nb(d1, 8)  # wb receives from wa
-        r2 = ab.recv_nb(d2, 8)  # wa receives from wb... wait: naming
-        m.sim.run()
-        assert r1.completed and r2.completed
-
-    def test_cross_context_pair_rejected(self):
-        m1, wa, _ = make_workers()
-        m2, wb, _ = make_workers()
-        from repro.ucx.status import UcxError
-
-        with pytest.raises(UcxError):
-            stream_pair(wa, wb)
 
 
 class TestProbeCancel:

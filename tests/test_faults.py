@@ -181,9 +181,8 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 def _fingerprint(faults):
-    cfg = MachineConfig.summit(nodes=2).with_flight(True)
-    sess = api.session(cfg).model("ampi").faults(faults).build() \
-        if faults is not None else api.session(cfg).model("ampi").build()
+    sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi").flight()
+            .faults(faults).build())
     lat = run_latency("ampi", 64 * KB, "inter", True, session=sess,
                       iters=4, skip=1)
     fp = sess.baseline_fingerprint()
@@ -453,7 +452,7 @@ class TestEndpointTimeout:
 class TestFallbacks:
     def test_ipc_open_failure_forces_pipeline_lane(self):
         plan = FaultPlan(fail_ipc_open=True)
-        cfg = MachineConfig.summit(nodes=2).with_flight(True).with_faults(plan)
+        cfg = MachineConfig.summit(nodes=2).override({"flight": True, "faults": plan})
         m, ctx, wa, wb = make_pair(cfg)
         size = 1 * MB
         src = m.alloc_device(0, size, materialize=False)
@@ -516,7 +515,7 @@ class TestFallbacks:
 
         base = MachineConfig.summit(nodes=2)
         forced = run(base.with_faults(FaultPlan(fail_gdrcopy_probe=True)))
-        config_off = run(base.without_gdrcopy())
+        config_off = run(base.with_ucx(gdrcopy_enabled=False))
         assert forced == config_off
 
 
@@ -559,7 +558,8 @@ class TestBandwidthWindows:
 class TestSurfacing:
     def test_counters_in_session_metrics_snapshot(self):
         plan = FaultPlan.lossy(drop_p=0.1, seed=42)
-        sess = api.build(MachineConfig.summit(nodes=2), "ampi", faults=plan)
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .faults(plan).build())
         run_latency("ampi", 64 * KB, "inter", True, session=sess,
                     iters=4, skip=1)
         counters = sess.metrics_snapshot()["counters"]
@@ -568,8 +568,8 @@ class TestSurfacing:
 
     def test_fault_recovery_blame_layer(self):
         plan = FaultPlan.lossy(drop_p=0.15, seed=7)
-        cfg = MachineConfig.summit(nodes=2).with_trace(True)
-        sess = api.session(cfg).model("ampi").faults(plan).build()
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .trace().faults(plan).build())
         run_latency("ampi", 64 * KB, "inter", True, session=sess,
                     iters=6, skip=1)
         report = sess.critical_path()
@@ -578,8 +578,8 @@ class TestSurfacing:
 
     def test_flight_records_count_retransmits(self):
         plan = FaultPlan.lossy(drop_p=0.2, seed=11, kinds=("eager", "rts"))
-        cfg = MachineConfig.summit(nodes=2).with_flight(True)
-        sess = api.session(cfg).model("ampi").faults(plan).build()
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .flight().faults(plan).build())
         run_latency("ampi", 64 * KB, "inter", True, session=sess,
                     iters=6, skip=1)
         recs = sess.flight_records()
@@ -680,9 +680,9 @@ class TestPoolExhaustion:
     runtime's ``on_comm_error`` notification."""
 
     def _capped_cfg(self):
-        return (MachineConfig.summit(nodes=1)
-                .with_pool(True, pool_slab_bytes=1 << 20,
-                           pool_max_bytes=1 << 20))
+        return MachineConfig.summit(nodes=1).override({
+            "memory.allocator": "pool", "memory.pool_slab_bytes": 1 << 20,
+            "memory.pool_max_bytes": 1 << 20})
 
     @pytest.mark.parametrize("model", ["ampi", "openmpi"])
     def test_pool_oom_is_mpi_comm_error_with_no_memory_status(self, model):

@@ -89,7 +89,7 @@ def test_pooled_shuffle_leaves_no_cyclic_garbage(model):
 
 
 def test_multirail_bandwidth_leaves_no_cyclic_garbage():
-    sess = api.session(_two_nodes().with_multirail()).model("ampi").build()
+    sess = api.session(_two_nodes().override({"multirail.enabled": True})).model("ampi").build()
     n = cyclic_garbage(sess, lambda s: run_bandwidth(
         "ampi", 4 * MB, "intra", True, session=s, loops=2, skip=1, window=16))
     assert sess.counters["ucx.rail.striped"] > 0

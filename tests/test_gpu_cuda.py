@@ -173,7 +173,7 @@ class TestGdrCopy:
     def test_disabled_raises(self):
         from repro.hardware.gdrcopy import GdrCopy
 
-        m = Machine(MachineConfig.summit(nodes=1).without_gdrcopy())
+        m = Machine(MachineConfig.summit(nodes=1).with_ucx(gdrcopy_enabled=False))
         g = GdrCopy(m.sim, m.cfg.ucx)
         assert not g.available
         with pytest.raises(RuntimeError):

@@ -94,7 +94,7 @@ class TestConfigurationAblations:
         base = run_latency("charm", 64, "intra", True, MachineConfig.summit(nodes=2),
                            iters=5, skip=1)
         nogdr = run_latency("charm", 64, "intra", True,
-                            MachineConfig.summit(nodes=2).without_gdrcopy(), iters=5, skip=1)
+                            MachineConfig.summit(nodes=2).with_ucx(gdrcopy_enabled=False), iters=5, skip=1)
         assert nogdr > 2 * base
 
     def test_custom_tag_split_works_end_to_end(self):

@@ -33,7 +33,7 @@ NVLINK_CEILING_GBS = 42.1
 
 def _cfg(nodes=2, **mr):
     cfg = MachineConfig.summit(nodes=nodes)
-    return cfg.with_multirail(**mr) if mr else cfg
+    return cfg.override({f"multirail.{k}": v for k, v in mr.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +64,13 @@ class TestMultirailConfig:
             _cfg(enabled=True, window=0)
 
     def test_builder_and_build_kwarg(self):
-        sess = api.session(_cfg()).multirail(chunk_bytes=256 * KB).build()
+        sess = api.session(_cfg()).set({"multirail.enabled": True,
+                                        "multirail.chunk_bytes": 256 * KB}).build()
         assert sess.config.multirail.enabled
         assert sess.config.multirail.chunk_bytes == 256 * KB
-        sess = api.build(_cfg(), "ampi", n_ranks=2, multirail=True)
-        assert sess.config.multirail.enabled
-        sess = api.build(_cfg(), "ampi", n_ranks=2,
-                         multirail={"max_rails": 3})
-        assert sess.config.multirail.enabled
+        sess = (api.session(_cfg(enabled=True)).model("ampi").ranks(2)
+                .set("multirail.max_rails=3", "multirail.enabled=false").build())
         assert sess.config.multirail.max_rails == 3
-        sess = api.build(_cfg(), "ampi", n_ranks=2, multirail=False)
         assert not sess.config.multirail.enabled
 
 
@@ -203,7 +200,7 @@ def test_multirail_off_bit_identical_to_seed(model):
     """An explicit ``multirail(False)`` config — the default — produces the
     seed fingerprint bit-for-bit (extends the test_obs_golden pattern)."""
     seed = _bw_fingerprint(_cfg(), model)
-    off = _bw_fingerprint(_cfg().with_multirail(False), model)
+    off = _bw_fingerprint(_cfg(enabled=False), model)
     assert off == seed
     assert not any(k.startswith("ucx.rail") for k in seed["counters"])
 
@@ -223,7 +220,7 @@ def test_striped_interleaving_deterministic():
     same clocks, same events, same rail counters, same span tree."""
 
     def run():
-        sess = api.session(_cfg(enabled=True).with_trace(True)).model("ampi").build()
+        sess = api.session(_cfg(enabled=True)).model("ampi").trace().build()
         bw = run_bandwidth("ampi", 4 * MB, "intra", True, session=sess,
                            loops=2, skip=1, window=8)
         spans = [(s.category, s.name, s.start, s.end_time,
@@ -251,9 +248,7 @@ def test_enabled_observation_fingerprint(observe):
     run fingerprints identically with observation on and off."""
 
     def fp(on):
-        cfg = _cfg(enabled=True)
-        cfg = getattr(cfg, f"with_{observe}")(on)
-        return _bw_fingerprint(cfg, "ampi")
+        return _bw_fingerprint(_cfg(enabled=True).override({observe: on}), "ampi")
 
     off, on = fp(False), fp(True)
     assert on == off

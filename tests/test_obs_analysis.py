@@ -29,7 +29,7 @@ EAGER_SIZE = 256
 
 
 def make_layer(nodes=1):
-    m = Machine(MachineConfig.summit(nodes=nodes).with_flight(True))
+    m = Machine(MachineConfig.summit(nodes=nodes).override({"flight": True}))
     n = m.cfg.topology.total_gpus
     pe_node = [m.node_of_gpu(g) for g in range(n)]
     layer = UcxMachineLayer(m, n, pe_node)
@@ -289,8 +289,8 @@ class TestCriticalPathSynthetic:
 
 class TestEndToEndBlame:
     def test_ampi_rndv_blame_and_posting(self):
-        cfg = MachineConfig.summit(nodes=2).with_trace(True).with_flight(True)
-        sess = api.session(cfg).model("ampi").build()
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .trace().flight().build())
         run_latency("ampi", 64 * KB, "inter", True, session=sess,
                     iters=4, skip=1)
         report = sess.critical_path()
@@ -307,8 +307,8 @@ class TestEndToEndBlame:
         assert recs and all(r.complete and r.protocol == "rndv" for r in recs)
 
     def test_eager_workload_has_zero_posting_cost(self):
-        cfg = MachineConfig.summit(nodes=2).with_flight(True)
-        sess = api.session(cfg).model("ampi").build()
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .flight().build())
         run_latency("ampi", 8, "intra", True, session=sess, iters=4, skip=1)
         agg = sess.flight_summary()
         assert agg["by_protocol"]["eager"]["n"] > 0

@@ -73,8 +73,8 @@ for _model in ("charm", "ampi", "openmpi", "charm4py"):
 
 def _run(shape, on):
     model, run, _size = SHAPES[shape]
-    cfg = (MachineConfig.summit(nodes=2).with_trace("trace" in on)
-           .with_flight("flight" in on).with_telemetry("telemetry" in on))
+    cfg = MachineConfig.summit(nodes=2).override(
+        {switch: switch in on for switch in ("trace", "flight", "telemetry")})
     sess = api.session(cfg).model(model).build()
     fingerprint = run(sess)
     fingerprint.update(now=sess.now, event_count=sess.sim.event_count,

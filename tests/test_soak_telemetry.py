@@ -33,7 +33,8 @@ def _soak_config(telemetry):
            .with_pool(True)
            .with_faults(FaultPlan.lossy(drop_p=0.05, seed=11)))
     if telemetry:
-        cfg = cfg.with_telemetry(True, capacity=SOAK_CAPACITY)
+        cfg = cfg.override({"telemetry": True,
+                            "telemetry_capacity": SOAK_CAPACITY})
     return cfg
 
 

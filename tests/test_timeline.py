@@ -94,7 +94,7 @@ def test_capacity_validation():
     with pytest.raises(ValueError):
         TimeSeries("s", capacity=0)
     with pytest.raises(ValueError):
-        MachineConfig.summit(nodes=1).with_telemetry(True, capacity=0)
+        MachineConfig.summit(nodes=1).override({"telemetry_capacity": 0})
 
 
 def test_percentile_and_stats_shape():
@@ -152,9 +152,8 @@ def test_reset_clears_series():
 
 # -- counter-event export round trip (satellite: validator accepts "C") ------
 def _telemetry_session():
-    cfg = (MachineConfig.summit(nodes=2).with_telemetry(True)
-           .with_trace(True))
-    sess = api.session(cfg).model("openmpi").ranks(4).build()
+    sess = (api.session(MachineConfig.summit(nodes=2)).model("openmpi")
+            .telemetry().trace().ranks(4).build())
     size = 32 * 1024
 
     def program(mpi):

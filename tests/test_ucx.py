@@ -222,7 +222,7 @@ class TestEagerDevice:
 
         base = MachineConfig.summit(nodes=2)
         with_gdr = run(base)
-        without = run(base.without_gdrcopy())
+        without = run(base.with_ucx(gdrcopy_enabled=False))
         assert without > 3 * with_gdr  # the paper: detection is essential
 
 
@@ -414,9 +414,9 @@ class TestPoolFreeHooks:
     die only on a real free — a pool trim."""
 
     def _pooled_pair(self):
-        cfg = (MachineConfig.summit(nodes=1)
-               .with_pool(True, pool_slab_bytes=4 * MB)
-               .with_ucx(mapping_cost=1e-5))
+        cfg = MachineConfig.summit(nodes=1).override({
+            "memory.allocator": "pool", "memory.pool_slab_bytes": 4 * MB,
+            "ucx.mapping_cost": 1e-5})
         return make_pair(config=cfg)
 
     def _transfer(self, m, wa, wb, src, dst, size, tag):
@@ -548,7 +548,7 @@ class TestChunkedMappingAccounting:
 
         base = MachineConfig.summit(nodes=1).with_ucx(mapping_cost=1e-5)
         single_news, single_striped = news(base)
-        striped_news, striped_striped = news(base.with_multirail())
+        striped_news, striped_striped = news(base.override({"multirail.enabled": True}))
         assert single_striped == 0 and striped_striped == 1
         # 8 chunks over 2 rails, same two first touches (src via the IPC
         # open, dst registered back for the FIN'd direct copy)

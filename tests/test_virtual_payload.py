@@ -19,7 +19,7 @@ from repro.hardware.topology import Machine
 
 
 def _jacobi_fingerprint(cfg):
-    sess = api.session(cfg.with_flight(True)).model("charm").build()
+    sess = api.session(cfg).model("charm").flight().build()
     r = run_jacobi("charm", nodes=cfg.topology.nodes, scaling="weak",
                    iters=2, warmup=1, session=sess)
     fp = sess.baseline_fingerprint()
@@ -41,7 +41,7 @@ def test_osu_latency_identical_under_virtual_payload(model, placement, size):
     # small messages materialize by default, so this exercises the case
     # where virtual mode actually changes the allocation decision
     def fingerprint(cfg):
-        sess = api.session(cfg.with_flight(True)).model(model).build()
+        sess = api.session(cfg).model(model).flight().build()
         lat = run_latency(model, size, placement, True, session=sess,
                           iters=6, skip=2)
         fp = sess.baseline_fingerprint()
