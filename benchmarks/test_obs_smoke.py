@@ -7,8 +7,6 @@ covering the machine layer, the UCX protocol layer, and the model layer —
 the structure §IV-B1's overhead-anatomy attribution depends on.
 """
 
-import json
-
 import repro.api as api
 from repro.apps.osu.runner import run_latency
 from repro.config import MachineConfig
@@ -17,7 +15,7 @@ from repro.obs import validate_chrome_trace
 SIZES = (8, 4096, 256 * 1024)  # eager small, eager large, rendezvous
 
 
-def test_traced_osu_sweep_exports_valid_timeline(tmp_path):
+def test_traced_osu_sweep_exports_valid_timeline(tmp_path, strict_loads):
     sess = api.session(MachineConfig.summit(nodes=2)).model("ampi").trace().build()
     for size in SIZES:
         lat = run_latency("ampi", size, "inter", True, session=sess,
@@ -25,7 +23,9 @@ def test_traced_osu_sweep_exports_valid_timeline(tmp_path):
         assert lat > 0
 
     path = sess.export_chrome_trace(tmp_path / "osu_ampi.json")
-    trace = json.loads(path.read_text())
+    text = path.read_bytes()
+    assert text.isascii()
+    trace = strict_loads(text)
     info = validate_chrome_trace(trace)
     assert info["n_spans"] > 0 and info["n_tracks"] >= 1
 

@@ -12,8 +12,6 @@ Three acceptance checks ride here:
   churn in the ``ucx.ep_evictions`` gauge.
 """
 
-import json
-
 import repro.api as api
 from repro.apps.osu.runner import run_bandwidth
 from repro.apps.shuffle.driver import run_shuffle
@@ -24,7 +22,7 @@ from repro.obs import validate_chrome_trace
 SHUFFLE_NODES = 11
 
 
-def test_shuffle_telemetry_exports_counter_tracks(tmp_path):
+def test_shuffle_telemetry_exports_counter_tracks(tmp_path, strict_loads):
     cfg = MachineConfig.summit(nodes=SHUFFLE_NODES).with_pool(True)
     sess = (api.session(cfg).model("ampi").telemetry().trace()
             .ranks(cfg.topology.total_gpus).build())
@@ -32,7 +30,9 @@ def test_shuffle_telemetry_exports_counter_tracks(tmp_path):
     assert result.plan.n_ranks >= 64
 
     path = sess.export_chrome_trace(tmp_path / "shuffle_telemetry.json")
-    info = validate_chrome_trace(json.loads(path.read_text()))
+    text = path.read_bytes()
+    assert text.isascii()
+    info = validate_chrome_trace(strict_loads(text))
     assert info["n_counter_events"] > 0
     assert len(info["counter_series"]) >= 6
     # the counter tracks span every instrumented subsystem
@@ -45,6 +45,9 @@ def test_shuffle_telemetry_exports_counter_tracks(tmp_path):
 
     doc = sess.timeline()
     assert format_summary(doc).count("\n") >= 6
+    timeline_text = sess.export_timeline(tmp_path / "timeline.json").read_bytes()
+    assert timeline_text.isascii()
+    assert strict_loads(timeline_text) == doc
 
 
 def test_intra_node_sweep_blames_nvlink():

@@ -1,4 +1,5 @@
-"""Repo-wide pytest configuration: a per-test wall-clock ceiling.
+"""Repo-wide pytest configuration: a per-test wall-clock ceiling, and the
+strict JSON reader the export tests share.
 
 A hung simulation (an event loop that never drains, a deadlocked generator
 program) would otherwise stall the whole tier-1 run.  ``pytest-timeout`` is
@@ -9,6 +10,7 @@ and can be overridden per-invocation with ``REPRO_TEST_TIMEOUT=<seconds>``
 (``0`` disables, e.g. for debugging under a debugger).
 """
 
+import json
 import os
 import signal
 import threading
@@ -52,3 +54,14 @@ def _per_test_timeout(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name!r} in an exported file")
+
+
+@pytest.fixture(scope="session")
+def strict_loads():
+    """``json.loads`` that refuses ``Infinity``/``-Infinity``/``NaN``: they
+    are not JSON, Perfetto rejects them, and no exporter may write them."""
+    return lambda text: json.loads(text, parse_constant=_reject_constant)

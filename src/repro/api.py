@@ -28,6 +28,7 @@ programming models themselves.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -125,10 +126,8 @@ class Session:
     def export_timeline(self, path: Union[str, Path]) -> Path:
         """Write :meth:`timeline` as JSON to ``path`` (the format
         ``python -m repro.bench.timeline summary`` reads)."""
-        import json
-
         path = Path(path)
-        path.write_text(json.dumps(self.timeline()))
+        path.write_text(json.dumps(self.timeline()), encoding="ascii")
         return path
 
     def congestion_report(self, top_n: int = 5) -> CongestionReport:

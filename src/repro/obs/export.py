@@ -17,9 +17,11 @@ Chrome trace viewer expects).
 from __future__ import annotations
 
 import json
-from heapq import merge
+import math
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.tracing import Tracer
 
@@ -30,9 +32,43 @@ __all__ = [
     "validate_chrome_trace",
 ]
 
+_strict = json.JSONEncoder(allow_nan=False).encode
 
-def _span_events_by_lane(tracer: Tracer) -> List[List[Dict]]:
-    spans = sorted(tracer.spans, key=lambda s: (s.start, s.sid))
+
+def _finite(value):
+    """``value`` with each non-finite float, top level or nested, replaced by
+    the string ``"inf"`` / ``"-inf"`` / ``"nan"``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _encode(value) -> str:
+    """``json.dumps(value)``, except that ``Infinity``/``NaN`` (which are not
+    JSON and which Perfetto rejects) are never written: the stdlib encoder
+    refuses them and only then is the value rewritten by :func:`_finite`."""
+    try:
+        return _strict(value)
+    except ValueError:
+        return _strict(_finite(value))
+
+
+def _events(tracer: Tracer) -> Tuple[int, List[Tuple[float, str]]]:
+    """The number of lanes and every ``B``/``E``/``C`` event as ``(ts_us,
+    text)`` in file order, ``text`` being ``", "`` plus the event's JSON.
+
+    Each event is rendered once: the ``{"name": .., "cat": .., "ph": `` head
+    per distinct ``(name, category)`` and each attribute key are encoded once
+    and reused, ``ts`` is ``float.__repr__`` (what the stdlib encoder calls),
+    ``int`` values are ``str`` and every other value goes through
+    :func:`_encode`.  Attribute keys are strings (they arrive as keyword
+    names).
+    """
+    spans = sorted(tracer.spans, key=attrgetter("start", "sid"))
     # Spans still open at export time are exported as if they ended at the
     # latest known instant (never before their own start), flagged with
     # args["incomplete"] — deterministic and always stack-balanced, instead
@@ -41,110 +77,99 @@ def _span_events_by_lane(tracer: Tracer) -> List[List[Dict]]:
     for sp in spans:
         t_max = max(t_max, sp.start,
                     sp.end_time if sp.end_time is not None else sp.start)
-    # per lane: parallel lists of event dicts and a stack of (span, end) still open
-    lane_events: List[List[Dict]] = []
+    heads: Dict[Tuple[str, str], str] = {}
+    keys: Dict[str, str] = {}
+    # per lane: its events, its `"pid", "tid"` text and a stack of
+    # (rendered E event, end) for the spans still open
+    lane_events: List[List[Tuple[float, str]]] = []
+    lane_tails: List[str] = []
     lane_stacks: List[List[tuple]] = []
-
-    def _emit(lane: int, ph: str, span, ts: float) -> None:
-        ev = {
-            "name": span.name,
-            "cat": span.category,
-            "ph": ph,
-            "ts": ts * 1e6,
-            "pid": 0,
-            "tid": lane,
-        }
-        if ph == "B":
-            args = dict(span.attrs)
-            args["sid"] = span.sid
-            if span.parent_sid >= 0:
-                args["parent_sid"] = span.parent_sid
-            if span.end_time is None:
-                args["incomplete"] = True
-            ev["args"] = args
-        lane_events[lane].append(ev)
-
     for sp in spans:
         start = sp.start
         end = sp.end_time if sp.end_time is not None else max(start, t_max)
-        placed = False
         for lane, stack in enumerate(lane_stacks):
             # close spans that ended at or before this start
             while stack and stack[-1][1] <= start:
-                done, done_end = stack.pop()
-                _emit(lane, "E", done, done_end)
+                lane_events[lane].append(stack.pop()[0])
             if not stack or stack[-1][1] >= end:
-                _emit(lane, "B", sp, start)
-                stack.append((sp, end))
-                placed = True
                 break
-        if not placed:
+        else:
+            lane = len(lane_stacks)
+            stack = []
+            lane_stacks.append(stack)
             lane_events.append([])
-            lane_stacks.append([])
-            lane = len(lane_stacks) - 1
-            _emit(lane, "B", sp, start)
-            lane_stacks[lane].append((sp, end))
+            lane_tails.append(f', "pid": 0, "tid": {lane}')
+        head = heads.get((sp.name, sp.category))
+        if head is None:
+            head = heads[sp.name, sp.category] = (
+                f', {{"name": {_encode(sp.name)}, "cat": '
+                f'{_encode(sp.category)}, "ph": ')
+        tail = lane_tails[lane]
+        args = dict(sp.attrs)
+        args["sid"] = sp.sid
+        if sp.parent_sid >= 0:
+            args["parent_sid"] = sp.parent_sid
+        if sp.end_time is None:
+            args["incomplete"] = True
+        parts = []
+        for key, value in args.items():
+            key_text = keys.get(key)
+            if key_text is None:
+                key_text = keys[key] = _encode(key) + ": "
+            parts.append(
+                key_text + (str(value) if type(value) is int else _encode(value)))
+        start_us = start * 1e6
+        lane_events[lane].append((
+            start_us,
+            f'{head}"B", "ts": {start_us!r}{tail}, "args": '
+            f'{{{", ".join(parts)}}}}}'))
+        end_us = end * 1e6
+        stack.append(((end_us, f'{head}"E", "ts": {end_us!r}{tail}}}'), end))
+    events: List[Tuple[float, str]] = []
     for lane, stack in enumerate(lane_stacks):
+        events += lane_events[lane]
         while stack:
-            done, done_end = stack.pop()
-            _emit(lane, "E", done, done_end)
-    return lane_events
+            events.append(stack.pop()[0])
+    # Telemetry series as counter (``"ph": "C"``) events — one Perfetto
+    # counter track per series, rendered alongside the span lanes.
+    timeline = tracer.timeline
+    if timeline.enabled:
+        for name in sorted(timeline.series):
+            head = (f', {{"name": {_encode(name)}, "cat": "telemetry", '
+                    f'"ph": "C", "ts": ')
+            for t, value in timeline.series[name].points():
+                t_us = t * 1e6
+                text = str(value) if type(value) is int else _encode(value)
+                events.append((
+                    t_us,
+                    f'{head}{t_us!r}, "pid": 0, "tid": 0, "args": '
+                    f'{{"value": {text}}}}}'))
+    # Every lane and every series is already in time order, so one stable
+    # sort is a merge: ties go to the earlier lane, counters last, and the
+    # order inside a lane or series is kept.
+    events.sort(key=itemgetter(0))
+    return len(lane_stacks), events
 
 
-def _counter_events(tracer: Tracer) -> List[Dict]:
-    """Telemetry series as Chrome-trace counter (``"ph": "C"``) events —
-    one Perfetto counter track per series, rendered alongside the span
-    lanes.  Empty when telemetry is disabled."""
-    timeline = getattr(tracer, "timeline", None)
-    if timeline is None or not timeline.enabled:
-        return []
-    out: List[Dict] = []
-    for name in sorted(timeline.series):
-        ts = timeline.series[name]
-        for t, v in ts.points():
-            out.append({
-                "name": name,
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": t * 1e6,
-                "pid": 0,
-                "tid": 0,
-                "args": {"value": v},
-            })
-    out.sort(key=lambda e: e["ts"])
-    return out
+def _pieces(tracer: Tracer, process_name: str) -> Iterator[str]:
+    """The Chrome-trace JSON document as consecutive pieces of text."""
+    n_lanes, events = _events(tracer)
+    meta = [{"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+             "args": {"name": process_name}}]
+    for lane in range(n_lanes):
+        meta.append({"name": "thread_name", "ph": "M", "pid": 0, "tid": lane,
+                     "args": {"name": f"lane {lane}"}})
+    metrics = _encode({"metrics": tracer.metrics.snapshot()})
+    return chain(
+        ('{"traceEvents": [' + ", ".join(map(_encode, meta)),),
+        map(itemgetter(1), events),
+        (f'], "displayTimeUnit": "ns", "otherData": {metrics}}}',))
 
 
 def chrome_trace(tracer: Tracer, process_name: str = "repro-sim") -> Dict:
-    """Render the tracer's span tree as a Chrome trace-event JSON dict."""
-    lane_events = _span_events_by_lane(tracer)
-    meta: List[Dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for lane in range(len(lane_events)):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": lane,
-                "args": {"name": f"lane {lane}"},
-            }
-        )
-    events = meta + list(
-        merge(*lane_events, _counter_events(tracer), key=lambda e: e["ts"])
-    )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"metrics": tracer.metrics.snapshot()},
-    }
+    """The tracer's span tree as a Chrome trace-event JSON dict: what
+    :func:`export_chrome_trace` writes, parsed."""
+    return json.loads("".join(_pieces(tracer, process_name)))
 
 
 def export_chrome_trace(
@@ -152,7 +177,8 @@ def export_chrome_trace(
 ) -> Path:
     """Write the Chrome-trace JSON to ``path`` and return it."""
     path = Path(path)
-    path.write_text(json.dumps(chrome_trace(tracer, process_name=process_name)))
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(_pieces(tracer, process_name))
     return path
 
 
@@ -163,9 +189,9 @@ def metrics_snapshot(tracer: Tracer) -> Dict:
 
 
 def validate_chrome_trace(trace: Dict) -> Dict:
-    """Validate a Chrome-trace dict: required keys, monotone ``ts``,
+    """Validate a Chrome-trace dict: required keys, finite monotone ``ts``,
     matched ``B``/``E`` pairs per ``(pid, tid)`` track, and well-formed
-    counter (``C``) events (numeric ``args`` values).  Returns summary
+    counter (``C``) events (finite numeric ``args`` values).  Returns summary
     stats; raises :class:`ValueError` on any violation.
 
     Deterministic by construction: an empty trace validates (all-zero
@@ -204,6 +230,10 @@ def validate_chrome_trace(trace: Dict) -> Dict:
             raise ValueError(
                 f"event {i}: 'ts' must be a number, got {ts!r}"
             )
+        if not math.isfinite(ts):
+            # also: NaN compares False both ways and would pass the
+            # monotone check below
+            raise ValueError(f"event {i}: 'ts' must be finite, got {ts!r}")
         if last_ts is not None and ts < last_ts:
             raise ValueError(
                 f"event {i}: non-monotone ts ({ts} after {last_ts})"
@@ -222,6 +252,11 @@ def validate_chrome_trace(trace: Dict) -> Dict:
                     raise ValueError(
                         f"event {i}: counter value {key!r} must be a "
                         f"number, got {value!r}"
+                    )
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"event {i}: counter value {key!r} must be "
+                        f"finite, got {value!r}"
                     )
             counter_series.add(ev["name"])
             n_counters += 1

@@ -7,7 +7,10 @@ shuffle, under ``sys.setprofile``, count the Python-level calls, divide by
 machine, so the bound sits a few percent above today's value and fails the
 day a per-message closure, property or event hop creeps back in.  The
 shuffle is measured at two scales: contention grows with the machine, cost
-per event must not.
+per event must not.  Observation is held the same way on the 8-node traced,
+flight-recorded, telemetry-on Jacobi3D the repo benchmark's ``observed_report``
+runs: calls per exported Chrome-trace event, and calls per recorded span
+(observed run minus the same run unobserved).
 
 Three source rules keep the three cheapest regressions from being written at
 all: scheduling through ``schedule`` and dropping the ``Handle`` (use
@@ -16,6 +19,7 @@ a ``Timeout`` only to yield it (yield the delay).
 """
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -40,8 +44,15 @@ BUDGET = {"ampi": (20.94, 21.55), "charm4py": (19.15, 19.7)}
 #: these were 25.36 and 30.90: cost per event grew with contention.
 SHUFFLE_BUDGET = {2: (21.75, 22.4), 4: (21.56, 22.2)}
 
+#: 8 nodes, 1 warm-up + 3 timed iterations, trace + flight + telemetry.
+#: Exported: 38 189 trace events; with one dict per event, a Python-keyed
+#: ``heapq.merge`` and ``json.dumps`` this was 3.37.  Recorded: 14 144 spans;
+#: no change has targeted the recording side, the pin keeps it from creeping.
+EXPORT_BUDGET = (0.89, 0.92)
+RECORD_BUDGET = (9.41, 9.7)
 
-def _calls_per_event(sess, run) -> float:
+
+def _python_calls(run) -> int:
     calls = 0
 
     def count(_frame, event, _arg):
@@ -49,12 +60,17 @@ def _calls_per_event(sess, run) -> float:
         if event == "call":
             calls += 1
 
-    before = sess.sim.event_count
     sys.setprofile(count)
     try:
-        run(sess)
+        run()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def _calls_per_event(sess, run) -> float:
+    before = sess.sim.event_count
+    calls = _python_calls(lambda: run(sess))
     return calls / (sess.sim.event_count - before)
 
 
@@ -95,6 +111,39 @@ def test_shuffle_calls_per_event_stay_in_budget_and_flat_with_scale():
     assert per_event[4] <= 1.03 * per_event[2], (
         f"cost per event grows with contention again: {per_event[2]:.2f} at "
         f"2 nodes, {per_event[4]:.2f} at 4")
+
+
+def _observed_jacobi_calls(observed: bool):
+    builder = api.session(
+        MachineConfig.summit(nodes=8).with_virtual_payload()).model("ampi")
+    if observed:
+        builder = builder.trace().flight().telemetry()
+    sess = builder.build()
+    return sess, _python_calls(lambda: run_jacobi(
+        "ampi", nodes=8, scaling="weak", iters=3, warmup=1, session=sess))
+
+
+def test_observation_calls_per_span_and_per_exported_event(tmp_path):
+    _, unobserved = _observed_jacobi_calls(False)
+    sess, observed = _observed_jacobi_calls(True)
+    per_span = (observed - unobserved) / len(sess.tracer.spans)
+    measured, bound = RECORD_BUDGET
+    print(f"recording: {per_span:.2f} Python calls/span "
+          f"(pinned {measured}, bound {bound})")
+    assert per_span <= bound, (
+        f"observing a run now costs {per_span:.2f} Python calls per recorded "
+        f"span (budget {bound})")
+
+    path = tmp_path / "trace.json"
+    calls = _python_calls(lambda: sess.export_chrome_trace(path))
+    n_events = len(json.loads(path.read_bytes())["traceEvents"])
+    per_exported = calls / n_events
+    measured, bound = EXPORT_BUDGET
+    print(f"export: {per_exported:.2f} Python calls/trace event "
+          f"(pinned {measured}, bound {bound})")
+    assert per_exported <= bound, (
+        f"the Chrome-trace writer now costs {per_exported:.2f} Python calls "
+        f"per exported event (budget {bound}): something per-event grew")
 
 
 def _parsed_sources():
