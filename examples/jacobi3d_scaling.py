@@ -12,6 +12,7 @@ Run:  python examples/jacobi3d_scaling.py
 
 import numpy as np
 
+import repro.api as api
 from repro.apps.jacobi3d import Decomposition, jacobi_reference_step, run_jacobi
 from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.common import initial_field
@@ -22,8 +23,9 @@ def verify_small_grid():
     """Functional check: the distributed sweep equals the serial one."""
     domain = (12, 12, 12)
     decomp = Decomposition.create(domain, 6)
-    col = run_charm_jacobi(MachineConfig.summit(nodes=1), decomp, gpu_aware=True,
-                           iters=3, warmup=0, functional=True)
+    sess = api.session(MachineConfig.summit(nodes=1)).model("charm").build()
+    col = run_charm_jacobi(sess, decomp, gpu_aware=True, iters=3, warmup=0,
+                           functional=True)
     got = col.assemble(decomp)
 
     u = np.zeros(tuple(d + 2 for d in domain))

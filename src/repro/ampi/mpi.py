@@ -16,6 +16,9 @@ Send path of a device buffer (paper Fig. 7):
 Host buffers below the eager threshold travel inline in the envelope;
 larger ones use a Zero-Copy-API-style rendezvous (envelope eagerly, data
 fetched after the match, FIN back to the sender).
+
+That wire protocol is what :class:`AmpiRank` and :class:`CommView` add to
+:class:`MpiRank`, the rank surface they share with OpenMPI's ranks.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ from repro.collectives.ops import ReduceOp
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.hardware.links import path_transfer
-from repro.hardware.memory import Buffer
+from repro.hardware.memory import Buffer, OutOfMemory
 from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SENT
 from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
+from repro.ucx.status import UcsStatus
 
 #: Tags at/above this value are reserved for collectives.
 MAX_USER_TAG = 1 << 24
@@ -78,23 +82,137 @@ class MpiCommError(RuntimeError):
 _host_send_ids = itertools.count(1)
 
 
-class _CollectiveApi:
-    """Collectives shared by :class:`AmpiRank` (the world communicator) and
-    :class:`CommView` (sub-communicators); all are used with ``yield from``.
+class MpiRank:
+    """What every MPI rank offers around its library's ``send``/``recv``.
+
+    AMPI and OpenMPI sit on the same UCX stack and differ only in how a
+    message reaches it (paper §IV-B1): an envelope plus a metadata-gated
+    post, or a tagged receive posted directly.  A rank class supplies that
+    difference — ``send``, ``recv`` and ``_coll_endpoint`` (the
+    :mod:`repro.collectives.endpoints` object of one collective invocation)
+    — and its identity: ``rank``, ``size``, ``sim``, ``gpu``, ``node`` and
+    ``charm`` (whose ``.cuda`` and ``.machine`` rank programs use).  The
+    rest is written here once; collectives are used with ``yield from``."""
+
+    _coll_seq = 0
+    _cpu_free = 0.0  # when this rank's core finishes its queued call costs
+
+    def _next_coll_seq(self) -> int:
+        """Per-communicator invocation number; it namespaces a collective's
+        wire tags, so overlapping collectives can never alias."""
+        s = self._coll_seq
+        self._coll_seq = s + 1
+        return s
+
+    def _cpu_delay(self, cost: float) -> float:
+        """Serialise the CPU cost of a non-blocking call: back-to-back
+        Isends from one rank each occupy the core in turn, which is what
+        bounds windowed bandwidth at small message sizes."""
+        now = self.sim.now
+        start = max(now, self._cpu_free)
+        self._cpu_free = start + cost
+        return self._cpu_free - now
+
+    # -- device memory ------------------------------------------------------------
+    def alloc_device(self, nbytes: int,
+                     materialize: Optional[bool] = None) -> Buffer:
+        """Allocate ``nbytes`` on this rank's GPU (through the configured
+        allocator — pooled when ``MemoryConfig.allocator == "pool"``).
+        Exhaustion surfaces as :class:`MpiCommError` with
+        ``ERR_NO_MEMORY``, like any other communication fault."""
+        try:
+            return self.charm.machine.alloc_device(self.gpu, nbytes, materialize)
+        except OutOfMemory as exc:
+            raise MpiCommError(str(exc), UcsStatus.ERR_NO_MEMORY) from exc
+
+    def free_device(self, buf: Buffer) -> None:
+        """Free (or pool-return) a buffer from :meth:`alloc_device`."""
+        self.charm.machine.free_device(buf)
+
+    # -- point-to-point ------------------------------------------------------------
+    def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
+        return MpiRequest(self.send(buf, nbytes, dst, tag), "send")
+
+    def irecv(
+        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> MpiRequest:
+        return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
+
+    def sendrecv(
+        self,
+        sendbuf: Buffer,
+        send_bytes: int,
+        dst: int,
+        recvbuf: Buffer,
+        recv_capacity: int,
+        src: int,
+        sendtag: int = 0,
+        recvtag: int = ANY_TAG,
+    ) -> SimEvent:
+        """``MPI_Sendrecv``: both directions in flight (the receive posted
+        first), completes when both do."""
+        r = self.recv(recvbuf, recv_capacity, src, recvtag)
+        s = self.send(sendbuf, send_bytes, dst, sendtag)
+        return AllOf(self.sim, [s, r])
+
+    def waitall(self, requests: List[MpiRequest]) -> SimEvent:
+        return waitall(self.sim, requests)
+
+    # -- device-buffer collectives (topology-aware algorithm selection) --------------
+    def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
+                     algorithm: Optional[str] = None):
+        return _coll_engine.bcast_device(
+            self._coll_endpoint(), buf, nbytes, root, algorithm
+        )
+
+    def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
+                      root: int = 0, *, algorithm: Optional[str] = None):
+        return _coll_engine.reduce_device(
+            self._coll_endpoint(), buf, nbytes, op, root, algorithm
+        )
+
+    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
+                         algorithm: Optional[str] = None):
+        return _coll_engine.allreduce_device(
+            self._coll_endpoint(), buf, nbytes, op, algorithm
+        )
+
+    def allgather_device(self, buf: Buffer, nbytes: int,
+                         recvbuf: Optional[Buffer] = None, *,
+                         algorithm: Optional[str] = None):
+        return _coll_engine.allgather_device(
+            self._coll_endpoint(), buf, nbytes, recvbuf, algorithm
+        )
+
+
+class MpiJob:
+    """An MPI library object: ``machine``, ``ranks`` and the launch of one
+    program on every rank."""
+
+    _PROCESS: str  # process-name prefix of the rank programs
+
+    def launch(self, program, *args) -> SimEvent:
+        """Start ``program(rank, *args)`` as a process on every rank;
+        returns an event that fires when all rank programs finish."""
+        sim = self.machine.sim
+        procs = [
+            Process(sim, program(r, *args), name=f"{self._PROCESS}.rank{r.rank}")
+            for r in self.ranks
+        ]
+        return AllOf(sim, procs)
+
+
+class _AmpiComm(MpiRank):
+    """An AMPI communicator — the world rank (:class:`AmpiRank`) or a
+    sub-communicator (:class:`CommView`).
 
     Value collectives ride the envelope path via the communicator's
     ``coll_send_value``/``coll_recv_value`` protocol; ``*_device``
     collectives run the topology-aware algorithms of
-    :mod:`repro.collectives` over the GPU point-to-point path.  Each
-    invocation draws a per-communicator sequence number that namespaces its
-    wire tags, so overlapping collectives can never alias."""
+    :mod:`repro.collectives` over the GPU point-to-point path."""
 
-    _coll_seq = 0
-
-    def _next_coll_seq(self) -> int:
-        s = self._coll_seq
-        self._coll_seq = s + 1
-        return s
+    def _coll_endpoint(self) -> AmpiCollEndpoint:
+        return AmpiCollEndpoint(self)
 
     # -- host-value collectives -----------------------------------------------------
     def barrier(self):
@@ -121,34 +239,8 @@ class _CollectiveApi:
     def alltoall(self, values: List[Any], nbytes: int = 8):
         return _coll_value.alltoall(self, values, nbytes)
 
-    # -- device-buffer collectives (topology-aware algorithm selection) --------------
-    def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
-                     algorithm: Optional[str] = None):
-        return _coll_engine.bcast_device(
-            AmpiCollEndpoint(self), buf, nbytes, root, algorithm
-        )
 
-    def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
-                      root: int = 0, *, algorithm: Optional[str] = None):
-        return _coll_engine.reduce_device(
-            AmpiCollEndpoint(self), buf, nbytes, op, root, algorithm
-        )
-
-    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allreduce_device(
-            AmpiCollEndpoint(self), buf, nbytes, op, algorithm
-        )
-
-    def allgather_device(self, buf: Buffer, nbytes: int,
-                         recvbuf: Optional[Buffer] = None, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allgather_device(
-            AmpiCollEndpoint(self), buf, nbytes, recvbuf, algorithm
-        )
-
-
-class AmpiRank(_CollectiveApi):
+class AmpiRank(_AmpiComm):
     """One MPI rank (a chare on some PE).  All communication methods return
     yieldable events or :class:`MpiRequest` handles; rank *programs* are
     generator functions driven by the simulator."""
@@ -163,16 +255,6 @@ class AmpiRank(_CollectiveApi):
         self.matching.unexpected.depth_probe = tracer.queue_probe(
             "matchq.ampi.unexpected")
         self._seq_to: Dict[int, int] = {}
-        self._cpu_free = 0.0  # serialises per-call CPU costs of nb ops
-
-    def _cpu_delay(self, cost: float) -> float:
-        """Serialise the CPU cost of a non-blocking call: back-to-back
-        Isends from one rank each occupy the core in turn, which is what
-        bounds windowed bandwidth at small message sizes."""
-        now = self.sim.now
-        start = max(now, self._cpu_free)
-        self._cpu_free = start + cost
-        return self._cpu_free - now
 
     # -- identity ---------------------------------------------------------------
     @property
@@ -195,63 +277,17 @@ class AmpiRank(_CollectiveApi):
     def node(self) -> int:
         return self.charm.pe_object(self.pe).node
 
-    # -- device memory ------------------------------------------------------------
-    def alloc_device(self, nbytes: int,
-                     materialize: Optional[bool] = None) -> Buffer:
-        """Allocate ``nbytes`` on this rank's GPU (through the configured
-        allocator — pooled when ``MemoryConfig.allocator == "pool"``).
-        Exhaustion surfaces as :class:`MpiCommError` with
-        ``ERR_NO_MEMORY``, like any other communication fault."""
-        from repro.hardware.memory import OutOfMemory
-        from repro.ucx.status import UcsStatus
-
-        try:
-            return self.charm.machine.alloc_device(self.gpu, nbytes, materialize)
-        except OutOfMemory as exc:
-            raise MpiCommError(str(exc), UcsStatus.ERR_NO_MEMORY) from exc
-
-    def free_device(self, buf: Buffer) -> None:
-        """Free (or pool-return) a buffer from :meth:`alloc_device`."""
-        self.charm.machine.free_device(buf)
-
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         """``MPI_Send`` (yield the returned event to block until the buffer
         is reusable)."""
         return self._send_impl(buf, nbytes, dst, tag, comm=0)
 
-    def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
-        return MpiRequest(self._send_impl(buf, nbytes, dst, tag, comm=0), "send")
-
     def recv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> SimEvent:
         """``MPI_Recv`` (yield to block; the event's value is the status)."""
         return self._recv_impl(buf, capacity, src, tag, comm=0)
-
-    def irecv(
-        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> MpiRequest:
-        return MpiRequest(self._recv_impl(buf, capacity, src, tag, comm=0), "recv")
-
-    def sendrecv(
-        self,
-        sendbuf: Buffer,
-        send_bytes: int,
-        dst: int,
-        recvbuf: Buffer,
-        recv_capacity: int,
-        src: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> SimEvent:
-        """``MPI_Sendrecv``: both directions in flight, completes when both do."""
-        r = self._recv_impl(recvbuf, recv_capacity, src, recvtag, comm=0)
-        s = self._send_impl(sendbuf, send_bytes, dst, sendtag, comm=0)
-        return AllOf(self.sim, [s, r])
-
-    def waitall(self, requests: List[MpiRequest]) -> SimEvent:
-        return waitall(self.sim, requests)
 
     def send_typed(
         self, buf: Buffer, count: int, datatype: Datatype, dst: int, tag: int = 0
@@ -264,13 +300,6 @@ class AmpiRank(_CollectiveApi):
         tag: int = ANY_TAG,
     ) -> SimEvent:
         return self.recv(buf, datatype.bytes_for(count), src, tag)
-
-    # -- value-based internals (collectives ride on these) -------------------------
-    def send_value(self, value: Any, nbytes: int, dst: int, tag: int, comm: int = 0) -> SimEvent:
-        return self._send_impl(None, nbytes, dst, tag, comm, value=value)
-
-    def recv_value(self, src: int, tag: int, comm: int = 0) -> SimEvent:
-        return self._recv_impl(None, 1 << 62, src, tag, comm)
 
     # -- collective wire protocol (repro.collectives rides on these) ----------------
     def coll_send_value(self, value: Any, nbytes: int, dst: int, tag: int) -> SimEvent:
@@ -446,8 +475,10 @@ class AmpiRank(_CollectiveApi):
         return ev
 
 
-class Ampi:
+class Ampi(MpiJob):
     """One AMPI job over a :class:`Charm` runtime."""
+
+    _PROCESS = "ampi"
 
     def __init__(
         self,
@@ -485,18 +516,8 @@ class Ampi:
         for cache in self.gpu_caches:
             cache.invalidate(buf.address)
 
-    # -- launch --------------------------------------------------------------------
     def rank_pe(self, rank: int) -> int:
         return self.ranks[rank].pe
-
-    def launch(self, program, *args) -> SimEvent:
-        """Start ``program(rank, *args)`` as a process on every rank;
-        returns an event that fires when all rank programs finish."""
-        procs = [
-            Process(self.charm.sim, program(r, *args), name=f"ampi.rank{r.rank}")
-            for r in self.ranks
-        ]
-        return AllOf(self.charm.sim, procs)
 
     # -- envelope transport -----------------------------------------------------------
     def _send_envelope(self, src_pe: int, env: AmpiEnvelope, host_bytes: int) -> None:
@@ -637,13 +658,14 @@ class Ampi:
         req.event.succeed(status)
 
 
-class CommView(_CollectiveApi):
+class CommView(_AmpiComm):
     """A sub-communicator view produced by :meth:`AmpiRank.comm_split`.
 
-    Exposes rank/size, point-to-point and the full collective API
-    (:class:`_CollectiveApi`) in the sub-communicator's rank space;
-    messages travel with the sub-communicator's context id, so they
-    never match world-communicator traffic.
+    Exposes the whole rank surface (:class:`MpiRank`) and the value
+    collectives in the sub-communicator's rank space; messages travel with
+    the sub-communicator's context id, so they never match
+    world-communicator traffic.  Identity (``sim``, ``charm``, ``gpu``,
+    ``node``) is the world rank's.
     """
 
     def __init__(self, world_rank: AmpiRank, comm_id: int, members: List[int]) -> None:
@@ -654,6 +676,8 @@ class CommView(_CollectiveApi):
         self.members = list(members)
         self.rank = self.members.index(world_rank.rank)
         self.size = len(self.members)
+        self.sim, self.charm = world_rank.sim, world_rank.charm
+        self.gpu, self.node = world_rank.gpu, world_rank.node
 
     def _global(self, local_rank: int) -> int:
         if not 0 <= local_rank < self.size:
@@ -679,23 +703,14 @@ class CommView(_CollectiveApi):
     def coll_local_source(self, source: int) -> int:
         return self.members.index(source)
 
+    # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         return self._world._send_impl(buf, nbytes, self._global(dst), tag, self.comm_id)
-
-    def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
-        return MpiRequest(self.send(buf, nbytes, dst, tag), "send")
 
     def recv(self, buf: Buffer, capacity: int, src: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> SimEvent:
         gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
         return self._world._recv_impl(buf, capacity, gsrc, tag, self.comm_id)
-
-    def irecv(self, buf: Buffer, capacity: int, src: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> MpiRequest:
-        return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
-
-    def waitall(self, requests: List[MpiRequest]) -> SimEvent:
-        return waitall(self._world.sim, requests)
 
     def local_status(self, status: MpiStatus) -> MpiStatus:
         """Translate a status's world source rank into this communicator."""

@@ -7,7 +7,6 @@ device buffers, or host staging with explicit CUDA copies.
 
 from __future__ import annotations
 
-import repro.api as api
 from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector
 from repro.apps.jacobi3d.decomposition import Decomposition
 from repro.charm4py import PyChare
@@ -58,10 +57,9 @@ class JacobiBlockPy(PyChare):
         self.collector.report(self.thisIndex, self.timings, st.u)
 
 
-def run_charm4py_jacobi(config, decomp: Decomposition, gpu_aware: bool,
+def run_charm4py_jacobi(sess, decomp: Decomposition, gpu_aware: bool,
                         iters: int = 5, warmup: int = 1,
-                        functional: bool = False, session=None) -> ResultCollector:
-    sess = session if session is not None else api.session(config).model("charm4py").build()
+                        functional: bool = False) -> ResultCollector:
     c4p = sess.lib
     n = decomp.n_blocks
     if n != c4p.charm.n_pes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import repro.api as api
 from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector
 from repro.apps.jacobi3d.decomposition import Decomposition, opposite
 from repro.charm import Chare, CkDeviceBuffer
@@ -132,7 +131,7 @@ class JacobiBlock(Chare):
 
 
 def run_charm_jacobi(
-    config,
+    sess,
     decomp: Decomposition,
     gpu_aware: bool,
     iters: int = 5,
@@ -142,9 +141,7 @@ def run_charm_jacobi(
     mapping=None,
     check_interval: int = 0,
     tolerance: float = 0.0,
-    session=None,
 ) -> ResultCollector:
-    sess = session if session is not None else api.session(config).model("charm").build()
     charm = sess.lib
     n = decomp.n_blocks
     if n != charm.n_pes * blocks_per_pe:

@@ -6,10 +6,11 @@ import argparse
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import repro.api as api
 from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition, weak_scaling_domain
-from repro.apps.jacobi3d.mpi_impl import run_ampi_jacobi, run_openmpi_jacobi
+from repro.apps.jacobi3d.mpi_impl import run_mpi_jacobi
 from repro.config import MachineConfig, add_override_arg
 from repro.obs.cli import add_observation_args, observed, report
 
@@ -19,8 +20,8 @@ STRONG_DOMAIN = (3072, 3072, 3072)
 
 _RUNNERS = {
     "charm": run_charm_jacobi,
-    "ampi": run_ampi_jacobi,
-    "openmpi": run_openmpi_jacobi,
+    "ampi": run_mpi_jacobi,
+    "openmpi": run_mpi_jacobi,
     "charm4py": run_charm4py_jacobi,
 }
 
@@ -59,10 +60,10 @@ def run_jacobi(
     """
     if model not in _RUNNERS:
         raise ValueError(f"unknown model {model!r}; pick from {sorted(_RUNNERS)}")
-    if session is not None:
-        cfg = session.config
-    else:
-        cfg = config if config is not None else MachineConfig.summit(nodes=nodes)
+    sess = session if session is not None else api.session(
+        config if config is not None else MachineConfig.summit(nodes=nodes)
+    ).model(model).build()
+    cfg = sess.config
     if domain is None:
         domain = (
             weak_scaling_domain(base, nodes) if scaling == "weak" else STRONG_DOMAIN
@@ -86,8 +87,8 @@ def run_jacobi(
     else:
         decomp = Decomposition.create(domain, p)
     collector = _RUNNERS[model](
-        cfg, decomp, gpu_aware, iters=iters, warmup=warmup,
-        functional=functional, session=session, **runner_kwargs,
+        sess, decomp, gpu_aware, iters=iters, warmup=warmup,
+        functional=functional, **runner_kwargs,
     )
     return JacobiResult(
         model=model,
@@ -180,23 +181,18 @@ def main(argv=None) -> None:
 
         cfg = cfg.with_faults(FaultPlan.load(args.fault_plan))
 
-    sess = None
     plain_cfg, cfg = cfg, observed(cfg, args)
-    if cfg is not plain_cfg or cfg.faults is not None:
-        import repro.api as api
-
-        sess = api.session(cfg).model(args.model).build()
+    sess = api.session(cfg).model(args.model).build()
     result = run_jacobi(
         args.model, nodes=args.nodes, scaling=args.scaling,
-        gpu_aware=not args.host_staging, iters=args.iters,
-        config=cfg, session=sess,
+        gpu_aware=not args.host_staging, iters=args.iters, session=sess,
     )
     variant = "H" if args.host_staging else "D"
     print(f"# Jacobi3D {args.model}-{variant}, {args.nodes} nodes, "
           f"{args.scaling} scaling, domain {result.domain}")
     print(f"overall time per iteration: {result.iter_time * 1e3:9.3f} ms")
     print(f"comm    time per iteration: {result.comm_time * 1e3:9.3f} ms")
-    if sess is not None:
+    if cfg is not plain_cfg or cfg.faults is not None:
         report(sess, args)
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """MPI Jacobi3D — one program, two libraries (AMPI §IV-C2 + OpenMPI ref).
 
-The rank program is identical for AMPI and OpenMPI (that is AMPI's point);
-only the library object differs.  GPU-aware mode passes device buffers
+The rank program and its runner are identical for AMPI and OpenMPI (that is
+AMPI's point); only the session's library object differs.  GPU-aware mode passes device buffers
 straight to ``MPI_Isend``/``MPI_Irecv`` like any CUDA-aware MPI; host
 staging adds the explicit ``cudaMemcpy`` ladder.
 """
 
 from __future__ import annotations
 
-import repro.api as api
 from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector, halo_tag
 from repro.apps.jacobi3d.decomposition import DIRS, Decomposition, opposite
 
@@ -64,24 +63,8 @@ def jacobi_mpi_program(mpi, decomp: Decomposition, gpu_aware: bool, iters: int,
     collector.report(mpi.rank, timings, st.u)
 
 
-def run_ampi_jacobi(config, decomp: Decomposition, gpu_aware: bool, iters: int = 5,
-                    warmup: int = 1, functional: bool = False,
-                    session=None) -> ResultCollector:
-    sess = session if session is not None else api.session(config).model("ampi").build()
-    if decomp.n_blocks != sess.lib.n_ranks:
-        raise ValueError(f"{decomp.n_blocks} blocks but {sess.lib.n_ranks} ranks")
-    collector = ResultCollector(sess.sim, decomp.n_blocks, warmup)
-    done = sess.launch(
-        jacobi_mpi_program, decomp, gpu_aware, iters, warmup, functional, collector
-    )
-    sess.run_until(done, max_events=200_000_000)
-    return collector
-
-
-def run_openmpi_jacobi(config, decomp: Decomposition, gpu_aware: bool, iters: int = 5,
-                       warmup: int = 1, functional: bool = False,
-                       session=None) -> ResultCollector:
-    sess = session if session is not None else api.session(config).model("openmpi").build()
+def run_mpi_jacobi(sess, decomp: Decomposition, gpu_aware: bool, iters: int = 5,
+                   warmup: int = 1, functional: bool = False) -> ResultCollector:
     if decomp.n_blocks != sess.lib.n_ranks:
         raise ValueError(f"{decomp.n_blocks} blocks but {sess.lib.n_ranks} ranks")
     collector = ResultCollector(sess.sim, decomp.n_blocks, warmup)

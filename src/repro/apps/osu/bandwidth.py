@@ -8,12 +8,10 @@ The ``-H`` variant pays a ``cudaMemcpy``+sync per message on each side.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-import repro.api as api
 from repro.charm import Chare, CkDeviceBuffer
 from repro.charm4py import PyChare
-from repro.config import MachineConfig
 from repro.sim.primitives import SimEvent
 
 WINDOW = 64
@@ -89,12 +87,8 @@ class _CharmBwReceiver(Chare):
         self._arrived(sender)
 
 
-def charm_bandwidth(
-    config: MachineConfig, size: int, gpus: Tuple[int, int], gpu_aware: bool,
-    loops: int, skip: int, window: int = WINDOW,
-    session: Optional[api.Session] = None,
-) -> float:
-    sess = session if session is not None else api.session(config).model("charm").build()
+def charm_bandwidth(sess, size: int, gpus: Tuple[int, int], gpu_aware: bool,
+                    loops: int, skip: int, window: int = WINDOW) -> float:
     charm = sess.lib
     done = SimEvent(charm.sim, name="bw.done")
     ga, gb = gpus
@@ -105,7 +99,7 @@ def charm_bandwidth(
 
 
 # ---------------------------------------------------------------------------
-# MPI (shared program for AMPI and OpenMPI)
+# MPI (shared program and runner for AMPI and OpenMPI)
 # ---------------------------------------------------------------------------
 
 def _mpi_bw_program(mpi, peers, size, gpu_aware, loops, skip, window, out):
@@ -152,16 +146,7 @@ def _mpi_bw_program(mpi, peers, size, gpu_aware, loops, skip, window, out):
         out["bw"] = loops * window * size / (mpi.sim.now - t0)
 
 
-def ampi_bandwidth(config, size, gpus, gpu_aware, loops, skip, window=WINDOW, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("ampi").build()
-    out: dict = {}
-    done = sess.launch(_mpi_bw_program, list(gpus), size, gpu_aware, loops, skip, window, out)
-    sess.run_until(done, max_events=20_000_000)
-    return out["bw"]
-
-
-def openmpi_bandwidth(config, size, gpus, gpu_aware, loops, skip, window=WINDOW, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("openmpi").build()
+def mpi_bandwidth(sess, size, gpus, gpu_aware, loops, skip, window=WINDOW) -> float:
     out: dict = {}
     done = sess.launch(_mpi_bw_program, list(gpus), size, gpu_aware, loops, skip, window, out)
     sess.run_until(done, max_events=20_000_000)
@@ -219,8 +204,7 @@ class _C4pBandwidth(PyChare):
             self.done.succeed(self.loops * self.window * size / (c4p.sim.now - t0))
 
 
-def charm4py_bandwidth(config, size, gpus, gpu_aware, loops, skip, window=WINDOW, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("charm4py").build()
+def charm4py_bandwidth(sess, size, gpus, gpu_aware, loops, skip, window=WINDOW) -> float:
     c4p = sess.lib
     done = SimEvent(c4p.sim, name="bw.done")
     ga, gb = gpus

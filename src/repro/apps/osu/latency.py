@@ -10,12 +10,10 @@ upper branch), the cost the paper quantifies.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-import repro.api as api
 from repro.charm import Chare, CkDeviceBuffer
 from repro.charm4py import PyChare
-from repro.config import MachineConfig
 from repro.sim.primitives import SimEvent
 
 
@@ -88,11 +86,8 @@ class _CharmLatency(Chare):
             yield from self._staged_send()
 
 
-def charm_latency(
-    config: MachineConfig, size: int, gpus: Tuple[int, int], gpu_aware: bool,
-    iters: int, skip: int, session: Optional[api.Session] = None,
-) -> float:
-    sess = session if session is not None else api.session(config).model("charm").build()
+def charm_latency(sess, size: int, gpus: Tuple[int, int], gpu_aware: bool,
+                  iters: int, skip: int) -> float:
     charm = sess.lib
     done = SimEvent(charm.sim, name="latency.done")
     ga, gb = gpus
@@ -105,7 +100,8 @@ def charm_latency(
 
 
 # ---------------------------------------------------------------------------
-# MPI (AMPI and OpenMPI share the program; the library object differs)
+# MPI (AMPI and OpenMPI share the program and the runner; the session's
+# library object differs)
 # ---------------------------------------------------------------------------
 
 def _mpi_latency_program(mpi, peers, size, gpu_aware, iters, skip, out):
@@ -116,9 +112,8 @@ def _mpi_latency_program(mpi, peers, size, gpu_aware, iters, skip, out):
     cuda = mpi.charm.cuda
     d_buf = cuda.malloc(mpi.gpu, size)
     stream = cuda.create_stream(mpi.gpu)
-    node = mpi.node if hasattr(mpi, "node") else mpi.charm.machine.node_of_gpu(mpi.gpu)
-    h_out = cuda.malloc_host(node, size)
-    h_in = cuda.malloc_host(node, size)
+    h_out = cuda.malloc_host(mpi.node, size)
+    h_in = cuda.malloc_host(mpi.node, size)
     t0 = 0.0
 
     for i in range(iters + skip):
@@ -150,16 +145,7 @@ def _mpi_latency_program(mpi, peers, size, gpu_aware, iters, skip, out):
         out["latency"] = (mpi.sim.now - t0) / (2 * iters)
 
 
-def ampi_latency(config, size, gpus, gpu_aware, iters, skip, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("ampi").build()
-    out: dict = {}
-    done = sess.launch(_mpi_latency_program, list(gpus), size, gpu_aware, iters, skip, out)
-    sess.run_until(done, max_events=5_000_000)
-    return out["latency"]
-
-
-def openmpi_latency(config, size, gpus, gpu_aware, iters, skip, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("openmpi").build()
+def mpi_latency(sess, size, gpus, gpu_aware, iters, skip) -> float:
     out: dict = {}
     done = sess.launch(_mpi_latency_program, list(gpus), size, gpu_aware, iters, skip, out)
     sess.run_until(done, max_events=5_000_000)
@@ -225,8 +211,7 @@ class _C4pLatency(PyChare):
             self.done.succeed((c4p.sim.now - t0) / (2 * self.iters))
 
 
-def charm4py_latency(config, size, gpus, gpu_aware, iters, skip, session=None) -> float:
-    sess = session if session is not None else api.session(config).model("charm4py").build()
+def charm4py_latency(sess, size, gpus, gpu_aware, iters, skip) -> float:
     c4p = sess.lib
     done = SimEvent(c4p.sim, name="latency.done")
     ga, gb = gpus

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import repro.api as api
 from repro.apps.osu import bandwidth as bw_mod
 from repro.apps.osu import latency as lat_mod
 from repro.config import KB, MachineConfig, MB, add_override_arg
@@ -17,15 +18,15 @@ MODELS = ("charm", "ampi", "openmpi", "charm4py")
 
 _LATENCY_FNS = {
     "charm": lat_mod.charm_latency,
-    "ampi": lat_mod.ampi_latency,
-    "openmpi": lat_mod.openmpi_latency,
+    "ampi": lat_mod.mpi_latency,
+    "openmpi": lat_mod.mpi_latency,
     "charm4py": lat_mod.charm4py_latency,
 }
 
 _BANDWIDTH_FNS = {
     "charm": bw_mod.charm_bandwidth,
-    "ampi": bw_mod.ampi_bandwidth,
-    "openmpi": bw_mod.openmpi_bandwidth,
+    "ampi": bw_mod.mpi_bandwidth,
+    "openmpi": bw_mod.mpi_bandwidth,
     "charm4py": bw_mod.charm4py_bandwidth,
 }
 
@@ -38,6 +39,16 @@ def intra_node_pair(config: MachineConfig) -> Tuple[int, int]:
 def inter_node_pair(config: MachineConfig) -> Tuple[int, int]:
     """GPU 0 of node 0 and GPU 0 of node 1."""
     return (0, config.topology.gpus_per_node)
+
+
+def _session(model: str, config: Optional[MachineConfig]) -> api.Session:
+    """A fresh session of ``model`` on ``config`` (default: 2-node Summit)."""
+    cfg = config if config is not None else MachineConfig.summit(nodes=2)
+    return api.session(cfg).model(model).build()
+
+
+def _pair(config: MachineConfig, placement: str) -> Tuple[int, int]:
+    return intra_node_pair(config) if placement == "intra" else inter_node_pair(config)
 
 
 def run_latency(
@@ -56,11 +67,9 @@ def run_latency(
     to run on it instead of constructing a fresh machine."""
     if model not in _LATENCY_FNS:
         raise ValueError(f"unknown model {model!r}; pick from {MODELS}")
-    cfg = session.config if session is not None else (
-        config if config is not None else MachineConfig.summit(nodes=2)
-    )
-    gpus = intra_node_pair(cfg) if placement == "intra" else inter_node_pair(cfg)
-    return _LATENCY_FNS[model](cfg, size, gpus, gpu_aware, iters, skip, session=session)
+    sess = session if session is not None else _session(model, config)
+    return _LATENCY_FNS[model](sess, size, _pair(sess.config, placement),
+                               gpu_aware, iters, skip)
 
 
 def run_bandwidth(
@@ -77,11 +86,9 @@ def run_bandwidth(
     """One bandwidth point; returns bytes/second."""
     if model not in _BANDWIDTH_FNS:
         raise ValueError(f"unknown model {model!r}; pick from {MODELS}")
-    cfg = session.config if session is not None else (
-        config if config is not None else MachineConfig.summit(nodes=2)
-    )
-    gpus = intra_node_pair(cfg) if placement == "intra" else inter_node_pair(cfg)
-    return _BANDWIDTH_FNS[model](cfg, size, gpus, gpu_aware, loops, skip, window, session=session)
+    sess = session if session is not None else _session(model, config)
+    return _BANDWIDTH_FNS[model](sess, size, _pair(sess.config, placement),
+                                 gpu_aware, loops, skip, window)
 
 
 def run_latency_sweep(
@@ -169,8 +176,6 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     scfg = observed(cfg, args)
     if scfg is not cfg or cfg.faults is not None:
-        import repro.api as api
-
         sess = api.session(scfg).model(args.model).build()
         if args.benchmark == "latency":
             run_latency(args.model, sizes[-1], args.placement,

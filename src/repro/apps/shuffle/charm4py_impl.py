@@ -8,7 +8,6 @@ sequentially on the coroutine, as Charm4py drives them.
 
 from __future__ import annotations
 
-import repro.api as api
 from repro.apps.shuffle.common import (
     ShuffleCollector,
     ShufflePlan,
@@ -73,10 +72,7 @@ class ShuffleChare(PyChare):
             self.done.succeed(None)
 
 
-def run_charm4py_shuffle(config, plan: ShufflePlan, session=None):
-    sess = session if session is not None else (
-        api.session(config).model("charm4py").build()
-    )
+def run_charm4py_shuffle(sess, plan: ShufflePlan):
     c4p = sess.lib
     if plan.n_ranks > c4p.charm.n_pes:
         raise ValueError(f"{plan.n_ranks} ranks but {c4p.charm.n_pes} PEs")

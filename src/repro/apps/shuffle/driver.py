@@ -50,18 +50,15 @@ def run_shuffle(
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; pick from {_MODELS}")
-    if session is not None:
-        cfg = session.config
-    else:
-        cfg = config if config is not None else MachineConfig.summit(nodes=nodes)
+    sess = session if session is not None else api.session(
+        config if config is not None else MachineConfig.summit(nodes=nodes)
+    ).model(model).build()
     plan = ShufflePlan(
-        n_ranks=cfg.topology.total_gpus, rounds=rounds, chunk=chunk, seed=seed
+        n_ranks=sess.config.topology.total_gpus, rounds=rounds, chunk=chunk,
+        seed=seed,
     )
     if model == "charm4py":
-        return run_charm4py_shuffle(cfg, plan, session=session)
-    sess = session if session is not None else (
-        api.session(cfg).model(model).ranks(plan.n_ranks).build()
-    )
+        return run_charm4py_shuffle(sess, plan)
     collector = ShuffleCollector(plan, model)
     done = sess.launch(shuffle_mpi_program, plan, collector)
     sess.run_until(done, max_events=500_000_000)
@@ -116,16 +113,11 @@ def main(argv=None) -> None:
                   f"pool {pooled.total_time * 1e3:.3f} ms)")
         return
 
-    sess = None
     plain_cfg, cfg = cfg, observed(cfg, args)
-    if cfg is not plain_cfg:
-        builder = api.session(cfg).model(args.model)
-        if args.model != "charm4py":
-            builder = builder.ranks(cfg.topology.total_gpus)
-        sess = builder.build()
-    result = run_shuffle(config=cfg, session=sess, **common)
+    sess = api.session(cfg).model(args.model).build()
+    result = run_shuffle(session=sess, **common)
     _print_result(result, cfg.memory.allocator)
-    if sess is not None:
+    if cfg is not plain_cfg:
         report(sess, args)
 
 if __name__ == "__main__":

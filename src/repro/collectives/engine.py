@@ -39,6 +39,7 @@ __all__ = [
     "allreduce_device",
     "bcast_device",
     "reduce_device",
+    "tag_base",
 ]
 
 #: The reserved internal communicator id of world-communicator collectives.
@@ -49,6 +50,11 @@ PHASE_BITS = 3
 _SEQ_MASK = 0x7FF  # 11 bits of sequence keep tags under 2**31 (OpenMPI's
 # user-tag field is 32 bits); 2048 in-flight collectives per communicator
 # is far beyond any overlap the runtime can produce
+
+
+def tag_base(seq: int, phase: int = 0) -> int:
+    """Tag of step 0 of one invocation's ``phase``; add the step to it."""
+    return ((seq & _SEQ_MASK) << (STEP_BITS + PHASE_BITS)) | (phase << STEP_BITS)
 
 
 class CollContext:
@@ -73,9 +79,7 @@ class CollContext:
         self.chunk_bytes = ep.coll_config.ring_chunk
         self.kind = kind  # None = classify per peer; fixed in sub-phases
         self.root_span = root_span
-        self._tag_base = ((ep.seq & _SEQ_MASK) << (STEP_BITS + PHASE_BITS)) | (
-            phase << STEP_BITS
-        )
+        self._tag_base = tag_base(ep.seq, phase)
         self._my_node = ep.node_of(self._global(self.rank))
         self._model: Optional[CollectiveCostModel] = None
 

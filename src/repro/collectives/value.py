@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.collectives.engine import PHASE_BITS, STEP_BITS, _SEQ_MASK
+from repro.collectives.engine import tag_base
 from repro.collectives.ops import ReduceOp
 
 ANY_SOURCE = -1
@@ -30,15 +30,9 @@ __all__ = [
 ]
 
 
-def _base(comm) -> int:
-    """Tag base of one invocation: the same (seq, phase, step) layout as
-    the device collectives, phase 0."""
-    return (comm._next_coll_seq() & _SEQ_MASK) << (STEP_BITS + PHASE_BITS)
-
-
 def barrier(comm):
     """Dissemination barrier."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     p = comm.size
     if p == 1:
         return
@@ -72,7 +66,7 @@ def _children(vrank: int, p: int) -> List[int]:
 
 def bcast(comm, value: Any, root: int = 0, nbytes: int = 8):
     """Binomial-tree broadcast; every rank returns the broadcast value."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     p = comm.size
     vrank = (comm.rank - root) % p
     if vrank != 0:
@@ -87,7 +81,7 @@ def bcast(comm, value: Any, root: int = 0, nbytes: int = 8):
 def reduce(comm, value: Any, op=ReduceOp.SUM, root: int = 0, nbytes: int = 8):
     """Binomial-tree reduction; the root returns the result, others None."""
     op = ReduceOp.of(op)
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     p = comm.size
     vrank = (comm.rank - root) % p
     acc = value
@@ -114,7 +108,7 @@ def allreduce(comm, value: Any, op=ReduceOp.SUM, nbytes: int = 8):
 
 def gather(comm, value: Any, root: int = 0, nbytes: int = 8):
     """Linear gather; the root returns the list ordered by rank."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     if comm.rank == root:
         out: List[Any] = [None] * comm.size
         out[root] = value
@@ -128,7 +122,7 @@ def gather(comm, value: Any, root: int = 0, nbytes: int = 8):
 
 def scatter(comm, values: Optional[List[Any]], root: int = 0, nbytes: int = 8):
     """Linear scatter from the root; every rank returns its element."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     if comm.rank == root:
         if values is None or len(values) != comm.size:
             raise ValueError("root must supply one value per rank")
@@ -142,7 +136,7 @@ def scatter(comm, values: Optional[List[Any]], root: int = 0, nbytes: int = 8):
 
 def allgather(comm, value: Any, nbytes: int = 8):
     """Ring allgather: P-1 steps, each forwarding the newest block."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     p = comm.size
     out: List[Any] = [None] * p
     out[comm.rank] = value
@@ -164,7 +158,7 @@ def allgather(comm, value: Any, nbytes: int = 8):
 
 def alltoall(comm, values: List[Any], nbytes: int = 8):
     """Pairwise-exchange all-to-all."""
-    base = _base(comm)
+    base = tag_base(comm._next_coll_seq())
     p = comm.size
     if len(values) != p:
         raise ValueError("alltoall needs one value per destination")

@@ -74,29 +74,6 @@ class UcxMachineLayer:
         for w in self.workers:
             w.set_am_handler(self._on_host_message)
 
-    def matching_stats(self) -> Dict[str, int]:
-        """Aggregate tag-matching statistics over all workers.
-
-        ``tag_scans`` is the total *virtual* scan length (entries a linear
-        FIFO scan would have inspected across all matches) — the quantity the
-        modeled ``tag_match_cost`` delay is charged on, whatever the
-        host-side queue structure does to find the match.
-        """
-        stats = {
-            "sends": 0,
-            "recvs": 0,
-            "expected_hits": 0,
-            "unexpected_hits": 0,
-            "tag_scans": 0,
-        }
-        for w in self.workers:
-            stats["sends"] += w.sends
-            stats["recvs"] += w.recvs
-            stats["expected_hits"] += w.expected_hits
-            stats["unexpected_hits"] += w.unexpected_hits
-            stats["tag_scans"] += w.tag_scans
-        return stats
-
     # -- wiring -------------------------------------------------------------------
     def attach(self, deliver: Callable[[int, object], None]) -> None:
         """Install the upcall that places an arrived host message on the

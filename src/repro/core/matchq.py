@@ -1,4 +1,4 @@
-"""Indexed FIFO matching queues for the tag-matching hot path.
+"""The indexed FIFO matching queue of the tag-matching hot path.
 
 Both matching engines of the reproduction — the UCP worker's
 posted/unexpected queues (:mod:`repro.ucx.worker`) and AMPI's
@@ -8,18 +8,13 @@ to the *semantics* of UCX and AMPI matching but makes the host-side cost of
 a simulation step O(queue length), which dominates wall-clock at large PE
 counts with many outstanding messages.
 
-This module provides two interchangeable queue implementations:
-
-* :class:`IndexedMatchQueue` — exact-key hash buckets plus a wildcard
-  fallback list, the structure real UCX (and the MPICH tag-matching
-  extensions) use.  Exact lookups are O(1) amortised.  Both engines
-  construct it directly.
-* :class:`LinearMatchQueue` — a FIFO list with an O(n) scan: executable
-  documentation of the semantics and the oracle the tests compare the
-  indexed queue against (``tests/test_matching_golden.py``).  Nothing under
-  ``src/`` instantiates it.
-
-Both preserve *bit-identical matching order and modeled cost*:
+This module provides :class:`IndexedMatchQueue` — exact-key hash buckets
+plus a wildcard fallback list, the structure real UCX (and the MPICH
+tag-matching extensions) use.  Exact lookups are O(1) amortised.  Both
+engines construct it directly.  The linear FIFO scan it replaced lives on as
+the test oracle ``tests/oracles/linear_matchq.py``, against which
+``tests/test_matching_golden.py`` holds it to *bit-identical matching order
+and modeled cost*:
 
 * every entry carries a per-queue FIFO **slot** (a monotonically increasing
   sequence number); when an exact-bucket candidate and a wildcard candidate
@@ -46,66 +41,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["LinearMatchQueue", "IndexedMatchQueue"]
-
-
-class LinearMatchQueue:
-    """Reference FIFO queue: linear scan, O(n) per match (seed semantics)."""
-
-    __slots__ = ("_items", "depth_probe")
-
-    def __init__(self) -> None:
-        self._items: List[Any] = []
-        #: optional telemetry hook: called with +1/-1 on insert/remove
-        #: (see repro.obs.timeline.Telemetry.queue_probe); observation-only
-        self.depth_probe: Optional[Callable[[int], None]] = None
-
-    def append(self, item: Any, key: Any = None) -> None:
-        self._items.append(item)
-        if self.depth_probe is not None:
-            self.depth_probe(1)
-
-    def match(
-        self, key: Any, pred: Callable[[Any], bool]
-    ) -> Tuple[Optional[Any], int]:
-        """Remove and return the first entry satisfying ``pred``.
-
-        Returns ``(item, scanned)`` where ``scanned`` is the 1-based position
-        of the match in FIFO order, or ``(None, len(queue))`` when nothing
-        matches (the whole queue was scanned).
-        """
-        items = self._items
-        for i, item in enumerate(items):
-            if pred(item):
-                del items[i]
-                if self.depth_probe is not None:
-                    self.depth_probe(-1)
-                return item, i + 1
-        return None, len(items)
-
-    def peek(self, key: Any, pred: Callable[[Any], bool]) -> Optional[Any]:
-        for item in self._items:
-            if pred(item):
-                return item
-        return None
-
-    def remove_first(self, pred: Callable[[Any], bool]) -> Optional[Any]:
-        """Remove and return the first entry satisfying ``pred`` (identity
-        scans — e.g. cancellation); no modeled cost is attached."""
-        items = self._items
-        for i, item in enumerate(items):
-            if pred(item):
-                del items[i]
-                if self.depth_probe is not None:
-                    self.depth_probe(-1)
-                return item
-        return None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
+__all__ = ["IndexedMatchQueue"]
 
 
 class _Fenwick:

@@ -69,9 +69,6 @@ class Link(Resource):
     def bandwidth(self) -> float:
         return self.params.bandwidth
 
-    def serialisation_time(self, size: int) -> float:
-        return size / self.params.bandwidth
-
 
 def path_latency(links: Sequence[Link]) -> float:
     return sum(l.latency for l in links)

@@ -268,10 +268,6 @@ class PooledAllocator:
     def device(self) -> int:
         return self.backing.device
 
-    @property
-    def live_blocks(self) -> int:
-        return sum(1 for b in self._by_address.values() if b.live)
-
     def owns(self, buf: Buffer) -> bool:
         blk = self._by_address.get(buf.address)
         return blk is not None and blk.buffer is buf

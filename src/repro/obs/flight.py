@@ -96,13 +96,6 @@ class FlightRecord:
         return delay
 
     @property
-    def metadata_gap(self) -> Optional[float]:
-        """Flight time of the host metadata message (send to handler)."""
-        if self.metadata_sent_at is None or self.metadata_arrived_at is None:
-            return None
-        return self.metadata_arrived_at - self.metadata_sent_at
-
-    @property
     def complete(self) -> bool:
         return self.completed_at is not None
 

@@ -8,23 +8,30 @@ tag — the standard trick of UCX-based MPI implementations::
 ``MPI_ANY_SOURCE``/``MPI_ANY_TAG`` become wildcard masks.  Receives are
 posted to UCX immediately — the structural advantage over AMPI's
 metadata-message design that the paper quantifies at ~8 μs per message.
+
+That wire protocol (``send``/``recv``/``barrier`` below) is all this
+module adds: the rest of the rank surface is
+:class:`repro.ampi.mpi.MpiRank`'s, shared with AMPI.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from repro.ampi.mpi import MpiCommError, MpiStatus, MpiTruncationError
-from repro.ampi.request import MpiRequest, waitall
-from repro.collectives import engine as _coll_engine
+from repro.ampi.mpi import (
+    MpiCommError,
+    MpiJob,
+    MpiRank,
+    MpiStatus,
+    MpiTruncationError,
+)
 from repro.collectives.endpoints import OmpiCollEndpoint
-from repro.collectives.ops import ReduceOp
+from repro.collectives.engine import tag_base
 from repro.config import MachineConfig
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
 from repro.obs.stages import OMPI_RECV, OMPI_SEND
-from repro.sim.primitives import AllOf, SimEvent
-from repro.sim.process import Process
+from repro.sim.primitives import SimEvent
 from repro.ucx.context import UcpContext
 from repro.ucx.status import UcsStatus
 
@@ -60,7 +67,7 @@ def match_mask(src: int, tag: int) -> int:
     return mask
 
 
-class OmpiRank:
+class OmpiRank(MpiRank):
     """One OpenMPI process (one per GPU, as in the paper's runs)."""
 
     def __init__(self, lib: "OpenMpi", rank: int) -> None:
@@ -70,20 +77,6 @@ class OmpiRank:
         self.node = lib.machine.node_of_gpu(rank)
         self.worker = lib.ucp.create_worker(rank, self.node, lib.machine.socket_of_gpu(rank))
         self.pe = rank  # API compatibility with AmpiRank
-        self._cpu_free = 0.0
-        self._coll_seq = 0
-
-    def _next_coll_seq(self) -> int:
-        s = self._coll_seq
-        self._coll_seq = s + 1
-        return s
-
-    def _cpu_delay(self, cost: float) -> float:
-        """Serialise per-call CPU costs of back-to-back non-blocking ops."""
-        now = self.sim.now
-        start = max(now, self._cpu_free)
-        self._cpu_free = start + cost
-        return self._cpu_free - now
 
     @property
     def size(self) -> int:
@@ -94,24 +87,11 @@ class OmpiRank:
         return self.lib.machine.sim
 
     @property
-    def charm(self):  # API compatibility shim: exposes .cuda
+    def charm(self):  # API compatibility shim: exposes .cuda and .machine
         return self.lib
 
-    # -- device memory ------------------------------------------------------------
-    def alloc_device(self, nbytes: int, materialize=None) -> Buffer:
-        """Allocate on this rank's GPU through the configured allocator;
-        exhaustion raises :class:`MpiCommError` (``ERR_NO_MEMORY``), the
-        same surface as AMPI's."""
-        from repro.hardware.memory import OutOfMemory
-        from repro.ucx.status import UcsStatus
-
-        try:
-            return self.lib.machine.alloc_device(self.gpu, nbytes, materialize)
-        except OutOfMemory as exc:
-            raise MpiCommError(str(exc), UcsStatus.ERR_NO_MEMORY) from exc
-
-    def free_device(self, buf: Buffer) -> None:
-        self.lib.machine.free_device(buf)
+    def _coll_endpoint(self) -> OmpiCollEndpoint:
+        return OmpiCollEndpoint(self)
 
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0, *,
@@ -180,41 +160,12 @@ class OmpiRank:
         self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
         return ev
 
-    def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
-        return MpiRequest(self.send(buf, nbytes, dst, tag), "send")
-
-    def irecv(
-        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> MpiRequest:
-        return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
-
-    def sendrecv(
-        self,
-        sendbuf: Buffer,
-        send_bytes: int,
-        dst: int,
-        recvbuf: Buffer,
-        recv_capacity: int,
-        src: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> SimEvent:
-        r = self.recv(recvbuf, recv_capacity, src, recvtag)
-        s = self.send(sendbuf, send_bytes, dst, sendtag)
-        return AllOf(self.sim, [s, r])
-
-    def waitall(self, requests: List[MpiRequest]) -> SimEvent:
-        return waitall(self.sim, requests)
-
     # -- collectives (use with ``yield from``) -----------------------------------------
     def barrier(self):
         """Dissemination barrier over 1-byte host messages, in the
         collective tag context and namespaced by the invocation's sequence
         number (overlapping barriers can never alias)."""
-        base = (
-            (self._next_coll_seq() & _coll_engine._SEQ_MASK)
-            << (_coll_engine.STEP_BITS + _coll_engine.PHASE_BITS)
-        )
+        base = tag_base(self._next_coll_seq())
         p = self.size
         if p == 1:
             return
@@ -232,35 +183,11 @@ class OmpiRank:
             k <<= 1
             round_no += 1
 
-    # -- device-buffer collectives (topology-aware algorithm selection) ---------------
-    def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
-                     algorithm: Optional[str] = None):
-        return _coll_engine.bcast_device(
-            OmpiCollEndpoint(self), buf, nbytes, root, algorithm
-        )
 
-    def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
-                      root: int = 0, *, algorithm: Optional[str] = None):
-        return _coll_engine.reduce_device(
-            OmpiCollEndpoint(self), buf, nbytes, op, root, algorithm
-        )
-
-    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allreduce_device(
-            OmpiCollEndpoint(self), buf, nbytes, op, algorithm
-        )
-
-    def allgather_device(self, buf: Buffer, nbytes: int,
-                         recvbuf: Optional[Buffer] = None, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allgather_device(
-            OmpiCollEndpoint(self), buf, nbytes, recvbuf, algorithm
-        )
-
-
-class OpenMpi:
+class OpenMpi(MpiJob):
     """One OpenMPI job on its own simulated machine."""
+
+    _PROCESS = "ompi"
 
     def __init__(
         self, config: Optional[MachineConfig] = None, n_ranks: Optional[int] = None
@@ -275,13 +202,6 @@ class OpenMpi:
         if self.n_ranks > total:
             raise ValueError("one process per GPU: too many ranks")
         self.ranks = [OmpiRank(self, r) for r in range(self.n_ranks)]
-
-    def launch(self, program, *args) -> SimEvent:
-        procs = [
-            Process(self.machine.sim, program(r, *args), name=f"ompi.rank{r.rank}")
-            for r in self.ranks
-        ]
-        return AllOf(self.machine.sim, procs)
 
     def run_until(self, event: SimEvent, max_events: Optional[int] = None) -> Any:
         return self.machine.sim.run_until_complete(event, max_events=max_events)

@@ -294,3 +294,57 @@ class TestVirtualization:
         ampi = Ampi(charm, ranks_per_pe=2)
         assert ampi.rank_pe(0) == 0 and ampi.rank_pe(1) == 0
         assert ampi.rank_pe(2) == 1
+
+
+def _ring_program(comm, out):
+    """A ring exchange through the whole shared rank surface: device buffers
+    from ``alloc_device`` over ``isend``/``irecv``/``waitall``, host buffers
+    over ``sendrecv``, identity from ``sim``/``charm``/``gpu``/``node``."""
+    n = 64
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    t0 = comm.sim.now
+    d_send, d_recv = (comm.alloc_device(n, materialize=True) for _ in range(2))
+    h_send, h_recv = (comm.charm.cuda.malloc_host(comm.node, n) for _ in range(2))
+    d_send.data[:] = comm.rank
+    h_send.data[:] = 100 + comm.rank
+    yield comm.waitall([comm.irecv(d_recv, n, src=left, tag=1),
+                        comm.isend(d_send, n, dst=right, tag=1)])
+    yield comm.sendrecv(h_send, n, left, h_recv, n, right, sendtag=2, recvtag=2)
+    for buf in (d_send, d_recv):
+        comm.free_device(buf)
+    out[comm.rank] = (int(d_recv.data[0]), int(h_recv.data[0]),
+                      comm.gpu is not None and comm.sim.now > t0)
+
+
+class TestRankSurface:
+    """AMPI's world rank, an AMPI sub-communicator and an OpenMPI rank offer
+    one surface around their wire protocols: a rank program written against
+    it runs unchanged on all three."""
+
+    @staticmethod
+    def _expected(size):
+        return {r: ((r - 1) % size, 100 + (r + 1) % size, True) for r in range(size)}
+
+    def test_ampi_world(self):
+        out = {}
+        _charm, ampi = run_ranks(lambda mpi: _ring_program(mpi, out), nodes=1)
+        assert out == self._expected(ampi.n_ranks)
+
+    def test_ampi_comm_split(self):
+        outs = {0: {}, 1: {}}
+
+        def program(mpi):
+            sub = yield from mpi.comm_split(mpi.rank % 2)
+            yield from _ring_program(sub, outs[mpi.rank % 2])
+
+        run_ranks(program, nodes=1)  # 6 ranks: two sub-communicators of 3
+        assert outs == {0: self._expected(3), 1: self._expected(3)}
+
+    def test_openmpi(self):
+        from repro.openmpi import OpenMpi
+
+        lib = OpenMpi(MachineConfig.summit(nodes=1))
+        out = {}
+        lib.run_until(lib.launch(lambda mpi: _ring_program(mpi, out)),
+                      max_events=5_000_000)
+        assert out == self._expected(lib.n_ranks)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition
 from repro.charm import Charm, Chare, CkCallback
@@ -17,7 +18,8 @@ class TestDeterminism:
         decomp = Decomposition.create((12, 12, 12), 6)
 
         def run():
-            col = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=3, warmup=1)
+            col = run_charm_jacobi(api.session(cfg).build(), decomp, gpu_aware=True,
+                                   iters=3, warmup=1)
             return (col.avg_iter_time(), col.avg_comm_time())
 
         assert run() == run()

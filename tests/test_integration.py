@@ -10,19 +10,19 @@ from repro.config import KB, MachineConfig, MB
 class TestModelConsistency:
     def test_ampi_and_openmpi_run_identical_programs(self):
         """AMPI's promise: the same MPI program runs unchanged; only the
-        runtime differs.  Both Jacobi runs share one program object."""
+        runtime differs.  Both Jacobi runs share one program and one runner."""
         from repro.apps.jacobi3d.decomposition import Decomposition
-        from repro.apps.jacobi3d.mpi_impl import (
-            jacobi_mpi_program,
-            run_ampi_jacobi,
-            run_openmpi_jacobi,
-        )
+        from repro.apps.jacobi3d.mpi_impl import run_mpi_jacobi
         import numpy as np
+        import repro.api as api
 
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
-        a = run_ampi_jacobi(cfg, decomp, True, iters=2, warmup=0, functional=True)
-        o = run_openmpi_jacobi(cfg, decomp, True, iters=2, warmup=0, functional=True)
+        a, o = (
+            run_mpi_jacobi(api.session(cfg).model(model).build(), decomp, True,
+                           iters=2, warmup=0, functional=True)
+            for model in ("ampi", "openmpi")
+        )
         assert np.allclose(a.assemble(decomp), o.assemble(decomp))
 
     def test_layer_cost_ordering(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi
 from repro.apps.jacobi3d.common import initial_field
@@ -16,7 +17,7 @@ from repro.apps.jacobi3d.decomposition import (
     weak_scaling_domain,
 )
 from repro.apps.jacobi3d.kernels import jacobi_reference_step
-from repro.apps.jacobi3d.mpi_impl import run_ampi_jacobi, run_openmpi_jacobi
+from repro.apps.jacobi3d.mpi_impl import run_mpi_jacobi
 from repro.config import MachineConfig
 
 
@@ -93,10 +94,14 @@ class TestDecomposition:
 
 RUNNERS = {
     "charm": run_charm_jacobi,
-    "ampi": run_ampi_jacobi,
-    "openmpi": run_openmpi_jacobi,
+    "ampi": run_mpi_jacobi,
+    "openmpi": run_mpi_jacobi,
     "charm4py": run_charm4py_jacobi,
 }
+
+
+def _session(cfg, model="charm"):
+    return api.session(cfg).model(model).build()
 
 
 def reference_solution(domain, iters):
@@ -115,8 +120,8 @@ class TestFunctionalCorrectness:
         domain = (12, 12, 12)
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create(domain, 6)
-        col = RUNNERS[model](cfg, decomp, gpu_aware=gpu_aware, iters=3, warmup=0,
-                             functional=True)
+        col = RUNNERS[model](_session(cfg, model), decomp, gpu_aware=gpu_aware,
+                             iters=3, warmup=0, functional=True)
         got = col.assemble(decomp)
         ref = reference_solution(domain, 3)
         assert np.allclose(got, ref)
@@ -125,16 +130,16 @@ class TestFunctionalCorrectness:
         domain = (24, 12, 12)
         cfg = MachineConfig.summit(nodes=2)
         decomp = Decomposition.create(domain, 12)
-        col = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=2, warmup=0,
-                               functional=True)
+        col = run_charm_jacobi(_session(cfg), decomp, gpu_aware=True, iters=2,
+                               warmup=0, functional=True)
         assert np.allclose(col.assemble(decomp), reference_solution(domain, 2))
 
     def test_overdecomposition_correct(self):
         domain = (24, 12, 12)
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create(domain, 12)  # 2 blocks per PE
-        col = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=2, warmup=0,
-                               functional=True, blocks_per_pe=2)
+        col = run_charm_jacobi(_session(cfg), decomp, gpu_aware=True, iters=2,
+                               warmup=0, functional=True, blocks_per_pe=2)
         assert np.allclose(col.assemble(decomp), reference_solution(domain, 2))
 
 
@@ -142,8 +147,8 @@ class TestTimingCollection:
     def test_timings_populated_and_positive(self):
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
-        col = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=4, warmup=1,
-                               functional=False)
+        col = run_charm_jacobi(_session(cfg), decomp, gpu_aware=True, iters=4,
+                               warmup=1, functional=False)
         assert col.avg_iter_time() > 0
         assert 0 < col.avg_comm_time() < col.avg_iter_time()
 
@@ -151,7 +156,7 @@ class TestTimingCollection:
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 12)
         with pytest.raises(ValueError):
-            run_charm_jacobi(cfg, decomp, gpu_aware=True)
+            run_charm_jacobi(_session(cfg), decomp, gpu_aware=True)
 
     def test_double_report_rejected(self):
         from repro.apps.jacobi3d.common import BlockTimings, ResultCollector

@@ -10,9 +10,15 @@ every block with the global verdict.
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition
 from repro.config import MachineConfig
+
+
+def _charm(cfg):
+    """A fresh Charm++ session on ``cfg``."""
+    return api.session(cfg).build()
 
 
 class TestConvergence:
@@ -22,8 +28,8 @@ class TestConvergence:
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
         col = run_charm_jacobi(
-            cfg, decomp, gpu_aware=True, iters=200, warmup=0, functional=True,
-            check_interval=5, tolerance=0.05,
+            _charm(cfg), decomp, gpu_aware=True, iters=200, warmup=0,
+            functional=True, check_interval=5, tolerance=0.05,
         )
         n_iters = len(col.timings[0].iter_times)
         assert n_iters < 200
@@ -33,8 +39,8 @@ class TestConvergence:
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
         col = run_charm_jacobi(
-            cfg, decomp, gpu_aware=True, iters=100, warmup=0, functional=True,
-            check_interval=4, tolerance=0.05,
+            _charm(cfg), decomp, gpu_aware=True, iters=100, warmup=0,
+            functional=True, check_interval=4, tolerance=0.05,
         )
         lengths = {len(t.iter_times) for t in col.timings.values()}
         assert len(lengths) == 1
@@ -45,12 +51,12 @@ class TestConvergence:
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
         loose = run_charm_jacobi(
-            cfg, decomp, gpu_aware=True, iters=300, warmup=0, functional=True,
-            check_interval=2, tolerance=0.08,
+            _charm(cfg), decomp, gpu_aware=True, iters=300, warmup=0,
+            functional=True, check_interval=2, tolerance=0.08,
         )
         tight = run_charm_jacobi(
-            cfg, decomp, gpu_aware=True, iters=300, warmup=0, functional=True,
-            check_interval=2, tolerance=0.02,
+            _charm(cfg), decomp, gpu_aware=True, iters=300, warmup=0,
+            functional=True, check_interval=2, tolerance=0.02,
         )
         assert len(tight.timings[0].iter_times) >= len(loose.timings[0].iter_times)
 
@@ -62,8 +68,8 @@ class TestConvergence:
         domain = (12, 12, 12)
         decomp = Decomposition.create(domain, 6)
         col = run_charm_jacobi(
-            cfg, decomp, gpu_aware=True, iters=50, warmup=0, functional=True,
-            check_interval=5, tolerance=0.05,
+            _charm(cfg), decomp, gpu_aware=True, iters=50, warmup=0,
+            functional=True, check_interval=5, tolerance=0.05,
         )
         n_iters = len(col.timings[0].iter_times)
         u = np.zeros(tuple(d + 2 for d in domain))
@@ -77,8 +83,8 @@ class TestConvergence:
         runs exactly ``iters`` iterations."""
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((12, 12, 12), 6)
-        col = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=7, warmup=0,
-                               functional=True)
+        col = run_charm_jacobi(_charm(cfg), decomp, gpu_aware=True, iters=7,
+                               warmup=0, functional=True)
         assert len(col.timings[0].iter_times) == 7
 
     def test_convergence_check_costs_time(self):
@@ -86,9 +92,9 @@ class TestConvergence:
         per checked iteration (why the paper leaves them out)."""
         cfg = MachineConfig.summit(nodes=1)
         decomp = Decomposition.create((48, 48, 48), 6)
-        plain = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=6, warmup=1,
-                                 functional=False)
-        checked = run_charm_jacobi(cfg, decomp, gpu_aware=True, iters=6, warmup=1,
-                                   functional=False, check_interval=1,
+        plain = run_charm_jacobi(_charm(cfg), decomp, gpu_aware=True, iters=6,
+                                 warmup=1, functional=False)
+        checked = run_charm_jacobi(_charm(cfg), decomp, gpu_aware=True, iters=6,
+                                   warmup=1, functional=False, check_interval=1,
                                    tolerance=0.0)
         assert checked.avg_iter_time() > plain.avg_iter_time()

@@ -26,10 +26,11 @@ from repro.ampi.matching import (
     PostedMpiRecv,
 )
 from repro.config import MachineConfig, RuntimeConfig
-from repro.core.matchq import IndexedMatchQueue, LinearMatchQueue
+from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import DeviceAllocator, host_buffer
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+from tests.oracles.linear_matchq import LinearMatchQueue
 
 
 # ---------------------------------------------------------------------------

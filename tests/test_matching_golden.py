@@ -2,7 +2,8 @@
 
 ``IndexedMatchQueue`` is what both matching engines run on;
 ``LinearMatchQueue`` — a FIFO list with a linear scan — is kept in
-``core/matchq.py`` as the executable definition of the semantics.  The
+``tests/oracles/linear_matchq.py`` as the executable definition of the
+semantics.  The
 differential below drives both with the same seeded operation stream and
 requires identical answers, including the virtual scan length the modeled
 matching cost is charged on.
@@ -16,7 +17,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.matchq import IndexedMatchQueue, LinearMatchQueue
+from repro.core.matchq import IndexedMatchQueue
+from tests.oracles.linear_matchq import LinearMatchQueue
 
 ANY = -1  # MPI_ANY_SOURCE / MPI_ANY_TAG in both layers
 

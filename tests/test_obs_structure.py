@@ -1,4 +1,5 @@
-"""Structural guard: recorders are named in one place.
+"""Structural guards: recorders are named in one place, and so is the MPI
+rank surface.
 
 Message-path code reports lifecycle stages through ``tracer.stage`` /
 ``count`` / ``gauge`` / ``queue_probe`` and never reaches for the flight
@@ -6,6 +7,11 @@ recorder or the telemetry object itself — which recorder hears about a stage
 is decided in ``repro.obs`` (``obs/stages.py``).  This walks the source tree
 so that per-site ``tracer.flight.*`` / ``telemetry.*`` hook families cannot
 grow back.
+
+Likewise the methods every MPI rank offers around its library's
+``send``/``recv`` are written once, on ``repro.ampi.mpi.MpiRank``, and only
+an app's driver builds a session: per-model runners take the one they are
+given.
 """
 
 import ast
@@ -64,3 +70,62 @@ def test_no_site_names_a_recorder():
     assert set(ALLOWED) == set(found)
     lines = {(rel, n) for (rel, _attr), ns in found.items() for n in ns}
     assert len(lines) <= 12 and len({rel for rel, _ in lines}) <= 3
+
+
+#: Rank methods written once, on ``MpiRank``; a second definition on any
+#: class is a copy that can drift (a sub-communicator once lacked half).
+RANK_SURFACE = {
+    "isend", "irecv", "sendrecv", "waitall", "alloc_device", "free_device",
+    "_cpu_delay", "_next_coll_seq", "bcast_device", "reduce_device",
+    "allreduce_device", "allgather_device",
+}
+
+#: (file, class, method) -> why this homonym is not a rank surface copy.
+SURFACE_HOMONYMS = {
+    ("hardware/topology.py", "Machine", "alloc_device"):
+        "the machine's allocator, which MpiRank.alloc_device calls",
+    ("hardware/topology.py", "Machine", "free_device"):
+        "the machine's allocator, which MpiRank.free_device calls",
+}
+
+
+def _surface_methods():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name in RANK_SURFACE:
+                    found.setdefault(node.name, []).append((rel, cls.name))
+    return found
+
+
+def test_rank_surface_is_written_once():
+    found = _surface_methods()
+    copies = {
+        name: sites for name, sites in found.items()
+        if len([s for s in sites if s + (name,) not in SURFACE_HOMONYMS]) > 1
+    }
+    assert not copies, f"rank methods defined more than once: {copies}"
+    assert set(RANK_SURFACE) <= set(found)
+    homonyms = {s + (name,) for name, sites in found.items() for s in sites}
+    assert set(SURFACE_HOMONYMS) <= homonyms
+
+
+def test_only_app_drivers_build_sessions():
+    offenders = set()
+    for path in sorted(SRC.glob("apps/*/*.py")):
+        if path.name in ("driver.py", "runner.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "session"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "api"):
+                offenders.add(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert not offenders, (
+        "per-model runners take the driver's session instead of building "
+        f"one: {sorted(offenders)}")
