@@ -1,11 +1,14 @@
 """Tier-1 gate: the perf-regression baseline must record, check clean,
-and trip on a perturbed config.
+and trip on any perturbed value.
 
 Runs a reduced workload subset for speed (one eager point, one rendezvous
 point), plus one full-CLI round trip and a check of the committed
 ``BENCH_baseline.json`` at the repository root.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,39 +88,75 @@ class TestGateLibrary:
             cfg.override("ucx.indexed_matching=false")
 
 
-class TestTolerances:
-    def test_near_zero_quantities_use_explicit_atol(self):
-        """Regression (satellite of the fast-core PR): the old comparator
-        hid a ``max(tol, 1e-9)`` floor that silently absorbed order-of-
-        magnitude drift of tiny quantities.  The floor is now the explicit
-        recorded ``atol``: float noise below it passes, real drift of a
-        small quantity fails."""
-        doc = collect_baseline(workloads=FAST_WORKLOADS[:1])
+class TestExactGate:
+    def test_one_nanopercent_drift_fails_and_prints_both_values(self):
+        """The gate compares with ``==``: a 1e-9 relative nudge of one
+        float config field moves the modeled latency far below what a
+        ``.6g`` print shows, and ``check`` must still fail, name the
+        value's path and print both values in full (``repr``)."""
         name = FAST_WORKLOADS[0]
-        fp = doc["entries"][name]
-
-        # sub-atol perturbation of a (near-)zero quantity: a pure relative
-        # tolerance would flag it, the atol floor must absorb it
-        noisy = dict(fp)
-        noisy["posting"] = dict(
-            fp["posting"],
-            delayed_posting_us=fp["posting"]["delayed_posting_us"] + 5e-13,
-        )
-        report = check_baseline({**doc, "entries": {name: noisy}})
-        assert report.ok, report.format()
+        doc = collect_baseline(workloads=[name])
+        cfg = MachineConfig.summit(nodes=2)
+        nudged = cfg.override({"runtime.ampi_send_overhead":
+                               cfg.runtime.ampi_send_overhead * (1 + 1e-9)})
+        report = check_baseline(doc, config=nudged)
+        assert not report.ok
         # host time is reported, never judged
         assert report.wallclock[name] > 0.0
         assert "wall-clock" in report.format()
+        where = f"{name}.latency_us: "
+        line = next(f for f in report.failures if f.startswith(where))
+        base, cur = line[len(where):].split(" -> ")
+        assert base == repr(doc["entries"][name]["latency_us"])
+        assert float(cur) != float(base)
+        assert abs(float(cur) / float(base) - 1) < 1e-8
 
-        # 100x drift of a near-zero quantity: under the old hidden 1e-9
-        # floor this passed; with the explicit atol it must fail
-        drifted = dict(fp)
-        drifted["posting"] = dict(fp["posting"],
-                                  delayed_posting_us=2e-10)
-        baseline_doc = {**doc, "entries": {name: drifted}}
-        fresh = check_baseline(baseline_doc)
-        assert any("delayed_posting_us" in f for f in fresh.failures), \
-            fresh.format()
+    def test_type_is_part_of_the_value(self):
+        name = FAST_WORKLOADS[0]
+        doc = collect_baseline(workloads=[name])
+        fp = doc["entries"][name]
+        events = fp["events"]
+        as_float = {**doc, "entries": {name: {**fp, "events": float(events)}}}
+        report = check_baseline(as_float)
+        assert report.failures == [f"{name}.events: {float(events)!r} -> {events!r}"]
+
+    def test_record_workloads_keeps_the_other_entries(self, tmp_path):
+        """``record --workloads`` re-records the named entries of an
+        existing file and leaves every other entry byte-for-byte alone,
+        even one a fresh run would change."""
+        kept, redone = FAST_WORKLOADS
+        out = tmp_path / "base.json"
+        assert main(["record", "--out", str(out), "--workloads", kept,
+                     "--workloads", redone]) == 0
+        fresh = load_baseline(out)
+        # both entries stale: only the named one may be re-run
+        stale = load_baseline(out)
+        for name in (kept, redone):
+            stale["entries"][name]["events"] += 1
+        save_baseline(stale, out)
+        assert main(["record", "--out", str(out), "--workloads", redone]) == 0
+        expected = dict(stale, entries={kept: stale["entries"][kept],
+                                        redone: fresh["entries"][redone]})
+        assert out.read_text() == save_baseline(
+            expected, tmp_path / "expected.json").read_text()
+
+    @pytest.mark.parametrize("hashseed", ["0", "1"])
+    def test_observed_entry_checks_clean_under_any_hash_seed(self, tmp_path,
+                                                             hashseed):
+        """The observation block holds no set or dict order: the CLI check
+        of an ``observed_*`` entry passes whatever ``PYTHONHASHSEED`` is."""
+        name = "observed_openmpi_intra_8B"
+        doc = load_baseline(REPO_ROOT / DEFAULT_BASELINE_PATH)
+        path = save_baseline(dict(doc, entries={name: doc["entries"][name]}),
+                             tmp_path / "one.json")
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.bench.baseline", "check",
+             "--baseline", str(path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 workload(s), 0 failure(s)" in proc.stdout
 
 
 class TestGateCli:

@@ -9,13 +9,13 @@ fingerprints for a small suite of fast, representative workloads
 
 * ``record`` — run the suite, write the baseline file;
 * ``check`` — run the suite again and compare against the stored
-  baseline: integer quantities (event counts, counters, inversions) must
-  match exactly, modeled times within a relative tolerance.
+  baseline: every value must be equal, with the same type.  JSON's
+  shortest-repr round trip is exact for doubles, so a recorded modeled
+  time reads back as the very float the run produced.
 
-Any code change that shifts a modeled latency, schedules a different
-number of events or bumps a counter outside tolerance trips the gate —
-the CI hook the ROADMAP's "every PR makes a hot path measurably faster
-or enables that" needs to be enforceable.
+The ``observed_*`` entries also pin what a traced run reports (see
+:func:`_observation`).  A deliberate model change re-records the entries it
+moves (``record --workloads NAME ...``) and shows up as a JSON diff of them.
 
 CLI: ``python -m repro.bench.baseline record|check`` (see
 :mod:`repro.bench.baseline`).
@@ -24,17 +24,21 @@ CLI: ``python -m repro.bench.baseline record|check`` (see
 from __future__ import annotations
 
 import json
+import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.config import KB, MB, MachineConfig
+from repro.faults.plan import FaultPlan
 
 __all__ = [
     "BASELINE_SCHEMA",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_ATOL",
+    "SHAPES",
     "WORKLOADS",
     "BaselineReport",
     "collect_baseline",
@@ -48,99 +52,6 @@ BASELINE_SCHEMA = 1
 
 #: Committed at the repository root.
 DEFAULT_BASELINE_PATH = "BENCH_baseline.json"
-
-#: Default relative tolerance for modeled times (floats); integers exact.
-DEFAULT_RTOL = 0.01
-
-#: Absolute floor for float comparisons.  A pure relative tolerance makes
-#: every near-zero quantity (e.g. a delayed-posting cost that should be
-#: exactly 0 µs) an automatic mismatch on any sub-rounding jitter, while a
-#: large hidden floor would mask real regressions of small quantities —
-#: this explicit value only absorbs float noise far below any modeled cost.
-DEFAULT_ATOL = 1e-12
-
-#: Named fault plans referenced by 4-tuple workload specs.  Deterministic
-#: by construction (seeded), so faulty runs fingerprint just as stably as
-#: clean ones — retransmit/drop counters included.
-_FAULT_PLANS = {
-    "lossy": None,  # built lazily below to keep this module import-light
-}
-
-
-def _fault_plan(key: str):
-    plan = _FAULT_PLANS.get(key)
-    if plan is None:
-        from repro.faults import FaultPlan
-
-        if key != "lossy":
-            raise KeyError(f"unknown baseline fault plan {key!r}")
-        plan = FaultPlan.lossy(drop_p=0.08, seed=1234)
-        _FAULT_PLANS[key] = plan
-    return plan
-
-
-#: name -> (model, size, placement[, fault_plan]).  Small-message intra-node
-#: points cover every model's eager path cheaply; the inter-node 64 KB points
-#: exercise the rendezvous protocols (and therefore nonzero delayed-posting
-#: cost); the ``_lossy`` point pins the fault-injection recovery path
-#: (seeded drops, retransmits, backoff waits) to a fingerprint.
-WORKLOADS: Dict[str, Tuple] = {
-    "osu_latency_charm_intra_8": ("charm", 8, "intra"),
-    "osu_latency_ampi_intra_8": ("ampi", 8, "intra"),
-    "osu_latency_openmpi_intra_8": ("openmpi", 8, "intra"),
-    "osu_latency_charm4py_intra_8": ("charm4py", 8, "intra"),
-    "osu_latency_charm_inter_64K": ("charm", 64 * KB, "inter"),
-    "osu_latency_ampi_inter_64K": ("ampi", 64 * KB, "inter"),
-    "osu_latency_ampi_inter_64K_lossy": ("ampi", 64 * KB, "inter", "lossy"),
-    # Paper-scale Jacobi3D scaling sweeps (§IV-C at 256 nodes): each entry
-    # runs a node ladder and pins the *scaling shape* — one fingerprint per
-    # ladder point, compared recursively.  Weak ladders start at 4 nodes;
-    # strong ladders at 8 (the fixed 3072³ domain does not fit fewer GPUs).
-    "jacobi_charm_weak_256": ("jacobi", "charm", "weak", (4, 64, 256)),
-    "jacobi_charm_strong_256": ("jacobi", "charm", "strong", (8, 64, 256)),
-    "jacobi_ampi_weak_256": ("jacobi", "ampi", "weak", (4, 64, 256)),
-    "jacobi_ampi_strong_256": ("jacobi", "ampi", "strong", (8, 64, 256)),
-    "jacobi_charm4py_weak_256": ("jacobi", "charm4py", "weak", (4, 64, 256)),
-    "jacobi_charm4py_strong_256": ("jacobi", "charm4py", "strong", (8, 64, 256)),
-    # Device-collective fingerprints: one 64-rank 1 MB allreduce across 11
-    # nodes, flat (hierarchical disabled, auto-selected flat algorithm) vs
-    # hierarchical (two-level NVLink/IB decomposition).  The gate asserts
-    # the hierarchical run stays *faster* than the flat one — the PR's
-    # headline crossover, pinned as data.
-    "coll_allreduce_ampi_64r_1M_flat": ("coll", "flat"),
-    "coll_allreduce_ampi_64r_1M_hier": ("coll", "hier"),
-    # Dask-style GPU dataframe shuffle (all-to-all, O(ranks²) communicator
-    # pairs) with first-touch mapping/endpoint-setup costs enabled: the
-    # pooled-allocator ablation.  ``_pool`` routes chunks through the slab
-    # pool (mappings amortised to the first round); ``_direct`` allocates
-    # fresh buffers every round and pays them again.  The gate asserts the
-    # pooled run stays faster by the amortisation margin.
-    "shuffle_ampi_4n_pool": ("shuffle", "ampi", True, 4),
-    "shuffle_ampi_4n_direct": ("shuffle", "ampi", False, 4),
-    "shuffle_charm4py_4n_pool": ("shuffle", "charm4py", True, 4),
-    "shuffle_charm4py_4n_direct": ("shuffle", "charm4py", False, 4),
-    "shuffle_openmpi_2n_pool": ("shuffle", "openmpi", True, 2),
-    "shuffle_openmpi_2n_direct": ("shuffle", "openmpi", False, 2),
-    # Endpoint-thrash regime (PR 8 follow-on): the same pooled shuffle with
-    # ``max_endpoints`` far below the peer count (4 slots for 11 peers per
-    # worker), so every round LRU-closes and reconnects endpoints — and
-    # re-pays the peer mappings dropped with them.  The fingerprint pins
-    # the churn counters (``ucx.ep_evicted``/``ucx.ep_connect``) and the
-    # much larger modeled time; the congestion report flags this run as
-    # thrashing (gated in benchmarks/test_telemetry_smoke.py).
-    "shuffle_ampi_2n_thrash": ("shuffle", "ampi", True, 2, "thrash"),
-    # Multirail striping ablation (PR 10): one 4 MB intra-node AMPI
-    # bandwidth point three ways — single-rail (the Fig. 12 NVLink
-    # ceiling), striped across the alternate-brick/host-memory sideband
-    # with graph-batched launches, and striped with every alternate-brick
-    # link held down by a factor-0.0 fault window (graceful fallback: the
-    # planner excludes the dead rail and the modeled time returns to the
-    # single-rail fingerprint).  The gate asserts the striped run beats
-    # single-rail and the rail-down run matches it.
-    "bw_ampi_intra_4M_singlerail": ("bw_mr", "off"),
-    "bw_ampi_intra_4M_multirail": ("bw_mr", "on"),
-    "bw_ampi_intra_4M_multirail_raildown": ("bw_mr", "raildown"),
-}
 
 _ITERS = 6
 _SKIP = 2
@@ -162,74 +73,68 @@ _COLL_NBYTES = 1 << 20
 _SHUFFLE_ROUNDS = 6
 _SHUFFLE_MAPPING_COST = 1e-3
 _SHUFFLE_EP_SETUP_COST = 2e-5
-#: endpoint cap of the ``_thrash`` variant: far below the 11 peers each
-#: worker talks to in the 2-node all-to-all, forcing sustained LRU churn
+#: endpoint cap of the ``_thrash`` variant (11 peers per worker at 2 nodes)
 _THRASH_MAX_ENDPOINTS = 4
 
-
-def _run_shuffle_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
-    import repro.api as api
-    from repro.apps.shuffle.driver import run_shuffle
-
-    _, model, pooled, nodes = spec[:4]
-    thrash = len(spec) > 4 and spec[4] == "thrash"
-    cfg = cfg.with_pool(pooled).override({
-        "topology.nodes": nodes, "virtual_payload": True, "flight": True,
-        "ucx.mapping_cost": _SHUFFLE_MAPPING_COST,
-        "ucx.ep_setup_cost": _SHUFFLE_EP_SETUP_COST,
-        "ucx.max_endpoints": _THRASH_MAX_ENDPOINTS if thrash else None,
-    })
-    builder = api.session(cfg).model(model)
-    if model != "charm4py":
-        builder = builder.ranks(cfg.topology.total_gpus)
-    sess = builder.build()
-    result = run_shuffle(model, rounds=_SHUFFLE_ROUNDS, session=sess)
-    fp = sess.baseline_fingerprint()
-    fp["shuffle_time_us"] = result.total_time * 1e6
-    fp["bytes_moved"] = result.bytes_moved
-    fp["chunks_moved"] = result.chunks_moved
-    return fp
-
-
-#: Shape of the multirail ablation points (see the ``bw_mr_*`` workloads):
+#: Shape of the multirail ablation points (see the ``bw_ampi_*`` workloads):
 #: the Fig. 12 peak size, a short windowed loop (enough for the striped
 #: steady state without jacobi-scale wall-clock).
 _BW_MR_SIZE = 4 * MB
 _BW_MR_LOOPS = 2
 _BW_MR_WINDOW = 16
 
+#: Seeded, so faulty runs fingerprint just as stably as clean ones —
+#: retransmit/drop counters included.
+_LOSSY = FaultPlan.lossy(drop_p=0.08, seed=1234)
 
-def _run_bw_mr_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
+#: What an ``observed_*`` entry turns on.  Observation never moves the
+#: modeled results, so the rest of its fingerprint is that of a plain run.
+_OBSERVED = {"trace": True, "flight": True, "telemetry": True}
+
+
+# ---------------------------------------------------------------------------
+# runners: (config, named shape) -> (finished session, extra fingerprint keys)
+# ---------------------------------------------------------------------------
+
+def _osu_latency(cfg: MachineConfig, *, model: str, size: int, placement: str,
+                 faults: Optional[FaultPlan] = None):
     import repro.api as api
-    from repro.apps.osu.runner import run_bandwidth
+    from repro.apps.osu.runner import run_latency
 
-    variant = spec[1]
+    # flight recording feeds the posting fingerprint; it is observation-only
+    # so the modeled quantities are identical to a plain run
     cfg = cfg.override({"flight": True})
-    if variant != "off":
-        cfg = cfg.override({"multirail.enabled": True})
-    if variant == "raildown":
-        from repro.faults import FaultPlan
-
-        # every alternate-brick link down for the whole run: no seed route
-        # traverses them, so only the rail planner sees the outage
-        cfg = cfg.with_faults(FaultPlan.rail_down("n*.nvlalt*"))
-    sess = api.session(cfg).model("ampi").build()
-    bw = run_bandwidth("ampi", _BW_MR_SIZE, "intra", True, session=sess,
-                       loops=_BW_MR_LOOPS, skip=1, window=_BW_MR_WINDOW)
-    fp = sess.baseline_fingerprint()
-    fp["bandwidth_gbs"] = bw / 1e9
-    return fp
+    if faults is not None:
+        cfg = cfg.with_faults(faults)
+    sess = api.session(cfg).model(model).build()
+    latency = run_latency(model, size, placement, True,
+                          session=sess, iters=_ITERS, skip=_SKIP)
+    return sess, {"latency_us": latency * 1e6}
 
 
-def _run_coll_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
+def _jacobi(cfg: MachineConfig, *, model: str, nodes: int, scaling: str):
+    import repro.api as api
+    from repro.apps.jacobi3d.driver import run_jacobi
+
+    # virtual payloads: timing-identical (tests/test_virtual_payload.py)
+    # but skips every dead-weight memcpy of the paper-scale domains
+    cfg = cfg.override({"topology.nodes": nodes, "virtual_payload": True,
+                        "flight": True})
+    sess = api.session(cfg).model(model).build()
+    result = run_jacobi(model, nodes=nodes, scaling=scaling,
+                        iters=_JACOBI_ITERS, warmup=_JACOBI_WARMUP,
+                        session=sess)
+    return sess, {"iter_time_us": result.iter_time * 1e6,
+                  "comm_time_us": result.comm_time * 1e6}
+
+
+def _allreduce(cfg: MachineConfig, *, hierarchical: bool):
     import repro.api as api
 
-    variant = spec[1]
     # virtual payloads: the fingerprint pins modeled time, not numerics
     cfg = cfg.override({"topology.nodes": _COLL_NODES, "virtual_payload": True,
-                        "flight": True})
-    if variant == "flat":
-        cfg = cfg.override({"collectives.hierarchical_enabled": False})
+                        "flight": True,
+                        "collectives.hierarchical_enabled": hierarchical})
     sess = api.session(cfg).model("ampi").ranks(_COLL_RANKS).build()
 
     def program(rank):
@@ -237,66 +142,194 @@ def _run_coll_workload(spec: Tuple, cfg: MachineConfig) -> Dict:
         yield from rank.allreduce_device(buf, _COLL_NBYTES)
 
     sess.run_until(sess.launch(program), max_events=200_000_000)
-    return sess.baseline_fingerprint()
+    return sess, {}
 
 
-def _run_jacobi_workload(spec: Tuple, base_cfg: MachineConfig) -> Dict:
+def _shuffle(cfg: MachineConfig, *, model: str, pooled: bool, nodes: int,
+             max_endpoints: Optional[int] = None):
     import repro.api as api
-    from repro.apps.jacobi3d.driver import run_jacobi
+    from repro.apps.shuffle.driver import run_shuffle
 
-    _, model, scaling, ladder = spec
-    points: Dict[str, Dict] = {}
-    for nodes in ladder:
-        # virtual payloads: timing-identical (tests/test_virtual_payload.py)
-        # but skips every dead-weight memcpy of the paper-scale domains
-        cfg = base_cfg.override({"topology.nodes": nodes,
-                                 "virtual_payload": True, "flight": True})
-        sess = api.session(cfg).model(model).build()
-        result = run_jacobi(model, nodes=nodes, scaling=scaling,
-                            iters=_JACOBI_ITERS, warmup=_JACOBI_WARMUP,
-                            session=sess)
-        fp = sess.baseline_fingerprint()
-        fp["iter_time_us"] = result.iter_time * 1e6
-        fp["comm_time_us"] = result.comm_time * 1e6
-        points[f"n{nodes}"] = fp
-    return points
+    cfg = cfg.with_pool(pooled).override({
+        "topology.nodes": nodes, "virtual_payload": True, "flight": True,
+        "ucx.mapping_cost": _SHUFFLE_MAPPING_COST,
+        "ucx.ep_setup_cost": _SHUFFLE_EP_SETUP_COST,
+        "ucx.max_endpoints": max_endpoints,
+    })
+    builder = api.session(cfg).model(model)
+    if model != "charm4py":
+        builder = builder.ranks(cfg.topology.total_gpus)
+    sess = builder.build()
+    result = run_shuffle(model, rounds=_SHUFFLE_ROUNDS, session=sess)
+    return sess, {"shuffle_time_us": result.total_time * 1e6,
+                  "bytes_moved": result.bytes_moved,
+                  "chunks_moved": result.chunks_moved}
+
+
+def _bandwidth(cfg: MachineConfig, *, multirail: bool, rail_down: bool = False):
+    import repro.api as api
+    from repro.apps.osu.runner import run_bandwidth
+
+    cfg = cfg.override({"flight": True, "multirail.enabled": multirail})
+    if rail_down:
+        # every alternate-brick link down for the whole run: no seed route
+        # traverses them, so only the rail planner sees the outage
+        cfg = cfg.with_faults(FaultPlan.rail_down("n*.nvlalt*"))
+    sess = api.session(cfg).model("ampi").build()
+    bw = run_bandwidth("ampi", _BW_MR_SIZE, "intra", True, session=sess,
+                       loops=_BW_MR_LOOPS, skip=1, window=_BW_MR_WINDOW)
+    return sess, {"bandwidth_gbs": bw / 1e9}
+
+
+def _observation(sess) -> Dict:
+    """What a traced, flight-recorded, telemetry-on run reports, as plain
+    JSON (tuple keys and sets become sorted strings and lists): span counts
+    and attribute keys, span-tree and flight-record digests, blame, flight
+    summary, histogram and telemetry counts, contended links and the sha256
+    of the exported ``trace.json`` and ``timeline.json``."""
+    # lazy: repro.obs imports this module; hashlib loads OpenSSL (+3.6 MB RSS)
+    import hashlib
+
+    spans = sess.tracer.spans
+    records = [r.to_dict() for r in sess.flight_records()]
+    snap = sess.metrics_snapshot()
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = sess.export_chrome_trace(Path(tmp, "trace.json")).read_bytes()
+        timeline = sess.export_timeline(Path(tmp, "timeline.json")).read_bytes()
+    return {
+        "span_counts": {f"{cat}/{name}": n for (cat, name), n in
+                        sorted(Counter((s.category, s.name) for s in spans).items())},
+        # the attribute keys of every (category, name), in creation order
+        "span_attrs": [[cat, name, list(keys)] for cat, name, keys in
+                       sorted({(s.category, s.name, tuple(s.attrs)) for s in spans})],
+        # creation order, parenting, times and ordered attributes of every span
+        "span_tree_digest": hashlib.sha256(repr([
+            (s.sid, s.parent_sid, s.category, s.name, s.start, s.end_time,
+             list(s.attrs.items()))
+            for s in spans]).encode()).hexdigest(),
+        "blame": sess.critical_path().blame,
+        "flight_summary": sess.flight_summary(),
+        "first_record": records[0],
+        "last_record": records[-1],
+        "flight_records_digest": hashlib.sha256(
+            json.dumps(records, sort_keys=True).encode()).hexdigest(),
+        "time_by_category": snap["time_by_category"],
+        "histogram_counts": {
+            name: h["counts"] for name, h in snap["histograms"].items()},
+        "series_counts": {
+            name: ts.stats()["count"]
+            for name, ts in sorted(sess.tracer.timeline.series.items())},
+        "top_contended": [
+            link.name for link in sess.congestion_report().top_contended],
+        "trace_sha256": hashlib.sha256(trace).hexdigest(),
+        "timeline_sha256": hashlib.sha256(timeline).hexdigest(),
+    }
+
+
+def _fingerprint(run: Callable, cfg: MachineConfig, observed: bool = False) -> Dict:
+    sess, extra = run(cfg.override(_OBSERVED) if observed else cfg)
+    fp = {**sess.baseline_fingerprint(), **extra}
+    if observed:
+        fp["observation"] = _observation(sess)
+    return fp
+
+
+def _ladder(cfg: MachineConfig, *, ladder, **point) -> Dict:
+    """One Jacobi3D fingerprint per node count, keyed ``n<nodes>``."""
+    return {f"n{nodes}": _fingerprint(partial(_jacobi, nodes=nodes, **point), cfg)
+            for nodes in ladder}
+
+
+def _point(run: Callable, **shape) -> Callable[[MachineConfig], Dict]:
+    return partial(_fingerprint, partial(run, **shape))
+
+
+#: The traced shapes behind the ``observed_*`` entries; each takes a config
+#: and returns ``(session, extra)`` (``tests/test_obs_export_text.py``
+#: exports the same sessions against its oracle).
+SHAPES: Dict[str, Callable] = {
+    "charm_inter_64K": partial(_osu_latency, model="charm", size=64 * KB,
+                               placement="inter"),
+    "charm4py_inter_64K": partial(_osu_latency, model="charm4py", size=64 * KB,
+                                  placement="inter"),
+    "openmpi_intra_8B": partial(_osu_latency, model="openmpi", size=8,
+                                placement="intra"),
+    "ampi_inter_64K_lossy": partial(_osu_latency, model="ampi", size=64 * KB,
+                                    placement="inter", faults=_LOSSY),
+    "ampi_jacobi_2n": partial(_jacobi, model="ampi", nodes=2, scaling="weak"),
+}
+
+#: name -> callable(config) -> fingerprint.  Small-message intra-node points
+#: cover every model's eager path cheaply; the inter-node 64 KB points
+#: exercise the rendezvous protocols (and therefore nonzero delayed-posting
+#: cost); the ``_lossy`` point pins the fault-injection recovery path
+#: (seeded drops, retransmits, backoff waits) to a fingerprint.
+WORKLOADS: Dict[str, Callable[[MachineConfig], Dict]] = {
+    **{f"osu_latency_{model}_intra_8": _point(
+        _osu_latency, model=model, size=8, placement="intra")
+       for model in ("charm", "ampi", "openmpi", "charm4py")},
+    **{f"osu_latency_{model}_inter_64K": _point(
+        _osu_latency, model=model, size=64 * KB, placement="inter")
+       for model in ("charm", "ampi")},
+    "osu_latency_ampi_inter_64K_lossy": _point(
+        _osu_latency, model="ampi", size=64 * KB, placement="inter",
+        faults=_LOSSY),
+    # Paper-scale Jacobi3D scaling sweeps (§IV-C at 256 nodes): each entry
+    # runs a node ladder and pins the *scaling shape* — one fingerprint per
+    # ladder point, compared recursively.  Weak ladders start at 4 nodes;
+    # strong ladders at 8 (the fixed 3072³ domain does not fit fewer GPUs).
+    **{f"jacobi_{model}_{scaling}_256": partial(
+        _ladder, model=model, scaling=scaling,
+        ladder=(4, 64, 256) if scaling == "weak" else (8, 64, 256))
+       for model in ("charm", "ampi", "charm4py")
+       for scaling in ("weak", "strong")},
+    # Device-collective fingerprints: one 64-rank 1 MB allreduce across 11
+    # nodes, flat (hierarchical disabled, auto-selected flat algorithm) vs
+    # hierarchical (two-level NVLink/IB decomposition); the hierarchical
+    # run must stay faster (benchmarks/test_baseline_gate.py).
+    "coll_allreduce_ampi_64r_1M_flat": _point(_allreduce, hierarchical=False),
+    "coll_allreduce_ampi_64r_1M_hier": _point(_allreduce, hierarchical=True),
+    # Dask-style GPU dataframe shuffle (all-to-all) with first-touch
+    # mapping/endpoint-setup costs: the pooled-allocator ablation.  ``_pool``
+    # amortises mappings to the first round; ``_direct`` allocates fresh
+    # buffers and pays them every round, and must stay slower.
+    **{f"shuffle_{model}_{nodes}n_{'pool' if pooled else 'direct'}": _point(
+        _shuffle, model=model, pooled=pooled, nodes=nodes)
+       for model, nodes in (("ampi", 4), ("charm4py", 4), ("openmpi", 2))
+       for pooled in (True, False)},
+    # Endpoint-thrash regime: the same pooled shuffle with 4 endpoint slots
+    # for 11 peers per worker, so every round LRU-closes and reconnects
+    # endpoints and re-pays the mappings dropped with them (the congestion
+    # report's thrash verdict is gated in benchmarks/test_telemetry_smoke.py).
+    "shuffle_ampi_2n_thrash": _point(_shuffle, model="ampi", pooled=True, nodes=2,
+                                     max_endpoints=_THRASH_MAX_ENDPOINTS),
+    # Multirail striping ablation: one 4 MB intra-node AMPI bandwidth point
+    # single-rail (the Fig. 12 NVLink ceiling), striped across the
+    # alternate-brick/host-memory sideband, and striped with every
+    # alternate brick down, which must fall back to the single-rail result.
+    "bw_ampi_intra_4M_singlerail": _point(_bandwidth, multirail=False),
+    "bw_ampi_intra_4M_multirail": _point(_bandwidth, multirail=True),
+    "bw_ampi_intra_4M_multirail_raildown": _point(_bandwidth, multirail=True,
+                                                  rail_down=True),
+    # Observation output of one traced shape per model (see ``SHAPES``).
+    **{f"observed_{shape}": partial(_fingerprint, run, observed=True)
+       for shape, run in SHAPES.items()},
+}
 
 
 def run_workload(name: str, config: Optional[MachineConfig] = None) -> Dict:
     """Run one named workload and return its fingerprint dict.
 
-    OSU workloads return one flat fingerprint; jacobi sweep workloads
-    return one fingerprint per ladder point (``{"n4": {...}, ...}``),
-    which ``check`` compares recursively.
+    Single-run workloads return one flat fingerprint; jacobi sweep
+    workloads return one fingerprint per ladder point (``{"n4": {...},
+    ...}``), which ``check`` compares recursively.
     """
-    import repro.api as api
-    from repro.apps.osu.runner import run_latency
-
-    spec = WORKLOADS.get(name)
-    if spec is None:
+    run = WORKLOADS.get(name)
+    if run is None:
         raise KeyError(
             f"unknown baseline workload {name!r}; known: {sorted(WORKLOADS)}"
         )
-    cfg = config if config is not None else MachineConfig.summit(nodes=2)
-    if spec[0] == "jacobi":
-        return _run_jacobi_workload(spec, cfg)
-    if spec[0] == "coll":
-        return _run_coll_workload(spec, cfg)
-    if spec[0] == "shuffle":
-        return _run_shuffle_workload(spec, cfg)
-    if spec[0] == "bw_mr":
-        return _run_bw_mr_workload(spec, cfg)
-    model, size, placement = spec[:3]
-    if len(spec) == 4:
-        cfg = cfg.with_faults(_fault_plan(spec[3]))
-    # flight recording feeds the posting fingerprint; it is observation-only
-    # so the modeled quantities are identical to a plain run
-    sess = api.session(cfg).model(model).flight().build()
-    latency = run_latency(model, size, placement, True,
-                          session=sess, iters=_ITERS, skip=_SKIP)
-    fp = sess.baseline_fingerprint()
-    fp["latency_us"] = latency * 1e6
-    return fp
+    return run(config if config is not None else MachineConfig.summit(nodes=2))
 
 
 def collect_baseline(
@@ -307,8 +340,6 @@ def collect_baseline(
     names = list(WORKLOADS) if workloads is None else list(workloads)
     return {
         "schema": BASELINE_SCHEMA,
-        "rtol": DEFAULT_RTOL,
-        "atol": DEFAULT_ATOL,
         "entries": {name: run_workload(name, config) for name in names},
     }
 
@@ -348,8 +379,7 @@ class BaselineReport:
         return "\n".join([head] + [f"  FAIL {f}" for f in self.failures])
 
 
-def _compare_value(where: str, base, cur, rtol: float, atol: float,
-                   failures: List[str]) -> None:
+def _compare_value(where: str, base, cur, failures: List[str]) -> None:
     if isinstance(base, dict) and isinstance(cur, dict):
         for key in sorted(set(base) | set(cur)):
             if key not in base:
@@ -357,49 +387,19 @@ def _compare_value(where: str, base, cur, rtol: float, atol: float,
             elif key not in cur:
                 failures.append(f"{where}.{key}: missing from current run")
             else:
-                _compare_value(f"{where}.{key}", base[key], cur[key],
-                               rtol, atol, failures)
-        return
-    if isinstance(base, bool) or isinstance(cur, bool):
-        if base != cur:
-            failures.append(f"{where}: {base!r} -> {cur!r}")
-        return
-    if isinstance(base, int) and isinstance(cur, int):
-        if base != cur:
-            failures.append(f"{where}: {base} -> {cur} (exact match required)")
-        return
-    if isinstance(base, (int, float)) and isinstance(cur, (int, float)):
-        # modeled times: relative tolerance plus the explicit absolute
-        # floor (see DEFAULT_ATOL) so exact zeros compare clean without
-        # masking regressions of small-but-real quantities
-        tol = rtol * max(abs(base), abs(cur)) + atol
-        if abs(cur - base) > tol:
-            drift = (cur - base) / base * 100.0 if base else float("inf")
-            failures.append(
-                f"{where}: {base:.6g} -> {cur:.6g} "
-                f"({drift:+.2f}%, rtol={rtol}, atol={atol:g})"
-            )
-        return
-    if base != cur:
+                _compare_value(f"{where}.{key}", base[key], cur[key], failures)
+    elif not (type(base) is type(cur) and base == cur):
         failures.append(f"{where}: {base!r} -> {cur!r}")
 
 
-def check_baseline(
-    doc: Dict,
-    config: Optional[MachineConfig] = None,
-    rtol: Optional[float] = None,
-    atol: Optional[float] = None,
-) -> BaselineReport:
-    """Re-run every workload named in ``doc`` and compare fingerprints.
+def check_baseline(doc: Dict, config: Optional[MachineConfig] = None) -> BaselineReport:
+    """Re-run every workload named in ``doc`` and compare fingerprints
+    exactly.
 
     Each workload's wall-clock is recorded in the report (and printed) but
     not judged: host time is the repo benchmark's business
     (``benchmarks/perf``), which compares it against the parent commit.
     """
-    if rtol is None:
-        rtol = float(doc.get("rtol", DEFAULT_RTOL))
-    if atol is None:
-        atol = float(doc.get("atol", DEFAULT_ATOL))
     report = BaselineReport()
     for name, base_fp in sorted(doc.get("entries", {}).items()):
         if name not in WORKLOADS:
@@ -409,7 +409,7 @@ def check_baseline(
         cur_fp = run_workload(name, config)
         report.wallclock[name] = time.perf_counter() - start
         report.compared += 1
-        _compare_value(name, base_fp, cur_fp, rtol, atol, report.failures)
+        _compare_value(name, base_fp, cur_fp, report.failures)
     if not doc.get("entries"):
         report.failures.append("baseline has no entries")
     return report

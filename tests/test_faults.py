@@ -586,58 +586,6 @@ class TestSurfacing:
         assert recs and all(r.complete for r in recs)
         assert sum(r.retransmits for r in recs) > 0
 
-    def test_lossy_observation_output_is_pinned(self):
-        """What a traced, flight-recorded run of the
-        ``osu_latency_ampi_inter_64K_lossy`` baseline shape reports, pinned
-        to literals recorded before the tagged and AM wire paths were merged
-        into ``ucx/transport.py``.  ``tests/test_obs_golden.py`` only
-        compares observation on against off; this is what notices a span
-        dropped or renamed in both."""
-        from collections import Counter
-
-        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
-                .faults(FaultPlan.lossy(drop_p=0.08, seed=1234))
-                .trace().flight().build())
-        run_latency("ampi", 64 * KB, "inter", True, session=sess, iters=6, skip=2)
-        assert Counter((s.category, s.name) for s in sess.tracer.spans) == {
-            ("ampi", "mpi_recv"): 16, ("ampi", "mpi_send"): 16,
-            ("converse", "cmi_recv_device"): 16, ("converse", "cmi_send"): 16,
-            ("converse", "cmi_send_device"): 16,
-            ("fault", "retransmit_wait"): 8,
-            ("link", "am_wire"): 16, ("link", "rndv_data"): 16,
-            ("link", "wire"): 32,
-            ("machine", "lrts_recv_device"): 16,
-            ("machine", "lrts_send_device"): 16,
-            ("ucx", "am_send"): 16, ("ucx", "tag_recv"): 16,
-            ("ucx", "tag_send"): 16, ("ucx.match", "tag_match"): 16,
-            ("ucx.rndv", "rndv_fetch"): 16, ("ucx.rndv", "rndv_rts"): 16,
-        }
-        # the transport's spans keep their attributes too (exported traces)
-        assert {(s.category, s.name, tuple(s.attrs)) for s in sess.tracer.spans
-                if s.category in ("link", "fault")} == {
-            ("fault", "retransmit_wait", ("kind", "attempt")),  # AM frames
-            ("fault", "retransmit_wait", ("kind", "tag", "attempt")),
-            ("link", "am_wire", ("bytes",)),
-            ("link", "rndv_data", ("tag", "bytes")),
-            ("link", "wire", ("kind", "tag", "bytes")),
-        }
-        assert sess.critical_path().blame == {
-            "fault_recovery": 4.920546990365464e-05,
-            "host_metadata": 1.3884990414968645e-05,
-            "link": 0.00016809785261715147,
-            "machine": 1.0087209303696387e-05,
-            "model": 6.0000000000000056e-05,
-            "ucx_protocol": 0.00036509413136300413,
-        }
-        summary = sess.flight_summary()
-        assert (summary["n_records"], summary["n_complete"]) == (16, 16)
-        assert summary["delayed_posting_seconds"] == 0.0003340966771120734
-        # 8 frames were retransmitted; the 2 that were RTS frames of a
-        # device transfer are the ones a flight record counts
-        assert sess.counters["fault.retransmit"] == 8
-        assert [r.retransmits for r in sess.tracer.flight.records()] == [
-            0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
-
     def test_builder_faults_none_is_noop(self):
         sess = api.session(MachineConfig.summit(nodes=2)) \
             .model("openmpi").faults(None).build()

@@ -4,13 +4,12 @@
 pieces; ``tests/oracles/chrome_trace_dict.py`` is the exporter it replaced
 (one dict per event, ``heapq.merge``, ``json.dumps``).  Lane numbers, key
 order, float formatting and string escaping are all in the bytes, so the
-contract is byte equality: on the four models' observed runs (whose digests
-were recorded at the parent commit, before the writer existed) and on
-generated span forests.  The non-finite rule is the one deliberate
-difference and is tested on its own.
+contract is byte equality: on the traced shapes of the baseline's
+``observed_*`` entries (whose ``trace_sha256``/``timeline_sha256`` pin the
+bytes themselves) and on generated span forests.  The non-finite rule is the
+one deliberate difference and is tested on its own.
 """
 
-import hashlib
 import json
 import math
 
@@ -18,43 +17,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import MachineConfig
 from repro.obs import Tracer, chrome_trace, export_chrome_trace, validate_chrome_trace
+from repro.obs.baseline import SHAPES
 from repro.obs.tracing import Span
 from repro.sim.engine import Simulator
 from tests.oracles.chrome_trace_dict import chrome_trace as oracle_chrome_trace
-from tests.test_obs_pinned import SHAPES
 
 
 # ---------------------------------------------------------------------------
-# pinned bytes: one traced + flight + telemetry run per model
+# the baseline's observed shapes: one traced + flight + telemetry run each
 # ---------------------------------------------------------------------------
 
-#: shape -> (sha256 of trace.json, sha256 of timeline.json), recorded at the
-#: parent commit of the text writer; not to be re-recorded by a change that
-#: claims to leave the exported artefacts alone.
-DIGESTS = {
-    "charm_inter_64K": (
-        "7e86e7462b32de43f91474fbfb8fcc49f5257305d0cc827ae03defafe50283f4",
-        "e83baf74f0299a705d5ca8d60991ba894c6b7e2858183b2641cf4a0bb42a6536"),
-    "charm4py_inter_64K": (
-        "5357904d0fe6b3968784f2cabd677cd5677ec7ca77947ce01a8a1bf94c2a1ed2",
-        "4d73222c8ac795d18927d56313ed6ede4cf14199c75a05ca3fd26659a59794d9"),
-    "openmpi_intra_8B": (
-        "ef8da5ec27b58d18b111c6a3b271c1aff7e1ee2ce417a18335e6c792fd1c6594",
-        "03cc621a3fefaf7b66e69fd811656ecf98b7230da87ec7697f2fb631a311e0ea"),
-    "ampi_jacobi_2n": (
-        "9be95cb15f771cad996b058f8d74e8a1a32d4ae4eacbdeea7167cd0518333f2f",
-        "39af39a16ec0e9b8248dfdd7bc58f6af4f1e605d7cfeb3dd6f3749ac2583a108"),
-}
-
-
-@pytest.mark.parametrize("shape", sorted(DIGESTS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_observed_run_exports_the_pinned_bytes(shape, tmp_path, strict_loads):
-    sess = SHAPES[shape]()
+    cfg = MachineConfig.summit(nodes=2).override(
+        {"trace": True, "flight": True, "telemetry": True})
+    sess, _ = SHAPES[shape](cfg)
     trace = sess.export_chrome_trace(tmp_path / "trace.json").read_bytes()
     timeline = sess.export_timeline(tmp_path / "timeline.json").read_bytes()
-    assert (hashlib.sha256(trace).hexdigest(),
-            hashlib.sha256(timeline).hexdigest()) == DIGESTS[shape]
     # the same bytes the dict builder produces, and both views agree
     oracle = oracle_chrome_trace(sess.tracer, process_name=f"repro-{sess.model}")
     assert trace == json.dumps(oracle).encode("ascii")
