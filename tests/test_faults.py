@@ -586,6 +586,21 @@ class TestSurfacing:
         assert recs and all(r.complete for r in recs)
         assert sum(r.retransmits for r in recs) > 0
 
+    def test_lossy_observation_output_is_pinned(self):
+        """What a traced, flight-recorded run of the
+        ``osu_latency_ampi_inter_64K_lossy`` baseline shape reports equals
+        the committed ``observed_ampi_inter_64K_lossy`` observation block,
+        and that block shows the recovery: retransmit-wait spans, blame on
+        the ``fault_recovery`` layer, every flight record complete."""
+        from tests.test_obs_pinned import observation_is_pinned
+
+        out = observation_is_pinned("ampi_inter_64K_lossy")
+        assert out["span_counts"]["fault/retransmit_wait"] > 0
+        assert out["blame"]["fault_recovery"] > 0.0
+        summary = out["flight_summary"]
+        assert summary["n_records"] == summary["n_complete"] > 0
+        assert out["last_record"]["complete"]
+
     def test_builder_faults_none_is_noop(self):
         sess = api.session(MachineConfig.summit(nodes=2)) \
             .model("openmpi").faults(None).build()

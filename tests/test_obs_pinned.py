@@ -1,881 +1,48 @@
-"""Observation *output* pinned per model, recorded before the hook sites
-were rewritten onto ``tracer.stage`` (``repro.obs.stages``).
+"""Observation *output* pinned per model: what a traced, flight-recorded,
+telemetry-on run reports for the charm, charm4py and openmpi OSU shapes and
+for a 2-node AMPI Jacobi3D run — span names, attribute keys *in order*,
+creation order and parenting, layer blame, flight records, charged time,
+histogram buckets, telemetry series and the exported trace bytes.
 
 ``tests/test_obs_golden.py`` compares observation on against off, which
-cannot see a span renamed, re-parented or dropped in both; and
-``tests/test_faults.py::test_lossy_observation_output_is_pinned`` pins one
-AMPI shape.  This file pins what a traced, flight-recorded, telemetry-on run
-reports for the three other models and for a 2-node AMPI Jacobi3D run: span
-names, attribute keys *in order*, creation order and parenting, layer blame,
-flight records, charged time, histogram buckets and telemetry series.  The
-literals below were generated at the parent commit; they are not to be
-re-recorded by a change that claims to leave observation output alone.
+cannot see a span renamed, re-parented or dropped in both.  The pinned
+values are the ``observation`` block of the ``observed_<shape>`` entries of
+``BENCH_baseline.json``; a change that moves them on purpose re-records
+those entries (``python -m repro.bench.baseline record --workloads
+observed_<shape>``) and shows up as a JSON diff of them.
 """
 
-import hashlib
-from collections import Counter
+from pathlib import Path
 
 import pytest
 
-import repro.api as api
-from repro.apps.jacobi3d.driver import run_jacobi
-from repro.apps.osu.runner import run_latency
-from repro.config import KB, MachineConfig
+from repro.obs.baseline import (
+    DEFAULT_BASELINE_PATH,
+    _compare_value,
+    load_baseline,
+    run_workload,
+)
+
+BASELINE = Path(__file__).resolve().parent.parent / DEFAULT_BASELINE_PATH
+
+# the lossy AMPI shape is pinned by tests/test_faults.py
+PINNED_SHAPES = ["ampi_jacobi_2n", "charm4py_inter_64K", "charm_inter_64K",
+                 "openmpi_intra_8B"]
 
 
-def _session(model, nodes=2):
-    return (api.session(MachineConfig.summit(nodes=nodes)).model(model)
-            .trace().flight().telemetry().build())
+def observation_is_pinned(shape):
+    """Run ``observed_<shape>`` and compare its observation block with the
+    committed one exactly; return that block."""
+    name = f"observed_{shape}"
+    want = load_baseline(BASELINE)["entries"][name]["observation"]
+    out = run_workload(name)["observation"]
+    failures = []
+    _compare_value(name, want, out, failures)
+    assert not failures, "\n".join(failures)
+    return out
 
 
-def _osu(model, size, placement):
-    sess = _session(model)
-    run_latency(model, size, placement, True, session=sess, iters=6, skip=2)
-    return sess
-
-
-def _jacobi():
-    sess = _session("ampi")
-    run_jacobi("ampi", nodes=2, iters=2, warmup=1, session=sess)
-    return sess
-
-
-SHAPES = {
-    "charm_inter_64K": lambda: _osu("charm", 64 * KB, "inter"),
-    "charm4py_inter_64K": lambda: _osu("charm4py", 64 * KB, "inter"),
-    "openmpi_intra_8B": lambda: _osu("openmpi", 8, "intra"),
-    "ampi_jacobi_2n": _jacobi,
-}
-
-
-def observation_output(sess):
-    spans = sess.tracer.spans
-    records = sess.flight_records()
-    snap = sess.metrics_snapshot()
-    return {
-        "span_counts": dict(Counter((s.category, s.name) for s in spans)),
-        "span_attrs": {(s.category, s.name, tuple(s.attrs)) for s in spans},
-        "first_spans": [(s.category, s.name, s.parent_sid) for s in spans[:40]],
-        # creation order, parenting, times and ordered attributes of every span
-        "span_tree_digest": hashlib.sha256(repr([
-            (s.sid, s.parent_sid, s.category, s.name, s.start, s.end_time,
-             list(s.attrs.items()))
-            for s in spans]).encode()).hexdigest(),
-        "blame": sess.critical_path().blame,
-        "flight_summary": sess.flight_summary(),
-        "first_record": records[0].to_dict(),
-        "last_record": records[-1].to_dict(),
-        "time_by_category": snap["time_by_category"],
-        "histogram_counts": {
-            name: h["counts"] for name, h in snap["histograms"].items()},
-        "series_counts": {
-            name: ts.stats()["count"]
-            for name, ts in sorted(sess.tracer.timeline.series.items())},
-        "top_contended": [
-            link.name for link in sess.congestion_report().top_contended],
-    }
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape", PINNED_SHAPES)
 def test_observation_output_is_pinned(shape):
-    out = observation_output(SHAPES[shape]())
-    want = PINNED[shape]
-    assert sorted(out) == sorted(want)
-    for key in want:
-        assert out[key] == want[key], key
-
-
-# generated literals (see the module docstring)
-PINNED = {'ampi_jacobi_2n': {'blame': {'host_metadata': 1.1852795948686471e-05,
-                              'link': 0.005511120479997359,
-                              'machine': 1.8649031695227366e-05,
-                              'model': 6.0213671875013315e-05,
-                              'ucx_protocol': 0.00027843808854529945,
-                              'uninstrumented': 0.02098783479083493},
-                    'first_record': {'complete': True,
-                                     'completed_at': 0.00039996320550797856,
-                                     'delayed_posting_cost': 7.986328124999991e-06,
-                                     'dst_pe': 1,
-                                     'enqueued_at': 6.7133203125e-05,
-                                     'error': None,
-                                     'failed_at': None,
-                                     'lane': 'cuda_ipc',
-                                     'matched_at': 7.561953124999999e-05,
-                                     'matched_unexpected': True,
-                                     'metadata_arrived_at': 6.795248698066263e-05,
-                                     'metadata_sent_at': 6.7133203125e-05,
-                                     'posting_delay': 7.986328124999991e-06,
-                                     'protocol': 'rndv',
-                                     'recv_cancels': 0,
-                                     'recv_posted_at': 7.511953124999999e-05,
-                                     'retransmits': 0,
-                                     'send_completed_at': None,
-                                     'seq': 0,
-                                     'size': 4718592,
-                                     'src_pe': 0,
-                                     'tag': 3458764513820540928,
-                                     'ucx_recv_posted_at': 7.561953124999999e-05,
-                                     'ucx_send_at': 6.7633203125e-05},
-                    'first_spans': [('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_send', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_recv', -1),
-                                    ('ampi', 'mpi_send', -1)],
-                    'flight_summary': {'by_protocol': {'eager': {'bytes': 0,
-                                                                 'delayed_posting_seconds': 0.0,
-                                                                 'max_delayed_posting_seconds': 0.0,
-                                                                 'n': 0,
-                                                                 'unexpected': 0},
-                                                       'rndv': {'bytes': 679477248,
-                                                                'delayed_posting_seconds': 0.011685862696579313,
-                                                                'max_delayed_posting_seconds': 0.0012845492656920598,
-                                                                'n': 120,
-                                                                'unexpected': 120}},
-                                       'delayed_posting_seconds': 0.011685862696579313,
-                                       'n_complete': 120,
-                                       'n_records': 120,
-                                       'n_unclassified': 0,
-                                       'posting_inversions': 0},
-                    'histogram_counts': {'ucx.recv_latency_seconds': [0, 0, 0,
-                                                                      0, 0, 0,
-                                                                      0, 0, 32,
-                                                                      52, 20,
-                                                                      16, 0, 0,
-                                                                      0],
-                                         'ucx.send_latency_seconds': [0, 0, 0,
-                                                                      0, 0, 0,
-                                                                      0, 0, 24,
-                                                                      44, 32,
-                                                                      20, 0, 0,
-                                                                      0],
-                                         'ucx.send_size_bytes': [0, 0, 0, 0, 0,
-                                                                 0, 0, 0, 0, 0,
-                                                                 0, 0, 0, 0, 0,
-                                                                 0, 0, 0, 0, 0,
-                                                                 0, 0, 0,
-                                                                 120]},
-                    'last_record': {'complete': True,
-                                    'completed_at': 0.02692237927132521,
-                                    'delayed_posting_cost': 2.376506837101916e-06,
-                                    'dst_pe': 4,
-                                    'enqueued_at': 0.025524085659890665,
-                                    'error': None,
-                                    'failed_at': None,
-                                    'lane': 'pipeline',
-                                    'matched_at': 0.025527112166727768,
-                                    'matched_unexpected': True,
-                                    'metadata_arrived_at': 0.025526462166727767,
-                                    'metadata_sent_at': 0.025524085659890665,
-                                    'posting_delay': 2.376506837101916e-06,
-                                    'protocol': 'rndv',
-                                    'recv_cancels': 0,
-                                    'recv_posted_at': 0.025526462166727767,
-                                    'retransmits': 0,
-                                    'send_completed_at': None,
-                                    'seq': 119,
-                                    'size': 6291456,
-                                    'src_pe': 10,
-                                    'tag': 3458764516504895499,
-                                    'ucx_recv_posted_at': 0.025527112166727768,
-                                    'ucx_send_at': 0.025524585659890665},
-                    'series_counts': {'engine.pending_events': 9,
-                                      'link.n0.nic0.rx.busy': 18,
-                                      'link.n0.nic0.rx.inflight': 18,
-                                      'link.n0.nic0.tx.busy': 18,
-                                      'link.n0.nic0.tx.inflight': 18,
-                                      'link.n0.nic1.rx.busy': 18,
-                                      'link.n0.nic1.rx.inflight': 18,
-                                      'link.n0.nic1.tx.busy': 18,
-                                      'link.n0.nic1.tx.inflight': 18,
-                                      'link.n0.nvlink0.rx.busy': 12,
-                                      'link.n0.nvlink0.rx.inflight': 12,
-                                      'link.n0.nvlink0.tx.busy': 12,
-                                      'link.n0.nvlink0.tx.inflight': 12,
-                                      'link.n0.nvlink1.rx.busy': 18,
-                                      'link.n0.nvlink1.rx.inflight': 18,
-                                      'link.n0.nvlink1.tx.busy': 18,
-                                      'link.n0.nvlink1.tx.inflight': 18,
-                                      'link.n0.nvlink2.rx.busy': 12,
-                                      'link.n0.nvlink2.rx.inflight': 12,
-                                      'link.n0.nvlink2.tx.busy': 12,
-                                      'link.n0.nvlink2.tx.inflight': 12,
-                                      'link.n0.nvlink3.rx.busy': 12,
-                                      'link.n0.nvlink3.rx.inflight': 12,
-                                      'link.n0.nvlink3.tx.busy': 12,
-                                      'link.n0.nvlink3.tx.inflight': 12,
-                                      'link.n0.nvlink4.rx.busy': 18,
-                                      'link.n0.nvlink4.rx.inflight': 18,
-                                      'link.n0.nvlink4.tx.busy': 18,
-                                      'link.n0.nvlink4.tx.inflight': 18,
-                                      'link.n0.nvlink5.rx.busy': 12,
-                                      'link.n0.nvlink5.rx.inflight': 12,
-                                      'link.n0.nvlink5.tx.busy': 12,
-                                      'link.n0.nvlink5.tx.inflight': 12,
-                                      'link.n0.xbus.d0.busy': 18,
-                                      'link.n0.xbus.d0.inflight': 18,
-                                      'link.n0.xbus.d1.busy': 18,
-                                      'link.n0.xbus.d1.inflight': 18,
-                                      'link.n1.nic0.rx.busy': 18,
-                                      'link.n1.nic0.rx.inflight': 18,
-                                      'link.n1.nic0.tx.busy': 18,
-                                      'link.n1.nic0.tx.inflight': 18,
-                                      'link.n1.nic1.rx.busy': 18,
-                                      'link.n1.nic1.rx.inflight': 18,
-                                      'link.n1.nic1.tx.busy': 18,
-                                      'link.n1.nic1.tx.inflight': 18,
-                                      'link.n1.nvlink0.rx.busy': 12,
-                                      'link.n1.nvlink0.rx.inflight': 12,
-                                      'link.n1.nvlink0.tx.busy': 12,
-                                      'link.n1.nvlink0.tx.inflight': 12,
-                                      'link.n1.nvlink1.rx.busy': 18,
-                                      'link.n1.nvlink1.rx.inflight': 18,
-                                      'link.n1.nvlink1.tx.busy': 18,
-                                      'link.n1.nvlink1.tx.inflight': 18,
-                                      'link.n1.nvlink2.rx.busy': 12,
-                                      'link.n1.nvlink2.rx.inflight': 12,
-                                      'link.n1.nvlink2.tx.busy': 12,
-                                      'link.n1.nvlink2.tx.inflight': 12,
-                                      'link.n1.nvlink3.rx.busy': 12,
-                                      'link.n1.nvlink3.rx.inflight': 12,
-                                      'link.n1.nvlink3.tx.busy': 12,
-                                      'link.n1.nvlink3.tx.inflight': 12,
-                                      'link.n1.nvlink4.rx.busy': 18,
-                                      'link.n1.nvlink4.rx.inflight': 18,
-                                      'link.n1.nvlink4.tx.busy': 18,
-                                      'link.n1.nvlink4.tx.inflight': 18,
-                                      'link.n1.nvlink5.rx.busy': 12,
-                                      'link.n1.nvlink5.rx.inflight': 12,
-                                      'link.n1.nvlink5.tx.busy': 12,
-                                      'link.n1.nvlink5.tx.inflight': 12,
-                                      'link.n1.xbus.d0.busy': 18,
-                                      'link.n1.xbus.d0.inflight': 18,
-                                      'link.n1.xbus.d1.busy': 18,
-                                      'link.n1.xbus.d1.inflight': 18,
-                                      'matchq.ampi.posted': 192,
-                                      'matchq.ampi.unexpected': 48,
-                                      'matchq.ucx.unexpected': 240,
-                                      'net.acq_wait_us': 60,
-                                      'net.inflight_bytes': 240,
-                                      'ucx.ep_table': 40},
-                    'span_attrs': {('ampi', 'mpi_recv',
-                                    ('rank', 'src', 'tag')),
-                                   ('ampi', 'mpi_send',
-                                    ('rank', 'dst', 'tag', 'size', 'device')),
-                                   ('converse', 'cmi_recv_device',
-                                    ('pe', 'size')),
-                                   ('converse', 'cmi_send',
-                                    ('handler', 'bytes')),
-                                   ('converse', 'cmi_send_device',
-                                    ('src_pe', 'dst_pe', 'size')),
-                                   ('link', 'am_wire', ('bytes',)),
-                                   ('link', 'rndv_data', ('tag', 'bytes')),
-                                   ('link', 'wire', ('kind', 'tag', 'bytes')),
-                                   ('machine', 'lrts_recv_device',
-                                    ('pe', 'size', 'tag', 'recv_type')),
-                                   ('machine', 'lrts_send_device',
-                                    ('src_pe', 'dst_pe', 'size', 'tag')),
-                                   ('ucx', 'am_send', ('size', 'rndv')),
-                                   ('ucx', 'tag_recv', ('tag', 'size')),
-                                   ('ucx', 'tag_send',
-                                    ('tag', 'size', 'proto')),
-                                   ('ucx.match', 'tag_match',
-                                    ('tag', 'scanned', 'unexpected')),
-                                   ('ucx.rndv', 'rndv_fetch',
-                                    ('size', 'tag', 'lane')),
-                                   ('ucx.rndv', 'rndv_fetch',
-                                    ('size', 'tag', 'lane', 'chunks')),
-                                   ('ucx.rndv', 'rndv_rts',
-                                    ('size', 'tag', 'device'))},
-                    'span_counts': {('ampi', 'mpi_recv'): 120,
-                                    ('ampi', 'mpi_send'): 120,
-                                    ('converse', 'cmi_recv_device'): 120,
-                                    ('converse', 'cmi_send'): 120,
-                                    ('converse', 'cmi_send_device'): 120,
-                                    ('link', 'am_wire'): 120,
-                                    ('link', 'rndv_data'): 120,
-                                    ('link', 'wire'): 240,
-                                    ('machine', 'lrts_recv_device'): 120,
-                                    ('machine', 'lrts_send_device'): 120,
-                                    ('ucx', 'am_send'): 120,
-                                    ('ucx', 'tag_recv'): 120,
-                                    ('ucx', 'tag_send'): 120,
-                                    ('ucx.match', 'tag_match'): 120,
-                                    ('ucx.rndv', 'rndv_fetch'): 120,
-                                    ('ucx.rndv', 'rndv_rts'): 120},
-                    'span_tree_digest': '13dd6c85f3b56977f9da1b82797ca8cc3d2337686651edf66222cd9bfb57ba12',
-                    'time_by_category': {'ampi': 0.0009391999999999998,
-                                         'machine': 0.00011999999999999972,
-                                         'ucx': 0.00015600000000000027},
-                    'top_contended': ['n1.nic0.rx', 'n1.nic0.tx', 'n1.nic1.rx',
-                                      'n1.nic1.tx', 'n0.nvlink1.tx']},
- 'charm4py_inter_64K': {'blame': {'host_metadata': 8.435697502809555e-06,
-                                  'link': 0.0001733054935138473,
-                                  'machine': 8.00000000000014e-06,
-                                  'model': 0.00021120000000000004,
-                                  'ucx_protocol': 7.999251781472682e-05,
-                                  'uninstrumented': 5.707012311150046e-06},
-                        'first_record': {'complete': True,
-                                         'completed_at': 3.476758552199535e-05,
-                                         'delayed_posting_cost': 8.376506837104737e-06,
-                                         'dst_pe': 6,
-                                         'enqueued_at': 1.3342709813959458e-05,
-                                         'error': None,
-                                         'failed_at': None,
-                                         'lane': 'pipeline',
-                                         'matched_at': 2.2219216651064193e-05,
-                                         'matched_unexpected': True,
-                                         'metadata_arrived_at': 1.5719216651064195e-05,
-                                         'metadata_sent_at': 1.3342709813959458e-05,
-                                         'posting_delay': 8.376506837104737e-06,
-                                         'protocol': 'rndv',
-                                         'recv_cancels': 0,
-                                         'recv_posted_at': 2.1719216651064195e-05,
-                                         'retransmits': 0,
-                                         'send_completed_at': None,
-                                         'seq': 0,
-                                         'size': 65536,
-                                         'src_pe': 0,
-                                         'tag': 3458764513820540928,
-                                         'ucx_recv_posted_at': 2.2219216651064193e-05,
-                                         'ucx_send_at': 1.3842709813959458e-05},
-                        'first_spans': [('converse', 'cmi_send', -1),
-                                        ('converse', 'cmi_send', -1),
-                                        ('ucx', 'am_send', -1),
-                                        ('ucx', 'am_send', -1),
-                                        ('link', 'am_wire', -1),
-                                        ('link', 'am_wire', -1),
-                                        ('charm4py', 'channel_send', -1),
-                                        ('converse', 'cmi_send_device', 6),
-                                        ('machine', 'lrts_send_device', 7),
-                                        ('converse', 'cmi_send', 6),
-                                        ('ucx', 'am_send', 9),
-                                        ('link', 'am_wire', -1),
-                                        ('ucx', 'tag_send', 8),
-                                        ('ucx.rndv', 'rndv_rts', 12),
-                                        ('link', 'wire', -1),
-                                        ('charm4py', 'channel_recv', -1),
-                                        ('converse', 'cmi_recv_device', 15),
-                                        ('machine', 'lrts_recv_device', 16),
-                                        ('ucx', 'tag_recv', 17),
-                                        ('ucx.match', 'tag_match', 17),
-                                        ('ucx.rndv', 'rndv_fetch', 18),
-                                        ('link', 'rndv_data', 20),
-                                        ('link', 'wire', -1),
-                                        ('charm4py', 'channel_send', -1),
-                                        ('converse', 'cmi_send_device', 23),
-                                        ('machine', 'lrts_send_device', 24),
-                                        ('converse', 'cmi_send', 23),
-                                        ('ucx', 'am_send', 26),
-                                        ('link', 'am_wire', -1),
-                                        ('ucx', 'tag_send', 25),
-                                        ('ucx.rndv', 'rndv_rts', 29),
-                                        ('link', 'wire', -1),
-                                        ('charm4py', 'channel_recv', -1),
-                                        ('converse', 'cmi_recv_device', 32),
-                                        ('machine', 'lrts_recv_device', 33),
-                                        ('ucx', 'tag_recv', 34),
-                                        ('ucx.match', 'tag_match', 34),
-                                        ('ucx.rndv', 'rndv_fetch', 35),
-                                        ('link', 'rndv_data', 37),
-                                        ('link', 'wire', -1)],
-                        'flight_summary': {'by_protocol': {'eager': {'bytes': 0,
-                                                                     'delayed_posting_seconds': 0.0,
-                                                                     'max_delayed_posting_seconds': 0.0,
-                                                                     'n': 0,
-                                                                     'unexpected': 0},
-                                                           'rndv': {'bytes': 1048576,
-                                                                    'delayed_posting_seconds': 0.00013402410939367568,
-                                                                    'max_delayed_posting_seconds': 8.376506837104745e-06,
-                                                                    'n': 16,
-                                                                    'unexpected': 16}},
-                                           'delayed_posting_seconds': 0.00013402410939367568,
-                                           'n_complete': 16,
-                                           'n_records': 16,
-                                           'n_unclassified': 0,
-                                           'posting_inversions': 0},
-                        'histogram_counts': {'ucx.recv_latency_seconds': [0, 0,
-                                                                          0, 0,
-                                                                          0,
-                                                                          16,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          0],
-                                             'ucx.send_latency_seconds': [0, 0,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          15,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          0, 0,
-                                                                          0,
-                                                                          0],
-                                             'ucx.send_size_bytes': [0, 0, 0,
-                                                                     0, 0, 0,
-                                                                     0, 0, 0,
-                                                                     0, 0, 0,
-                                                                     0, 0, 0,
-                                                                     0, 16, 0,
-                                                                     0, 0, 0,
-                                                                     0, 0,
-                                                                     0]},
-                        'last_record': {'complete': True,
-                                        'completed_at': 0.0004866407211425339,
-                                        'delayed_posting_cost': 8.376506837104718e-06,
-                                        'dst_pe': 0,
-                                        'enqueued_at': 0.000465215845434498,
-                                        'error': None,
-                                        'failed_at': None,
-                                        'lane': 'pipeline',
-                                        'matched_at': 0.00047409235227160274,
-                                        'matched_unexpected': True,
-                                        'metadata_arrived_at': 0.00046759235227160275,
-                                        'metadata_sent_at': 0.000465215845434498,
-                                        'posting_delay': 8.376506837104718e-06,
-                                        'protocol': 'rndv',
-                                        'recv_cancels': 0,
-                                        'recv_posted_at': 0.00047359235227160273,
-                                        'retransmits': 0,
-                                        'send_completed_at': None,
-                                        'seq': 15,
-                                        'size': 65536,
-                                        'src_pe': 6,
-                                        'tag': 3458764515431153671,
-                                        'ucx_recv_posted_at': 0.00047409235227160274,
-                                        'ucx_send_at': 0.000465715845434498},
-                        'series_counts': {'engine.pending_events': 1,
-                                          'link.n0.nic0.rx.busy': 16,
-                                          'link.n0.nic0.rx.inflight': 16,
-                                          'link.n0.nic0.tx.busy': 16,
-                                          'link.n0.nic0.tx.inflight': 16,
-                                          'link.n1.nic0.rx.busy': 16,
-                                          'link.n1.nic0.rx.inflight': 16,
-                                          'link.n1.nic0.tx.busy': 16,
-                                          'link.n1.nic0.tx.inflight': 16,
-                                          'matchq.ucx.unexpected': 32,
-                                          'net.inflight_bytes': 32,
-                                          'ucx.ep_table': 4},
-                        'span_attrs': {('charm4py', 'channel_recv',
-                                        ('pe', 'size', 'device')),
-                                       ('charm4py', 'channel_send',
-                                        ('src_pe', 'dst_pe', 'size',
-                                         'device')),
-                                       ('converse', 'cmi_recv_device',
-                                        ('pe', 'size')),
-                                       ('converse', 'cmi_send',
-                                        ('handler', 'bytes')),
-                                       ('converse', 'cmi_send_device',
-                                        ('src_pe', 'dst_pe', 'size')),
-                                       ('link', 'am_wire', ('bytes',)),
-                                       ('link', 'rndv_data', ('tag', 'bytes')),
-                                       ('link', 'wire',
-                                        ('kind', 'tag', 'bytes')),
-                                       ('machine', 'lrts_recv_device',
-                                        ('pe', 'size', 'tag', 'recv_type')),
-                                       ('machine', 'lrts_send_device',
-                                        ('src_pe', 'dst_pe', 'size', 'tag')),
-                                       ('ucx', 'am_send', ('size', 'rndv')),
-                                       ('ucx', 'tag_recv', ('tag', 'size')),
-                                       ('ucx', 'tag_send',
-                                        ('tag', 'size', 'proto')),
-                                       ('ucx.match', 'tag_match',
-                                        ('tag', 'scanned', 'unexpected')),
-                                       ('ucx.rndv', 'rndv_fetch',
-                                        ('size', 'tag', 'lane', 'chunks')),
-                                       ('ucx.rndv', 'rndv_rts',
-                                        ('size', 'tag', 'device'))},
-                        'span_counts': {('charm4py', 'channel_recv'): 16,
-                                        ('charm4py', 'channel_send'): 16,
-                                        ('converse', 'cmi_recv_device'): 16,
-                                        ('converse', 'cmi_send'): 18,
-                                        ('converse', 'cmi_send_device'): 16,
-                                        ('link', 'am_wire'): 18,
-                                        ('link', 'rndv_data'): 16,
-                                        ('link', 'wire'): 32,
-                                        ('machine', 'lrts_recv_device'): 16,
-                                        ('machine', 'lrts_send_device'): 16,
-                                        ('ucx', 'am_send'): 18,
-                                        ('ucx', 'tag_recv'): 16,
-                                        ('ucx', 'tag_send'): 16,
-                                        ('ucx.match', 'tag_match'): 16,
-                                        ('ucx.rndv', 'rndv_fetch'): 16,
-                                        ('ucx.rndv', 'rndv_rts'): 16},
-                        'span_tree_digest': '99ac6ac5958fbe47458cb8ccb71407868881b9ea36ea8cabd6f2a0fc0f1c2aed',
-                        'time_by_category': {'charm4py': 0.0002192000000000002,
-                                             'machine': 1.6000000000000003e-05,
-                                             'ucx': 2.125000000000002e-05},
-                        'top_contended': []},
- 'charm_inter_64K': {'blame': {'host_metadata': 8.435697502809489e-06,
-                               'link': 0.00015404683138128206,
-                               'machine': 2.9614024622300114e-05,
-                               'ucx_protocol': 7.99925178147267e-05,
-                               'uninstrumented': 2.007012311150046e-06},
-                     'first_record': {'complete': True,
-                                      'completed_at': 1.9233545677603753e-05,
-                                      'delayed_posting_cost': 2.9420287232662623e-06,
-                                      'dst_pe': 6,
-                                      'enqueued_at': 2.442709813959458e-06,
-                                      'error': None,
-                                      'failed_at': None,
-                                      'lane': 'pipeline',
-                                      'matched_at': 6.685176806672598e-06,
-                                      'matched_unexpected': True,
-                                      'metadata_arrived_at': 5.3847385372257205e-06,
-                                      'metadata_sent_at': 2.442709813959458e-06,
-                                      'posting_delay': 2.9420287232662623e-06,
-                                      'protocol': 'rndv',
-                                      'recv_cancels': 0,
-                                      'recv_posted_at': 5.3847385372257205e-06,
-                                      'retransmits': 0,
-                                      'send_completed_at': None,
-                                      'seq': 0,
-                                      'size': 65536,
-                                      'src_pe': 0,
-                                      'tag': 3458764513820540928,
-                                      'ucx_recv_posted_at': 6.685176806672598e-06,
-                                      'ucx_send_at': 3.4931480834063358e-06},
-                     'first_spans': [('converse', 'cmi_send', -1),
-                                     ('ucx', 'am_send', -1),
-                                     ('link', 'am_wire', -1),
-                                     ('converse', 'cmi_send_device', -1),
-                                     ('machine', 'lrts_send_device', 3),
-                                     ('converse', 'cmi_send', -1),
-                                     ('ucx', 'am_send', -1),
-                                     ('link', 'am_wire', -1),
-                                     ('ucx', 'tag_send', 4),
-                                     ('ucx.rndv', 'rndv_rts', 8),
-                                     ('link', 'wire', -1),
-                                     ('converse', 'cmi_recv_device', -1),
-                                     ('machine', 'lrts_recv_device', 11),
-                                     ('ucx', 'tag_recv', 12),
-                                     ('ucx.match', 'tag_match', 12),
-                                     ('ucx.rndv', 'rndv_fetch', 13),
-                                     ('link', 'rndv_data', 15),
-                                     ('link', 'wire', -1),
-                                     ('converse', 'cmi_send_device', -1),
-                                     ('machine', 'lrts_send_device', 18),
-                                     ('converse', 'cmi_send', -1),
-                                     ('ucx', 'am_send', -1),
-                                     ('link', 'am_wire', -1),
-                                     ('ucx', 'tag_send', 19),
-                                     ('ucx.rndv', 'rndv_rts', 23),
-                                     ('link', 'wire', -1),
-                                     ('converse', 'cmi_recv_device', -1),
-                                     ('machine', 'lrts_recv_device', 26),
-                                     ('ucx', 'tag_recv', 27),
-                                     ('ucx.match', 'tag_match', 27),
-                                     ('ucx.rndv', 'rndv_fetch', 28),
-                                     ('link', 'rndv_data', 30),
-                                     ('link', 'wire', -1),
-                                     ('converse', 'cmi_send_device', -1),
-                                     ('machine', 'lrts_send_device', 33),
-                                     ('converse', 'cmi_send', -1),
-                                     ('ucx', 'am_send', -1),
-                                     ('link', 'am_wire', -1),
-                                     ('ucx', 'tag_send', 34),
-                                     ('ucx.rndv', 'rndv_rts', 38)],
-                     'flight_summary': {'by_protocol': {'eager': {'bytes': 0,
-                                                                  'delayed_posting_seconds': 0.0,
-                                                                  'max_delayed_posting_seconds': 0.0,
-                                                                  'n': 0,
-                                                                  'unexpected': 0},
-                                                        'rndv': {'bytes': 1048576,
-                                                                 'delayed_posting_seconds': 4.7072459572260346e-05,
-                                                                 'max_delayed_posting_seconds': 2.942028723266292e-06,
-                                                                 'n': 16,
-                                                                 'unexpected': 16}},
-                                        'delayed_posting_seconds': 4.7072459572260346e-05,
-                                        'n_complete': 16,
-                                        'n_records': 16,
-                                        'n_unclassified': 0,
-                                        'posting_inversions': 0},
-                     'histogram_counts': {'ucx.recv_latency_seconds': [0, 0, 0,
-                                                                       0, 0,
-                                                                       16, 0,
-                                                                       0, 0, 0,
-                                                                       0, 0, 0,
-                                                                       0, 0],
-                                          'ucx.send_latency_seconds': [0, 0, 0,
-                                                                       0, 0,
-                                                                       15, 0,
-                                                                       0, 0, 0,
-                                                                       0, 0, 0,
-                                                                       0, 0],
-                                          'ucx.send_size_bytes': [0, 0, 0, 0,
-                                                                  0, 0, 0, 0,
-                                                                  0, 0, 0, 0,
-                                                                  0, 0, 0, 0,
-                                                                  16, 0, 0, 0,
-                                                                  0, 0, 0,
-                                                                  0]},
-                     'last_record': {'complete': True,
-                                     'completed_at': 0.0002740960836322684,
-                                     'delayed_posting_cost': 2.9420287232662513e-06,
-                                     'dst_pe': 0,
-                                     'enqueued_at': 0.00025730524776862413,
-                                     'error': None,
-                                     'failed_at': None,
-                                     'lane': 'pipeline',
-                                     'matched_at': 0.00026154771476133724,
-                                     'matched_unexpected': True,
-                                     'metadata_arrived_at': 0.0002602472764918904,
-                                     'metadata_sent_at': 0.00025730524776862413,
-                                     'posting_delay': 2.9420287232662513e-06,
-                                     'protocol': 'rndv',
-                                     'recv_cancels': 0,
-                                     'recv_posted_at': 0.0002602472764918904,
-                                     'retransmits': 0,
-                                     'send_completed_at': None,
-                                     'seq': 15,
-                                     'size': 65536,
-                                     'src_pe': 6,
-                                     'tag': 3458764515431153671,
-                                     'ucx_recv_posted_at': 0.00026154771476133724,
-                                     'ucx_send_at': 0.000258355686038071},
-                     'series_counts': {'engine.pending_events': 1,
-                                       'link.n0.nic0.rx.busy': 16,
-                                       'link.n0.nic0.rx.inflight': 16,
-                                       'link.n0.nic0.tx.busy': 16,
-                                       'link.n0.nic0.tx.inflight': 16,
-                                       'link.n1.nic0.rx.busy': 16,
-                                       'link.n1.nic0.rx.inflight': 16,
-                                       'link.n1.nic0.tx.busy': 16,
-                                       'link.n1.nic0.tx.inflight': 16,
-                                       'matchq.ucx.unexpected': 32,
-                                       'net.inflight_bytes': 32,
-                                       'ucx.ep_table': 3},
-                     'span_attrs': {('converse', 'cmi_recv_device',
-                                     ('pe', 'size')),
-                                    ('converse', 'cmi_send',
-                                     ('handler', 'bytes')),
-                                    ('converse', 'cmi_send_device',
-                                     ('src_pe', 'dst_pe', 'size')),
-                                    ('link', 'am_wire', ('bytes',)),
-                                    ('link', 'rndv_data', ('tag', 'bytes')),
-                                    ('link', 'wire', ('kind', 'tag', 'bytes')),
-                                    ('machine', 'lrts_recv_device',
-                                     ('pe', 'size', 'tag', 'recv_type')),
-                                    ('machine', 'lrts_send_device',
-                                     ('src_pe', 'dst_pe', 'size', 'tag')),
-                                    ('ucx', 'am_send', ('size', 'rndv')),
-                                    ('ucx', 'tag_recv', ('tag', 'size')),
-                                    ('ucx', 'tag_send',
-                                     ('tag', 'size', 'proto')),
-                                    ('ucx.match', 'tag_match',
-                                     ('tag', 'scanned', 'unexpected')),
-                                    ('ucx.rndv', 'rndv_fetch',
-                                     ('size', 'tag', 'lane', 'chunks')),
-                                    ('ucx.rndv', 'rndv_rts',
-                                     ('size', 'tag', 'device'))},
-                     'span_counts': {('converse', 'cmi_recv_device'): 16,
-                                     ('converse', 'cmi_send'): 17,
-                                     ('converse', 'cmi_send_device'): 16,
-                                     ('link', 'am_wire'): 17,
-                                     ('link', 'rndv_data'): 16,
-                                     ('link', 'wire'): 32,
-                                     ('machine', 'lrts_recv_device'): 16,
-                                     ('machine', 'lrts_send_device'): 16,
-                                     ('ucx', 'am_send'): 17,
-                                     ('ucx', 'tag_recv'): 16,
-                                     ('ucx', 'tag_send'): 16,
-                                     ('ucx.match', 'tag_match'): 16,
-                                     ('ucx.rndv', 'rndv_fetch'): 16,
-                                     ('ucx.rndv', 'rndv_rts'): 16},
-                     'span_tree_digest': '175102ac5eb20a6e88ac4f2ea796978512e7aebe4353599beebf455d4296c5ec',
-                     'time_by_category': {'machine': 1.6000000000000003e-05,
-                                          'ucx': 2.0950000000000018e-05},
-                     'top_contended': []},
- 'openmpi_intra_8B': {'blame': {'link': 8.631108003504161e-07,
-                                'model': 4.800000000000006e-06,
-                                'ucx_protocol': 2.6439736429850266e-05},
-                      'first_record': {'complete': True,
-                                       'completed_at': 2.0064279518875425e-06,
-                                       'delayed_posting_cost': 0.0,
-                                       'dst_pe': 1,
-                                       'enqueued_at': 3e-07,
-                                       'error': None,
-                                       'failed_at': None,
-                                       'lane': None,
-                                       'matched_at': 1.2051861884547216e-06,
-                                       'matched_unexpected': False,
-                                       'metadata_arrived_at': None,
-                                       'metadata_sent_at': None,
-                                       'posting_delay': 0.0,
-                                       'protocol': 'eager',
-                                       'recv_cancels': 0,
-                                       'recv_posted_at': None,
-                                       'retransmits': 0,
-                                       'send_completed_at': 1.1512417634328208e-06,
-                                       'seq': 0,
-                                       'size': 8,
-                                       'src_pe': 0,
-                                       'tag': 72057594037928036,
-                                       'ucx_recv_posted_at': 3e-07,
-                                       'ucx_send_at': 3e-07},
-                      'first_spans': [('openmpi', 'mpi_send', -1),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('ucx', 'tag_send', 0),
-                                      ('ucx.eager', 'eager_send', 2),
-                                      ('ucx', 'tag_recv', 1),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('link', 'wire', -1),
-                                      ('ucx.match', 'tag_match', -1),
-                                      ('ucx.eager', 'eager_recv', 4),
-                                      ('ucx', 'tag_recv', 5),
-                                      ('openmpi', 'mpi_send', -1),
-                                      ('ucx', 'tag_send', 10),
-                                      ('ucx.eager', 'eager_send', 11),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('link', 'wire', -1),
-                                      ('ucx.match', 'tag_match', -1),
-                                      ('ucx.eager', 'eager_recv', 9),
-                                      ('ucx', 'tag_recv', 13),
-                                      ('openmpi', 'mpi_send', -1),
-                                      ('ucx', 'tag_send', 18),
-                                      ('ucx.eager', 'eager_send', 19),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('link', 'wire', -1),
-                                      ('ucx.match', 'tag_match', -1),
-                                      ('ucx.eager', 'eager_recv', 17),
-                                      ('ucx', 'tag_recv', 21),
-                                      ('openmpi', 'mpi_send', -1),
-                                      ('ucx', 'tag_send', 26),
-                                      ('ucx.eager', 'eager_send', 27),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('link', 'wire', -1),
-                                      ('ucx.match', 'tag_match', -1),
-                                      ('ucx.eager', 'eager_recv', 25),
-                                      ('ucx', 'tag_recv', 29),
-                                      ('openmpi', 'mpi_send', -1),
-                                      ('ucx', 'tag_send', 34),
-                                      ('ucx.eager', 'eager_send', 35),
-                                      ('openmpi', 'mpi_recv', -1),
-                                      ('link', 'wire', -1),
-                                      ('ucx.match', 'tag_match', -1)],
-                      'flight_summary': {'by_protocol': {'eager': {'bytes': 128,
-                                                                   'delayed_posting_seconds': 0.0,
-                                                                   'max_delayed_posting_seconds': 0.0,
-                                                                   'n': 16,
-                                                                   'unexpected': 0},
-                                                         'rndv': {'bytes': 0,
-                                                                  'delayed_posting_seconds': 0.0,
-                                                                  'max_delayed_posting_seconds': 0.0,
-                                                                  'n': 0,
-                                                                  'unexpected': 0}},
-                                         'delayed_posting_seconds': 0.0,
-                                         'n_complete': 16,
-                                         'n_records': 16,
-                                         'n_unclassified': 0,
-                                         'posting_inversions': 0},
-                      'histogram_counts': {'ucx.recv_latency_seconds': [0, 0,
-                                                                        1, 15,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0],
-                                           'ucx.send_latency_seconds': [0, 16,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0, 0,
-                                                                        0],
-                                           'ucx.send_size_bytes': [0, 0, 0, 16,
-                                                                   0, 0, 0, 0,
-                                                                   0, 0, 0, 0,
-                                                                   0, 0, 0, 0,
-                                                                   0, 0, 0, 0,
-                                                                   0, 0, 0,
-                                                                   0]},
-                      'last_record': {'complete': True,
-                                      'completed_at': 3.210284723020069e-05,
-                                      'delayed_posting_cost': 0.0,
-                                      'dst_pe': 0,
-                                      'enqueued_at': 3.0396419278313144e-05,
-                                      'error': None,
-                                      'failed_at': None,
-                                      'lane': None,
-                                      'matched_at': 3.1301605466767865e-05,
-                                      'matched_unexpected': False,
-                                      'metadata_arrived_at': None,
-                                      'metadata_sent_at': None,
-                                      'posting_delay': -8.551861884547239e-07,
-                                      'protocol': 'eager',
-                                      'recv_cancels': 0,
-                                      'recv_posted_at': None,
-                                      'retransmits': 0,
-                                      'send_completed_at': 3.124766104174597e-05,
-                                      'seq': 15,
-                                      'size': 8,
-                                      'src_pe': 1,
-                                      'tag': 72057598332895333,
-                                      'ucx_recv_posted_at': 2.954123308985842e-05,
-                                      'ucx_send_at': 3.0396419278313144e-05},
-                      'series_counts': {'matchq.ucx.posted': 32,
-                                        'ucx.ep_table': 2},
-                      'span_attrs': {('link', 'wire',
-                                      ('kind', 'tag', 'bytes')),
-                                     ('openmpi', 'mpi_recv',
-                                      ('rank', 'src', 'tag')),
-                                     ('openmpi', 'mpi_send',
-                                      ('rank', 'dst', 'tag', 'size')),
-                                     ('ucx', 'tag_recv', ('tag', 'size')),
-                                     ('ucx', 'tag_send',
-                                      ('tag', 'size', 'proto')),
-                                     ('ucx.eager', 'eager_recv',
-                                      ('size', 'tag', 'device')),
-                                     ('ucx.eager', 'eager_send',
-                                      ('size', 'tag', 'device')),
-                                     ('ucx.match', 'tag_match',
-                                      ('tag', 'scanned', 'unexpected'))},
-                      'span_counts': {('link', 'wire'): 16,
-                                      ('openmpi', 'mpi_recv'): 16,
-                                      ('openmpi', 'mpi_send'): 16,
-                                      ('ucx', 'tag_recv'): 16,
-                                      ('ucx', 'tag_send'): 16,
-                                      ('ucx.eager', 'eager_recv'): 16,
-                                      ('ucx.eager', 'eager_send'): 16,
-                                      ('ucx.match', 'tag_match'): 16},
-                      'span_tree_digest': '9659ecb4622b8443134f361de744302aea1607232b60bf7a97ab269b9156223a',
-                      'time_by_category': {'openmpi': 9.6e-06,
-                                           'ucx': 1.3600000000000012e-05},
-                      'top_contended': []}}
+    out = observation_is_pinned(shape)
+    assert out["span_counts"] and out["first_record"] and out["trace_sha256"]
