@@ -36,6 +36,7 @@ from repro.config import MachineConfig
 from repro.obs import chrome_trace, export_chrome_trace, metrics_snapshot
 from repro.obs.congestion import CongestionReport, congestion_report
 from repro.obs.critical_path import CriticalPathReport, critical_path
+from repro.obs.flight import aggregate, flight_records
 from repro.obs.timeline import timeline_dict
 
 __all__ = ["MODELS", "Session", "SessionBuilder", "session"]
@@ -103,13 +104,14 @@ class Session:
 
     def flight_records(self):
         """Per-message device-transfer lifecycles (needs ``.flight()``;
-        empty list when flight recording is disabled)."""
-        return self.machine.tracer.flight.records()
+        empty list when flight recording is disabled), folded from the
+        tracer's stage log on each call."""
+        return flight_records(self.machine.tracer.log)
 
     def flight_summary(self) -> Dict:
         """Aggregate flight statistics: per-protocol delayed-posting cost,
         unexpected-arrival counts, posting-order inversions."""
-        return self.machine.tracer.flight.aggregate()
+        return aggregate(flight_records(self.machine.tracer.log))
 
     def critical_path(self, t0: Optional[float] = None,
                       t1: Optional[float] = None) -> CriticalPathReport:
@@ -155,7 +157,7 @@ class Session:
     def baseline_fingerprint(self) -> Dict:
         """Deterministic run fingerprint used by the perf-regression
         baseline gate (:mod:`repro.obs.baseline`)."""
-        agg = self.machine.tracer.flight.aggregate()
+        agg = self.flight_summary()
         return {
             "sim_time_us": self.now * 1e6,
             "events": self.sim.event_count,

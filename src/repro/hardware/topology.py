@@ -23,8 +23,8 @@ from repro.hardware.memory import (
     PooledAllocator,
     host_buffer,
 )
+from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 import numpy as np
 

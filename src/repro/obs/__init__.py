@@ -15,7 +15,8 @@ Usage (normally reached through :mod:`repro.api`)::
 See :mod:`repro.obs.tracing` for the span API and the determinism contract,
 :mod:`repro.obs.metrics` for the registry, :mod:`repro.obs.export` for the
 Chrome-trace format notes, :mod:`repro.obs.flight` for the flight-record
-schema, :mod:`repro.obs.critical_path` for the blame algorithm and
+schema and the fold that builds records from the tracer's stage log,
+:mod:`repro.obs.critical_path` for the blame algorithm and
 :mod:`repro.obs.baseline` for the perf-regression baseline store.
 """
 
@@ -40,7 +41,7 @@ from repro.obs.export import (
     metrics_snapshot,
     validate_chrome_trace,
 )
-from repro.obs.flight import FlightRecord, FlightRecorder
+from repro.obs.flight import FlightRecord, flight_records
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
@@ -73,7 +74,7 @@ __all__ = [
     "metrics_snapshot",
     "validate_chrome_trace",
     "FlightRecord",
-    "FlightRecorder",
+    "flight_records",
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "Histogram",

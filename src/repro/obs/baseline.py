@@ -2,7 +2,7 @@
 
 Because the simulator is deterministic, a run's modeled results are a
 *fingerprint* of the code: one-way latencies, final simulated time, event
-counts, counters and the flight recorder's aggregate delayed-posting cost
+counts, counters and the flight records' aggregate delayed-posting cost
 are bit-stable across hosts and runs.  This module persists those
 fingerprints for a small suite of fast, representative workloads
 (``BENCH_baseline.json`` at the repo root) and re-derives them on demand:

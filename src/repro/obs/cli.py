@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+from repro.obs.flight import aggregate
+
 __all__ = ["add_observation_args", "observed", "report"]
 
 
@@ -51,16 +53,15 @@ def report(sess, args, label: str = "") -> None:
     if args.trace_out:
         path = sess.export_chrome_trace(args.trace_out)
         print(f"# trace{label} written to {path}")
+    if args.flight_out or args.blame:
+        records = sess.flight_records()
+        agg = aggregate(records)
     if args.flight_out:
-        doc = {
-            "records": [r.to_dict() for r in sess.flight_records()],
-            "aggregate": sess.flight_summary(),
-        }
+        doc = {"records": [r.to_dict() for r in records], "aggregate": agg}
         with open(args.flight_out, "w") as f:
             json.dump(doc, f, indent=2)
         print(f"# flight records{label} written to {args.flight_out}")
     if args.blame:
-        agg = sess.flight_summary()
         print(f"# layer blame{label}")
         print(sess.critical_path().format())
         for proto in ("rndv", "eager"):

@@ -1,10 +1,10 @@
-"""Message-lifecycle flight recorder for device transfers.
+"""Message-lifecycle flight records for device transfers.
 
 Every device transfer in the paper's machine layer walks the same chain:
 ``LrtsSendDevice`` enqueue -> tag assignment -> host metadata send ->
 metadata arrival -> ``LrtsRecvDevice`` posted -> UCP protocol selected
-(eager / rendezvous) -> tag match -> transfer complete.  The flight
-recorder captures that chain per message as a typed
+(eager / rendezvous) -> tag match -> transfer complete.  A flight
+record captures that chain per message as a typed
 :class:`FlightRecord` with simulated timestamps, so analyses can answer
 "where did the latency of this transfer go?" message by message.
 
@@ -18,20 +18,21 @@ arrive and be scheduled before the post can happen).  For eager
 transfers the payload travels regardless of the post, so the cost is
 defined as zero.
 
-Determinism contract (enforced by ``tests/test_obs_golden.py``): the
-recorder never calls ``sim.schedule``, never changes a modeled delay and
-never touches the metrics counters — simulated results are bit-identical
-with recording on or off.  No hot-path site calls the recorder: its stage
-methods are the handlers the stage table (:mod:`repro.obs.stages`) names,
-driven from ``Tracer.stage`` only while flight recording is on.
+Nothing records flight state while the simulation runs.  With flight
+recording on, ``Tracer.stage`` appends one plain tuple ``(time, op, tag,
+dst, *attrs)`` to ``tracer.log`` for each stage whose table row
+(:mod:`repro.obs.stages`) has a ``flight`` op; :func:`flight_records` folds
+that log into records when asked, and :func:`aggregate` summarises them.
+Simulated results are therefore bit-identical with recording on or off
+(``tests/test_obs_golden.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
-__all__ = ["FlightRecord", "FlightRecorder"]
+__all__ = ["FlightRecord", "aggregate", "flight_records", "posting_inversions"]
 
 
 @dataclass
@@ -43,7 +44,7 @@ class FlightRecord:
     src_pe: int
     dst_pe: int
     size: int
-    seq: int  # recorder-global begin order (deterministic)
+    seq: int  # begin order in the stage log (deterministic)
     enqueued_at: float  # LrtsSendDevice call == data ready at sender
     metadata_sent_at: Optional[float] = None  # host metadata message enqueued
     metadata_arrived_at: Optional[float] = None  # metadata handler ran at receiver
@@ -129,221 +130,160 @@ class FlightRecord:
         }
 
 
-class FlightRecorder:
-    """Collects :class:`FlightRecord` s for one simulated machine.
+def flight_records(log: Iterable[tuple]) -> List[FlightRecord]:
+    """Fold a stage log (``tracer.log``) into records, in begin order.
 
     Tags are unique per in-flight device message on the machine-layer path
     (per-PE counters), but direct-UCX models reuse application tags across
     iterations and may keep several same-tag sends in flight — to one peer
     or, in an all-to-all, to every peer at once.  An open record is
-    therefore identified by ``(tag, destination worker)``: the recorder
-    keeps a FIFO list of open records per tag and applies each stage update
-    to the oldest record for that destination still missing the stage —
-    valid because UCP tag matching itself is FIFO per tag and pair.  A stage
-    reported without ``dst`` (the machine layer's unique tags; a recorder
-    driven directly) falls back to FIFO per tag.
+    therefore identified by ``(tag, destination worker)``: the fold keeps a
+    FIFO list of open records per tag and applies each stage to the oldest
+    record for that destination still missing it — valid because UCP tag
+    matching itself is FIFO per tag and pair.  A stage logged without
+    ``dst`` (the machine layer's unique tags) falls back to FIFO per tag, as
+    does ``recv_posted_at``, whose ``dst`` is the receiving PE.
+
+    An entry is ``(time, op, tag, dst, *attrs)`` with ``attrs`` in the
+    order the stage's site passes them.  ``op`` is the record field the
+    stage stamps with its time, or one of ``begin`` (opens a record),
+    ``ucx_send`` (opens one too when no open record awaits it: the send
+    bypassed the machine layer), ``matched``, ``lane``, ``retransmit``,
+    ``recv_cancel`` (rolls the posting stages back so a repost fills them
+    afresh) and ``fail:<error>``.  ``completed_at`` and ``fail:*`` close the
+    record so it cannot absorb the stages of the next same-tag transfer.
     """
+    records: List[FlightRecord] = []
+    open_by_tag: Dict[int, List[FlightRecord]] = {}
 
-    def __init__(self, sim, enabled: bool = False) -> None:
-        self.sim = sim
-        self.enabled = enabled
-        self._open: Dict[int, List[FlightRecord]] = {}
-        self._done: List[FlightRecord] = []
-        self._next_seq = 0
-
-    # -- record creation ----------------------------------------------------------
-    def begin(self, tag: int, src_pe: int, dst_pe: int,
-              size: int) -> Optional[FlightRecord]:
-        """Open a record at ``sim.now`` (the ``LrtsSendDevice`` call)."""
-        if not self.enabled:
-            return None
-        rec = FlightRecord(
-            tag=tag, src_pe=src_pe, dst_pe=dst_pe, size=size,
-            seq=self._next_seq, enqueued_at=self.sim.now,
-        )
-        self._next_seq += 1
-        self._open.setdefault(tag, []).append(rec)
+    def begin(now, tag, src_pe, dst_pe, size) -> FlightRecord:
+        rec = FlightRecord(tag=tag, src_pe=src_pe, dst_pe=dst_pe, size=size,
+                           seq=len(records), enqueued_at=now)
+        records.append(rec)
+        open_by_tag.setdefault(tag, []).append(rec)
         return rec
 
-    # -- stage updates ------------------------------------------------------------
-    def _first_missing(self, tag: int, attr: str,
-                       dst: Optional[int] = None) -> Optional[FlightRecord]:
-        for rec in self._open.get(tag, ()):
-            if getattr(rec, attr) is None and (dst is None or rec.dst_pe == dst):
+    def first_missing(tag, field, dst) -> Optional[FlightRecord]:
+        for rec in open_by_tag.get(tag, ()):
+            if getattr(rec, field) is None and (dst is None or rec.dst_pe == dst):
                 return rec
         return None
 
-    def metadata_sent(self, tag: int, dst: Optional[int] = None) -> None:
-        rec = self._first_missing(tag, "metadata_sent_at", dst)
-        if rec is not None:
-            rec.metadata_sent_at = self.sim.now
+    def close(rec: FlightRecord) -> None:
+        open_recs = open_by_tag[rec.tag]
+        open_recs.remove(rec)
+        if not open_recs:
+            del open_by_tag[rec.tag]
 
-    def metadata_arrived(self, tag: int, dst: Optional[int] = None) -> None:
-        rec = self._first_missing(tag, "metadata_arrived_at", dst)
-        if rec is not None:
-            rec.metadata_arrived_at = self.sim.now
+    for now, op, tag, dst, *attrs in log:
+        if op == "begin":  # LrtsSendDevice: (src_pe, dst_pe, size, tag)
+            src_pe, _dst_pe, size, _tag = attrs
+            begin(now, tag, src_pe, dst, size)
+        elif op == "ucx_send":  # (tag, size, protocol, src worker)
+            _tag, size, protocol, src = attrs
+            rec = first_missing(tag, "ucx_send_at", dst)
+            if rec is None and src is not None:
+                rec = begin(now, tag, src, dst, size)
+            if rec is not None:
+                rec.ucx_send_at = now
+                rec.protocol = protocol
+        elif op == "matched":  # (tag, scanned, unexpected, recv posted_at)
+            _tag, _scanned, unexpected, posted_at = attrs
+            rec = first_missing(tag, "matched_at", dst)
+            if rec is not None:
+                rec.matched_at = now
+                rec.matched_unexpected = unexpected
+                rec.ucx_recv_posted_at = posted_at
+        elif op == "lane":  # rendezvous fetch: (size, tag, lane)
+            rec = first_missing(tag, "lane", dst)
+            if rec is not None:
+                rec.lane = attrs[2]
+        elif op == "retransmit":
+            rec = first_missing(tag, "completed_at", dst)
+            if rec is not None:
+                rec.retransmits += 1
+        elif op == "recv_cancel":
+            for rec in open_by_tag.get(tag, ()):
+                if rec.matched_at is None and (dst is None or rec.dst_pe == dst) and (
+                    rec.recv_posted_at is not None or rec.ucx_recv_posted_at is not None
+                ):
+                    rec.recv_posted_at = None
+                    rec.ucx_recv_posted_at = None
+                    rec.recv_cancels += 1
+                    break
+        elif op.startswith("fail:"):
+            rec = first_missing(tag, "failed_at", dst)
+            if rec is not None:
+                rec.error = op[5:]
+                rec.failed_at = now
+                close(rec)
+        else:
+            rec = first_missing(tag, op, None if op == "recv_posted_at" else dst)
+            if rec is not None:
+                setattr(rec, op, now)
+                if op == "completed_at":
+                    close(rec)
+    return records
 
-    def recv_posted(self, tag: int) -> None:
-        rec = self._first_missing(tag, "recv_posted_at")
-        if rec is not None:
-            rec.recv_posted_at = self.sim.now
 
-    def ucx_send(self, tag: int, protocol: str, dst: Optional[int] = None,
-                 src: Optional[int] = None, size: int = 0) -> None:
-        """``ucp_tag_send_nb`` entered.  A send with no open record still
-        waiting for this stage bypassed the machine layer (OpenMPI calls UCP
-        directly): given its ``src``, its record is opened here."""
-        rec = self._first_missing(tag, "ucx_send_at", dst)
-        if rec is None and src is not None:
-            rec = self.begin(tag, src, dst, size)
-        if rec is not None:
-            rec.ucx_send_at = self.sim.now
-            rec.protocol = protocol
-
-    def matched(self, tag: int, posted_at: float, unexpected: bool,
-                dst: Optional[int] = None) -> None:
-        """Record the tag match; ``posted_at`` is the original
-        ``ucp_tag_recv_nb`` time of the matching request (which, for
-        pre-posted receives, predates the match)."""
-        rec = self._first_missing(tag, "matched_at", dst)
-        if rec is not None:
-            rec.matched_at = self.sim.now
-            rec.matched_unexpected = unexpected
-            rec.ucx_recv_posted_at = posted_at
-
-    def lane(self, tag: int, lane: str, dst: Optional[int] = None) -> None:
-        rec = self._first_missing(tag, "lane", dst)
-        if rec is not None:
-            rec.lane = lane
-
-    def send_completed(self, tag: int, dst: Optional[int] = None) -> None:
-        rec = self._first_missing(tag, "send_completed_at", dst)
-        if rec is not None:
-            rec.send_completed_at = self.sim.now
-
-    def completed(self, tag: int, dst: Optional[int] = None) -> None:
-        """Data landed in the destination buffer; finalize the record."""
-        rec = self._first_missing(tag, "completed_at", dst)
-        if rec is None:
-            return
-        rec.completed_at = self.sim.now
-        self._close(rec)
-
-    def _close(self, rec: FlightRecord) -> None:
-        lst = self._open[rec.tag]
-        lst.remove(rec)
-        if not lst:
-            del self._open[rec.tag]
-        self._done.append(rec)
-
-    # -- fault stage --------------------------------------------------------------
-    def retransmitted(self, tag: int, dst: Optional[int] = None) -> None:
-        """One frame of this transfer was faulted and rescheduled."""
-        rec = self._first_missing(tag, "completed_at", dst)
-        if rec is not None:
-            rec.retransmits += 1
-
-    def failed(self, tag: int, error: str, dst: Optional[int] = None) -> None:
-        """The transfer terminally failed (timeout, truncation, or send
-        cancellation): record why and close the record so it cannot absorb
-        the stages of the next same-tag transfer."""
-        rec = self._first_missing(tag, "failed_at", dst)
-        if rec is None:
-            return
-        rec.error = error
-        rec.failed_at = self.sim.now
-        self._close(rec)
-
-    def cancelled(self, tag: int, dst: Optional[int] = None) -> None:
-        """The sender cancelled the transfer before the payload shipped."""
-        self.failed(tag, "cancelled", dst)
-
-    def recv_cancelled(self, tag: int, dst: Optional[int] = None) -> None:
-        """A posted receive for ``tag`` was cancelled before matching: roll
-        the record's posting stages back so a repost fills them afresh (the
-        transfer itself is still in flight from the sender's side)."""
-        for rec in self._open.get(tag, ()):
-            if rec.matched_at is None and (dst is None or rec.dst_pe == dst) and (
-                rec.recv_posted_at is not None or rec.ucx_recv_posted_at is not None
-            ):
-                rec.recv_posted_at = None
-                rec.ucx_recv_posted_at = None
-                rec.recv_cancels += 1
-                return
-
-    # -- queries ------------------------------------------------------------------
-    def records(self) -> List[FlightRecord]:
-        """All records (completed and still-open), in begin order."""
-        out = list(self._done)
-        for lst in self._open.values():
-            out.extend(lst)
-        out.sort(key=lambda r: r.seq)
-        return out
-
-    def aggregate(self) -> Dict:
-        """JSON-ready summary: per-protocol counts/bytes/delayed-posting
-        totals plus posting-order inversions (receives posted out of the
-        senders' enqueue order for the same (src, dst) pair — each one is
-        a message some later message's receive overtook)."""
-        recs = self.records()
-        by_proto = {
-            p: {
-                "n": 0,
-                "bytes": 0,
-                "delayed_posting_seconds": 0.0,
-                "max_delayed_posting_seconds": 0.0,
-                "unexpected": 0,
-            }
-            for p in ("eager", "rndv")
+def aggregate(records: List[FlightRecord]) -> Dict:
+    """JSON-ready summary: per-protocol counts/bytes/delayed-posting
+    totals plus posting-order inversions (receives posted out of the
+    senders' enqueue order for the same (src, dst) pair — each one is
+    a message some later message's receive overtook)."""
+    by_proto = {
+        p: {
+            "n": 0,
+            "bytes": 0,
+            "delayed_posting_seconds": 0.0,
+            "max_delayed_posting_seconds": 0.0,
+            "unexpected": 0,
         }
-        other = 0
-        total_cost = 0.0
-        for rec in recs:
-            bucket = by_proto.get(rec.protocol)
-            if bucket is None:
-                other += 1
-                continue
-            cost = rec.delayed_posting_cost
-            bucket["n"] += 1
-            bucket["bytes"] += rec.size
-            bucket["delayed_posting_seconds"] += cost
-            if cost > bucket["max_delayed_posting_seconds"]:
-                bucket["max_delayed_posting_seconds"] = cost
-            if rec.matched_unexpected:
-                bucket["unexpected"] += 1
-            total_cost += cost
-        return {
-            "n_records": len(recs),
-            "n_complete": sum(1 for r in recs if r.complete),
-            "n_unclassified": other,
-            "by_protocol": by_proto,
-            "delayed_posting_seconds": total_cost,
-            "posting_inversions": self.posting_inversions(recs),
-        }
+        for p in ("eager", "rndv")
+    }
+    other = 0
+    total_cost = 0.0
+    for rec in records:
+        bucket = by_proto.get(rec.protocol)
+        if bucket is None:
+            other += 1
+            continue
+        cost = rec.delayed_posting_cost
+        bucket["n"] += 1
+        bucket["bytes"] += rec.size
+        bucket["delayed_posting_seconds"] += cost
+        if cost > bucket["max_delayed_posting_seconds"]:
+            bucket["max_delayed_posting_seconds"] = cost
+        if rec.matched_unexpected:
+            bucket["unexpected"] += 1
+        total_cost += cost
+    return {
+        "n_records": len(records),
+        "n_complete": sum(1 for r in records if r.complete),
+        "n_unclassified": other,
+        "by_protocol": by_proto,
+        "delayed_posting_seconds": total_cost,
+        "posting_inversions": posting_inversions(records),
+    }
 
-    @staticmethod
-    def posting_inversions(recs: List[FlightRecord]) -> int:
-        """Count receives posted out of send order: within each
-        (src, dst) pair, messages ordered by enqueue time whose receive was
-        posted earlier than a predecessor's."""
-        groups: Dict[tuple, List[FlightRecord]] = {}
-        for rec in recs:
-            if rec.posted_at is None:
-                continue
-            groups.setdefault((rec.src_pe, rec.dst_pe), []).append(rec)
-        inversions = 0
-        for group in groups.values():
-            group.sort(key=lambda r: (r.enqueued_at, r.seq))
-            high = None
-            for rec in group:
-                posted = rec.posted_at
-                if high is not None and posted < high:
-                    inversions += 1
-                if high is None or posted > high:
-                    high = posted
-        return inversions
 
-    def reset(self) -> None:
-        self._open.clear()
-        self._done.clear()
-        self._next_seq = 0
+def posting_inversions(records: List[FlightRecord]) -> int:
+    """Count receives posted out of send order: within each
+    (src, dst) pair, messages ordered by enqueue time whose receive was
+    posted earlier than a predecessor's."""
+    groups: Dict[tuple, List[FlightRecord]] = {}
+    for rec in records:
+        if rec.posted_at is None:
+            continue
+        groups.setdefault((rec.src_pe, rec.dst_pe), []).append(rec)
+    inversions = 0
+    for group in groups.values():
+        group.sort(key=lambda r: (r.enqueued_at, r.seq))
+        high = None
+        for rec in group:
+            posted = rec.posted_at
+            if high is not None and posted < high:
+                inversions += 1
+            if high is None or posted > high:
+                high = posted
+    return inversions

@@ -11,14 +11,22 @@ below declares, once, who hears about it:
     the ``(category, name)`` span it opens when tracing, and the attribute
     keys, in order, that the span stores for the leading values of the
     site's ``attrs`` tuple (values past the last name are facts only the
-    flight recorder wants);
+    flight fold reads);
 ``charge``
     the layer its modelled CPU ``cost`` is attributed to when tracing;
 ``flight``
-    the :class:`~repro.obs.flight.FlightRecorder` update it drives when flight
-    recording is on, as ``flight(recorder, tag, dst, *attrs)`` — ``(tag,
-    dst)`` identifies the device transfer, ``dst`` being the destination
-    worker where the site knows it.
+    what the stage means to the transfer's
+    :class:`~repro.obs.flight.FlightRecord`: the record field it stamps
+    with its time, or a named op (``begin``, ``ucx_send``, ``matched``,
+    ``lane``, ``retransmit``, ``recv_cancel``, ``fail:<error>``).  While
+    flight recording is on, ``Tracer.stage`` logs the stage as ``(time,
+    flight, tag, dst, *attrs)`` in ``tracer.log`` and
+    :func:`~repro.obs.flight.flight_records` folds that log — ``(tag, dst)``
+    identifies the device transfer, ``dst`` being the destination worker
+    where the site knows it.
+
+Every field is data, never a callable: the table says what a stage means,
+the tracer and the folds act on it.
 
 The site passes values, not keywords: a ``**kwargs`` call builds a dict on
 every message whether or not anything is recording, a tuple does not.
@@ -30,9 +38,7 @@ whenever that counter moves (through ``stage`` or plain ``tracer.count``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.obs.flight import FlightRecorder
+from typing import Dict, Optional, Tuple
 
 __all__ = ["COUNTER_SERIES", "Stage"]
 
@@ -57,7 +63,7 @@ class Stage:
         span: Optional[Tuple[str, str]] = None,
         names: Tuple[str, ...] = (),
         charge: Optional[str] = None,
-        flight: Optional[Callable] = None,
+        flight: Optional[str] = None,
     ) -> None:
         self.counter = counter
         self.span = span
@@ -86,8 +92,8 @@ C4P_RECV = Stage(None, ("charm4py", "channel_recv"), ("pe", "size", "device"),
 
 # the host metadata message that announces a device transfer (§III-A): the
 # receive cannot be posted until it has arrived and been scheduled
-METADATA_SENT = Stage(flight=FlightRecorder.metadata_sent)
-METADATA_ARRIVED = Stage(flight=FlightRecorder.metadata_arrived)
+METADATA_SENT = Stage(flight="metadata_sent_at")
+METADATA_ARRIVED = Stage(flight="metadata_arrived_at")
 
 # -- Converse and the UCX machine layer ----------------------------------------
 CMI_SEND = Stage(("converse", "send"), ("converse", "cmi_send"), ("handler", "bytes"))
@@ -99,21 +105,16 @@ CMI_RECV_DEVICE = Stage(("converse", "recv_device"), ("converse", "cmi_recv_devi
 # measured against this instant
 LRTS_SEND_DEVICE = Stage(
     ("machine", "send_device"), ("machine", "lrts_send_device"),
-    ("src_pe", "dst_pe", "size", "tag"), charge="machine",
-    flight=lambda fr, tag, dst, src_pe, _dst_pe, size, _tag:
-        fr.begin(tag, src_pe, dst, size))
+    ("src_pe", "dst_pe", "size", "tag"), charge="machine", flight="begin")
 LRTS_RECV_DEVICE = Stage(
     ("machine", "recv_device"), ("machine", "lrts_recv_device"),
-    ("pe", "size", "tag", "recv_type"), charge="machine",
-    flight=lambda fr, tag, dst, *_: fr.recv_posted(tag))
+    ("pe", "size", "tag", "recv_type"), charge="machine", flight="recv_posted_at")
 
 # -- UCP worker -------------------------------------------------------------------
-# host sends have no flight record; device sends that bypassed the machine
-# layer (OpenMPI) get theirs opened here
-TAG_SEND = Stage(
-    ("ucx", "send"), ("ucx", "tag_send"), ("tag", "size", "proto"), charge="ucx",
-    flight=lambda fr, tag, dst, _tag, size, proto, src, buf:
-        buf.on_device and fr.ucx_send(tag, proto, dst, src, size))
+# host sends have no flight record (the site passes no tag for them); device
+# sends that bypassed the machine layer (OpenMPI) get theirs opened here
+TAG_SEND = Stage(("ucx", "send"), ("ucx", "tag_send"), ("tag", "size", "proto"),
+                 charge="ucx", flight="ucx_send")
 TAG_RECV = Stage(("ucx", "recv"), ("ucx", "tag_recv"), ("tag", "size"), charge="ucx")
 AM_SEND = Stage(("ucx", "am_send"), ("ucx", "am_send"), ("size", "rndv"), charge="ucx")
 ARRIVE = Stage(("ucx", "arrive"), charge="ucx")
@@ -122,34 +123,31 @@ ARRIVE = Stage(("ucx", "arrive"), charge="ucx")
 def _match(counter: Tuple[str, str]) -> Stage:
     return Stage(
         counter, ("ucx.match", "tag_match"), ("tag", "scanned", "unexpected"),
-        charge="ucx",
-        flight=lambda fr, tag, dst, _tag, _scanned, unexpected, posted_at:
-            fr.matched(tag, posted_at, unexpected, dst))
+        charge="ucx", flight="matched")
 
 
 MATCH_EXPECTED = _match(("ucx", "expected_hit"))
 MATCH_UNEXPECTED = _match(("ucx", "unexpected_hit"))
-CANCEL_SEND = Stage(("ucx", "cancel_send"), flight=FlightRecorder.cancelled)
-CANCEL_RECV = Stage(("ucx", "cancel_recv"), flight=FlightRecorder.recv_cancelled)
+CANCEL_SEND = Stage(("ucx", "cancel_send"), flight="fail:cancelled")
+CANCEL_RECV = Stage(("ucx", "cancel_recv"), flight="recv_cancel")
 
 # -- UCP protocols and the frame transport ---------------------------------------
 EAGER_SEND = Stage(None, ("ucx.eager", "eager_send"), ("size", "tag", "device"))
 EAGER_RECV = Stage(None, ("ucx.eager", "eager_recv"), ("size", "tag", "device"))
 RNDV_RTS = Stage(None, ("ucx.rndv", "rndv_rts"), ("size", "tag", "device"))
-RNDV_FETCH = Stage(
-    None, ("ucx.rndv", "rndv_fetch"), ("size", "tag", "lane"),
-    flight=lambda fr, tag, dst, _size, _tag, lane: fr.lane(tag, lane, dst))
+RNDV_FETCH = Stage(None, ("ucx.rndv", "rndv_fetch"), ("size", "tag", "lane"),
+                   flight="lane")
 RNDV_DATA = Stage(None, ("link", "rndv_data"), ("tag", "bytes"))
 # the transport's spans take ready-made attribute dicts (``more``): its
 # frames carry them only when traced
 TAG_WIRE = Stage(None, ("link", "wire"))
 AM_WIRE = Stage(None, ("link", "am_wire"))
 AM_FETCH = Stage(None, ("link", "am_fetch"), ("bytes",))
-SEND_COMPLETED = Stage(flight=FlightRecorder.send_completed)
-DATA_LANDED = Stage(flight=FlightRecorder.completed)
+SEND_COMPLETED = Stage(flight="send_completed_at")
+DATA_LANDED = Stage(flight="completed_at")
 RETRANSMIT = Stage(("fault", "retransmit"), ("fault", "retransmit_wait"),
-                   flight=FlightRecorder.retransmitted)
+                   flight="retransmit")
 # terminal failures close the record so it cannot absorb the stages of the
 # next same-tag transfer
-TRUNCATED = Stage(flight=lambda fr, tag, dst: fr.failed(tag, "truncated", dst))
-TIMED_OUT = Stage(flight=lambda fr, tag, dst: fr.failed(tag, "endpoint_timeout", dst))
+TRUNCATED = Stage(flight="fail:truncated")
+TIMED_OUT = Stage(flight="fail:endpoint_timeout")

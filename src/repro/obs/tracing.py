@@ -1,8 +1,6 @@
 """Hierarchical span-tree tracing for the simulator.
 
-Replaced the flat ``span_begin``/``span_end`` pairs of the original
-:class:`repro.sim.trace.Tracer` (removed after their deprecation cycle)
-with first-class :class:`Span` objects:
+Spans are first-class :class:`Span` objects:
 
 * ``with tracer.span("ucx", "tag_send", size=n):`` — synchronous spans that
   nest lexically (the tracer keeps an active-span stack, so a span opened
@@ -17,8 +15,10 @@ The tracer is also the one door into observation for the hot path:
 :meth:`Tracer.stage` takes a row of the stage table
 (:mod:`repro.obs.stages`) plus what happened, and decides which recorders
 hear about it — the always-on counter, the span tree and per-layer time
-(``trace``), the flight recorder (``flight``), the telemetry series
-(``telemetry``).  Sites name no recorder and test no switch.
+(``trace``), the stage log that flight records are folded from
+(``flight``: one plain tuple per flight stage in :attr:`Tracer.log`, see
+:mod:`repro.obs.flight`), the telemetry series (``telemetry``).  Sites name
+no recorder and test no switch.
 
 Determinism contract (enforced by ``tests/test_obs_golden.py``): observation
 code never calls ``sim.schedule``, never changes a modeled delay, and the
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stages import COUNTER_SERIES, Stage
 from repro.obs.timeline import DEFAULT_CAPACITY as TELEMETRY_CAPACITY
@@ -127,11 +126,7 @@ class Span:
             return
         if attrs:
             self.attrs.update(attrs)
-        tracer = self._tracer
-        self.end_time = tracer.sim.now
-        tracer._time_acc[self.category] = (
-            tracer._time_acc.get(self.category, 0.0) + self.end_time - self.start
-        )
+        self.end_time = self._tracer.sim.now
 
     def close_at(self, time: float, **attrs) -> None:
         """Close the span at an explicit simulated time (idempotent).
@@ -145,13 +140,7 @@ class Span:
             return
         if attrs:
             self.attrs.update(attrs)
-        if time < self.start:
-            time = self.start
-        tracer = self._tracer
-        self.end_time = time
-        tracer._time_acc[self.category] = (
-            tracer._time_acc.get(self.category, 0.0) + time - self.start
-        )
+        self.end_time = time if time > self.start else self.start
 
     def annotate(self, **attrs) -> None:
         self.attrs.update(attrs)
@@ -200,7 +189,7 @@ class Tracer:
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self._counts = self.metrics.counts
-        self.flight = FlightRecorder(sim, enabled=flight)
+        self.log: List[tuple] = []  # flight stages, for repro.obs.flight
         self.timeline = Telemetry(sim, enabled=telemetry,
                                   capacity=telemetry_capacity)
         self._flight_on = flight
@@ -211,8 +200,6 @@ class Tracer:
         # link waits are attributed to the ambient span's category
         self.timeline.ambient_stack = self._stack
         self._next_sid = 0
-        # category -> accumulated span time
-        self._time_acc: Dict[str, float] = {}
 
     # -- span tree ----------------------------------------------------------------
     def span(self, category: str, name: Optional[str] = None,
@@ -268,7 +255,7 @@ class Tracer:
         if self._quiet:
             return NULL_SPAN
         if self._flight_on and tag is not None and st.flight is not None:
-            st.flight(self.flight, tag, dst, *attrs)
+            self.log.append((self.sim.now, st.flight, tag, dst, *attrs))
         if self._telemetry_on and st.series is not None:
             self.timeline.bump(st.series)
         if not self.enabled:
@@ -325,14 +312,14 @@ class Tracer:
     def time_in(self, category: str) -> float:
         """Total simulated time spent inside *ended* spans of ``category``
         (overlapping spans double-count, as the legacy API did)."""
-        return self._time_acc.get(category, 0.0)
+        return sum(s.end_time - s.start for s in self.spans
+                   if s.category == category and s.end_time is not None)
 
     # -- lifecycle ------------------------------------------------------------------------
     def reset(self) -> None:
         self.spans.clear()
         self._stack.clear()
         self._next_sid = 0
-        self._time_acc.clear()
+        self.log.clear()
         self.metrics.reset()
-        self.flight.reset()
         self.timeline.reset()

@@ -13,7 +13,6 @@ from repro.sim.engine import Handle, Simulator
 from repro.sim.primitives import AllOf, AnyOf, Latch, SimEvent, SimQueue, Timeout
 from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.sim.resources import Resource
-from repro.sim.trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -28,5 +27,4 @@ __all__ = [
     "SimQueue",
     "Simulator",
     "Timeout",
-    "Tracer",
 ]

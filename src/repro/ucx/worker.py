@@ -188,9 +188,10 @@ class UcpWorker:
         req = UcxRequest(self.sim, RequestKind.SEND, tag, size, cb)
         proto = choose_send_protocol(cfg, buf, size)
         tracer = self.ctx.machine.tracer
+        # only a device send has a flight record: a host send passes no tag
         sp = tracer.stage(
-            TAG_SEND, tag, ep.remote.worker_id, self._send_post_cost,
-            (tag, size, proto.value, self.worker_id, buf),
+            TAG_SEND, tag if buf.on_device else None, ep.remote.worker_id,
+            self._send_post_cost, (tag, size, proto.value, self.worker_id),
         )
         if sp:
             tracer.observe("ucx.send_size_bytes", size)

@@ -28,6 +28,7 @@ from repro.faults import (
     LinkFaultRule,
 )
 from repro.hardware.topology import Machine
+from repro.obs.flight import flight_records
 from repro.ucx.context import UcpContext
 from repro.ucx.status import UcsStatus
 
@@ -163,7 +164,7 @@ class TestFaultPlan:
         assert FaultPlan.load(str(p)) == FaultPlan.lossy(drop_p=0.125, seed=3)
 
     def test_injector_refuses_empty_plan(self):
-        from repro.sim.trace import Tracer
+        from repro.obs.tracing import Tracer
         from repro.sim.engine import Simulator
 
         with pytest.raises(ValueError):
@@ -462,7 +463,7 @@ class TestFallbacks:
         m.sim.run()
         assert rreq.completed
         assert m.tracer.counters["fault.fallback_pipeline"] == 1
-        (rec,) = m.tracer.flight.records()
+        (rec,) = flight_records(m.tracer.log)
         assert rec.lane == "pipeline"  # not "ipc"
 
     def test_ipc_failure_slower_in_steady_state(self):

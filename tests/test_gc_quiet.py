@@ -300,8 +300,8 @@ def test_request_event_never_accessed():
     sim = Simulator()
     seen = []
     req = UcxRequest(sim, RequestKind.RECV, tag=1, size=8, cb=seen.append)
-    req.complete()
-    assert seen == [req] and req._event is None
+    req.complete(UcsStatus.OK, info=(1, 8))
+    assert seen == [req] and req.info == (1, 8) and req._event is None
     with pytest.raises(RuntimeError, match="completed twice"):
         req.complete()
     assert seen == [req]

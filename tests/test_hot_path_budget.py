@@ -46,10 +46,11 @@ SHUFFLE_BUDGET = {2: (21.75, 22.4), 4: (21.56, 22.2)}
 
 #: 8 nodes, 1 warm-up + 3 timed iterations, trace + flight + telemetry.
 #: Exported: 38 189 trace events; with one dict per event, a Python-keyed
-#: ``heapq.merge`` and ``json.dumps`` this was 3.37.  Recorded: 14 144 spans;
-#: no change has targeted the recording side, the pin keeps it from creeping.
+#: ``heapq.merge`` and ``json.dumps`` this was 3.37.  Recorded: 14 144 spans
+#: and 7 488 flight stages; while a live flight recorder ran a handler per
+#: flight stage (instead of appending it to the stage log) this was 9.41.
 EXPORT_BUDGET = (0.89, 0.92)
-RECORD_BUDGET = (9.41, 9.7)
+RECORD_BUDGET = (8.0, 8.25)
 
 
 def _python_calls(run) -> int:

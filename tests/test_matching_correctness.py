@@ -28,8 +28,8 @@ from repro.ampi.matching import (
 from repro.config import MachineConfig, RuntimeConfig
 from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import DeviceAllocator, host_buffer
+from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from tests.oracles.linear_matchq import LinearMatchQueue
 
 

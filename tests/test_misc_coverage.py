@@ -1,5 +1,5 @@
 """Coverage for smaller surfaces: worker stats, PE helpers, tracing
-integration, Charm4py device entry parameters, request objects."""
+integration, Charm4py device entry parameters."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.charm4py import Charm4py, PyChare
 from repro.config import KB, MachineConfig
 from repro.hardware.topology import Machine
 from repro.ucx.context import UcpContext
-from repro.ucx.request import RequestKind, UcxRequest
-from repro.ucx.status import UcsStatus
 
 
 class TestWorkerStats:
@@ -36,25 +34,6 @@ class TestWorkerStats:
         with pytest.raises(ValueError):
             ctx.create_worker(3, 0)  # conflicting node
         assert ctx.worker_count == 1
-
-
-class TestRequestObject:
-    def test_double_completion_rejected(self):
-        from repro.sim.engine import Simulator
-
-        req = UcxRequest(Simulator(), RequestKind.SEND, tag=1, size=8)
-        req.complete()
-        with pytest.raises(RuntimeError):
-            req.complete()
-
-    def test_callback_invoked_with_request(self):
-        from repro.sim.engine import Simulator
-
-        seen = []
-        req = UcxRequest(Simulator(), RequestKind.RECV, tag=1, size=8,
-                         cb=seen.append)
-        req.complete(UcsStatus.OK, info=(1, 8))
-        assert seen == [req] and req.info == (1, 8)
 
 
 class TestPeHelpers:
@@ -184,16 +163,3 @@ class TestCharm4pyDeviceEntryParams:
 
         assert run(py=True) > run(py=False)
 
-
-class TestEndpointLoopback:
-    def test_loopback_tagged_send(self):
-        m = Machine(MachineConfig.summit(nodes=1))
-        ctx = UcpContext(m)
-        w = ctx.create_worker(0, 0)
-        src, dst = m.alloc_host(0, 32), m.alloc_host(0, 32)
-        src.data[:] = 4
-        req = w.tag_recv_nb(dst, 32, tag=5)
-        w.tag_send_nb(w.ep(0), src, 32, tag=5)
-        m.sim.run()
-        assert req.completed and (dst.data == 4).all()
-        assert w.ep(0).is_loopback

@@ -1,6 +1,6 @@
-"""Hand-computed scenarios for the flight recorder and critical path.
+"""Hand-computed scenarios for the flight records and critical path.
 
-The flight recorder's headline number — the delayed-posting cost — and
+The flight records' headline number — the delayed-posting cost — and
 the critical-path layer blame are both exercised here against scenarios
 small enough to compute by hand: a send whose receive is posted a known
 50 us late, a pair of receives posted against send order, and a
@@ -20,9 +20,9 @@ from repro.core.device_buffer import (
 from repro.core.machine_ucx import UcxMachineLayer
 from repro.hardware.topology import Machine
 from repro.obs.critical_path import critical_path, layer_of
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import aggregate, flight_records
+from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 RNDV_SIZE = 64 * KB  # >= device_eager_threshold (4 KB): rendezvous
 EAGER_SIZE = 256
@@ -59,14 +59,14 @@ class TestDelayedPosting:
         m, layer = make_layer()
         _send_recv(m, layer, RNDV_SIZE, post_at=50e-6)
         m.sim.run()
-        (rec,) = m.tracer.flight.records()
+        (rec,) = flight_records(m.tracer.log)
         assert rec.complete
         assert rec.protocol == "rndv"
         assert rec.enqueued_at == 0.0
         assert rec.recv_posted_at == pytest.approx(50e-6)
         assert rec.posting_delay == pytest.approx(50e-6)
         assert rec.delayed_posting_cost == pytest.approx(50e-6)
-        agg = m.tracer.flight.aggregate()
+        agg = aggregate(flight_records(m.tracer.log))
         assert agg["delayed_posting_seconds"] == pytest.approx(50e-6)
         assert agg["by_protocol"]["rndv"]["delayed_posting_seconds"] == \
             pytest.approx(50e-6)
@@ -79,12 +79,12 @@ class TestDelayedPosting:
         m, layer = make_layer()
         _send_recv(m, layer, EAGER_SIZE, post_at=50e-6)
         m.sim.run()
-        (rec,) = m.tracer.flight.records()
+        (rec,) = flight_records(m.tracer.log)
         assert rec.complete
         assert rec.protocol == "eager"
         assert rec.posting_delay == pytest.approx(50e-6)
         assert rec.delayed_posting_cost == 0.0
-        agg = m.tracer.flight.aggregate()
+        agg = aggregate(flight_records(m.tracer.log))
         assert agg["delayed_posting_seconds"] == 0.0
         assert agg["by_protocol"]["eager"]["n"] == 1
 
@@ -94,7 +94,7 @@ class TestDelayedPosting:
         _send_recv(m, layer, RNDV_SIZE, post_at=10e-6)
         _send_recv(m, layer, RNDV_SIZE, post_at=30e-6)
         m.sim.run()
-        agg = m.tracer.flight.aggregate()
+        agg = aggregate(flight_records(m.tracer.log))
         assert agg["n_records"] == 2 and agg["n_complete"] == 2
         assert agg["delayed_posting_seconds"] == pytest.approx(40e-6)
         assert agg["by_protocol"]["rndv"]["max_delayed_posting_seconds"] == \
@@ -110,82 +110,84 @@ class TestDelayedPosting:
             1e-6, lambda: _send_recv(m, layer, EAGER_SIZE, post_at=10e-6)
         )  # B: enq 1us, posted 10us < A's 20us
         m.sim.run()
-        recs = m.tracer.flight.records()
+        recs = flight_records(m.tracer.log)
         assert [r.enqueued_at for r in recs] == pytest.approx([0.0, 1e-6])
-        assert m.tracer.flight.aggregate()["posting_inversions"] == 1
+        assert aggregate(flight_records(m.tracer.log))["posting_inversions"] == 1
+
+
+def _begin(t, tag, src_pe=0, dst_pe=1, size=8):
+    """The log entry of an ``LrtsSendDevice`` call (its site's attrs are
+    ``(src_pe, dst_pe, size, tag)``)."""
+    return (t, "begin", tag, dst_pe, src_pe, dst_pe, size, tag)
 
 
 class TestRecorderFifoPerTag:
     def test_same_tag_updates_go_to_oldest_open_record(self):
         # direct-UCX models (OpenMPI) reuse one application tag across
         # in-flight sends; stage updates must land FIFO
-        sim = Simulator()
-        fr = FlightRecorder(sim, enabled=True)
-        fr.begin(7, src_pe=0, dst_pe=1, size=8)
-        fr.begin(7, src_pe=0, dst_pe=1, size=8)
-        fr.ucx_send(7, "eager")
-        fr.completed(7)
-        a, b = fr.records()
+        log = [
+            _begin(0.0, 7),
+            _begin(0.0, 7),
+            (1e-6, "ucx_send", 7, None, 7, 8, "eager", None),
+            (2e-6, "completed_at", 7, None),
+        ]
+        a, b = flight_records(log)
         assert a.protocol == "eager" and a.complete
         assert b.protocol is None and not b.complete
-        fr.completed(7)
-        assert all(r.complete for r in fr.records())
+        log.append((3e-6, "completed_at", 7, None))
+        assert all(r.complete for r in flight_records(log))
 
     def test_disabled_recorder_records_nothing(self):
-        fr = FlightRecorder(Simulator(), enabled=False)
-        fr.begin(1, src_pe=0, dst_pe=1, size=8)
-        fr.completed(1)
-        assert fr.records() == []
-        assert fr.aggregate()["n_records"] == 0
+        sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                .trace().build())
+        run_latency("ampi", EAGER_SIZE, "intra", True, session=sess,
+                    iters=2, skip=1)
+        assert sess.tracer.log == []
+        assert sess.flight_records() == []
+        assert sess.flight_summary()["n_records"] == 0
 
 
 class TestRecorderFaultStages:
     def test_retransmit_counted_on_open_record(self):
-        sim = Simulator()
-        fr = FlightRecorder(sim, enabled=True)
-        fr.begin(3, src_pe=0, dst_pe=1, size=8)
-        fr.retransmitted(3)
-        fr.retransmitted(3)
-        fr.completed(3)
-        (rec,) = fr.records()
+        (rec,) = flight_records([
+            _begin(0.0, 3),
+            (1e-6, "retransmit", 3, None),
+            (2e-6, "retransmit", 3, None),
+            (3e-6, "completed_at", 3, None),
+        ])
         assert rec.retransmits == 2 and rec.complete
         doc = rec.to_dict()
         assert doc["retransmits"] == 2
         assert doc["error"] is None and doc["failed_at"] is None
 
     def test_failed_closes_record_with_error(self):
-        sim = Simulator()
-        fr = FlightRecorder(sim, enabled=True)
-        fr.begin(4, src_pe=0, dst_pe=1, size=8)
-        sim.schedule(5e-6, lambda: fr.failed(4, "endpoint_timeout"))
-        sim.run()
-        (rec,) = fr.records()
+        log = [_begin(0.0, 4), (5e-6, "fail:endpoint_timeout", 4, None)]
+        (rec,) = flight_records(log)
         assert rec.error == "endpoint_timeout"
         assert rec.failed_at == pytest.approx(5e-6)
         assert not rec.complete  # failed, not completed
         assert rec.to_dict()["error"] == "endpoint_timeout"
         # the record is closed: later same-tag stages cannot land on it
-        fr.completed(4)
+        log.append((6e-6, "completed_at", 4, None))
+        (rec,) = flight_records(log)
         assert rec.completed_at is None
 
     def test_cancelled_is_failure_with_cancelled_error(self):
-        fr = FlightRecorder(Simulator(), enabled=True)
-        fr.begin(5, src_pe=0, dst_pe=1, size=8)
-        fr.cancelled(5)
-        (rec,) = fr.records()
+        (rec,) = flight_records([_begin(0.0, 5), (1e-6, "fail:cancelled", 5, None)])
         assert rec.error == "cancelled"
 
     def test_recv_cancel_clears_posting_stages(self):
-        fr = FlightRecorder(Simulator(), enabled=True)
-        fr.begin(6, src_pe=0, dst_pe=1, size=8)
-        fr.recv_posted(6)
-        fr.recv_cancelled(6)
-        (rec,) = fr.records()
+        log = [
+            _begin(0.0, 6),
+            (1e-6, "recv_posted_at", 6, 1),
+            (2e-6, "recv_cancel", 6, None),
+        ]
+        (rec,) = flight_records(log)
         assert rec.recv_posted_at is None
         assert rec.recv_cancels == 1
         # a repost then lands normally on the same record
-        fr.recv_posted(6)
-        fr.completed(6)
+        log += [(3e-6, "recv_posted_at", 6, 1), (4e-6, "completed_at", 6, None)]
+        (rec,) = flight_records(log)
         assert rec.recv_posted_at is not None and rec.complete
 
 

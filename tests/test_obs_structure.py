@@ -6,7 +6,7 @@ Message-path code reports lifecycle stages through ``tracer.stage`` /
 recorder or the telemetry object itself — which recorder hears about a stage
 is decided in ``repro.obs`` (``obs/stages.py``).  This walks the source tree
 so that per-site ``tracer.flight.*`` / ``telemetry.*`` hook families cannot
-grow back.
+grow back, and checks that the stage table holds no handlers either.
 
 Likewise the methods every MPI rank offers around its library's
 ``send``/``recv`` are written once, on ``repro.ampi.mpi.MpiRank``, and only
@@ -70,6 +70,22 @@ def test_no_site_names_a_recorder():
     assert set(ALLOWED) == set(found)
     lines = {(rel, n) for (rel, _attr), ns in found.items() for n in ns}
     assert len(lines) <= 12 and len({rel for rel, _ in lines}) <= 3
+
+
+def test_stage_table_is_data():
+    """Every field of every ``Stage`` row is data: a per-stage handler
+    (a lambda or a recorder method) is a recorder grown back into the
+    table.  What a stage means to the flight records is a field name or a
+    named op that ``repro.obs.flight`` folds."""
+    from repro.obs import stages
+
+    rows = {name: st for name, st in vars(stages).items()
+            if isinstance(st, stages.Stage)}
+    handlers = {f"{name}.{field}" for name, st in rows.items()
+                for field in stages.Stage.__slots__
+                if callable(getattr(st, field))}
+    assert not handlers, f"callable stage-table fields: {sorted(handlers)}"
+    assert any(st.flight for st in rows.values())
 
 
 #: Rank methods written once, on ``MpiRank``; a second definition on any

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ from repro.apps.osu.runner import run_latency
 from repro.config import KB, MB, MachineConfig
 from repro.faults import FaultPlan, LinkFaultRule
 from repro.hardware.topology import Machine
+from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.ucx.context import UcpContext
 from repro.ucx.status import UcsStatus
 from repro.ucx.transport import PENDING, SequencedStream

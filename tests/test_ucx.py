@@ -78,6 +78,16 @@ class TestTagMatching:
         assert rreq.completed and (dst.data == 7).all()
         assert wb.unexpected_hits == 1
 
+    def test_loopback_tagged_send(self):
+        m, ctx, wa, wb = make_pair()
+        src, dst = m.alloc_host(0, 32), m.alloc_host(0, 32)
+        src.data[:] = 4
+        req = wa.tag_recv_nb(dst, 32, tag=5)
+        wa.tag_send_nb(wa.ep(0), src, 32, tag=5)
+        m.sim.run()
+        assert req.completed and (dst.data == 4).all()
+        assert wa.ep(0).is_loopback
+
     def test_fifo_matching_same_tag(self):
         m, ctx, wa, wb = make_pair()
         srcs = []
