@@ -52,7 +52,7 @@ def _run_reversed_tags(k):
 
     totals = {
         "tag_scans": sum(w.tag_scans for w in workers),
-        "expected_hits": sum(w.expected_hits for w in workers),
+        "expected_hits": m.tracer.counters["ucx.expected_hit"],
         "posted_left": sum(len(w.posted) for w in workers),
     }
     return totals, wall
@@ -86,7 +86,7 @@ def test_unexpected_queue_reversed_closed_form():
         wb.tag_recv_nb(buf, 8, tag=tag)
     m.sim.run()
     assert wb.tag_scans == k * (k + 1) // 2
-    assert wb.unexpected_hits == k
+    assert m.tracer.counters["ucx.unexpected_hit"] == k
     assert len(wb.unexpected) == 0
 
 
@@ -114,5 +114,6 @@ def test_full_mpi_stack_reversed_tags():
     done = lib.launch(program)
     lib.run_until(done, max_events=50_000_000)
     workers = list(lib.ucp._workers.values())
-    assert sum(w.expected_hits + w.unexpected_hits for w in workers) == n * k
+    counters = lib.machine.tracer.counters
+    assert counters["ucx.expected_hit"] + counters["ucx.unexpected_hit"] == n * k
     assert all(len(w.posted) == 0 and len(w.unexpected) == 0 for w in workers)

@@ -65,8 +65,9 @@ def main():
     charm.run()
 
     print(f"done at t={charm.time * 1e6:.2f} us simulated")
-    print(f"UCX device sends: {charm.layer.device_sends}, "
-          f"device recvs: {charm.layer.device_recvs}")
+    counters = sess.counters
+    print(f"UCX device sends: {counters['machine.send_device']}, "
+          f"device recvs: {counters['machine.recv_device']}")
 
 
 if __name__ == "__main__":

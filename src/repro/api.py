@@ -208,16 +208,11 @@ class SessionBuilder:
         """Enable message-lifecycle flight recording (observation-only)."""
         return self.set({"flight": enabled})
 
-    def telemetry(self, enabled: bool = True,
-                  capacity: Optional[int] = None) -> "SessionBuilder":
+    def telemetry(self, enabled: bool = True) -> "SessionBuilder":
         """Enable resource-telemetry timelines (observation-only):
         link/queue/pool/endpoint occupancy series behind
-        :meth:`Session.timeline` and :meth:`Session.congestion_report`.
-        ``capacity`` overrides the per-series ring-buffer size."""
-        changes = {"telemetry": enabled}
-        if capacity is not None:
-            changes["telemetry_capacity"] = capacity
-        return self.set(changes)
+        :meth:`Session.timeline` and :meth:`Session.congestion_report`."""
+        return self.set({"telemetry": enabled})
 
     def faults(self, plan) -> "SessionBuilder":
         """Attach a deterministic :class:`repro.faults.FaultPlan`.  An empty

@@ -150,10 +150,6 @@ def main(argv=None) -> None:
     parser.add_argument("--scaling", choices=["weak", "strong"], default="weak")
     parser.add_argument("--host-staging", action="store_true")
     parser.add_argument("--iters", type=int, default=4)
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="deterministic fault plan: inline JSON (starts "
-                             "with '{') or a JSON file path; see "
-                             "repro.faults.FaultPlan")
     add_override_arg(parser)
     add_observation_args(parser)
     args = parser.parse_args(argv)
@@ -176,10 +172,6 @@ def main(argv=None) -> None:
         parser.error("model is required unless --sweep is given")
 
     cfg = MachineConfig.summit(nodes=args.nodes).override(*args.override)
-    if args.fault_plan:
-        from repro.faults import FaultPlan
-
-        cfg = cfg.with_faults(FaultPlan.load(args.fault_plan))
 
     plain_cfg, cfg = cfg, observed(cfg, args)
     sess = api.session(cfg).model(args.model).build()

@@ -138,19 +138,11 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--host-staging", action="store_true",
                         help="run the -H variant instead of GPU-aware -D")
     parser.add_argument("--max-size", type=int, default=4 * MB)
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="deterministic fault plan: inline JSON (starts "
-                             "with '{') or a JSON file path; see "
-                             "repro.faults.FaultPlan")
     add_override_arg(parser)
     add_observation_args(parser, run="the largest-size run")
     args = parser.parse_args(argv)
 
     cfg = MachineConfig.summit(nodes=2).override(*args.override)
-    if args.fault_plan:
-        from repro.faults import FaultPlan
-
-        cfg = cfg.with_faults(FaultPlan.load(args.fault_plan))
 
     sizes = [s for s in OSU_SIZES if s <= args.max_size]
     variant = "H" if args.host_staging else "D"

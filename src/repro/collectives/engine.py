@@ -180,7 +180,8 @@ def _resolve(ep, collective: str, nbytes: int, algorithm: Optional[str]):
         [ep.node_of(r) for r in range(ep.size)],
         ep.software_overhead,
     )
-    return select(collective, model, nbytes, algorithm, ep.coll_config)
+    return select(collective, model, nbytes, algorithm,
+                  ep.coll_config.hierarchical_enabled)
 
 
 def _run(ep, collective: str, spec, nbytes: int, args):

@@ -58,7 +58,7 @@ def _my_group(groups: List[List[int]], rank: int) -> List[int]:
 def _phase(collective: str, sub, nbytes: int):
     """Pick the cheapest flat algorithm for one phase — every rank of the
     sub-group derives the same choice from the same model."""
-    return select(collective, sub.model, nbytes, flat_only=True)
+    return select(collective, sub.model, nbytes, hierarchical=False)
 
 
 def run_hier_allreduce(ctx, buf, nbytes: int, op: ReduceOp):
@@ -113,7 +113,7 @@ def run_hier_reduce(ctx, buf, nbytes: int, op: ReduceOp, root: int):
 
 # -- costs (same three phases, same sub-models) -------------------------------------
 def _flat_cost(collective: str, m: CollectiveCostModel, n: int) -> float:
-    spec = select(collective, m, n, flat_only=True)
+    spec = select(collective, m, n, hierarchical=False)
     return spec.cost(m, n)
 
 

@@ -9,9 +9,9 @@ MPI library).  Crossover points between algorithms therefore *fall out of
 the link model*: there are no per-algorithm timing constants to tune, and
 changing the machine config moves the crossovers with it.
 
-``select()`` resolves, in order: a per-call ``algorithm=`` override, the
-``MachineConfig.collectives`` knobs, then the minimum-cost supported
-candidate (ties broken by name for determinism).
+``select()`` takes a per-call ``algorithm=`` override as given, and
+otherwise the minimum-cost supported candidate (ties broken by name for
+determinism).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import CollectivesConfig, MachineConfig
+from repro.config import MachineConfig
 
 __all__ = [
     "AlgorithmSpec",
@@ -177,43 +177,35 @@ def select(
     model: CollectiveCostModel,
     nbytes: int,
     algorithm: Optional[str] = None,
-    config: Optional[CollectivesConfig] = None,
-    flat_only: bool = False,
+    hierarchical: bool = True,
 ) -> AlgorithmSpec:
     """Resolve the algorithm for one invocation.
 
-    Priority: per-call ``algorithm`` > config override (per-collective, then
-    global) > minimum predicted cost among supported candidates.  With
-    ``flat_only`` the hierarchical variants are excluded (used for the
-    inter-node phase inside a hierarchy, which must not recurse).
+    A per-call ``algorithm`` is used as given; otherwise the minimum
+    predicted cost among supported candidates wins.  With ``hierarchical``
+    false the hierarchical variants do not compete (the
+    ``hierarchical_enabled`` ablation, and the phases inside a hierarchy,
+    which must not recurse).
     """
     specs = _REGISTRY.get(collective)
     if not specs:
         raise ValueError(f"no algorithms registered for {collective!r}")
-    forced = algorithm
-    if forced is None and config is not None:
-        forced = getattr(config, f"{collective}_algorithm", None) or config.algorithm
-    if flat_only and forced is not None:
-        spec = specs.get(forced)
-        if spec is not None and spec.hierarchical:
-            forced = None
-    if forced is not None:
-        spec = specs.get(forced)
+    if algorithm is not None:
+        spec = specs.get(algorithm)
         if spec is None:
             raise ValueError(
-                f"unknown {collective} algorithm {forced!r} "
+                f"unknown {collective} algorithm {algorithm!r} "
                 f"(available: {available_algorithms(collective)})"
             )
         if not spec.supports(model, nbytes):
             raise ValueError(
-                f"{collective} algorithm {forced!r} does not support "
+                f"{collective} algorithm {algorithm!r} does not support "
                 f"{model.p} ranks x {nbytes} B on {model.n_nodes} node(s)"
             )
         return spec
-    hier_ok = not flat_only and (config is None or config.hierarchical_enabled)
     candidates = [
         s for s in specs.values()
-        if (hier_ok or not s.hierarchical) and s.supports(model, nbytes)
+        if (hierarchical or not s.hierarchical) and s.supports(model, nbytes)
     ]
     if not candidates:
         raise ValueError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.collectives.algorithms import binomial_children, binomial_parent
 from repro.collectives.engine import tag_base
 from repro.collectives.ops import ReduceOp
 
@@ -48,32 +49,16 @@ def barrier(comm):
         round_no += 1
 
 
-def _parent(vrank: int) -> int:
-    return vrank & (vrank - 1)
-
-
-def _children(vrank: int, p: int) -> List[int]:
-    children = []
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            break
-        if vrank | mask < p:
-            children.append(vrank | mask)
-        mask <<= 1
-    return children
-
-
 def bcast(comm, value: Any, root: int = 0, nbytes: int = 8):
     """Binomial-tree broadcast; every rank returns the broadcast value."""
     base = tag_base(comm._next_coll_seq())
     p = comm.size
     vrank = (comm.rank - root) % p
     if vrank != 0:
-        parent = (_parent(vrank) + root) % p
+        parent = (binomial_parent(vrank) + root) % p
         status = yield comm.coll_recv_value(parent, base)
         value = status.value
-    for child in _children(vrank, p):
+    for child in binomial_children(vrank, p):
         yield comm.coll_send_value(value, nbytes, (child + root) % p, base)
     return value
 

@@ -130,12 +130,6 @@ class MemoryConfig:
     pool_bin_quantum: int = 256
     #: Cap on total slab bytes per GPU (``None``: the GPU's capacity).
     pool_max_bytes: Optional[int] = None
-    #: Release fully-free slabs back to the device automatically on block
-    #: return (keeps at most ``pool_retain_slabs`` empty).  Off by default:
-    #: pools exist to retain memory; explicit ``trim()`` is the escape hatch.
-    pool_auto_trim: bool = False
-    #: Empty slabs retained by a trim (auto or explicit).
-    pool_retain_slabs: int = 0
 
     def __post_init__(self) -> None:
         if self.allocator not in ("direct", "pool"):
@@ -150,8 +144,6 @@ class MemoryConfig:
             raise ValueError("pool_bin_quantum must be a power of two")
         if self.pool_max_bytes is not None and self.pool_max_bytes < 1:
             raise ValueError("pool_max_bytes must be positive or None")
-        if self.pool_retain_slabs < 0:
-            raise ValueError("pool_retain_slabs must be >= 0")
 
     @property
     def pooled(self) -> bool:
@@ -250,19 +242,12 @@ class TagConfig:
 class CollectivesConfig:
     """Device-collective behaviour (``repro.collectives``).
 
-    By default each collective call picks the algorithm whose predicted
-    completion time — derived from the link model, never from per-algorithm
-    constants — is smallest for the message size, rank count and topology at
-    hand.  The knobs here force a choice instead (``algorithm`` globally,
-    ``<collective>_algorithm`` per collective; per-call ``algorithm=``
-    arguments override both).
+    Each collective call picks the algorithm whose predicted completion
+    time — derived from the link model, never from per-algorithm constants —
+    is smallest for the message size, rank count and topology at hand; a
+    per-call ``algorithm=`` argument forces a choice instead.
     """
 
-    algorithm: Optional[str] = None
-    bcast_algorithm: Optional[str] = None
-    reduce_algorithm: Optional[str] = None
-    allreduce_algorithm: Optional[str] = None
-    allgather_algorithm: Optional[str] = None
     # Pipeline granularity of the ring/chain algorithms (8-byte aligned so
     # chunk boundaries never split a float64 element).
     ring_chunk: int = 512 * KB
@@ -309,10 +294,6 @@ class MultirailConfig:
     min_bytes: int = 1 * MB
     #: Per-rail in-flight chunk window (back-pressure on queued chunks).
     window: int = 2
-    #: Batch the per-chunk copy launches into one captured CUDA graph
-    #: (``CudaConfig.graph_launch_overhead`` once + ``graph_per_chunk_cost``
-    #: per chunk) instead of paying ``memcpy_launch_overhead`` per chunk.
-    graph_launch: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rails < 1:
@@ -415,9 +396,6 @@ class MachineConfig:
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     collectives: CollectivesConfig = field(default_factory=CollectivesConfig)
     multirail: MultirailConfig = field(default_factory=MultirailConfig)
-    # Carry real numpy payloads in buffers at/below this size; larger buffers
-    # are virtual (size-only).  Keeps paper-scale Jacobi domains cheap.
-    payload_materialize_limit: int = 4 * MB
     # Virtual-payload mode: never materialize numpy payloads (regardless of
     # size) unless a caller explicitly asks.  Buffer copies become size-only
     # no-ops while every modeled delay is computed identically, so timing
@@ -432,17 +410,12 @@ class MachineConfig:
     # sampling of link/queue/pool/endpoint occupancy.  Observation-only,
     # like `trace` and `flight` — fingerprints are identical on or off.
     telemetry: bool = False
-    # Ring-buffer capacity per telemetry series (points retained before
-    # halve-resolution decimation kicks in).
-    telemetry_capacity: int = 512
     # Deterministic fault injection (repro.faults).  None or an *empty*
     # plan builds no injector: such runs are bit-identical to each other.
     faults: Optional[FaultPlan] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.telemetry_capacity < 1:
-            raise ValueError("telemetry_capacity must be >= 1")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
@@ -472,7 +445,8 @@ class MachineConfig:
 
         Names are checked against the dataclasses, string values are
         converted by the field's declared type (``none`` for an
-        ``Optional``; ``true/false/1/0`` for a ``bool``), and all keys of
+        ``Optional``; ``true/false/1/0`` for a ``bool``; inline JSON or a
+        JSON file path for ``faults``), and all keys of
         one section are applied in a single ``replace``, so coupled fields
         (the three tag-bit widths) validate together, once, in the
         section's ``__post_init__``.
@@ -489,9 +463,6 @@ class MachineConfig:
         return _derive(self, changes)
 
     # -- shorthands (one-line delegations; everything else spells the key) ----
-    def with_nodes(self, nodes: int) -> "MachineConfig":
-        return self.override({"topology.nodes": nodes})
-
     def with_faults(self, plan: Optional[FaultPlan]) -> "MachineConfig":
         """An empty plan is kept as-is; the machine treats it like ``None``."""
         return self.override({"faults": plan})
@@ -513,8 +484,9 @@ def add_override_arg(parser) -> None:
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="set any config field by name, e.g. "
-                             "ucx.max_endpoints=4, multirail.enabled=true or "
-                             "seed=7 (repeatable; see repro.config)")
+                             "ucx.max_endpoints=4, multirail.enabled=true, "
+                             "faults=plan.json (or inline JSON) or seed=7 "
+                             "(repeatable; see repro.config)")
 
 
 def _derive(cfg, changes: dict, path: str = ""):
@@ -559,6 +531,8 @@ def _coerce(text: str, tp, key: str):
         if text.lower() in ("false", "0"):
             return False
         raise ValueError(f"{key} expects true/false/1/0, got {text!r}")
+    if tp is FaultPlan:  # inline JSON, or the path of a JSON plan file
+        return FaultPlan.load(text)
     if tp in (int, float, str):
         try:
             return tp(text)

@@ -68,9 +68,6 @@ class UcxMachineLayer:
         rt = self.cfg.runtime
         self._send_device_charge = rt.lrts_send_device_overhead + rt.heap_alloc_cost
         self._recv_device_charge = rt.lrts_recv_device_overhead + rt.heap_alloc_cost
-        # statistics for the overhead-anatomy experiment (§IV-B1)
-        self.device_sends = 0
-        self.device_recvs = 0
         for w in self.workers:
             w.set_am_handler(self._on_host_message)
 
@@ -135,7 +132,6 @@ class UcxMachineLayer:
         tag = self.tag_gens[src_pe].next_device_tag()
         dev_buf.tag = tag
         dev_buf.src_pe = src_pe
-        self.device_sends += 1
         worker = self.workers[src_pe]
         ep = worker.ep(dst_pe)
         delay = departure_delay + rt.lrts_send_device_overhead + rt.heap_alloc_cost
@@ -170,7 +166,6 @@ class UcxMachineLayer:
         handler = self._recv_handlers.get(op.recv_type)
         if handler is None:
             raise RuntimeError(f"no device recv handler registered for {op.recv_type}")
-        self.device_recvs += 1
         worker = self.workers[pe]
         tracer = self.machine.tracer
         sp = tracer.stage(

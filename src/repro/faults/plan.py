@@ -256,8 +256,9 @@ class FaultPlan:
 
     @classmethod
     def load(cls, spec: str) -> "FaultPlan":
-        """CLI helper (``--fault-plan``): ``spec`` is inline JSON when it
-        starts with ``{``, otherwise the path of a JSON plan file."""
+        """The ``faults`` field from a string (``--override faults=PLAN``):
+        ``spec`` is inline JSON when it starts with ``{``, otherwise the
+        path of a JSON plan file."""
         text = spec.strip()
         if not text.startswith("{"):
             with open(spec) as fh:

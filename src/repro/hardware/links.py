@@ -91,15 +91,14 @@ def path_transfer_time(links: Sequence[Link], size: int) -> float:
 class Route(tuple):
     """An immutable link path with its cost terms computed once.
 
-    Behaves as the plain link sequence it replaces (iteration, ``len``,
-    truthiness), but carries the values :func:`path_transfer` re-derived on
-    every message: the canonical acquisition order, the path latency summed
-    in that order, and the bottleneck bandwidth.  ``hold_time`` memoizes the
+    Behaves as a plain link sequence (iteration, ``len``, truthiness), and
+    carries what :func:`path_transfer` needs on every message: the canonical
+    acquisition order (by ``link_id``), the path latency summed in that
+    order, and the bottleneck bandwidth.  ``hold_time`` memoizes the
     per-size uncontended hold — halo exchanges and benchmark loops revisit a
     handful of sizes, so the per-message cost model collapses to a dict
-    lookup.  The summations and the ``latency + size / bottleneck`` division
-    are kept in the exact form of the uncached path, so cached and uncached
-    transfers are bit-identical.
+    lookup.  Build one per path with ``Route(links)``; :meth:`Machine.route
+    <repro.hardware.topology.Machine.route>` memoizes them per endpoint pair.
     """
 
     ordered: tuple
@@ -136,12 +135,11 @@ def degraded_bottleneck(
     """Bottleneck bandwidth of ``ordered`` under the fault injector's
     degraded-bandwidth windows, sampled at ``now``.
 
-    This is the **one** place the scaled bottleneck is derived, so the
-    injector branches of :func:`path_transfer` share a single float-sum
-    grouping with each other (the shared-composite-sum contract of
-    ``sim/engine.py``).  ``bandwidth * 1.0`` is exact in IEEE-754, so when
-    every active factor resolves to 1.0 the result is bit-equal to
-    :func:`path_bottleneck` and the caller may reuse the memoized hold.
+    This is the **one** place the scaled bottleneck is derived (the
+    shared-composite-sum contract of ``sim/engine.py``).  ``bandwidth * 1.0``
+    is exact in IEEE-754, so when every active factor resolves to 1.0 the
+    result is bit-equal to :func:`path_bottleneck` and the caller may reuse
+    the memoized hold.
 
     A factor of exactly 0.0 marks a link *down* (see
     ``repro.faults.plan.BandwidthWindow``): the multirail rail planner
@@ -164,13 +162,13 @@ def degraded_bottleneck(
 
 def path_transfer(
     sim: Simulator,
-    links: Iterable[Link],
+    route: Route,
     size: int,
     extra_time: float = 0.0,
     then=None,
     then_args: tuple = (),
 ) -> Optional[SimEvent]:
-    """Move ``size`` bytes along ``links``, then run ``then(*then_args)``.
+    """Move ``size`` bytes along ``route``, then run ``then(*then_args)``.
 
     The continuation runs ``path_latency + size/bottleneck_bw + extra_time``
     after all links have been acquired.  Acquisition is **atomic**: the
@@ -189,36 +187,27 @@ def path_transfer(
         done = SimEvent(sim, name="path_transfer")
         then, then_args = done.succeed, (None,)
     injector = sim.fault_injector
-    if type(links) is Route:
-        # memoized fast lane: order and cost terms were computed when the
-        # route was first resolved (see Machine.route)
-        ordered: Sequence[Link] = links.ordered
-        if ordered and injector is not None:
-            # degraded-bandwidth windows scale per-link rates; the bottleneck
-            # is re-derived from the scaled rates (a degraded fast link can
-            # become the new bottleneck).  Sampled at start-of-transfer.
-            bw = degraded_bottleneck(ordered, injector, sim.now)
-            if bw == links.bottleneck:
-                # every factor resolved to 1.0: the scaled bottleneck is
-                # bit-equal to the memoized one, so the memoized hold IS the
-                # degraded hold (``latency + size/bw`` with identical
-                # operands) — reuse it instead of re-deriving the division
-                hold = links.hold_time(size)
-            else:
-                hold = links.latency + size / bw
+    # order and cost terms were computed when the route was built
+    ordered = route.ordered
+    if ordered and injector is not None:
+        # degraded-bandwidth windows scale per-link rates; the bottleneck
+        # is re-derived from the scaled rates (a degraded fast link can
+        # become the new bottleneck).  Sampled at start-of-transfer.
+        bw = degraded_bottleneck(ordered, injector, sim.now)
+        if bw == route.bottleneck:
+            # every factor resolved to 1.0: the scaled bottleneck is
+            # bit-equal to the memoized one, so the memoized hold IS the
+            # degraded hold (``latency + size/bw`` with identical
+            # operands) — reuse it instead of re-deriving the division
+            hold = route.hold_time(size)
         else:
-            # Route.hold_time with its memo read in place: one call fewer
-            # on every message that revisits a size
-            hold = links._holds.get(size)
-            if hold is None:
-                hold = links.hold_time(size)
+            hold = route.latency + size / bw
     else:
-        ordered = sorted(links, key=lambda l: l.link_id)
-        if ordered and injector is not None:
-            bw = degraded_bottleneck(ordered, injector, sim.now)
-            hold = path_latency(ordered) + size / bw
-        else:
-            hold = path_latency(ordered) + (size / path_bottleneck(ordered) if ordered else 0.0)
+        # Route.hold_time with its memo read in place: one call fewer
+        # on every message that revisits a size
+        hold = route._holds.get(size)
+        if hold is None:
+            hold = route.hold_time(size)
     hold += extra_time
 
     if size <= CTRL_BYPASS_BYTES or not ordered:

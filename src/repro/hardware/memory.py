@@ -355,17 +355,13 @@ class PooledAllocator:
         if self.probe is not None:
             self.probe(self.live_bytes, self.slab_bytes_total,
                        len(self._slabs))
-        if self.policy.pool_auto_trim:
-            self.trim(retain=self.policy.pool_retain_slabs)
 
-    def trim(self, retain: Optional[int] = None) -> int:
+    def trim(self, retain: int = 0) -> int:
         """Release fully-free slabs back to the device (keeping ``retain``
-        of them, default the policy's ``pool_retain_slabs``).  This is the
-        real free: the backing allocator's hooks run for each released
-        slab *and every block carved from it*, so the address-keyed caches
-        drop entries the device may now recycle.  Returns bytes released."""
-        if retain is None:
-            retain = self.policy.pool_retain_slabs
+        of them).  This is the real free: the backing allocator's hooks run
+        for each released slab *and every block carved from it*, so the
+        address-keyed caches drop entries the device may now recycle.
+        Returns bytes released."""
         empty = [s for s in self._slabs
                  if s.blocks and s.free_blocks == len(s.blocks)]
         released = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.config import MachineConfig
+from repro.config import MB, MachineConfig
 from repro.hardware.links import Link, Route
 from repro.hardware.memory import (
     Buffer,
@@ -27,6 +27,10 @@ from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
 
 import numpy as np
+
+#: Buffers at or below this size carry real NumPy payloads; larger ones are
+#: virtual (size-only), which keeps paper-scale Jacobi domains cheap.
+PAYLOAD_MATERIALIZE_LIMIT = 4 * MB
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,7 @@ class Machine:
         self.cfg = cfg
         self.sim = Simulator()
         self.tracer = Tracer(self.sim, enabled=cfg.trace, flight=cfg.flight,
-                             telemetry=cfg.telemetry,
-                             telemetry_capacity=cfg.telemetry_capacity)
+                             telemetry=cfg.telemetry)
         topo = cfg.topology
         self.nodes: List[Node] = [Node(self, n) for n in range(topo.nodes)]
         self.allocators: Dict[int, DeviceAllocator] = {
@@ -214,7 +217,7 @@ class Machine:
             # materialize=True still wins: functional tests need real bytes)
             materialize = (
                 not self.cfg.virtual_payload
-                and size <= self.cfg.payload_materialize_limit
+                and size <= PAYLOAD_MATERIALIZE_LIMIT
             )
         return np.zeros(size, dtype=np.uint8) if materialize else None
 
@@ -222,7 +225,7 @@ class Machine:
         self, gpu: int, size: int, materialize: Optional[bool] = None
     ) -> Buffer:
         """Allocate ``size`` bytes on ``gpu``; payload materialisation follows
-        ``MachineConfig.payload_materialize_limit`` unless overridden.
+        ``PAYLOAD_MATERIALIZE_LIMIT`` unless overridden.
 
         With pooling enabled the request is served from the GPU's slab pool
         (the returned buffer may be a size-class block larger than ``size``,

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stages import COUNTER_SERIES, Stage
-from repro.obs.timeline import DEFAULT_CAPACITY as TELEMETRY_CAPACITY
 from repro.obs.timeline import Telemetry
 
 __all__ = [
@@ -183,15 +182,13 @@ class Tracer:
     """
 
     def __init__(self, sim, enabled: bool = False, flight: bool = False,
-                 telemetry: bool = False,
-                 telemetry_capacity: int = TELEMETRY_CAPACITY) -> None:
+                 telemetry: bool = False) -> None:
         self.sim = sim
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self._counts = self.metrics.counts
         self.log: List[tuple] = []  # flight stages, for repro.obs.flight
-        self.timeline = Telemetry(sim, enabled=telemetry,
-                                  capacity=telemetry_capacity)
+        self.timeline = Telemetry(sim, enabled=telemetry)
         self._flight_on = flight
         self._telemetry_on = telemetry
         self._quiet = not (enabled or flight or telemetry)

@@ -12,15 +12,13 @@ class UcpEndpoint:
     """Sender-side handle to a remote worker.
 
     Real UCX endpoints encapsulate transport resources; here the endpoint
-    just pins the (local, remote) worker pair and counts traffic, since
-    transport selection happens per message in the protocol layer.
+    just pins the (local, remote) worker pair, since transport selection
+    happens per message in the protocol layer.
     """
 
     def __init__(self, local: "UcpWorker", remote: "UcpWorker") -> None:
         self.local = local
         self.remote = remote
-        self.messages_sent = 0
-        self.bytes_sent = 0
         # Lazy wireup (UcxConfig.ep_setup_cost): creating the endpoint object
         # is free, as with ucp_ep_create's deferred connection — the first
         # message through it pays the connection-setup charge and flips this.

@@ -18,15 +18,15 @@ which
   caller's matching/flight-record/FIN handling is identical to the
   single-route path.
 
-Launch-cost model (the CUDA-graphs half of the multi-path paper): each
-chunk is a separate copy launch.  Individually launched chunks pay
-``CudaConfig.memcpy_launch_overhead`` per chunk; with
-``MultirailConfig.graph_launch`` the chunks are captured into one CUDA
-graph — a single ``graph_launch_overhead`` up front and the much smaller
-``graph_per_chunk_cost`` per chunk node.  Per-chunk costs ride
-``path_transfer``'s ``extra_time`` (they extend each chunk's link hold, the
-copy-engine occupancy of a kernel-driven chunk), while the one-time graph
-launch delays the first chunk kick without occupying any link.
+Launch-cost model (the CUDA-graphs half of the multi-path paper): the
+per-chunk copy kernels are captured into one CUDA graph — a single
+``CudaConfig.graph_launch_overhead`` up front and the much smaller
+``graph_per_chunk_cost`` per chunk node, instead of a
+``memcpy_launch_overhead`` per individually launched chunk.  Per-chunk
+costs ride ``path_transfer``'s ``extra_time`` (they extend each chunk's
+link hold, the copy-engine occupancy of a kernel-driven chunk), while the
+one-time graph launch delays the first chunk kick without occupying any
+link.
 
 Determinism: chunk sizes, rail assignment and issue order are pure
 functions of (size, config, rail set); completions fire in simulator event
@@ -37,7 +37,7 @@ order.  Two identical runs interleave chunks identically (pinned by
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.hardware.links import path_transfer
 
@@ -104,14 +104,6 @@ def assign_chunks(
     return queues
 
 
-def launch_costs(cfg, nchunks: int) -> Tuple[float, float]:
-    """(one-time, per-chunk) launch cost under the graph-batching knob."""
-    cuda = cfg.cuda
-    if cfg.multirail.graph_launch:
-        return cuda.graph_launch_overhead, cuda.graph_per_chunk_cost
-    return 0.0, cuda.memcpy_launch_overhead
-
-
 def striped_transfer(
     sim,
     machine,
@@ -134,7 +126,8 @@ def striped_transfer(
 
     chunk_sizes = split_chunks(size, mr.chunk_bytes)
     queues = assign_chunks(chunk_sizes, [rail.bandwidth for rail in rails])
-    upfront, per_chunk = launch_costs(cfg, len(chunk_sizes))
+    upfront = cfg.cuda.graph_launch_overhead
+    per_chunk = cfg.cuda.graph_per_chunk_cost
 
     tracer.count("ucx", "rail.striped")
     for r, (rail, queue) in enumerate(zip(rails, queues)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.hardware.links import path_transfer
+from repro.hardware.links import Route, path_transfer
 from repro.hardware.memory import Buffer
 from repro.obs.stages import (
     DATA_LANDED,
@@ -170,11 +170,11 @@ def start_transfer(
         # intra-node staging route: source GPU link down to host memory,
         # then up the destination GPU's link
         node = machine.nodes[src_loc.node]
-        route = [
+        route = Route((
             node.nvlink_tx[machine.local_gpu(src.device)],
             node.host_mem,
             node.nvlink_rx[machine.local_gpu(dst.device)],
-        ]
+        ))
     elif pipelined:
         # chunked host staging decouples the GPU links from the wire: the
         # NVLink hops overlap the NIC chunk-by-chunk (their cost is the

@@ -121,11 +121,6 @@ class UcpWorker:
         self._rts_post_cost = (
             cfg.send_overhead + cfg.request_alloc_cost + cfg.rndv_rts_cost
         )
-        # statistics
-        self.sends = 0
-        self.recvs = 0
-        self.unexpected_hits = 0
-        self.expected_hits = 0
         # total virtual scan length over all matches (what a linear scan
         # would have inspected); the modeled matching delay is proportional
         self.tag_scans = 0
@@ -181,9 +176,6 @@ class UcpWorker:
             raise UcxError("endpoint does not belong to this worker")
         if size > buf.size:
             raise UcxError(f"send size {size} exceeds buffer size {buf.size}")
-        self.sends += 1
-        ep.messages_sent += 1
-        ep.bytes_sent += size
         cfg = self.ctx.cfg
         req = UcxRequest(self.sim, RequestKind.SEND, tag, size, cb)
         proto = choose_send_protocol(cfg, buf, size)
@@ -222,7 +214,6 @@ class UcpWorker:
         """
         if size > buf.size:
             raise UcxError(f"recv size {size} exceeds buffer size {buf.size}")
-        self.recvs += 1
         req = UcxRequest(self.sim, RequestKind.RECV, tag, size, cb)
         posted = PostedRecv(tag, mask, buf, size, req)
         sp = self.ctx.machine.tracer.stage(
@@ -332,9 +323,6 @@ class UcpWorker:
         Python object; not copied) to ``ep.remote``'s AM handler."""
         if ep.local is not self:
             raise UcxError("endpoint does not belong to this worker")
-        self.sends += 1
-        ep.messages_sent += 1
-        ep.bytes_sent += size
         req = UcxRequest(self.sim, RequestKind.SEND, 0, size, None)
         req.op = "am"
         sp = self.ctx.machine.tracer.stage(
@@ -456,10 +444,6 @@ class UcpWorker:
         length it is charged for) and hand the pair to its protocol."""
         cost = self.ctx.cfg.tag_match_cost * scanned
         self.tag_scans += scanned
-        if unexpected:
-            self.unexpected_hits += 1
-        else:
-            self.expected_hits += 1
         sp = self.ctx.machine.tracer.stage(
             MATCH_UNEXPECTED if unexpected else MATCH_EXPECTED,
             msg.tag, self.worker_id, cost,

@@ -308,3 +308,33 @@ class TestThreadedEntries:
         p.stage()
         charm.run()
         assert done and done[0] > charm.cfg.cuda.memcpy_launch_overhead
+
+
+class TestTracing:
+    def test_device_send_traced_through_layers(self):
+        class Recv(Chare):
+            def __init__(self):
+                self.buf = self.charm.cuda.malloc(self.gpu, 256)
+
+            def take_post(self, posts):
+                posts[0].buffer = self.buf
+
+            def take(self, data):
+                pass
+
+        class Send(Chare):
+            def __init__(self):
+                self.buf = self.charm.cuda.malloc(self.gpu, 256)
+
+            def go(self, peer):
+                peer.take(CkDeviceBuffer.wrap(self.buf))
+
+        charm = Charm(MachineConfig.summit(nodes=1))
+        s = charm.create_chare(Send, 0)
+        r = charm.create_chare(Recv, 1)
+        s.go(r)
+        charm.run()
+        counters = charm.machine.tracer.counters
+        assert counters["converse.send_device"] == 1
+        assert counters["converse.recv_device"] == 1
+        assert counters["ucx.send"] >= 1  # the tagged device send

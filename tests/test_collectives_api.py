@@ -173,15 +173,13 @@ class TestSessionFacade:
     def test_collectives_summary_and_knobs(self):
         sess = (api.session(MachineConfig.summit(nodes=2))
                 .model("ampi").ranks(8).trace()
-                .set({"collectives.allreduce_algorithm": "ring",
-                      "collectives.ring_chunk": 128 * 1024})
+                .set({"collectives.ring_chunk": 128 * 1024})
                 .build())
-        assert sess.config.collectives.allreduce_algorithm == "ring"
         assert sess.config.collectives.ring_chunk == 128 * 1024
 
         def program(rank):
             buf = rank.charm.cuda.malloc(rank.gpu, 1 << 20)
-            yield from rank.allreduce_device(buf, 1 << 20)
+            yield from rank.allreduce_device(buf, 1 << 20, algorithm="ring")
 
         sess.run_until(sess.launch(program), max_events=MAX_EVENTS)
         summary = sess.collectives_summary()

@@ -1,6 +1,9 @@
 """Tests for the configuration layer and public package surface."""
 
+import json
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from typing import Union, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from repro.config import (
     TopologyConfig,
     UcxConfig,
 )
+from repro.faults import FaultPlan
 
 
 def _keys(cfg, prefix=""):
@@ -25,6 +29,16 @@ def _keys(cfg, prefix=""):
         yield prefix + f.name
         if is_dataclass(getattr(cfg, f.name)):
             yield from _keys(getattr(cfg, f.name), f"{prefix}{f.name}.")
+
+
+def _leaf_types(cls, prefix=""):
+    """Declared type of every settable value, by dotted key: a ``*Config``
+    section is recursed into, a ``LinkParams`` is one value."""
+    for name, tp in get_type_hints(cls).items():
+        if is_dataclass(tp) and tp.__name__.endswith("Config"):
+            yield from _leaf_types(tp, f"{prefix}{name}.")
+        else:
+            yield prefix + name, tp
 
 
 def _get(cfg, key):
@@ -87,13 +101,14 @@ class TestTopology:
             cfg.trace = True
 
     def test_with_nodes(self):
-        assert MachineConfig.summit(nodes=2).with_nodes(16).topology.nodes == 16
+        cfg = MachineConfig.summit(nodes=2).override({"topology.nodes": 16})
+        assert cfg.topology.nodes == 16
 
     def test_with_nodes_validates(self):
         with pytest.raises(ValueError):
-            MachineConfig.summit().with_nodes(0)
+            MachineConfig.summit().override({"topology.nodes": 0})
         with pytest.raises(ValueError):
-            MachineConfig.summit().with_nodes(-2)
+            MachineConfig.summit().override({"topology.nodes": -2})
         with pytest.raises(ValueError):
             TopologyConfig(nodes=2.5)
 
@@ -139,7 +154,7 @@ class TestOverride:
         (["ucx.max_endpoints=4"], "ucx.max_endpoints", 4),
         (["ucx.mapping_cost=1"], "ucx.mapping_cost", 1.0),
         (["trace=1"], "trace", True),
-        (["collectives.algorithm=ring"], "collectives.algorithm", "ring"),
+        (["memory.allocator=pool"], "memory.allocator", "pool"),
         (["topology.nvlink.latency=1e-6"], "topology.nvlink.latency", 1e-6),
         (["tags.msg_bits=8", "tags.cnt_bits=24"], "tags.msg_bits", 8),
         ([{"tags.msg_bits": 8, "tags.cnt_bits": 24}], "tags.cnt_bits", 24),
@@ -153,7 +168,7 @@ class TestOverride:
         ("trace=yes", "trace expects true/false/1/0"),
         ("ucx.max_endpoints=few", "ucx.max_endpoints expects int"),
         ("topology.nodes=0", "nodes must be a positive int"),
-        ("telemetry_capacity=0", "telemetry_capacity must be >= 1"),
+        ("multirail.window=0", "window must be >= 1"),
         ("tags.msg_bits=8", "must sum to 64"),
         ("nope.x=1", "unknown config section 'nope'.*'memory'.*'multirail'"),
         ("ucx.nope=1", r"unknown UcxConfig override\(s\) \['nope'\]; valid fields"),
@@ -184,7 +199,30 @@ class TestOverride:
         # a visible diff here
         flags = [key for key in _ALL_KEYS
                  if isinstance(_get(MachineConfig.summit(), key), bool)]
-        assert len(flags) == 11, flags
+        assert len(flags) == 9, flags
+
+    def test_option_surface_is_pinned(self):
+        # every settable value is an option to document and cover: a new
+        # one (or a new with_* shorthand) has to edit these numbers
+        by_type = Counter("Optional" if get_origin(tp) is Union else tp.__name__
+                          for _, tp in _leaf_types(MachineConfig))
+        assert by_type == {"float": 48, "int": 24, "bool": 9, "LinkParams": 5,
+                           "Optional": 4, "str": 1}, by_type
+        assert sum(by_type.values()) == 91
+        assert sorted(n for n in dir(MachineConfig) if n.startswith("with_")) \
+            == ["with_faults", "with_pool", "with_ucx", "with_virtual_payload"]
+
+    _PLAN = {"seed": 7, "link_rules": [{"drop_p": 0.05}]}
+
+    def test_faults_from_inline_json_path_and_none(self, tmp_path):
+        want = FaultPlan.from_dict(self._PLAN)
+        inline = MachineConfig.summit().override(f"faults={json.dumps(self._PLAN)}")
+        assert inline.faults == want
+        path = tmp_path / "plan.json"
+        path.write_text(want.to_json())
+        from_file = MachineConfig.summit().override(f"faults={path}")
+        assert from_file.faults == want
+        assert from_file.override("faults=none").faults is None
 
 
 class TestTagConfigValidation:

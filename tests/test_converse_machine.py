@@ -135,7 +135,9 @@ class TestMachineLayer:
         layer.lrts_recv_device(1, op)
         m.sim.run()
         assert done == [op] and (dst.data == 77).all()
-        assert layer.device_sends == 1 and layer.device_recvs == 1
+        counters = m.tracer.counters
+        assert counters["machine.send_device"] == 1
+        assert counters["machine.recv_device"] == 1
 
     def test_unregistered_recv_type_raises(self):
         m, layer, conv = make_stack()

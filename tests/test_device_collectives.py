@@ -4,7 +4,8 @@ Every registered algorithm is exercised with materialized payloads across
 rank counts including non-powers-of-two (the recursive-doubling fold, ring
 block splits and tree allgather ranges all have remainder paths), on
 single- and multi-node topologies, through the AMPI world communicator,
-sub-communicators, and the forced-algorithm / config-knob selection paths.
+sub-communicators, and the forced-algorithm / hierarchical-ablation
+selection paths.
 """
 
 from __future__ import annotations
@@ -208,27 +209,19 @@ class TestSelectionSurface:
         with pytest.raises(ValueError, match="unknown reduction op"):
             next(ampi.ranks[0].allreduce_device(buf, NBYTES, op="xor"))
 
-    def test_config_knob_forces_algorithm(self):
-        charm, ampi = _build(4, coll={"allreduce_algorithm": "binomial"})
+    def test_per_call_override_beats_config(self):
+        """A per-call ``algorithm=`` is the one way to force a choice; it
+        wins over what the cost model would pick."""
+        charm, ampi = _build(4)
 
         def program(rank):
             buf = _dev(rank, fill=1.0)
-            yield from rank.allreduce_device(buf, NBYTES)
+            yield from rank.allreduce_device(buf, NBYTES, algorithm="binomial")
 
         _run(charm, ampi, program)
         counters = charm.machine.tracer.counters
         assert counters["coll.allreduce.binomial"] == 4
         assert counters["coll.allreduce"] == 4
-
-    def test_per_call_override_beats_config(self):
-        charm, ampi = _build(4, coll={"allreduce_algorithm": "binomial"})
-
-        def program(rank):
-            buf = _dev(rank, fill=1.0)
-            yield from rank.allreduce_device(buf, NBYTES, algorithm="recdbl")
-
-        _run(charm, ampi, program)
-        assert charm.machine.tracer.counters["coll.allreduce.recdbl"] == 4
 
     def test_hierarchical_disabled_falls_back_flat(self):
         charm, ampi = _build(12, coll={"hierarchical_enabled": False})

@@ -612,7 +612,7 @@ class TestSurfacing:
 
         plan = FaultPlan.lossy(drop_p=0.1, seed=42).to_json(indent=None)
         main(["latency", "openmpi", "--placement", "inter",
-              "--max-size", "256", "--fault-plan", plan])
+              "--max-size", "256", "--override", f"faults={plan}"])
         out = capsys.readouterr().out
         assert "# fault counters" in out
         assert "fault.retransmit=" in out
@@ -623,7 +623,7 @@ class TestSurfacing:
         p = tmp_path / "plan.json"
         p.write_text(FaultPlan.lossy(drop_p=0.1, seed=42).to_json())
         main(["latency", "ampi", "--placement", "inter",
-              "--max-size", "256", "--fault-plan", str(p), "--blame"])
+              "--max-size", "256", "--override", f"faults={p}", "--blame"])
         out = capsys.readouterr().out
         assert "# fault counters" in out
         assert "fault_recovery" in out
@@ -632,9 +632,24 @@ class TestSurfacing:
         from repro.apps.jacobi3d.driver import main
 
         plan = FaultPlan.lossy(drop_p=0.02, seed=1).to_json(indent=None)
-        main(["charm", "--nodes", "1", "--iters", "1", "--fault-plan", plan])
+        main(["charm", "--nodes", "1", "--iters", "1", "--override", f"faults={plan}"])
         out = capsys.readouterr().out
         assert "# fault counters" in out
+
+    def test_cli_faults_override_file_and_none(self, tmp_path, capsys):
+        from repro.apps.jacobi3d.driver import main as jacobi
+        from repro.apps.osu.runner import main as osu
+
+        p = tmp_path / "plan.json"
+        p.write_text(FaultPlan.lossy(drop_p=0.02, seed=1).to_json())
+        jacobi(["charm", "--nodes", "1", "--iters", "1", "--override", f"faults={p}"])
+        assert "# fault counters" in capsys.readouterr().out
+        # a later override wins: none detaches the plan again
+        jacobi(["charm", "--nodes", "1", "--iters", "1",
+                "--override", f"faults={p}", "--override", "faults=none"])
+        osu(["latency", "openmpi", "--placement", "inter", "--max-size", "256",
+             "--override", f"faults={p}", "--override", "faults=none"])
+        assert "# fault counters" not in capsys.readouterr().out
 
 
 class TestPoolExhaustion:

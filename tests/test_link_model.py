@@ -136,8 +136,8 @@ class TestContinuationForm:
             "nic": machine.route(machine.host_location(0), machine.host_location(1)),
             "nvlink": machine.route(machine.device_location(0),
                                     machine.device_location(1)),
-            "unrouted": [machine.nodes[0].nic_tx[0], machine.nodes[1].nic_rx[0]],
-            "empty": [],
+            "unrouted": Route([machine.nodes[0].nic_tx[0], machine.nodes[1].nic_rx[0]]),
+            "empty": Route([]),
         }
         times = [None] * len(plan)
 
@@ -163,7 +163,7 @@ class TestContinuationForm:
         (0.0, "nic", 4 * MB, 0.0),
         (0.0, "nic", 1 * MB, 0.0),
         (1e-6, "nic", 2 * MB, 3e-6),
-        # the same links as a plain list (the unmemoized lane)
+        # the same links as a route built outside Machine.route
         (2e-6, "unrouted", 1 * MB, 0.0),
         # control-sized: bypasses occupancy, rides ahead of the bulk
         (0.0, "nic", 64, 0.0),
@@ -265,9 +265,8 @@ def _replay(plan, link_cls, degraded: bool, telemetry: bool):
         done[i] = sim.now
 
     for i, (start, subset, size) in enumerate(plan):
-        path = [links[j] for j in subset]
-        sim.call_later(start, path_transfer, sim,
-                       Route(path) if i % 2 else path, size, 0.0, landed, (i,))
+        sim.call_later(start, path_transfer, sim, Route(links[j] for j in subset),
+                       size, 0.0, landed, (i,))
     sim.run()
     assert None not in done and all(l.in_use == 0 for l in links)
     return {
@@ -341,7 +340,7 @@ class TestWakeOrder:
         sys.setprofile(count)
         try:
             for i in range(n + 1):  # transfer 0 takes the link, 1..n park
-                path_transfer(sim, [link], 4 * KB, then=finished.append,
+                path_transfer(sim, Route([link]), 4 * KB, then=finished.append,
                               then_args=(i,))
             assert frames == n + 1 and link.name_reads == n
             assert [x.then_args[0] for x in link._parked] == list(range(1, n + 1))

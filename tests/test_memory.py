@@ -253,12 +253,6 @@ class TestPooledAllocator:
         assert not live.freed and not filler.freed
         assert backing.used == 1 << 20
 
-    def test_auto_trim_policy_frees_on_return(self):
-        backing, pool = self._pool(pool_auto_trim=True, pool_retain_slabs=0)
-        buf = pool.alloc(4096)
-        pool.free(buf)
-        assert buf.freed and backing.used == 0
-
     def test_alloc_copies_data_into_pooled_payload(self):
         from repro.config import MemoryConfig
         from repro.hardware.memory import PooledAllocator

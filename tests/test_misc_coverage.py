@@ -1,39 +1,11 @@
-"""Coverage for smaller surfaces: worker stats, PE helpers, tracing
-integration, Charm4py device entry parameters."""
+"""Coverage for smaller surfaces: PE helpers, Charm4py device entry
+parameters."""
 
 import pytest
 
 from repro.charm import Charm, CkDeviceBuffer
 from repro.charm4py import Charm4py, PyChare
 from repro.config import KB, MachineConfig
-from repro.hardware.topology import Machine
-from repro.ucx.context import UcpContext
-
-
-class TestWorkerStats:
-    def test_send_recv_counters_and_endpoint_accounting(self):
-        m = Machine(MachineConfig.summit(nodes=1))
-        ctx = UcpContext(m)
-        wa = ctx.create_worker(0, 0)
-        wb = ctx.create_worker(1, 0)
-        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
-        ep = wa.ep(1)
-        wb.tag_recv_nb(dst, 64, tag=1)
-        wa.tag_send_nb(ep, src, 64, tag=1)
-        m.sim.run()
-        assert wa.sends == 1 and wb.recvs == 1
-        assert ep.messages_sent == 1 and ep.bytes_sent == 64
-        assert not ep.is_loopback and ep.same_node
-
-    def test_worker_registry(self):
-        m = Machine(MachineConfig.summit(nodes=2))
-        ctx = UcpContext(m)
-        w = ctx.create_worker(3, 1)
-        assert ctx.worker(3) is w
-        assert ctx.create_worker(3, 1) is w  # idempotent
-        with pytest.raises(ValueError):
-            ctx.create_worker(3, 0)  # conflicting node
-        assert ctx.worker_count == 1
 
 
 class TestPeHelpers:
@@ -58,38 +30,6 @@ class TestPeHelpers:
             p.hit()
         charm.run()
         assert charm.pe_object(2).messages_processed == 3
-
-
-class TestTracing:
-    def test_device_send_traced_through_layers(self):
-        from repro.charm import Chare
-
-        class Recv(Chare):
-            def __init__(self):
-                self.buf = self.charm.cuda.malloc(self.gpu, 256)
-
-            def take_post(self, posts):
-                posts[0].buffer = self.buf
-
-            def take(self, data):
-                pass
-
-        class Send(Chare):
-            def __init__(self):
-                self.buf = self.charm.cuda.malloc(self.gpu, 256)
-
-            def go(self, peer):
-                peer.take(CkDeviceBuffer.wrap(self.buf))
-
-        charm = Charm(MachineConfig.summit(nodes=1))
-        s = charm.create_chare(Send, 0)
-        r = charm.create_chare(Recv, 1)
-        s.go(r)
-        charm.run()
-        counters = charm.machine.tracer.counters
-        assert counters["converse.send_device"] == 1
-        assert counters["converse.recv_device"] == 1
-        assert counters["ucx.send"] >= 1  # the tagged device send
 
 
 class TestCharm4pyDeviceEntryParams:

@@ -47,13 +47,11 @@ class TestMultirailConfig:
         assert MultirailConfig() == cfg.multirail
 
     def test_with_multirail(self):
-        cfg = _cfg(enabled=True, max_rails=3, chunk_bytes=256 * KB,
-                   window=4, graph_launch=False)
+        cfg = _cfg(enabled=True, max_rails=3, chunk_bytes=256 * KB, window=4)
         assert cfg.multirail.enabled
         assert cfg.multirail.max_rails == 3
         assert cfg.multirail.chunk_bytes == 256 * KB
         assert cfg.multirail.window == 4
-        assert not cfg.multirail.graph_launch
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_rails"):
@@ -284,9 +282,13 @@ class TestStripedBandwidth:
         assert on == off
 
     def test_graph_batching_beats_individual_launches(self):
-        graphed = _bw_fingerprint(_cfg(enabled=True), "ampi")
-        individual = _bw_fingerprint(_cfg(enabled=True, graph_launch=False),
-                                     "ampi")
+        cfg = _cfg(enabled=True)
+        graphed = _bw_fingerprint(cfg, "ampi")
+        # individually launched chunks: no graph launch, and a full memcpy
+        # launch per chunk in place of the graph's per-node cost
+        individual = _bw_fingerprint(cfg.override({
+            "cuda.graph_launch_overhead": 0.0,
+            "cuda.graph_per_chunk_cost": cfg.cuda.memcpy_launch_overhead}), "ampi")
         # 8 chunks/transfer: one graph launch + tiny per-node costs beat
         # eight full memcpy launch overheads
         assert graphed["now"] < individual["now"]

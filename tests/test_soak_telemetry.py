@@ -33,13 +33,14 @@ def _soak_config(telemetry):
            .with_pool(True)
            .with_faults(FaultPlan.lossy(drop_p=0.05, seed=11)))
     if telemetry:
-        cfg = cfg.override({"telemetry": True,
-                            "telemetry_capacity": SOAK_CAPACITY})
+        cfg = cfg.override({"telemetry": True})
     return cfg
 
 
 def _run_soak(telemetry):
     sess = api.session(_soak_config(telemetry)).model("ampi").build()
+    # series are created on their first sample, so this sizes all of them
+    sess.tracer.timeline.capacity = SOAK_CAPACITY
     received = {}
 
     for wave in range(N_WAVES):

@@ -93,8 +93,6 @@ def test_points_no_duplicate_when_last_sample_retained():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         TimeSeries("s", capacity=0)
-    with pytest.raises(ValueError):
-        MachineConfig.summit(nodes=1).override({"telemetry_capacity": 0})
 
 
 def test_percentile_and_stats_shape():

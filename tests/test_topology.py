@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import MachineConfig, MB
 from repro.hardware.links import (
+    Route,
     path_bottleneck,
     path_latency,
     path_transfer,
@@ -172,7 +173,7 @@ class TestPathTransfer:
         assert finish["t3"] == pytest.approx(path_transfer_time(unrelated, size))
 
     def test_empty_path_is_pure_delay(self, machine):
-        done = path_transfer(machine.sim, [], 1024, extra_time=1.5e-6)
+        done = path_transfer(machine.sim, Route([]), 1024, extra_time=1.5e-6)
         machine.sim.run()
         assert done.triggered and machine.sim.now == pytest.approx(1.5e-6)
 

@@ -65,7 +65,7 @@ class TestTagMatching:
         assert rreq.completed and sreq.completed
         assert rreq.info == (5, 64)
         assert (dst.data == 9).all()
-        assert wb.expected_hits == 1
+        assert m.tracer.counters["ucx.expected_hit"] == 1
 
     def test_unexpected_receive(self):
         m, ctx, wa, wb = make_pair()
@@ -76,7 +76,7 @@ class TestTagMatching:
         rreq = wb.tag_recv_nb(dst, 64, tag=5)
         m.sim.run()
         assert rreq.completed and (dst.data == 7).all()
-        assert wb.unexpected_hits == 1
+        assert m.tracer.counters["ucx.unexpected_hit"] == 1
 
     def test_loopback_tagged_send(self):
         m, ctx, wa, wb = make_pair()
@@ -633,3 +633,29 @@ class TestMappingLRUCap:
             return m.sim.now, m.sim.event_count, dict(m.tracer.counters)
 
         assert fingerprint(None) == fingerprint(1 << 30)
+
+
+class TestWorkerStats:
+    def test_send_recv_counters_and_endpoint_flags(self):
+        m = Machine(MachineConfig.summit(nodes=1))
+        ctx = UcpContext(m)
+        wa = ctx.create_worker(0, 0)
+        wb = ctx.create_worker(1, 0)
+        src, dst = m.alloc_host(0, 64), m.alloc_host(0, 64)
+        ep = wa.ep(1)
+        wb.tag_recv_nb(dst, 64, tag=1)
+        wa.tag_send_nb(ep, src, 64, tag=1)
+        m.sim.run()
+        counters = m.tracer.counters
+        assert counters["ucx.send"] == 1 and counters["ucx.recv"] == 1
+        assert not ep.is_loopback and ep.same_node
+
+    def test_worker_registry(self):
+        m = Machine(MachineConfig.summit(nodes=2))
+        ctx = UcpContext(m)
+        w = ctx.create_worker(3, 1)
+        assert ctx.worker(3) is w
+        assert ctx.create_worker(3, 1) is w  # idempotent
+        with pytest.raises(ValueError):
+            ctx.create_worker(3, 0)  # conflicting node
+        assert ctx.worker_count == 1
