@@ -11,7 +11,12 @@ span are blamed on ``uninstrumented`` (modeled scheduling/handler delays
 that carry no span of their own).
 
 The sweep produces a sequence of :class:`Segment` s — the critical chain
-— and folds them into a per-layer blame report:
+— and folds them into a per-layer blame report.  It is one linear pass
+after a sort: the spans, clamped to the window, are pushed in ``(start,
+sid)`` order onto a plain stack, and the top of the stack is the deepest
+active span (see :func:`critical_path` for why a stack suffices), so the
+sweep is O(S + B) for S spans and B boundaries once both are sorted.
+``layer_of`` runs once per distinct ``(category, name)``:
 
 ========================  =====================================================
 layer                     span sources
@@ -36,7 +41,6 @@ spans.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -122,6 +126,18 @@ def critical_path(tracer, t0: Optional[float] = None,
 
     Spans still open are treated as extending to ``t1``.  Raises
     :class:`ValueError` when no spans were recorded (tracing disabled).
+
+    Between two adjacent boundaries (every clamped start and end, plus
+    ``t0`` and ``t1``) the active set is constant and every active span
+    covers the whole sub-interval.  The deepest active span is the one with
+    the largest ``(start, sid)``.  The spans are pushed in ascending
+    ``(start, sid)`` order, so each push has the largest key so far, and the
+    most recently pushed span not yet popped is the one a max-heap on that
+    key would have on top: a plain stack is that heap, with spans whose end
+    has passed discarded from the top.  This holds only while spans are
+    pushed in priority order with the clamped ``start`` as the leading key;
+    a different tie-break among equal starts (say, the earlier end first)
+    must go into the sort key, ahead of ``sid``, and not into the pops.
     """
     spans = tracer.spans
     if not spans:
@@ -130,58 +146,66 @@ def critical_path(tracer, t0: Optional[float] = None,
             "tracing enabled (builder.trace() / the trace config field)"
         )
     if t0 is None:
-        t0 = min(s.start for s in spans)
+        t0 = min([s.start for s in spans])
     if t1 is None:
         t1 = max(
-            max((s.end_time for s in spans if s.end_time is not None),
+            max([s.end_time for s in spans if s.end_time is not None],
                 default=t0),
-            max(s.start for s in spans),
+            max([s.start for s in spans]),
         )
     if t1 < t0:
         raise ValueError(f"critical_path: empty window [{t0}, {t1}]")
 
-    # clamp spans to the window; open spans extend to t1
-    intervals: List[Tuple[float, float, object]] = []
+    # clamp spans to the window (open spans extend to t1) as plain
+    # (start, sid, end, (layer, category, name)) tuples: sids are unique, so
+    # sorting the tuples sorts by (start, sid)
+    shapes: Dict[Tuple[str, str], Tuple[str, str, str]] = {}
+    intervals: List[Tuple[float, int, float, Tuple[str, str, str]]] = []
     boundaries = {t0, t1}
     for s in spans:
-        end = s.end_time if s.end_time is not None else t1
-        start = max(s.start, t0)
-        end = min(end, t1)
+        end = s.end_time
+        if end is None or t1 < end:
+            end = t1
+        start = s.start
+        if t0 > start:
+            start = t0
         if end <= start:
             continue
-        intervals.append((start, end, s))
+        category, name = s.category, s.name
+        shape = shapes.get((category, name))
+        if shape is None:
+            shape = shapes[category, name] = (
+                layer_of(category, name), category, name)
+        intervals.append((start, s.sid, end, shape))
         boundaries.add(start)
         boundaries.add(end)
     times = sorted(boundaries)
+    intervals.sort()
 
-    # sweep: between two adjacent boundaries the active set is constant, and
-    # every active span covers the whole sub-interval (boundaries include all
-    # starts and ends).  A max-heap on (start, sid) yields the deepest one;
-    # spans whose end has passed are lazily discarded.
-    intervals.sort(key=lambda iv: (iv[0], iv[2].sid))
-    heap: List[Tuple[float, int, float, object]] = []  # (-start, -sid, end, span)
-    segments: List[Segment] = []
+    # sweep; a segment is [start, end, shape] while it can still grow
+    uninstrumented = ("uninstrumented", "", "")
+    stack: List[Tuple[float, int, float, Tuple[str, str, str]]] = []
+    runs: List[list] = []
+    last: Optional[list] = None
     blame: Dict[str, float] = {}
     idx = 0
     n = len(intervals)
-    for a, b in zip(times, times[1:]):
+    a = times[0]
+    for b in times[1:]:
         while idx < n and intervals[idx][0] <= a:
-            start, end, s = intervals[idx]
-            heapq.heappush(heap, (-start, -s.sid, end, s))
+            stack.append(intervals[idx])
             idx += 1
-        while heap and heap[0][2] <= a:
-            heapq.heappop(heap)
-        if heap:
-            s = heap[0][3]
-            layer = layer_of(s.category, s.name)
-            category, name = s.category, s.name
-        else:
-            layer, category, name = "uninstrumented", "", ""
+        while stack and stack[-1][2] <= a:
+            stack.pop()
+        shape = stack[-1][3] if stack else uninstrumented
+        layer = shape[0]
         blame[layer] = blame.get(layer, 0.0) + (b - a)
-        last = segments[-1] if segments else None
-        if (last is not None and last.end == a
-                and (last.layer, last.category, last.name) == (layer, category, name)):
-            segments[-1] = Segment(last.start, b, layer, category, name)
+        # equal shapes are the same memoized tuple
+        if last is not None and last[2] is shape:
+            last[1] = b
         else:
-            segments.append(Segment(a, b, layer, category, name))
+            last = [a, b, shape]
+            runs.append(last)
+        a = b
+    segments = [Segment(start, end, *shape) for start, end, shape in runs]
     return CriticalPathReport(t0=t0, t1=t1, segments=segments, blame=blame)

@@ -10,6 +10,13 @@ otherwise it opens a new lane.  Each lane becomes one ``tid``, every lane's
 event stream is stack-balanced and time-ordered by construction, and lanes
 are merged into a single ``ts``-monotone event list.
 
+The writer makes one linear pass over the spans: the end of each lane's top
+span is kept, so a lane that cannot take a span is skipped with one
+comparison, and each piece of text is rendered once (heads and an ``args``
+``%``-template per span shape, texts per lane and per counter series, a memo
+of timestamp texts, scalar values by type; the stdlib encoder only for the
+rest).  The bytes are those of ``json.dumps`` of the dict view.
+
 Timestamps are simulated time converted to microseconds (the unit the
 Chrome trace viewer expects).
 """
@@ -19,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -57,74 +65,157 @@ def _encode(value) -> str:
         return _strict(_finite(value))
 
 
+def _head(name: str, category: str, phase: str) -> str:
+    """An event's text up to its ``ts`` value."""
+    return (f', {{"name": {_encode(name)}, "cat": {_encode(category)}, '
+            f'"ph": "{phase}", "ts": ')
+
+
+def _span_templates(name: str, category: str, keys, parent: bool,
+                    incomplete: bool) -> Tuple[str, str, str, bool]:
+    """The text of one span shape's ``B`` event up to its ``ts`` value, the
+    ``%``-template of its ``args`` (and the event's closing brace), the text
+    of its ``E`` event up to the ``ts`` value, and whether the shape is
+    plain.
+
+    The final ``args`` are the attributes with ``sid``, then ``parent_sid``
+    and ``incomplete`` when set, written over them: an attribute of the same
+    name keeps its position.  A plain shape has no such attribute; its
+    template takes the rendered attribute values and then ``sid`` and
+    ``parent_sid`` as ints, with ``incomplete`` a literal.  Any other takes
+    every value of the final ``args`` rendered.
+    """
+    own = {"sid": "%d"}
+    if parent:
+        own["parent_sid"] = "%d"
+    if incomplete:
+        own["incomplete"] = "true"
+    plain = own.keys().isdisjoint(keys)
+    slots = dict.fromkeys(keys, "%s")
+    slots.update(own if plain else dict.fromkeys(own, "%s"))
+    fields = ", ".join(_encode(key).replace("%", "%%") + ": " + slot
+                       for key, slot in slots.items())
+    return (_head(name, category, "B"), fields + "}}",
+            _head(name, category, "E"), plain)
+
+
 def _events(tracer: Tracer) -> Tuple[int, List[Tuple[float, str]]]:
     """The number of lanes and every ``B``/``E``/``C`` event as ``(ts_us,
     text)`` in file order, ``text`` being ``", "`` plus the event's JSON.
 
-    Each event is rendered once: the ``{"name": .., "cat": .., "ph": `` head
-    per distinct ``(name, category)`` and each attribute key are encoded once
-    and reused, ``ts`` is ``float.__repr__`` (what the stdlib encoder calls),
-    ``int`` values are ``str`` and every other value goes through
-    :func:`_encode`.  Attribute keys are strings (they arrive as keyword
-    names).
+    Each piece of text is rendered once:
+
+    * a span's events are texts cached per shape (name, category, the
+      attribute keys in order, and whether ``parent_sid`` and ``incomplete``
+      are set: :func:`_span_templates`) and per lane, around the timestamp;
+      the ``B`` event ends with the shape's ``%``-template of its ``args``
+      filled.  A counter event is its series' head, the timestamp and the
+      value;
+    * a timestamp is ``float.__repr__`` (what the stdlib encoder calls),
+      memoized per value across spans and counters;
+    * a value is rendered by its type: ``int`` is ``int.__repr__``, ``str``
+      ``encode_basestring_ascii``, ``bool`` and ``None`` a literal, a finite
+      ``float`` ``float.__repr__``, and only anything else (containers,
+      non-finite floats, subclasses) goes through :func:`_encode`.
+
+    Attribute keys are strings (they arrive as keyword names).
     """
-    spans = sorted(tracer.spans, key=attrgetter("start", "sid"))
+    # in (start, sid) order: spans are recorded in sid order and the sort
+    # is stable
+    spans = sorted(tracer.spans, key=attrgetter("start"))
     # Spans still open at export time are exported as if they ended at the
     # latest known instant (never before their own start), flagged with
     # args["incomplete"] — deterministic and always stack-balanced, instead
     # of the zero-duration events open spans used to silently collapse to.
-    t_max = 0.0
-    for sp in spans:
-        t_max = max(t_max, sp.start,
-                    sp.end_time if sp.end_time is not None else sp.start)
-    heads: Dict[Tuple[str, str], str] = {}
-    keys: Dict[str, str] = {}
-    # per lane: its events, its `"pid", "tid"` text and a stack of
-    # (rendered E event, end) for the spans still open
+    t_max = max([0.0, *[sp.start for sp in spans],
+                 *[sp.end_time for sp in spans if sp.end_time is not None]])
+    float_repr = float.__repr__
+    int_repr = int.__repr__
+    encode_str = encode_basestring_ascii
+    stamps: Dict[float, str] = {}   # ts_us -> its text (simulated time >= 0)
+    templates: Dict[tuple, Tuple[str, str, str, bool]] = {}  # _span_templates
+    # per lane: its events, a stack of (rendered E event, end) for the spans
+    # still open, the end of that stack's top, and the text after the ts
+    # value of its B events (up to the args) and of its E events
     lane_events: List[List[Tuple[float, str]]] = []
-    lane_tails: List[str] = []
     lane_stacks: List[List[tuple]] = []
+    tops: List[float] = []
+    lane_tails: List[Tuple[str, str]] = []
     for sp in spans:
         start = sp.start
         end = sp.end_time if sp.end_time is not None else max(start, t_max)
-        for lane, stack in enumerate(lane_stacks):
-            # close spans that ended at or before this start
-            while stack and stack[-1][1] <= start:
-                lane_events[lane].append(stack.pop()[0])
-            if not stack or stack[-1][1] >= end:
-                break
+        for lane, top in enumerate(tops):
+            if start < top < end:
+                continue   # the top span is open here and ends inside this one
+            stack = lane_stacks[lane]
+            if top <= start:
+                # close spans that ended at or before this start
+                closed = lane_events[lane]
+                while stack and stack[-1][1] <= start:
+                    closed.append(stack.pop()[0])
+                if stack and stack[-1][1] < end:
+                    tops[lane] = stack[-1][1]
+                    continue
+            break
         else:
             lane = len(lane_stacks)
             stack = []
             lane_stacks.append(stack)
             lane_events.append([])
-            lane_tails.append(f', "pid": 0, "tid": {lane}')
-        head = heads.get((sp.name, sp.category))
-        if head is None:
-            head = heads[sp.name, sp.category] = (
-                f', {{"name": {_encode(sp.name)}, "cat": '
-                f'{_encode(sp.category)}, "ph": ')
-        tail = lane_tails[lane]
-        args = dict(sp.attrs)
-        args["sid"] = sp.sid
-        if sp.parent_sid >= 0:
-            args["parent_sid"] = sp.parent_sid
-        if sp.end_time is None:
-            args["incomplete"] = True
-        parts = []
-        for key, value in args.items():
-            key_text = keys.get(key)
-            if key_text is None:
-                key_text = keys[key] = _encode(key) + ": "
-            parts.append(
-                key_text + (str(value) if type(value) is int else _encode(value)))
+            tops.append(end)
+            lane_tails.append((f', "pid": 0, "tid": {lane}, "args": {{',
+                               f', "pid": 0, "tid": {lane}}}'))
+        attrs = sp.attrs
+        parent = sp.parent_sid >= 0
+        incomplete = sp.end_time is None
+        shape = (sp.name, sp.category, parent, incomplete, *attrs)
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _span_templates(
+                sp.name, sp.category, attrs, parent, incomplete)
+        b_head, args_template, e_head, plain = template
+        if plain:
+            items = attrs.values()
+        else:
+            args = dict(attrs)
+            args["sid"] = sp.sid
+            if parent:
+                args["parent_sid"] = sp.parent_sid
+            if incomplete:
+                args["incomplete"] = True
+            items = args.values()
         start_us = start * 1e6
+        ts = stamps.get(start_us)
+        if ts is None:
+            ts = stamps[start_us] = float_repr(start_us)
+        values = []
+        for value in items:
+            kind = type(value)
+            if kind is int:
+                values.append(int_repr(value))
+            elif kind is str:
+                values.append(encode_str(value))
+            elif kind is bool:
+                values.append("true" if value else "false")
+            elif value is None:
+                values.append("null")
+            elif kind is float and value - value == 0.0:
+                values.append(float_repr(value))
+            else:
+                values.append(_encode(value))
+        if plain:
+            values.append(sp.sid)
+            if parent:
+                values.append(sp.parent_sid)
+        b_tail, e_tail = lane_tails[lane]
         lane_events[lane].append((
-            start_us,
-            f'{head}"B", "ts": {start_us!r}{tail}, "args": '
-            f'{{{", ".join(parts)}}}}}'))
+            start_us, f"{b_head}{ts}{b_tail}{args_template % tuple(values)}"))
         end_us = end * 1e6
-        stack.append(((end_us, f'{head}"E", "ts": {end_us!r}{tail}}}'), end))
+        ts = stamps.get(end_us)
+        if ts is None:
+            ts = stamps[end_us] = float_repr(end_us)
+        stack.append(((end_us, f"{e_head}{ts}{e_tail}"), end))
+        tops[lane] = end
     events: List[Tuple[float, str]] = []
     for lane, stack in enumerate(lane_stacks):
         events += lane_events[lane]
@@ -134,16 +225,22 @@ def _events(tracer: Tracer) -> Tuple[int, List[Tuple[float, str]]]:
     # counter track per series, rendered alongside the span lanes.
     timeline = tracer.timeline
     if timeline.enabled:
+        tail = ', "pid": 0, "tid": 0, "args": {"value": '
         for name in sorted(timeline.series):
-            head = (f', {{"name": {_encode(name)}, "cat": "telemetry", '
-                    f'"ph": "C", "ts": ')
+            head = _head(name, "telemetry", "C")
             for t, value in timeline.series[name].points():
                 t_us = t * 1e6
-                text = str(value) if type(value) is int else _encode(value)
-                events.append((
-                    t_us,
-                    f'{head}{t_us!r}, "pid": 0, "tid": 0, "args": '
-                    f'{{"value": {text}}}}}'))
+                ts = stamps.get(t_us)
+                if ts is None:
+                    ts = stamps[t_us] = float_repr(t_us)
+                kind = type(value)
+                if kind is int:
+                    text = int_repr(value)
+                elif kind is float and value - value == 0.0:
+                    text = float_repr(value)
+                else:
+                    text = _encode(value)
+                events.append((t_us, f"{head}{ts}{tail}{text}}}}}"))
     # Every lane and every series is already in time order, so one stable
     # sort is a merge: ties go to the earlier lane, counters last, and the
     # order inside a lane or series is kept.

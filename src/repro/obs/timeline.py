@@ -277,10 +277,13 @@ class Telemetry:
             if link.in_use - 1 < link.capacity:
                 start = self._sat_since.pop(name, None)
                 if start is not None:
-                    self._close_saturation(name, start, now)
+                    self._close_saturation(self.saturation, name, start, now)
 
-    def _close_saturation(self, name: str, start: float, end: float) -> None:
-        rec = self.saturation.setdefault(
+    def _close_saturation(self, saturation: Dict[str, Dict], name: str,
+                          start: float, end: float) -> None:
+        """Record the window ``[start, end]`` of link ``name`` in
+        ``saturation`` (the live records, or the copy a view closes)."""
+        rec = saturation.setdefault(
             name, {"time": 0.0, "count": 0, "windows": [],
                    "truncated": False})
         rec["time"] += end - start
@@ -297,20 +300,14 @@ class Telemetry:
 
     def saturation_view(self) -> Dict[str, Dict]:
         """Saturation records with any still-open window closed against
-        ``sim.now`` (non-destructively)."""
+        ``sim.now`` by the rule that closes it for real, on a copy."""
         out = {k: {"time": v["time"], "count": v["count"],
                    "windows": list(v["windows"]),
                    "truncated": v["truncated"]}
                for k, v in self.saturation.items()}
         now = self.sim.now
         for name, start in self._sat_since.items():
-            rec = out.setdefault(
-                name, {"time": 0.0, "count": 0, "windows": [],
-                       "truncated": False})
-            rec["time"] += now - start
-            if len(rec["windows"]) < self._sat_window_cap:
-                rec["windows"].append((start, now))
-                rec["count"] += 1
+            self._close_saturation(out, name, start, now)
         return out
 
 

@@ -338,3 +338,25 @@ class TestTracing:
         assert counters["converse.send_device"] == 1
         assert counters["converse.recv_device"] == 1
         assert counters["ucx.send"] >= 1  # the tagged device send
+
+
+class TestPeHelpers:
+    def test_negative_charge_rejected(self):
+        charm = Charm(MachineConfig.summit(nodes=1))
+        with pytest.raises(ValueError):
+            charm.pe_object(0).charge(-1.0)
+
+    def test_messages_processed_counter(self):
+        class Nop(Chare):
+            def __init__(self):
+                pass
+
+            def hit(self):
+                pass
+
+        charm = Charm(MachineConfig.summit(nodes=1))
+        p = charm.create_chare(Nop, 2)
+        for _ in range(3):
+            p.hit()
+        charm.run()
+        assert charm.pe_object(2).messages_processed == 3

@@ -9,8 +9,9 @@ day a per-message closure, property or event hop creeps back in.  The
 shuffle is measured at two scales: contention grows with the machine, cost
 per event must not.  Observation is held the same way on the 8-node traced,
 flight-recorded, telemetry-on Jacobi3D the repo benchmark's ``observed_report``
-runs: calls per exported Chrome-trace event, and calls per recorded span
-(observed run minus the same run unobserved).
+runs: calls per exported Chrome-trace event, calls per recorded span
+(observed run minus the same run unobserved), and calls of the critical-path
+analysis per span.
 
 Three source rules keep the three cheapest regressions from being written at
 all: scheduling through ``schedule`` and dropping the ``Handle`` (use
@@ -46,11 +47,16 @@ SHUFFLE_BUDGET = {2: (21.75, 22.4), 4: (21.56, 22.2)}
 
 #: 8 nodes, 1 warm-up + 3 timed iterations, trace + flight + telemetry.
 #: Exported: 38 189 trace events; with one dict per event, a Python-keyed
-#: ``heapq.merge`` and ``json.dumps`` this was 3.37.  Recorded: 14 144 spans
-#: and 7 488 flight stages; while a live flight recorder ran a handler per
-#: flight stage (instead of appending it to the stage log) this was 9.41.
-EXPORT_BUDGET = (0.89, 0.92)
+#: ``heapq.merge`` and ``json.dumps`` this was 3.37, and with a stdlib
+#: encoder call per non-int value (instead of cached templates) 0.89.
+#: Recorded: 14 144 spans and 7 488 flight stages; while a live flight
+#: recorder ran a handler per flight stage (instead of appending it to the
+#: stage log) this was 9.41.  Analysed: ``critical_path`` per span; with a
+#: sort ``lambda``, a ``layer_of`` call per boundary and a ``Segment`` per
+#: merge this was 4.85.
+EXPORT_BUDGET = (0.0668, 0.069)
 RECORD_BUDGET = (8.0, 8.25)
+ANALYSE_BUDGET = (0.326, 0.336)
 
 
 def _python_calls(run) -> int:
@@ -140,11 +146,20 @@ def test_observation_calls_per_span_and_per_exported_event(tmp_path):
     n_events = len(json.loads(path.read_bytes())["traceEvents"])
     per_exported = calls / n_events
     measured, bound = EXPORT_BUDGET
-    print(f"export: {per_exported:.2f} Python calls/trace event "
+    print(f"export: {per_exported:.4f} Python calls/trace event "
           f"(pinned {measured}, bound {bound})")
     assert per_exported <= bound, (
-        f"the Chrome-trace writer now costs {per_exported:.2f} Python calls "
+        f"the Chrome-trace writer now costs {per_exported:.4f} Python calls "
         f"per exported event (budget {bound}): something per-event grew")
+
+    calls = _python_calls(sess.critical_path)
+    per_analysed = calls / len(sess.tracer.spans)
+    measured, bound = ANALYSE_BUDGET
+    print(f"critical path: {per_analysed:.3f} Python calls/span "
+          f"(pinned {measured}, bound {bound})")
+    assert per_analysed <= bound, (
+        f"critical_path now costs {per_analysed:.3f} Python calls per span "
+        f"(budget {bound}): something per-boundary or per-span grew")
 
 
 def _parsed_sources():

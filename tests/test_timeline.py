@@ -148,6 +148,54 @@ def test_reset_clears_series():
     assert telem.counter("b") == 0
 
 
+# -- saturation windows: the view closes an open window like a release -------
+class _FakeLink:
+    name = "nvlink0"
+    capacity = 1
+
+    def __init__(self):
+        self.in_use = 0
+
+    def utilisation(self):
+        return 0.0
+
+
+def _saturate(telem, link, *times):
+    """Alternately acquire and release ``link`` at ``times``, reporting each
+    step the way ``hardware/links.py`` does (after an acquire, before a
+    release)."""
+    for i, t in enumerate(times):
+        telem.sim.now = t
+        if i % 2 == 0:
+            link.in_use += 1
+            telem.link_acquired([link], 8, 0.0, None, "ucx")
+        else:
+            telem.link_released([link], 8)
+            link.in_use -= 1
+
+
+@pytest.mark.parametrize("cap, times, now, windows, count, truncated", [
+    # closed over [1, 2], open since 2: a back-to-back handoff extends
+    (64, (1.0, 2.0, 2.0), 3.0, [(1.0, 3.0)], 1, False),
+    # at the window cap the open window is counted and marks the truncation
+    (2, (1.0, 2.0, 3.0, 4.0, 5.0), 6.0, [(1.0, 2.0), (3.0, 4.0)], 3, True),
+])
+def test_saturation_view_equals_closing_the_open_window(
+        cap, times, now, windows, count, truncated):
+    telem = Telemetry(_FakeSim(), enabled=True)
+    telem._sat_window_cap = cap
+    link = _FakeLink()
+    _saturate(telem, link, *times)
+    telem.sim.now = now
+    view = telem.saturation_view()
+    # the live records are untouched until the window really closes at `now`
+    telem.link_released([link], 8)
+    assert view == telem.saturation
+    rec = view[link.name]
+    assert (rec["windows"], rec["count"], rec["truncated"]) == (
+        windows, count, truncated)
+
+
 # -- counter-event export round trip (satellite: validator accepts "C") ------
 def _telemetry_session():
     sess = (api.session(MachineConfig.summit(nodes=2)).model("openmpi")
