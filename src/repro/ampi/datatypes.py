@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Datatype:
-    """An MPI basic datatype: name, byte extent, NumPy equivalent."""
+    """An MPI basic datatype: name and byte extent."""
 
     name: str
     extent: int
-    np_dtype: np.dtype
 
     def bytes_for(self, count: int) -> int:
         if count < 0:
@@ -21,10 +18,10 @@ class Datatype:
         return count * self.extent
 
 
-BYTE = Datatype("MPI_BYTE", 1, np.dtype(np.uint8))
-INT = Datatype("MPI_INT", 4, np.dtype(np.int32))
-FLOAT = Datatype("MPI_FLOAT", 4, np.dtype(np.float32))
-DOUBLE = Datatype("MPI_DOUBLE", 8, np.dtype(np.float64))
-LONG = Datatype("MPI_LONG", 8, np.dtype(np.int64))
+BYTE = Datatype("MPI_BYTE", 1)
+INT = Datatype("MPI_INT", 4)
+FLOAT = Datatype("MPI_FLOAT", 4)
+DOUBLE = Datatype("MPI_DOUBLE", 8)
+LONG = Datatype("MPI_LONG", 8)
 
 ALL_TYPES = (BYTE, INT, FLOAT, DOUBLE, LONG)

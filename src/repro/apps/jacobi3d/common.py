@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.apps.jacobi3d.decomposition import Decomposition
 from repro.apps.jacobi3d.kernels import pack_kernel, stencil_kernel, unpack_kernel
@@ -13,10 +11,15 @@ from repro.hardware.cuda import CudaRuntime
 from repro.hardware.memory import Buffer
 from repro.sim.primitives import SimEvent
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
+
 
 def initial_field(decomp: Decomposition) -> np.ndarray:
     """Deterministic nonzero initial condition over the global domain —
     a smooth product of sines, so functional tests exercise real halo data."""
+    import numpy as np
+
     nx, ny, nz = decomp.domain
     x = np.sin(2.0 * np.pi * np.arange(nx) / nx)
     y = np.cos(2.0 * np.pi * np.arange(ny) / ny)
@@ -64,6 +67,8 @@ class BlockState:
         cells = decomp.cells_per_block
 
         if functional:
+            import numpy as np
+
             self.u: Optional[np.ndarray] = np.zeros((bx + 2, by + 2, bz + 2))
             x0, y0, z0 = decomp.coords(rank)
             self.u[1:-1, 1:-1, 1:-1] = initial_block(decomp, rank)
@@ -86,7 +91,7 @@ class BlockState:
 
     # -- helpers -------------------------------------------------------------
     def _arr(self, buf: Buffer) -> Optional[np.ndarray]:
-        return buf.data.view(np.float64) if (self.functional and buf.data is not None) else None
+        return buf.data.view("f8") if (self.functional and buf.data is not None) else None
 
     def face_bytes(self, d: str) -> int:
         return self.decomp.face_bytes(d)
@@ -122,7 +127,7 @@ class BlockState:
 
         def body() -> None:
             if self.u is not None and self.u_new is not None:
-                diff = np.abs(
+                diff = abs(
                     self.u_new[1:-1, 1:-1, 1:-1] - self.u[1:-1, 1:-1, 1:-1]
                 )
                 self.last_residual = float(diff.max())
@@ -207,6 +212,8 @@ class ResultCollector:
     def assemble(self, decomp: Decomposition) -> np.ndarray:
         """Stitch the interior of every block's field into the global array
         (functional mode only)."""
+        import numpy as np
+
         nx, ny, nz = decomp.domain
         out = np.zeros((nx, ny, nz))
         bx, by, bz = decomp.block

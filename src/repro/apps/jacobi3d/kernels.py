@@ -14,11 +14,12 @@ Fig. 14a.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.gpu import Kernel
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: effective DRAM bytes per cell for the 7-point Jacobi sweep
 STENCIL_BYTES_PER_CELL = 16

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.config import MachineConfig
 from repro.converse.cmi import Converse
 from repro.converse.message import CmiMessage
@@ -22,7 +20,7 @@ from repro.charm.chare import Chare
 from repro.charm.proxy import ArrayProxy, ChareProxy, GroupProxy
 from repro.charm.reduction import ReductionManager
 from repro.charm.zerocopy import PendingInvocation
-from repro.hardware.memory import Buffer
+from repro.hardware.memory import Buffer, is_ndarray
 from repro.hardware.topology import Machine
 from repro.obs.stages import METADATA_ARRIVED, METADATA_SENT
 from repro.sim.primitives import SimEvent
@@ -47,7 +45,7 @@ def marshal_bytes(args: Tuple[Any, ...]) -> int:
                     "in CkDeviceBuffer (the nocopydevice attribute)"
                 )
             total += a.size
-        elif isinstance(a, np.ndarray):
+        elif is_ndarray(a):
             total += a.nbytes
         elif isinstance(a, (bytes, bytearray, memoryview)):
             total += len(a)

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.collectives.ops import ReduceOp
 from repro.converse.message import CmiMessage
+from repro.hardware.memory import is_ndarray
 
 _BRANCH = 4
 
 
 def _value_bytes(value: Any) -> int:
-    if isinstance(value, np.ndarray):
+    if is_ndarray(value):
         return value.nbytes
     return 8
 

@@ -22,11 +22,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Optional, Tuple
 
-import numpy as np
-
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer
-from repro.hardware.memory import Buffer
+from repro.hardware.memory import Buffer, is_ndarray
 from repro.obs.stages import C4P_SEND_DEVICE, C4P_SEND_HOST, METADATA_SENT
 from repro.sim.primitives import SimEvent, Timeout
 
@@ -34,7 +32,7 @@ from repro.sim.primitives import SimEvent, Timeout
 def _host_payload_bytes(args: Tuple[Any, ...]) -> int:
     total = 0
     for a in args:
-        if isinstance(a, np.ndarray):
+        if is_ndarray(a):
             total += a.nbytes
         elif isinstance(a, Buffer):
             total += a.size

@@ -15,10 +15,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Union
 
-import numpy as np
-
 from repro.hardware.gpu import Kernel
-from repro.hardware.memory import Buffer
+from repro.hardware.memory import Buffer, is_ndarray
 
 __all__ = ["ReduceOp", "DEVICE_OPS", "combine_kernel", "copy_kernel"]
 
@@ -54,9 +52,11 @@ class ReduceOp(enum.Enum):
             return a + b
         if self is ReduceOp.PROD:
             return a * b
-        if self is ReduceOp.MAX:
-            return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-        return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
+        if is_ndarray(a):
+            import numpy as np
+
+            return (np.maximum if self is ReduceOp.MAX else np.minimum)(a, b)
+        return max(a, b) if self is ReduceOp.MAX else min(a, b)
 
 
 #: Operators with a device combine kernel (PROD is host-only, as before).
@@ -76,6 +76,8 @@ def combine_kernel(acc: Buffer, incoming: Buffer, nbytes: int, op: ReduceOp) -> 
     def body() -> None:
         if acc.data is None or incoming.data is None:
             return
+        import numpy as np
+
         # float64 payloads; a sub-element tail (nbytes % 8) carries no
         # elements and is left untouched, as the pre-package kernels did
         n = (nbytes // 8) * 8

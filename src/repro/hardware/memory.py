@@ -7,6 +7,10 @@ array so tests can verify end-to-end data integrity.  Paper-scale buffers
 (gigabytes of Jacobi domain) are *virtual*: size-only, so the simulation
 never allocates them.
 
+This module never imports NumPy: a run whose buffers are all virtual holds
+no array, so it need not load the library.  Byte moves go through
+``memoryview`` and :func:`is_ndarray` asks ``sys.modules``.
+
 Buffers have process-unique integer ``address``\\ es; AMPI's device-pointer
 software cache (paper §III-C) keys on these, exactly as the real
 implementation caches raw CUDA pointers.
@@ -16,9 +20,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional
+import sys
+from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class MemoryKind(enum.Enum):
@@ -31,6 +37,13 @@ class OutOfMemory(RuntimeError):
 
 
 _address_counter = itertools.count(0x7F00_0000_0000)
+
+
+def is_ndarray(obj: Any) -> bool:
+    """True when ``obj`` is a NumPy array.  Never imports NumPy: if no code
+    has imported it, no object can be an ndarray."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
 
 class Buffer:
@@ -47,8 +60,8 @@ class Buffer:
     device:
         GPU index *within the machine* for DEVICE buffers; ``None`` for host.
     data:
-        Optional NumPy array (flattened view is used). When present,
-        ``data.nbytes`` must equal ``size``.
+        Optional C-contiguous NumPy array (its bytes are the payload). When
+        present, ``data.nbytes`` must equal ``size``.
     """
 
     __slots__ = ("kind", "on_device", "size", "node", "device", "data",
@@ -68,8 +81,13 @@ class Buffer:
             raise ValueError("device buffers need a device index")
         if kind is MemoryKind.HOST and device is not None:
             raise ValueError("host buffers must not name a device")
-        if data is not None and data.nbytes != size:
-            raise ValueError(f"data is {data.nbytes} bytes but size={size}")
+        if data is not None:
+            if data.nbytes != size:
+                raise ValueError(f"data is {data.nbytes} bytes but size={size}")
+            if not data.flags.c_contiguous:
+                raise ValueError(
+                    "buffer data must be C-contiguous; pass "
+                    "np.ascontiguousarray(data)")
         self.kind = kind
         self.on_device = kind is MemoryKind.DEVICE  # read on every message
         self.size = size
@@ -97,7 +115,8 @@ class Buffer:
     def copy_from(self, src: "Buffer", nbytes: Optional[int] = None) -> None:
         """Copy payload bytes from ``src`` (functional effect only; timing is
         charged by whoever calls this).  Virtual endpoints degrade gracefully:
-        if either side has no payload the copy is a no-op on data."""
+        if either side has no payload the copy is a no-op on data.  The bytes
+        move through ``memoryview`` (payloads are C-contiguous)."""
         if self.freed or src.freed:
             raise RuntimeError("use-after-free of a Buffer")
         n = self.size if nbytes is None else nbytes
@@ -107,9 +126,7 @@ class Buffer:
             )
         if self.data is None or src.data is None:
             return
-        dst_flat = self.data.reshape(-1).view(np.uint8)
-        src_flat = src.data.reshape(-1).view(np.uint8)
-        dst_flat[:n] = src_flat[:n]
+        memoryview(self.data).cast("B")[:n] = memoryview(src.data).cast("B")[:n]
 
     def view(self, offset: int, nbytes: int) -> "Buffer":
         """A sub-range view sharing this buffer's payload memory (the
@@ -125,14 +142,14 @@ class Buffer:
             )
         data = None
         if self.data is not None:
-            data = self.data.reshape(-1).view(np.uint8)[offset:offset + nbytes]
+            data = self.data.reshape(-1).view("u1")[offset:offset + nbytes]
         out = Buffer(self.kind, nbytes, self.node, self.device, data)
         out.base = self if self.base is None else self.base
         return out
 
     def fill(self, byte: int) -> None:
         if self.data is not None:
-            self.data.reshape(-1).view(np.uint8)[:] = byte
+            self.data.reshape(-1).view("u1")[:] = byte
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         where = f"gpu{self.device}" if self.on_device else f"host(node{self.node})"
@@ -305,8 +322,8 @@ class PooledAllocator:
                        len(self._slabs))
         if data is not None and blk.buffer.data is not None:
             n = min(data.nbytes, blk.buffer.size)
-            dst = blk.buffer.data.reshape(-1).view(np.uint8)
-            dst[:n] = data.reshape(-1).view(np.uint8)[:n]
+            dst = blk.buffer.data.reshape(-1).view("u1")
+            dst[:n] = data.reshape(-1).view("u1")[:n]
         return blk.buffer
 
     def _carve(self, cls: int) -> _Block:

@@ -11,7 +11,7 @@ separately rather than one end-to-end route).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import MB, MachineConfig
 from repro.hardware.links import Link, Route
@@ -26,7 +26,8 @@ from repro.hardware.memory import (
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: Buffers at or below this size carry real NumPy payloads; larger ones are
 #: virtual (size-only), which keeps paper-scale Jacobi domains cheap.
@@ -219,7 +220,11 @@ class Machine:
                 not self.cfg.virtual_payload
                 and size <= PAYLOAD_MATERIALIZE_LIMIT
             )
-        return np.zeros(size, dtype=np.uint8) if materialize else None
+        if not materialize:
+            return None
+        import numpy as np  # loaded by the first real payload only
+
+        return np.zeros(size, dtype=np.uint8)
 
     def alloc_device(
         self, gpu: int, size: int, materialize: Optional[bool] = None

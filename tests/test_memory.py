@@ -71,6 +71,22 @@ class TestBuffer:
         dst.copy_from(src)
         assert (dst.data.reshape(-1) == src.data.reshape(-1)).all()
 
+    @pytest.mark.parametrize("data", [
+        # reshape(-1) of a transposed array is a copy: copy_from's bytes
+        # used to land there and the destination stayed all zeros
+        np.arange(12, dtype=np.uint8).reshape(3, 4).T,
+        # a strided float64 array used to fail only at its first copy
+        np.arange(8, dtype=np.float64)[::2],
+    ], ids=["transposed_uint8", "strided_float64"])
+    def test_non_contiguous_data_rejected(self, data):
+        with pytest.raises(ValueError, match=r"np\.ascontiguousarray"):
+            host_buffer(0, data.nbytes, data)
+        # the remedy the message names is accepted and moves the bytes
+        src = host_buffer(0, data.nbytes, np.ascontiguousarray(data))
+        dst = host_buffer(0, data.nbytes, np.zeros_like(src.data))
+        dst.copy_from(src)
+        assert dst.data.tobytes() == np.ascontiguousarray(data).tobytes()
+
     def test_same_location(self):
         a = Buffer(MemoryKind.DEVICE, 8, node=0, device=3)
         b = Buffer(MemoryKind.DEVICE, 16, node=0, device=3)
