@@ -65,7 +65,8 @@ def main():
 
     # eager transfers complete without waiting for the receiver: an 8 B
     # intra-node run shows zero delayed-posting cost by construction
-    eager_sess = api.session(cfg).model("ampi").build()
+    eager_sess = (api.session(MachineConfig.summit(nodes=2)).model("ampi")
+                  .flight().build())
     run_latency("ampi", 8, "intra", True, session=eager_sess, iters=8, skip=2)
     eagg = eager_sess.flight_summary()
     print(f"  (8 B intra run: eager delayed-posting "

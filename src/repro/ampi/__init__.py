@@ -23,7 +23,6 @@ Rank programs are generator functions driven by the simulator::
 Collectives compose over point-to-point and are used with ``yield from``.
 """
 
-from repro.ampi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
 from repro.ampi.mpi import ANY_SOURCE, ANY_TAG, Ampi, AmpiRank, MpiStatus
 from repro.ampi.request import MpiRequest
 
@@ -32,11 +31,6 @@ __all__ = [
     "ANY_TAG",
     "Ampi",
     "AmpiRank",
-    "BYTE",
-    "DOUBLE",
-    "Datatype",
-    "FLOAT",
-    "INT",
     "MpiRequest",
     "MpiStatus",
 ]

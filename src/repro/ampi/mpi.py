@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.ampi.datatypes import Datatype
 from repro.ampi.gpucache import GpuPointerCache
 from repro.ampi.matching import (
     ANY_SOURCE,
@@ -288,18 +287,6 @@ class AmpiRank(_AmpiComm):
     ) -> SimEvent:
         """``MPI_Recv`` (yield to block; the event's value is the status)."""
         return self._recv_impl(buf, capacity, src, tag, comm=0)
-
-    def send_typed(
-        self, buf: Buffer, count: int, datatype: Datatype, dst: int, tag: int = 0
-    ) -> SimEvent:
-        """``MPI_Send`` with count/datatype instead of raw bytes."""
-        return self.send(buf, datatype.bytes_for(count), dst, tag)
-
-    def recv_typed(
-        self, buf: Buffer, count: int, datatype: Datatype, src: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-    ) -> SimEvent:
-        return self.recv(buf, datatype.bytes_for(count), src, tag)
 
     # -- collective wire protocol (repro.collectives rides on these) ----------------
     def coll_send_value(self, value: Any, nbytes: int, dst: int, tag: int) -> SimEvent:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.primitives import AllOf, SimEvent
 
 
 class MpiRequest:
     """Handle for a non-blocking operation; ``.event`` is yieldable.
 
-    ``MPI_Wait`` is ``yield req.event``; ``MPI_Test`` is ``req.done``.
+    ``MPI_Wait`` is ``yield req.event``; ``MPI_Test`` is
+    ``req.event.triggered``.
     The event's value is the :class:`MpiStatus` for receives, ``None`` for
     sends.
     """
@@ -20,14 +19,6 @@ class MpiRequest:
     def __init__(self, event: SimEvent, kind: str) -> None:
         self.event = event
         self.kind = kind
-
-    @property
-    def done(self) -> bool:
-        return self.event.triggered
-
-    @property
-    def status(self):
-        return self.event.result() if self.event.triggered else None
 
 
 def waitall(sim, requests) -> SimEvent:

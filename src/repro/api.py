@@ -83,9 +83,6 @@ class Session:
     def run_until(self, event, max_events: Optional[int] = None):
         return self.machine.sim.run_until_complete(event, max_events=max_events)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self.machine.sim.run(until=until, max_events=max_events)
-
     # -- observability -------------------------------------------------------------
     def metrics_snapshot(self) -> Dict:
         """Plain-dict metrics snapshot (``counters`` / ``histograms`` /
@@ -186,7 +183,6 @@ class SessionBuilder:
         self._model = "charm"
         self._n_ranks: Optional[int] = None
         self._ranks_per_pe: int = 1
-        self._n_pes: Optional[int] = None
 
     def model(self, name: str) -> "SessionBuilder":
         if name not in MODELS:
@@ -231,10 +227,6 @@ class SessionBuilder:
         self._ranks_per_pe = ranks_per_pe
         return self
 
-    def pes(self, n_pes: Optional[int]) -> "SessionBuilder":
-        self._n_pes = n_pes
-        return self
-
     def build(self) -> Session:
         # imports deferred: the facade must stay importable without pulling
         # the whole model graph until a session is actually built
@@ -247,10 +239,10 @@ class SessionBuilder:
         name = self._model
         charm = None
         if name == "charm":
-            lib = charm = Charm(cfg, n_pes=self._n_pes)
+            lib = charm = Charm(cfg)
             machine = charm.machine
         elif name == "ampi":
-            charm = Charm(cfg, n_pes=self._n_pes)
+            charm = Charm(cfg)
             lib = Ampi(charm, n_ranks=self._n_ranks, ranks_per_pe=self._ranks_per_pe)
             machine = charm.machine
         elif name == "openmpi":

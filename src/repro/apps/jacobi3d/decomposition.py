@@ -124,7 +124,3 @@ class Decomposition:
         bx, by, bz = self.block
         cells = {"x": by * bz, "y": bx * bz, "z": bx * by}[direction[1]]
         return cells * self.dtype_bytes
-
-    def halo_bytes(self, rank: int) -> int:
-        """Total bytes this block sends per iteration."""
-        return sum(self.face_bytes(d) for d, _ in self.neighbors(rank))

@@ -6,10 +6,7 @@ Turns the benchmark outputs into the quantities papers talk about:
   to a latency series, recovering effective startup latency and bandwidth
   (the LogP-style summary of a curve);
 * :func:`crossover` — the message size where one curve overtakes another
-  (e.g. where host staging's fixed costs stop dominating);
-* :func:`half_peak_size` — the "n½" metric: the size achieving half the
-  peak bandwidth;
-* :func:`speedup_series` — pointwise ratio of two series.
+  (e.g. where host staging's fixed costs stop dominating).
 
 Used by tests to assert curve *shapes* rather than individual points.
 """
@@ -17,7 +14,7 @@ Used by tests to assert curve *shapes* rather than individual points.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,12 +37,6 @@ def fit_alpha_beta(series: Series) -> Tuple[float, float]:
     if slope <= 0:
         raise ValueError("series is not increasing with size; cannot fit beta")
     return float(alpha), float(1.0 / slope)
-
-
-def speedup_series(numerator: Series, denominator: Series, label: str = "speedup") -> Series:
-    """Pointwise numerator/denominator over shared x values."""
-    shared = [x for x in numerator.xs if x in set(denominator.xs)]
-    return Series(label, [(x, numerator.at(x) / denominator.at(x)) for x in shared])
 
 
 def crossover(a: Series, b: Series) -> Optional[float]:
@@ -73,25 +64,3 @@ def crossover(a: Series, b: Series) -> Optional[float]:
             ))
         prev = (x, diff)
     return None
-
-
-def half_peak_size(bw_series: Series) -> float:
-    """The n½ metric: smallest size reaching half of the series' peak."""
-    peak = max(bw_series.ys)
-    for x in sorted(bw_series.xs):
-        if bw_series.at(x) >= peak / 2:
-            return float(x)
-    raise AssertionError("unreachable: the peak itself reaches half-peak")
-
-
-def summarize_latency(series: Series) -> Dict[str, float]:
-    """One-line summary of a latency series (seconds): alpha, beta, and the
-    small/large endpoints."""
-    alpha, beta = fit_alpha_beta(series)
-    xs = sorted(series.xs)
-    return {
-        "alpha_us": alpha * 1e6,
-        "beta_gbs": beta / 1e9,
-        "min_size_us": series.at(xs[0]) * 1e6,
-        "max_size_us": series.at(xs[-1]) * 1e6,
-    }

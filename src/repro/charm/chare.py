@@ -32,9 +32,3 @@ class Chare:
     pe: int
     gpu: Optional[int]
     thisIndex: int = -1
-
-    def migrate(self, new_pe: int) -> None:
-        """Relocate this chare to ``new_pe`` (load balancing / AMPI rank
-        migration).  Takes effect for messages sent after the runtime
-        processes the migration."""
-        self.charm.migrate_chare(self, new_pe)

@@ -217,53 +217,6 @@ class Charm:
         self._register_collection(ids)
         return ArrayProxy(self, ids)
 
-    # -- measurement-based load balancing (SII-C: "dynamic load balancing") -----
-    def rebalance_greedy(self) -> Dict[int, int]:
-        """A GreedyLB-style strategy: sort migratable chares by measured
-        load (CPU debt accrued in their entry methods), assign each to the
-        currently least-loaded PE.  Returns {chare_id: new_pe} for the
-        chares that moved.  Only group-free chares (singletons and array
-        elements) migrate; group elements are pinned to their PE by
-        definition.
-        """
-        import heapq
-
-        movable = [
-            (getattr(obj, "_load", 0.0), cid, obj)
-            for cid, obj in self.chares.items()
-            if not self._is_group_element(cid)
-        ]
-        movable.sort(key=lambda t: (-t[0], t[1]))
-        heap = [(0.0, pe) for pe in range(self.n_pes)]
-        heapq.heapify(heap)
-        moves: Dict[int, int] = {}
-        for load, cid, obj in movable:
-            pe_load, pe = heapq.heappop(heap)
-            if self.chare_pe[cid] != pe:
-                self.migrate_chare(obj, pe)
-                moves[cid] = pe
-            heapq.heappush(heap, (pe_load + load, pe))
-        return moves
-
-    def _is_group_element(self, cid: int) -> bool:
-        coll = self._chare_coll.get(cid)
-        if coll is None:
-            return False
-        ids = self.collections[coll]
-        # a group has exactly one element per PE, created PE-ordered
-        return len(ids) == self.n_pes and all(
-            self.chare_pe[c] == i for i, c in enumerate(ids)
-        )
-
-    def migrate_chare(self, chare: Chare, new_pe: int) -> None:
-        """Move a chare to another PE (new messages route there)."""
-        cid = chare.thisProxy.chare_id
-        if not 0 <= new_pe < self.n_pes:
-            raise ValueError(f"PE {new_pe} out of range")
-        self.chare_pe[cid] = new_pe
-        chare.pe = new_pe
-        chare.gpu = self.gpu_of_pe(new_pe)
-
     # -- entry-method send path (paper Fig. 6) -----------------------------------
     def invoke(self, chare_id: int, method: str, args: Tuple[Any, ...]) -> None:
         rt = self.cfg.runtime
@@ -395,16 +348,10 @@ class Charm:
         if fn is None:
             raise RuntimeError(f"{type(chare).__name__} has no entry method {method!r}")
         prev, self._current_pe = self._current_pe, pe.index
-        debt_before = pe.current_delay()
         try:
             result = fn(*args)
         finally:
             self._current_pe = prev
-            # instrument per-chare load (CPU debt accrued by this entry);
-            # the basis for measurement-based load balancing
-            chare._load = getattr(chare, "_load", 0.0) + (
-                pe.current_delay() - debt_before
-            )
         if result is not None and hasattr(result, "send"):
             return self._wrap_threaded(pe, result)
         return None

@@ -115,8 +115,8 @@ class MemoryConfig:
     out of large slabs (RMM-style): frees return blocks to per-class LIFO
     free lists without touching the caches, so a reused block keeps its
     address — and therefore its NIC registration, IPC handle, and peer
-    mappings.  Only trimming (releasing a fully-free slab back to the
-    device) is a real free.
+    mappings.  A pool never gives a slab back, so pooled buffers are never
+    really freed.
     """
 
     #: "direct" (seed behaviour) or "pool" (RMM-style slab pooling).
@@ -426,11 +426,6 @@ class MachineConfig:
     def summit(cls, nodes: int = 2) -> "MachineConfig":
         """The calibrated Summit configuration used by all paper experiments."""
         return cls(topology=TopologyConfig(nodes=nodes))
-
-    @classmethod
-    def default(cls) -> "MachineConfig":
-        """A 2-node Summit machine (enough for all microbenchmarks)."""
-        return cls.summit(nodes=2)
 
     # -- the one derivation path ------------------------------------------------
     def override(self, *overrides) -> "MachineConfig":

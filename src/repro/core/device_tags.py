@@ -70,13 +70,6 @@ def decode_tag(tag: int, cfg: TagConfig = TagConfig()) -> Tuple[MsgType, int, in
 TAG_MASK_FULL = (1 << 64) - 1
 
 
-def msg_type_mask(cfg: TagConfig = TagConfig()) -> int:
-    """Mask selecting only the MSG_BITS field (used by the wildcard receive
-    loop of the machine layer to take all host messages regardless of
-    source PE or counter)."""
-    return ((1 << cfg.msg_bits) - 1) << (cfg.pe_bits + cfg.cnt_bits)
-
-
 class TagGenerator:
     """Per-PE device-tag source: increments the PE's counter per transfer.
 
@@ -90,16 +83,7 @@ class TagGenerator:
         self.cfg = cfg
         self._counter = 0
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
     def next_device_tag(self) -> int:
         tag = make_tag(MsgType.DEVICE, self.pe, self._counter, self.cfg)
         self._counter = (self._counter + 1) % (1 << self.cfg.cnt_bits)
         return tag
-
-    def host_tag(self) -> int:
-        """Tag under which ordinary host messages destined to any PE travel
-        (matched with :func:`msg_type_mask` wildcards on the receiver)."""
-        return make_tag(MsgType.HOST, self.pe, 0, self.cfg)

@@ -1,6 +1,6 @@
 """Deterministic fault plans: *what* goes wrong, *where*, and *when*.
 
-A :class:`FaultPlan` is a frozen, JSON-serialisable description of every
+A :class:`FaultPlan` is a frozen description, loaded from JSON, of every
 fault a run should experience:
 
 * :class:`LinkFaultRule` — per-directed-worker-pair transient frame faults
@@ -31,8 +31,8 @@ embeds a plan in :class:`~repro.config.MachineConfig` without a cycle.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Tuple
 
 __all__ = ["ANY_WORKER", "FRAME_KINDS", "LinkFaultRule", "BandwidthWindow", "FaultPlan"]
 
@@ -198,25 +198,7 @@ class FaultPlan:
             **overrides,
         )
 
-    @classmethod
-    def endpoint_down(cls, src: int, dst: int, from_t: float,
-                      seed: int = 0, **overrides) -> "FaultPlan":
-        """Hard endpoint failure: from ``from_t`` on, every frame from
-        ``src`` to ``dst`` is lost — senders exhaust their retries and
-        surface ``ERR_ENDPOINT_TIMEOUT``."""
-        return cls(
-            seed=seed,
-            link_rules=(LinkFaultRule(src=src, dst=dst, drop_p=1.0, t0=from_t),),
-            **overrides,
-        )
-
     # -- (de)serialisation ------------------------------------------------------
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["link_rules"] = [asdict(r) for r in self.link_rules]
-        doc["bandwidth_windows"] = [asdict(w) for w in self.bandwidth_windows]
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
         known = {f.name for f in fields(cls)}
@@ -236,20 +218,6 @@ class FaultPlan:
         )
         return cls(**doc)
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        # json.dumps renders float('inf') as the non-standard literal
-        # Infinity; map it to null for portability and back in from_json
-        def _enc(v):
-            if isinstance(v, dict):
-                return {k: _enc(x) for k, x in v.items()}
-            if isinstance(v, list):
-                return [_enc(x) for x in v]
-            if v == _INF:
-                return None
-            return v
-
-        return json.dumps(_enc(self.to_dict()), indent=indent, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
@@ -267,7 +235,8 @@ class FaultPlan:
 
 
 def _de_inf(doc: dict) -> dict:
-    """Undo the JSON encoding of open-ended windows (``t1: null`` -> inf)."""
+    """An open-ended window in JSON (``t1: null``, since JSON has no
+    infinity) -> inf."""
     out = dict(doc)
     if out.get("t1") is None:
         out["t1"] = _INF

@@ -134,6 +134,3 @@ class CudaRuntime:
             return self.cfg.ipc_cached_open_cost
         self._ipc_open_cache[key] = True
         return self.cfg.ipc_handle_open_cost
-
-    def ipc_resolve(self, handle: IpcHandle) -> Buffer:
-        return self._ipc_registry[handle.buffer_address]

@@ -9,19 +9,13 @@ whether it is available.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.config import UcxConfig
-from repro.hardware.memory import Buffer
-from repro.sim.engine import Simulator
-from repro.sim.primitives import SimEvent
 
 
 class GdrCopy:
     """Synchronous (CPU-driven) small-message device<->host copies."""
 
-    def __init__(self, sim: Simulator, cfg: UcxConfig) -> None:
-        self.sim = sim
+    def __init__(self, cfg: UcxConfig) -> None:
         self.cfg = cfg
         self.copies = 0
         # fault injection can fail the library probe at context init even
@@ -35,22 +29,3 @@ class GdrCopy:
     def copy_time(self, size: int) -> float:
         """Time for one CPU-driven BAR1 copy of ``size`` bytes."""
         return self.cfg.gdrcopy_latency + size / self.cfg.gdrcopy_bandwidth
-
-    def copy(self, dst: Buffer, src: Buffer, nbytes: Optional[int] = None) -> SimEvent:
-        """Perform the copy; completion event fires after :meth:`copy_time`.
-
-        GDRCopy is meant for small transfers only; the UCX protocol layer
-        enforces the eager threshold, this class just refuses absurd sizes.
-        """
-        if not self.available:
-            raise RuntimeError("GDRCopy not detected (ucx.gdrcopy_enabled=False)")
-        n = nbytes if nbytes is not None else min(dst.size, src.size)
-        self.copies += 1
-        ev = SimEvent(self.sim, name="gdrcopy")
-
-        def _done() -> None:
-            dst.copy_from(src, n)
-            ev.succeed(None)
-
-        self.sim.call_later(self.copy_time(n), _done)
-        return ev

@@ -104,13 +104,6 @@ class Buffer:
         """True when the buffer tracks size only (no real payload)."""
         return self.data is None
 
-    def same_location(self, other: "Buffer") -> bool:
-        return (
-            self.kind is other.kind
-            and self.node == other.node
-            and self.device == other.device
-        )
-
     # -- functional payload movement -----------------------------------------
     def copy_from(self, src: "Buffer", nbytes: Optional[int] = None) -> None:
         """Copy payload bytes from ``src`` (functional effect only; timing is
@@ -200,13 +193,6 @@ class DeviceAllocator:
         buf.freed = True
         self.used -= buf.size
         self.live_buffers -= 1
-        self.run_free_hooks(buf)
-
-    def run_free_hooks(self, buf: Buffer) -> None:
-        """Invalidate address-keyed caches for ``buf``.  Public so the pooled
-        allocator can fire them for the *blocks* of a slab it releases: the
-        slab's own free only names the slab buffer, but every carved block
-        address dies with it."""
         for hook in self._free_hooks:
             hook(buf)
 
@@ -214,13 +200,11 @@ class DeviceAllocator:
 class _Slab:
     """One backing allocation a pool carves blocks from."""
 
-    __slots__ = ("buffer", "bump", "blocks", "free_blocks")
+    __slots__ = ("buffer", "bump")
 
     def __init__(self, buffer: Buffer) -> None:
         self.buffer = buffer
         self.bump = 0  # carve offset
-        self.blocks: list = []  # every block ever carved (live + pooled)
-        self.free_blocks = 0  # how many of those sit in a free list
 
 
 class _Block:
@@ -231,12 +215,11 @@ class _Block:
     registration, IPC handle, peer mapping) — survives return-to-pool.
     """
 
-    __slots__ = ("buffer", "class_size", "slab", "live")
+    __slots__ = ("buffer", "class_size", "live")
 
-    def __init__(self, buffer: Buffer, class_size: int, slab: _Slab) -> None:
+    def __init__(self, buffer: Buffer, class_size: int) -> None:
         self.buffer = buffer
         self.class_size = class_size
-        self.slab = slab
         self.live = True
 
 
@@ -252,8 +235,7 @@ class PooledAllocator:
     ``free`` is a *pool return*: the block's buffer is NOT marked freed and
     the backing allocator's free hooks do NOT run — keeping registrations,
     IPC handles, and peer mappings valid is the entire point of pooling.
-    Only :meth:`trim` really frees: it releases fully-free slabs back to the
-    device, firing the hooks for the slab and every block carved from it.
+    Slabs are never given back to the device.
     """
 
     def __init__(self, backing: DeviceAllocator, policy,
@@ -273,11 +255,10 @@ class PooledAllocator:
         self.carves = 0
         self.grows = 0
         self.returns = 0
-        self.trims = 0
         # bytes in live (handed-out) blocks, counted at class granularity
         self.live_bytes = 0
         #: optional telemetry hook called as probe(live_bytes, slab_bytes,
-        #: slab_count) after every alloc/free/trim (repro.obs.timeline)
+        #: slab_count) after every alloc/free (repro.obs.timeline)
         self.probe = None
 
     # -- introspection -------------------------------------------------------
@@ -308,7 +289,6 @@ class PooledAllocator:
         stack = self._free.get(cls)
         if stack:
             blk = stack.pop()
-            blk.slab.free_blocks -= 1
             blk.live = True
             self.hits += 1
             self._tick("pool_hit")
@@ -332,8 +312,7 @@ class PooledAllocator:
             slab = self._grow(cls)
         view = slab.buffer.view(slab.bump, cls)
         slab.bump += cls
-        blk = _Block(view, cls, slab)
-        slab.blocks.append(blk)
+        blk = _Block(view, cls)
         self._by_address[view.address] = blk
         return blk
 
@@ -354,7 +333,7 @@ class PooledAllocator:
         self._tick("pool_grow")
         return slab
 
-    # -- return / trim -------------------------------------------------------
+    # -- return ---------------------------------------------------------
     def free(self, buf: Buffer) -> None:
         """Return ``buf`` to its size-class free list (NOT a real free: the
         buffer stays valid, no invalidation hooks run)."""
@@ -364,7 +343,6 @@ class PooledAllocator:
         if not blk.live:
             raise RuntimeError("double return of a pooled buffer")
         blk.live = False
-        blk.slab.free_blocks += 1
         self._free.setdefault(blk.class_size, []).append(blk)
         self.returns += 1
         self._tick("pool_return")
@@ -372,32 +350,6 @@ class PooledAllocator:
         if self.probe is not None:
             self.probe(self.live_bytes, self.slab_bytes_total,
                        len(self._slabs))
-
-    def trim(self, retain: int = 0) -> int:
-        """Release fully-free slabs back to the device (keeping ``retain``
-        of them).  This is the real free: the backing allocator's hooks run
-        for each released slab *and every block carved from it*, so the
-        address-keyed caches drop entries the device may now recycle.
-        Returns bytes released."""
-        empty = [s for s in self._slabs
-                 if s.blocks and s.free_blocks == len(s.blocks)]
-        released = 0
-        for slab in empty[retain:]:
-            for blk in slab.blocks:
-                self._free[blk.class_size].remove(blk)
-                del self._by_address[blk.buffer.address]
-                blk.buffer.freed = True
-                self.backing.run_free_hooks(blk.buffer)
-            self._slabs.remove(slab)
-            self.slab_bytes_total -= slab.buffer.size
-            released += slab.buffer.size
-            self.backing.free(slab.buffer)
-            self.trims += 1
-            self._tick("pool_trim")
-        if released and self.probe is not None:
-            self.probe(self.live_bytes, self.slab_bytes_total,
-                       len(self._slabs))
-        return released
 
 
 def host_buffer(node: int, size: int, data: Optional[np.ndarray] = None) -> Buffer:

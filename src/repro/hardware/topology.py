@@ -142,7 +142,6 @@ class Machine:
             g: DeviceAllocator(topo.gpu_memory_capacity, g, self.node_of_gpu(g))
             for g in range(topo.total_gpus)
         }
-        self._host_free_hooks: List = []
         self._error_notifiers: List = []
         # Pooled allocation (MemoryConfig.allocator == "pool"): one slab
         # pool per GPU in front of the bump allocator.  The direct path is
@@ -259,11 +258,6 @@ class Machine:
                 return
         self.allocators[buf.device].free(buf)
 
-    def trim_device_pools(self) -> int:
-        """Release fully-free pool slabs on every GPU (real frees: the
-        invalidation hooks run).  Returns total bytes released."""
-        return sum(pool.trim() for pool in self.pools.values())
-
     def add_error_notifier(self, notify) -> None:
         """Register ``notify(kind, tag, exc)`` for machine-level resource
         faults (currently ``kind="alloc"`` on :class:`OutOfMemory`).
@@ -280,24 +274,6 @@ class Machine:
         self, node: int, size: int, materialize: Optional[bool] = None
     ) -> Buffer:
         return host_buffer(node, size, self._maybe_payload(size, materialize))
-
-    def free_host(self, buf: Buffer) -> None:
-        """Free a host buffer.  Host memory is not capacity-tracked, but the
-        free must still run the invalidation hooks: address-keyed caches
-        (the NIC registration cache) would otherwise serve stale entries
-        when the allocator reuses the address."""
-        if buf.on_device:
-            raise ValueError("free_host on a device buffer (use free_device)")
-        if buf.freed:
-            raise RuntimeError("double free")
-        buf.freed = True
-        for hook in self._host_free_hooks:
-            hook(buf)
-
-    def add_host_free_hook(self, hook) -> None:
-        """Run ``hook(buf)`` whenever a host buffer is freed via
-        :meth:`free_host` (mirror of :meth:`add_device_free_hook`)."""
-        self._host_free_hooks.append(hook)
 
     # -- routing --------------------------------------------------------------
     def route(self, src: Location, dst: Location) -> Route:

@@ -85,10 +85,6 @@ class Segment:
     category: str
     name: str
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class CriticalPathReport:

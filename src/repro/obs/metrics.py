@@ -59,10 +59,6 @@ class Histogram:
         self.count += 1
         self.total += value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def snapshot(self) -> Dict:
         return {
             "bounds": list(self.bounds),
@@ -83,11 +79,6 @@ class MetricsRegistry:
         self._times: Dict[str, float] = {}
 
     # -- counters (hot path) -------------------------------------------------
-    def inc(self, category: str, event: str, n: int = 1) -> None:
-        key = (category, event)
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + n
-
     def counter(self, category: str, event: str) -> int:
         return self.counts.get((category, event), 0)
 
@@ -113,9 +104,6 @@ class MetricsRegistry:
         times = self._times
         times[category] = times.get(category, 0.0) + seconds
 
-    def time_in(self, category: str) -> float:
-        return self._times.get(category, 0.0)
-
     # -- export -------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """Plain-dict snapshot (the stable export format; JSON-serialisable)."""
@@ -124,8 +112,3 @@ class MetricsRegistry:
             "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
             "time_by_category": dict(self._times),
         }
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self._histograms.clear()
-        self._times.clear()

@@ -146,9 +146,6 @@ class Telemetry:
         #: the Tracer's ambient span stack (wired by Tracer.__init__) —
         #: used to attribute link waits to the span category that blocked.
         self.ambient_stack: Optional[list] = None
-        self._init_state()
-
-    def _init_state(self) -> None:
         # congestion-attribution aggregates, all bounded by link count
         self.link_wait_time: Dict[str, float] = {}
         self.link_wait_count: Dict[str, int] = {}
@@ -162,10 +159,6 @@ class Telemetry:
         self._counts: Dict[str, float] = {}
         self._queue_totals: Dict[str, int] = {}
         self._pool_state: Dict[int, Tuple[int, int, int]] = {}
-
-    def reset(self) -> None:
-        self.series.clear()
-        self._init_state()
 
     # -- core sampling -------------------------------------------------------
     def _series(self, name: str, unit: str) -> TimeSeries:

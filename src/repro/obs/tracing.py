@@ -68,9 +68,6 @@ class _NullSpan:
     def close_at(self, time: float, **attrs) -> None:
         return None
 
-    def annotate(self, **attrs) -> None:
-        return None
-
     def __bool__(self) -> bool:
         return False
 
@@ -140,9 +137,6 @@ class Span:
         if attrs:
             self.attrs.update(attrs)
         self.end_time = time if time > self.start else self.start
-
-    def annotate(self, **attrs) -> None:
-        self.attrs.update(attrs)
 
     @property
     def duration(self) -> float:
@@ -218,10 +212,6 @@ class Tracer:
         if not self.enabled or span is None or span is NULL_SPAN:
             return NULL_SPAN
         return _Under(self, span)
-
-    @property
-    def active_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
 
     def span_children(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_sid == span.sid]
@@ -311,12 +301,3 @@ class Tracer:
         (overlapping spans double-count, as the legacy API did)."""
         return sum(s.end_time - s.start for s in self.spans
                    if s.category == category and s.end_time is not None)
-
-    # -- lifecycle ------------------------------------------------------------------------
-    def reset(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-        self._next_sid = 0
-        self.log.clear()
-        self.metrics.reset()
-        self.timeline.reset()

@@ -10,18 +10,14 @@ benchmark harness are produced by scheduling costs on a :class:`Simulator`.
 """
 
 from repro.sim.engine import Handle, Simulator
-from repro.sim.primitives import AllOf, AnyOf, Latch, SimEvent, SimQueue, Timeout
-from repro.sim.process import Interrupt, Process, ProcessKilled
+from repro.sim.primitives import AllOf, SimEvent, SimQueue, Timeout
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Handle",
-    "Interrupt",
-    "Latch",
     "Process",
-    "ProcessKilled",
     "Resource",
     "SimEvent",
     "SimQueue",

@@ -3,11 +3,10 @@
 SimPy's vocabulary, the lingua franca of Python discrete-event simulation:
 a :class:`SimEvent` is a one-shot occurrence carrying a value or a failure;
 :class:`Timeout` is one that the engine timer succeeds after a fixed delay;
-:class:`AllOf`/:class:`AnyOf` combine events; :class:`SimQueue` is an
-unbounded producer/consumer queue (PE message queues); :class:`Latch` is a
-countdown barrier.  Code that only chains a next step does not need these:
-it hands the step to ``Simulator.call_later`` or to an operation's ``then``
-(see ``sim/engine.py``).
+:class:`AllOf` combines events; :class:`SimQueue` is an unbounded
+producer/consumer queue (PE message queues).  Code that only chains a next
+step does not need these: it hands the step to ``Simulator.call_later`` or
+to an operation's ``then`` (see ``sim/engine.py``).
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class Timeout(SimEvent):
     construction, resuming whoever sleeps on it from the timer itself.
 
     For the caller that keeps the event: returns it, combines it
-    (``AnyOf``/``AllOf``), or wants ``value`` sent back.  A process that
+    (``AllOf``), or wants ``value`` sent back.  A process that
     merely sleeps yields the delay as a bare ``float`` instead (see
     ``sim/process.py``) and no event is built."""
 
@@ -143,59 +142,6 @@ class AllOf(SimEvent):
             self.succeed([e.result() for e in self._events])
 
 
-class AnyOf(SimEvent):
-    """Succeeds with ``(index, value)`` of the first constituent to succeed."""
-
-    def __init__(self, sim: Simulator, events: Iterable[SimEvent]) -> None:
-        super().__init__(sim, name="any_of")
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._events):
-            ev.add_callback(lambda e, i=idx: self._on_child(i, e))
-
-    def _on_child(self, idx: int, ev: SimEvent) -> None:
-        if self._triggered:
-            return
-        if ev.ok:
-            self.succeed((idx, ev.result()))
-        else:
-            try:
-                ev.result()
-            except BaseException as exc:  # noqa: BLE001
-                self.fail(exc)
-
-
-class Latch:
-    """Countdown latch: :meth:`wait` succeeds once :meth:`count_down` has
-    been called ``n`` times. A fresh latch with ``n == 0`` is already open."""
-
-    def __init__(self, sim: Simulator, n: int, name: str = "latch") -> None:
-        if n < 0:
-            raise ValueError("latch count must be >= 0")
-        self.sim = sim
-        self._remaining = n
-        self._event = SimEvent(sim, name=name)
-        if n == 0:
-            self._event.succeed(None)
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    def count_down(self, by: int = 1) -> None:
-        if self._event.triggered:
-            raise RuntimeError("latch already open")
-        if by < 1:
-            raise ValueError("count_down must decrement by >= 1")
-        self._remaining -= by
-        if self._remaining <= 0:
-            self._event.succeed(None)
-
-    def wait(self) -> SimEvent:
-        return self._event
-
-
 class SimQueue:
     """Unbounded FIFO queue with event-based consumption.
 
@@ -226,18 +172,6 @@ class SimQueue:
         else:
             self._waiters.append(ev)
         return ev
-
-    def get_nowait(self) -> Any:
-        """Pop an item if one is buffered, else raise :class:`IndexError`."""
-        return self._items.popleft()
-
-    def peek_all(self) -> list:
-        """Snapshot of buffered items (for matching-queue scans)."""
-        return list(self._items)
-
-    def remove(self, item: Any) -> None:
-        """Remove a specific buffered item (used by matching logic)."""
-        self._items.remove(item)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimQueue {self.name!r} items={len(self._items)} "

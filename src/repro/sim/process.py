@@ -3,12 +3,12 @@
 A process is a Python generator that ``yield``\\ s awaitables:
 
 * a :class:`~repro.sim.primitives.SimEvent` (including :class:`Timeout`,
-  :class:`AllOf`, :class:`AnyOf`, or another :class:`Process`) — the process
-  resumes when the event triggers and receives its value via ``send``;
+  :class:`AllOf`, or another :class:`Process`) — the process resumes when
+  the event triggers and receives its value via ``send``;
 * a bare ``float`` — the process sleeps that many seconds on the engine
   timer itself: one ``call_later``, no event object.  Yield the delay when
   nobody else needs the wake-up; build a ``Timeout`` when the event is kept,
-  combined (``AnyOf``/``AllOf``) or carries a value;
+  combined (``AllOf``) or carries a value;
 * ``None`` — the process yields control and resumes at the same instant
   (after already-queued events for that instant).
 
@@ -27,18 +27,6 @@ from repro.sim.engine import Simulator
 from repro.sim.primitives import SimEvent
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class ProcessKilled(Exception):
-    """Raised inside a process killed via :meth:`Process.kill`."""
-
-
 class Process(SimEvent):
     """Wraps a generator; is itself an event that triggers on completion.
 
@@ -53,30 +41,12 @@ class Process(SimEvent):
         if not hasattr(gen, "send"):
             raise TypeError(f"Process requires a generator, got {type(gen).__name__}")
         self._gen = gen
-        self._waiting_on: Optional[SimEvent] = None
-        self._nap = 0  # bumped per sleep and per throw: stales older wakes
         # Start on the next tick of the current instant so the creator
         # finishes its own step first (mirrors SimPy semantics).
         sim.call_later(0.0, self._resume, None, None)
 
-    # -- control -----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            return
-        self.sim.call_later(0.0, self._throw, Interrupt(cause))
-
-    def kill(self) -> None:
-        """Terminate the process; it observes :class:`ProcessKilled`."""
-        if self.triggered:
-            return
-        self.sim.call_later(0.0, self._throw, ProcessKilled())
-
     # -- engine plumbing ----------------------------------------------------
     def _resume(self, send_value: Any, exc: Optional[BaseException]) -> None:
-        if self._triggered:
-            return
-        self._waiting_on = None
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -84,9 +54,6 @@ class Process(SimEvent):
                 target = self._gen.send(send_value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except ProcessKilled:
-            self.succeed(None)
             return
         except BaseException as err:  # noqa: BLE001 - fail the join event
             had_joiners = bool(self._callbacks)
@@ -101,11 +68,9 @@ class Process(SimEvent):
             self.sim.call_later(0.0, self._resume, None, None)
             return
         if isinstance(target, float):
-            self._nap = nap = self._nap + 1
-            self.sim.call_later(target, self._wake, nap)
+            self.sim.call_later(target, self._resume, None, None)
             return
         if isinstance(target, SimEvent):
-            self._waiting_on = target
             target.add_callback(self._on_event)
             return
         raise TypeError(
@@ -114,20 +79,4 @@ class Process(SimEvent):
         )
 
     def _on_event(self, ev: SimEvent) -> None:
-        if ev is not self._waiting_on:
-            return  # stale wake-up after an interrupt redirected the process
         self._resume(ev._value, ev._exc)
-
-    def _wake(self, nap: int) -> None:
-        if nap == self._nap:  # else an interrupt overtook this sleep
-            self._resume(None, None)
-
-    def _throw(self, exc: BaseException) -> None:
-        self._waiting_on = None
-        self._nap += 1
-        self._resume(None, exc)
-
-
-def spawn(sim: Simulator, gen: Generator, name: str = "process") -> Process:
-    """Convenience wrapper: ``spawn(sim, my_generator())``."""
-    return Process(sim, gen, name=name)

@@ -60,12 +60,6 @@ class Resource:
         return min(1.0, busy / span)
 
     # -- acquire/release ----------------------------------------------------
-    def acquire(self) -> SimEvent:
-        """Returns an event that succeeds when a slot is granted."""
-        ev = SimEvent(self.sim, name="resource.acquire")
-        self._when_granted(ev.succeed, (self,))
-        return ev
-
     def _when_granted(self, fn, args: tuple) -> None:
         """Run ``fn(*args)`` holding a slot: now, or in FIFO turn on release."""
         if self.try_acquire():
@@ -74,9 +68,9 @@ class Resource:
             self._waiters.append((fn, args))
 
     def try_acquire(self) -> bool:
-        """Take a slot now if one is free; never queues.  The event-free
-        form of :meth:`acquire` for callers that checked (or only want) an
-        immediate grant — one per link per bulk transfer."""
+        """Take a slot now if one is free; never queues: for callers that
+        checked (or only want) an immediate grant — one per link per bulk
+        transfer."""
         if self._in_use >= self.capacity:
             return False
         self._in_use += 1

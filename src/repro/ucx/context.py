@@ -20,7 +20,7 @@ class UcpContext:
         self.sim = machine.sim
         self.cfg = machine.cfg.ucx
         self.cuda = cuda if cuda is not None else CudaRuntime(machine)
-        self.gdrcopy = GdrCopy(machine.sim, self.cfg)
+        self.gdrcopy = GdrCopy(self.cfg)
         injector = machine.fault_injector
         if injector is not None and injector.gdrcopy_probe_fails():
             # probe failure is a context-init-time event, as with the real
@@ -38,17 +38,13 @@ class UcpContext:
         # address).  Repeat rendezvous from the same user buffer skip the
         # registration cost, as with UCX's rcache.
         self.reg_cache: set = set()
-        # registrations die with the buffer: address reuse after free must
-        # not be treated as still-pinned (mirrors the device-side
-        # GpuPointerCache invalidation)
-        machine.add_host_free_hook(lambda buf: self.reg_cache.discard(buf.address))
         # -- endpoint/registration lifecycle (all default-off) ----------------
         # First-touch peer mappings: (buffer base address, worker pair).
         # Mapping a device buffer into a peer's transport (IPC open + IB
         # registration of the window) is charged once per pair; pooled
         # buffers share their slab's base, so a whole pool maps per peer
         # once.  Pool *returns* never run free hooks, so reuse keeps the
-        # mapping warm; only real frees (trim, direct free) invalidate.
+        # mapping warm; only the direct allocator's real frees invalidate.
         self.mapping_cost = self.cfg.mapping_cost
         self.mapping_enabled = self.mapping_cost > 0.0
         # Insertion-ordered dict used as an LRU set: a mapping hit moves its
@@ -67,7 +63,6 @@ class UcpContext:
         )
         if self.mapping_enabled:
             machine.add_device_free_hook(self._drop_base_mappings)
-            machine.add_host_free_hook(self._drop_base_mappings)
         self._worker_cls = UcpWorker
         self.ep_total = 0  # endpoints across all workers (live, not closed)
 
@@ -144,7 +139,3 @@ class UcpContext:
 
     def worker(self, worker_id: int) -> "UcpWorker":
         return self._workers[worker_id]
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)

@@ -40,13 +40,5 @@ class UcpEndpoint:
         ctx.machine.tracer.count("ucx", "ep_connect")
         return ctx.ep_setup_cost
 
-    @property
-    def is_loopback(self) -> bool:
-        return self.local.worker_id == self.remote.worker_id
-
-    @property
-    def same_node(self) -> bool:
-        return self.local.node == self.remote.node
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<UcpEndpoint {self.local.worker_id}->{self.remote.worker_id}>"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ampi import ANY_SOURCE, ANY_TAG, Ampi
-from repro.ampi.datatypes import DOUBLE, INT
 from repro.ampi.mpi import MpiTruncationError
 from repro.charm import Charm
 from repro.config import KB, MachineConfig, MB
@@ -178,20 +177,6 @@ class TestBasicPt2Pt:
         run_ranks(program)
         assert out == {0: 4, 1: 4}
 
-    def test_typed_send_recv(self):
-        out = {}
-
-        def program(mpi):
-            buf = mpi.charm.cuda.malloc_host(mpi.node, 10 * DOUBLE.extent)
-            if mpi.rank == 0:
-                yield mpi.send_typed(buf, 10, DOUBLE, dst=1, tag=3)
-            elif mpi.rank == 1:
-                st = yield mpi.recv_typed(buf, 10, DOUBLE, src=0, tag=3)
-                out["count"] = st.count
-
-        run_ranks(program)
-        assert out["count"] == 10 * DOUBLE.extent
-
     def test_send_larger_than_buffer_rejected(self):
         def program(mpi):
             if mpi.rank == 0:
@@ -348,3 +333,82 @@ class TestRankSurface:
         lib.run_until(lib.launch(lambda mpi: _ring_program(mpi, out)),
                       max_events=5_000_000)
         assert out == self._expected(lib.n_ranks)
+
+
+class TestIprobeAndCommSplit:
+    def test_iprobe(self):
+        out = {}
+
+        def program(mpi):
+            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
+            if mpi.rank == 0:
+                yield mpi.send(buf, 8, dst=1, tag=42)
+            elif mpi.rank == 1:
+                from repro.sim.primitives import Timeout
+
+                yield Timeout(mpi.sim, 1e-3)  # let the envelope arrive
+                flag, st = mpi.iprobe(src=0, tag=42)
+                out["flag"] = flag
+                out["tag"] = st.tag if st else None
+                out["miss"] = mpi.iprobe(src=0, tag=7)[0]
+                yield mpi.recv(buf, 8, src=0, tag=42)
+
+        charm = Charm(MachineConfig.summit(nodes=1))
+        ampi = Ampi(charm)
+        charm.run_until(ampi.launch(program), max_events=5_000_000)
+        assert out == {"flag": True, "tag": 42, "miss": False}
+
+    def test_comm_split_even_odd(self):
+        out = {}
+
+        def program(mpi):
+            sub = yield from mpi.comm_split(color=mpi.rank % 2)
+            out[mpi.rank] = (sub.rank, sub.size)
+            # ring exchange inside the sub-communicator
+            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
+            buf.data[:] = mpi.rank
+            right = (sub.rank + 1) % sub.size
+            left = (sub.rank - 1) % sub.size
+            send = sub.isend(buf, 8, dst=right, tag=1)
+            rbuf = mpi.charm.cuda.malloc_host(mpi.node, 8)
+            st = yield sub.recv(rbuf, 8, src=left, tag=1)
+            yield send.event
+            # the world rank we heard from has the same parity
+            assert int(rbuf.data[0]) % 2 == mpi.rank % 2
+
+        charm = Charm(MachineConfig.summit(nodes=2))
+        ampi = Ampi(charm)
+        charm.run_until(ampi.launch(program), max_events=20_000_000)
+        evens = [r for r in out if r % 2 == 0]
+        assert all(out[r][1] == len(evens) for r in evens)
+        # local ranks are ordered by world rank
+        assert out[0][0] == 0 and out[2][0] == 1
+
+    def test_comm_split_traffic_isolated(self):
+        """Same tag on world and sub-communicator must not cross-match."""
+        out = {}
+
+        def program(mpi):
+            if mpi.rank > 1:
+                yield from mpi.comm_split(color=1)
+                return
+            sub = yield from mpi.comm_split(color=0)
+            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
+            if mpi.rank == 0:
+                buf.data[:] = 1
+                yield mpi.send(buf, 8, dst=1, tag=7)  # world
+                buf2 = mpi.charm.cuda.malloc_host(mpi.node, 8)
+                buf2.data[:] = 2
+                yield sub.send(buf2, 8, dst=1, tag=7)  # sub-comm
+            else:
+                world = mpi.charm.cuda.malloc_host(mpi.node, 8)
+                subb = mpi.charm.cuda.malloc_host(mpi.node, 8)
+                yield sub.recv(subb, 8, src=0, tag=7)
+                yield mpi.recv(world, 8, src=0, tag=7)
+                out["sub"] = int(subb.data[0])
+                out["world"] = int(world.data[0])
+
+        charm = Charm(MachineConfig.summit(nodes=1))
+        ampi = Ampi(charm)
+        charm.run_until(ampi.launch(program), max_events=20_000_000)
+        assert out == {"sub": 2, "world": 1}

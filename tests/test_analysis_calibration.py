@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.bench.analysis import (
-    crossover,
-    fit_alpha_beta,
-    half_peak_size,
-    speedup_series,
-    summarize_latency,
-)
+from repro.bench.analysis import crossover, fit_alpha_beta
 from repro.bench.reporting import Series
 from repro.config import KB, MB
 
@@ -40,9 +34,9 @@ class TestAlphaBetaFit:
             (x, run_latency("charm", x, "intra", True, iters=5, skip=1))
             for x in sizes
         ])
-        summary = summarize_latency(s)
-        assert 2.0 < summary["alpha_us"] < 8.0
-        assert 30.0 < summary["beta_gbs"] < 55.0
+        alpha, beta = fit_alpha_beta(s)
+        assert 2.0 < alpha * 1e6 < 8.0
+        assert 30.0 < beta / 1e9 < 55.0
 
 
 class TestCrossover:
@@ -68,16 +62,6 @@ class TestCrossover:
 
 
 class TestHalfPeakAndSpeedup:
-    def test_half_peak(self):
-        s = Series("bw", [(1, 1.0), (10, 4.0), (100, 9.0), (1000, 10.0)])
-        assert half_peak_size(s) == 100
-
-    def test_speedup_series(self):
-        h = Series("h", [(1, 10.0), (2, 10.0)])
-        d = Series("d", [(1, 5.0), (2, 2.0)])
-        sp = speedup_series(h, d)
-        assert sp.points == [(1, 2.0), (2, 5.0)]
-
     def test_eager_rndv_crossover_in_measured_data(self):
         """The -H curve's advantage never materialises: D beats H at every
         size, so the crossover of (D - H) never happens — but the *speedup*
@@ -90,8 +74,7 @@ class TestHalfPeakAndSpeedup:
         d = Series("d", [(x, run_latency("charm", x, "intra", True, iters=5, skip=1))
                          for x in sizes])
         assert crossover(h, d) is None  # H never drops below D
-        sp = speedup_series(h, d)
-        assert sp.at(4 * MB) > sp.at(8)
+        assert h.at(4 * MB) / d.at(4 * MB) > h.at(8) / d.at(8)
 
 
 class TestCalibrationAnchors:

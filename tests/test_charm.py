@@ -71,21 +71,6 @@ class TestChares:
         charm.run()
         assert [v for _i, v, _t in log] == list(range(8))
 
-    def test_migration_reroutes_messages(self, charm):
-        log = []
-        p = charm.create_chare(Echo, 0, log)
-        obj = charm.chares[p.chare_id]
-        obj.migrate(5)
-        assert obj.pe == 5 and obj.gpu == 5
-        p.hit("after-move")
-        charm.run()
-        assert log and charm.chare_pe[p.chare_id] == 5
-
-    def test_migration_out_of_range(self, charm):
-        p = charm.create_chare(Echo, 0, [])
-        with pytest.raises(ValueError):
-            charm.chares[p.chare_id].migrate(999)
-
 
 class TestGroupsArrays:
     def test_group_one_element_per_pe(self, charm):
@@ -360,3 +345,44 @@ class TestPeHelpers:
             p.hit()
         charm.run()
         assert charm.pe_object(2).messages_processed == 3
+
+
+class TestProxyMechanics:
+    class Probe(Chare):
+        def __init__(self, log):
+            self.log = log
+
+        def hit(self):
+            self.log.append(self.thisIndex)
+
+    def test_proxy_equality_and_hash(self):
+        charm = Charm(MachineConfig.summit(nodes=1))
+        p = charm.create_chare(self.Probe, 0, [])
+        obj = charm.chares[p.chare_id]
+        assert obj.thisProxy == p
+        assert hash(obj.thisProxy) == hash(p)
+        assert p != object()
+
+    def test_private_attribute_access_raises(self):
+        charm = Charm(MachineConfig.summit(nodes=1))
+        p = charm.create_chare(self.Probe, 0, [])
+        with pytest.raises(AttributeError):
+            p._secret  # noqa: B018
+
+    def test_collection_len_and_indexing(self):
+        charm = Charm(MachineConfig.summit(nodes=1))
+        g = charm.create_group(self.Probe, [])
+        assert len(g) == charm.n_pes
+        assert g[0].chare_id != g[1].chare_id
+
+
+class TestPeDebtMechanics:
+    def test_current_delay_accumulates_and_resets(self):
+        charm = Charm(MachineConfig.summit(nodes=1))
+        pe = charm.pe_object(0)
+        assert pe.current_delay() == 0.0
+        pe.charge(2e-6)
+        pe.charge(3e-6)
+        assert pe.current_delay() == pytest.approx(5e-6)
+        assert pe.take_debt() == pytest.approx(5e-6)
+        assert pe.current_delay() == 0.0

@@ -143,20 +143,24 @@ class TestFiguresCli:
 
 
 class TestExamples:
-    def _run(self, name):
-        runpy.run_path(str(EXAMPLES / name), run_name="__main__")
+    #: lines an example's output must contain, beyond running to the end
+    EXPECT = {
+        "quickstart": ["GPU data from 'sender-chare' arrived", "device sends: 1"],
+        "ampi_cuda_aware": ["global residual", "finished at"],
+    }
 
-    def test_quickstart(self, capsys):
-        self._run("quickstart.py")
+    @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.py")),
+                             ids=lambda p: p.stem)
+    def test_runs_as_main(self, path, tmp_path, monkeypatch, capsys):
+        # every example, as a user runs it; whatever it writes lands in
+        # tmp_path (observability.py takes its output path as argv[1])
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path / "out.json")])
+        runpy.run_path(str(path), run_name="__main__")
         out = capsys.readouterr().out
-        assert "GPU data from 'sender-chare' arrived" in out
-        assert "device sends: 1" in out
-
-    def test_ampi_cuda_aware(self, capsys):
-        self._run("ampi_cuda_aware.py")
-        out = capsys.readouterr().out
-        assert "global residual" in out
-        assert "finished at" in out
+        assert out
+        for line in self.EXPECT.get(path.stem, []):
+            assert line in out
 
     def test_jacobi3d_scaling_importable(self):
         # only the functional-verification part (the sweep is exercised by

@@ -69,7 +69,8 @@ class TestLinkStatistics:
         for i in range(decomp.n_blocks):
             peers[i].start(peers)
         charm.run_until(collector.done, max_events=10_000_000)
-        total_halo = sum(decomp.halo_bytes(r) for r in range(decomp.n_blocks))
+        total_halo = sum(decomp.face_bytes(d) for r in range(decomp.n_blocks)
+                         for d, _ in decomp.neighbors(r))
         nv_bytes = sum(
             l.bytes_carried for l in charm.machine.nodes[0].nvlink_tx
         )

@@ -267,3 +267,59 @@ class TestCommView:
             members = [x for x in range(6) if x % 2 == r % 2]
             expect = np.repeat(np.asarray(members, dtype=np.float64), NBYTES // 8)
             assert np.array_equal(out[r], expect), r
+
+
+class TestDeviceCollectives:
+    def _run(self, program, nodes=2):
+        charm = Charm(MachineConfig.summit(nodes=nodes))
+        ampi = Ampi(charm)
+        done = ampi.launch(program)
+        charm.run_until(done, max_events=10_000_000)
+        return ampi
+
+    def test_reduce_device_sums_on_gpu(self):
+        got = {}
+
+        def program(mpi):
+            buf = mpi.charm.cuda.malloc(mpi.gpu, 64)
+            buf.data.view(np.float64)[:] = float(mpi.rank)
+            yield from mpi.reduce_device(buf, 64, "sum", root=0)
+            if mpi.rank == 0:
+                got["sum"] = buf.data.view(np.float64).copy()
+
+        ampi = self._run(program)
+        expect = sum(range(ampi.n_ranks))
+        assert (got["sum"] == expect).all()
+
+    def test_allreduce_device_max(self):
+        got = {}
+
+        def program(mpi):
+            buf = mpi.charm.cuda.malloc(mpi.gpu, 32)
+            buf.data.view(np.float64)[:] = float(mpi.rank % 4)
+            yield from mpi.allreduce_device(buf, 32, "max")
+            got[mpi.rank] = buf.data.view(np.float64)[0]
+
+        ampi = self._run(program)
+        assert set(got.values()) == {3.0}
+        assert len(got) == ampi.n_ranks
+
+    def test_reduce_device_rejects_host_buffer(self):
+        def program(mpi):
+            h = mpi.charm.cuda.malloc_host(mpi.node, 64)
+            with pytest.raises(ValueError):
+                list(mpi.reduce_device(h, 64, "sum", root=0))
+            return
+            yield  # pragma: no cover
+
+        self._run(program)
+
+    def test_reduce_device_rejects_unknown_op(self):
+        def program(mpi):
+            d = mpi.charm.cuda.malloc(mpi.gpu, 64)
+            with pytest.raises(ValueError):
+                list(mpi.reduce_device(d, 64, "xor", root=0))
+            return
+            yield  # pragma: no cover
+
+        self._run(program)

@@ -10,7 +10,6 @@ from repro.core.device_tags import (
     TagGenerator,
     decode_tag,
     make_tag,
-    msg_type_mask,
 )
 
 
@@ -43,14 +42,6 @@ class TestMakeDecode:
     def test_decode_rejects_oversized(self):
         with pytest.raises(ValueError):
             decode_tag(1 << 64)
-
-    def test_msg_type_mask_selects_type_field(self):
-        mask = msg_type_mask()
-        a = make_tag(MsgType.HOST, pe=5, count=9)
-        b = make_tag(MsgType.HOST, pe=77, count=1234)
-        c = make_tag(MsgType.DEVICE, pe=5, count=9)
-        assert a & mask == b & mask
-        assert a & mask != c & mask
 
 
 class TestTagConfig:
@@ -91,10 +82,6 @@ class TestTagGenerator:
         tags = [gen.next_device_tag() for _ in range(20)]
         counts = [decode_tag(t, cfg)[2] for t in tags]
         assert counts == [i % 16 for i in range(20)]
-
-    def test_host_tag_type(self):
-        gen = TagGenerator(pe=9)
-        assert decode_tag(gen.host_tag())[0] is MsgType.HOST
 
 
 # --------------------------------------------------------------------------

@@ -145,9 +145,22 @@ class TestFaultPlan:
             retry_timeout=20e-6,
             max_retries=4,
         )
-        again = FaultPlan.from_json(plan.to_json())
+        text = json.dumps({
+            "seed": 7,
+            "link_rules": [
+                {"src": 0, "dst": ANY_WORKER, "drop_p": 0.25,
+                 "kinds": ["rts", "fin"], "max_faults": 3, "t1": None},
+                {"stall_p": 0.5, "stall_seconds": 3e-4, "t1": 1.0},
+            ],
+            "bandwidth_windows": [
+                {"pattern": "n0.nic*", "factor": 0.5, "t0": 1e-3, "t1": None}],
+            "fail_ipc_open": True,
+            "retry_timeout": 20e-6,
+            "max_retries": 4,
+        })
+        again = FaultPlan.from_json(text)
         assert again == plan
-        # open-ended windows survive the inf <-> null mapping
+        # open-ended windows survive the null -> inf mapping
         assert again.link_rules[1].t1 == 1.0
         assert again.link_rules[0].t1 == float("inf")
         assert again.bandwidth_windows[0].t1 == float("inf")
@@ -157,7 +170,7 @@ class TestFaultPlan:
             FaultPlan.from_dict({"seed": 1, "typo_field": 2})
 
     def test_load_inline_and_file(self, tmp_path):
-        text = FaultPlan.lossy(drop_p=0.125, seed=3).to_json()
+        text = json.dumps({"seed": 3, "link_rules": [{"drop_p": 0.125}]})
         assert FaultPlan.load(text) == FaultPlan.lossy(drop_p=0.125, seed=3)
         p = tmp_path / "plan.json"
         p.write_text(text)
@@ -293,9 +306,8 @@ class TestRecovery:
 # ---------------------------------------------------------------------------
 
 def _down_cfg(**plan_overrides):
-    plan = FaultPlan.endpoint_down(src=0, dst=1, from_t=0.0,
-                                   retry_timeout=10e-6, max_retries=2,
-                                   **plan_overrides)
+    plan = FaultPlan(link_rules=(LinkFaultRule(src=0, dst=1, drop_p=1.0),),
+                     retry_timeout=10e-6, max_retries=2, **plan_overrides)
     return MachineConfig.summit(nodes=2).with_faults(plan)
 
 
@@ -304,8 +316,8 @@ class TestEndpointTimeout:
     def test_give_up_surfaces_endpoint_timeout(self, frame):
         """The budget (first attempt + 2 retries) is spent on every stream
         alike; what giving up *does* is the stream's own."""
-        plan = FaultPlan.endpoint_down(src=0, dst=1, from_t=0.0,
-                                       retry_timeout=10e-6, max_retries=2)
+        plan = FaultPlan(link_rules=(LinkFaultRule(src=0, dst=1, drop_p=1.0),),
+                         retry_timeout=10e-6, max_retries=2)
         m, msg = one_message(plan, frame)
         assert m.tracer.counters["fault.drop"] == 3
         assert m.tracer.counters["fault.retransmit"] == 2
@@ -610,7 +622,7 @@ class TestSurfacing:
     def test_osu_cli_fault_plan_inline(self, capsys):
         from repro.apps.osu.runner import main
 
-        plan = FaultPlan.lossy(drop_p=0.1, seed=42).to_json(indent=None)
+        plan = json.dumps({"seed": 42, "link_rules": [{"drop_p": 0.1}]})
         main(["latency", "openmpi", "--placement", "inter",
               "--max-size", "256", "--override", f"faults={plan}"])
         out = capsys.readouterr().out
@@ -621,7 +633,7 @@ class TestSurfacing:
         from repro.apps.osu.runner import main
 
         p = tmp_path / "plan.json"
-        p.write_text(FaultPlan.lossy(drop_p=0.1, seed=42).to_json())
+        p.write_text(json.dumps({"seed": 42, "link_rules": [{"drop_p": 0.1}]}))
         main(["latency", "ampi", "--placement", "inter",
               "--max-size", "256", "--override", f"faults={p}", "--blame"])
         out = capsys.readouterr().out
@@ -631,7 +643,7 @@ class TestSurfacing:
     def test_jacobi_cli_fault_plan(self, capsys):
         from repro.apps.jacobi3d.driver import main
 
-        plan = FaultPlan.lossy(drop_p=0.02, seed=1).to_json(indent=None)
+        plan = json.dumps({"seed": 1, "link_rules": [{"drop_p": 0.02}]})
         main(["charm", "--nodes", "1", "--iters", "1", "--override", f"faults={plan}"])
         out = capsys.readouterr().out
         assert "# fault counters" in out
@@ -641,7 +653,7 @@ class TestSurfacing:
         from repro.apps.osu.runner import main as osu
 
         p = tmp_path / "plan.json"
-        p.write_text(FaultPlan.lossy(drop_p=0.02, seed=1).to_json())
+        p.write_text(json.dumps({"seed": 1, "link_rules": [{"drop_p": 0.02}]}))
         jacobi(["charm", "--nodes", "1", "--iters", "1", "--override", f"faults={p}"])
         assert "# fault counters" in capsys.readouterr().out
         # a later override wins: none detaches the plan again

@@ -144,37 +144,24 @@ class TestIpc:
         rt.ipc_open_cost(1, handle)
         assert rt.ipc_open_cost(2, handle) == rt.cfg.ipc_handle_open_cost
 
-    def test_handle_resolves_buffer(self, rt):
-        buf = rt.malloc(0, 1024)
-        handle = rt.ipc_get_handle(buf)
-        assert rt.ipc_resolve(handle) is buf
-
     def test_host_buffer_rejected(self, rt):
         h = rt.malloc_host(0, 64)
         with pytest.raises(ValueError):
             rt.ipc_get_handle(h)
 
 
-class TestGdrCopy:
-    def test_copy_time_and_data(self):
-        from repro.hardware.gdrcopy import GdrCopy
+class TestDeviceEventRecord:
+    def test_fence_fires_with_stream_position(self):
+        from repro.hardware.cuda import CudaRuntime
+        from repro.hardware.gpu import DeviceEventRecord
+        from repro.hardware.topology import Machine
 
         m = Machine(MachineConfig.summit(nodes=1))
-        g = GdrCopy(m.sim, m.cfg.ucx)
-        src = m.alloc_device(0, 64)
-        dst = m.alloc_host(0, 64)
-        src.data[:] = 3
-        done = g.copy(dst, src)
+        rt = CudaRuntime(m)
+        s = rt.create_stream(0)
+        d = rt.malloc(0, 1024)
+        h = rt.malloc_host(0, 1024)
+        rt.memcpy_dtoh(h, d, s)
+        record = DeviceEventRecord(stream=s, fence=s.drained())
         m.sim.run()
-        assert done.triggered and (dst.data == 3).all()
-        assert m.sim.now == pytest.approx(g.copy_time(64))
-        assert g.copies == 1
-
-    def test_disabled_raises(self):
-        from repro.hardware.gdrcopy import GdrCopy
-
-        m = Machine(MachineConfig.summit(nodes=1).with_ucx(gdrcopy_enabled=False))
-        g = GdrCopy(m.sim, m.cfg.ucx)
-        assert not g.available
-        with pytest.raises(RuntimeError):
-            g.copy(m.alloc_host(0, 8), m.alloc_device(0, 8))
+        assert record.fence.triggered

@@ -86,11 +86,6 @@ class TestDecomposition:
         # every cell belongs to exactly one block
         assert d.cells_per_block * d.n_blocks == edge ** 3
 
-    def test_halo_bytes_counts_all_faces(self):
-        d = Decomposition.create((12, 12, 12), 27)
-        center = d.rank_of(1, 1, 1)
-        assert d.halo_bytes(center) == 6 * d.face_bytes("+x")
-
 
 RUNNERS = {
     "charm": run_charm_jacobi,
@@ -194,3 +189,74 @@ class TestPaperShapes:
         small = run_jacobi("charm", nodes=1, gpu_aware=True, iters=2, warmup=1)
         large = run_jacobi("charm", nodes=4, gpu_aware=True, iters=2, warmup=1)
         assert large.comm_time / large.iter_time > small.comm_time / small.iter_time
+
+
+class TestJacobiKernelsUnit:
+    """Pack/unpack/stencil kernels verified slice-by-slice, no runtime."""
+
+    def _field(self, shape=(4, 5, 6)):
+        rng = np.random.default_rng(3)
+        u = np.zeros(tuple(d + 2 for d in shape))
+        u[1:-1, 1:-1, 1:-1] = rng.random(shape)
+        return u
+
+    @pytest.mark.parametrize("direction,expected_slice", [
+        ("-x", np.s_[1, 1:-1, 1:-1]),
+        ("+x", np.s_[-2, 1:-1, 1:-1]),
+        ("-y", np.s_[1:-1, 1, 1:-1]),
+        ("+z", np.s_[1:-1, 1:-1, -2]),
+    ])
+    def test_pack_extracts_the_right_face(self, direction, expected_slice):
+        from repro.apps.jacobi3d.kernels import pack_kernel
+
+        u = self._field()
+        face = u[expected_slice]
+        out = np.zeros(face.size)
+        k = pack_kernel(direction, face.size * 8, u, out)
+        k.body()
+        assert np.allclose(out[: face.size], face.reshape(-1))
+
+    @pytest.mark.parametrize("direction,ghost_slice", [
+        ("-x", np.s_[0, 1:-1, 1:-1]),
+        ("+y", np.s_[1:-1, -1, 1:-1]),
+        ("-z", np.s_[1:-1, 1:-1, 0]),
+    ])
+    def test_unpack_fills_the_right_ghost(self, direction, ghost_slice):
+        from repro.apps.jacobi3d.kernels import unpack_kernel
+
+        u = self._field()
+        ghost_shape = u[ghost_slice].shape
+        src = np.arange(int(np.prod(ghost_shape)), dtype=float)
+        k = unpack_kernel(direction, src.size * 8, u, src)
+        k.body()
+        assert np.allclose(u[ghost_slice].reshape(-1), src)
+
+    def test_stencil_is_the_six_point_average(self):
+        from repro.apps.jacobi3d.kernels import stencil_kernel
+
+        u = self._field((3, 3, 3))
+        out = np.zeros_like(u)
+        stencil_kernel(27, u, out).body()
+        expect = (
+            u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
+            + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
+            + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
+        ) / 6.0
+        assert np.allclose(out[1:-1, 1:-1, 1:-1], expect)
+
+    def test_virtual_kernels_have_no_body(self):
+        from repro.apps.jacobi3d.kernels import pack_kernel, stencil_kernel
+
+        assert pack_kernel("-x", 1024).body is None
+        assert stencil_kernel(1000).body is None
+        assert stencil_kernel(1000).bytes_moved == 16000
+
+
+class TestWeakScalingInvariant:
+    def test_cell_count_scales_with_nodes(self):
+        from repro.apps.jacobi3d.decomposition import weak_scaling_domain
+
+        base = 1536
+        for nodes in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            dims = weak_scaling_domain(base, nodes)
+            assert np.prod([float(d) for d in dims]) == float(base) ** 3 * nodes

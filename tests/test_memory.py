@@ -87,11 +87,6 @@ class TestBuffer:
         dst.copy_from(src)
         assert dst.data.tobytes() == np.ascontiguousarray(data).tobytes()
 
-    def test_same_location(self):
-        a = Buffer(MemoryKind.DEVICE, 8, node=0, device=3)
-        b = Buffer(MemoryKind.DEVICE, 16, node=0, device=3)
-        c = Buffer(MemoryKind.DEVICE, 8, node=0, device=4)
-        assert a.same_location(b) and not a.same_location(c)
 
 
 class TestDeviceAllocator:
@@ -241,33 +236,6 @@ class TestPooledAllocator:
         foreign = backing.alloc(64)
         with pytest.raises(ValueError, match="belong"):
             pool.free(foreign)
-
-    def test_trim_frees_slabs_and_fires_hooks_per_block(self):
-        backing, pool = self._pool()
-        hook_calls = []
-        backing.add_free_hook(hook_calls.append)
-        a = pool.alloc(4096)
-        b = pool.alloc(4096)
-        pool.free(a)
-        pool.free(b)
-        released = pool.trim(retain=0)
-        assert released == 1 << 20
-        assert backing.used == 0
-        # hooks ran for both carved blocks AND the slab buffer itself
-        assert a in hook_calls and b in hook_calls
-        assert a.freed and b.freed
-        assert len(hook_calls) == 3
-
-    def test_trim_retains_requested_slabs_and_skips_live_ones(self):
-        backing, pool = self._pool()
-        live = pool.alloc(1 << 19)       # slab 1 stays busy
-        filler = pool.alloc(1 << 19)     # fills slab 1 exactly
-        spare = pool.alloc(4096)         # forces slab 2
-        pool.free(spare)
-        assert pool.trim(retain=1) == 0  # the only empty slab is retained
-        assert pool.trim(retain=0) == 1 << 20  # now it goes
-        assert not live.freed and not filler.freed
-        assert backing.used == 1 << 20
 
     def test_alloc_copies_data_into_pooled_payload(self):
         from repro.config import MemoryConfig

@@ -29,13 +29,6 @@ class TestCharm4pyReductions:
         c4p.charm.run()
         assert results == [sum(range(1, c4p.charm.n_pes + 1))]
 
-    def test_pychare_migration(self):
-        c4p = Charm4py(MachineConfig.summit(nodes=1))
-        p = c4p.create_chare(self.Elem, 0, [])
-        obj = c4p.charm.chares[p.chare_id]
-        obj.migrate(4)
-        assert obj.pe == 4 and obj.gpu == 4
-
 
 class TestDataIntegrityParity:
     """An identical payload survives every model's device path bit-for-bit."""

@@ -1,47 +1,8 @@
-"""Tests for the multi-pair bandwidth extension and ASCII plotting."""
+"""Tests for ASCII plotting and quiescence detection."""
 
-import pytest
-
-from repro.apps.osu.multibw import run_multi_pair_bandwidth
 from repro.bench.plotting import ascii_plot, plot_series_dict
 from repro.bench.reporting import Series
-from repro.config import MachineConfig, MB
-
-
-class TestMultiPairBandwidth:
-    def test_single_pair_matches_pt2pt_rate(self):
-        r = run_multi_pair_bandwidth(4 * MB, pairs=1)
-        assert len(r["per_pair"]) == 1
-        assert r["aggregate"] / 1e9 == pytest.approx(10.0, rel=0.1)
-
-    def test_dual_rail_aggregate_doubles(self):
-        """Six pairs span both socket rails: ~2x the aggregate of three
-        pairs saturating one rail (same contention pattern per rail)."""
-        three = run_multi_pair_bandwidth(4 * MB, pairs=3)["aggregate"]
-        six = run_multi_pair_bandwidth(4 * MB, pairs=6)["aggregate"]
-        assert six / three == pytest.approx(2.0, rel=0.1)
-
-    def test_single_rail_machine_does_not_scale(self):
-        from dataclasses import replace
-
-        cfg = MachineConfig.summit(nodes=2)
-        cfg = replace(cfg, topology=replace(cfg.topology, nic_rails=1))
-        three = run_multi_pair_bandwidth(4 * MB, pairs=3, config=cfg)["aggregate"]
-        six = run_multi_pair_bandwidth(4 * MB, pairs=6, config=cfg)["aggregate"]
-        assert six / three < 1.3  # one rail: no headroom from more pairs
-
-    def test_pair_bounds_validated(self):
-        with pytest.raises(ValueError):
-            run_multi_pair_bandwidth(1 * MB, pairs=0)
-        with pytest.raises(ValueError):
-            run_multi_pair_bandwidth(1 * MB, pairs=7)
-
-    def test_intra_socket_pairs_share_a_rail(self):
-        """Three pairs on one socket share one rail -> ~1x aggregate; with
-        default config the pairs are socket-split only beyond 3."""
-        three = run_multi_pair_bandwidth(4 * MB, pairs=3)["aggregate"]
-        one = run_multi_pair_bandwidth(4 * MB, pairs=1)["aggregate"]
-        assert three / one == pytest.approx(1.0, rel=0.15)
+from repro.config import MachineConfig
 
 
 class TestAsciiPlot:
@@ -91,3 +52,17 @@ class TestQuiescence:
         t = charm.run_to_quiescence(max_events=1_000_000)
         assert t > 0 and len(hits) >= charm.n_pes
         assert charm.sim.peek() is None  # truly quiescent
+
+
+class TestPlottingInternals:
+    def test_log_positions_monotone(self):
+        from repro.bench.plotting import _log_positions
+
+        pos = _log_positions([1, 10, 100, 1000], 1, 1000, 40)
+        assert pos == sorted(pos)
+        assert pos[0] == 0 and pos[-1] == 39
+
+    def test_nonpositive_values_pinned_low(self):
+        from repro.bench.plotting import _log_positions
+
+        assert _log_positions([0.0], 1, 10, 10)[0] == 0

@@ -81,9 +81,8 @@ class TestSpanTree:
 
     def test_annotate_and_end_attrs(self, sim, tracer):
         sp = tracer.span("ucx", "x", size=8)
-        sp.annotate(proto="eager")
         sp.end(status="ok")
-        assert sp.attrs == {"size": 8, "proto": "eager", "status": "ok"}
+        assert sp.attrs == {"size": 8, "status": "ok"}
 
     def test_disabled_tracer_returns_null_span(self, sim):
         t = Tracer(sim, enabled=False)
@@ -91,18 +90,11 @@ class TestSpanTree:
         assert sp is NULL_SPAN
         assert not sp  # falsy
         sp.end()
-        sp.annotate(a=1)
         with t.under(sp):
             pass
         with t.under(None):
             pass
         assert t.spans == []
-
-    def test_active_span(self, tracer):
-        assert tracer.active_span is None
-        with tracer.span("a", "x") as sp:
-            assert tracer.active_span is sp
-        assert tracer.active_span is None
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +104,12 @@ class TestSpanTree:
 class TestMetricsRegistry:
     def test_counters_tuple_keyed_and_view(self):
         m = MetricsRegistry()
-        m.inc("ucx", "send")
-        m.inc("ucx", "send", 2)
-        m.inc("ampi", "recv")
+        m.counts[("ucx", "send")] = 3
+        m.counts[("ampi", "recv")] = 1
         assert m.counter("ucx", "send") == 3
         assert m.counters["ucx.send"] == 3
         assert m.counters["ampi.recv"] == 1
-        m.inc("ucx", "send")  # the view is built on read
+        m.counts[("ucx", "send")] += 1  # the view is built on read
         assert m.counters["ucx.send"] == 4
 
     def test_histogram_buckets(self):
@@ -128,7 +119,7 @@ class TestMetricsRegistry:
         # inclusive upper edges: <=10, <=100, overflow
         assert h.counts == [2, 2, 1]
         assert h.count == 5
-        assert h.mean == pytest.approx((1 + 10 + 11 + 100 + 1000) / 5)
+        assert h.total == 1 + 10 + 11 + 100 + 1000
 
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -147,7 +138,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_schema_and_json(self):
         m = MetricsRegistry()
-        m.inc("ucx", "send")
+        m.counts[("ucx", "send")] = 1
         m.observe("sizes", 64)
         m.add_time("ampi", 3e-6)
         snap = m.snapshot()
@@ -155,15 +146,6 @@ class TestMetricsRegistry:
         assert snap["counters"] == {"ucx.send": 1}
         assert snap["time_by_category"]["ampi"] == pytest.approx(3e-6)
         json.dumps(snap)  # must be JSON-serialisable as-is
-
-    def test_reset(self):
-        m = MetricsRegistry()
-        m.inc("a", "b")
-        m.observe("h", 2)
-        m.add_time("c", 1.0)
-        m.reset()
-        snap = m.snapshot()
-        assert snap == {"counters": {}, "histograms": {}, "time_by_category": {}}
 
 
 class TestTracerMetricsIntegration:
@@ -176,8 +158,9 @@ class TestTracerMetricsIntegration:
         # counters identical in both modes (the fingerprint contract)
         assert on.counters == off.counters
         # charges and histograms only accumulate when enabled
-        assert on.metrics.time_in("ucx") == pytest.approx(5e-6)
-        assert off.metrics.time_in("ucx") == 0.0
+        assert on.metrics.snapshot()["time_by_category"] == \
+            {"ucx": pytest.approx(5e-6)}
+        assert off.metrics.snapshot()["time_by_category"] == {}
         assert on.metrics.snapshot()["histograms"] != {}
         assert off.metrics.snapshot()["histograms"] == {}
 

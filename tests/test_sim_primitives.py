@@ -1,13 +1,11 @@
-"""Tests for events, combinators, latches, and queues."""
+"""Tests for events, combinators, and queues."""
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.primitives import (
     AllOf,
-    AnyOf,
     EventAlreadyTriggered,
-    Latch,
     SimEvent,
     SimQueue,
     Timeout,
@@ -80,54 +78,6 @@ class TestCombinators:
         combo = AllOf(sim, [done, done])
         assert combo.result() == [1, 1]
 
-    def test_anyof_returns_first(self, sim):
-        evs = [SimEvent(sim) for _ in range(3)]
-        combo = AnyOf(sim, evs)
-        evs[1].succeed("winner")
-        assert combo.result() == (1, "winner")
-        evs[0].succeed("late")  # no error, ignored
-        assert combo.result() == (1, "winner")
-
-    def test_anyof_requires_events(self, sim):
-        with pytest.raises(ValueError):
-            AnyOf(sim, [])
-
-    def test_anyof_propagates_failure(self, sim):
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AnyOf(sim, evs)
-        evs[0].fail(OSError("io"))
-        with pytest.raises(OSError):
-            combo.result()
-
-
-class TestLatch:
-    def test_counts_down_to_open(self, sim):
-        latch = Latch(sim, 3)
-        for i in range(2):
-            latch.count_down()
-            assert not latch.wait().triggered
-        latch.count_down()
-        assert latch.wait().triggered
-
-    def test_zero_latch_open_immediately(self, sim):
-        assert Latch(sim, 0).wait().triggered
-
-    def test_negative_count_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Latch(sim, -1)
-
-    def test_count_down_after_open_rejected(self, sim):
-        latch = Latch(sim, 1)
-        latch.count_down()
-        with pytest.raises(RuntimeError):
-            latch.count_down()
-
-    def test_count_down_by_multiple(self, sim):
-        latch = Latch(sim, 5)
-        latch.count_down(by=5)
-        assert latch.wait().triggered
-
-
 class TestSimQueue:
     def test_fifo_buffering(self, sim):
         q = SimQueue(sim)
@@ -157,18 +107,6 @@ class TestSimQueue:
         q.put(1)
         q.put(2)  # first put woke the waiter
         assert len(q) == 1
-
-    def test_get_nowait_raises_when_empty(self, sim):
-        q = SimQueue(sim)
-        with pytest.raises(IndexError):
-            q.get_nowait()
-
-    def test_remove_specific_item(self, sim):
-        q = SimQueue(sim)
-        q.put("a")
-        q.put("b")
-        q.remove("a")
-        assert q.peek_all() == ["b"]
 
 
 def test_timeouts_compose_with_allof(sim):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.primitives import AllOf, SimEvent, Timeout
-from repro.sim.process import Interrupt, Process, spawn
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -93,47 +93,6 @@ def test_unjoined_exception_reraises(sim):
         sim.run()
 
 
-def test_interrupt_delivers_cause(sim):
-    causes = []
-
-    def gen():
-        try:
-            yield Timeout(sim, 100.0)
-        except Interrupt as i:
-            causes.append(i.cause)
-
-    p = Process(sim, gen())
-    sim.schedule(1.0, p.interrupt, "stop now")
-    sim.run()
-    assert causes == ["stop now"]
-    assert p.triggered
-
-
-def test_interrupt_after_completion_is_noop(sim):
-    def gen():
-        yield Timeout(sim, 0.5)
-
-    p = Process(sim, gen())
-    sim.run()
-    p.interrupt()
-    sim.run()
-
-
-def test_kill_terminates_silently(sim):
-    progress = []
-
-    def gen():
-        progress.append("start")
-        yield Timeout(sim, 100.0)
-        progress.append("never")
-
-    p = Process(sim, gen())
-    sim.schedule(1.0, p.kill)
-    sim.run()
-    assert progress == ["start"]
-    assert p.triggered and p.result() is None
-
-
 def test_invalid_yield_type_raises(sim):
     def gen():
         yield 42
@@ -151,8 +110,8 @@ def test_two_processes_interleave(sim):
             yield Timeout(sim, delay)
             log.append((name, sim.now))
 
-    spawn(sim, worker("fast", 1.0))
-    spawn(sim, worker("slow", 1.5))
+    Process(sim, worker("fast", 1.0))
+    Process(sim, worker("slow", 1.5))
     sim.run()
     # at t=3.0 both wake; slow's timeout was scheduled earlier (at t=1.5)
     # so FIFO tie-breaking resumes it first
@@ -227,10 +186,10 @@ class TestSleepLane:
             yield nap(sim, 0.5)  # lands on ticker a's second tick, at 2.0
             log.append(("waiter", sim.now, None))
 
-        spawn(sim, ticker("a", 1.0, 4))
-        spawn(sim, ticker("b", 1.5, 2))
-        spawn(sim, opener())
-        spawn(sim, waiter())
+        Process(sim, ticker("a", 1.0, 4))
+        Process(sim, ticker("b", 1.5, 2))
+        Process(sim, opener())
+        Process(sim, waiter())
         sim.run()
         return log, sim.now, sim.event_count
 
@@ -253,58 +212,6 @@ class TestSleepLane:
         sim.run()
         assert order == ["queued second", "queued first", "process"]
         assert sim.now == 0.0
-
-    def test_interrupt_during_a_nap_and_the_overtaken_wake(self, sim):
-        log = []
-
-        def gen():
-            try:
-                yield 10.0
-                log.append("overslept")
-            except Interrupt as i:
-                log.append(("interrupted", sim.now, i.cause))
-            yield 9.5  # napping again, until 10.5, when the old wake fires
-            log.append(("woke", sim.now))
-
-        p = Process(sim, gen())
-        sim.call_later(1.0, p.interrupt, "up")
-        sim.run()
-        assert log == [("interrupted", 1.0, "up"), ("woke", 10.5)]
-        assert p.triggered and sim.now == 10.5
-
-    def test_overtaken_wake_is_ignored_while_waiting_on_an_event(self, sim):
-        log = []
-        gate = SimEvent(sim)
-
-        def gen():
-            try:
-                yield 2.0
-            except Interrupt:
-                pass
-            log.append((yield gate))
-
-        p = Process(sim, gen())
-        sim.call_later(1.0, p.interrupt)
-        sim.call_later(5.0, gate.succeed, "gate")
-        sim.run(until=3.0)  # the stale wake at 2.0 has fired
-        assert log == [] and not p.triggered
-        sim.run()
-        assert log == ["gate"]
-
-    def test_kill_during_a_nap_ends_the_process(self, sim):
-        progress = []
-
-        def gen():
-            progress.append("start")
-            yield 100.0
-            progress.append("never")
-
-        p = Process(sim, gen())
-        sim.call_later(1.0, p.kill)
-        sim.run()
-        assert progress == ["start"]
-        assert p.triggered and p.result() is None
-        assert sim.now == 100.0  # the dead wake still fires, as a no-op
 
     @pytest.mark.parametrize("bad", [3, True])
     def test_an_int_is_not_a_delay(self, sim, bad):

@@ -14,10 +14,10 @@ def sim():
 
 def test_grants_up_to_capacity(sim):
     r = Resource(sim, capacity=2)
-    a, b, c = r.acquire(), r.acquire(), r.acquire()
-    assert a.triggered and b.triggered and not c.triggered
+    assert r.try_acquire() and r.try_acquire()
+    assert not r.try_acquire()
     r.release()
-    assert c.triggered
+    assert r.try_acquire()
 
 
 def test_capacity_must_be_positive(sim):
@@ -27,13 +27,11 @@ def test_capacity_must_be_positive(sim):
 
 def test_waiters_granted_fifo(sim):
     r = Resource(sim, capacity=1)
-    r.acquire()
     order = []
     for name in "abc":
-        r.acquire().add_callback(lambda _e, n=name: order.append(n))
-    for _ in range(3):
-        r.release()
-    assert order == ["a", "b", "c"]
+        r.occupy(1.0, lambda n=name: order.append((n, sim.now)))
+    sim.run()
+    assert order == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
 
 def test_release_idle_rejected(sim):
@@ -71,9 +69,8 @@ def test_utilisation_accounting(sim):
 
 def test_queue_length(sim):
     r = Resource(sim, capacity=1)
-    r.acquire()
-    r.acquire()
-    r.acquire()
+    for _ in range(3):
+        r.occupy(1.0)
     assert r.queue_length == 2
 
 
@@ -104,12 +101,3 @@ class TestTracer:
             sim.run()
         assert sp.duration == pytest.approx(2.0)
         assert t.time_in("ampi") == pytest.approx(2.0)
-
-    def test_reset_clears_everything(self, sim):
-        t = Tracer(sim, enabled=True)
-        t.count("a", "x")
-        with t.span("s", "work"):
-            pass
-        t.reset()
-        assert not t.counters and t.time_in("s") == 0.0
-        assert not t.spans

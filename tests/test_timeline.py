@@ -138,16 +138,6 @@ def test_queue_probe_tracks_depth():
     assert st["last"] == 1.0
 
 
-def test_reset_clears_series():
-    sim = _FakeSim()
-    telem = Telemetry(sim, enabled=True)
-    telem.sample("a", 1.0)
-    telem.bump("b")
-    telem.reset()
-    assert telem.series == {}
-    assert telem.counter("b") == 0
-
-
 # -- saturation windows: the view closes an open window like a release -------
 class _FakeLink:
     name = "nvlink0"

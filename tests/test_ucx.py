@@ -23,6 +23,11 @@ def make_pair(nodes=2, gpus=(0, 1), config=None):
     return m, ctx, wa, wb
 
 
+def make_workers(nodes=1):
+    m, _ctx, wa, wb = make_pair(nodes=nodes)
+    return m, wa, wb
+
+
 class TestProtocolSelection:
     def test_host_small_is_eager(self):
         m, ctx, *_ = make_pair()
@@ -86,7 +91,6 @@ class TestTagMatching:
         wa.tag_send_nb(wa.ep(0), src, 32, tag=5)
         m.sim.run()
         assert req.completed and (dst.data == 4).all()
-        assert wa.ep(0).is_loopback
 
     def test_fifo_matching_same_tag(self):
         m, ctx, wa, wb = make_pair()
@@ -107,13 +111,14 @@ class TestTagMatching:
         assert got == [1, 2, 3]
 
     def test_wildcard_mask_matches_any_counter(self):
-        from repro.core.device_tags import MsgType, make_tag, msg_type_mask
+        from repro.core.device_tags import MsgType, make_tag
 
         m, ctx, wa, wb = make_pair()
         src, dst = m.alloc_host(0, 8), m.alloc_host(0, 8)
         sent_tag = make_tag(MsgType.HOST, pe=0, count=77)
         want = make_tag(MsgType.HOST, pe=0, count=0)
-        rreq = wb.tag_recv_nb(dst, 8, tag=want, mask=msg_type_mask())
+        type_field = 0xF << 60  # the 4 MSG_BITS above PE and counter
+        rreq = wb.tag_recv_nb(dst, 8, tag=want, mask=type_field)
         wa.tag_send_nb(wa.ep(1), src, 8, tag=sent_tag)
         m.sim.run()
         assert rreq.completed and rreq.info[0] == sent_tag
@@ -394,34 +399,10 @@ class TestCancel:
         assert req.completed
 
 
-class TestHostFreeHooks:
-    def test_free_host_invalidates_reg_cache(self):
-        m, ctx, wa, wb = make_pair(gpus=(0, 6))  # inter-node: host rndv pins
-        size = 256 * KB
-        src = m.alloc_host(0, size)
-        dst = m.alloc_host(1, size)
-        wb.tag_recv_nb(dst, size, tag=1)
-        wa.tag_send_nb(wa.ep(1), src, size, tag=1)
-        m.sim.run()
-        assert src.address in ctx.reg_cache  # pinned by the transfer
-        m.free_host(src)
-        assert src.address not in ctx.reg_cache  # dropped with the buffer
-
-    def test_free_host_rejects_device_and_double_free(self):
-        m, ctx, wa, wb = make_pair()
-        dev = m.alloc_device(0, 64)
-        with pytest.raises(ValueError):
-            m.free_host(dev)
-        buf = m.alloc_host(0, 64)
-        m.free_host(buf)
-        with pytest.raises(RuntimeError):
-            m.free_host(buf)
-
-
 class TestPoolFreeHooks:
     """Pool returns are not frees: every address-keyed cache (mapping,
     IPC handle opens, custom free hooks) must survive a pool return and
-    die only on a real free — a pool trim."""
+    die only on a real free — a direct allocator's ``free_device``."""
 
     def _pooled_pair(self):
         cfg = MachineConfig.summit(nodes=1).override({
@@ -465,8 +446,9 @@ class TestPoolFreeHooks:
         assert m.tracer.counters["ucx.mapping_hit"] > 0
         assert len(ctx.cuda._ipc_open_cache) == ipc_opens
 
-    def test_trim_is_a_real_free_and_invalidates(self):
-        m, ctx, wa, wb = self._pooled_pair()
+    def test_direct_free_is_a_real_free_and_invalidates(self):
+        cfg = MachineConfig.summit(nodes=1).override("ucx.mapping_cost=1e-5")
+        m, ctx, wa, wb = make_pair(config=cfg)
         size = 256 * KB
         src = m.alloc_device(0, size)
         dst = m.alloc_device(1, size)
@@ -477,14 +459,12 @@ class TestPoolFreeHooks:
         m.add_device_free_hook(lambda buf: hook_calls.append(buf))
         m.free_device(src)
         m.free_device(dst)
-        released = m.trim_device_pools()
-        assert released > 0
-        # the trim freed the slabs AND notified for every carved block, so
-        # every address-keyed consumer (mapping cache here) dropped out
+        # the free notified for both buffers, so every address-keyed
+        # consumer (mapping cache here) dropped out
         assert src in hook_calls and dst in hook_calls
         assert src.freed and dst.freed
         assert len(ctx.map_cache) == 0
-        # fresh allocations after the trim are first touches again
+        # fresh allocations after the free are first touches again
         news = m.tracer.counters["ucx.mapping_new"]
         src3 = m.alloc_device(0, size)
         dst3 = m.alloc_device(1, size)
@@ -648,7 +628,6 @@ class TestWorkerStats:
         m.sim.run()
         counters = m.tracer.counters
         assert counters["ucx.send"] == 1 and counters["ucx.recv"] == 1
-        assert not ep.is_loopback and ep.same_node
 
     def test_worker_registry(self):
         m = Machine(MachineConfig.summit(nodes=2))
@@ -658,4 +637,30 @@ class TestWorkerStats:
         assert ctx.create_worker(3, 1) is w  # idempotent
         with pytest.raises(ValueError):
             ctx.create_worker(3, 0)  # conflicting node
-        assert ctx.worker_count == 1
+
+
+class TestProbeCancel:
+    def test_probe_sees_unexpected_without_consuming(self):
+        m, wa, wb = make_workers()
+        src = m.alloc_host(0, 64)
+        wa.tag_send_nb(wa.ep(1), src, 64, tag=5)
+        m.sim.run()
+        assert wb.tag_probe_nb(5) == (5, 64)
+        assert wb.tag_probe_nb(6) is None
+        assert len(wb.unexpected) == 1  # still there
+
+    def test_cancel_posted_receive(self):
+        m, wa, wb = make_workers()
+        dst = m.alloc_host(0, 64)
+        req = wb.tag_recv_nb(dst, 64, tag=9)
+        assert wb.cancel(req)
+        assert req.status is UcsStatus.ERR_CANCELED
+        assert not wb.posted
+
+    def test_cancel_completed_request_fails(self):
+        m, wa, wb = make_workers()
+        src, dst = m.alloc_host(0, 8), m.alloc_host(0, 8)
+        req = wb.tag_recv_nb(dst, 8, tag=1)
+        wa.tag_send_nb(wa.ep(1), src, 8, tag=1)
+        m.sim.run()
+        assert not wb.cancel(req)
