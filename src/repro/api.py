@@ -179,7 +179,7 @@ class SessionBuilder:
     value fails at the call that passed it and ``build`` only constructs."""
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
-        self._config = config if config is not None else MachineConfig.default()
+        self._config = config if config is not None else MachineConfig.summit()
         self._model = "charm"
         self._n_ranks: Optional[int] = None
         self._ranks_per_pe: int = 1

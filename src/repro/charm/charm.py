@@ -57,21 +57,10 @@ def marshal_bytes(args: Tuple[Any, ...]) -> int:
 class Charm:
     """One simulated Charm++ job."""
 
-    def __init__(
-        self,
-        config: Optional[MachineConfig] = None,
-        n_pes: Optional[int] = None,
-    ) -> None:
-        self.cfg = config if config is not None else MachineConfig.default()
+    def __init__(self, config: Optional[MachineConfig] = None) -> None:
+        self.cfg = config if config is not None else MachineConfig.summit()
         self.machine = Machine(self.cfg)
-        topo = self.cfg.topology
-        if n_pes is None:
-            n_pes = topo.total_gpus
-        if n_pes > topo.total_gpus:
-            raise ValueError(
-                f"{n_pes} PEs requested but the machine has {topo.total_gpus} GPUs "
-                "(non-SMP: one PE per GPU)"
-            )
+        n_pes = self.cfg.topology.total_gpus
         # paper §IV-A: one process (= PE) per GPU device, in GPU order
         pe_node = [self.machine.node_of_gpu(g) for g in range(n_pes)]
         pe_gpu: List[Optional[int]] = list(range(n_pes))

@@ -192,7 +192,7 @@ class OpenMpi(MpiJob):
     def __init__(
         self, config: Optional[MachineConfig] = None, n_ranks: Optional[int] = None
     ) -> None:
-        self.cfg = config if config is not None else MachineConfig.default()
+        self.cfg = config if config is not None else MachineConfig.summit()
         self.machine = Machine(self.cfg)
         self.rt = self.cfg.runtime
         self.ucp = UcpContext(self.machine)

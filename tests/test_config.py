@@ -61,6 +61,18 @@ class TestPackage:
         assert repro.api.MODELS == ("charm", "ampi", "openmpi", "charm4py")
         assert callable(repro.api.session)
 
+    def test_constructors_without_config_build_a_two_node_summit(self):
+        from repro.charm import Charm
+        from repro.charm4py import Charm4py
+        from repro.openmpi import OpenMpi
+
+        summit = MachineConfig.summit(nodes=2)
+        assert repro.api.session().build().config == summit
+        assert Charm().cfg == summit
+        assert Charm().n_pes == summit.topology.total_gpus
+        assert OpenMpi().cfg == summit
+        assert Charm4py().charm.cfg == summit
+
     def test_deprecated_aliases_removed(self):
         # the free summit()/default_config() helpers completed their
         # deprecation cycle; MachineConfig classmethods are the API

@@ -106,7 +106,10 @@ class TestReductionSemantics:
         assert results == [sum(range(charm.n_pes))]
 
     def test_single_pe_collection(self):
-        charm = Charm(MachineConfig.summit(nodes=1), n_pes=1)
+        one_gpu = MachineConfig.summit(nodes=1).override(
+            "topology.sockets_per_node=1", "topology.gpus_per_socket=1")
+        charm = Charm(one_gpu)
+        assert charm.n_pes == 1
         results = []
         g = charm.create_group(Worker, results)
         g[0].go(42, "sum", CkCallback(fn=results.append))
