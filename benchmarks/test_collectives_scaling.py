@@ -18,7 +18,7 @@ near-ties) and asserts
 * AMPI and OpenMPI agree on the chosen algorithm for the same shape
   (the selector sees the same machine model through either frontend).
 
-Rank programs use virtual (non-materialized) payloads: the ladder
+Rank programs write no payload bytes (buffers stay size-only): the ladder
 measures modeled time, not numerics — functional correctness lives in
 ``tests/test_device_collectives.py``.
 """

@@ -39,13 +39,13 @@ def _run_reversed_tags(k):
     for p in range(N_PAIRS):
         recv_worker = workers[2 * p + 1]
         for tag in reversed(range(k)):
-            buf = m.alloc_host(recv_worker.node, 8, materialize=False)
+            buf = m.alloc_host(recv_worker.node, 8)
             recv_worker.tag_recv_nb(buf, 8, tag=tag)
     for p in range(N_PAIRS):
         send_worker, recv_worker = workers[2 * p], workers[2 * p + 1]
         ep = send_worker.ep(recv_worker.worker_id)
         for tag in range(k):
-            buf = m.alloc_host(send_worker.node, 8, materialize=False)
+            buf = m.alloc_host(send_worker.node, 8)
             send_worker.tag_send_nb(ep, buf, 8, tag=tag)
     m.sim.run()
     wall = time.perf_counter() - t0
@@ -77,12 +77,12 @@ def test_unexpected_queue_reversed_closed_form():
     wa = ctx.create_worker(0, 0)
     wb = ctx.create_worker(1, 0)
     for tag in range(k):
-        buf = m.alloc_host(0, 8, materialize=False)
+        buf = m.alloc_host(0, 8)
         wa.tag_send_nb(wa.ep(1), buf, 8, tag=tag)
     m.sim.run()
     assert len(wb.unexpected) == k
     for tag in reversed(range(k)):
-        buf = m.alloc_host(0, 8, materialize=False)
+        buf = m.alloc_host(0, 8)
         wb.tag_recv_nb(buf, 8, tag=tag)
     m.sim.run()
     assert wb.tag_scans == k * (k + 1) // 2
@@ -104,10 +104,10 @@ def test_full_mpi_stack_reversed_tags():
         right = (mpi.rank + 1) % n
         reqs = []
         for tag in reversed(range(k)):
-            buf = cuda.malloc_host(mpi.node, 64, materialize=False)
+            buf = cuda.malloc_host(mpi.node, 64)
             reqs.append(mpi.irecv(buf, 64, src=left, tag=tag))
         for tag in range(k):
-            buf = cuda.malloc_host(mpi.node, 64, materialize=False)
+            buf = cuda.malloc_host(mpi.node, 64)
             reqs.append(mpi.isend(buf, 64, dst=right, tag=tag))
         yield mpi.waitall(reqs)
 

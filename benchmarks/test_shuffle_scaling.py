@@ -38,7 +38,7 @@ GATE_MARGIN = 2.0
 
 
 def _cfg(pool: bool, mapping: bool = True) -> MachineConfig:
-    cfg = MachineConfig.summit(nodes=NODES).with_virtual_payload().with_pool(pool)
+    cfg = MachineConfig.summit(nodes=NODES).with_pool(pool)
     if mapping:
         cfg = cfg.with_ucx(mapping_cost=MAPPING_COST,
                            ep_setup_cost=EP_SETUP_COST)
@@ -86,7 +86,7 @@ class TestPoolAblation:
         bit-identically (the default-off contract — pre-existing
         workloads cannot shift)."""
         _, fp_explicit = _run("ampi", pool=False, mapping=False)
-        cfg = MachineConfig.summit(nodes=NODES).with_virtual_payload()
+        cfg = MachineConfig.summit(nodes=NODES)
         sess = (api.session(cfg).model("ampi").flight()
                 .ranks(cfg.topology.total_gpus).build())
         run_shuffle("ampi", rounds=ROUNDS, session=sess)

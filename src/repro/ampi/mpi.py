@@ -113,14 +113,13 @@ class MpiRank:
         return self._cpu_free - now
 
     # -- device memory ------------------------------------------------------------
-    def alloc_device(self, nbytes: int,
-                     materialize: Optional[bool] = None) -> Buffer:
+    def alloc_device(self, nbytes: int) -> Buffer:
         """Allocate ``nbytes`` on this rank's GPU (through the configured
         allocator — pooled when ``MemoryConfig.allocator == "pool"``).
         Exhaustion surfaces as :class:`MpiCommError` with
         ``ERR_NO_MEMORY``, like any other communication fault."""
         try:
-            return self.charm.machine.alloc_device(self.gpu, nbytes, materialize)
+            return self.charm.machine.alloc_device(self.gpu, nbytes)
         except OutOfMemory as exc:
             raise MpiCommError(str(exc), UcsStatus.ERR_NO_MEMORY) from exc
 

@@ -39,12 +39,13 @@ def initial_block(decomp: Decomposition, rank: int) -> np.ndarray:
 class BlockState:
     """Device/host buffers and kernels of one Jacobi block.
 
-    ``functional=True`` materialises real NumPy arrays (small grids only):
-    the ghosted field ``u``/``u_new``, per-face send buffers and ghost
-    buffers, so tests can verify the distributed sweep bit-for-bit.  At
-    paper scale everything is virtual (size-only) and only the cost model
-    runs.  Send and ghost buffers are double-buffered by iteration parity
-    so a fast neighbour's next-iteration halo never clobbers in-flight data.
+    ``functional=True`` builds the ghosted field ``u``/``u_new`` as NumPy
+    arrays (small grids only) and makes the kernels write the per-face send
+    and ghost buffers, so tests can verify the distributed sweep
+    bit-for-bit.  Otherwise no kernel touches a byte (the buffers stay
+    size-only) and only the cost model runs.  Send and ghost buffers are
+    double-buffered by iteration parity so a fast neighbour's
+    next-iteration halo never clobbers in-flight data.
     """
 
     def __init__(
@@ -76,7 +77,7 @@ class BlockState:
         else:
             self.u = self.u_new = None
         # interior field on the device (cost/capacity accounting)
-        self.d_field = cuda.malloc(gpu, 2 * cells * decomp.dtype_bytes, materialize=False)
+        self.d_field = cuda.malloc(gpu, 2 * cells * decomp.dtype_bytes)
 
         self.d_send: Dict[str, List[Buffer]] = {}
         self.d_ghost: Dict[str, List[Buffer]] = {}
@@ -84,14 +85,14 @@ class BlockState:
         self.h_recv: Dict[str, Buffer] = {}
         for d, _nbr in self.neighbors:
             fb = decomp.face_bytes(d)
-            self.d_send[d] = [cuda.malloc(gpu, fb, materialize=functional) for _ in range(2)]
-            self.d_ghost[d] = [cuda.malloc(gpu, fb, materialize=functional) for _ in range(2)]
-            self.h_send[d] = cuda.malloc_host(self.node, fb, materialize=functional)
-            self.h_recv[d] = cuda.malloc_host(self.node, fb, materialize=functional)
+            self.d_send[d] = [cuda.malloc(gpu, fb) for _ in range(2)]
+            self.d_ghost[d] = [cuda.malloc(gpu, fb) for _ in range(2)]
+            self.h_send[d] = cuda.malloc_host(self.node, fb)
+            self.h_recv[d] = cuda.malloc_host(self.node, fb)
 
     # -- helpers -------------------------------------------------------------
     def _arr(self, buf: Buffer) -> Optional[np.ndarray]:
-        return buf.data.view("f8") if (self.functional and buf.data is not None) else None
+        return buf.data.view("f8") if self.functional else None
 
     def face_bytes(self, d: str) -> int:
         return self.decomp.face_bytes(d)

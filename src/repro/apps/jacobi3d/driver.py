@@ -118,8 +118,6 @@ def run_sweep(
     """The paper-scale scaling sweep (§IV-C): every model in ``models``
     across the weak and strong node ladders up to ``max_nodes``.
 
-    Runs with virtual payloads (timing-identical, no data movement — see
-    ``MachineConfig.virtual_payload``) so the 256-node points stay cheap.
     Returns ``{(model, scaling, nodes): JacobiResult}``.
     """
     results = {}
@@ -129,10 +127,9 @@ def run_sweep(
             for nodes in ladder:
                 if nodes > max_nodes:
                     continue
-                cfg = MachineConfig.summit(nodes=nodes).with_virtual_payload()
                 results[(model, scaling, nodes)] = run_jacobi(
                     model, nodes=nodes, scaling=scaling, gpu_aware=gpu_aware,
-                    iters=iters, warmup=warmup, config=cfg,
+                    iters=iters, warmup=warmup,
                 )
     return results
 
@@ -157,7 +154,7 @@ def main(argv=None) -> None:
     if args.sweep:
         models = (args.model,) if args.model else SWEEP_MODELS
         print(f"# Jacobi3D scaling sweep up to {args.nodes} nodes "
-              f"(models: {', '.join(models)}; virtual payloads)")
+              f"(models: {', '.join(models)})")
         print(f"{'model':9s} {'scaling':7s} {'nodes':>5s} "
               f"{'iter_ms':>9s} {'comm_ms':>9s}")
         for (model, scaling, nodes), r in run_sweep(

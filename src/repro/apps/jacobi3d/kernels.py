@@ -1,7 +1,7 @@
 """Jacobi3D GPU kernels: cost models plus functional NumPy bodies.
 
-At paper scale (hundreds of millions of cells per GPU) the buffers are
-virtual and only the roofline cost matters; for correctness tests the same
+At paper scale (hundreds of millions of cells per GPU) no kernel touches
+a byte and only the roofline cost matters; for correctness tests the same
 kernels carry functional bodies that move real data, so the distributed
 result can be checked cell-for-cell against :func:`jacobi_reference_step`.
 

@@ -310,8 +310,8 @@ def ablation_early_post(size: int = 1 * MB, quiet: bool = False) -> Dict[str, fl
         ctx = UcpContext(m)
         wa = ctx.create_worker(0, 0, 0)
         wb = ctx.create_worker(1, 0, 1)
-        src = m.alloc_device(0, size, materialize=False)
-        dst = m.alloc_device(1, size, materialize=False)
+        src = m.alloc_device(0, size)
+        dst = m.alloc_device(1, size)
         if pre_post:
             req = wb.tag_recv_nb(dst, size, tag=9)
             wa.tag_send_nb(wa.ep(1), src, size, tag=9)

@@ -58,12 +58,8 @@ class PyProxy:
 class Charm4py:
     """One Charm4py job over a :class:`Charm` runtime."""
 
-    def __init__(
-        self,
-        config: Optional[MachineConfig] = None,
-        charm: Optional[Charm] = None,
-    ) -> None:
-        self.charm = charm if charm is not None else Charm(config)
+    def __init__(self, config: Optional[MachineConfig] = None) -> None:
+        self.charm = Charm(config)
         self.rt = self.charm.cfg.runtime
         self.cython = CythonLayer(self.rt)
         self.charm.converse.register_handler("c4p_chan", self._handle_channel_msg)

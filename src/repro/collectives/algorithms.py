@@ -149,7 +149,7 @@ def _binomial_reduce(ctx, buf, nbytes: int, op: ReduceOp, root: int, base: int =
     scratch = None
     for child in binomial_children(me, p):
         if scratch is None:
-            scratch = ctx.scratch(nbytes, like=buf)
+            scratch = ctx.scratch(nbytes)
         step = base + _recv_step(child)
         yield ctx.recv(scratch, nbytes, (child + root) % p, step)
         yield ctx.combine(buf, scratch, nbytes, op)
@@ -174,7 +174,7 @@ def run_ring_reduce(ctx, buf, nbytes: int, op: ReduceOp, root: int):
     chunks = chunks_of(nbytes, ctx.chunk_bytes)
     scratch = None
     if pos < p - 1:
-        scratch = ctx.scratch(min(nbytes, ctx.chunk_bytes), like=buf)
+        scratch = ctx.scratch(min(nbytes, ctx.chunk_bytes))
     pending = []
     for step, (off, ln) in enumerate(chunks):
         piece = _piece(buf, off, ln, nbytes)
@@ -220,7 +220,7 @@ def run_recdbl_allreduce(ctx, buf, nbytes: int, op: ReduceOp):
     rem = p - pof2
     rounds = ceil_log2(pof2)
     r = ctx.rank
-    scratch = ctx.scratch(nbytes, like=buf)
+    scratch = ctx.scratch(nbytes)
     if r < 2 * rem:
         if r % 2 == 0:  # folds into r+1, idle until the unfold
             yield ctx.send(buf, nbytes, r + 1, 0)
@@ -258,7 +258,7 @@ def run_ring_allreduce(ctx, buf, nbytes: int, op: ReduceOp):
     r = ctx.rank
     nxt = (r + 1) % p
     prv = (r - 1) % p
-    scratch = ctx.scratch(max(ln for _o, ln in blocks), like=buf)
+    scratch = ctx.scratch(max(ln for _o, ln in blocks))
     for s in range(p - 1):  # reduce-scatter
         so, sl = blocks[(r - s) % p]
         ro, rl = blocks[(r - s - 1) % p]

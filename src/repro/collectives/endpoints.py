@@ -61,10 +61,8 @@ class AmpiCollEndpoint:
     def device_recv(self, buf, nbytes: int, src: int, tag: int):
         return self._world._recv_impl(buf, nbytes, self._g(src), tag, self.comm)
 
-    def alloc_scratch(self, nbytes: int, like):
-        return self._cuda.malloc(
-            self.gpu, nbytes, materialize=not like.is_virtual
-        )
+    def alloc_scratch(self, nbytes: int):
+        return self._cuda.malloc(self.gpu, nbytes)
 
     def launch_kernel(self, kernel):
         return self._cuda.launch(self.gpu, kernel)
@@ -100,10 +98,8 @@ class OmpiCollEndpoint:
     def device_recv(self, buf, nbytes: int, src: int, tag: int):
         return self._rank.recv(buf, nbytes, src, tag, _ctx=self.COLL_CTX)
 
-    def alloc_scratch(self, nbytes: int, like):
-        return self._lib.cuda.malloc(
-            self.gpu, nbytes, materialize=not like.is_virtual
-        )
+    def alloc_scratch(self, nbytes: int):
+        return self._lib.cuda.malloc(self.gpu, nbytes)
 
     def launch_kernel(self, kernel):
         return self._lib.cuda.launch(self.gpu, kernel)

@@ -154,8 +154,8 @@ class CollContext:
         return self._wrap(ev, self.kind or "coll.intra",
                           f"{self.algorithm}.pack", bytes=nbytes)
 
-    def scratch(self, nbytes: int, like):
-        return self.ep.alloc_scratch(nbytes, like)
+    def scratch(self, nbytes: int):
+        return self.ep.alloc_scratch(nbytes)
 
 
 # -- entry points -------------------------------------------------------------------
@@ -230,7 +230,7 @@ def allgather_device(ep, buf, nbytes: int, recvbuf=None,
     order); allocates and returns a fresh device buffer when none given."""
     _require_device(buf, nbytes, "allgather_device")
     if recvbuf is None:
-        recvbuf = ep.alloc_scratch(ep.size * nbytes, like=buf)
+        recvbuf = ep.alloc_scratch(ep.size * nbytes)
     _require_device(recvbuf, ep.size * nbytes, "allgather_device (recvbuf)")
     spec = _resolve(ep, "allgather", nbytes, algorithm)
     yield from _run(ep, "allgather", spec, nbytes, (buf, nbytes, recvbuf))

@@ -66,15 +66,16 @@ DEVICE_OPS = frozenset({ReduceOp.SUM, ReduceOp.MAX, ReduceOp.MIN})
 def combine_kernel(acc: Buffer, incoming: Buffer, nbytes: int, op: ReduceOp) -> Kernel:
     """Elementwise ``acc = acc <op> incoming`` over float64 device payloads.
 
-    Virtual buffers skip the functional body; the modeled roofline cost
-    (2 reads + 1 write per element) is identical either way.
+    The body computes once either side has bytes (an untouched side reads
+    as zeros) and skips otherwise; the modeled roofline cost (2 reads +
+    1 write per element) is identical either way.
     """
     if op not in DEVICE_OPS:
         valid = sorted(m.value for m in DEVICE_OPS)
         raise ValueError(f"device collectives support {valid}, not {op.value!r}")
 
     def body() -> None:
-        if acc.data is None or incoming.data is None:
+        if acc.is_virtual and incoming.is_virtual:
             return
         import numpy as np
 

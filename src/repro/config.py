@@ -396,12 +396,6 @@ class MachineConfig:
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     collectives: CollectivesConfig = field(default_factory=CollectivesConfig)
     multirail: MultirailConfig = field(default_factory=MultirailConfig)
-    # Virtual-payload mode: never materialize numpy payloads (regardless of
-    # size) unless a caller explicitly asks.  Buffer copies become size-only
-    # no-ops while every modeled delay is computed identically, so timing
-    # fingerprints match materialized runs bit for bit.  Used by the
-    # paper-scale scaling sweeps, where data movement is all dead weight.
-    virtual_payload: bool = False
     trace: bool = False
     # Message-lifecycle flight recording (repro.obs.flight); like `trace`,
     # observation-only — simulated results are identical on or off.
@@ -462,8 +456,11 @@ class MachineConfig:
         """An empty plan is kept as-is; the machine treats it like ``None``."""
         return self.override({"faults": plan})
 
-    def with_virtual_payload(self, enabled: bool = True) -> "MachineConfig":
-        return self.override({"virtual_payload": enabled})
+    def with_virtual_payload(self) -> "MachineConfig":
+        """No-op: buffers hold no bytes until a program touches them, so
+        there is no payload setting left.  Kept for the callers under
+        ``benchmarks/perf``."""
+        return self
 
     def with_pool(self, enabled: bool = True) -> "MachineConfig":
         """The pool-on/pool-off ablation pair."""

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional
 from repro.config import MachineConfig
 from repro.core.device_buffer import CmiDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.core.device_tags import TagGenerator
-from repro.hardware.cuda import CudaRuntime
 from repro.hardware.topology import Machine
 from repro.obs.stages import LRTS_RECV_DEVICE, LRTS_SEND_DEVICE
 from repro.ucx.context import UcpContext
@@ -39,21 +38,18 @@ class UcxMachineLayer:
         machine: Machine,
         n_pes: int,
         pe_node: List[int],
-        cuda: Optional[CudaRuntime] = None,
-        pe_socket: Optional[List[int]] = None,
     ) -> None:
         if len(pe_node) != n_pes:
             raise ValueError("pe_node must have one entry per PE")
-        if pe_socket is None:
-            pe_socket = [machine.socket_of_gpu(pe) for pe in range(n_pes)]
         self.machine = machine
         self.sim = machine.sim
         self.cfg: MachineConfig = machine.cfg
-        self.ucp = UcpContext(machine, cuda)
+        self.ucp = UcpContext(machine)
         self.cuda = self.ucp.cuda
         self.n_pes = n_pes
         self.workers = [
-            self.ucp.create_worker(pe, pe_node[pe], pe_socket[pe]) for pe in range(n_pes)
+            self.ucp.create_worker(pe, pe_node[pe], machine.socket_of_gpu(pe))
+            for pe in range(n_pes)
         ]
         self.tag_gens = [TagGenerator(pe, self.cfg.tags) for pe in range(n_pes)]
         self._recv_handlers: Dict[DeviceRecvType, Callable[[DeviceRdmaOp], None]] = {}

@@ -185,18 +185,13 @@ class FaultPlan:
         )
 
     @classmethod
-    def rail_down(cls, pattern: str, t0: float = 0.0, t1: float = _INF,
-                  seed: int = 0, **overrides) -> "FaultPlan":
+    def rail_down(cls, pattern: str) -> "FaultPlan":
         """One-rail-down plan: links matching ``pattern`` are down (factor
-        0.0) during ``[t0, t1)``.  The multirail rail planner drops rails
+        0.0) for the whole run.  The multirail rail planner drops rails
         containing a down link, so striped transfers degrade gracefully to
         the surviving rails (e.g. ``pattern="n*.nvlalt*"`` downs every
         secondary NVLink brick, forcing single-rail intra-node traffic)."""
-        return cls(
-            seed=seed,
-            bandwidth_windows=(BandwidthWindow(pattern, 0.0, t0, t1),),
-            **overrides,
-        )
+        return cls(bandwidth_windows=(BandwidthWindow(pattern, 0.0),))
 
     # -- (de)serialisation ------------------------------------------------------
     @classmethod

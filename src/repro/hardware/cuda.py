@@ -52,16 +52,16 @@ class CudaRuntime:
         return self._gpus[gpu].create_stream()
 
     # -- memory -------------------------------------------------------------------
-    def malloc(self, gpu: int, size: int, materialize: Optional[bool] = None) -> Buffer:
-        return self.machine.alloc_device(gpu, size, materialize)
+    def malloc(self, gpu: int, size: int) -> Buffer:
+        return self.machine.alloc_device(gpu, size)
 
     def free(self, buf: Buffer) -> None:
         self.machine.free_device(buf)
 
-    def malloc_host(self, node: int, size: int, materialize: Optional[bool] = None) -> Buffer:
+    def malloc_host(self, node: int, size: int) -> Buffer:
         """Pinned host allocation (pinning cost not modelled; Charm++ and the
         benchmarks allocate staging buffers once and reuse them)."""
-        return self.machine.alloc_host(node, size, materialize)
+        return self.machine.alloc_host(node, size)
 
     # -- copies -------------------------------------------------------------------
     def memcpy_async(

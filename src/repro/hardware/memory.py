@@ -1,15 +1,12 @@
-"""Host and device buffers with optional real payloads.
+"""Host and device buffers whose bytes exist once something touches them.
 
 A :class:`Buffer` is the unit every layer passes around: it knows *where* it
-lives (host memory of a node, or the memory of a specific GPU), *how big* it
-is, and — when small enough to be worth materialising — carries a real NumPy
-array so tests can verify end-to-end data integrity.  Paper-scale buffers
-(gigabytes of Jacobi domain) are *virtual*: size-only, so the simulation
-never allocates them.
-
-This module never imports NumPy: a run whose buffers are all virtual holds
-no array, so it need not load the library.  Byte moves go through
-``memoryview`` and :func:`is_ndarray` asks ``sys.modules``.
+lives (host memory of a node, or the memory of a specific GPU) and *how big*
+it is.  Timing is charged from sizes alone, so a buffer holds no array until
+a program reads or writes its bytes (:attr:`Buffer.data` builds the zeros on
+first access).  A run that never touches a payload — the benchmarks,
+gigabytes of Jacobi domain — allocates none, and need not load NumPy: byte
+moves go through ``memoryview`` and :func:`is_ndarray` asks ``sys.modules``.
 
 Buffers have process-unique integer ``address``\\ es; AMPI's device-pointer
 software cache (paper §III-C) keys on these, exactly as the real
@@ -60,12 +57,13 @@ class Buffer:
     device:
         GPU index *within the machine* for DEVICE buffers; ``None`` for host.
     data:
-        Optional C-contiguous NumPy array (its bytes are the payload). When
-        present, ``data.nbytes`` must equal ``size``.
+        Optional C-contiguous NumPy array to wrap (its bytes are the
+        payload); ``data.nbytes`` must equal ``size``.  Without it the bytes
+        are zeros, built on first access to :attr:`data`.
     """
 
-    __slots__ = ("kind", "on_device", "size", "node", "device", "data",
-                 "address", "freed", "base")
+    __slots__ = ("kind", "on_device", "size", "node", "device", "_data",
+                 "address", "freed", "base", "offset")
 
     def __init__(
         self,
@@ -93,23 +91,43 @@ class Buffer:
         self.size = size
         self.node = node
         self.device = device
-        self.data = data
+        self._data = data
         self.address = next(_address_counter)
         self.freed = False
         self.base: Optional["Buffer"] = None  # set on sub-range views
+        self.offset = 0  # byte offset into ``base``
+
+    @property
+    def data(self) -> np.ndarray:
+        """The payload, built as zeros on first access; a view slices its
+        base's bytes."""
+        data = self._data
+        if data is None:
+            base = self.base
+            if base is None:
+                import numpy as np  # loaded by the first touched payload only
+
+                data = np.zeros(self.size, dtype=np.uint8)
+            else:
+                start = self.offset
+                data = base.data.reshape(-1).view("u1")[start:start + self.size]
+            self._data = data
+        return data
 
     # -- predicates ---------------------------------------------------------
     @property
     def is_virtual(self) -> bool:
-        """True when the buffer tracks size only (no real payload)."""
-        return self.data is None
+        """True while nothing has touched the bytes (size only, no array)."""
+        base = self.base
+        return self._data is None and (base is None or base._data is None)
 
     # -- functional payload movement -----------------------------------------
     def copy_from(self, src: "Buffer", nbytes: Optional[int] = None) -> None:
         """Copy payload bytes from ``src`` (functional effect only; timing is
-        charged by whoever calls this).  Virtual endpoints degrade gracefully:
-        if either side has no payload the copy is a no-op on data.  The bytes
-        move through ``memoryview`` (payloads are C-contiguous)."""
+        charged by whoever calls this).  Bytes move only when ``src`` has
+        them; an untouched ``src`` reads as zeros, so it zero-fills the range
+        of a destination that has bytes and leaves an untouched one alone.
+        The bytes move through ``memoryview`` (payloads are C-contiguous)."""
         if self.freed or src.freed:
             raise RuntimeError("use-after-free of a Buffer")
         n = self.size if nbytes is None else nbytes
@@ -117,32 +135,34 @@ class Buffer:
             raise ValueError(
                 f"copy of {n} bytes exceeds buffer sizes (dst={self.size}, src={src.size})"
             )
-        if self.data is None or src.data is None:
+        # the is_virtual tests, spelled out on the slots: no call per copy
+        base = src.base
+        if src._data is not None or (base is not None and base._data is not None):
+            memoryview(self.data).cast("B")[:n] = memoryview(src.data).cast("B")[:n]
             return
-        memoryview(self.data).cast("B")[:n] = memoryview(src.data).cast("B")[:n]
+        base = self.base
+        if self._data is not None or (base is not None and base._data is not None):
+            memoryview(self.data).cast("B")[:n] = bytes(n)
 
     def view(self, offset: int, nbytes: int) -> "Buffer":
         """A sub-range view sharing this buffer's payload memory (the
-        collectives send/combine per-rank blocks of one allocation).  Views
-        have their own ``address`` — address-keyed caches (the GPU-pointer
-        cache) treat them as distinct pointers, as CUDA does for
-        ``base + offset``.  Virtual buffers view fine (size-only)."""
+        collectives send/combine per-rank blocks of one allocation; a pooled
+        block is a view of its slab).  Views have their own ``address`` —
+        address-keyed caches (the GPU-pointer cache) treat them as distinct
+        pointers, as CUDA does for ``base + offset``."""
         if self.freed:
             raise RuntimeError("view of a freed Buffer")
         if offset < 0 or nbytes <= 0 or offset + nbytes > self.size:
             raise ValueError(
                 f"view [{offset}, {offset + nbytes}) outside a {self.size} B buffer"
             )
-        data = None
-        if self.data is not None:
-            data = self.data.reshape(-1).view("u1")[offset:offset + nbytes]
-        out = Buffer(self.kind, nbytes, self.node, self.device, data)
+        out = Buffer(self.kind, nbytes, self.node, self.device)
         out.base = self if self.base is None else self.base
+        out.offset = self.offset + offset
         return out
 
     def fill(self, byte: int) -> None:
-        if self.data is not None:
-            self.data.reshape(-1).view("u1")[:] = byte
+        self.data.reshape(-1).view("u1")[:] = byte
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         where = f"gpu{self.device}" if self.on_device else f"host(node{self.node})"
@@ -171,11 +191,7 @@ class DeviceAllocator:
         """
         self._free_hooks.append(hook)
 
-    def alloc(
-        self,
-        size: int,
-        data: Optional[np.ndarray] = None,
-    ) -> Buffer:
+    def alloc(self, size: int) -> Buffer:
         if self.used + size > self.capacity:
             raise OutOfMemory(
                 f"GPU {self.device}: requested {size} bytes, "
@@ -183,7 +199,7 @@ class DeviceAllocator:
             )
         self.used += size
         self.live_buffers += 1
-        return Buffer(MemoryKind.DEVICE, size, self.node, self.device, data)
+        return Buffer(MemoryKind.DEVICE, size, self.node, self.device)
 
     def free(self, buf: Buffer) -> None:
         if buf.device != self.device:
@@ -238,13 +254,9 @@ class PooledAllocator:
     Slabs are never given back to the device.
     """
 
-    def __init__(self, backing: DeviceAllocator, policy,
-                 slab_payload=None, count=None) -> None:
+    def __init__(self, backing: DeviceAllocator, policy, count=None) -> None:
         self.backing = backing
         self.policy = policy
-        # slab payload materialisation follows the machine's policy (the
-        # machine passes its _maybe_payload; None means virtual slabs)
-        self._slab_payload = slab_payload
         self._count = count  # tracer.count-style callable, or None
         self._slabs: list = []
         self._free: dict = {}  # class size -> LIFO stack of _Block
@@ -282,7 +294,7 @@ class PooledAllocator:
         return 1 << (size - 1).bit_length()
 
     # -- allocation ----------------------------------------------------------
-    def alloc(self, size: int, data: Optional[np.ndarray] = None) -> Buffer:
+    def alloc(self, size: int) -> Buffer:
         if size <= 0:
             raise ValueError(f"buffer size must be positive, got {size}")
         cls = self.class_size(size)
@@ -300,10 +312,6 @@ class PooledAllocator:
         if self.probe is not None:
             self.probe(self.live_bytes, self.slab_bytes_total,
                        len(self._slabs))
-        if data is not None and blk.buffer.data is not None:
-            n = min(data.nbytes, blk.buffer.size)
-            dst = blk.buffer.data.reshape(-1).view("u1")
-            dst[:n] = data.reshape(-1).view("u1")[:n]
         return blk.buffer
 
     def _carve(self, cls: int) -> _Block:
@@ -324,9 +332,7 @@ class PooledAllocator:
                 f"GPU {self.device} pool: slab of {size} bytes would exceed "
                 f"the {limit}-byte pool cap ({self.slab_bytes_total} held)"
             )
-        payload = self._slab_payload(size) if self._slab_payload else None
-        backing_buf = self.backing.alloc(size, payload)
-        slab = _Slab(backing_buf)
+        slab = _Slab(self.backing.alloc(size))
         self._slabs.append(slab)
         self.slab_bytes_total += size
         self.grows += 1
@@ -352,6 +358,6 @@ class PooledAllocator:
                        len(self._slabs))
 
 
-def host_buffer(node: int, size: int, data: Optional[np.ndarray] = None) -> Buffer:
+def host_buffer(node: int, size: int) -> Buffer:
     """Allocate a host buffer on ``node`` (host memory is not capacity-limited)."""
-    return Buffer(MemoryKind.HOST, size, node, None, data)
+    return Buffer(MemoryKind.HOST, size, node)

@@ -11,9 +11,9 @@ separately rather than one end-to-end route).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.config import MB, MachineConfig
+from repro.config import MachineConfig
 from repro.hardware.links import Link, Route
 from repro.hardware.memory import (
     Buffer,
@@ -25,13 +25,6 @@ from repro.hardware.memory import (
 )
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
-
-#: Buffers at or below this size carry real NumPy payloads; larger ones are
-#: virtual (size-only), which keeps paper-scale Jacobi domains cheap.
-PAYLOAD_MATERIALIZE_LIMIT = 4 * MB
 
 
 @dataclass(frozen=True)
@@ -149,12 +142,8 @@ class Machine:
         self.pools: Dict[int, PooledAllocator] = {}
         if cfg.memory.pooled:
             self.pools = {
-                g: PooledAllocator(
-                    self.allocators[g],
-                    cfg.memory,
-                    slab_payload=lambda size: self._maybe_payload(size, None),
-                    count=self.tracer.count,
-                )
+                g: PooledAllocator(self.allocators[g], cfg.memory,
+                                   count=self.tracer.count)
                 for g in range(topo.total_gpus)
             }
         # Resource telemetry (repro.obs.timeline): links.py and the engine
@@ -211,39 +200,20 @@ class Machine:
         return loc
 
     # -- allocation -------------------------------------------------------------
-    def _maybe_payload(self, size: int, materialize: Optional[bool]) -> Optional[np.ndarray]:
-        if materialize is None:
-            # virtual_payload skips NumPy data movement entirely (explicit
-            # materialize=True still wins: functional tests need real bytes)
-            materialize = (
-                not self.cfg.virtual_payload
-                and size <= PAYLOAD_MATERIALIZE_LIMIT
-            )
-        if not materialize:
-            return None
-        import numpy as np  # loaded by the first real payload only
-
-        return np.zeros(size, dtype=np.uint8)
-
-    def alloc_device(
-        self, gpu: int, size: int, materialize: Optional[bool] = None
-    ) -> Buffer:
-        """Allocate ``size`` bytes on ``gpu``; payload materialisation follows
-        ``PAYLOAD_MATERIALIZE_LIMIT`` unless overridden.
+    def alloc_device(self, gpu: int, size: int) -> Buffer:
+        """Allocate ``size`` bytes on ``gpu`` (bytes built on first touch).
 
         With pooling enabled the request is served from the GPU's slab pool
         (the returned buffer may be a size-class block larger than ``size``,
-        with payload presence following the *slab's* materialisation).
+        whose bytes are a slice of its slab's).
         Exhaustion at either layer raises :class:`OutOfMemory` after
         notifying the registered error handlers — the runtimes surface it
         through their comm-error paths like any other transport fault."""
         pool = self.pools.get(gpu)
         try:
             if pool is not None:
-                return pool.alloc(size, self._maybe_payload(size, materialize))
-            return self.allocators[gpu].alloc(
-                size, self._maybe_payload(size, materialize)
-            )
+                return pool.alloc(size)
+            return self.allocators[gpu].alloc(size)
         except OutOfMemory as exc:
             self.tracer.count("fault", "oom")
             for notify in self._error_notifiers:
@@ -270,10 +240,8 @@ class Machine:
         for allocator in self.allocators.values():
             allocator.add_free_hook(hook)
 
-    def alloc_host(
-        self, node: int, size: int, materialize: Optional[bool] = None
-    ) -> Buffer:
-        return host_buffer(node, size, self._maybe_payload(size, materialize))
+    def alloc_host(self, node: int, size: int) -> Buffer:
+        return host_buffer(node, size)
 
     # -- routing --------------------------------------------------------------
     def route(self, src: Location, dst: Location) -> Route:

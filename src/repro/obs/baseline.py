@@ -116,10 +116,7 @@ def _jacobi(cfg: MachineConfig, *, model: str, nodes: int, scaling: str):
     import repro.api as api
     from repro.apps.jacobi3d.driver import run_jacobi
 
-    # virtual payloads: timing-identical (tests/test_virtual_payload.py)
-    # but skips every dead-weight memcpy of the paper-scale domains
-    cfg = cfg.override({"topology.nodes": nodes, "virtual_payload": True,
-                        "flight": True})
+    cfg = cfg.override({"topology.nodes": nodes, "flight": True})
     sess = api.session(cfg).model(model).build()
     result = run_jacobi(model, nodes=nodes, scaling=scaling,
                         iters=_JACOBI_ITERS, warmup=_JACOBI_WARMUP,
@@ -131,9 +128,7 @@ def _jacobi(cfg: MachineConfig, *, model: str, nodes: int, scaling: str):
 def _allreduce(cfg: MachineConfig, *, hierarchical: bool):
     import repro.api as api
 
-    # virtual payloads: the fingerprint pins modeled time, not numerics
-    cfg = cfg.override({"topology.nodes": _COLL_NODES, "virtual_payload": True,
-                        "flight": True,
+    cfg = cfg.override({"topology.nodes": _COLL_NODES, "flight": True,
                         "collectives.hierarchical_enabled": hierarchical})
     sess = api.session(cfg).model("ampi").ranks(_COLL_RANKS).build()
 
@@ -151,7 +146,7 @@ def _shuffle(cfg: MachineConfig, *, model: str, pooled: bool, nodes: int,
     from repro.apps.shuffle.driver import run_shuffle
 
     cfg = cfg.with_pool(pooled).override({
-        "topology.nodes": nodes, "virtual_payload": True, "flight": True,
+        "topology.nodes": nodes, "flight": True,
         "ucx.mapping_cost": _SHUFFLE_MAPPING_COST,
         "ucx.ep_setup_cost": _SHUFFLE_EP_SETUP_COST,
         "ucx.max_endpoints": max_endpoints,

@@ -99,17 +99,16 @@ class CriticalPathReport:
     def total(self) -> float:
         return self.t1 - self.t0
 
-    def format(self, unit: float = 1e-6, unit_name: str = "us") -> str:
-        """Human-readable blame table (largest share first)."""
+    def format(self) -> str:
+        """Human-readable blame table in microseconds (largest share first)."""
         lines = [
-            f"critical path over [{self.t0 / unit:.2f}, {self.t1 / unit:.2f}] "
-            f"{unit_name} ({self.total / unit:.2f} {unit_name}, "
-            f"{len(self.segments)} segments)"
+            f"critical path over [{self.t0 / 1e-6:.2f}, {self.t1 / 1e-6:.2f}] "
+            f"us ({self.total / 1e-6:.2f} us, {len(self.segments)} segments)"
         ]
         total = self.total or 1.0
         for layer, secs in sorted(self.blame.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(
-                f"  {layer:<15} {secs / unit:>10.2f} {unit_name}  "
+                f"  {layer:<15} {secs / 1e-6:>10.2f} us  "
                 f"({100.0 * secs / total:5.1f}%)"
             )
         return "\n".join(lines)

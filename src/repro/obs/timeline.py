@@ -172,14 +172,14 @@ class Telemetry:
             return
         self._series(name, unit).sample(self.sim.now, value)
 
-    def bump(self, name: str, n: float = 1, unit: str = "count") -> None:
+    def bump(self, name: str, n: float = 1) -> None:
         """Cumulative counter sampled as a monotone series (evictions,
         connects, retransmits)."""
         if not self.enabled:
             return
         total = self._counts.get(name, 0) + n
         self._counts[name] = total
-        self._series(name, unit).sample(self.sim.now, total)
+        self._series(name, "count").sample(self.sim.now, total)
 
     def counter(self, name: str) -> float:
         return self._counts.get(name, 0)

@@ -155,7 +155,6 @@ class Simulator:
         self.telemetry = None
         self.fault_injector = None
         self._probe: Optional[Callable[[], None]] = None
-        self._probe_mask = 255
         # the agenda: a heap of (time, seq, fn, args), or (time, seq, None,
         # handle) for a cancellable timer
         self._cur: List[tuple] = []
@@ -171,15 +170,11 @@ class Simulator:
         """Live (non-cancelled) events currently scheduled."""
         return len(self._cur) - self._tombstones
 
-    def set_probe(self, fn: Optional[Callable[[], None]],
-                  every: int = 256) -> None:
-        """Install an observation probe called every ``every`` executed
-        events (power of two).  The probe must only *read* simulator state —
-        it runs after the event's callback and must never schedule."""
-        if fn is not None and (every < 1 or every & (every - 1)):
-            raise ValueError("probe interval must be a power of two")
+    def set_probe(self, fn: Optional[Callable[[], None]]) -> None:
+        """Install an observation probe called every 256 executed events.
+        The probe must only *read* simulator state — it runs after the
+        event's callback and must never schedule."""
         self._probe = fn
-        self._probe_mask = every - 1
 
     # -- scheduling ----------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -261,9 +256,7 @@ class Simulator:
                 self._event_count += 1
                 fn(*args)
                 probe = self._probe
-                if probe is not None and not (
-                    self._event_count & self._probe_mask
-                ):
+                if probe is not None and not (self._event_count & 255):
                     probe()
                 fired += 1
                 if budget is not None and fired >= budget:

@@ -49,9 +49,9 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def utilisation(self, since: float = 0.0) -> float:
-        """Fraction of (now - since) during which >=1 slot was held."""
-        span = self.sim.now - since
+    def utilisation(self) -> float:
+        """Fraction of the run so far during which >=1 slot was held."""
+        span = self.sim.now
         if span <= 0:
             return 0.0
         busy = self.busy_time

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.hardware.cuda import CudaRuntime
 from repro.hardware.gdrcopy import GdrCopy
@@ -13,13 +13,13 @@ class UcpContext:
     """Owns protocol configuration, the GDRCopy handle, and the worker
     registry.  One context per simulated job (mirrors ``ucp_context_h``)."""
 
-    def __init__(self, machine: Machine, cuda: Optional[CudaRuntime] = None) -> None:
+    def __init__(self, machine: Machine) -> None:
         from repro.ucx.worker import UcpWorker  # local import: cycle guard
 
         self.machine = machine
         self.sim = machine.sim
         self.cfg = machine.cfg.ucx
-        self.cuda = cuda if cuda is not None else CudaRuntime(machine)
+        self.cuda = CudaRuntime(machine)
         self.gdrcopy = GdrCopy(self.cfg)
         injector = machine.fault_injector
         if injector is not None and injector.gdrcopy_probe_fails():

@@ -42,7 +42,7 @@ class TestBasicPt2Pt:
         size = 256 * KB
 
         def program(mpi):
-            buf = mpi.charm.cuda.malloc_host(mpi.node, size, materialize=True)
+            buf = mpi.charm.cuda.malloc_host(mpi.node, size)
             if mpi.rank == 0:
                 buf.data[:] = 9
                 yield mpi.send(buf, size, dst=1, tag=1)
@@ -239,13 +239,13 @@ class TestGpuPath:
 
     def test_inter_node_device_large(self):
         out = {}
-        size = 1 * MB
+        size = 8 * MB
 
         def program(mpi):
             peers = (0, 6)  # different nodes
             if mpi.rank not in peers:
                 return
-            buf = mpi.charm.cuda.malloc(mpi.gpu, size, materialize=True)
+            buf = mpi.charm.cuda.malloc(mpi.gpu, size)
             if mpi.rank == 0:
                 buf.data[:] = 123
                 yield mpi.send(buf, size, dst=6, tag=1)
@@ -288,7 +288,7 @@ def _ring_program(comm, out):
     n = 64
     right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     t0 = comm.sim.now
-    d_send, d_recv = (comm.alloc_device(n, materialize=True) for _ in range(2))
+    d_send, d_recv = (comm.alloc_device(n) for _ in range(2))
     h_send, h_recv = (comm.charm.cuda.malloc_host(comm.node, n) for _ in range(2))
     d_send.data[:] = comm.rank
     h_send.data[:] = 100 + comm.rank

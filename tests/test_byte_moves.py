@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.hardware.memory import host_buffer
+from repro.hardware.memory import Buffer, MemoryKind
 from tests.oracles import numpy_byte_moves as oracle
 
 DTYPES = ("u1", "i2", "i4", "f4", "f8", "c16", "?")
@@ -31,7 +31,7 @@ def _payloads(draw):
 
 
 def _buffer(data):
-    return host_buffer(0, data.nbytes, data.copy())
+    return Buffer(MemoryKind.HOST, data.nbytes, 0, data=data.copy())
 
 
 @settings(max_examples=100, deadline=None)

@@ -210,16 +210,16 @@ class TestOverride:
         # a visible diff here
         flags = [key for key in _ALL_KEYS
                  if isinstance(_get(MachineConfig.summit(), key), bool)]
-        assert len(flags) == 9, flags
+        assert len(flags) == 8, flags
 
     def test_option_surface_is_pinned(self):
         # every settable value is an option to document and cover: a new
         # one (or a new with_* shorthand) has to edit these numbers
         by_type = Counter("Optional" if get_origin(tp) is Union else tp.__name__
                           for _, tp in _leaf_types(MachineConfig))
-        assert by_type == {"float": 48, "int": 24, "bool": 9, "LinkParams": 5,
+        assert by_type == {"float": 48, "int": 24, "bool": 8, "LinkParams": 5,
                            "Optional": 4, "str": 1}, by_type
-        assert sum(by_type.values()) == 91
+        assert sum(by_type.values()) == 90
         assert sorted(n for n in dir(MachineConfig) if n.startswith("with_")) \
             == ["with_faults", "with_pool", "with_ucx", "with_virtual_payload"]
 

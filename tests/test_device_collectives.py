@@ -38,7 +38,7 @@ def _run(charm, ampi, program):
 
 
 def _dev(rank, nbytes=NBYTES, fill=None):
-    buf = rank.charm.cuda.malloc(rank.gpu, nbytes, materialize=True)
+    buf = rank.charm.cuda.malloc(rank.gpu, nbytes)
     if fill is not None:
         buf.data.reshape(-1).view(np.float64)[:] = fill
     return buf
@@ -303,6 +303,25 @@ class TestDeviceCollectives:
         ampi = self._run(program)
         assert set(got.values()) == {3.0}
         assert len(got) == ampi.n_ranks
+
+    def test_pooled_written_bytes_survive_send_and_allreduce(self):
+        ampi, got = Ampi(Charm(MachineConfig.summit(nodes=2).with_pool())), {}
+
+        def program(mpi):
+            buf = _dev(mpi, fill=float(mpi.rank + 1))  # a pooled block
+            if mpi.rank == 0:
+                yield mpi.send(buf, NBYTES, dst=7, tag=3)
+            elif mpi.rank == 7:
+                recv = _dev(mpi)
+                yield mpi.recv(recv, NBYTES, src=0, tag=3)
+                got["recv"] = _f64(recv).tolist()
+            yield from mpi.allreduce_device(buf, NBYTES, "sum")
+            got[mpi.rank] = _f64(buf).tolist()
+
+        _run(ampi.charm, ampi, program)
+        p = ampi.n_ranks
+        assert ampi.charm.machine.pools and got.pop("recv") == [1.0] * (NBYTES // 8)
+        assert got == {r: [p * (p + 1) / 2] * (NBYTES // 8) for r in range(p)}
 
     def test_reduce_device_rejects_host_buffer(self):
         def program(mpi):

@@ -468,8 +468,8 @@ class TestFallbacks:
         cfg = MachineConfig.summit(nodes=2).override({"flight": True, "faults": plan})
         m, ctx, wa, wb = make_pair(cfg)
         size = 1 * MB
-        src = m.alloc_device(0, size, materialize=False)
-        dst = m.alloc_device(1, size, materialize=False)
+        src = m.alloc_device(0, size)
+        dst = m.alloc_device(1, size)
         rreq = wb.tag_recv_nb(dst, size, tag=1)
         wa.tag_send_nb(wa.ep(1), src, size, tag=1)
         m.sim.run()
@@ -487,8 +487,8 @@ class TestFallbacks:
                 cfg = cfg.with_faults(plan)
             m, ctx, wa, wb = make_pair(cfg)
             size = 1 * MB
-            src = m.alloc_device(0, size, materialize=False)
-            dst = m.alloc_device(1, size, materialize=False)
+            src = m.alloc_device(0, size)
+            dst = m.alloc_device(1, size)
             wb.tag_recv_nb(dst, size, tag=1)
             wa.tag_send_nb(wa.ep(1), src, size, tag=1)
             m.sim.run()

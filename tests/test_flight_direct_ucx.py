@@ -62,7 +62,7 @@ def test_windowed_bandwidth_records_every_send(device_traffic):
 
 def test_two_node_shuffle_records_every_send(device_traffic):
     sent, matched = device_traffic
-    cfg = MachineConfig.summit(nodes=2).with_virtual_payload()
+    cfg = MachineConfig.summit(nodes=2)
     n = cfg.topology.total_gpus
     sess = api.session(cfg).model("openmpi").ranks(n).flight().build()
     run_shuffle("openmpi", rounds=2, session=sess)

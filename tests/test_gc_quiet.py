@@ -70,7 +70,7 @@ def test_pingpong_leaves_no_cyclic_garbage(model, size, placement):
 # -- applications
 @pytest.mark.parametrize("model", ["charm", "ampi", "charm4py"])
 def test_jacobi_leaves_no_cyclic_garbage(model):
-    cfg = _two_nodes().with_virtual_payload()
+    cfg = _two_nodes()
     sess = api.session(cfg).model(model).build()
     n = cyclic_garbage(sess, lambda s: run_jacobi(
         model, nodes=2, scaling="weak", iters=2, warmup=1, session=s))
@@ -79,7 +79,7 @@ def test_jacobi_leaves_no_cyclic_garbage(model):
 
 @pytest.mark.parametrize("model", ["ampi", "openmpi", "charm4py"])
 def test_pooled_shuffle_leaves_no_cyclic_garbage(model):
-    cfg = _two_nodes().with_virtual_payload().with_pool(True)
+    cfg = _two_nodes().with_pool(True)
     builder = api.session(cfg).model(model)
     if model != "charm4py":
         builder = builder.ranks(cfg.topology.total_gpus)
@@ -98,7 +98,7 @@ def test_multirail_bandwidth_leaves_no_cyclic_garbage():
 
 def test_allreduce_64_ranks_leaves_no_cyclic_garbage():
     nbytes = 1 << 20
-    cfg = MachineConfig.summit(nodes=11).with_virtual_payload()
+    cfg = MachineConfig.summit(nodes=11)
     sess = api.session(cfg).model("ampi").ranks(64).build()
 
     def program(rank):
@@ -148,8 +148,8 @@ def test_memcpy_and_stream_synchronize_leave_no_cyclic_garbage():
     cuda = _cuda()
     sim = cuda.sim
     stream = cuda.create_stream(0)
-    dev = cuda.malloc(0, 64 * KB, materialize=True)
-    host = cuda.malloc_host(0, 64 * KB, materialize=True)
+    dev = cuda.malloc(0, 64 * KB)
+    host = cuda.malloc_host(0, 64 * KB)
     host.fill(7)
 
     def run(_):

@@ -67,13 +67,13 @@ class TestPipelinedOccupancy:
         wb = ctx.create_worker(1, 1, 0)
         wc = ctx.create_worker(2, 0, 0)
         size = 4 * MB
-        inter_src = machine.alloc_device(0, size, materialize=False)
-        inter_dst = machine.alloc_device(6, size, materialize=False)
+        inter_src = machine.alloc_device(0, size)
+        inter_dst = machine.alloc_device(6, size)
         wb.tag_recv_nb(inter_dst, size, tag=1)
         wa.tag_send_nb(wa.ep(1), inter_src, size, tag=1)
         # concurrently, gpu0 -> gpu1 intra-node IPC over the same nvlink0.tx
-        intra_src = machine.alloc_device(0, size, materialize=False)
-        intra_dst = machine.alloc_device(1, size, materialize=False)
+        intra_src = machine.alloc_device(0, size)
+        intra_dst = machine.alloc_device(1, size)
         req = wc.tag_recv_nb(intra_dst, size, tag=2)
         wa.tag_send_nb(wa.ep(2), intra_src, size, tag=2)
         machine.sim.run()
@@ -93,8 +93,8 @@ class TestPipelinedOccupancy:
         wa = ctx.create_worker(0, 0, 0)
         wb = ctx.create_worker(1, 1, 0)
         size = 4 * MB
-        src = machine.alloc_device(0, size, materialize=False)
-        dst = machine.alloc_device(6, size, materialize=False)
+        src = machine.alloc_device(0, size)
+        dst = machine.alloc_device(6, size)
         wb.tag_recv_nb(dst, size, tag=1)
         wa.tag_send_nb(wa.ep(1), src, size, tag=1)
         machine.sim.run()
@@ -110,7 +110,7 @@ class TestRailAffinity:
         w6 = ctx.create_worker(6, 1, 0)
         w9 = ctx.create_worker(9, 1, 1)
         size = 2 * MB
-        bufs = {g: machine.alloc_device(g, size, materialize=False) for g in (0, 3, 6, 9)}
+        bufs = {g: machine.alloc_device(g, size) for g in (0, 3, 6, 9)}
         w6.tag_recv_nb(bufs[6], size, tag=1)
         w9.tag_recv_nb(bufs[9], size, tag=2)
         w0.tag_send_nb(w0.ep(6), bufs[0], size, tag=1)

@@ -161,7 +161,7 @@ class TestUcxQueueIdentity:
         ctx = UcpContext(m)
         wa = ctx.create_worker(0, 0)
         wb = ctx.create_worker(1, 0)
-        bufs = [m.alloc_host(0, 8, materialize=True) for _ in range(3)]
+        bufs = [m.alloc_host(0, 8) for _ in range(3)]
         for i, buf in enumerate(bufs):
             buf.data[:] = i + 1
             wa.tag_send_nb(wa.ep(1), buf, 8, tag=i)
@@ -169,7 +169,7 @@ class TestUcxQueueIdentity:
         assert len(wb.unexpected) == 3
 
         # consume the *middle* message; neighbours must survive untouched
-        dst = m.alloc_host(0, 8, materialize=True)
+        dst = m.alloc_host(0, 8)
         req = wb.tag_recv_nb(dst, 8, tag=1)
         m.sim.run()
         assert req.completed and dst.data[0] == 2

@@ -64,15 +64,15 @@ def _make_program(plan, sim, payloads, finish_times):
         reqs = []
         recv_bufs = []
         for i, src, dst, tag, size, dev, wild_src, wild_tag in my_recvs:
-            buf = (cuda.malloc(mpi.gpu, CAPACITY, materialize=True) if dev
-                   else cuda.malloc_host(mpi.node, CAPACITY, materialize=True))
+            buf = (cuda.malloc(mpi.gpu, CAPACITY) if dev
+                   else cuda.malloc_host(mpi.node, CAPACITY))
             recv_bufs.append((i, buf))
             reqs.append(mpi.irecv(buf, CAPACITY,
                                   src=ANY if wild_src else src,
                                   tag=ANY if wild_tag else tag))
         for i, src, dst, tag, size, dev, wild_src, wild_tag in my_sends:
-            buf = (cuda.malloc(mpi.gpu, size, materialize=True) if dev
-                   else cuda.malloc_host(mpi.node, size, materialize=True))
+            buf = (cuda.malloc(mpi.gpu, size) if dev
+                   else cuda.malloc_host(mpi.node, size))
             buf.data[:] = i % 251
             reqs.append(mpi.isend(buf, size, dst=dst, tag=tag))
         yield mpi.waitall(reqs)

@@ -6,6 +6,10 @@ import pytest
 from repro.hardware.memory import Buffer, DeviceAllocator, MemoryKind, OutOfMemory, host_buffer
 
 
+def _host(data):
+    return Buffer(MemoryKind.HOST, data.nbytes, 0, data=data)
+
+
 class TestBuffer:
     def test_device_buffer_requires_device_index(self):
         with pytest.raises(ValueError):
@@ -28,29 +32,35 @@ class TestBuffer:
         assert len({b.address for b in bufs}) == 100
 
     def test_copy_from_moves_bytes(self):
-        a = host_buffer(0, 16, np.arange(16, dtype=np.uint8))
-        b = host_buffer(0, 16, np.zeros(16, dtype=np.uint8))
+        a = _host(np.arange(16, dtype=np.uint8))
+        b = _host(np.zeros(16, dtype=np.uint8))
         b.copy_from(a)
         assert (b.data == a.data).all()
 
     def test_partial_copy(self):
-        a = host_buffer(0, 16, np.full(16, 9, dtype=np.uint8))
-        b = host_buffer(0, 16, np.zeros(16, dtype=np.uint8))
+        a = _host(np.full(16, 9, dtype=np.uint8))
+        b = _host(np.zeros(16, dtype=np.uint8))
         b.copy_from(a, nbytes=4)
         assert b.data[:4].tolist() == [9] * 4 and (b.data[4:] == 0).all()
 
     def test_copy_exceeding_size_rejected(self):
-        a = host_buffer(0, 8, np.zeros(8, dtype=np.uint8))
-        b = host_buffer(0, 4, np.zeros(4, dtype=np.uint8))
+        a = _host(np.zeros(8, dtype=np.uint8))
+        b = _host(np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError):
             b.copy_from(a, nbytes=8)
 
     def test_virtual_copy_is_noop(self):
-        a = host_buffer(0, 8)  # materialize defaults to None data here
-        b = host_buffer(0, 8, np.zeros(8, dtype=np.uint8))
+        a = host_buffer(0, 8)  # no bytes until something touches them
+        b = _host(np.zeros(8, dtype=np.uint8))
         assert a.is_virtual
         b.copy_from(a)  # no crash, no data change
         a.copy_from(b)
+
+    def test_copy_from_untouched_source_zeroes_the_destination(self):
+        # an untouched source reads as zeros: written bytes must not stay stale
+        dst, src = _host(np.full(8, 5, dtype=np.uint8)), host_buffer(0, 8)
+        dst.copy_from(src, nbytes=6)
+        assert dst.data.tolist() == [0] * 6 + [5] * 2 and src.is_virtual
 
     def test_use_after_free_rejected(self):
         alloc = DeviceAllocator(1024, device=0, node=0)
@@ -61,13 +71,13 @@ class TestBuffer:
             other.copy_from(buf)
 
     def test_fill(self):
-        b = host_buffer(0, 8, np.zeros(8, dtype=np.uint8))
+        b = _host(np.zeros(8, dtype=np.uint8))
         b.fill(7)
         assert (b.data == 7).all()
 
     def test_multidim_data_copies_flat(self):
-        src = host_buffer(0, 24, np.arange(6, dtype=np.float32).reshape(2, 3))
-        dst = host_buffer(0, 24, np.zeros((3, 2), dtype=np.float32))
+        src = _host(np.arange(6, dtype=np.float32).reshape(2, 3))
+        dst = _host(np.zeros((3, 2), dtype=np.float32))
         dst.copy_from(src)
         assert (dst.data.reshape(-1) == src.data.reshape(-1)).all()
 
@@ -80,10 +90,10 @@ class TestBuffer:
     ], ids=["transposed_uint8", "strided_float64"])
     def test_non_contiguous_data_rejected(self, data):
         with pytest.raises(ValueError, match=r"np\.ascontiguousarray"):
-            host_buffer(0, data.nbytes, data)
+            _host(data)
         # the remedy the message names is accepted and moves the bytes
-        src = host_buffer(0, data.nbytes, np.ascontiguousarray(data))
-        dst = host_buffer(0, data.nbytes, np.zeros_like(src.data))
+        src = _host(np.ascontiguousarray(data))
+        dst = _host(np.zeros_like(src.data))
         dst.copy_from(src)
         assert dst.data.tobytes() == np.ascontiguousarray(data).tobytes()
 
@@ -236,16 +246,3 @@ class TestPooledAllocator:
         foreign = backing.alloc(64)
         with pytest.raises(ValueError, match="belong"):
             pool.free(foreign)
-
-    def test_alloc_copies_data_into_pooled_payload(self):
-        from repro.config import MemoryConfig
-        from repro.hardware.memory import PooledAllocator
-
-        backing = DeviceAllocator(1 << 22, device=0, node=0)
-        policy = MemoryConfig(allocator="pool", pool_slab_bytes=1 << 16)
-        pool = PooledAllocator(
-            backing, policy,
-            slab_payload=lambda size: np.zeros(size, dtype=np.uint8))
-        buf = pool.alloc(16, data=np.arange(16, dtype=np.uint8))
-        assert buf.data.reshape(-1).view(np.uint8)[:16].tolist() \
-            == list(range(16))

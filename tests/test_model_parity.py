@@ -129,16 +129,16 @@ class TestCapacityAndErrors:
 
         charm = Charm(MachineConfig.summit(nodes=1))
         cap = charm.cfg.topology.gpu_memory_capacity
-        charm.cuda.malloc(0, cap - 100, materialize=False)
+        charm.cuda.malloc(0, cap - 100)
         with pytest.raises(OutOfMemory):
-            charm.cuda.malloc(0, 4096, materialize=False)
+            charm.cuda.malloc(0, 4096)
 
     def test_free_returns_capacity_to_jacobi_scale(self):
         charm = Charm(MachineConfig.summit(nodes=1))
         cap = charm.cfg.topology.gpu_memory_capacity
-        big = charm.cuda.malloc(0, cap // 2, materialize=False)
+        big = charm.cuda.malloc(0, cap // 2)
         charm.cuda.free(big)
-        charm.cuda.malloc(0, cap // 2 + 1024, materialize=False)  # fits again
+        charm.cuda.malloc(0, cap // 2 + 1024)  # fits again
 
     def test_jacobi_paper_scale_fits_v100(self):
         """The weak-scaling base block (1536^3/6 doubles, two fields + face

@@ -164,11 +164,11 @@ def test_link_transfer_time_affine(size):
 )
 @settings(max_examples=100)
 def test_partial_copy_preserves_tail(n, k, fill):
-    from repro.hardware.memory import host_buffer
+    from repro.hardware.memory import Buffer, MemoryKind
 
     size = max(n, k)
-    src = host_buffer(0, size, np.full(size, fill, dtype=np.uint8))
-    dst = host_buffer(0, size, np.zeros(size, dtype=np.uint8))
+    src = Buffer(MemoryKind.HOST, size, 0, data=np.full(size, fill, dtype=np.uint8))
+    dst = Buffer(MemoryKind.HOST, size, 0, data=np.zeros(size, dtype=np.uint8))
     dst.copy_from(src, nbytes=min(n, k))
     cut = min(n, k)
     assert (dst.data[:cut] == fill).all()

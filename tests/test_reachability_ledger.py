@@ -38,16 +38,16 @@ def _rows():
     return rows
 
 
-def _defined():
+def _tool():
     spec = importlib.util.spec_from_file_location(
         "reachability", ROOT / "tools" / "reachability.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    return {(path, qual) for path, qual, _first, _body in tool.defined_functions()}
+    return tool
 
 
 def test_every_row_names_a_function_that_exists():
-    defined = _defined()
+    defined = {(p, q) for p, q, _first, _body in _tool().defined_functions()}
     stale = [f"{r['path']}::{r['qual']}" for r in _rows()
              if (r["path"], r["qual"]) not in defined]
     assert not stale, f"ledger rows with no such function in src/repro: {stale}"
@@ -67,3 +67,14 @@ def test_every_keep_row_gives_a_known_reason():
 def test_no_delete_row_is_left():
     left = [r.group(0) for r in _rows() if r["verdict"] == "delete"]
     assert not left, f"delete the code of these rows, then the rows: {left}"
+
+
+
+def test_a_root_that_records_nothing_fails(monkeypatch, capsys):
+    # a hook that fails to load leaves each root exiting 0, recording nothing
+    tool = _tool()
+    monkeypatch.setattr(tool, "ROOTS", [["-c", "import repro.config"]])
+    monkeypatch.setattr(tool, "SUMMARY", [])
+    monkeypatch.setattr(tool, "HOOK", "raise RuntimeError('broken hook')\n")
+    assert tool.main() == 1
+    assert "no record written" in capsys.readouterr().err

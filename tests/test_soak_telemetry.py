@@ -53,25 +53,19 @@ def _run_soak(telemetry):
             reqs, recv_bufs = [], []
             for i, src, dst, tag, size, dev in plan:
                 if dst == mpi.rank:
-                    buf = (cuda.malloc(mpi.gpu, size, materialize=True) if dev
-                           else cuda.malloc_host(mpi.node, size,
-                                                 materialize=True))
+                    buf = (cuda.malloc(mpi.gpu, size) if dev
+                           else cuda.malloc_host(mpi.node, size))
                     recv_bufs.append((wave * MSGS_PER_WAVE + i, buf))
                     reqs.append(mpi.irecv(buf, size, src=src, tag=tag))
             for i, src, dst, tag, size, dev in plan:
                 if src == mpi.rank:
-                    buf = (cuda.malloc(mpi.gpu, size, materialize=True) if dev
-                           else cuda.malloc_host(mpi.node, size,
-                                                 materialize=True))
-                    if buf.data is not None:
-                        buf.data[:] = i % 251
+                    buf = (cuda.malloc(mpi.gpu, size) if dev
+                           else cuda.malloc_host(mpi.node, size))
+                    buf.data[:] = i % 251
                     reqs.append(mpi.isend(buf, size, dst=dst, tag=tag))
             yield mpi.waitall(reqs)
             for key, buf in recv_bufs:
-                # pooled device blocks follow the slab's materialisation and
-                # may carry no payload; -1 marks "arrived, payload virtual"
-                received[key] = (int(buf.data[0]) if buf.data is not None
-                                 else -1)
+                received[key] = int(buf.data[0])
 
         done = sess.launch(program)
         sess.run_until(done, max_events=50_000_000)

@@ -42,13 +42,13 @@ def run_plan(lib_kind, plan, n_ranks, nodes=2):
         reqs = []
         recv_bufs = []
         for i, src, dst, tag, size, dev in my_recvs:
-            buf = (cuda.malloc(mpi.gpu, size, materialize=True) if dev
-                   else cuda.malloc_host(mpi.node, size, materialize=True))
+            buf = (cuda.malloc(mpi.gpu, size) if dev
+                   else cuda.malloc_host(mpi.node, size))
             recv_bufs.append((i, buf, src, tag))
             reqs.append(mpi.irecv(buf, size, src=src, tag=tag))
         for i, src, dst, tag, size, dev in my_sends:
-            buf = (cuda.malloc(mpi.gpu, size, materialize=True) if dev
-                   else cuda.malloc_host(mpi.node, size, materialize=True))
+            buf = (cuda.malloc(mpi.gpu, size) if dev
+                   else cuda.malloc_host(mpi.node, size))
             buf.data[:] = i % 251  # payload identifies the message
             reqs.append(mpi.isend(buf, size, dst=dst, tag=tag))
         yield mpi.waitall(reqs)
@@ -125,12 +125,12 @@ class TestUcxFuzz:
         recvs = []
         for kind, tag, size in ops:
             if kind == "send":
-                buf = m.alloc_host(0, size, materialize=True)
+                buf = m.alloc_host(0, size)
                 buf.data[:] = (sends_per_tag[tag] + tag * 50) % 251
                 sends_per_tag[tag] += 1
                 wa.tag_send_nb(wa.ep(1), buf, size, tag=tag)
             else:
-                buf = m.alloc_host(0, 8 * 1024, materialize=True)
+                buf = m.alloc_host(0, 8 * 1024)
                 recvs.append((tag, buf, wb.tag_recv_nb(buf, 8 * 1024, tag=tag)))
             m.sim.run()
         m.sim.run()

@@ -104,25 +104,17 @@ class TestRouting:
 
 
 class TestAllocation:
-    def test_small_buffers_materialize(self, machine):
-        buf = machine.alloc_device(0, 1024)
-        assert not buf.is_virtual
-
     def test_large_buffers_virtual(self, machine):
         buf = machine.alloc_device(0, 64 * MB)
         assert buf.is_virtual
-
-    def test_materialize_override(self, machine):
-        assert machine.alloc_device(0, 1024, materialize=False).is_virtual
-        assert not machine.alloc_host(0, 8 * MB, materialize=True).is_virtual
 
     def test_device_capacity_enforced(self, machine):
         from repro.hardware.memory import OutOfMemory
 
         cap = machine.cfg.topology.gpu_memory_capacity
-        machine.alloc_device(3, cap - 1024, materialize=False)
+        machine.alloc_device(3, cap - 1024)
         with pytest.raises(OutOfMemory):
-            machine.alloc_device(3, 2048, materialize=False)
+            machine.alloc_device(3, 2048)
 
 
 class TestPathTransfer:

@@ -143,7 +143,7 @@ class TestRendezvousBookkeeping:
         def sizes_after(n):
             m, wa, wb = make_pair()
             size = 64 * KB
-            src, dst = (m.alloc_host(0, size, materialize=False) for _ in "sd")
+            src, dst = (m.alloc_host(0, size) for _ in "sd")
             for t in range(n):
                 wb.tag_recv_nb(dst, size, tag=t)
                 wa.tag_send_nb(wa.ep(1), src, size, tag=t)
@@ -188,7 +188,7 @@ class TestRendezvousBookkeeping:
     def test_cancel_one_of_many_pending_retracts_exactly_that_rts(self):
         m, wa, wb = make_pair()
         size = 64 * KB
-        reqs = [wa.tag_send_nb(wa.ep(1), m.alloc_host(0, size, materialize=False),
+        reqs = [wa.tag_send_nb(wa.ep(1), m.alloc_host(0, size),
                                size, tag=t) for t in range(200)]
         m.sim.run()  # 200 RTS descriptors parked in wb's unexpected queue
         assert len(wb.unexpected) == 200 and len(wa.pending_rndv_sends) == 200
@@ -201,7 +201,7 @@ class TestRendezvousBookkeeping:
         assert wa.cancel(victim) is False  # already completed
         # the other 199 still complete normally
         for t in range(200):
-            wb.tag_recv_nb(m.alloc_host(0, size, materialize=False), size, tag=t)
+            wb.tag_recv_nb(m.alloc_host(0, size), size, tag=t)
         m.sim.run()
         assert [r.status for r in reqs].count(UcsStatus.OK) == 199
         assert_no_live_rendezvous([wa, wb])

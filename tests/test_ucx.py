@@ -178,8 +178,8 @@ class TestRendezvous:
     def test_device_rndv_uses_ipc_cache(self):
         m, ctx, wa, wb = make_pair()
         size = 1 * MB
-        src = m.alloc_device(0, size, materialize=False)
-        dst = m.alloc_device(1, size, materialize=False)
+        src = m.alloc_device(0, size)
+        dst = m.alloc_device(1, size)
         # first transfer pays the IPC open; second is cached and faster
         r1 = wb.tag_recv_nb(dst, size, tag=1)
         wa.tag_send_nb(wa.ep(1), src, size, tag=1)
@@ -204,8 +204,8 @@ class TestRendezvous:
             cfg = MachineConfig.summit(nodes=2)
             cfg = replace(cfg, ucx=replace(cfg.ucx, gpudirect_rdma=gdr))
             m, ctx, wa, wb = make_pair(gpus=(0, 6), config=cfg)
-            src = m.alloc_device(0, size, materialize=False)
-            dst = m.alloc_device(6, size, materialize=False)
+            src = m.alloc_device(0, size)
+            dst = m.alloc_device(6, size)
             wb.tag_recv_nb(dst, size, tag=1)
             wa.tag_send_nb(wa.ep(1), src, size, tag=1)
             m.sim.run()

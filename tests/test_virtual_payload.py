@@ -1,15 +1,10 @@
-"""Virtual-payload mode: no data movement, bit-identical timing.
-
-``MachineConfig.virtual_payload`` skips NumPy payload materialisation for
-every buffer whose caller did not explicitly ask for real bytes.  Buffer
-copies become size-only no-ops, but every modeled delay is computed from
-sizes and config alone — so full simulation fingerprints must match the
-materialized runs bit for bit.  The paper-scale scaling sweeps rely on
-this equivalence to drop the dead-weight memcpys.
-
-Such a run holds no array, so it must not load NumPy either: the import-path
-test runs one in a fresh interpreter, and a source rule keeps module-level
-``import numpy`` out of the package.
+"""Payload bytes exist once something touches them, and timing never
+depends on them: a run whose programs write their device buffers matches
+one whose programs do not, fingerprint for fingerprint, and the latter
+touches no byte.  Such a run holds no array, so it must not load NumPy:
+the import-path test runs the default configuration in a fresh
+interpreter, and a source rule keeps module-level ``import numpy`` out of
+the package.
 """
 
 import ast
@@ -18,64 +13,54 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.api as api
 from repro.apps.jacobi3d.driver import run_jacobi
 from repro.apps.osu.runner import run_latency
 from repro.config import MachineConfig
-from repro.hardware.topology import Machine
+from repro.hardware.cuda import CudaRuntime
 
 
-def _jacobi_fingerprint(cfg):
-    sess = api.session(cfg).model("charm").flight().build()
-    r = run_jacobi("charm", nodes=cfg.topology.nodes, scaling="weak",
-                   iters=2, warmup=1, session=sess)
-    fp = sess.baseline_fingerprint()
-    fp["iter_time"] = r.iter_time
-    fp["comm_time"] = r.comm_time
-    return fp
+def _fingerprint(monkeypatch, model, run, write):
+    """``run(sess)``'s fingerprint, every device buffer written or untouched."""
+    bufs, malloc = [], CudaRuntime.malloc
+
+    def tracked(self, gpu, size):
+        bufs.append(malloc(self, gpu, size))
+        if write:
+            bufs[-1].fill(0xA5)
+        return bufs[-1]
+
+    monkeypatch.setattr(CudaRuntime, "malloc", tracked)
+    sess = api.session(MachineConfig.summit(nodes=2)).model(model).flight().build()
+    result = run(sess)
+    monkeypatch.undo()
+    assert bufs and all(buf.is_virtual != write for buf in bufs)
+    return dict(sess.baseline_fingerprint(), result=result)
 
 
-def test_jacobi_fingerprint_identical_under_virtual_payload():
-    cfg = MachineConfig.summit(nodes=2)
-    materialized = _jacobi_fingerprint(cfg)
-    virtual = _jacobi_fingerprint(cfg.with_virtual_payload())
-    assert virtual == materialized  # bit-equal, not approx
+def test_jacobi_fingerprint_identical_under_virtual_payload(monkeypatch):
+    def run(sess):  # a small domain: the written run fills every buffer
+        r = run_jacobi("charm", nodes=2, domain=(96, 96, 96), iters=2,
+                       warmup=1, session=sess)
+        return r.iter_time, r.comm_time
+
+    assert (_fingerprint(monkeypatch, "charm", run, True)
+            == _fingerprint(monkeypatch, "charm", run, False))  # bit-equal
 
 
 @pytest.mark.parametrize("model", ["charm", "openmpi"])
 @pytest.mark.parametrize("placement,size", [("intra", 8), ("inter", 256 * 1024)])
-def test_osu_latency_identical_under_virtual_payload(model, placement, size):
-    # small messages materialize by default, so this exercises the case
-    # where virtual mode actually changes the allocation decision
-    def fingerprint(cfg):
-        sess = api.session(cfg).model(model).flight().build()
-        lat = run_latency(model, size, placement, True, session=sess,
-                          iters=6, skip=2)
-        fp = sess.baseline_fingerprint()
-        fp["latency"] = lat
-        return fp
+def test_osu_latency_identical_under_virtual_payload(monkeypatch, model,
+                                                     placement, size):
+    # a ping-pong whose sender writes its buffer against one that does not
+    def run(sess):
+        return run_latency(model, size, placement, True, session=sess,
+                           iters=6, skip=2)
 
-    cfg = MachineConfig.summit(nodes=2)
-    assert fingerprint(cfg.with_virtual_payload()) == fingerprint(cfg)
-
-
-def test_virtual_payload_skips_materialisation():
-    m = Machine(MachineConfig.summit(nodes=1).with_virtual_payload())
-    assert m.alloc_host(0, 64).data is None
-    assert m.alloc_device(0, 64).data is None
-    # an explicit request for real bytes still wins (functional tests)
-    buf = m.alloc_host(0, 64, materialize=True)
-    assert isinstance(buf.data, np.ndarray) and buf.data.nbytes == 64
-
-
-def test_virtual_payload_defaults_off():
-    cfg = MachineConfig.summit(nodes=1)
-    assert cfg.virtual_payload is False
-    m = Machine(cfg)
-    assert m.alloc_host(0, 64).data is not None
+    assert (_fingerprint(monkeypatch, model, run, True)
+            == _fingerprint(monkeypatch, model, run, False))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,23 +69,25 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: and figure tooling, which no simulated run imports.
 NUMPY_IMPORTERS = ("bench/",)
 
-_VIRTUAL_PINGPONG = """
+_DEFAULT_RUNS = """
 import sys
 import repro.api as api
+from repro.apps.jacobi3d.driver import run_jacobi
 from repro.apps.osu.runner import run_latency
 from repro.config import MachineConfig
 
-cfg = MachineConfig.summit(nodes=2).with_virtual_payload()
+cfg = MachineConfig.summit(nodes=2)
 for model in ("charm", "ampi", "openmpi", "charm4py"):
     sess = api.session(cfg).model(model).build()
     assert run_latency(model, 8, "inter", True, session=sess, iters=4, skip=1) > 0
+assert run_jacobi("ampi", nodes=2, iters=2, warmup=1).iter_time > 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 
 
 def test_virtual_run_never_imports_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _VIRTUAL_PINGPONG], env=env,
+    proc = subprocess.run([sys.executable, "-c", _DEFAULT_RUNS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -27,12 +27,12 @@ class TestTaggedStreamOrdering:
         """big-eager then rndv: the rndv RTS (tiny, bypasses links) must not
         match the first posted receive."""
         m, wa, wb = make_pair()
-        small = m.alloc_host(0, 8 * KB, materialize=True)
+        small = m.alloc_host(0, 8 * KB)
         small.data[:] = 1
-        big = m.alloc_host(0, 1 * MB, materialize=True)
+        big = m.alloc_host(0, 1 * MB)
         big.data[:] = 2
-        d1 = m.alloc_host(1, 1 * MB, materialize=True)
-        d2 = m.alloc_host(1, 1 * MB, materialize=True)
+        d1 = m.alloc_host(1, 1 * MB)
+        d2 = m.alloc_host(1, 1 * MB)
         r1 = wb.tag_recv_nb(d1, 1 * MB, tag=5)
         r2 = wb.tag_recv_nb(d2, 1 * MB, tag=5)
         wa.tag_send_nb(wa.ep(1), small, 8 * KB, tag=5)  # eager (bulk wire)
@@ -49,10 +49,10 @@ class TestTaggedStreamOrdering:
         sizes = [64, 512 * KB, 256, 64 * KB, 2 * MB, 1 * KB]
         reqs = []
         for i, size in enumerate(sizes):
-            dst = m.alloc_host(1, size, materialize=True)
+            dst = m.alloc_host(1, size)
             reqs.append((wb.tag_recv_nb(dst, size, tag=1), dst, i, size))
         for i, size in enumerate(sizes):
-            src = m.alloc_host(0, size, materialize=True)
+            src = m.alloc_host(0, size)
             src.data[:] = (i + 1) * 7 % 251
             wa.tag_send_nb(wa.ep(1), src, size, tag=1)
         m.sim.run()
@@ -62,12 +62,12 @@ class TestTaggedStreamOrdering:
 
     def test_device_eager_and_rndv_ordered(self):
         m, wa, wb = make_pair()
-        small = m.alloc_device(0, 1 * KB, materialize=True)
+        small = m.alloc_device(0, 1 * KB)
         small.data[:] = 3
-        big = m.alloc_device(0, 256 * KB, materialize=True)
+        big = m.alloc_device(0, 256 * KB)
         big.data[:] = 4
-        d1 = m.alloc_device(6, 256 * KB, materialize=True)
-        d2 = m.alloc_device(6, 256 * KB, materialize=True)
+        d1 = m.alloc_device(6, 256 * KB)
+        d2 = m.alloc_device(6, 256 * KB)
         r1 = wb.tag_recv_nb(d1, 256 * KB, tag=9)
         r2 = wb.tag_recv_nb(d2, 256 * KB, tag=9)
         wa.tag_send_nb(wa.ep(1), small, 1 * KB, tag=9)
@@ -80,14 +80,14 @@ class TestTaggedStreamOrdering:
         """Nothing posted: messages park in the unexpected queue in send
         order, so later receives drain them FIFO."""
         m, wa, wb = make_pair()
-        first = m.alloc_host(0, 32 * KB, materialize=True)
+        first = m.alloc_host(0, 32 * KB)
         first.data[:] = 11
-        second = m.alloc_host(0, 64, materialize=True)
+        second = m.alloc_host(0, 64)
         second.data[:] = 22
         wa.tag_send_nb(wa.ep(1), first, 32 * KB, tag=2)  # rndv
         wa.tag_send_nb(wa.ep(1), second, 64, tag=2)  # eager ctrl-sized
         m.sim.run()
-        d = m.alloc_host(1, 32 * KB, materialize=True)
+        d = m.alloc_host(1, 32 * KB)
         r1 = wb.tag_recv_nb(d, 32 * KB, tag=2)
         m.sim.run()
         assert r1.info[1] == 32 * KB and d.data[0] == 11
@@ -96,8 +96,8 @@ class TestTaggedStreamOrdering:
         """FINs travel outside the matchable stream; a rendezvous completes
         even while later matchable traffic is held for ordering."""
         m, wa, wb = make_pair()
-        big = m.alloc_host(0, 1 * MB, materialize=True)
-        dst = m.alloc_host(1, 1 * MB, materialize=True)
+        big = m.alloc_host(0, 1 * MB)
+        dst = m.alloc_host(1, 1 * MB)
         r = wb.tag_recv_nb(dst, 1 * MB, tag=1)
         s = wa.tag_send_nb(wa.ep(1), big, 1 * MB, tag=1)
         m.sim.run()

@@ -14,7 +14,9 @@ spawns records into the same set.
 
 The output is one row per function defined in ``src/repro`` (found with
 ``ast``) whose code was never entered, as ``path::qualname`` followed by
-the lines of its body, then a summary line.  ``tools/reachability.txt`` is
+the lines of its body, then a summary line.  A root fails when it crashes
+or when none of its interpreters wrote a record (the hook did not load);
+the exit status is then 1.  ``tools/reachability.txt`` is
 the committed ledger of those rows, each with its verdict;
 ``tests/test_reachability_ledger.py`` checks the ledger against the source.
 """
@@ -141,38 +143,45 @@ def defined_functions():
 
 
 def _run(argv, env, tmp):
+    """Run one root with its records going to a directory of its own;
+    returns the root, its exit code, stderr and the records written."""
+    out = Path(tempfile.mkdtemp(prefix="reached", dir=tmp))
     cmd = [sys.executable] + [a.replace("{tmp}", tmp) for a in argv]
-    done = subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    return argv, done.returncode, done.stderr
+    done = subprocess.run(cmd, cwd=tmp, env=dict(env, REACH_OUT=str(out)),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    records = [line for f in out.iterdir()
+               for line in f.read_text().splitlines()]
+    return argv, done.returncode, done.stderr, records
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        hook_dir, out = Path(tmp, "hook"), Path(tmp, "reached")
+        hook_dir = Path(tmp, "hook")
         hook_dir.mkdir()
-        out.mkdir()
         (hook_dir / "sitecustomize.py").write_text(HOOK)
         Path(tmp, "plan.json").write_text(FAULT_PLAN)
         env = dict(os.environ, PYTHONHASHSEED="0", REACH_SRC=str(SRC),
-                   REACH_OUT=str(out),
                    PYTHONPATH=os.pathsep.join(
                        [str(hook_dir), str(ROOT / "src"), str(ROOT)]))
         failed = []
+        reached = set()
         with ThreadPoolExecutor(max(1, min(2, os.cpu_count() or 1))) as pool:
             for roots in (ROOTS, SUMMARY):
-                for argv, code, err in pool.map(
+                for argv, code, err, records in pool.map(
                         lambda a: _run(a, env, tmp), roots):
                     # the root only has to run: a gate that trips still
-                    # reached its code, but a crash before the end did not
+                    # reached its code, but a crash before the end did not,
+                    # and a root that recorded nothing ran without the hook
                     if code not in (0, 1) or "Traceback" in err:
                         failed.append((argv, err.strip().splitlines()[-1:]))
-        reached = set()
-        for f in out.iterdir():
-            for line in f.read_text().splitlines():
-                filename, _, lineno = line.rpartition(":")
-                reached.add((Path(filename).resolve().relative_to(ROOT)
-                             .as_posix(), int(lineno)))
+                    elif not records:
+                        failed.append((argv, ["no record written: the hook "
+                                              "did not run"]))
+                    for line in records:
+                        filename, _, lineno = line.rpartition(":")
+                        reached.add((Path(filename).resolve().relative_to(ROOT)
+                                     .as_posix(), int(lineno)))
 
     total = unreached = lines = 0
     for rel, qual, first, body in defined_functions():
