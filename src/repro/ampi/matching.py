@@ -31,7 +31,7 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class AmpiEnvelope:
     """Host-side metadata of one AMPI message (rides in a Converse message)."""
 
@@ -48,7 +48,7 @@ class AmpiEnvelope:
     value: object = None  # value-based payload (collectives internals)
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedMpiRecv:
     """One entry of the request queue."""
 

@@ -54,7 +54,7 @@ from repro.ucx.status import UcsStatus
 MAX_USER_TAG = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MpiStatus:
     """What ``MPI_Recv`` reports (plus ``value`` for value-based internals)."""
 

@@ -18,9 +18,8 @@ Usage inside coroutine entry methods (cf. the paper's Fig. 8)::
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer
@@ -43,7 +42,7 @@ def _host_payload_bytes(args: Tuple[Any, ...]) -> int:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class _Packet:
     kind: str  # "host" | "dev"
     value: Any = None
@@ -57,8 +56,8 @@ class _Endpoint:
     __slots__ = ("packets", "waiting")
 
     def __init__(self) -> None:
-        self.packets: Deque[_Packet] = deque()
-        self.waiting: Deque[Tuple[Any, Optional[Tuple[Buffer, int]]]] = deque()
+        self.packets: List[_Packet] = []
+        self.waiting: List[Tuple[Any, Optional[Tuple[Buffer, int]]]] = []
 
 
 class Channel:
@@ -71,7 +70,6 @@ class Channel:
         self.local_id = local_chare.thisProxy.chare_id
         self.remote_id = remote_proxy.chare_id
         self.key = (min(self.local_id, self.remote_id), max(self.local_id, self.remote_id))
-        c4p._register_endpoint(self.key, self.local_id)
 
     # -- send ---------------------------------------------------------------------
     def send(self, *args) -> SimEvent:

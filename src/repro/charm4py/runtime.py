@@ -129,11 +129,13 @@ class Charm4py:
         return _PyCollection(self, self.charm.create_group(cls, *args, **kwargs))
 
     # -- channel plumbing -------------------------------------------------------------
-    def _register_endpoint(self, key: Tuple[int, int], owner_id: int) -> None:
-        self._endpoints.setdefault((key, owner_id), _Endpoint())
-
     def _endpoint(self, key: Tuple[int, int], owner_id: int) -> _Endpoint:
-        return self._endpoints.setdefault((key, owner_id), _Endpoint())
+        """Channel ``key``'s receive side at chare ``owner_id``, made on first
+        use: a packet may arrive before its receiver builds its end."""
+        ep = self._endpoints.get((key, owner_id))
+        if ep is None:
+            ep = self._endpoints[key, owner_id] = _Endpoint()
+        return ep
 
     def _handle_channel_msg(self, pe, msg) -> None:
         key, owner_id, pkt = msg.payload
@@ -144,7 +146,7 @@ class Charm4py:
             tracer.stage(METADATA_ARRIVED, pkt.dev_meta.tag)
         ep = self._endpoint(key, owner_id)
         if ep.waiting:
-            future, dst = ep.waiting.popleft()
+            future, dst = ep.waiting.pop(0)
             self._deliver(owner_id, pkt, future, dst)
         else:
             ep.packets.append(pkt)
@@ -152,7 +154,7 @@ class Charm4py:
     def _post_channel_recv(self, key, owner_id: int, future: Future, dst) -> None:
         ep = self._endpoint(key, owner_id)
         if ep.packets:
-            self._deliver(owner_id, ep.packets.popleft(), future, dst)
+            self._deliver(owner_id, ep.packets.pop(0), future, dst)
         else:
             ep.waiting.append((future, dst))
 

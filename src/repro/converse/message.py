@@ -19,7 +19,7 @@ from repro.core.device_buffer import CmiDeviceBuffer
 _msg_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class CmiMessage:
     """One host-side message between PEs."""
 

@@ -27,7 +27,7 @@ class DeviceRecvType(enum.IntEnum):
     CHARM4PY = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class CmiDeviceBuffer:
     """Converse-layer metadata for one source GPU buffer (paper Fig. 5).
 
@@ -52,7 +52,7 @@ class CmiDeviceBuffer:
             raise ValueError("CmiDeviceBuffer wraps device memory only")
 
 
-@dataclass
+@dataclass(slots=True)
 class CkDeviceBuffer(CmiDeviceBuffer):
     """Charm++-core metadata: adds the completion callback (CkCallback)."""
 
@@ -66,7 +66,7 @@ class CkDeviceBuffer(CmiDeviceBuffer):
         return cls(ptr=buf, size=size if size is not None else buf.size, cb=cb)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceRdmaOp:
     """Receive descriptor passed to ``LrtsRecvDevice`` (paper §III-A).
 

@@ -38,7 +38,6 @@ wildcard entries/lookups.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["IndexedMatchQueue"]
@@ -105,8 +104,9 @@ class IndexedMatchQueue:
 
     Removed entries are tombstoned (``None``) and physically compacted once
     they outnumber the live entries, so slots stay small and iteration stays
-    amortised O(live).  Bucket deques and the wildcard list hold slot indices
-    and are cleaned lazily.
+    amortised O(live).  Buckets and the wildcard list hold the slot indices
+    of live entries only: a removal takes its slot out at once, and a bucket
+    goes with its last entry.
     """
 
     __slots__ = ("_slots", "_keys", "_buckets", "_wild", "_fen", "_live",
@@ -118,7 +118,7 @@ class IndexedMatchQueue:
     def __init__(self) -> None:
         self._slots: List[Any] = []  # item, or None once removed
         self._keys: List[Any] = []  # key the item was filed under
-        self._buckets: Dict[Any, deque] = {}
+        self._buckets: Dict[Any, List[int]] = {}  # key -> its live slots, FIFO
         self._wild: List[int] = []  # slots of wildcard entries, FIFO
         self._fen = _Fenwick()
         self._live = 0
@@ -140,13 +140,22 @@ class IndexedMatchQueue:
         else:
             bucket = self._buckets.get(key)
             if bucket is None:
-                self._buckets[key] = deque((slot,))
+                self._buckets[key] = [slot]
             else:
                 bucket.append(slot)
 
     def _kill(self, slot: int) -> Any:
         item = self._slots[slot]
         self._slots[slot] = None
+        key = self._keys[slot]
+        if key is None:
+            self._wild.remove(slot)
+        else:
+            bucket = self._buckets[key]
+            if len(bucket) == 1:
+                del self._buckets[key]
+            else:
+                bucket.remove(slot)
         self._fen.add(slot, -1)
         self._live -= 1
         self._dead += 1
@@ -170,7 +179,7 @@ class IndexedMatchQueue:
             else:
                 bucket = self._buckets.get(k)
                 if bucket is None:
-                    self._buckets[k] = deque((slot,))
+                    self._buckets[k] = [slot]
                 else:
                     bucket.append(slot)
         self._fen = _Fenwick.all_live(len(live))
@@ -178,36 +187,18 @@ class IndexedMatchQueue:
 
     # -- candidate search ----------------------------------------------------
     def _bucket_head(self, key: Any) -> Optional[int]:
-        """Earliest live slot filed under ``key`` (lazily dropping dead)."""
+        """Earliest slot filed under ``key``."""
         bucket = self._buckets.get(key)
-        if not bucket:
-            return None
-        slots = self._slots
-        while bucket:
-            slot = bucket[0]
-            if slots[slot] is not None:
-                return slot
-            bucket.popleft()
-        del self._buckets[key]
-        return None
+        return None if bucket is None else bucket[0]
 
     def _first_wild(self, pred: Callable[[Any], bool], before: Optional[int]) -> Optional[int]:
-        """Earliest live wildcard slot ``< before`` whose item satisfies
-        ``pred``; dead wildcard slots met on the way are dropped."""
-        wild = self._wild
+        """Earliest wildcard slot ``< before`` whose item satisfies ``pred``."""
         slots = self._slots
-        i = 0
-        while i < len(wild):
-            slot = wild[i]
-            item = slots[slot]
-            if item is None:
-                wild.pop(i)
-                continue
+        for slot in self._wild:
             if before is not None and slot >= before:
                 return None
-            if pred(item):
+            if pred(slots[slot]):
                 return slot
-            i += 1
         return None
 
     def _find(self, key: Any, pred: Callable[[Any], bool]) -> Optional[int]:
@@ -238,11 +229,6 @@ class IndexedMatchQueue:
         if slot is None:
             return None, self._live
         scanned = self._fen.rank(slot)
-        if self._keys[slot] is None:
-            try:
-                self._wild.remove(slot)
-            except ValueError:  # pragma: no cover - already lazily dropped
-                pass
         return self._kill(slot), scanned
 
     def peek(self, key: Any, pred: Callable[[Any], bool]) -> Optional[Any]:

@@ -11,7 +11,6 @@ to an operation's ``then`` (see ``sim/engine.py``).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.sim.engine import Simulator
@@ -153,22 +152,24 @@ class SimQueue:
     def __init__(self, sim: Simulator, name: str = "queue") -> None:
         self.sim = sim
         self.name = name
-        self._items: deque[Any] = deque()
-        self._waiters: deque[SimEvent] = deque()
+        # lists, not deques: a PE queue rarely holds more than a few
+        # entries, and an empty list is 56 bytes where a deque is 760
+        self._items: List[Any] = []
+        self._waiters: List[SimEvent] = []
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
         if self._waiters:
-            self._waiters.popleft().succeed(item)
+            self._waiters.pop(0).succeed(item)
         else:
             self._items.append(item)
 
     def get(self) -> SimEvent:
         ev = SimEvent(self.sim, name="queue.get")
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev.succeed(self._items.pop(0))
         else:
             self._waiters.append(ev)
         return ev

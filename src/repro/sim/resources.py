@@ -17,7 +17,6 @@ found busy and ``Link.release`` re-examines them.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.sim.engine import Simulator
@@ -34,7 +33,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque = deque()  # (fn, args) to run once granted
+        self._waiters: list = []  # (fn, args) to run once granted, FIFO
         # statistics
         self.total_acquisitions = 0
         self.busy_time = 0.0
@@ -88,7 +87,7 @@ class Resource:
             self._busy_since = None
         if self._waiters:
             self.try_acquire()  # the slot just freed
-            fn, args = self._waiters.popleft()
+            fn, args = self._waiters.pop(0)
             fn(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

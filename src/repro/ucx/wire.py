@@ -24,7 +24,7 @@ def next_rndv_id() -> int:
     return next(_rndv_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class WireMessage:
     """One message as seen by the destination worker.
 

@@ -62,7 +62,7 @@ from repro.ucx.status import UcsStatus, UcxError
 from repro.ucx.wire import WireKind, WireMessage
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """One entry of the posted-receive (expected) queue."""
 

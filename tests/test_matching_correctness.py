@@ -176,6 +176,29 @@ class TestUcxQueueIdentity:
         assert [msg.tag for msg in wb.unexpected] == [0, 2]
 
 
+class TestBucketsGoWithTheirLastEntry:
+    @pytest.mark.parametrize("model", ["ampi", "charm"])
+    def test_drained_queues_hold_no_bucket_after_a_device_ping_pong(self, model):
+        """Every device message carries its own tag, so each bucket holds one
+        entry; once a ping-pong has drained the queues, no bucket and no
+        wildcard slot may be left behind, compaction or not."""
+        import repro.api as api
+        from repro.apps.osu.runner import run_latency
+
+        sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
+        run_latency(model, 1024, placement="inter", iters=3, skip=1,
+                    session=sess)
+        queues = [q for w in sess.charm.layer.workers
+                  for q in (w.posted, w.unexpected)]
+        if model == "ampi":
+            queues += [q for r in sess.lib.ranks
+                       for q in (r.matching.posted, r.matching.unexpected)]
+        assert sess.counters["ucx.send"] > 0
+        for q in queues:
+            assert len(q) == 0
+            assert q._buckets == {} and q._wild == []
+
+
 # ---------------------------------------------------------------------------
 # 2. GPU-pointer cache invalidation on free
 # ---------------------------------------------------------------------------

@@ -132,4 +132,9 @@ def test_indexed_queue_matches_linear_oracle(seed, monkeypatch):
                     is lin.remove_first(lambda e: e is victim))
         assert len(idx) == len(lin)
         assert list(idx) == list(lin)
+        # buckets and the wildcard list hold live slots only, and no bucket
+        # outlives its last entry
+        assert all(idx._slots[s] is not None for s in idx._wild)
+        for bucket in idx._buckets.values():
+            assert bucket and all(idx._slots[s] is not None for s in bucket)
     assert len(compactions) > 10

@@ -108,6 +108,14 @@ class TestSimQueue:
         q.put(2)  # first put woke the waiter
         assert len(q) == 1
 
+    def test_deep_buffer_served_fifo(self, sim):
+        q = SimQueue(sim)
+        for i in range(10_000):
+            q.put(i)
+        assert len(q) == 10_000
+        assert [q.get().result() for _ in range(10_000)] == list(range(10_000))
+        assert len(q) == 0
+
 
 def test_timeouts_compose_with_allof(sim):
     combo = AllOf(sim, [Timeout(sim, 1.0, "a"), Timeout(sim, 3.0, "b")])

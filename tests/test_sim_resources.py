@@ -74,6 +74,28 @@ def test_queue_length(sim):
     assert r.queue_length == 2
 
 
+def test_uncontended_resource_reports_an_empty_queue(sim):
+    r = Resource(sim, capacity=1, name="nic0")
+    r.occupy(1.0)
+    sim.run()
+    assert r.queue_length == 0
+    assert "nic0" in repr(r) and "waiting=0" in repr(r)
+
+
+def test_fifo_survives_contend_drain_contend(sim):
+    r = Resource(sim, capacity=1)
+    order = []
+    for name in "abc":
+        r.occupy(1.0, order.append, (name,))
+    sim.run()
+    assert r.queue_length == 0 and r.in_use == 0
+    for name in "xyz":
+        r.occupy(1.0, lambda n=name: order.append((n, sim.now)))
+    assert r.queue_length == 2
+    sim.run()
+    assert order == ["a", "b", "c", ("x", 4.0), ("y", 5.0), ("z", 6.0)]
+
+
 class TestTracer:
     def test_deprecated_span_api_removed(self, sim):
         # span_begin/span_end completed their deprecation cycle; the
