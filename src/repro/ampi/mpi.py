@@ -371,7 +371,7 @@ class AmpiRank(_AmpiComm):
         tracer = ampi.machine.tracer
         asp = tracer.stage(AMPI_SEND, attrs=(self.rank, dst, tag, nbytes, is_dev))
         if asp:
-            ev.add_callback(lambda _e: asp.end())
+            ev.add_callback(lambda _e: tracer.end(asp))
 
         if buf is not None and is_dev:
             # Fig. 7: CkDeviceBuffer + callback; GPU data via LrtsSendDevice.
@@ -448,7 +448,7 @@ class AmpiRank(_AmpiComm):
             AMPI_RECV, cost=rt.ampi_recv_overhead, attrs=(self.rank, src, tag))
         if rsp:
             req.span = rsp
-            ev.add_callback(lambda _e: rsp.end())
+            ev.add_callback(lambda _e: tracer.end(rsp))
 
         def _post() -> None:
             env, scanned = self.matching.match_recv(req)

@@ -101,7 +101,7 @@ class Channel:
                     pkt = _Packet(kind="dev", dev_meta=dev_meta)
                     self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
                 tracer.stage(METADATA_SENT, dev_meta.tag)
-                sp.end()
+                tracer.end(sp)
 
             sim.call_later(cost, _go)
             return Timeout(sim, cost)
@@ -119,7 +119,7 @@ class Channel:
             with tracer.under(sp):
                 pkt = _Packet(kind="host", value=value, nbytes=nbytes)
                 self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
-            sp.end()
+            tracer.end(sp)
 
         sim.call_later(cost, _go_host)
         return Timeout(sim, cost)

@@ -192,7 +192,7 @@ class Charm4py:
             C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))
 
         def _recv_complete(_op) -> None:
-            rsp.end()
+            tracer.end(rsp)
             future.send(None)
 
         op = DeviceRdmaOp(

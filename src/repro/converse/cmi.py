@@ -65,7 +65,7 @@ class Converse:
         rt = self.runtime_cfg
         wire = msg.wire_size(rt.converse_header_bytes, rt.device_metadata_bytes)
         pe = self.pes[src_pe]
-        with self.machine.tracer.stage(CMI_SEND, attrs=(msg.handler, wire)):
+        with self.machine.tracer.scope(CMI_SEND, attrs=(msg.handler, wire)):
             self.layer.send_host_message(
                 src_pe, msg.dst_pe, msg, wire, departure_delay=pe.current_delay()
             )
@@ -81,7 +81,7 @@ class Converse:
         """``CmiSendDevice`` (paper Fig. 6, step 2): hand the GPU buffer to
         the machine layer; the assigned tag lands in ``dev_buf.tag``."""
         pe = self.pes[src_pe]
-        with self.machine.tracer.stage(
+        with self.machine.tracer.scope(
             CMI_SEND_DEVICE, attrs=(src_pe, dst_pe, dev_buf.size)
         ):
             return self.layer.lrts_send_device(
@@ -94,7 +94,7 @@ class Converse:
     def cmi_recv_device(self, pe_index: int, op: DeviceRdmaOp) -> None:
         """``CmiRecvDevice``: post the receive for announced GPU data."""
         pe = self.pes[pe_index]
-        with self.machine.tracer.stage(CMI_RECV_DEVICE, attrs=(pe_index, op.size)):
+        with self.machine.tracer.scope(CMI_RECV_DEVICE, attrs=(pe_index, op.size)):
             self.layer.lrts_recv_device(
                 pe_index, op, departure_delay=pe.current_delay()
             )

@@ -138,7 +138,8 @@ class UcxMachineLayer:
         )
 
         def _complete(_req: UcxRequest) -> None:
-            sp.end()
+            # through `self`, not `tracer`: no extra cell per in-flight message
+            self.machine.tracer.end(sp)
             if _req.status is not UcsStatus.OK:
                 if on_error is not None:
                     on_error(_req.status)
@@ -171,7 +172,7 @@ class UcxMachineLayer:
 
         def _complete(req: UcxRequest) -> None:
             # close the span on every outcome: an error must not leak it
-            sp.end()
+            self.machine.tracer.end(sp)
             if req.status is not UcsStatus.OK:
                 if op.on_error is not None:
                     op.on_error(op, req.status)

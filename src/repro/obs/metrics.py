@@ -7,14 +7,16 @@ directly, and the dotted-key :class:`collections.Counter` view is built on
 read (end of run).
 
 On top of the counters the registry adds the typed instruments the
-observability subsystem needs:
+observability subsystem needs, both folded from the tracer's record when read
+(:mod:`repro.obs.tracing`; :meth:`MetricsRegistry.snapshot` calls ``fold``
+first):
 
 * **histograms** — fixed bucket ladders for message sizes
   (:data:`SIZE_BUCKETS`, the OSU power-of-two ladder) and latencies
   (:data:`LATENCY_BUCKETS`, a 1-2-5 ladder in seconds);
 * **per-category simulated time** — the modeled CPU cost each layer charges
-  (:meth:`MetricsRegistry.add_time`), which is how the §IV-B1 overhead
-  anatomy attributes AMPI time *outside* UCX from one traced run.
+  (:attr:`MetricsRegistry.times`), which is how the §IV-B1 overhead anatomy
+  attributes AMPI time *outside* UCX from one traced run.
 
 Everything is observation-only: no method touches the simulator, so metrics
 can never perturb simulated clocks or event ordering.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Message-size ladder (bytes): the OSU sweep's powers of two, 1 B .. 4 MiB.
 #: Values above the last bound land in the implicit +inf bucket.
@@ -54,11 +56,6 @@ class Histogram:
         self.count = 0
         self.total = 0.0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-
     def snapshot(self) -> Dict:
         return {
             "bounds": list(self.bounds),
@@ -71,12 +68,13 @@ class Histogram:
 class MetricsRegistry:
     """Counters, histograms and per-layer time for one simulation."""
 
-    def __init__(self) -> None:
+    def __init__(self, fold: Optional[Callable[[], None]] = None) -> None:
         #: (category, event) -> count; the per-message hot path writes here
         self.counts: Dict[Tuple[str, str], int] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # category -> modeled simulated seconds charged by that layer
-        self._times: Dict[str, float] = {}
+        #: category -> modeled simulated seconds charged by that layer
+        self.times: Dict[str, float] = {}
+        self._fold = fold
 
     # -- counters (hot path) -------------------------------------------------
     def counter(self, category: str, event: str) -> int:
@@ -88,27 +86,27 @@ class MetricsRegistry:
         return Counter({f"{c}.{e}": n for (c, e), n in self.counts.items()})
 
     # -- histograms -------------------------------------------------------------
-    def histogram(self, name: str, bounds: Sequence[float] = SIZE_BUCKETS) -> Histogram:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(name, bounds)
-        return hist
-
-    def observe(
-        self, name: str, value: float, bounds: Sequence[float] = SIZE_BUCKETS
+    def observe_all(
+        self, observations: Iterable[Tuple[str, Sequence[float], float]]
     ) -> None:
-        self.histogram(name, bounds).observe(value)
-
-    # -- per-layer time ----------------------------------------------------------
-    def add_time(self, category: str, seconds: float) -> None:
-        times = self._times
-        times[category] = times.get(category, 0.0) + seconds
+        """Add each ``(histogram, bounds, value)`` in order; a histogram is
+        created, with ``bounds``, at its first value."""
+        histograms = self._histograms
+        for name, bounds, value in observations:
+            hist = histograms.get(name)
+            if hist is None:
+                hist = histograms[name] = Histogram(name, bounds)
+            hist.counts[bisect_left(hist.bounds, value)] += 1
+            hist.count += 1
+            hist.total += value
 
     # -- export -------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """Plain-dict snapshot (the stable export format; JSON-serialisable)."""
+        if self._fold is not None:
+            self._fold()
         return {
             "counters": {f"{c}.{e}": n for (c, e), n in self.counts.items()},
             "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
-            "time_by_category": dict(self._times),
+            "time_by_category": dict(self.times),
         }

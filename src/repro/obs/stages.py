@@ -14,6 +14,9 @@ below declares, once, who hears about it:
     flight fold reads);
 ``charge``
     the layer its modelled CPU ``cost`` is attributed to when tracing;
+``latency`` / ``sizes``
+    the histograms its span's ``end - start`` and ``size`` attribute land in
+    when tracing;
 ``flight``
     what the stage means to the transfer's
     :class:`~repro.obs.flight.FlightRecord`: the record field it stamps
@@ -55,7 +58,8 @@ COUNTER_SERIES: Dict[Tuple[str, str], str] = {
 class Stage:
     """One row of the table (see the module docstring for the fields)."""
 
-    __slots__ = ("counter", "span", "names", "charge", "flight", "series")
+    __slots__ = ("counter", "span", "names", "charge", "flight", "series",
+                 "latency", "sizes")
 
     def __init__(
         self,
@@ -64,6 +68,8 @@ class Stage:
         names: Tuple[str, ...] = (),
         charge: Optional[str] = None,
         flight: Optional[str] = None,
+        latency: Optional[str] = None,
+        sizes: Optional[str] = None,
     ) -> None:
         self.counter = counter
         self.span = span
@@ -71,6 +77,8 @@ class Stage:
         self.charge = charge
         self.flight = flight
         self.series = COUNTER_SERIES.get(counter)
+        self.latency = latency
+        self.sizes = sizes
 
 
 # -- model layers: operation entries -------------------------------------------
@@ -113,9 +121,12 @@ LRTS_RECV_DEVICE = Stage(
 # -- UCP worker -------------------------------------------------------------------
 # host sends have no flight record (the site passes no tag for them); device
 # sends that bypassed the machine layer (OpenMPI) get theirs opened here
+# a request's span lasts from post to completion: its width is the latency
 TAG_SEND = Stage(("ucx", "send"), ("ucx", "tag_send"), ("tag", "size", "proto"),
-                 charge="ucx", flight="ucx_send")
-TAG_RECV = Stage(("ucx", "recv"), ("ucx", "tag_recv"), ("tag", "size"), charge="ucx")
+                 charge="ucx", flight="ucx_send",
+                 latency="ucx.send_latency_seconds", sizes="ucx.send_size_bytes")
+TAG_RECV = Stage(("ucx", "recv"), ("ucx", "tag_recv"), ("tag", "size"), charge="ucx",
+                 latency="ucx.recv_latency_seconds")
 AM_SEND = Stage(("ucx", "am_send"), ("ucx", "am_send"), ("size", "rndv"), charge="ucx")
 ARRIVE = Stage(("ucx", "arrive"), charge="ucx")
 

@@ -143,8 +143,8 @@ class Telemetry:
         self.enabled = enabled
         self.capacity = capacity
         self.series: Dict[str, TimeSeries] = {}
-        #: the Tracer's ambient span stack (wired by Tracer.__init__) —
-        #: used to attribute link waits to the span category that blocked.
+        #: the Tracer's ambient stack of span rows (wired by Tracer.__init__)
+        #: — used to attribute link waits to the span category that blocked.
         self.ambient_stack: Optional[list] = None
         # congestion-attribution aggregates, all bounded by link count
         self.link_wait_time: Dict[str, float] = {}
@@ -227,7 +227,8 @@ class Telemetry:
     def ambient_category(self) -> str:
         stack = self.ambient_stack
         if stack:
-            return stack[-1].category or "untraced"
+            # a span row's third field is its stage: span = (category, name)
+            return stack[-1][2].span[0] or "untraced"
         return "untraced"
 
     def link_acquired(self, links, size: int, waited: float,

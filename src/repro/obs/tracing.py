@@ -1,38 +1,36 @@
-"""Hierarchical span-tree tracing for the simulator.
+"""Span-tree tracing: recording appends rows, the span tree is folded on read.
 
-Spans are first-class :class:`Span` objects:
+While tracing, recording appends plain tuples to one record and does nothing
+else: a span row ``(sid, parent_sid, stage, start, attrs, more, cost)`` (the
+stage-table row, :mod:`repro.obs.stages`, names the span and its ``attrs``;
+``more`` is a dict of further attributes, ``cost`` the time charged to
+``stage.charge``), an end row ``(span_row, time)`` or a charge row ``(layer,
+seconds)``.  The span row is the handle a site keeps, for ``tracer.end(sp)``,
+``with tracer.under(sp):`` (the ambient parent inside a later callback) or
+``parent=sp``; ``scope`` (lexical nesting), ``span`` (outside the stage table)
+and ``handle`` hand out ones that end themselves.
 
-* ``with tracer.span("ucx", "tag_send", size=n):`` — synchronous spans that
-  nest lexically (the tracer keeps an active-span stack, so a span opened
-  inside another becomes its child);
-* ``sp = tracer.span(...)`` + ``sp.end()`` — spans whose lifetime crosses
-  simulator events (a send that completes when the FIN arrives);
-* ``with tracer.under(sp):`` — re-activate an open span as the ambient
-  parent inside a *later* scheduled callback, so work the simulator runs
-  on behalf of that operation still nests under it.
+:attr:`Tracer.spans` and ``metrics.snapshot()`` fold the record when read, in
+record order (the order the per-layer sums, histogram sums and dict keys are
+pinned in), and consume the rows they fold: a later read folds what came since.
 
-The tracer is also the one door into observation for the hot path:
-:meth:`Tracer.stage` takes a row of the stage table
-(:mod:`repro.obs.stages`) plus what happened, and decides which recorders
-hear about it — the always-on counter, the span tree and per-layer time
-(``trace``), the stage log that flight records are folded from
-(``flight``: one plain tuple per flight stage in :attr:`Tracer.log`, see
-:mod:`repro.obs.flight`), the telemetry series (``telemetry``).  Sites name
-no recorder and test no switch.
+:meth:`Tracer.stage` is the hot path's one door into observation: it feeds
+the always-on counter, the record (``trace``), the stage log flight records
+are folded from (``flight``, :mod:`repro.obs.flight`) and the telemetry
+series (``telemetry``).  Sites name no recorder and test no switch.
 
 Determinism contract (enforced by ``tests/test_obs_golden.py``): observation
 code never calls ``sim.schedule``, never changes a modeled delay, and the
 per-event counters are incremented identically whatever is switched on.
-With tracing disabled every ``stage``/``span`` returns the shared
-:data:`NULL_SPAN` — no allocation, no bookkeeping — and with nothing
-switched on ``stage`` is one dict increment and one boolean test.
+With nothing switched on ``stage`` is one dict increment and one boolean
+test and returns ``None``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.stages import COUNTER_SERIES, Stage
 from repro.obs.timeline import Telemetry
 
@@ -43,128 +41,62 @@ __all__ = [
 ]
 
 
-class _NullSpan:
-    """Shared sink for all span operations while tracing is disabled."""
+class _Null(tuple):
+    """The empty row ``span``/``scope``/``handle``/``under`` return when
+    there is no span: falsy; ``end()`` or a ``with`` block does nothing."""
 
     __slots__ = ()
 
-    sid = -1
-    parent_sid = -1
-    category = ""
-    name = ""
-    start = 0.0
-    end_time = None
-    attrs: Dict = {}
-
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_Null":
         return self
 
     def __exit__(self, *exc) -> None:
         return None
 
-    def end(self, **attrs) -> None:
+    def end(self) -> None:
         return None
 
-    def close_at(self, time: float, **attrs) -> None:
-        return None
 
-    def __bool__(self) -> bool:
-        return False
+NULL_SPAN = _Null()
 
-    def __repr__(self) -> str:
-        return "<NULL_SPAN>"
+_SPAN_ROW = 7   # the fields of a span row; a _Scope adds its tracer and a flag
 
 
-NULL_SPAN = _NullSpan()
+class _Scope(tuple):
+    """A span row plus its tracer and whether leaving a ``with`` block ends
+    the span; inside the block it is the ambient parent.  What ``span``,
+    ``scope``, ``handle`` (which end it) and ``under`` (which does not)
+    return while tracing.  A tuple, so that making one is no Python call."""
+
+    __slots__ = ()
+
+    def end(self) -> None:
+        tracer = self[_SPAN_ROW]
+        tracer._record.append((self, tracer.sim.now))
+
+    def __enter__(self) -> "_Scope":
+        self[_SPAN_ROW]._stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        tracer, ends = self[_SPAN_ROW:]
+        stack = tracer._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        if ends:
+            tracer._record.append((self, tracer.sim.now))
 
 
 class Span:
-    """One node of the span tree: ``[start, end_time]`` in simulated seconds,
-    linked to its parent by ``parent_sid``."""
+    """A node of the folded span tree: ``[start, end_time]`` in simulated
+    seconds (``end_time`` ``None`` while open), linked by ``parent_sid``."""
 
-    __slots__ = ("_tracer", "sid", "parent_sid", "category", "name",
-                 "start", "end_time", "attrs")
-
-    def __init__(self, tracer: "Tracer", category: str, name: str,
-                 parent: Optional["Span"], attrs: Dict) -> None:
-        """Open a span at ``sim.now`` and register it with ``tracer``;
-        ``parent`` overrides the ambient active-span stack."""
-        self._tracer = tracer
-        self.sid = sid = tracer._next_sid
-        tracer._next_sid = sid + 1
-        if parent is None:
-            stack = tracer._stack
-            self.parent_sid = stack[-1].sid if stack else -1
-        else:
-            self.parent_sid = parent.sid
-        self.category = category
-        self.name = name
-        self.start = tracer.sim.now
-        self.end_time: Optional[float] = None
-        self.attrs = attrs
-        tracer.spans.append(self)
-
-    # -- context-manager form (synchronous nesting) ------------------------------
-    def __enter__(self) -> "Span":
-        self._tracer._stack.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        stack = self._tracer._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        self.end()
-
-    # -- explicit form (lifetime crosses simulator events) ------------------------
-    def end(self, **attrs) -> None:
-        """Close the span at the current simulated time (idempotent)."""
-        if self.end_time is not None:
-            return
-        if attrs:
-            self.attrs.update(attrs)
-        self.end_time = self._tracer.sim.now
-
-    def close_at(self, time: float, **attrs) -> None:
-        """Close the span at an explicit simulated time (idempotent).
-
-        Observation-only: lets instrumentation record a modeled interval
-        whose endpoint is already known (e.g. the charged tag-match cost)
-        without scheduling a simulator event to call ``end()`` there —
-        scheduling from tracing code would break the determinism contract.
-        """
-        if self.end_time is not None:
-            return
-        if attrs:
-            self.attrs.update(attrs)
-        self.end_time = time if time > self.start else self.start
+    __slots__ = ("sid", "parent_sid", "category", "name", "start",
+                 "end_time", "attrs")
 
     @property
     def duration(self) -> float:
         return (self.end_time if self.end_time is not None else self.start) - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.category}/{self.name} sid={self.sid} "
-                f"parent={self.parent_sid} [{self.start}, {self.end_time}])")
-
-
-class _Under:
-    """``with tracer.under(span):`` — push an existing open span as the
-    ambient parent without re-entering or ending it."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._stack.append(self._span)
-        return self._span
-
-    def __exit__(self, *exc) -> None:
-        stack = self._tracer._stack
-        if stack and stack[-1] is self._span:
-            stack.pop()
 
 
 class Tracer:
@@ -179,51 +111,25 @@ class Tracer:
                  telemetry: bool = False) -> None:
         self.sim = sim
         self.enabled = enabled
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(fold=self._fold)
         self._counts = self.metrics.counts
         self.log: List[tuple] = []  # flight stages, for repro.obs.flight
         self.timeline = Telemetry(sim, enabled=telemetry)
         self._flight_on = flight
         self._telemetry_on = telemetry
         self._quiet = not (enabled or flight or telemetry)
-        self.spans: List[Span] = []
-        self._stack: List[Span] = []
+        self._record: List[tuple] = []
+        self._spans: List[Span] = []     # folded so far
+        self._stack: List[tuple] = []    # ambient span rows
         # link waits are attributed to the ambient span's category
         self.timeline.ambient_stack = self._stack
         self._next_sid = 0
 
-    # -- span tree ----------------------------------------------------------------
-    def span(self, category: str, name: Optional[str] = None,
-             parent: Optional[Span] = None, **attrs) -> Span:
-        """Open a span at ``sim.now``.  Use as a context manager for
-        synchronous nesting, or keep the handle and call ``.end()`` when the
-        operation completes in a later simulator event.
-
-        ``parent`` overrides the ambient active-span stack (used to link a
-        receive-side span to the posted request it completes)."""
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self, category, name or category, parent, attrs)
-
-    def under(self, span: Optional[Span]):
-        """Context manager making ``span`` the ambient parent (no-op for
-        ``None``/``NULL_SPAN`` or when tracing is disabled: ``NULL_SPAN`` is
-        its own do-nothing context)."""
-        if not self.enabled or span is None or span is NULL_SPAN:
-            return NULL_SPAN
-        return _Under(self, span)
-
-    def span_children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_sid == span.sid]
-
-    def span_roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_sid == -1]
-
-    # -- the lifecycle-stage entry ------------------------------------------------
+    # -- recording ------------------------------------------------------------------
     def stage(self, st: Stage, tag: Optional[int] = None,
               dst: Optional[int] = None, cost: Optional[float] = None,
-              attrs: tuple = (), parent: Optional[Span] = None,
-              more: Optional[Dict] = None) -> Span:
+              attrs: tuple = (), parent: Optional[tuple] = None,
+              more: Optional[Dict] = None) -> Optional[tuple]:
         """Report that stage ``st`` of a message happened now.
 
         ``(tag, dst)`` identify the device transfer (``tag`` is ``None`` for
@@ -231,30 +137,133 @@ class Tracer:
         — where the site knows it); ``cost`` is the modelled CPU time the
         site charges here; ``attrs`` are the facts of the event, in the order
         of the stage's ``names``; ``more`` is a ready-made dict of further
-        span attributes (sites build one only when traced).  Returns the span
-        the stage opens, or :data:`NULL_SPAN`.  What each recorder does with
-        the stage is the table's business (:mod:`repro.obs.stages`), not the
-        caller's."""
+        span attributes (sites build one only when traced); ``parent`` is a
+        span row overriding the ambient one.  Returns the span row, or
+        ``None``."""
         key = st.counter
         if key is not None:
             counts = self._counts
             counts[key] = counts.get(key, 0) + 1
         if self._quiet:
-            return NULL_SPAN
+            return None
         if self._flight_on and tag is not None and st.flight is not None:
             self.log.append((self.sim.now, st.flight, tag, dst, *attrs))
         if self._telemetry_on and st.series is not None:
             self.timeline.bump(st.series)
         if not self.enabled:
-            return NULL_SPAN
-        if cost is not None:
-            self.metrics.add_time(st.charge, cost)
+            return None
         if st.span is None:
+            if cost is not None:
+                self._record.append((st.charge, cost))
+            return None
+        sid = self._next_sid
+        self._next_sid = sid + 1
+        if parent is None:
+            stack = self._stack
+            parent_sid = stack[-1][0] if stack else -1
+        else:
+            parent_sid = parent[0] if parent else -1
+        row = (sid, parent_sid, st, self.sim.now, attrs, more, cost)
+        self._record.append(row)
+        return row
+
+    def scope(self, st: Stage, attrs: tuple = ()):
+        """``with tracer.scope(STAGE, attrs=(...)):`` — :meth:`stage`, with
+        its span the ambient parent inside the block and ended after it."""
+        row = self.stage(st, attrs=attrs)
+        return _Scope((*row, self, True)) if row else NULL_SPAN
+
+    def span(self, category: str, name: Optional[str] = None,
+             parent: Optional[tuple] = None, **attrs):
+        """Open a span outside the stage table at ``sim.now``; the handle
+        ends itself, by ``.end()`` or as a context manager.  ``parent``
+        overrides the ambient span."""
+        if not self.enabled:
             return NULL_SPAN
-        span_attrs = dict(zip(st.names, attrs)) if attrs else {}
-        if more:
-            span_attrs.update(more)
-        return Span(self, st.span[0], st.span[1], parent, span_attrs)
+        st = Stage(span=(category, name or category))
+        return self.handle(self.stage(st, parent=parent, more=attrs))
+
+    def handle(self, row: Optional[tuple]):
+        """``row`` as a handle that ends its span itself, by ``.end()``: for
+        an object that closes its span when it completes (a ``UcxRequest``)."""
+        return _Scope((*row, self, True)) if row else NULL_SPAN
+
+    def end(self, row: Optional[tuple], at: Optional[float] = None) -> None:
+        """End ``row``'s span now, or at the modelled instant ``at`` (no event
+        is scheduled); the fold ignores a second end, clamps one to the start."""
+        if row:
+            self._record.append((row, self.sim.now if at is None else at))
+
+    def under(self, row: Optional[tuple]):
+        """Context manager making the open span ``row`` the ambient parent
+        (:data:`NULL_SPAN`, which does nothing, for ``None``)."""
+        return _Scope((*row[:_SPAN_ROW], self, False)) if row else NULL_SPAN
+
+    def charge(self, category: str, seconds: float) -> None:
+        """Attribute modeled CPU time to a layer (enabled-only; simulated
+        delays are computed before this call and never depend on it)."""
+        if self.enabled:
+            self._record.append((category, seconds))
+
+    # -- the views ------------------------------------------------------------------
+    def _fold(self) -> None:
+        """Consume the record into the span tree, ``metrics.times`` and the
+        histograms the stage table names, with no Python call per row."""
+        record = self._record
+        if not record:
+            return
+        spans = self._spans
+        times = self.metrics.times
+        observed: List[tuple] = []   # (histogram, bounds, value)
+        new = object.__new__   # Span(...) would be a Python call per span
+        for row in record:
+            if len(row) == 2:
+                first, value = row
+                if type(first) is str:      # charge: (layer, seconds)
+                    times[first] = times.get(first, 0.0) + value
+                    continue
+                span = spans[first[0]]      # end: (span row, time)
+                if span.end_time is None:
+                    start = span.start
+                    span.end_time = end = value if value > start else start
+                    hist = first[2].latency
+                    if hist is not None:
+                        observed.append((hist, LATENCY_BUCKETS, end - start))
+                continue
+            sid, parent_sid, st, start, values, more, cost = row
+            if cost is not None:
+                layer = st.charge
+                times[layer] = times.get(layer, 0.0) + cost
+            attrs = dict(zip(st.names, values))
+            if more:
+                attrs.update(more)
+            span = new(Span)
+            span.sid, span.parent_sid, span.start = sid, parent_sid, start
+            span.category, span.name = st.span
+            span.end_time, span.attrs = None, attrs
+            spans.append(span)
+            if st.sizes is not None:
+                observed.append((st.sizes, SIZE_BUCKETS, attrs["size"]))
+        record.clear()
+        self.metrics.observe_all(observed)
+
+    @property
+    def spans(self) -> List[Span]:
+        """The span tree, in sid order."""
+        self._fold()
+        return self._spans
+
+    def span_children(self, span: Span) -> List[Span]:
+        return [s for s in self.spans if s.parent_sid == span.sid]
+
+    def span_roots(self) -> List[Span]:
+        return [s for s in self.spans if s.parent_sid == -1]
+
+    def time_in(self, category: str) -> float:
+        """Total simulated time spent inside *ended* spans of ``category``
+        (spans that overlap each count in full)."""
+        return sum(s.end_time - s.start for s in self.spans
+                   if s.category == category and s.end_time is not None)
 
     # -- resource gauges (telemetry-only; see repro.obs.timeline) -------------------
     def gauge(self, name: str, value: float, unit: str = "") -> None:
@@ -268,7 +277,7 @@ class Tracer:
         (the queue's own off-switch) unless telemetry is on."""
         return self.timeline.queue_probe(name) if self._telemetry_on else None
 
-    # -- metrics shims (identical on/off so fingerprints cannot diverge) -----------
+    # -- counters (identical on/off so fingerprints cannot diverge) ----------------
     def count(self, category: str, event: str, n: int = 1) -> None:
         key = (category, event)
         counts = self._counts
@@ -278,26 +287,6 @@ class Tracer:
             if series is not None:
                 self.timeline.bump(series, n)
 
-    def charge(self, category: str, seconds: float) -> None:
-        """Attribute modeled CPU time to a layer (enabled-only; simulated
-        delays are computed before this call and never depend on it)."""
-        if self.enabled:
-            self.metrics.add_time(category, seconds)
-
-    def observe(self, name: str, value: float, bounds=None) -> None:
-        if self.enabled:
-            if bounds is None:
-                self.metrics.observe(name, value)
-            else:
-                self.metrics.observe(name, value, bounds)
-
     @property
     def counters(self):
         return self.metrics.counters
-
-    # -- span time accounting --------------------------------------------------------
-    def time_in(self, category: str) -> float:
-        """Total simulated time spent inside *ended* spans of ``category``
-        (overlapping spans double-count, as the legacy API did)."""
-        return sum(s.end_time - s.start for s in self.spans
-                   if s.category == category and s.end_time is not None)

@@ -105,7 +105,8 @@ class OmpiRank(MpiRank):
         )
 
         def _complete(_req) -> None:
-            sp.end()
+            # through `self`, not `tracer`: no extra cell per in-flight send
+            self.lib.machine.tracer.end(sp)
             if _req.status is not UcsStatus.OK:
                 ev.fail(MpiCommError(
                     f"MPI_Send r{self.rank}->r{dst} failed: {_req.status.name}",
@@ -138,7 +139,7 @@ class OmpiRank(MpiRank):
         )
 
         def _complete(req) -> None:
-            sp.end()
+            self.lib.machine.tracer.end(sp)
             if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:
                 ev.fail(MpiTruncationError("posted receive too small"))
                 return

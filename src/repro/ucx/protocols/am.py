@@ -96,7 +96,7 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
     reg = cfg.host_rndv_reg_overhead if remote.node != worker.node else 0.0
 
     def _fetched(sp) -> None:
-        sp.end()
+        tracer.end(sp)
         if not send_req.completed:
             send_req.complete()
         remote.am_stream.offer(

@@ -66,7 +66,7 @@ def start_send(
     )
 
     def _copied() -> None:
-        sp.end()
+        tracer.end(sp)
         if req.completed:
             # cancelled while staging: the payload never ships, but the
             # assigned wire_seq slot must still be consumed at the receiver
@@ -105,7 +105,7 @@ def finish_recv(
 
     def _done() -> None:
         posted.buf.copy_from(msg.bounce, msg.size)
-        sp.end()
+        tracer.end(sp)
         tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
 

@@ -32,7 +32,6 @@ from repro.obs.stages import (
     RNDV_RTS,
     SEND_COMPLETED,
 )
-from repro.obs.tracing import NULL_SPAN
 from repro.ucx.constants import CTRL_MSG_BYTES
 from repro.ucx.protocols.common import fail_truncated
 from repro.ucx.protocols.cuda_ipc import ipc_setup_cost
@@ -83,10 +82,10 @@ def start_send(
         send_req=req,
     )
     fire, args = worker.transmit, (remote, msg, CTRL_MSG_BYTES)
-    sp = worker.ctx.machine.tracer.stage(
-        RNDV_RTS, attrs=(size, tag, msg.src_was_device))
+    tracer = worker.ctx.machine.tracer
+    sp = tracer.stage(RNDV_RTS, attrs=(size, tag, msg.src_was_device))
     if sp:
-        fire, args = end_then, (sp, fire, args)
+        fire, args = end_then, (tracer, sp, fire, args)
     worker.sim.call_later(worker._rts_post_cost + pre_cost, fire, *args)
 
 
@@ -231,7 +230,7 @@ def start_transfer(
         parent=posted.req.span, more=more,
     )
 
-    wire_sp = [NULL_SPAN]
+    wire_sp = [None]
 
     def _begin() -> None:
         wire_sp[0] = tracer.stage(
@@ -244,8 +243,8 @@ def start_transfer(
 
     def _data_arrived() -> None:
         dst.copy_from(src, msg.size)
-        wire_sp[0].end()
-        sp.end()
+        tracer.end(wire_sp[0])
+        tracer.end(sp)
         tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
         posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
         _send_fin(worker, msg)

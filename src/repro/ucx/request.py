@@ -55,7 +55,8 @@ class UcxRequest:
         self.info: Any = None
         self.posted_at = sim.now
         self.completed_at: Optional[float] = None
-        # observability: the tracing span covering this request, if any
+        # observability: the span covering this request, if traced; a handle
+        # (Tracer.handle) that completion ends
         self.span: Any = None
         # which API created the request: "tag" (cancellable) or "am"
         self.op = "tag"
@@ -84,6 +85,8 @@ class UcxRequest:
         self.status = status
         self.info = info
         self.completed_at = self.sim.now
+        if self.span is not None:
+            self.span.end()
         if self.cb is not None:
             self.cb(self)
         if self._event is not None:

@@ -89,11 +89,11 @@ class SequencedStream:
             del held[nxt]
 
 
-def end_then(span, fn: Callable[..., None], args: tuple) -> None:
+def end_then(tracer, span: tuple, fn: Callable[..., None], args: tuple) -> None:
     """``fn(*args)`` preceded by closing ``span``: what a traced operation
     schedules in place of the bare ``fn``, so that observing it adds no
     simulator event."""
-    span.end()
+    tracer.end(span)
     fn(*args)
 
 
@@ -134,7 +134,7 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
         fire, fire_args = deliver, args
         if spans is not None:
             fire = end_then
-            fire_args = (tracer.stage(spans[0], more=spans[1]), deliver, args)
+            fire_args = (tracer, tracer.stage(spans[0], more=spans[1]), deliver, args)
         if loopback:
             sim.call_later(LOOPBACK_LATENCY, fire, *fire_args)
         else:
@@ -157,5 +157,5 @@ def send(worker, remote, frame: tuple, attempt: int = 0) -> None:
         more=None if spans is None else dict(spans[2], attempt=attempt),
     )
     if sp:
-        sp.close_at(sim.now + wait)
+        tracer.end(sp, sim.now + wait)
     sim.call_later(wait, send, worker, remote, frame, attempt + 1)

@@ -37,7 +37,6 @@ from typing import Dict, Optional
 
 from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.stages import (
     AM_SEND,
     ARRIVE,
@@ -186,8 +185,7 @@ class UcpWorker:
             self._send_post_cost, (tag, size, proto.value, self.worker_id),
         )
         if sp:
-            tracer.observe("ucx.send_size_bytes", size)
-            self._observe_completion(req, sp, "ucx.send_latency_seconds")
+            req.span = tracer.handle(sp)
         # lazy wireup: the endpoint's first message pays connection setup
         # (0.0 when the lifecycle model is off — adding it then is exact)
         pre = ep.mark_established() if self.ctx.ep_lifecycle_enabled else 0.0
@@ -216,10 +214,10 @@ class UcpWorker:
             raise UcxError(f"recv size {size} exceeds buffer size {buf.size}")
         req = UcxRequest(self.sim, RequestKind.RECV, tag, size, cb)
         posted = PostedRecv(tag, mask, buf, size, req)
-        sp = self.ctx.machine.tracer.stage(
-            TAG_RECV, cost=self._recv_post_cost, attrs=(tag, size))
+        tracer = self.ctx.machine.tracer
+        sp = tracer.stage(TAG_RECV, cost=self._recv_post_cost, attrs=(tag, size))
         if sp:
-            self._observe_completion(req, sp, "ucx.recv_latency_seconds")
+            req.span = tracer.handle(sp)
 
         # unexpected messages carry concrete tags (their queue key); a
         # full-mask receive is an exact lookup (and is itself bucketed under
@@ -255,10 +253,9 @@ class UcpWorker:
           the peer's unexpected queue, cancellation retracts it.
 
         A successful cancel completes the request with ``ERR_CANCELED``
-        (closing its tracing span through the completion callback) and
-        cleans up the flight record so a reposted same-tag operation does
-        not inherit the cancelled one's stages.  Returns ``True`` iff the
-        request was cancelled.
+        (which closes its tracing span) and cleans up the flight record so a
+        reposted same-tag operation does not inherit the cancelled one's
+        stages.  Returns ``True`` iff the request was cancelled.
         """
         if req.completed:
             return False
@@ -289,23 +286,6 @@ class UcpWorker:
         req.complete(UcsStatus.ERR_CANCELED)
         return True
 
-    def _observe_completion(self, req: UcxRequest, sp, latency_metric: str) -> None:
-        """Traced requests only: completion ends ``sp`` and records the
-        post-to-completion latency before the user's callback runs."""
-        tracer = self.ctx.machine.tracer
-        user_cb = req.cb
-
-        def _done(r: UcxRequest) -> None:
-            sp.end()
-            tracer.observe(
-                latency_metric, r.completed_at - r.posted_at, LATENCY_BUCKETS
-            )
-            if user_cb is not None:
-                user_cb(r)
-
-        req.span = sp
-        req.cb = _done
-
     # -- active-message host path (cost model: protocols/am.py) ------------------
     def set_am_handler(self, handler) -> None:
         """Install the callable invoked as ``handler(payload, size, src_id)``
@@ -325,13 +305,13 @@ class UcpWorker:
             raise UcxError("endpoint does not belong to this worker")
         req = UcxRequest(self.sim, RequestKind.SEND, 0, size, None)
         req.op = "am"
-        sp = self.ctx.machine.tracer.stage(
+        tracer = self.ctx.machine.tracer
+        sp = tracer.stage(
             AM_SEND, cost=self._send_post_cost,
             attrs=(size, size >= self.ctx.cfg.host_rndv_threshold),
         )
         if sp:
-            req.span = sp
-            req.cb = lambda r: sp.end()
+            req.span = tracer.handle(sp)
         seq = self.am_stream.next_seq(ep.remote.worker_id)
         # first traffic through the endpoint pays lazy connection setup
         pre = ep.mark_established() if self.ctx.ep_lifecycle_enabled else 0.0
@@ -444,13 +424,14 @@ class UcpWorker:
         length it is charged for) and hand the pair to its protocol."""
         cost = self.ctx.cfg.tag_match_cost * scanned
         self.tag_scans += scanned
-        sp = self.ctx.machine.tracer.stage(
+        tracer = self.ctx.machine.tracer
+        sp = tracer.stage(
             MATCH_UNEXPECTED if unexpected else MATCH_EXPECTED,
             msg.tag, self.worker_id, cost,
             (msg.tag, scanned, unexpected, posted.req.posted_at),
         )
         if sp:
-            sp.close_at(self.sim.now + cost)
+            tracer.end(sp, self.sim.now + cost)
         delay = base + cost
         kind = msg.kind
         if kind is WireKind.EAGER:

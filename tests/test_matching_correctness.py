@@ -269,12 +269,14 @@ class TestSpanAccounting:
         sim = Simulator()
         t = Tracer(sim, enabled=True)
         outer = t.span("ampi", "outer")  # opens at 0
-        sim.schedule(1.0, lambda: setattr(t, "_inner", t.span("ampi", "inner")))
-        sim.schedule(3.0, lambda: t._inner.end())  # inner: 1..3
+        inner = []
+        sim.schedule(1.0, lambda: inner.append(t.span("ampi", "inner")))
+        sim.schedule(3.0, lambda: inner[0].end())  # inner: 1..3
         sim.schedule(5.0, lambda: outer.end())  # outer: 0..5
         sim.run()
-        assert t._inner.duration == pytest.approx(2.0)
-        assert outer.duration == pytest.approx(5.0)
+        outer_span, inner_span = t.spans
+        assert inner_span.duration == pytest.approx(2.0)
+        assert outer_span.duration == pytest.approx(5.0)
         assert t.time_in("ampi") == pytest.approx(7.0)
 
     def test_distinct_categories_remain_independent(self):

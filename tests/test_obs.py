@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import repro.api as api
+from repro.apps.osu.runner import run_latency
+from repro.config import MB, MachineConfig
 from repro.obs import (
     LATENCY_BUCKETS,
     NULL_SPAN,
@@ -16,6 +19,7 @@ from repro.obs import (
     metrics_snapshot,
     validate_chrome_trace,
 )
+from repro.obs.stages import LRTS_SEND_DEVICE, MATCH_EXPECTED, TAG_RECV, TAG_SEND
 from repro.sim.engine import Simulator
 
 
@@ -30,15 +34,16 @@ def tracer(sim):
 
 
 # ---------------------------------------------------------------------------
-# span trees
+# span trees: rows recorded, the tree folded on read
 # ---------------------------------------------------------------------------
 
 class TestSpanTree:
     def test_context_manager_nesting(self, sim, tracer):
-        with tracer.span("machine", "send") as outer:
-            with tracer.span("ucx", "tag_send") as inner:
+        with tracer.span("machine", "send"):
+            with tracer.span("ucx", "tag_send"):
                 pass
-        assert inner.parent_sid == outer.sid
+        outer, inner = tracer.spans
+        assert inner.parent_sid == outer.sid == 0
         assert outer.parent_sid == -1
         assert tracer.span_roots() == [outer]
         assert tracer.span_children(outer) == [inner]
@@ -47,42 +52,75 @@ class TestSpanTree:
         sp = tracer.span("ucx", "tag_send", size=64)
         sim.schedule(3.0, sp.end)
         sim.run()
-        assert sp.end_time == pytest.approx(3.0)
-        assert sp.duration == pytest.approx(3.0)
+        (span,) = tracer.spans
+        assert span.attrs == {"size": 64}
+        assert span.end_time == pytest.approx(3.0)
+        assert span.duration == pytest.approx(3.0)
         assert tracer.time_in("ucx") == pytest.approx(3.0)
 
     def test_end_is_idempotent(self, sim, tracer):
         sp = tracer.span("ucx", "x")
+        row = tracer.stage(TAG_RECV, attrs=(7, 64))
         sim.schedule(1.0, sp.end)
+        sim.schedule(1.0, tracer.end, row)
         sim.schedule(5.0, sp.end)
+        sim.schedule(5.0, tracer.end, row)
         sim.run()
-        assert sp.end_time == pytest.approx(1.0)
-        assert tracer.time_in("ucx") == pytest.approx(1.0)
+        assert [s.end_time for s in tracer.spans] == [1.0, 1.0]
+        # also when the first end was folded before the second arrived
+        sim.schedule(6.0, sp.end)
+        sim.run()
+        assert [s.end_time for s in tracer.spans] == [1.0, 1.0]
+        assert tracer.time_in("ucx") == pytest.approx(2.0)
+
+    def test_analytic_end(self, sim, tracer):
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        row = tracer.stage(MATCH_EXPECTED, attrs=(7, 1, False, 0.0))
+        # an end at a known later instant needs no simulator event
+        tracer.end(row, sim.now + 3.0)
+        tracer.end(row, sim.now + 9.0)
+        # one before the start clamps to the start
+        early = tracer.stage(MATCH_EXPECTED, attrs=(8, 1, False, 0.0))
+        tracer.end(early, 1.0)
+        match, clamped = tracer.spans
+        assert (match.start, match.end_time) == (2.0, 5.0)
+        assert (clamped.start, clamped.end_time) == (2.0, 2.0)
+        assert tracer.time_in("ucx.match") == pytest.approx(3.0)
 
     def test_parent_override(self, sim, tracer):
         send = tracer.span("ucx", "tag_send")
         with tracer.span("other", "unrelated"):
-            recv = tracer.span("ucx.eager", "eager_recv", parent=send)
-        assert recv.parent_sid == send.sid
+            tracer.span("ucx.eager", "eager_recv", parent=send)
+        assert tracer.spans[2].parent_sid == send[0] == 0
 
     def test_under_reactivates_span(self, sim, tracer):
-        sp = tracer.span("machine", "send_device")
+        row = tracer.stage(LRTS_SEND_DEVICE, attrs=(0, 1, 64, 7))
 
         def _later():
-            with tracer.under(sp):
-                child = tracer.span("ucx", "tag_send")
-                child.end()
-            sp.end()
+            with tracer.under(row):
+                tracer.span("ucx", "tag_send").end()
+            tracer.end(row)
 
         sim.schedule(2.0, _later)
         sim.run()
         child = [s for s in tracer.spans if s.category == "ucx"][0]
-        assert child.parent_sid == sp.sid
+        assert child.parent_sid == row[0]
 
-    def test_annotate_and_end_attrs(self, sim, tracer):
-        sp = tracer.span("ucx", "x", size=8)
-        sp.end(status="ok")
-        assert sp.attrs == {"size": 8, "status": "ok"}
+    def test_reads_mid_run_see_what_came_after(self, sim, tracer):
+        sp = tracer.span("ampi", "a")
+        tracer.charge("ampi", 1e-6)
+        assert [s.end_time for s in tracer.spans] == [None]
+        assert tracer.metrics.snapshot()["time_by_category"] == {"ampi": 1e-6}
+        sim.schedule(2.0, sp.end)
+        sim.schedule(3.0, lambda: tracer.span("ucx", "b"))
+        sim.schedule(3.0, tracer.charge, "ucx", 2e-6)
+        sim.schedule(3.0, tracer.charge, "ampi", 3e-6)
+        sim.run()
+        assert [(s.name, s.end_time) for s in tracer.spans] == [
+            ("a", 2.0), ("b", None)]
+        assert tracer.metrics.snapshot()["time_by_category"] == {
+            "ampi": 1e-6 + 3e-6, "ucx": 2e-6}
 
     def test_disabled_tracer_returns_null_span(self, sim):
         t = Tracer(sim, enabled=False)
@@ -90,11 +128,19 @@ class TestSpanTree:
         assert sp is NULL_SPAN
         assert not sp  # falsy
         sp.end()
+        with t.scope(TAG_RECV, attrs=(7, 64)):
+            pass
+        row = t.stage(TAG_RECV, attrs=(7, 64))
+        assert row is None
+        t.end(row)
+        t.charge("ucx", 1e-6)
+        with t.under(row):
+            pass
         with t.under(sp):
             pass
-        with t.under(None):
-            pass
         assert t.spans == []
+        assert t.metrics.snapshot()["time_by_category"] == {}
+        assert t.counters["ucx.recv"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +159,13 @@ class TestMetricsRegistry:
         assert m.counters["ucx.send"] == 4
 
     def test_histogram_buckets(self):
-        h = Histogram("sizes", bounds=(10, 100))
-        for v in (1, 10, 11, 100, 1000):
-            h.observe(v)
+        m = MetricsRegistry()
+        m.observe_all(("sizes", (10, 100), v) for v in (1, 10, 11, 100, 1000))
+        h = m.snapshot()["histograms"]["sizes"]
         # inclusive upper edges: <=10, <=100, overflow
-        assert h.counts == [2, 2, 1]
-        assert h.count == 5
-        assert h.total == 1 + 10 + 11 + 100 + 1000
+        assert h["counts"] == [2, 2, 1]
+        assert h["count"] == 5
+        assert h["sum"] == 1 + 10 + 11 + 100 + 1000
 
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -133,14 +179,16 @@ class TestMetricsRegistry:
         assert SIZE_BUCKETS[0] == 1 and SIZE_BUCKETS[-1] == 4 * 1024 * 1024
         assert LATENCY_BUCKETS == tuple(sorted(LATENCY_BUCKETS))
         m = MetricsRegistry()
-        m.observe("send_size", 4096)
-        assert m.histogram("send_size").bounds == SIZE_BUCKETS
+        # a histogram keeps the bounds of its first value
+        m.observe_all([("send_size", SIZE_BUCKETS, 4096),
+                       ("send_size", LATENCY_BUCKETS, 8)])
+        assert m.snapshot()["histograms"]["send_size"]["bounds"] == list(SIZE_BUCKETS)
 
     def test_snapshot_schema_and_json(self):
         m = MetricsRegistry()
         m.counts[("ucx", "send")] = 1
-        m.observe("sizes", 64)
-        m.add_time("ampi", 3e-6)
+        m.observe_all([("sizes", SIZE_BUCKETS, 64)])
+        m.times["ampi"] = 3e-6
         snap = m.snapshot()
         assert set(snap) == {"counters", "histograms", "time_by_category"}
         assert snap["counters"] == {"ucx.send": 1}
@@ -154,15 +202,55 @@ class TestTracerMetricsIntegration:
         for t in (on, off):
             t.count("ucx", "send")
             t.charge("ucx", 5e-6)
-            t.observe("sizes", 128)
+            t.end(t.stage(TAG_SEND, 7, 1, 1e-6, (7, 128, "eager", 0)))
         # counters identical in both modes (the fingerprint contract)
         assert on.counters == off.counters
         # charges and histograms only accumulate when enabled
         assert on.metrics.snapshot()["time_by_category"] == \
-            {"ucx": pytest.approx(5e-6)}
+            {"ucx": pytest.approx(6e-6)}
         assert off.metrics.snapshot()["time_by_category"] == {}
-        assert on.metrics.snapshot()["histograms"] != {}
+        hists = on.metrics.snapshot()["histograms"]
+        assert list(hists) == ["ucx.send_size_bytes", "ucx.send_latency_seconds"]
+        assert hists["ucx.send_size_bytes"]["sum"] == 128
         assert off.metrics.snapshot()["histograms"] == {}
+
+
+class TestSwitchSeparation:
+    """The fold keeps the switches apart: flight-only records no span, charge
+    or histogram, and trace-only logs no flight stage (values of the live
+    recorders this replaced, on a 2-node AMPI 1 MB inter-node pingpong)."""
+
+    def _run(self, switch: str):
+        builder = getattr(api.session(MachineConfig.summit(nodes=2)).model("ampi"),
+                          switch)()
+        sess = builder.build()
+        run_latency("ampi", 1 * MB, "inter", True, session=sess, iters=2, skip=1)
+        return sess, sess.metrics_snapshot()
+
+    def test_flight_only(self):
+        sess, snap = self._run("flight")
+        assert len(sess.flight_records()) == 6
+        assert sess.tracer.spans == []
+        assert snap["histograms"] == {}
+        assert snap["time_by_category"] == {}
+
+    def test_trace_only(self):
+        sess, snap = self._run("trace")
+        assert len(sess.tracer.spans) == 102
+        assert sess.flight_records() == []
+        assert sess.tracer.log == []
+        assert {name: (h["count"], h["sum"])
+                for name, h in snap["histograms"].items()} == {
+            "ucx.send_size_bytes": (6, 6291456.0),
+            "ucx.recv_latency_seconds": (6, 0.0007912658581652105),
+            "ucx.send_latency_seconds": (6, 0.0008161016433656612)}
+        assert list(snap["histograms"]) == [
+            "ucx.send_size_bytes", "ucx.recv_latency_seconds",
+            "ucx.send_latency_seconds"]
+        assert snap["time_by_category"] == {
+            "ampi": 4.580000000000001e-05, "machine": 6.000000000000001e-06,
+            "ucx": 7.799999999999998e-06}
+        assert list(snap["time_by_category"]) == ["ampi", "machine", "ucx"]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +322,10 @@ class TestChromeTrace:
         with tracer.span("machine", "done"):
             sim.schedule(3.0, lambda: None)
             sim.run()
+        # the fold leaves it open: no end time, no width, no time_in
+        assert [s.end_time for s in tracer.spans] == [None, 3.0]
+        assert tracer.spans[0].duration == 0.0
+        assert tracer.time_in("ucx") == 0.0
         tr = chrome_trace(tracer)
         info = validate_chrome_trace(tr)
         assert info["n_spans"] == 2

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.config import MachineConfig
 from repro.obs import Tracer, chrome_trace, export_chrome_trace, validate_chrome_trace
 from repro.obs.baseline import SHAPES
-from repro.obs.tracing import Span
+from repro.obs.stages import Stage
 from repro.sim.engine import Simulator
 from tests.oracles.chrome_trace_dict import chrome_trace as oracle_chrome_trace
 
@@ -78,24 +78,28 @@ def _play(ops, telemetry: bool) -> Tracer:
     start, have zero duration, stay open, or name another span as parent."""
     sim = Simulator()
     tracer = Tracer(sim, enabled=True, telemetry=telemetry)
+    opened = []       # every span row, in sid order
     open_spans = []
     for op in ops:
         sim.now += op[1]
         if op[0] == "open":
             _, _, category, name, attrs, enter, override = op
-            parent = (tracer.spans[override % len(tracer.spans)]
-                      if override is not None and tracer.spans else None)
-            # built directly: any string may be an attribute name here
-            span = Span(tracer, category, name, parent, dict(attrs))
-            if enter:
-                span.__enter__()
-            open_spans.append((span, enter))
+            parent = (opened[override % len(opened)]
+                      if override is not None and opened else None)
+            # a stage that only names its span, the attributes a ready-made
+            # dict: any string may be an attribute name here
+            row = tracer.stage(Stage(span=(category, name)), parent=parent,
+                               more=dict(attrs))
+            opened.append(row)
+            ambient = tracer.under(row) if enter else None
+            if ambient is not None:
+                ambient.__enter__()
+            open_spans.append((row, ambient))
         elif op[0] == "close" and open_spans:
-            span, entered = open_spans.pop(op[2] % len(open_spans))
-            if entered:
-                span.__exit__()
-            else:
-                span.end()
+            row, ambient = open_spans.pop(op[2] % len(open_spans))
+            if ambient is not None:
+                ambient.__exit__()
+            tracer.end(row)
         elif op[0] == "sample":
             tracer.timeline.sample(op[2], op[3])
     return tracer

@@ -104,22 +104,22 @@ class TestTracer:
         assert not hasattr(t, "span_begin")
         assert not hasattr(t, "span_end")
 
-    def test_span_close_at(self, sim):
-        # close_at ends a span at an explicit modeled time without
+    def test_span_end_at(self, sim):
+        # end(row, at) ends a span at an explicit modeled time without
         # scheduling anything (used for analytic costs like tag matching)
         t = Tracer(sim, enabled=True)
         sp = t.span("ucx.match", "tag_match")
-        sp.close_at(sim.now + 3.0)
-        assert sp.duration == pytest.approx(3.0)
+        t.end(sp, sim.now + 3.0)
+        assert t.spans[0].duration == pytest.approx(3.0)
         assert t.time_in("ucx.match") == pytest.approx(3.0)
-        sp.close_at(sim.now + 9.0)  # idempotent: second close ignored
-        assert sp.duration == pytest.approx(3.0)
+        t.end(sp, sim.now + 9.0)  # idempotent: second end ignored
+        assert t.spans[0].duration == pytest.approx(3.0)
 
     def test_span_context_manager(self, sim):
         """The replacement API: with-statement spans on an enabled tracer."""
         t = Tracer(sim, enabled=True)
-        with t.span("ampi", "send", size=8) as sp:
+        with t.span("ampi", "send", size=8):
             sim.schedule(2.0, lambda: None)
             sim.run()
-        assert sp.duration == pytest.approx(2.0)
+        assert t.spans[0].duration == pytest.approx(2.0)
         assert t.time_in("ampi") == pytest.approx(2.0)
