@@ -39,7 +39,6 @@ from repro.ampi.request import MpiRequest, waitall
 from repro.charm.charm import Charm
 from repro.collectives import engine as _coll_engine
 from repro.collectives import value as _coll_value
-from repro.collectives.endpoints import AmpiCollEndpoint
 from repro.collectives.ops import ReduceOp
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
@@ -50,7 +49,9 @@ from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
 from repro.ucx.status import UcsStatus
 
-#: Tags at/above this value are reserved for collectives.
+#: User tags lie in ``[0, MAX_USER_TAG)`` on every communicator (the
+#: ``MPI_TAG_UB`` of this library).  Collective traffic is not bound by it:
+#: it travels on each communicator's own collective context.
 MAX_USER_TAG = 1 << 24
 
 
@@ -87,11 +88,14 @@ class MpiRank:
     AMPI and OpenMPI sit on the same UCX stack and differ only in how a
     message reaches it (paper §IV-B1): an envelope plus a metadata-gated
     post, or a tagged receive posted directly.  A rank class supplies that
-    difference — ``send``, ``recv`` and ``_coll_endpoint`` (the
-    :mod:`repro.collectives.endpoints` object of one collective invocation)
-    — and its identity: ``rank``, ``size``, ``sim``, ``gpu``, ``node`` and
-    ``charm`` (whose ``.cuda`` and ``.machine`` rank programs use).  The
-    rest is written here once; collectives are used with ``yield from``."""
+    difference — ``send`` and ``recv``, plus ``coll_send``/``coll_recv``:
+    the same over the communicator's collective wire context, which value
+    and device collectives share — and its identity: ``rank``, ``size``,
+    ``sim``, ``gpu``, ``node``, ``charm`` (whose ``.cuda`` and ``.machine``
+    rank programs use), ``node_of(r)`` and ``software_overhead`` (the
+    per-message cost the collective cost model charges).  The rest is
+    written here once; the ``*_device`` collectives run on the calling rank
+    itself and are used with ``yield from``."""
 
     _coll_seq = 0
     _cpu_free = 0.0  # when this rank's core finishes its queued call costs
@@ -159,28 +163,20 @@ class MpiRank:
     # -- device-buffer collectives (topology-aware algorithm selection) --------------
     def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
                      algorithm: Optional[str] = None):
-        return _coll_engine.bcast_device(
-            self._coll_endpoint(), buf, nbytes, root, algorithm
-        )
+        return _coll_engine.bcast_device(self, buf, nbytes, root, algorithm)
 
     def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
                       root: int = 0, *, algorithm: Optional[str] = None):
-        return _coll_engine.reduce_device(
-            self._coll_endpoint(), buf, nbytes, op, root, algorithm
-        )
+        return _coll_engine.reduce_device(self, buf, nbytes, op, root, algorithm)
 
     def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
                          algorithm: Optional[str] = None):
-        return _coll_engine.allreduce_device(
-            self._coll_endpoint(), buf, nbytes, op, algorithm
-        )
+        return _coll_engine.allreduce_device(self, buf, nbytes, op, algorithm)
 
     def allgather_device(self, buf: Buffer, nbytes: int,
                          recvbuf: Optional[Buffer] = None, *,
                          algorithm: Optional[str] = None):
-        return _coll_engine.allgather_device(
-            self._coll_endpoint(), buf, nbytes, recvbuf, algorithm
-        )
+        return _coll_engine.allgather_device(self, buf, nbytes, recvbuf, algorithm)
 
 
 class MpiJob:
@@ -204,13 +200,15 @@ class _AmpiComm(MpiRank):
     """An AMPI communicator — the world rank (:class:`AmpiRank`) or a
     sub-communicator (:class:`CommView`).
 
-    Value collectives ride the envelope path via the communicator's
-    ``coll_send_value``/``coll_recv_value`` protocol; ``*_device``
-    collectives run the topology-aware algorithms of
-    :mod:`repro.collectives` over the GPU point-to-point path."""
+    Value collectives ride the envelope path and ``*_device`` collectives
+    the GPU point-to-point path, both through the communicator's
+    ``coll_send``/``coll_recv``."""
 
-    def _coll_endpoint(self) -> AmpiCollEndpoint:
-        return AmpiCollEndpoint(self)
+    @property
+    def software_overhead(self) -> float:
+        rt = self.charm.machine.cfg.runtime
+        return (rt.ampi_send_overhead + rt.ampi_recv_overhead
+                + 2 * rt.ampi_callback_overhead)
 
     # -- host-value collectives -----------------------------------------------------
     def barrier(self):
@@ -275,10 +273,15 @@ class AmpiRank(_AmpiComm):
     def node(self) -> int:
         return self.charm.pe_object(self.pe).node
 
+    def node_of(self, rank: int) -> int:
+        return self.charm.pe_object(self.ampi.rank_pe(rank)).node
+
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         """``MPI_Send`` (yield the returned event to block until the buffer
         is reusable)."""
+        if not 0 <= tag < MAX_USER_TAG:
+            raise ValueError(f"tag {tag} outside [0, MAX_USER_TAG)")
         return self._send_impl(buf, nbytes, dst, tag, comm=0)
 
     def recv(
@@ -288,13 +291,13 @@ class AmpiRank(_AmpiComm):
         return self._recv_impl(buf, capacity, src, tag, comm=0)
 
     # -- collective wire protocol (repro.collectives rides on these) ----------------
-    def coll_send_value(self, value: Any, nbytes: int, dst: int, tag: int) -> SimEvent:
-        return self._send_impl(
-            None, nbytes, dst, tag, _coll_engine.COLL_COMM, value=value
-        )
+    def coll_send(self, buf: Optional[Buffer], nbytes: int, dst: int, tag: int,
+                  value: Any = None) -> SimEvent:
+        return self._send_impl(buf, nbytes, dst, tag, _coll_engine.COLL_COMM, value)
 
-    def coll_recv_value(self, src: int, tag: int) -> SimEvent:
-        return self._recv_impl(None, 1 << 62, src, tag, _coll_engine.COLL_COMM)
+    def coll_recv(self, buf: Optional[Buffer], capacity: int, src: int,
+                  tag: int) -> SimEvent:
+        return self._recv_impl(buf, capacity, src, tag, _coll_engine.COLL_COMM)
 
     def coll_local_source(self, source: int) -> int:
         return source
@@ -346,10 +349,6 @@ class AmpiRank(_AmpiComm):
         sim = self.sim
         if not 0 <= dst < ampi.n_ranks:
             raise ValueError(f"destination rank {dst} out of range")
-        if 0 <= tag < MAX_USER_TAG or comm != 0:
-            pass  # user tag or internal comm: fine
-        elif tag < 0:
-            raise ValueError("negative tags are reserved")
 
         ev = SimEvent(sim, name="mpi.send")
         env = AmpiEnvelope(
@@ -494,9 +493,6 @@ class Ampi(MpiJob):
         self.pending_host_sends: Dict[int, SimEvent] = {}
         charm.converse.register_handler("ampi_msg", self._handle_envelope)
         charm.converse.register_handler("ampi_fin", self._handle_fin)
-        charm.layer.register_device_recv_handler(
-            DeviceRecvType.AMPI, lambda op: None  # completion runs via op.on_complete
-        )
 
     def _on_device_free(self, buf: Buffer) -> None:
         for cache in self.gpu_caches:
@@ -659,6 +655,9 @@ class CommView(_AmpiComm):
             raise ValueError("rank is not a member of this communicator")
         self._world = world_rank
         self.comm_id = comm_id
+        # collective traffic takes a high-bit namespace, disjoint from user
+        # pt2pt on this communicator (which travels with comm_id)
+        self._coll_comm = (1 << 30) + comm_id
         self.members = list(members)
         self.rank = self.members.index(world_rank.rank)
         self.size = len(self.members)
@@ -670,27 +669,28 @@ class CommView(_AmpiComm):
             raise ValueError(f"rank {local_rank} out of range for this communicator")
         return self.members[local_rank]
 
-    # -- collective wire protocol ---------------------------------------------------
-    @property
-    def _coll_comm(self) -> int:
-        # high-bit namespace keeps collective traffic disjoint from user
-        # pt2pt on the same sub-communicator (which travels with comm_id)
-        return (1 << 30) + self.comm_id
+    def node_of(self, rank: int) -> int:
+        return self._world.node_of(self.members[rank])
 
-    def coll_send_value(self, value: Any, nbytes: int, dst: int, tag: int) -> SimEvent:
+    # -- collective wire protocol ---------------------------------------------------
+    def coll_send(self, buf: Optional[Buffer], nbytes: int, dst: int, tag: int,
+                  value: Any = None) -> SimEvent:
         return self._world._send_impl(
-            None, nbytes, self._global(dst), tag, self._coll_comm, value=value
+            buf, nbytes, self._global(dst), tag, self._coll_comm, value
         )
 
-    def coll_recv_value(self, src: int, tag: int) -> SimEvent:
+    def coll_recv(self, buf: Optional[Buffer], capacity: int, src: int,
+                  tag: int) -> SimEvent:
         gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        return self._world._recv_impl(None, 1 << 62, gsrc, tag, self._coll_comm)
+        return self._world._recv_impl(buf, capacity, gsrc, tag, self._coll_comm)
 
     def coll_local_source(self, source: int) -> int:
         return self.members.index(source)
 
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
+        if not 0 <= tag < MAX_USER_TAG:
+            raise ValueError(f"tag {tag} outside [0, MAX_USER_TAG)")
         return self._world._send_impl(buf, nbytes, self._global(dst), tag, self.comm_id)
 
     def recv(self, buf: Buffer, capacity: int, src: int = ANY_SOURCE,

@@ -8,6 +8,7 @@ Charm4py instantiate this class and layer themselves over it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
@@ -69,7 +70,6 @@ class Charm:
         self.converse = Converse(self.machine, self.layer, pe_node, pe_gpu)
         self.converse.register_handler("charm_entry", self._handle_entry)
         self.converse.register_handler("charm_entry_ready", self._handle_entry_ready)
-        self.layer.register_device_recv_handler(DeviceRecvType.CHARM, self._on_device_recv)
         self.layer.set_error_handler(self._route_comm_error)
         self.machine.add_error_notifier(self._notify_resource_error)
         self._comm_error_cbs: List[Callable[[str, int, Any], None]] = []
@@ -79,7 +79,6 @@ class Charm:
         self.collections: Dict[int, List[int]] = {}
         self._chare_coll: Dict[int, int] = {}
         self._next_chare_id = 0
-        self._pending: Dict[int, Tuple[PendingInvocation, List[CkDeviceBuffer]]] = {}
         self._current_pe: Optional[int] = None
         self.reductions = ReductionManager(self)
 
@@ -293,27 +292,25 @@ class Charm:
             posts=posts,
             remaining=len(posts),
         )
-        self._pending[pending.pending_id] = (pending, msg.device_bufs)
+        arrived = partial(self._on_device_recv, pending)
         for dev_buf, post in zip(msg.device_bufs, posts):
             op = DeviceRdmaOp(
                 dest=post.buffer,
                 size=dev_buf.size,
                 tag=dev_buf.tag,
                 recv_type=DeviceRecvType.CHARM,
-                context=pending.pending_id,
+                on_complete=arrived,
             )
             self.converse.cmi_recv_device(pe.index, op)
         return None
 
-    def _on_device_recv(self, op: DeviceRdmaOp) -> None:
-        """Machine-layer handler: one GPU buffer of a pending invocation
-        arrived.  When the last one lands, the regular entry method is
-        enqueued on the owning PE."""
-        pending, dev_bufs = self._pending[op.context]
+    def _on_device_recv(self, pending: PendingInvocation, _op: DeviceRdmaOp) -> None:
+        """Completion of one GPU buffer of a pending invocation.  When the
+        last one lands, the regular entry method is enqueued on the owning
+        PE."""
         pending.remaining -= 1
         if pending.remaining > 0:
             return
-        del self._pending[op.context]
         final_args = []
         it = iter(pending.posts)
         for a in pending.args:

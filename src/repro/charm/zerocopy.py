@@ -10,8 +10,7 @@ landed — the receive-side flow of the paper's §III-B2.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.core.device_buffer import CmiDeviceBuffer
@@ -49,9 +48,6 @@ class DevicePost:
             )
 
 
-_pending_ids = itertools.count(1)
-
-
 @dataclass
 class PendingInvocation:
     """An entry invocation waiting for its GPU buffers to arrive."""
@@ -61,7 +57,6 @@ class PendingInvocation:
     args: Tuple[Any, ...]
     posts: List[DevicePost]
     remaining: int
-    pending_id: int = field(default_factory=lambda: next(_pending_ids))
 
     @staticmethod
     def make_posts(dev_bufs: List[CmiDeviceBuffer],

@@ -63,9 +63,6 @@ class Charm4py:
         self.rt = self.charm.cfg.runtime
         self.cython = CythonLayer(self.rt)
         self.charm.converse.register_handler("c4p_chan", self._handle_channel_msg)
-        self.charm.layer.register_device_recv_handler(
-            DeviceRecvType.CHARM4PY, lambda op: None  # completion via op.on_complete
-        )
         # (channel key, owner chare id) -> endpoint state
         self._endpoints: Dict[Tuple[Tuple[int, int], int], _Endpoint] = {}
         # inject the Python-runtime attributes before chare __init__ runs

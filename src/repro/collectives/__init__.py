@@ -15,8 +15,9 @@ subsystem.  Layout:
   registry and link-model-derived cost ranking (``MachineConfig.collectives``
   holds the override knobs);
 * :mod:`~repro.collectives.engine` — the execution context, tag
-  namespacing and ``*_device`` entry points;
-* :mod:`~repro.collectives.endpoints` — AMPI/OpenMPI adapters;
+  namespacing and ``*_device`` entry points, which run on the calling
+  rank (any :class:`~repro.ampi.mpi.MpiRank`: its ``coll_send``/
+  ``coll_recv``, ``node_of`` and ``software_overhead``);
 * :mod:`~repro.collectives.value` — the host-value collectives
   (barrier/bcast/.../alltoall) shared by AMPI world and sub-communicators.
 

@@ -16,9 +16,11 @@ ranks of an invocation agree on tags without coordination, and overlapping
 collectives of any type on one communicator can never alias each other.
 
 Entry points (``bcast_device``/``reduce_device``/``allreduce_device``/
-``allgather_device``) validate arguments, resolve the algorithm through
-:mod:`~repro.collectives.selection`, and wrap the run in a ``coll`` root
-span plus ``coll.{collective}.{algorithm}`` counters.  Per-operation child
+``allgather_device``) take the calling rank, an
+:class:`~repro.ampi.mpi.MpiRank` of any model.  When called they draw the
+sequence number and validate arguments; the generator they return resolves
+the algorithm through :mod:`~repro.collectives.selection` and wraps the run
+in a ``coll`` root span plus ``coll.{collective}.{algorithm}`` counters.  Per-operation child
 spans carry category ``coll.intra`` or ``coll.inter`` (classified by peer
 node, or fixed by the hierarchy phase), which is what lets the
 critical-path analyzer blame intra- vs inter-node phases.
@@ -58,11 +60,16 @@ def tag_base(seq: int, phase: int = 0) -> int:
 
 
 class CollContext:
-    """One rank's view of one collective invocation (or one phase of it)."""
+    """One rank's view of one collective invocation (or one phase of it).
+
+    ``comm`` is the calling rank: the context reads its identity, GPU and
+    machine through the :class:`~repro.ampi.mpi.MpiRank` surface, and moves
+    data on the rank's collective wire context (``coll_send``/``coll_recv``)."""
 
     def __init__(
         self,
-        ep,
+        comm,
+        seq: int,
         collective: str,
         algorithm: str,
         members: Optional[List[int]] = None,
@@ -70,17 +77,18 @@ class CollContext:
         kind: Optional[str] = None,
         root_span=NULL_SPAN,
     ) -> None:
-        self.ep = ep
+        self.comm = comm
+        self.seq = seq
         self.collective = collective
         self.algorithm = algorithm
         self._members = members  # comm-local ranks, None = whole communicator
-        self.rank = ep.rank if members is None else members.index(ep.rank)
-        self.size = ep.size if members is None else len(members)
-        self.chunk_bytes = ep.coll_config.ring_chunk
+        self.rank = comm.rank if members is None else members.index(comm.rank)
+        self.size = comm.size if members is None else len(members)
+        self.chunk_bytes = comm.charm.machine.cfg.collectives.ring_chunk
         self.kind = kind  # None = classify per peer; fixed in sub-phases
         self.root_span = root_span
-        self._tag_base = tag_base(ep.seq, phase)
-        self._my_node = ep.node_of(self._global(self.rank))
+        self._tag_base = tag_base(seq, phase)
+        self._my_node = comm.node_of(self._global(self.rank))
         self._model: Optional[CollectiveCostModel] = None
 
     # -- rank/topology ----------------------------------------------------------
@@ -89,16 +97,16 @@ class CollContext:
         return r if self._members is None else self._members[r]
 
     def node_of(self, r: int) -> int:
-        return self.ep.node_of(self._global(r))
+        return self.comm.node_of(self._global(r))
 
     @property
     def model(self) -> CollectiveCostModel:
         """Cost model of this context's group (for phase-level selection)."""
         if self._model is None:
             self._model = CollectiveCostModel(
-                self.ep.config,
+                self.comm.charm.machine.cfg,
                 [self.node_of(r) for r in range(self.size)],
-                self.ep.software_overhead,
+                self.comm.software_overhead,
             )
         return self._model
 
@@ -106,7 +114,7 @@ class CollContext:
         """A sub-group context: ``members`` are ranks of *this* context, the
         phase namespaces its tags, ``kind`` fixes span classification."""
         return CollContext(
-            self.ep, self.collective, self.algorithm,
+            self.comm, self.seq, self.collective, self.algorithm,
             members=[self._global(r) for r in members],
             phase=phase, kind="coll." + kind, root_span=self.root_span,
         )
@@ -118,7 +126,7 @@ class CollContext:
         return self._tag_base | step
 
     def _wrap(self, ev, category: str, name: str, **attrs):
-        tr = self.ep.tracer
+        tr = self.comm.charm.machine.tracer
         if tr.enabled:
             sp = tr.span(category, name, parent=self.root_span, **attrs)
             ev.add_callback(lambda _e, _sp=sp: _sp.end())
@@ -127,35 +135,37 @@ class CollContext:
     def _peer_kind(self, peer_global: int) -> str:
         if self.kind is not None:
             return self.kind
-        if self.ep.node_of(peer_global) != self._my_node:
+        if self.comm.node_of(peer_global) != self._my_node:
             return "coll.inter"
         return "coll.intra"
 
     def send(self, buf, nbytes: int, dst: int, step: int):
         g = self._global(dst)
-        ev = self.ep.device_send(buf, nbytes, g, self._tag(step))
+        ev = self.comm.coll_send(buf, nbytes, g, self._tag(step))
         return self._wrap(ev, self._peer_kind(g), f"{self.algorithm}.send",
                           peer=g, bytes=nbytes, step=step)
 
     def recv(self, buf, nbytes: int, src: int, step: int):
         g = self._global(src)
-        ev = self.ep.device_recv(buf, nbytes, g, self._tag(step))
+        ev = self.comm.coll_recv(buf, nbytes, g, self._tag(step))
         return self._wrap(ev, self._peer_kind(g), f"{self.algorithm}.recv",
                           peer=g, bytes=nbytes, step=step)
 
     # -- local work -------------------------------------------------------------
     def combine(self, acc, incoming, nbytes: int, op: ReduceOp):
-        ev = self.ep.launch_kernel(combine_kernel(acc, incoming, nbytes, op))
+        ev = self.comm.charm.cuda.launch(
+            self.comm.gpu, combine_kernel(acc, incoming, nbytes, op))
         return self._wrap(ev, self.kind or "coll.intra",
                           f"{self.algorithm}.combine", bytes=nbytes)
 
     def copy_local(self, dst, src, nbytes: int):
-        ev = self.ep.launch_kernel(copy_kernel(dst, src, nbytes))
+        ev = self.comm.charm.cuda.launch(
+            self.comm.gpu, copy_kernel(dst, src, nbytes))
         return self._wrap(ev, self.kind or "coll.intra",
                           f"{self.algorithm}.pack", bytes=nbytes)
 
     def scratch(self, nbytes: int):
-        return self.ep.alloc_scratch(nbytes)
+        return self.comm.charm.cuda.malloc(self.comm.gpu, nbytes)
 
 
 # -- entry points -------------------------------------------------------------------
@@ -174,64 +184,67 @@ def _device_op(op) -> ReduceOp:
     return op
 
 
-def _resolve(ep, collective: str, nbytes: int, algorithm: Optional[str]):
+def _resolve(comm, collective: str, nbytes: int, algorithm: Optional[str]):
+    cfg = comm.charm.machine.cfg
     model = CollectiveCostModel(
-        ep.config,
-        [ep.node_of(r) for r in range(ep.size)],
-        ep.software_overhead,
+        cfg,
+        [comm.node_of(r) for r in range(comm.size)],
+        comm.software_overhead,
     )
     return select(collective, model, nbytes, algorithm,
-                  ep.coll_config.hierarchical_enabled)
+                  cfg.collectives.hierarchical_enabled)
 
 
-def _run(ep, collective: str, spec, nbytes: int, args):
-    ctx = CollContext(ep, collective, spec.name)
-    tr = ep.tracer
+def _run(comm, seq: int, collective: str, nbytes: int,
+         algorithm: Optional[str], args, result=None):
+    spec = _resolve(comm, collective, nbytes, algorithm)
+    ctx = CollContext(comm, seq, collective, spec.name)
+    tr = comm.charm.machine.tracer
     tr.count("coll", collective)
     tr.count("coll", f"{collective}.{spec.name}")
     if tr.enabled:
         ctx.root_span = tr.span(
             "coll", f"{collective}.{spec.name}",
-            rank=ep.rank, size=ep.size, bytes=nbytes,
+            rank=comm.rank, size=comm.size, bytes=nbytes,
         )
     try:
-        result = yield from spec.run(ctx, *args)
+        yield from spec.run(ctx, *args)
     finally:
         ctx.root_span.end()
     return result
 
 
-def bcast_device(ep, buf, nbytes: int, root: int = 0,
+def bcast_device(comm, buf, nbytes: int, root: int = 0,
                  algorithm: Optional[str] = None):
+    seq = comm._next_coll_seq()
     _require_device(buf, nbytes, "bcast_device")
-    spec = _resolve(ep, "bcast", nbytes, algorithm)
-    return (yield from _run(ep, "bcast", spec, nbytes, (buf, nbytes, root)))
+    return _run(comm, seq, "bcast", nbytes, algorithm, (buf, nbytes, root))
 
 
-def reduce_device(ep, buf, nbytes: int, op=ReduceOp.SUM, root: int = 0,
+def reduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM, root: int = 0,
                   algorithm: Optional[str] = None):
+    seq = comm._next_coll_seq()
     op = _device_op(op)
     _require_device(buf, nbytes, "reduce_device")
-    spec = _resolve(ep, "reduce", nbytes, algorithm)
-    return (yield from _run(ep, "reduce", spec, nbytes, (buf, nbytes, op, root)))
+    return _run(comm, seq, "reduce", nbytes, algorithm, (buf, nbytes, op, root))
 
 
-def allreduce_device(ep, buf, nbytes: int, op=ReduceOp.SUM,
+def allreduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM,
                      algorithm: Optional[str] = None):
+    seq = comm._next_coll_seq()
     op = _device_op(op)
     _require_device(buf, nbytes, "allreduce_device")
-    spec = _resolve(ep, "allreduce", nbytes, algorithm)
-    return (yield from _run(ep, "allreduce", spec, nbytes, (buf, nbytes, op)))
+    return _run(comm, seq, "allreduce", nbytes, algorithm, (buf, nbytes, op))
 
 
-def allgather_device(ep, buf, nbytes: int, recvbuf=None,
+def allgather_device(comm, buf, nbytes: int, recvbuf=None,
                      algorithm: Optional[str] = None):
     """Gather every rank's ``nbytes`` device block into ``recvbuf`` (rank
     order); allocates and returns a fresh device buffer when none given."""
+    seq = comm._next_coll_seq()
     _require_device(buf, nbytes, "allgather_device")
     if recvbuf is None:
-        recvbuf = ep.alloc_scratch(ep.size * nbytes)
-    _require_device(recvbuf, ep.size * nbytes, "allgather_device (recvbuf)")
-    spec = _resolve(ep, "allgather", nbytes, algorithm)
-    yield from _run(ep, "allgather", spec, nbytes, (buf, nbytes, recvbuf))
-    return recvbuf
+        recvbuf = comm.charm.cuda.malloc(comm.gpu, comm.size * nbytes)
+    _require_device(recvbuf, comm.size * nbytes, "allgather_device (recvbuf)")
+    return _run(comm, seq, "allgather", nbytes, algorithm,
+                (buf, nbytes, recvbuf), result=recvbuf)

@@ -3,8 +3,8 @@
 The classical algorithms of the old ``repro.ampi.collectives`` module —
 dissemination barrier, binomial bcast/reduce, linear gather/scatter, ring
 allgather, pairwise alltoall — re-homed onto the communicator protocol
-(``rank``/``size``/``coll_send_value``/``coll_recv_value``/
-``coll_local_source``/``_next_coll_seq``) so :class:`~repro.ampi.mpi.AmpiRank`
+(``rank``/``size``/``coll_send``/``coll_recv``/``coll_local_source``/
+``_next_coll_seq``) so :class:`~repro.ampi.mpi.AmpiRank`
 and :class:`~repro.ampi.mpi.CommView` share one implementation, with wire
 tags derived from the per-communicator collective sequence number instead
 of fixed per-type bases (overlapping collectives can no longer alias, and
@@ -24,6 +24,7 @@ from repro.collectives.engine import tag_base
 from repro.collectives.ops import ReduceOp
 
 ANY_SOURCE = -1
+_ANY_SIZE = 1 << 62  # a value receive takes a message of any size
 
 __all__ = [
     "allgather", "allreduce", "alltoall", "barrier", "bcast", "gather",
@@ -42,8 +43,8 @@ def barrier(comm):
     while k < p:
         dst = (comm.rank + k) % p
         src = (comm.rank - k) % p
-        send = comm.coll_send_value(None, 8, dst, base + round_no)
-        yield comm.coll_recv_value(src, base + round_no)
+        send = comm.coll_send(None, 8, dst, base + round_no)
+        yield comm.coll_recv(None, _ANY_SIZE, src, base + round_no)
         yield send
         k <<= 1
         round_no += 1
@@ -56,10 +57,10 @@ def bcast(comm, value: Any, root: int = 0, nbytes: int = 8):
     vrank = (comm.rank - root) % p
     if vrank != 0:
         parent = (binomial_parent(vrank) + root) % p
-        status = yield comm.coll_recv_value(parent, base)
+        status = yield comm.coll_recv(None, _ANY_SIZE, parent, base)
         value = status.value
     for child in binomial_children(vrank, p):
-        yield comm.coll_send_value(value, nbytes, (child + root) % p, base)
+        yield comm.coll_send(None, nbytes, (child + root) % p, base, value)
     return value
 
 
@@ -74,11 +75,12 @@ def reduce(comm, value: Any, op=ReduceOp.SUM, root: int = 0, nbytes: int = 8):
     while mask < p:
         if vrank & mask:
             parent = ((vrank & ~mask) + root) % p
-            yield comm.coll_send_value(acc, nbytes, parent, base + mask)
+            yield comm.coll_send(None, nbytes, parent, base + mask, acc)
             return None
         child = vrank | mask
         if child < p:
-            status = yield comm.coll_recv_value((child + root) % p, base + mask)
+            status = yield comm.coll_recv(
+                None, _ANY_SIZE, (child + root) % p, base + mask)
             acc = op.combine(acc, status.value)
         mask <<= 1
     return acc
@@ -98,10 +100,10 @@ def gather(comm, value: Any, root: int = 0, nbytes: int = 8):
         out: List[Any] = [None] * comm.size
         out[root] = value
         for _ in range(comm.size - 1):
-            status = yield comm.coll_recv_value(ANY_SOURCE, base)
+            status = yield comm.coll_recv(None, _ANY_SIZE, ANY_SOURCE, base)
             out[comm.coll_local_source(status.source)] = status.value
         return out
-    yield comm.coll_send_value(value, nbytes, root, base)
+    yield comm.coll_send(None, nbytes, root, base, value)
     return None
 
 
@@ -113,9 +115,9 @@ def scatter(comm, values: Optional[List[Any]], root: int = 0, nbytes: int = 8):
             raise ValueError("root must supply one value per rank")
         for dst in range(comm.size):
             if dst != root:
-                yield comm.coll_send_value(values[dst], nbytes, dst, base)
+                yield comm.coll_send(None, nbytes, dst, base, values[dst])
         return values[root]
-    status = yield comm.coll_recv_value(root, base)
+    status = yield comm.coll_recv(None, _ANY_SIZE, root, base)
     return status.value
 
 
@@ -131,10 +133,9 @@ def allgather(comm, value: Any, nbytes: int = 8):
     left = (comm.rank - 1) % p
     carry_idx = comm.rank
     for step in range(p - 1):
-        send = comm.coll_send_value(
-            (carry_idx, out[carry_idx]), nbytes, right, base + step
-        )
-        status = yield comm.coll_recv_value(left, base + step)
+        send = comm.coll_send(
+            None, nbytes, right, base + step, (carry_idx, out[carry_idx]))
+        status = yield comm.coll_recv(None, _ANY_SIZE, left, base + step)
         yield send
         carry_idx, block = status.value
         out[carry_idx] = block
@@ -152,8 +153,8 @@ def alltoall(comm, values: List[Any], nbytes: int = 8):
     for step in range(1, p):
         dst = (comm.rank + step) % p
         src = (comm.rank - step) % p
-        send = comm.coll_send_value(values[dst], nbytes, dst, base + step)
-        status = yield comm.coll_recv_value(src, base + step)
+        send = comm.coll_send(None, nbytes, dst, base + step, values[dst])
+        status = yield comm.coll_recv(None, _ANY_SIZE, src, base + step)
         yield send
         out[src] = status.value
     return out

@@ -5,8 +5,8 @@
 source buffer, size, and the UCP tag assigned by the machine layer.
 ``CkDeviceBuffer`` adds the Charm++-core fields (a completion callback).
 ``DeviceRdmaOp`` is what a *receiver* hands to ``LrtsRecvDevice``: the
-destination buffer plus the sender's tag, along with a ``DeviceRecvType``
-that selects which programming model's handler runs on completion.
+destination buffer plus the sender's tag, along with the posting model's
+completion handler and its ``DeviceRecvType``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from repro.hardware.memory import Buffer
 
 
 class DeviceRecvType(enum.IntEnum):
-    """Which model posted the receive; selects the completion handler
-    invoked by the machine layer once the GPU data has arrived."""
+    """Which model posted the receive (recorded on the receive's span)."""
 
     CHARM = 1
     AMPI = 2
@@ -71,8 +70,8 @@ class DeviceRdmaOp:
     """Receive descriptor passed to ``LrtsRecvDevice`` (paper §III-A).
 
     Carries everything needed to post ``ucp_tag_recv_nb``: destination GPU
-    buffer, expected size, and the tag set by the sender; plus the handler
-    context of the posting model.
+    buffer, expected size, and the tag set by the sender; plus the posting
+    model's completion handler, invoked as ``on_complete(op)``.
     """
 
     dest: Buffer
@@ -84,7 +83,6 @@ class DeviceRdmaOp:
     # truncated, endpoint timeout); without one the machine layer falls back
     # to its layer-level error handler, then to raising
     on_error: Optional[Callable[["DeviceRdmaOp", Any], None]] = None
-    context: Any = None  # model-specific (e.g. the pending entry invocation)
 
     def __post_init__(self) -> None:
         if not self.dest.on_device:

@@ -11,17 +11,17 @@ Lowest layer of the Charm++ runtime stack, directly interfacing the
   in the caller's ``CmiDeviceBuffer`` metadata (to be packed with the host
   message), and pushes the GPU buffer into ``ucp_tag_send_nb``;
   ``lrts_recv_device`` posts ``ucp_tag_recv_nb`` for an incoming GPU buffer
-  and routes completion to the handler registered for the posting model
-  (``DeviceRecvType`` -> Charm++/AMPI/Charm4py), mirroring the paper's
-  per-model receive handlers.
+  and completes it through the op the posting model built: its
+  ``on_complete`` is that model's receive handler (Charm++, AMPI or
+  Charm4py), as in the paper's per-model receive handlers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.config import MachineConfig
-from repro.core.device_buffer import CmiDeviceBuffer, DeviceRdmaOp, DeviceRecvType
+from repro.core.device_buffer import CmiDeviceBuffer, DeviceRdmaOp
 from repro.core.device_tags import TagGenerator
 from repro.hardware.topology import Machine
 from repro.obs.stages import LRTS_RECV_DEVICE, LRTS_SEND_DEVICE
@@ -52,7 +52,6 @@ class UcxMachineLayer:
             for pe in range(n_pes)
         ]
         self.tag_gens = [TagGenerator(pe, self.cfg.tags) for pe in range(n_pes)]
-        self._recv_handlers: Dict[DeviceRecvType, Callable[[DeviceRdmaOp], None]] = {}
         self._deliver: Optional[Callable] = None
         self._error_handler: Optional[Callable[[str, int, UcsStatus], None]] = None
         # Shared composite LRTS posting costs, summed once (the engine's
@@ -72,11 +71,6 @@ class UcxMachineLayer:
         """Install the upcall that places an arrived host message on the
         destination PE's queue: ``deliver(dst_pe, msg)``."""
         self._deliver = deliver
-
-    def register_device_recv_handler(
-        self, recv_type: DeviceRecvType, handler: Callable[[DeviceRdmaOp], None]
-    ) -> None:
-        self._recv_handlers[recv_type] = handler
 
     def set_error_handler(
         self, handler: Callable[[str, int, UcsStatus], None]
@@ -158,11 +152,8 @@ class UcxMachineLayer:
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
         """``LrtsRecvDevice``: post the tagged receive for incoming GPU data;
-        on completion, invoke the registered handler for ``op.recv_type``."""
+        on completion, invoke ``op.on_complete(op)``."""
         rt = self.cfg.runtime
-        handler = self._recv_handlers.get(op.recv_type)
-        if handler is None:
-            raise RuntimeError(f"no device recv handler registered for {op.recv_type}")
         worker = self.workers[pe]
         tracer = self.machine.tracer
         sp = tracer.stage(
@@ -181,7 +172,6 @@ class UcxMachineLayer:
                 return
             if op.on_complete is not None:
                 op.on_complete(op)
-            handler(op)
 
         delay = departure_delay + rt.lrts_recv_device_overhead + rt.heap_alloc_cost
 

@@ -9,9 +9,10 @@ tag — the standard trick of UCX-based MPI implementations::
 posted to UCX immediately — the structural advantage over AMPI's
 metadata-message design that the paper quantifies at ~8 μs per message.
 
-That wire protocol (``send``/``recv``/``barrier`` below) is all this
-module adds: the rest of the rank surface is
-:class:`repro.ampi.mpi.MpiRank`'s, shared with AMPI.
+That wire protocol (``send``/``recv``, their collective-context twins
+``coll_send``/``coll_recv``, and ``barrier`` below) is all this module
+adds: the rest of the rank surface is :class:`repro.ampi.mpi.MpiRank`'s,
+shared with AMPI.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.ampi.mpi import (
     MpiStatus,
     MpiTruncationError,
 )
-from repro.collectives.endpoints import OmpiCollEndpoint
 from repro.collectives.engine import tag_base
 from repro.config import MachineConfig
 from repro.hardware.memory import Buffer
@@ -43,6 +43,8 @@ _SRC_SHIFT = 32
 _SRC_BITS = 24
 _TAG_BITS = 32
 _FULL = (1 << 64) - 1
+#: UCP tag context of collective traffic, disjoint from user pt2pt (ctx 1)
+_COLL_CTX = 2
 
 
 def encode_mpi_tag(src: int, tag: int, ctx: int = 1) -> int:
@@ -90,8 +92,13 @@ class OmpiRank(MpiRank):
     def charm(self):  # API compatibility shim: exposes .cuda and .machine
         return self.lib
 
-    def _coll_endpoint(self) -> OmpiCollEndpoint:
-        return OmpiCollEndpoint(self)
+    @property
+    def software_overhead(self) -> float:
+        rt = self.lib.rt
+        return rt.ompi_send_overhead + rt.ompi_recv_overhead
+
+    def node_of(self, rank: int) -> int:
+        return self.lib.machine.node_of_gpu(rank)
 
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0, *,
@@ -161,6 +168,12 @@ class OmpiRank(MpiRank):
         self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
         return ev
 
+    def coll_send(self, buf: Buffer, nbytes: int, dst: int, tag: int) -> SimEvent:
+        return self.send(buf, nbytes, dst, tag, _ctx=_COLL_CTX)
+
+    def coll_recv(self, buf: Buffer, capacity: int, src: int, tag: int) -> SimEvent:
+        return self.recv(buf, capacity, src, tag, _ctx=_COLL_CTX)
+
     # -- collectives (use with ``yield from``) -----------------------------------------
     def barrier(self):
         """Dissemination barrier over 1-byte host messages, in the
@@ -178,8 +191,8 @@ class OmpiRank(MpiRank):
             dst = (self.rank + k) % p
             src = (self.rank - k) % p
             tag = base + round_no
-            send = self.send(token, 1, dst, tag, _ctx=OmpiCollEndpoint.COLL_CTX)
-            yield self.recv(sink, 1, src, tag, _ctx=OmpiCollEndpoint.COLL_CTX)
+            send = self.coll_send(token, 1, dst, tag)
+            yield self.coll_recv(sink, 1, src, tag)
             yield send
             k <<= 1
             round_no += 1

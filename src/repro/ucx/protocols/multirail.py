@@ -1,20 +1,20 @@
 """Striped bulk transfers across multiple rails with graph-batched launches.
 
-The rendezvous protocols hand an eligible bulk transfer (multirail enabled,
+The rendezvous protocols plan an eligible bulk transfer (multirail enabled,
 size >= ``MultirailConfig.min_bytes``, >= 2 usable rails from the
-:class:`~repro.hardware.rails.RailPlanner`) to :func:`striped_transfer`,
-which
+:class:`~repro.hardware.rails.RailPlanner`) once with :func:`plan_striping`
+and hand the plan to :func:`striped_transfer`.  Together they
 
-* splits the message into ``chunk_bytes`` chunks (last chunk carries the
+* split the message into ``chunk_bytes`` chunks (last chunk carries the
   remainder),
-* assigns chunks to rails with a deterministic bandwidth-weighted greedy
+* assign chunks to rails with a deterministic bandwidth-weighted greedy
   rule — each chunk goes to the rail that would finish its share soonest
   (``(assigned + chunk) / rail_bandwidth``, ties to the lower rail index),
   so a slow sideband rail only receives work while it actually shortens the
   critical path,
-* keeps at most ``window`` chunks in flight per rail (queued chunks start
+* keep at most ``window`` chunks in flight per rail (queued chunks start
   from the completion callback of earlier ones), and
-* completes a single barrier event when every chunk has landed — the
+* complete a single barrier event when every chunk has landed — the
   caller's matching/flight-record/FIN handling is identical to the
   single-route path.
 
@@ -45,9 +45,11 @@ __all__ = ["plan_striping", "split_chunks", "assign_chunks", "striped_transfer"]
 
 
 def plan_striping(machine, src_loc, dst_loc, size: int):
-    """The usable rail set for this transfer, or ``None`` to stay on the
-    seed's single route.  Counts ``ucx.rail.fallback_single`` when a
-    normally-multirail pair degrades to one rail (links down)."""
+    """``(rails, queues)`` for this transfer — the usable rail set and each
+    rail's chunk-size queue, planned once for :func:`striped_transfer` — or
+    ``None`` to stay on the seed's single route.  Counts
+    ``ucx.rail.fallback_single`` when a normally-multirail pair degrades to
+    one rail (links down)."""
     mr = machine.cfg.multirail
     if not mr.enabled or size < mr.min_bytes:
         return None
@@ -66,7 +68,7 @@ def plan_striping(machine, src_loc, dst_loc, size: int):
         # route (break-even sizes never regress below single-rail)
         machine.tracer.count("ucx", "rail.single_assigned")
         return None
-    return usable
+    return usable, queues
 
 
 def split_chunks(size: int, chunk_bytes: int) -> List[int]:
@@ -107,13 +109,13 @@ def assign_chunks(
 def striped_transfer(
     sim,
     machine,
-    rails,
-    size: int,
+    plan,
     then: Callable[[], None],
     parent_span=None,
     tag: Optional[int] = None,
 ) -> None:
-    """Move ``size`` bytes across ``rails``, then run ``then()``.
+    """Move the chunks of ``plan`` (from :func:`plan_striping`) across its
+    rails, then run ``then()``.
 
     Mirrors the continuation form of
     :func:`~repro.hardware.links.path_transfer` (``then`` runs when all data
@@ -123,9 +125,7 @@ def striped_transfer(
     cfg = machine.cfg
     mr = cfg.multirail
     tracer = machine.tracer
-
-    chunk_sizes = split_chunks(size, mr.chunk_bytes)
-    queues = assign_chunks(chunk_sizes, [rail.bandwidth for rail in rails])
+    rails, queues = plan
     upfront = cfg.cuda.graph_launch_overhead
     per_chunk = cfg.cuda.graph_per_chunk_cost
 
@@ -135,7 +135,7 @@ def striped_transfer(
             tracer.count("ucx", f"rail.{rail.index}.chunks", len(queue))
             tracer.count("ucx", f"rail.{rail.index}.bytes", sum(queue))
 
-    remaining = [len(chunk_sizes)]
+    remaining = [sum(len(q) for q in queues)]
 
     def _chunk_landed() -> None:
         remaining[0] -= 1

@@ -196,17 +196,17 @@ def start_transfer(
     # degraded mode, kept on the seed route).  For the pipelined lane the
     # rails are the NIC pairs of the staged host endpoints, matching the
     # single-rail bulk route above.
-    stripe_rails = None
+    stripe = None
     if machine.cfg.multirail.enabled and not ipc_fallback:
         if pipelined:
-            stripe_rails = plan_striping(
+            stripe = plan_striping(
                 machine,
                 machine.host_location(src_loc.node, src_sock),
                 machine.host_location(dst_loc.node, dst_sock),
                 msg.size,
             )
         elif not (inter_node and any_device):
-            stripe_rails = plan_striping(machine, src_loc, dst_loc, msg.size)
+            stripe = plan_striping(machine, src_loc, dst_loc, msg.size)
 
     tracer = machine.tracer
     if pipelined or ipc_fallback:
@@ -223,8 +223,8 @@ def start_transfer(
         more = {}
         if pipelined or ipc_fallback:
             more["chunks"] = pipeline_chunks(machine.cfg, msg.size)
-        if stripe_rails is not None:
-            more["rails"] = len(stripe_rails)
+        if stripe is not None:
+            more["rails"] = len(stripe[0])
     sp = tracer.stage(
         RNDV_FETCH, msg.tag, worker.worker_id, attrs=(msg.size, msg.tag, lane),
         parent=posted.req.span, more=more,
@@ -235,8 +235,8 @@ def start_transfer(
     def _begin() -> None:
         wire_sp[0] = tracer.stage(
             RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
-        if stripe_rails is not None:
-            striped_transfer(sim, machine, stripe_rails, msg.size, _data_arrived,
+        if stripe is not None:
+            striped_transfer(sim, machine, stripe, _data_arrived,
                              parent_span=wire_sp[0], tag=msg.tag)
         else:
             path_transfer(sim, route, msg.size, then=_data_arrived)

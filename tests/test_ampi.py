@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ampi import ANY_SOURCE, ANY_TAG, Ampi
-from repro.ampi.mpi import MpiTruncationError
+from repro.ampi.mpi import MAX_USER_TAG, MpiTruncationError
 from repro.charm import Charm
 from repro.config import KB, MachineConfig, MB
 
@@ -333,6 +333,33 @@ class TestRankSurface:
         lib.run_until(lib.launch(lambda mpi: _ring_program(mpi, out)),
                       max_events=5_000_000)
         assert out == self._expected(lib.n_ranks)
+
+
+@pytest.mark.parametrize("on_sub", [False, True], ids=["world", "comm_view"])
+@pytest.mark.parametrize("tag", [-5, MAX_USER_TAG, MAX_USER_TAG - 1],
+                         ids=["negative", "max", "max_minus_1"])
+def test_user_tag_range_is_checked_on_every_communicator(on_sub, tag):
+    """A user ``send`` takes a tag in ``[0, MAX_USER_TAG)`` on the world
+    rank and on a sub-communicator alike."""
+    accepted = tag == MAX_USER_TAG - 1
+    out = {}
+
+    def program(mpi):
+        comm = (yield from mpi.comm_split(0)) if on_sub else mpi
+        buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
+        if comm.rank == 0:
+            if accepted:
+                yield comm.send(buf, 8, 1, tag)
+            else:
+                with pytest.raises(ValueError):
+                    comm.send(buf, 8, 1, tag)
+                out["rejected"] = True
+        elif comm.rank == 1 and accepted:
+            status = yield comm.recv(buf, 8, src=0, tag=tag)
+            out["tag"] = status.tag
+
+    run_ranks(program, nodes=1)
+    assert out == ({"tag": tag} if accepted else {"rejected": True})
 
 
 class TestIprobeAndCommSplit:

@@ -21,6 +21,7 @@ from repro.charm import Charm, Chare, CkCallback
 from repro.charm4py.runtime import Charm4py
 from repro.collectives import ReduceOp
 from repro.config import MachineConfig
+from repro.openmpi import OpenMpi
 
 MAX_EVENTS = 20_000_000
 
@@ -130,43 +131,64 @@ class TestTagNamespacing:
         assert out["first"] == [("a", r) for r in range(4)]
         assert out["second"] == [("b", r) for r in range(4)]
 
-    def test_device_collectives_do_not_leak_into_user_tag_space(self):
+    @pytest.mark.parametrize("kind", ["ampi_world", "comm_view", "openmpi"])
+    def test_device_collectives_do_not_leak_into_user_tag_space(self, kind):
         # the old device collectives ran on comm=0 with tags below
-        # MAX_USER_TAG; a wildcard user receive could swallow them
+        # MAX_USER_TAG; a wildcard user receive could swallow them.  Each
+        # rank kind sends them on its own collective wire context.
         out = {}
 
-        def program(rank):
-            buf = rank.charm.cuda.malloc(rank.gpu, 256)
+        def body(comm):
+            buf = comm.charm.cuda.malloc(comm.gpu, 256)
             req = None
-            if rank.rank == 0:
-                user = rank.charm.cuda.malloc(rank.gpu, 256)
-                req = rank.irecv(user, 256)  # ANY_SOURCE, ANY_TAG
-            yield from rank.allreduce_device(buf, 256, op="sum")
-            if rank.rank == 1:
-                yield rank.send(buf, 256, 0, 42)
+            if comm.rank == 0:
+                user = comm.charm.cuda.malloc(comm.gpu, 256)
+                req = comm.irecv(user, 256)  # ANY_SOURCE, ANY_TAG
+            yield from comm.allreduce_device(buf, 256, op="sum")
+            if comm.rank == 1:
+                yield comm.send(buf, 256, 0, 42)
             if req is not None:
                 status = yield req.event
                 out["status"] = status
 
-        _time(program)
+        if kind == "openmpi":
+            lib = OpenMpi(MachineConfig.summit(nodes=1), n_ranks=4)
+            lib.run_until(lib.launch(body), max_events=MAX_EVENTS)
+        else:
+            def program(rank):
+                comm = rank
+                if kind == "comm_view":
+                    comm = yield from rank.comm_split(0)
+                yield from body(comm)
+
+            _time(program)
         assert out["status"].source == 1
         assert out["status"].tag == 42
 
     def test_seq_counters_are_per_communicator(self):
         seqs = {}
+        drawn_at_call = []
 
         def program(rank):
             yield from rank.barrier()
             sub = yield from rank.comm_split(0)
             yield from sub.barrier()
+            buf = rank.charm.cuda.malloc(rank.gpu, 256)
+            for comm in (rank, sub):
+                before = comm._coll_seq
+                run = comm.allreduce_device(buf, 256)
+                drawn_at_call.append(comm._coll_seq - before)
+                yield from run
             seqs[rank.rank] = (rank._coll_seq, sub._coll_seq)
 
         _time(program)
-        # world: barrier + the comm_split allgather (+1 endpoint-free);
-        # sub: its own barrier only
+        # world: barrier + the comm_split allgather + one allreduce_device;
+        # sub: its own barrier + one allreduce_device.  Each device call
+        # draws its one number when called, before it runs.
+        assert drawn_at_call == [1] * 8
         for world_seq, sub_seq in seqs.values():
-            assert world_seq == 2
-            assert sub_seq == 1
+            assert world_seq == 3
+            assert sub_seq == 2
 
 
 class TestSessionFacade:

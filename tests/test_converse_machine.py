@@ -126,25 +126,16 @@ class TestMachineLayer:
         dst = m.alloc_device(1, 256)
         src.data[:] = 77
         done = []
-        layer.register_device_recv_handler(
-            DeviceRecvType.CHARM, lambda op: done.append(op)
-        )
         dev = CmiDeviceBuffer(ptr=src, size=256)
         tag = layer.lrts_send_device(0, 1, dev)
-        op = DeviceRdmaOp(dest=dst, size=256, tag=tag, recv_type=DeviceRecvType.CHARM)
+        op = DeviceRdmaOp(dest=dst, size=256, tag=tag, recv_type=DeviceRecvType.CHARM,
+                          on_complete=done.append)
         layer.lrts_recv_device(1, op)
         m.sim.run()
         assert done == [op] and (dst.data == 77).all()
         counters = m.tracer.counters
         assert counters["machine.send_device"] == 1
         assert counters["machine.recv_device"] == 1
-
-    def test_unregistered_recv_type_raises(self):
-        m, layer, conv = make_stack()
-        dst = m.alloc_device(1, 64)
-        op = DeviceRdmaOp(dest=dst, size=64, tag=1, recv_type=DeviceRecvType.AMPI)
-        with pytest.raises(RuntimeError, match="handler"):
-            layer.lrts_recv_device(1, op)
 
     def test_tags_unique_across_pes_and_sends(self):
         m, layer, conv = make_stack()
@@ -161,7 +152,6 @@ class TestMachineLayer:
         src = m.alloc_device(0, 64)
         dst = m.alloc_device(1, 64)
         fired = []
-        layer.register_device_recv_handler(DeviceRecvType.AMPI, lambda op: None)
         dev = CmiDeviceBuffer(ptr=src, size=64)
         tag = layer.lrts_send_device(0, 1, dev, on_complete=lambda: fired.append("send"))
         op = DeviceRdmaOp(

@@ -33,7 +33,6 @@ def make_layer(nodes=1):
     n = m.cfg.topology.total_gpus
     pe_node = [m.node_of_gpu(g) for g in range(n)]
     layer = UcxMachineLayer(m, n, pe_node)
-    layer.register_device_recv_handler(DeviceRecvType.CHARM, lambda op: None)
     return m, layer
 
 
