@@ -45,7 +45,7 @@ from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvTyp
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer, OutOfMemory
 from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SENT
-from repro.sim.primitives import AllOf, SimEvent
+from repro.sim.primitives import AllOf, SimEvent, Then
 from repro.sim.process import Process
 from repro.ucx.status import UcsStatus
 
@@ -350,13 +350,11 @@ class AmpiRank(_AmpiComm):
         if not 0 <= dst < ampi.n_ranks:
             raise ValueError(f"destination rank {dst} out of range")
 
-        ev = SimEvent(sim, name="mpi.send")
         env = AmpiEnvelope(
             src=self.rank, dst=dst, tag=tag, comm=comm, size=nbytes,
             seq=self._next_seq(dst),
         )
         pre = rt.ampi_send_overhead + rt.ampi_metadata_allocs * rt.heap_alloc_cost
-        host_bytes = 0
 
         if buf is not None and nbytes > buf.size:
             raise ValueError(f"send of {nbytes} B from a {buf.size} B buffer")
@@ -367,67 +365,62 @@ class AmpiRank(_AmpiComm):
         else:
             is_dev = False
 
+        if is_dev:
+            ev = _DeviceSend(sim, name="mpi.send")
+            ev.rank, ev.dst, ev.nbytes = self, dst, nbytes
+        else:
+            ev = SimEvent(sim, name="mpi.send")
         tracer = ampi.machine.tracer
         asp = tracer.stage(AMPI_SEND, attrs=(self.rank, dst, tag, nbytes, is_dev))
         if asp:
-            ev.add_callback(lambda _e: tracer.end(asp))
+            ev.add_callback(Then((tracer.end, (asp,))).run)
 
-        if buf is not None and is_dev:
+        if is_dev:
             # Fig. 7: CkDeviceBuffer + callback; GPU data via LrtsSendDevice.
-            def _notify_sender() -> None:
-                tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.call_later(rt.ampi_callback_overhead, ev.succeed, None)
-
-            def _send_failed(status) -> None:
-                ev.fail(MpiCommError(
-                    f"MPI_Send of {nbytes} B r{self.rank}->r{dst} failed: "
-                    f"{status.name}", status,
-                ))
-
-            dev_meta = CkDeviceBuffer(ptr=buf, size=nbytes)
-            env.dev_meta = dev_meta
-
-            def _go_device() -> None:
-                with tracer.under(asp):
-                    ampi.charm.converse.cmi_send_device(
-                        self.pe, ampi.rank_pe(dst), dev_meta,
-                        on_complete=_notify_sender, on_error=_send_failed,
-                    )
-                    ampi._send_envelope(self.pe, env, host_bytes=0)
-                tracer.stage(METADATA_SENT, dev_meta.tag)
-
+            env.dev_meta = CkDeviceBuffer(ptr=buf, size=nbytes)
             tracer.charge("ampi", pre)
-            sim.call_later(self._cpu_delay(pre), _go_device)
+            sim.call_later(self._cpu_delay(pre), self._go_device, env, ev, asp)
             return ev
 
         if value is not None or buf is None:
             env.value = value
-            host_bytes = nbytes
-            complete_on_delivery = True
         elif nbytes < ampi.eager_threshold:
             bounce = ampi.machine.alloc_host(self.node, max(nbytes, 1))
             bounce.copy_from(buf, nbytes)
             env.payload = bounce
-            host_bytes = nbytes
-            complete_on_delivery = True
         else:
             env.src_host_buf = buf
             env.host_send_id = next(_host_send_ids)
             ampi.pending_host_sends[env.host_send_id] = ev
-            complete_on_delivery = False
             # AMPI packs the user's host data into its message object
             # before handing it to the runtime (datatype handling).
             pre += self.ampi.machine.cfg.topology.host_mem.transfer_time(nbytes)
 
-        def _go_host() -> None:
-            with tracer.under(asp):
-                ampi._send_envelope(self.pe, env, host_bytes=host_bytes)
-            if complete_on_delivery:
-                ev.succeed(None)
-
         tracer.charge("ampi", pre)
-        sim.call_later(self._cpu_delay(pre), _go_host)
+        sim.call_later(self._cpu_delay(pre), self._go_host, env, ev, asp)
         return ev
+
+    def _go_device(self, env: AmpiEnvelope, ev: "_DeviceSend", asp) -> None:
+        ampi = self.ampi
+        tracer = ampi.machine.tracer
+        dev_meta = env.dev_meta
+        with tracer.under(asp):
+            ampi.charm.converse.cmi_send_device(
+                self.pe, ampi.rank_pe(env.dst), dev_meta,
+                on_complete=ev.notify_sender, on_error=ev.send_failed,
+            )
+            ampi._send_envelope(self.pe, env, host_bytes=0)
+        tracer.stage(METADATA_SENT, dev_meta.tag)
+
+    def _go_host(self, env: AmpiEnvelope, ev: SimEvent, asp) -> None:
+        # a rendezvous send completes when the receiver's FIN comes back;
+        # the others carry their data and complete on delivery
+        ampi = self.ampi
+        rndv = env.src_host_buf is not None
+        with ampi.machine.tracer.under(asp):
+            ampi._send_envelope(self.pe, env, host_bytes=0 if rndv else env.size)
+        if not rndv:
+            ev.succeed(None)
 
     def _recv_impl(
         self,
@@ -440,24 +433,69 @@ class AmpiRank(_AmpiComm):
         ampi = self.ampi
         rt = ampi.rt
         sim = self.sim
-        ev = SimEvent(sim, name="mpi.recv")
+        if src != ANY_SOURCE and not 0 <= src < ampi.n_ranks:
+            raise ValueError(f"source rank {src} out of range")
+        ev = _Recv(sim, name="mpi.recv")
+        ev.rank = self
         req = PostedMpiRecv(src=src, tag=tag, comm=comm, buf=buf, capacity=capacity, event=ev)
         tracer = ampi.machine.tracer
         rsp = tracer.stage(
             AMPI_RECV, cost=rt.ampi_recv_overhead, attrs=(self.rank, src, tag))
         if rsp:
             req.span = rsp
-            ev.add_callback(lambda _e: tracer.end(rsp))
-
-        def _post() -> None:
-            env, scanned = self.matching.match_recv(req)
-            if env is not None:
-                tracer.charge("ampi", rt.ampi_match_cost * scanned)
-                delay = rt.ampi_match_cost * scanned
-                sim.call_later(delay, ampi._complete_recv, self, env, req)
-
-        sim.call_later(self._cpu_delay(rt.ampi_recv_overhead), _post)
+            ev.add_callback(Then((tracer.end, (rsp,))).run)
+        sim.call_later(self._cpu_delay(rt.ampi_recv_overhead), self._post_recv, req)
         return ev
+
+    def _post_recv(self, req: PostedMpiRecv) -> None:
+        env, scanned = self.matching.match_recv(req)
+        if env is not None:
+            ampi = self.ampi
+            delay = ampi.rt.ampi_match_cost * scanned
+            ampi.machine.tracer.charge("ampi", delay)
+            req.event.sim.call_later(delay, ampi._complete_recv, self, env, req)
+
+
+class _DeviceSend(SimEvent):
+    """The event of an AMPI send from device memory.  It carries what the
+    send's ``CkDeviceBuffer`` callbacks need, and they are its bound
+    methods: the in-flight message holds no closure (DESIGN §4.5)."""
+
+    __slots__ = ("rank", "dst", "nbytes")
+
+    def notify_sender(self) -> None:
+        """The GPU data is out: the sender rank learns it after AMPI's
+        callback overhead."""
+        ampi = self.rank.ampi
+        overhead = ampi.rt.ampi_callback_overhead
+        ampi.machine.tracer.charge("ampi", overhead)
+        self.sim.call_later(overhead, self.succeed, None)
+
+    def send_failed(self, status) -> None:
+        self.fail(MpiCommError(
+            f"MPI_Send of {self.nbytes} B r{self.rank.rank}->r{self.dst} failed: "
+            f"{status.name}", status,
+        ))
+
+
+class _Recv(SimEvent):
+    """The event of an AMPI receive.  Once matched to a device envelope it
+    carries the status, and the ``DeviceRdmaOp`` callbacks are its bound
+    methods."""
+
+    __slots__ = ("rank", "status")
+
+    def landed(self, _op: DeviceRdmaOp) -> None:
+        ampi = self.rank.ampi
+        overhead = ampi.rt.ampi_callback_overhead
+        ampi.machine.tracer.charge("ampi", overhead)
+        self.sim.call_later(overhead, self.succeed, self.status)
+
+    def failed(self, op: DeviceRdmaOp, ucs_status) -> None:
+        self.fail(MpiCommError(
+            f"MPI_Recv of {op.size} B on r{self.rank.rank} "
+            f"failed: {ucs_status.name}", ucs_status,
+        ))
 
 
 class Ampi(MpiJob):
@@ -534,7 +572,6 @@ class Ampi(MpiJob):
     # -- receive completion --------------------------------------------------------------
     def _complete_recv(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv) -> None:
         sim = self.charm.sim
-        rt = self.rt
         status = MpiStatus(
             source=env.src, tag=env.tag, count=env.size, value=env.value
         )
@@ -554,27 +591,17 @@ class Ampi(MpiJob):
                 ))
                 return
 
-            tracer = self.machine.tracer
-
-            def _done(_op: DeviceRdmaOp) -> None:
-                tracer.charge("ampi", rt.ampi_callback_overhead)
-                sim.call_later(rt.ampi_callback_overhead, req.event.succeed, status)
-
-            def _failed(_op: DeviceRdmaOp, ucs_status) -> None:
-                req.event.fail(MpiCommError(
-                    f"MPI_Recv of {env.dev_meta.size} B on r{rank.rank} "
-                    f"failed: {ucs_status.name}", ucs_status,
-                ))
-
+            ev = req.event
+            ev.status = status
             op = DeviceRdmaOp(
                 dest=req.buf,
                 size=env.dev_meta.size,
                 tag=env.dev_meta.tag,
                 recv_type=DeviceRecvType.AMPI,
-                on_complete=_done,
-                on_error=_failed,
+                on_complete=ev.landed,
+                on_error=ev.failed,
             )
-            with tracer.under(req.span):
+            with self.machine.tracer.under(req.span):
                 self.charm.converse.cmi_recv_device(rank.pe, op)
             return
 
@@ -587,12 +614,7 @@ class Ampi(MpiJob):
 
         if env.payload is not None:  # inline eager payload
             copy = self.machine.cfg.topology.host_mem.transfer_time(env.size)
-
-            def _copied() -> None:
-                req.buf.copy_from(env.payload, env.size)
-                req.event.succeed(status)
-
-            sim.call_later(copy, _copied)
+            sim.call_later(copy, self._copied, req, env, status)
             return
 
         if env.src_host_buf is not None:  # zero-copy rendezvous fetch
@@ -615,29 +637,31 @@ class Ampi(MpiJob):
             # unpack from the message object into the user's recv buffer
             # (charged to the receiving PE after the fetch, not to the link)
             unpack = self.machine.cfg.topology.host_mem.transfer_time(env.size)
-
-            def _fetched() -> None:
-                def _unpacked() -> None:
-                    req.buf.copy_from(env.src_host_buf, env.size)
-                    req.event.succeed(status)
-                    fin = CmiMessage(
-                        handler="ampi_fin",
-                        payload=env.host_send_id,
-                        host_bytes=0,
-                        src_pe=rank.pe,
-                        dst_pe=self.rank_pe(env.src),
-                    )
-                    self.charm.converse.cmi_send(rank.pe, fin)
-
-                sim.call_later(unpack, _unpacked)
-
             # pinning is CPU work on the receiving rank: serialise it
             sim.call_later(rank._cpu_delay(pin) if pin else 0.0, path_transfer,
-                           sim, route, env.size, 0.0, _fetched)
+                           sim, route, env.size, 0.0, sim.call_later,
+                           (unpack, self._unpacked, rank, env, req, status))
             return
 
         # value-based message (collectives) or zero-byte message
         req.event.succeed(status)
+
+    def _copied(self, req: PostedMpiRecv, env: AmpiEnvelope, status: MpiStatus) -> None:
+        req.buf.copy_from(env.payload, env.size)
+        req.event.succeed(status)
+
+    def _unpacked(self, rank: AmpiRank, env: AmpiEnvelope, req: PostedMpiRecv,
+                  status: MpiStatus) -> None:
+        req.buf.copy_from(env.src_host_buf, env.size)
+        req.event.succeed(status)
+        fin = CmiMessage(
+            handler="ampi_fin",
+            payload=env.host_send_id,
+            host_bytes=0,
+            src_pe=rank.pe,
+            dst_pe=self.rank_pe(env.src),
+        )
+        self.charm.converse.cmi_send(rank.pe, fin)
 
 
 class CommView(_AmpiComm):

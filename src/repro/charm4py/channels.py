@@ -91,19 +91,9 @@ class Channel:
                 raise ValueError(f"send of {size} B from {buf.size} B buffer")
             cost = c4p.cython.call_cost() + c4p.cython.device_send_cost()
             dev_meta = CkDeviceBuffer(ptr=buf, size=size)
-            tracer = self.charm.machine.tracer
-            sp = tracer.stage(
+            sp = self.charm.machine.tracer.stage(
                 C4P_SEND_DEVICE, cost=cost, attrs=(src_pe, dst_pe, size, True))
-
-            def _go() -> None:
-                with tracer.under(sp):
-                    self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
-                    pkt = _Packet(kind="dev", dev_meta=dev_meta)
-                    self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
-                tracer.stage(METADATA_SENT, dev_meta.tag)
-                tracer.end(sp)
-
-            sim.call_later(cost, _go)
+            sim.call_later(cost, self._go_device, src_pe, dst_pe, dev_meta, sp)
             return Timeout(sim, cost)
 
         if any(isinstance(a, Buffer) and a.on_device for a in args):
@@ -111,18 +101,28 @@ class Channel:
         nbytes = _host_payload_bytes(args)
         cost = c4p.cython.call_cost() + c4p.cython.serialize_cost(nbytes)
         value = args[0] if len(args) == 1 else args
-        tracer = self.charm.machine.tracer
-        sp = tracer.stage(
+        sp = self.charm.machine.tracer.stage(
             C4P_SEND_HOST, cost=cost, attrs=(src_pe, dst_pe, nbytes, False))
-
-        def _go_host() -> None:
-            with tracer.under(sp):
-                pkt = _Packet(kind="host", value=value, nbytes=nbytes)
-                self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
-            tracer.end(sp)
-
-        sim.call_later(cost, _go_host)
+        sim.call_later(cost, self._go_host, src_pe, dst_pe, value, nbytes, sp)
         return Timeout(sim, cost)
+
+    def _go_device(self, src_pe: int, dst_pe: int, dev_meta: CkDeviceBuffer,
+                   sp) -> None:
+        tracer = self.charm.machine.tracer
+        with tracer.under(sp):
+            self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
+            pkt = _Packet(kind="dev", dev_meta=dev_meta)
+            self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
+        tracer.stage(METADATA_SENT, dev_meta.tag)
+        tracer.end(sp)
+
+    def _go_host(self, src_pe: int, dst_pe: int, value: Any, nbytes: int,
+                 sp) -> None:
+        tracer = self.charm.machine.tracer
+        with tracer.under(sp):
+            pkt = _Packet(kind="host", value=value, nbytes=nbytes)
+            self._post_packet(src_pe, dst_pe, pkt, host_bytes=nbytes)
+        tracer.end(sp)
 
     def _post_packet(self, src_pe: int, dst_pe: int, pkt: _Packet, host_bytes: int) -> None:
         msg = CmiMessage(

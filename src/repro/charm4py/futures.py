@@ -20,12 +20,14 @@ _future_ids = itertools.count(1)
 class Future:
     """One-shot value container with coroutine suspension semantics."""
 
-    __slots__ = ("runtime", "fid", "_event")
+    __slots__ = ("runtime", "fid", "_event", "span")
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
         self.fid = next(_future_ids)
         self._event = SimEvent(runtime.sim, name="future")
+        # the span of the device receive that fulfils it (channel recv)
+        self.span = None
 
     @property
     def fulfilled(self) -> bool:
@@ -40,6 +42,12 @@ class Future:
         Python-side fulfilment cost."""
         cost = self.runtime.cython.future_cost()
         self.runtime.sim.call_later(cost, self._event.succeed, value)
+
+    def landed(self, _op) -> None:
+        """``on_complete`` of the device receive posted for this future: its
+        bound method, so the in-flight receive holds no closure."""
+        self.runtime.charm.machine.tracer.end(self.span)
+        self.send(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Future {self.fid} {'fulfilled' if self.fulfilled else 'pending'}>"

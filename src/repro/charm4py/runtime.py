@@ -185,29 +185,24 @@ class Charm4py:
             dst_node = self.charm.pe_object(pe_index).node
             if src_node != dst_node and not ucx.gpudirect_rdma:
                 delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
-        rsp = tracer.stage(
+        future.span = tracer.stage(
             C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))
-
-        def _recv_complete(_op) -> None:
-            tracer.end(rsp)
-            future.send(None)
-
         op = DeviceRdmaOp(
             dest=buf,
             size=meta.size,
             tag=meta.tag,
             recv_type=DeviceRecvType.CHARM4PY,
-            on_complete=_recv_complete,
+            on_complete=future.landed,
         )
         if delay > 0.0:
-            def _post() -> None:
-                with tracer.under(rsp):
-                    self.charm.converse.cmi_recv_device(pe_index, op)
-
-            self.sim.call_later(delay, _post)
+            self.sim.call_later(delay, self._post_device_recv, pe_index, op, future.span)
         else:
-            with tracer.under(rsp):
+            with tracer.under(future.span):
                 self.charm.converse.cmi_recv_device(pe_index, op)
+
+    def _post_device_recv(self, pe_index: int, op: DeviceRdmaOp, rsp) -> None:
+        with self.charm.machine.tracer.under(rsp):
+            self.charm.converse.cmi_recv_device(pe_index, op)
 
 
 class _PyCollection:

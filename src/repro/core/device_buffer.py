@@ -7,15 +7,22 @@ source buffer, size, and the UCP tag assigned by the machine layer.
 ``DeviceRdmaOp`` is what a *receiver* hands to ``LrtsRecvDevice``: the
 destination buffer plus the sender's tag, along with the posting model's
 completion handler and its ``DeviceRecvType``.
+
+Both are also the machine layer's in-flight record of their transfer: it
+writes its span and itself into them and hands their bound ``sent`` /
+``received`` to UCP as the request's completion callback, so an in-flight
+device transfer holds no closure (DESIGN §4.5).  Neither holds its
+``UcxRequest``, so that callback makes no reference cycle.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.hardware.memory import Buffer
+from repro.ucx.status import UcsStatus
 
 
 class DeviceRecvType(enum.IntEnum):
@@ -39,6 +46,15 @@ class CmiDeviceBuffer:
     size: int
     tag: int = 0
     src_pe: int = -1
+    # written by ``LrtsSendDevice``: the layer sending it, its span and what
+    # to call when UCP completes the send (``on_complete()`` or, on failure,
+    # ``on_error(status)``)
+    layer: Any = field(default=None, repr=False, compare=False)
+    span: Any = field(default=None, repr=False, compare=False)
+    on_complete: Optional[Callable[[], None]] = field(
+        default=None, repr=False, compare=False)
+    on_error: Optional[Callable[[Any], None]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -49,6 +65,19 @@ class CmiDeviceBuffer:
             )
         if not self.ptr.on_device:
             raise ValueError("CmiDeviceBuffer wraps device memory only")
+
+    def sent(self, req) -> None:
+        """UCP completion callback of the send."""
+        layer = self.layer
+        layer.machine.tracer.end(self.span)
+        if req.status is not UcsStatus.OK:
+            if self.on_error is not None:
+                self.on_error(req.status)
+            else:
+                layer._route_error("send", self.tag, req.status)
+            return
+        if self.on_complete is not None:
+            self.on_complete()
 
 
 @dataclass(slots=True)
@@ -83,6 +112,9 @@ class DeviceRdmaOp:
     # truncated, endpoint timeout); without one the machine layer falls back
     # to its layer-level error handler, then to raising
     on_error: Optional[Callable[["DeviceRdmaOp", Any], None]] = None
+    # written by ``LrtsRecvDevice``: the layer receiving it and its span
+    layer: Any = field(default=None, repr=False, compare=False)
+    span: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dest.on_device:
@@ -91,3 +123,17 @@ class DeviceRdmaOp:
             raise ValueError(
                 f"recv size {self.size} exceeds destination size {self.dest.size}"
             )
+
+    def received(self, req) -> None:
+        """UCP completion callback of the receive: the span closes on every
+        outcome (an error must not leak it)."""
+        layer = self.layer
+        layer.machine.tracer.end(self.span)
+        if req.status is not UcsStatus.OK:
+            if self.on_error is not None:
+                self.on_error(self, req.status)
+            else:
+                layer._route_error("recv", self.tag, req.status)
+            return
+        if self.on_complete is not None:
+            self.on_complete(self)

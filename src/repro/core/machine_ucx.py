@@ -14,6 +14,9 @@ Lowest layer of the Charm++ runtime stack, directly interfacing the
   and completes it through the op the posting model built: its
   ``on_complete`` is that model's receive handler (Charm++, AMPI or
   Charm4py), as in the paper's per-model receive handlers.
+
+The metadata object of each transfer is also its in-flight record (see
+:mod:`repro.core.device_buffer`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.core.device_tags import TagGenerator
 from repro.hardware.topology import Machine
 from repro.obs.stages import LRTS_RECV_DEVICE, LRTS_SEND_DEVICE
 from repro.ucx.context import UcpContext
-from repro.ucx.request import UcxRequest
 from repro.ucx.status import UcsStatus
 
 
@@ -125,58 +127,33 @@ class UcxMachineLayer:
         worker = self.workers[src_pe]
         ep = worker.ep(dst_pe)
         delay = departure_delay + rt.lrts_send_device_overhead + rt.heap_alloc_cost
-        tracer = self.machine.tracer
-        sp = tracer.stage(
+        dev_buf.layer = self
+        dev_buf.on_complete = on_complete
+        dev_buf.on_error = on_error
+        dev_buf.span = self.machine.tracer.stage(
             LRTS_SEND_DEVICE, tag, dst_pe, self._send_device_charge,
             (src_pe, dst_pe, dev_buf.size, tag),
         )
-
-        def _complete(_req: UcxRequest) -> None:
-            # through `self`, not `tracer`: no extra cell per in-flight message
-            self.machine.tracer.end(sp)
-            if _req.status is not UcsStatus.OK:
-                if on_error is not None:
-                    on_error(_req.status)
-                else:
-                    self._route_error("send", tag, _req.status)
-                return
-            if on_complete is not None:
-                on_complete()
-
-        def _launch() -> None:
-            with tracer.under(sp):
-                worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, tag, cb=_complete)
-
-        self.sim.call_later(delay, _launch)
+        self.sim.call_later(delay, self._launch_send, worker, ep, dev_buf)
         return tag
+
+    def _launch_send(self, worker, ep, dev_buf: CmiDeviceBuffer) -> None:
+        with self.machine.tracer.under(dev_buf.span):
+            worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, dev_buf.tag,
+                               cb=dev_buf.sent)
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
         """``LrtsRecvDevice``: post the tagged receive for incoming GPU data;
         on completion, invoke ``op.on_complete(op)``."""
         rt = self.cfg.runtime
-        worker = self.workers[pe]
-        tracer = self.machine.tracer
-        sp = tracer.stage(
+        op.layer = self
+        op.span = self.machine.tracer.stage(
             LRTS_RECV_DEVICE, op.tag, pe, self._recv_device_charge,
             (pe, op.size, op.tag, op.recv_type.name),
         )
-
-        def _complete(req: UcxRequest) -> None:
-            # close the span on every outcome: an error must not leak it
-            self.machine.tracer.end(sp)
-            if req.status is not UcsStatus.OK:
-                if op.on_error is not None:
-                    op.on_error(op, req.status)
-                else:
-                    self._route_error("recv", op.tag, req.status)
-                return
-            if op.on_complete is not None:
-                op.on_complete(op)
-
         delay = departure_delay + rt.lrts_recv_device_overhead + rt.heap_alloc_cost
+        self.sim.call_later(delay, self._post_recv, self.workers[pe], op)
 
-        def _post() -> None:
-            with tracer.under(sp):
-                worker.tag_recv_nb(op.dest, op.size, op.tag, cb=_complete)
-
-        self.sim.call_later(delay, _post)
+    def _post_recv(self, worker, op: DeviceRdmaOp) -> None:
+        with self.machine.tracer.under(op.span):
+            worker.tag_recv_nb(op.dest, op.size, op.tag, cb=op.received)

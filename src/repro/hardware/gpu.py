@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import SimEvent
+from repro.sim.primitives import SimEvent, Then
 from repro.sim.resources import Resource
 
 
@@ -100,7 +100,7 @@ class Stream:
         if tail is None or tail._triggered:
             then(*then_args)
         else:
-            tail.add_callback(lambda _e: then(*then_args))
+            tail.add_callback(Then((then, then_args)).run)
         return ev
 
 

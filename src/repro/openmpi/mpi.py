@@ -103,70 +103,48 @@ class OmpiRank(MpiRank):
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0, *,
              _ctx: int = 1) -> SimEvent:
-        ev = SimEvent(self.sim, name="ompi.send")
+        if not 0 <= dst < self.lib.n_ranks:
+            raise ValueError(f"destination rank {dst} out of range")
+        ev = _Request(self.sim, name="ompi.send")
+        ev.rank, ev.peer = self, dst
         ucp_tag = encode_mpi_tag(self.rank, tag, _ctx)
-        tracer = self.lib.machine.tracer
-        sp = tracer.stage(
+        ev.span = self.lib.machine.tracer.stage(
             OMPI_SEND, cost=self.lib.rt.ompi_send_overhead,
             attrs=(self.rank, dst, tag, nbytes),
         )
-
-        def _complete(_req) -> None:
-            # through `self`, not `tracer`: no extra cell per in-flight send
-            self.lib.machine.tracer.end(sp)
-            if _req.status is not UcsStatus.OK:
-                ev.fail(MpiCommError(
-                    f"MPI_Send r{self.rank}->r{dst} failed: {_req.status.name}",
-                    _req.status,
-                ))
-                return
-            ev.succeed(None)
-
-        def _post() -> None:
-            ep = self.worker.ep(dst)
-            with tracer.under(sp):
-                self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=_complete)
-
-        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_send_overhead), _post)
+        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_send_overhead),
+                            self._post_send, buf, nbytes, ucp_tag, ev)
         return ev
+
+    def _post_send(self, buf: Buffer, nbytes: int, ucp_tag: int, ev: "_Request") -> None:
+        ep = self.worker.ep(ev.peer)
+        with self.lib.machine.tracer.under(ev.span):
+            self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=ev.sent)
 
     def recv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG,
         *, _ctx: int = 1,
     ) -> SimEvent:
-        ev = SimEvent(self.sim, name="ompi.recv")
+        if src != ANY_SOURCE and not 0 <= src < self.lib.n_ranks:
+            raise ValueError(f"source rank {src} out of range")
+        ev = _Request(self.sim, name="ompi.recv")
+        ev.rank = self
         want = encode_mpi_tag(
             0 if src == ANY_SOURCE else src, 0 if tag == ANY_TAG else tag, _ctx
         )
         mask = match_mask(src, tag)  # ctx bits are always matched
-        tracer = self.lib.machine.tracer
-        sp = tracer.stage(
+        ev.span = self.lib.machine.tracer.stage(
             OMPI_RECV, cost=self.lib.rt.ompi_recv_overhead,
             attrs=(self.rank, src, tag),
         )
-
-        def _complete(req) -> None:
-            self.lib.machine.tracer.end(sp)
-            if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:
-                ev.fail(MpiTruncationError("posted receive too small"))
-                return
-            if req.status is not UcsStatus.OK:
-                # info is None on cancellation/timeout — fail, don't unpack
-                ev.fail(MpiCommError(
-                    f"MPI_Recv on r{self.rank} failed: {req.status.name}",
-                    req.status,
-                ))
-                return
-            got_tag, got_len = req.info
-            s, t = decode_mpi_tag(got_tag)
-            ev.succeed(MpiStatus(source=s, tag=t, count=got_len))
-
-        def _post() -> None:
-            with tracer.under(sp):
-                self.worker.tag_recv_nb(buf, capacity, want, mask, cb=_complete)
-
-        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_recv_overhead), _post)
+        self.sim.call_later(self._cpu_delay(self.lib.rt.ompi_recv_overhead),
+                            self._post_recv, buf, capacity, want, mask, ev)
         return ev
+
+    def _post_recv(self, buf: Buffer, capacity: int, want: int, mask: int,
+                   ev: "_Request") -> None:
+        with self.lib.machine.tracer.under(ev.span):
+            self.worker.tag_recv_nb(buf, capacity, want, mask, cb=ev.received)
 
     def coll_send(self, buf: Buffer, nbytes: int, dst: int, tag: int) -> SimEvent:
         return self.send(buf, nbytes, dst, tag, _ctx=_COLL_CTX)
@@ -196,6 +174,43 @@ class OmpiRank(MpiRank):
             yield send
             k <<= 1
             round_no += 1
+
+
+class _Request(SimEvent):
+    """The event of an OpenMPI send or receive.  It carries the posting
+    rank, the destination of a send and the span, and its bound ``sent`` /
+    ``received`` is the UCP request's completion callback: the in-flight
+    message holds no closure (DESIGN §4.5)."""
+
+    __slots__ = ("rank", "peer", "span")
+
+    def sent(self, req) -> None:
+        rank = self.rank
+        rank.lib.machine.tracer.end(self.span)
+        if req.status is not UcsStatus.OK:
+            self.fail(MpiCommError(
+                f"MPI_Send r{rank.rank}->r{self.peer} failed: {req.status.name}",
+                req.status,
+            ))
+            return
+        self.succeed(None)
+
+    def received(self, req) -> None:
+        rank = self.rank
+        rank.lib.machine.tracer.end(self.span)
+        if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:
+            self.fail(MpiTruncationError("posted receive too small"))
+            return
+        if req.status is not UcsStatus.OK:
+            # info is None on cancellation/timeout — fail, don't unpack
+            self.fail(MpiCommError(
+                f"MPI_Recv on r{rank.rank} failed: {req.status.name}",
+                req.status,
+            ))
+            return
+        got_tag, got_len = req.info
+        s, t = decode_mpi_tag(got_tag)
+        self.succeed(MpiStatus(source=s, tag=t, count=got_len))
 
 
 class OpenMpi(MpiJob):

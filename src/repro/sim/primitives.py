@@ -89,6 +89,19 @@ class SimEvent:
         return f"<{type(self).__name__} {self.name!r} {state}>"
 
 
+class Then(tuple):
+    """``(fn, args)`` as a callback that ignores the event it is given:
+    ``ev.add_callback(Then((fn, args)).run)`` runs ``fn(*args)`` when ``ev``
+    triggers.  The event holds a bound method of a slotted record, not a
+    closure, and making the record is no Python call (it is a tuple)."""
+
+    __slots__ = ()
+
+    def run(self, _event: SimEvent) -> None:
+        fn, args = self
+        fn(*args)
+
+
 class Timeout(SimEvent):
     """An event the engine timer succeeds ``delay`` seconds after
     construction, resuming whoever sleeps on it from the timer itself.

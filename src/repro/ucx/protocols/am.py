@@ -48,12 +48,8 @@ def start_send(
     if size < worker.ctx.cfg.host_rndv_threshold:
         # eager: copy-in, wire, copy-out; the request completes at copy-in
         copy = host_copy_time(worker.ctx, size)
-
-        def _send_eager() -> None:
-            req.complete()
-            _wire(worker, remote, size, payload, copy, None, seq)
-
-        worker.sim.call_later(worker._send_post_cost + copy + pre_cost, _send_eager)
+        worker.sim.call_later(worker._send_post_cost + copy + pre_cost, _send_eager,
+                              worker, remote, size, payload, req, copy, seq)
     else:
         # rendezvous: RTS, then a single-copy fetch of the data; the request
         # completes when the fetch does
@@ -61,6 +57,13 @@ def start_send(
             worker._rts_post_cost + pre_cost, _wire,
             worker, remote, CTRL_MSG_BYTES, None, 0.0, (size, payload, req), seq,
         )
+
+
+def _send_eager(worker, remote, size: int, payload, req: UcxRequest,
+                copy: float, seq: int) -> None:
+    """An eager AM send's copy-in is done: complete it, put it on the wire."""
+    req.complete()
+    _wire(worker, remote, size, payload, copy, None, seq)
 
 
 def _wire(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: int) -> None:
@@ -84,30 +87,31 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
         return
     if not remote.am_stream.offer(src, seq, transport.PENDING):
         return  # duplicate RTS from a stall-retransmit race: one fetch only
-    size, data_payload, send_req = rndv
     cfg = worker.ctx.cfg
-    machine = worker.ctx.machine
-    sim = worker.sim
-    tracer = machine.tracer
     # receiver fetches the data with a single copy (CMA within a node, RDMA
     # get across nodes; the latter pins the pages first -- a CPU/driver cost
     # that delays the get without occupying the wire)
-    route = machine.route(worker.am_loc, remote.am_loc)
+    route = worker.ctx.machine.route(worker.am_loc, remote.am_loc)
     reg = cfg.host_rndv_reg_overhead if remote.node != worker.node else 0.0
+    worker.sim.call_later(cfg.progress_overhead + cfg.rndv_rts_cost + reg,
+                          _start_fetch, worker, remote, route, rndv, seq)
 
-    def _fetched(sp) -> None:
-        tracer.end(sp)
-        if not send_req.completed:
-            send_req.complete()
-        remote.am_stream.offer(
-            src, seq, ("msg", size, data_payload, 0.0), reserved=True
-        )
 
-    def _start_fetch() -> None:
-        path_transfer(sim, route, size, then=_fetched,
-                      then_args=(tracer.stage(AM_FETCH, attrs=(size,)),))
+def _start_fetch(worker, remote, route, rndv, seq: int) -> None:
+    tracer = worker.ctx.machine.tracer
+    path_transfer(worker.sim, route, rndv[0], then=_fetched,
+                  then_args=(tracer.stage(AM_FETCH, attrs=(rndv[0],)),
+                             worker, remote, rndv, seq))
 
-    sim.call_later(cfg.progress_overhead + cfg.rndv_rts_cost + reg, _start_fetch)
+
+def _fetched(sp, worker, remote, rndv, seq: int) -> None:
+    worker.ctx.machine.tracer.end(sp)
+    size, payload, send_req = rndv
+    if not send_req.completed:
+        send_req.complete()
+    remote.am_stream.offer(
+        worker.worker_id, seq, ("msg", size, payload, 0.0), reserved=True
+    )
 
 
 def _give_up(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: int) -> None:

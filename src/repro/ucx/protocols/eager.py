@@ -65,24 +65,28 @@ def start_send(
         wire_seq=wire_seq,
     )
 
-    def _copied() -> None:
-        tracer.end(sp)
-        if req.completed:
-            # cancelled while staging: the payload never ships, but the
-            # assigned wire_seq slot must still be consumed at the receiver
-            # or the pair's ordered stream stalls behind it forever
-            slot = WireMessage(
-                kind=WireKind.ERR, tag=tag, size=0,
-                src_worker=worker.worker_id, sent_at=worker.sim.now,
-                wire_seq=msg.wire_seq, failed_kind=None,
-            )
-            worker.transmit(remote, slot, CTRL_MSG_BYTES)
-            return
-        tracer.stage(SEND_COMPLETED, tag, remote.worker_id)
-        req.complete(UcsStatus.OK)
-        worker.transmit(remote, msg)
+    worker.sim.call_later(delay, _copied, worker, remote, msg, req, sp)
 
-    worker.sim.call_later(delay, _copied)
+
+def _copied(worker: "UcpWorker", remote: "UcpWorker", msg: WireMessage,
+            req: UcxRequest, sp) -> None:
+    """The payload is staged: complete the send and put it on the wire."""
+    tracer = worker.ctx.machine.tracer
+    tracer.end(sp)
+    if req.completed:
+        # cancelled while staging: the payload never ships, but the
+        # assigned wire_seq slot must still be consumed at the receiver
+        # or the pair's ordered stream stalls behind it forever
+        slot = WireMessage(
+            kind=WireKind.ERR, tag=msg.tag, size=0,
+            src_worker=worker.worker_id, sent_at=worker.sim.now,
+            wire_seq=msg.wire_seq, failed_kind=None,
+        )
+        worker.transmit(remote, slot, CTRL_MSG_BYTES)
+        return
+    tracer.stage(SEND_COMPLETED, msg.tag, remote.worker_id)
+    req.complete(UcsStatus.OK)
+    worker.transmit(remote, msg)
 
 
 def finish_recv(
@@ -103,10 +107,12 @@ def finish_recv(
         parent=posted.req.span,
     )
 
-    def _done() -> None:
-        posted.buf.copy_from(msg.bounce, msg.size)
-        tracer.end(sp)
-        tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
-        posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
+    worker.sim.call_later(pre_delay + copy_out, _done, worker, msg, posted, sp)
 
-    worker.sim.call_later(pre_delay + copy_out, _done)
+
+def _done(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv", sp) -> None:
+    posted.buf.copy_from(msg.bounce, msg.size)
+    tracer = worker.ctx.machine.tracer
+    tracer.end(sp)
+    tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
+    posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))

@@ -110,12 +110,13 @@ def striped_transfer(
     sim,
     machine,
     plan,
-    then: Callable[[], None],
+    then: Callable[..., None],
+    then_args: tuple = (),
     parent_span=None,
     tag: Optional[int] = None,
 ) -> None:
     """Move the chunks of ``plan`` (from :func:`plan_striping`) across its
-    rails, then run ``then()``.
+    rails, then run ``then(*then_args)``.
 
     Mirrors the continuation form of
     :func:`~repro.hardware.links.path_transfer` (``then`` runs when all data
@@ -123,42 +124,66 @@ def striped_transfer(
     completion handling.
     """
     cfg = machine.cfg
-    mr = cfg.multirail
     tracer = machine.tracer
     rails, queues = plan
     upfront = cfg.cuda.graph_launch_overhead
-    per_chunk = cfg.cuda.graph_per_chunk_cost
 
     tracer.count("ucx", "rail.striped")
-    for r, (rail, queue) in enumerate(zip(rails, queues)):
+    for rail, queue in zip(rails, queues):
         if queue:
             tracer.count("ucx", f"rail.{rail.index}.chunks", len(queue))
             tracer.count("ucx", f"rail.{rail.index}.bytes", sum(queue))
 
-    remaining = [sum(len(q) for q in queues)]
-
-    def _chunk_landed() -> None:
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            then()
-
-    def _start() -> None:
-        for rail, queue in zip(rails, queues):
-            if queue:
-                rail_sp = tracer.span(
-                    "ucx.rail", f"rail{rail.index}", parent=parent_span,
-                    rail=rail.index, chunks=len(queue), bytes=sum(queue),
-                    tag=tag,
-                )
-                _RailRun(sim, tracer, rail, queue, mr.window, per_chunk,
-                         rail_sp, _chunk_landed).issue()
-
+    stripe = _Stripe(sim, tracer, plan, cfg.multirail.window,
+                     cfg.cuda.graph_per_chunk_cost, parent_span, tag,
+                     then, then_args)
     if upfront > 0.0:
         # graph capture+launch happens once, before any chunk kicks; it is
         # driver work and occupies no link
-        sim.call_later(upfront, _start)
+        sim.call_later(upfront, stripe.start)
     else:
-        _start()
+        stripe.start()
+
+
+class _Stripe:
+    """One striped transfer: starts a :class:`_RailRun` per loaded rail and
+    runs ``then(*then_args)`` when the last chunk of any rail has landed.
+
+    The rail runs hold its bound ``chunk_landed``; it holds none of them, so
+    the pair makes no reference cycle.
+    """
+
+    __slots__ = ("sim", "tracer", "plan", "window", "per_chunk", "parent_span",
+                 "tag", "then", "then_args", "remaining")
+
+    def __init__(self, sim, tracer, plan, window: int, per_chunk: float,
+                 parent_span, tag: Optional[int], then, then_args: tuple) -> None:
+        self.sim = sim
+        self.tracer = tracer
+        self.plan = plan
+        self.window = window
+        self.per_chunk = per_chunk
+        self.parent_span = parent_span
+        self.tag = tag
+        self.then = then
+        self.then_args = then_args
+        self.remaining = sum(len(q) for q in plan[1])
+
+    def start(self) -> None:
+        for rail, queue in zip(*self.plan):
+            if queue:
+                rail_sp = self.tracer.span(
+                    "ucx.rail", f"rail{rail.index}", parent=self.parent_span,
+                    rail=rail.index, chunks=len(queue), bytes=sum(queue),
+                    tag=self.tag,
+                )
+                _RailRun(self.sim, self.tracer, rail, queue, self.window,
+                         self.per_chunk, rail_sp, self.chunk_landed).issue()
+
+    def chunk_landed(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.then(*self.then_args)
 
 
 class _RailRun:

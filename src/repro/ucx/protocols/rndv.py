@@ -105,12 +105,7 @@ def start_transfer(
     msg.send_req.rndv_committed = True
 
     if msg.size > posted.size:
-        def _truncate() -> None:
-            fail_truncated(worker, msg, posted)
-            # release the sender too: the rendezvous is over
-            _send_fin(worker, msg)
-
-        sim.call_later(pre_delay, _truncate)
+        sim.call_later(pre_delay, _truncate, worker, msg, posted)
         return
 
     src, dst = msg.src_buf, posted.buf
@@ -230,26 +225,40 @@ def start_transfer(
         parent=posted.req.span, more=more,
     )
 
-    wire_sp = [None]
+    # the fetch's state travels as timer and transfer arguments: an
+    # in-flight rendezvous holds no closure (DESIGN §4.5)
+    sim.call_later(pre_delay + setup, _begin, worker, msg, posted,
+                   route, stripe, sp)
 
-    def _begin() -> None:
-        wire_sp[0] = tracer.stage(
-            RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
-        if stripe is not None:
-            striped_transfer(sim, machine, stripe, _data_arrived,
-                             parent_span=wire_sp[0], tag=msg.tag)
-        else:
-            path_transfer(sim, route, msg.size, then=_data_arrived)
 
-    def _data_arrived() -> None:
-        dst.copy_from(src, msg.size)
-        tracer.end(wire_sp[0])
-        tracer.end(sp)
-        tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
-        posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
-        _send_fin(worker, msg)
+def _truncate(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv") -> None:
+    fail_truncated(worker, msg, posted)
+    # release the sender too: the rendezvous is over
+    _send_fin(worker, msg)
 
-    sim.call_later(pre_delay + setup, _begin)
+
+def _begin(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv",
+           route: Route, stripe, sp) -> None:
+    """Setup is over: put the bulk data on the wire (striped or not)."""
+    machine = worker.ctx.machine
+    wire_sp = machine.tracer.stage(RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
+    args = (worker, msg, posted, sp, wire_sp)
+    if stripe is not None:
+        striped_transfer(worker.sim, machine, stripe, _data_arrived, args,
+                         parent_span=wire_sp, tag=msg.tag)
+    else:
+        path_transfer(worker.sim, route, msg.size, then=_data_arrived, then_args=args)
+
+
+def _data_arrived(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv",
+                  sp, wire_sp) -> None:
+    posted.buf.copy_from(msg.src_buf, msg.size)
+    tracer = worker.ctx.machine.tracer
+    tracer.end(wire_sp)
+    tracer.end(sp)
+    tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
+    posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
+    _send_fin(worker, msg)
 
 
 def _send_fin(worker: "UcpWorker", rts: WireMessage) -> None:

@@ -276,7 +276,7 @@ class UcpWorker:
             self.ctx.worker(req.rndv_remote).unexpected.remove_first(
                 lambda m: m.send_req is req
             )
-        # else: an eager send still staging its payload; the copy-in closure
+        # else: an eager send still staging its payload; its copy-in step
         # sees the completed request and emits a slot-consuming ERR frame
         # instead of the payload
         # the transfer's destination, where known (not for an eager send)

@@ -13,10 +13,12 @@ runs: calls per exported Chrome-trace event, calls per recorded span
 (observed run minus the same run unobserved), and calls of the critical-path
 analysis per span.
 
-Three source rules keep the three cheapest regressions from being written at
+Four source rules keep the four cheapest regressions from being written at
 all: scheduling through ``schedule`` and dropping the ``Handle`` (use
-``call_later``), formatting a per-operation ``SimEvent`` name, and building
-a ``Timeout`` only to yield it (yield the delay).
+``call_later``), formatting a per-operation ``SimEvent`` name, building a
+``Timeout`` only to yield it (yield the delay), and a function nested in a
+message-path function (an in-flight message holds a record's bound method
+or plain timer arguments, not a closure).
 """
 
 import ast
@@ -212,3 +214,61 @@ def test_no_timeout_is_built_only_to_be_yielded():
                     getattr(node.value.func, "attr", None)) == "Timeout"
     ]
     assert not offenders, f"yield the delay: `yield Timeout(...)` at {offenders}"
+
+
+#: The modules a message passes through between a model's send and its
+#: receive: a continuation one of them hands on is held across events.
+MESSAGE_PATH = (
+    "core/machine_ucx.py", "core/device_buffer.py",
+    "ucx/worker.py", "ucx/transport.py", "ucx/protocols/",
+    "ampi/mpi.py", "ampi/matching.py", "openmpi/mpi.py",
+    "charm4py/channels.py", "charm4py/runtime.py", "charm4py/futures.py",
+    "hardware/gpu.py",
+)
+
+#: Functions nested there that no message holds across an event: matching
+#: predicates, called and dropped inside the call that makes them, and a
+#: hook installed once when the runtime is built.
+NOT_HELD = {
+    "ucx/worker.py:UcpWorker.tag_recv_nb.<lambda>",
+    "ucx/worker.py:UcpWorker.tag_probe_nb.<lambda>",
+    "ucx/worker.py:UcpWorker.cancel.<lambda>",
+    "ucx/worker.py:UcpWorker._process_in_order.<lambda>",
+    "ampi/matching.py:MatchEngine.match_envelope.<lambda>",
+    "charm4py/runtime.py:Charm4py.__init__._init_hook",
+}
+
+
+def _nested_functions(node, scope="", in_function=False):
+    """``(qualname, line)`` of every ``def`` and ``lambda`` inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{scope}.{getattr(child, 'name', '<lambda>')}".lstrip(".")
+            if in_function:
+                yield name, child.lineno
+            yield from _nested_functions(child, name, True)
+        elif isinstance(child, ast.ClassDef):
+            yield from _nested_functions(
+                child, f"{scope}.{child.name}".lstrip("."), in_function)
+        else:
+            yield from _nested_functions(child, scope, in_function)
+
+
+def test_no_message_holds_a_closure():
+    """A closure costs a function object and a cell per captured name, made
+    on every call (the cells on every path through it); held per in-flight
+    message they were a third of a 64-node Jacobi3D's peak bytes.  State a
+    message carries lives on its record (``DeviceRdmaOp``, ``PostedRecv``,
+    ``UcxRequest``, ...) and the continuation is the record's bound method,
+    or the state rides as ``call_later``/``then_args`` arguments."""
+    sites = [
+        (f"{rel}:{name}", line)
+        for rel, tree in _parsed_sources() if rel.startswith(MESSAGE_PATH)
+        for name, line in _nested_functions(tree)
+    ]
+    offenders = [f"{site} (line {line})" for site, line in sites
+                 if site not in NOT_HELD]
+    assert not offenders, (
+        f"a message-path continuation is a closure at {offenders}: make it a "
+        f"record's bound method or pass its state as call_later arguments")
+    assert NOT_HELD <= {site for site, _ in sites}, "stale NOT_HELD entry"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.ampi import Ampi
 from repro.charm import Charm, CkCallback, CkDeviceBuffer
 from repro.charm4py import Charm4py, PyChare
@@ -155,3 +156,24 @@ class TestCapacityAndErrors:
         used = m.allocators[0].used
         assert used < m.cfg.topology.gpu_memory_capacity
         assert used > 2 * decomp.cells_per_block * 8  # two fields
+
+
+class TestPeerRange:
+    """An MPI rank of either library rejects a peer outside ``[0, size)``
+    when called: not later, from inside the engine, and not as a drained
+    agenda with the receive still waiting."""
+
+    @pytest.mark.parametrize("call", ["send_to_size", "send_to_minus_1",
+                                      "recv_from_size"])
+    @pytest.mark.parametrize("model", ["ampi", "openmpi"])
+    def test_out_of_range_peer_raises_at_the_call(self, model, call):
+        sess = api.session(MachineConfig.summit(nodes=1)).model(model).build()
+        rank = sess.lib.ranks[0]
+        buf = sess.machine.alloc_host(rank.node, 8)
+        pending = sess.sim.pending_events
+        with pytest.raises(ValueError, match="out of range"):
+            if call == "recv_from_size":
+                rank.recv(buf, 8, src=rank.size)
+            else:
+                rank.send(buf, 8, dst=rank.size if call == "send_to_size" else -1)
+        assert sess.sim.pending_events == pending  # nothing was put in flight
