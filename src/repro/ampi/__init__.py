@@ -23,8 +23,8 @@ Rank programs are generator functions driven by the simulator::
 Collectives compose over point-to-point and are used with ``yield from``.
 """
 
-from repro.ampi.mpi import ANY_SOURCE, ANY_TAG, Ampi, AmpiRank, MpiStatus
-from repro.ampi.request import MpiRequest
+from repro.ampi.mpi import Ampi, AmpiRank
+from repro.mpi import ANY_SOURCE, ANY_TAG, MpiRequest, MpiStatus
 
 __all__ = [
     "ANY_SOURCE",

@@ -25,10 +25,8 @@ from typing import Optional
 from repro.core.device_buffer import CkDeviceBuffer
 from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
+from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.sim.primitives import SimEvent
-
-ANY_SOURCE = -1
-ANY_TAG = -1
 
 
 @dataclass(slots=True)

@@ -18,35 +18,36 @@ larger ones use a Zero-Copy-API-style rendezvous (envelope eagerly, data
 fetched after the match, FIN back to the sender).
 
 That wire protocol is what :class:`AmpiRank` and :class:`CommView` add to
-:class:`MpiRank`, the rank surface they share with OpenMPI's ranks.
+:class:`repro.mpi.MpiRank`, the rank surface they share with OpenMPI's
+ranks.  The collectives they run load with the first collective call
+(``_coll.engine`` / ``_coll.value``, see :mod:`repro.collectives`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+import repro.collectives as _coll
 from repro.ampi.gpucache import GpuPointerCache
-from repro.ampi.matching import (
-    ANY_SOURCE,
-    ANY_TAG,
-    AmpiEnvelope,
-    MatchEngine,
-    PostedMpiRecv,
-)
-from repro.ampi.request import MpiRequest, waitall
+from repro.ampi.matching import AmpiEnvelope, MatchEngine, PostedMpiRecv
 from repro.charm.charm import Charm
-from repro.collectives import engine as _coll_engine
-from repro.collectives import value as _coll_value
 from repro.collectives.ops import ReduceOp
 from repro.converse.message import CmiMessage
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.hardware.links import path_transfer
-from repro.hardware.memory import Buffer, OutOfMemory
+from repro.hardware.memory import Buffer
+from repro.mpi import (
+    ANY_SOURCE,
+    ANY_TAG,
+    MpiCommError,
+    MpiJob,
+    MpiRank,
+    MpiStatus,
+    MpiTruncationError,
+)
 from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SENT
-from repro.sim.primitives import AllOf, SimEvent, Then
-from repro.sim.process import Process
+from repro.sim.primitives import SimEvent, Then
 from repro.ucx.status import UcsStatus
 
 #: User tags lie in ``[0, MAX_USER_TAG)`` on every communicator (the
@@ -54,146 +55,10 @@ from repro.ucx.status import UcsStatus
 #: it travels on each communicator's own collective context.
 MAX_USER_TAG = 1 << 24
 
-
-@dataclass(frozen=True, slots=True)
-class MpiStatus:
-    """What ``MPI_Recv`` reports (plus ``value`` for value-based internals)."""
-
-    source: int
-    tag: int
-    count: int
-    value: Any = None
-
-
-class MpiTruncationError(RuntimeError):
-    """Incoming message larger than the posted receive buffer."""
-
-
-class MpiCommError(RuntimeError):
-    """A transfer failed at the UCX layer (endpoint timeout under fault
-    injection, or a cancelled request).  ``status`` carries the underlying
-    :class:`repro.ucx.status.UcsStatus`."""
-
-    def __init__(self, message: str, status: Any = None) -> None:
-        super().__init__(message)
-        self.status = status
-
+#: The reserved internal communicator id of world-communicator collectives.
+COLL_COMM = 1
 
 _host_send_ids = itertools.count(1)
-
-
-class MpiRank:
-    """What every MPI rank offers around its library's ``send``/``recv``.
-
-    AMPI and OpenMPI sit on the same UCX stack and differ only in how a
-    message reaches it (paper §IV-B1): an envelope plus a metadata-gated
-    post, or a tagged receive posted directly.  A rank class supplies that
-    difference — ``send`` and ``recv``, plus ``coll_send``/``coll_recv``:
-    the same over the communicator's collective wire context, which value
-    and device collectives share — and its identity: ``rank``, ``size``,
-    ``sim``, ``gpu``, ``node``, ``charm`` (whose ``.cuda`` and ``.machine``
-    rank programs use), ``node_of(r)`` and ``software_overhead`` (the
-    per-message cost the collective cost model charges).  The rest is
-    written here once; the ``*_device`` collectives run on the calling rank
-    itself and are used with ``yield from``."""
-
-    _coll_seq = 0
-    _cpu_free = 0.0  # when this rank's core finishes its queued call costs
-
-    def _next_coll_seq(self) -> int:
-        """Per-communicator invocation number; it namespaces a collective's
-        wire tags, so overlapping collectives can never alias."""
-        s = self._coll_seq
-        self._coll_seq = s + 1
-        return s
-
-    def _cpu_delay(self, cost: float) -> float:
-        """Serialise the CPU cost of a non-blocking call: back-to-back
-        Isends from one rank each occupy the core in turn, which is what
-        bounds windowed bandwidth at small message sizes."""
-        now = self.sim.now
-        start = max(now, self._cpu_free)
-        self._cpu_free = start + cost
-        return self._cpu_free - now
-
-    # -- device memory ------------------------------------------------------------
-    def alloc_device(self, nbytes: int) -> Buffer:
-        """Allocate ``nbytes`` on this rank's GPU (through the configured
-        allocator — pooled when ``MemoryConfig.allocator == "pool"``).
-        Exhaustion surfaces as :class:`MpiCommError` with
-        ``ERR_NO_MEMORY``, like any other communication fault."""
-        try:
-            return self.charm.machine.alloc_device(self.gpu, nbytes)
-        except OutOfMemory as exc:
-            raise MpiCommError(str(exc), UcsStatus.ERR_NO_MEMORY) from exc
-
-    def free_device(self, buf: Buffer) -> None:
-        """Free (or pool-return) a buffer from :meth:`alloc_device`."""
-        self.charm.machine.free_device(buf)
-
-    # -- point-to-point ------------------------------------------------------------
-    def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
-        return MpiRequest(self.send(buf, nbytes, dst, tag), "send")
-
-    def irecv(
-        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> MpiRequest:
-        return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
-
-    def sendrecv(
-        self,
-        sendbuf: Buffer,
-        send_bytes: int,
-        dst: int,
-        recvbuf: Buffer,
-        recv_capacity: int,
-        src: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> SimEvent:
-        """``MPI_Sendrecv``: both directions in flight (the receive posted
-        first), completes when both do."""
-        r = self.recv(recvbuf, recv_capacity, src, recvtag)
-        s = self.send(sendbuf, send_bytes, dst, sendtag)
-        return AllOf(self.sim, [s, r])
-
-    def waitall(self, requests: List[MpiRequest]) -> SimEvent:
-        return waitall(self.sim, requests)
-
-    # -- device-buffer collectives (topology-aware algorithm selection) --------------
-    def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
-                     algorithm: Optional[str] = None):
-        return _coll_engine.bcast_device(self, buf, nbytes, root, algorithm)
-
-    def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
-                      root: int = 0, *, algorithm: Optional[str] = None):
-        return _coll_engine.reduce_device(self, buf, nbytes, op, root, algorithm)
-
-    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allreduce_device(self, buf, nbytes, op, algorithm)
-
-    def allgather_device(self, buf: Buffer, nbytes: int,
-                         recvbuf: Optional[Buffer] = None, *,
-                         algorithm: Optional[str] = None):
-        return _coll_engine.allgather_device(self, buf, nbytes, recvbuf, algorithm)
-
-
-class MpiJob:
-    """An MPI library object: ``machine``, ``ranks`` and the launch of one
-    program on every rank."""
-
-    _PROCESS: str  # process-name prefix of the rank programs
-
-    def launch(self, program, *args) -> SimEvent:
-        """Start ``program(rank, *args)`` as a process on every rank;
-        returns an event that fires when all rank programs finish."""
-        sim = self.machine.sim
-        procs = [
-            Process(sim, program(r, *args), name=f"{self._PROCESS}.rank{r.rank}")
-            for r in self.ranks
-        ]
-        return AllOf(sim, procs)
 
 
 class _AmpiComm(MpiRank):
@@ -210,30 +75,30 @@ class _AmpiComm(MpiRank):
         return (rt.ampi_send_overhead + rt.ampi_recv_overhead
                 + 2 * rt.ampi_callback_overhead)
 
-    # -- host-value collectives -----------------------------------------------------
+    # -- host-value collectives (``_coll.value`` loads with the first call) ----------
     def barrier(self):
-        return _coll_value.barrier(self)
+        return _coll.value.barrier(self)
 
     def bcast(self, value: Any, root: int = 0, nbytes: int = 8):
-        return _coll_value.bcast(self, value, root, nbytes)
+        return _coll.value.bcast(self, value, root, nbytes)
 
     def reduce(self, value: Any, op=ReduceOp.SUM, root: int = 0, nbytes: int = 8):
-        return _coll_value.reduce(self, value, op, root, nbytes)
+        return _coll.value.reduce(self, value, op, root, nbytes)
 
     def allreduce(self, value: Any, op=ReduceOp.SUM, nbytes: int = 8):
-        return _coll_value.allreduce(self, value, op, nbytes)
+        return _coll.value.allreduce(self, value, op, nbytes)
 
     def gather(self, value: Any, root: int = 0, nbytes: int = 8):
-        return _coll_value.gather(self, value, root, nbytes)
+        return _coll.value.gather(self, value, root, nbytes)
 
     def allgather(self, value: Any, nbytes: int = 8):
-        return _coll_value.allgather(self, value, nbytes)
+        return _coll.value.allgather(self, value, nbytes)
 
     def scatter(self, values: Optional[List[Any]], root: int = 0, nbytes: int = 8):
-        return _coll_value.scatter(self, values, root, nbytes)
+        return _coll.value.scatter(self, values, root, nbytes)
 
     def alltoall(self, values: List[Any], nbytes: int = 8):
-        return _coll_value.alltoall(self, values, nbytes)
+        return _coll.value.alltoall(self, values, nbytes)
 
 
 class AmpiRank(_AmpiComm):
@@ -293,11 +158,11 @@ class AmpiRank(_AmpiComm):
     # -- collective wire protocol (repro.collectives rides on these) ----------------
     def coll_send(self, buf: Optional[Buffer], nbytes: int, dst: int, tag: int,
                   value: Any = None) -> SimEvent:
-        return self._send_impl(buf, nbytes, dst, tag, _coll_engine.COLL_COMM, value)
+        return self._send_impl(buf, nbytes, dst, tag, COLL_COMM, value)
 
     def coll_recv(self, buf: Optional[Buffer], capacity: int, src: int,
                   tag: int) -> SimEvent:
-        return self._recv_impl(buf, capacity, src, tag, _coll_engine.COLL_COMM)
+        return self._recv_impl(buf, capacity, src, tag, COLL_COMM)
 
     def coll_local_source(self, source: int) -> int:
         return source

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.config import MachineConfig
-from repro.obs import chrome_trace, export_chrome_trace, metrics_snapshot
-from repro.obs.congestion import CongestionReport, congestion_report
-from repro.obs.critical_path import CriticalPathReport, critical_path
-from repro.obs.flight import aggregate, flight_records
 from repro.obs.timeline import timeline_dict
+
+if TYPE_CHECKING:
+    from repro.obs.congestion import CongestionReport
+    from repro.obs.critical_path import CriticalPathReport
 
 __all__ = ["MODELS", "Session", "SessionBuilder", "session"]
 
@@ -84,17 +84,25 @@ class Session:
         return self.machine.sim.run_until_complete(event, max_events=max_events)
 
     # -- observability -------------------------------------------------------------
+    # Each analysis and export imports its repro.obs module when first
+    # called: a session that only runs never loads them.
     def metrics_snapshot(self) -> Dict:
         """Plain-dict metrics snapshot (``counters`` / ``histograms`` /
         ``time_by_category``)."""
+        from repro.obs.export import metrics_snapshot
+
         return metrics_snapshot(self.machine.tracer)
 
     def chrome_trace(self) -> Dict:
         """The traced span tree as a Chrome trace-event JSON dict."""
+        from repro.obs.export import chrome_trace
+
         return chrome_trace(self.machine.tracer, process_name=f"repro-{self.model}")
 
     def export_chrome_trace(self, path: Union[str, Path]) -> Path:
         """Write the Chrome-trace JSON timeline to ``path``."""
+        from repro.obs.export import export_chrome_trace
+
         return export_chrome_trace(
             self.machine.tracer, path, process_name=f"repro-{self.model}"
         )
@@ -103,17 +111,23 @@ class Session:
         """Per-message device-transfer lifecycles (needs ``.flight()``;
         empty list when flight recording is disabled), folded from the
         tracer's stage log on each call."""
+        from repro.obs.flight import flight_records
+
         return flight_records(self.machine.tracer.log)
 
     def flight_summary(self) -> Dict:
         """Aggregate flight statistics: per-protocol delayed-posting cost,
         unexpected-arrival counts, posting-order inversions."""
+        from repro.obs.flight import aggregate, flight_records
+
         return aggregate(flight_records(self.machine.tracer.log))
 
     def critical_path(self, t0: Optional[float] = None,
                       t1: Optional[float] = None) -> CriticalPathReport:
         """Critical chain + per-layer blame over the traced window
         (requires tracing; see :mod:`repro.obs.critical_path`)."""
+        from repro.obs.critical_path import critical_path
+
         return critical_path(self.machine.tracer, t0, t1)
 
     def timeline(self) -> Dict:
@@ -133,6 +147,8 @@ class Session:
         """Congestion attribution over the whole run: top contended links
         with who waited on them, saturation windows, endpoint-thrash
         verdict (requires ``.telemetry()``)."""
+        from repro.obs.congestion import congestion_report
+
         return congestion_report(self.machine.tracer, top_n=top_n)
 
     def collectives_summary(self) -> Dict:
@@ -228,27 +244,32 @@ class SessionBuilder:
         return self
 
     def build(self) -> Session:
-        # imports deferred: the facade must stay importable without pulling
-        # the whole model graph until a session is actually built
-        from repro.ampi import Ampi
-        from repro.charm import Charm
-        from repro.charm4py import Charm4py
-        from repro.openmpi import OpenMpi
-
+        # each branch imports its own model package and no other: importing
+        # the facade loads no model, building a session loads the one it
+        # builds (AMPI and Charm4py run on the Charm++ runtime)
         cfg = self._config
         name = self._model
         charm = None
         if name == "charm":
+            from repro.charm import Charm
+
             lib = charm = Charm(cfg)
             machine = charm.machine
         elif name == "ampi":
+            from repro.ampi import Ampi
+            from repro.charm import Charm
+
             charm = Charm(cfg)
             lib = Ampi(charm, n_ranks=self._n_ranks, ranks_per_pe=self._ranks_per_pe)
             machine = charm.machine
         elif name == "openmpi":
+            from repro.openmpi import OpenMpi
+
             lib = OpenMpi(cfg, n_ranks=self._n_ranks)
             machine = lib.machine
         else:  # charm4py
+            from repro.charm4py import Charm4py
+
             lib = Charm4py(cfg)
             charm = lib.charm
             machine = charm.machine

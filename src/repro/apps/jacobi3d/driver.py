@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import repro.api as api
-from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
-from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi
 from repro.apps.jacobi3d.decomposition import Decomposition, weak_scaling_domain
-from repro.apps.jacobi3d.mpi_impl import run_mpi_jacobi
 from repro.config import MachineConfig, add_override_arg
-from repro.obs.cli import add_observation_args, observed, report
 
 #: paper §IV-C: weak-scaling base domain edge (1536³ doubles), strong 3072³
 WEAK_BASE = 1536
 STRONG_DOMAIN = (3072, 3072, 3072)
-
-_RUNNERS = {
-    "charm": run_charm_jacobi,
-    "ampi": run_mpi_jacobi,
-    "openmpi": run_mpi_jacobi,
-    "charm4py": run_charm4py_jacobi,
-}
 
 
 @dataclass(frozen=True)
@@ -58,8 +46,8 @@ def run_jacobi(
     Pass a pre-built :class:`repro.api.Session` (e.g. with tracing enabled)
     via ``session`` to run on it instead of constructing a fresh machine.
     """
-    if model not in _RUNNERS:
-        raise ValueError(f"unknown model {model!r}; pick from {sorted(_RUNNERS)}")
+    if model not in api.MODELS:
+        raise ValueError(f"unknown model {model!r}; pick from {sorted(api.MODELS)}")
     sess = session if session is not None else api.session(
         config if config is not None else MachineConfig.summit(nodes=nodes)
     ).model(model).build()
@@ -86,7 +74,14 @@ def run_jacobi(
             decomp = Decomposition.create(domain, p)
     else:
         decomp = Decomposition.create(domain, p)
-    collector = _RUNNERS[model](
+    # a run imports its own model's program only
+    if model == "charm":
+        from repro.apps.jacobi3d.charm_impl import run_charm_jacobi as runner
+    elif model == "charm4py":
+        from repro.apps.jacobi3d.charm4py_impl import run_charm4py_jacobi as runner
+    else:  # AMPI and OpenMPI share one program
+        from repro.apps.jacobi3d.mpi_impl import run_mpi_jacobi as runner
+    collector = runner(
         sess, decomp, gpu_aware, iters=iters, warmup=warmup,
         functional=functional, **runner_kwargs,
     )
@@ -135,8 +130,12 @@ def run_sweep(
 
 
 def main(argv=None) -> None:
+    import argparse
+
+    from repro.obs.cli import add_observation_args, observed, report
+
     parser = argparse.ArgumentParser(description="Jacobi3D proxy app (simulated)")
-    parser.add_argument("model", nargs="?", choices=sorted(_RUNNERS),
+    parser.add_argument("model", nargs="?", choices=sorted(api.MODELS),
                         help="model to run (omit with --sweep to run "
                              "charm, ampi and charm4py)")
     parser.add_argument("--nodes", type=int, default=1)

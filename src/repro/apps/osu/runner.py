@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.api as api
 from repro.apps.osu import bandwidth as bw_mod
 from repro.apps.osu import latency as lat_mod
 from repro.config import KB, MachineConfig, MB, add_override_arg
-from repro.obs.cli import add_observation_args, observed, report
 
 #: The OSU message-size ladder used in the paper's figures: 1 B to 4 MB.
 OSU_SIZES: List[int] = [1 << i for i in range(23)]  # 1 ... 4 MiB
@@ -131,6 +129,10 @@ def _fmt_size(size: int) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> None:
+    import argparse
+
+    from repro.obs.cli import add_observation_args, observed, report
+
     parser = argparse.ArgumentParser(description="OSU micro-benchmarks (simulated)")
     parser.add_argument("benchmark", choices=["latency", "bandwidth"])
     parser.add_argument("model", choices=list(MODELS))

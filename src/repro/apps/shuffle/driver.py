@@ -9,15 +9,11 @@ allocator and first-touch amortisation differ).
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
 import repro.api as api
-from repro.apps.shuffle.charm4py_impl import run_charm4py_shuffle
 from repro.apps.shuffle.common import ShuffleCollector, ShufflePlan, ShuffleResult
-from repro.apps.shuffle.mpi_impl import shuffle_mpi_program
 from repro.config import KB, MachineConfig, add_override_arg
-from repro.obs.cli import add_observation_args, observed, report
 
 _MODELS = ("ampi", "openmpi", "charm4py")
 
@@ -57,8 +53,13 @@ def run_shuffle(
         n_ranks=sess.config.topology.total_gpus, rounds=rounds, chunk=chunk,
         seed=seed,
     )
+    # import the model's program only: an MPI shuffle loads no Charm4py
     if model == "charm4py":
+        from repro.apps.shuffle.charm4py_impl import run_charm4py_shuffle
+
         return run_charm4py_shuffle(sess, plan)
+    from repro.apps.shuffle.mpi_impl import shuffle_mpi_program
+
     collector = ShuffleCollector(plan, model)
     done = sess.launch(shuffle_mpi_program, plan, collector)
     sess.run_until(done, max_events=500_000_000)
@@ -79,6 +80,10 @@ def _print_result(result: ShuffleResult, label: str) -> None:
 
 
 def main(argv=None) -> None:
+    import argparse
+
+    from repro.obs.cli import add_observation_args, observed, report
+
     parser = argparse.ArgumentParser(
         description="Dask-style GPU dataframe shuffle (simulated)")
     parser.add_argument("model", nargs="?", choices=sorted(_MODELS),

@@ -16,7 +16,7 @@ subsystem.  Layout:
   holds the override knobs);
 * :mod:`~repro.collectives.engine` — the execution context, tag
   namespacing and ``*_device`` entry points, which run on the calling
-  rank (any :class:`~repro.ampi.mpi.MpiRank`: its ``coll_send``/
+  rank (any :class:`~repro.mpi.MpiRank`: its ``coll_send``/
   ``coll_recv``, ``node_of`` and ``software_overhead``);
 * :mod:`~repro.collectives.value` — the host-value collectives
   (barrier/bcast/.../alltoall) shared by AMPI world and sub-communicators.
@@ -24,37 +24,43 @@ subsystem.  Layout:
 Applications use the communicator-method API (``mpi.allreduce_device(buf,
 nbytes, op=ReduceOp.SUM, algorithm=...)``) rather than calling this package
 directly.
+
+Importing the package loads nothing: a session imports :mod:`.ops` (the
+``ReduceOp`` its models name in signatures) and the rest loads with the
+first collective call.  The rank classes reach the engine and the value
+collectives as ``collectives.engine`` / ``collectives.value``, and the
+public names below resolve on first access (PEP 562).  A public name loads
+the engine first, and the engine imports :mod:`.algorithms` and then
+:mod:`.hierarchy`, which fill the selection registry in that order.
 """
 
-from repro.collectives import algorithms as _algorithms  # noqa: F401  (registry)
-from repro.collectives import hierarchy as _hierarchy  # noqa: F401  (registry)
-from repro.collectives.engine import (
-    COLL_COMM,
-    CollContext,
-    allgather_device,
-    allreduce_device,
-    bcast_device,
-    reduce_device,
-)
-from repro.collectives.ops import DEVICE_OPS, ReduceOp
-from repro.collectives.selection import (
-    AlgorithmSpec,
-    CollectiveCostModel,
-    available_algorithms,
-    select,
-)
+import importlib
 
-__all__ = [
-    "AlgorithmSpec",
-    "COLL_COMM",
-    "CollContext",
-    "CollectiveCostModel",
-    "DEVICE_OPS",
-    "ReduceOp",
-    "allgather_device",
-    "allreduce_device",
-    "available_algorithms",
-    "bcast_device",
-    "reduce_device",
-    "select",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "AlgorithmSpec": "selection",
+    "CollContext": "engine",
+    "CollectiveCostModel": "selection",
+    "DEVICE_OPS": "ops",
+    "ReduceOp": "ops",
+    "allgather_device": "engine",
+    "allreduce_device": "engine",
+    "available_algorithms": "selection",
+    "bcast_device": "engine",
+    "reduce_device": "engine",
+    "select": "selection",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in ("engine", "value"):  # what the rank classes reach as attributes
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    importlib.import_module(f"{__name__}.engine")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,7 @@ collectives of any type on one communicator can never alias each other.
 
 Entry points (``bcast_device``/``reduce_device``/``allreduce_device``/
 ``allgather_device``) take the calling rank, an
-:class:`~repro.ampi.mpi.MpiRank` of any model.  When called they draw the
+:class:`~repro.mpi.MpiRank` of any model.  When called they draw the
 sequence number and validate arguments; the generator they return resolves
 the algorithm through :mod:`~repro.collectives.selection` and wraps the run
 in a ``coll`` root span plus ``coll.{collective}.{algorithm}`` counters.  Per-operation child
@@ -30,12 +30,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+# the algorithm modules fill the selection registry, in this order
+from repro.collectives import algorithms, hierarchy  # noqa: F401
 from repro.collectives.ops import DEVICE_OPS, ReduceOp, combine_kernel, copy_kernel
 from repro.collectives.selection import CollectiveCostModel, select
 from repro.obs.tracing import NULL_SPAN
 
 __all__ = [
-    "COLL_COMM",
     "CollContext",
     "allgather_device",
     "allreduce_device",
@@ -43,9 +44,6 @@ __all__ = [
     "reduce_device",
     "tag_base",
 ]
-
-#: The reserved internal communicator id of world-communicator collectives.
-COLL_COMM = 1
 
 STEP_BITS = 17
 PHASE_BITS = 3
@@ -63,7 +61,7 @@ class CollContext:
     """One rank's view of one collective invocation (or one phase of it).
 
     ``comm`` is the calling rank: the context reads its identity, GPU and
-    machine through the :class:`~repro.ampi.mpi.MpiRank` surface, and moves
+    machine through the :class:`~repro.mpi.MpiRank` surface, and moves
     data on the rank's collective wire context (``coll_send``/``coll_recv``)."""
 
     def __init__(

@@ -23,9 +23,10 @@ surface (builder, CLIs, benchmarks) goes through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints
 
-from repro.faults.plan import FaultPlan
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 KB = 1024
 MB = 1024 * 1024
@@ -410,10 +411,14 @@ class MachineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise TypeError(
-                f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
-            )
+        if self.faults is not None:
+            # a config without a plan never loads repro.faults
+            from repro.faults.plan import FaultPlan
+
+            if not isinstance(self.faults, FaultPlan):
+                raise TypeError(
+                    f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
+                )
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -499,7 +504,12 @@ def _derive(cfg, changes: dict, path: str = ""):
             f"valid fields: {sorted(names)}"
         )
     if any(isinstance(v, str) for v in direct.values()):
-        types = get_type_hints(type(cfg))
+        hints = None
+        if "faults" in names:  # MachineConfig.faults names FaultPlan
+            from repro.faults.plan import FaultPlan
+
+            hints = {"FaultPlan": FaultPlan}
+        types = get_type_hints(type(cfg), localns=hints)
         direct = {k: _coerce(v, types[k], path + k) if isinstance(v, str) else v
                   for k, v in direct.items()}
     for head, sub in nested.items():
@@ -523,11 +533,13 @@ def _coerce(text: str, tp, key: str):
         if text.lower() in ("false", "0"):
             return False
         raise ValueError(f"{key} expects true/false/1/0, got {text!r}")
-    if tp is FaultPlan:  # inline JSON, or the path of a JSON plan file
-        return FaultPlan.load(text)
     if tp in (int, float, str):
         try:
             return tp(text)
         except ValueError:
             raise ValueError(f"{key} expects {tp.__name__}, got {text!r}") from None
+    from repro.faults.plan import FaultPlan
+
+    if tp is FaultPlan:  # inline JSON, or the path of a JSON plan file
+        return FaultPlan.load(text)
     raise ValueError(f"{key} ({tp.__name__}) cannot be set from a string")

@@ -20,13 +20,9 @@ import random
 from typing import Optional, Tuple
 
 from repro.faults.plan import FaultPlan
+from repro.ucx.constants import CORRUPT, DROP, STALL
 
 __all__ = ["FaultInjector"]
-
-#: ``frame_fault`` verdicts: ``None`` (clean) or (verb, stall_seconds).
-DROP = "drop"
-CORRUPT = "corrupt"
-STALL = "stall"
 
 
 class FaultInjector:

@@ -18,71 +18,54 @@ Chrome-trace format notes, :mod:`repro.obs.flight` for the flight-record
 schema and the fold that builds records from the tracer's stage log,
 :mod:`repro.obs.critical_path` for the blame algorithm and
 :mod:`repro.obs.baseline` for the perf-regression baseline store.
+
+Importing the package loads nothing.  A session loads what its run
+records into — :mod:`.tracing` with :mod:`.metrics`, :mod:`.stages` and
+:mod:`.timeline` — and an analysis, an export or the baseline store loads
+with the first call that reads it (:class:`repro.api.Session` imports each
+inside the method).  The public names below resolve on first access
+(PEP 562), so ``from repro.obs import validate_chrome_trace`` works as
+before.  ``repro.obs.critical_path`` names the submodule; its function is
+``repro.obs.critical_path.critical_path`` (or ``Session.critical_path()``).
 """
 
-from repro.obs.baseline import (
-    BaselineReport,
-    check_baseline,
-    collect_baseline,
-)
-from repro.obs.congestion import (
-    CongestionReport,
-    LinkCongestion,
-    congestion_report,
-)
-from repro.obs.critical_path import (
-    CriticalPathReport,
-    Segment,
-    critical_path,
-)
-from repro.obs.export import (
-    chrome_trace,
-    export_chrome_trace,
-    metrics_snapshot,
-    validate_chrome_trace,
-)
-from repro.obs.flight import FlightRecord, flight_records
-from repro.obs.metrics import (
-    LATENCY_BUCKETS,
-    SIZE_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.timeline import (
-    Telemetry,
-    TimeSeries,
-    timeline_dict,
-)
-from repro.obs.tracing import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-)
+import importlib
 
-__all__ = [
-    "BaselineReport",
-    "check_baseline",
-    "collect_baseline",
-    "CongestionReport",
-    "LinkCongestion",
-    "congestion_report",
-    "CriticalPathReport",
-    "Segment",
-    "critical_path",
-    "chrome_trace",
-    "export_chrome_trace",
-    "metrics_snapshot",
-    "validate_chrome_trace",
-    "FlightRecord",
-    "flight_records",
-    "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Span",
-    "Telemetry",
-    "TimeSeries",
-    "timeline_dict",
-    "Tracer",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "BaselineReport": "baseline",
+    "check_baseline": "baseline",
+    "collect_baseline": "baseline",
+    "CongestionReport": "congestion",
+    "LinkCongestion": "congestion",
+    "congestion_report": "congestion",
+    "CriticalPathReport": "critical_path",
+    "Segment": "critical_path",
+    "chrome_trace": "export",
+    "export_chrome_trace": "export",
+    "metrics_snapshot": "export",
+    "validate_chrome_trace": "export",
+    "FlightRecord": "flight",
+    "flight_records": "flight",
+    "LATENCY_BUCKETS": "metrics",
+    "SIZE_BUCKETS": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "Telemetry": "timeline",
+    "TimeSeries": "timeline",
+    "timeline_dict": "timeline",
+    "NULL_SPAN": "tracing",
+    "Span": "tracing",
+    "Tracer": "tracing",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

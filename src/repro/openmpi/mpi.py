@@ -11,7 +11,7 @@ metadata-message design that the paper quantifies at ~8 μs per message.
 
 That wire protocol (``send``/``recv``, their collective-context twins
 ``coll_send``/``coll_recv``, and ``barrier`` below) is all this module
-adds: the rest of the rank surface is :class:`repro.ampi.mpi.MpiRank`'s,
+adds: the rest of the rank surface is :class:`repro.mpi.MpiRank`'s,
 shared with AMPI.
 """
 
@@ -19,24 +19,23 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.ampi.mpi import (
+import repro.collectives as _coll
+from repro.config import MachineConfig
+from repro.hardware.memory import Buffer
+from repro.hardware.topology import Machine
+from repro.mpi import (
+    ANY_SOURCE,
+    ANY_TAG,
     MpiCommError,
     MpiJob,
     MpiRank,
     MpiStatus,
     MpiTruncationError,
 )
-from repro.collectives.engine import tag_base
-from repro.config import MachineConfig
-from repro.hardware.memory import Buffer
-from repro.hardware.topology import Machine
 from repro.obs.stages import OMPI_RECV, OMPI_SEND
 from repro.sim.primitives import SimEvent
 from repro.ucx.context import UcpContext
 from repro.ucx.status import UcsStatus
-
-ANY_SOURCE = -1
-ANY_TAG = -1
 
 _CTX_SHIFT = 56
 _SRC_SHIFT = 32
@@ -157,7 +156,7 @@ class OmpiRank(MpiRank):
         """Dissemination barrier over 1-byte host messages, in the
         collective tag context and namespaced by the invocation's sequence
         number (overlapping barriers can never alias)."""
-        base = tag_base(self._next_coll_seq())
+        base = _coll.engine.tag_base(self._next_coll_seq())
         p = self.size
         if p == 1:
             return

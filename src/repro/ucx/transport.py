@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from repro.faults.injector import CORRUPT, STALL
 from repro.hardware.links import path_transfer
 from repro.obs.stages import RETRANSMIT
-from repro.ucx.constants import LOOPBACK_LATENCY
+from repro.ucx.constants import CORRUPT, LOOPBACK_LATENCY, STALL
 
 __all__ = ["PENDING", "SequencedStream", "end_then", "send"]
 

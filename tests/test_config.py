@@ -33,8 +33,10 @@ def _keys(cfg, prefix=""):
 
 def _leaf_types(cls, prefix=""):
     """Declared type of every settable value, by dotted key: a ``*Config``
-    section is recursed into, a ``LinkParams`` is one value."""
-    for name, tp in get_type_hints(cls).items():
+    section is recursed into, a ``LinkParams`` is one value.
+    ``MachineConfig.faults`` names ``FaultPlan``, which ``repro.config``
+    imports only when it checks or coerces a plan."""
+    for name, tp in get_type_hints(cls, localns={"FaultPlan": FaultPlan}).items():
         if is_dataclass(tp) and tp.__name__.endswith("Config"):
             yield from _leaf_types(tp, f"{prefix}{name}.")
         else:

@@ -13,15 +13,29 @@ runs: calls per exported Chrome-trace event, calls per recorded span
 (observed run minus the same run unobserved), and calls of the critical-path
 analysis per span.
 
-Four source rules keep the four cheapest regressions from being written at
+A count is of the code alone, the same whatever ran before it in the
+process.  Every module a measured call runs is imported below, before any
+measurement, and the ASCII codec the exports write with is looked up: a
+lazy import inside a measured call would count the import machinery's
+calls, and ``_python_calls`` fails if one imports anything.  The garbage
+earlier runs left is collected first (closing a dead session's suspended
+generators inside the window would count their resumptions), and the
+collector's callbacks are set aside while a call is measured: Hypothesis
+installs one once any of its tests has run, and it would count two calls
+per collection.
+
+Five source rules keep the five cheapest regressions from being written at
 all: scheduling through ``schedule`` and dropping the ``Handle`` (use
 ``call_later``), formatting a per-operation ``SimEvent`` name, building a
-``Timeout`` only to yield it (yield the delay), and a function nested in a
+``Timeout`` only to yield it (yield the delay), a function nested in a
 message-path function (an in-flight message holds a record's bound method
-or plain timer arguments, not a closure).
+or plain timer arguments, not a closure), and an ``import`` statement in a
+message-path function (a deferred import belongs at an entry point).
 """
 
 import ast
+import codecs
+import gc
 import json
 import sys
 from pathlib import Path
@@ -29,9 +43,16 @@ from pathlib import Path
 import pytest
 
 import repro.api as api
+import repro.apps.jacobi3d.charm4py_impl  # noqa: F401
+import repro.apps.jacobi3d.mpi_impl  # noqa: F401
+import repro.apps.shuffle.mpi_impl  # noqa: F401
+import repro.obs.critical_path  # noqa: F401
+import repro.obs.export  # noqa: F401
 from repro.apps.jacobi3d.driver import run_jacobi
 from repro.apps.shuffle.driver import run_shuffle
 from repro.config import KB, MachineConfig
+
+codecs.lookup("ascii")
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -71,11 +92,19 @@ def _python_calls(run) -> int:
         if event == "call":
             calls += 1
 
+    loaded = set(sys.modules)
+    gc.collect()
+    callbacks, gc.callbacks[:] = gc.callbacks[:], []
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(None)
+        gc.callbacks[:] = callbacks
+    imported = sorted(set(sys.modules) - loaded)
+    assert not imported, (
+        f"a measured call imported {imported}: import them at the top of "
+        f"this file, or the count includes the import machinery")
     return calls
 
 
@@ -223,7 +252,7 @@ MESSAGE_PATH = (
     "ucx/worker.py", "ucx/transport.py", "ucx/protocols/",
     "ampi/mpi.py", "ampi/matching.py", "openmpi/mpi.py",
     "charm4py/channels.py", "charm4py/runtime.py", "charm4py/futures.py",
-    "hardware/gpu.py",
+    "hardware/gpu.py", "mpi.py",
 )
 
 #: Functions nested there that no message holds across an event: matching
@@ -272,3 +301,32 @@ def test_no_message_holds_a_closure():
         f"a message-path continuation is a closure at {offenders}: make it a "
         f"record's bound method or pass its state as call_later arguments")
     assert NOT_HELD <= {site for site, _ in sites}, "stale NOT_HELD entry"
+
+
+def _function_imports(node, in_function=False):
+    """Line of every ``import`` statement inside a function body, except
+    under ``if TYPE_CHECKING:``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                and child.test.id == "TYPE_CHECKING"):
+            continue
+        if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child.lineno
+        yield from _function_imports(child, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_no_message_path_function_imports():
+    """A session imports what its run executes when it is built; what only
+    some runs need loads at the entry point that first needs it
+    (``SessionBuilder.build``, an app driver, a ``Session`` analysis, the
+    ``repro.collectives`` package).  An ``import`` statement in a function a
+    message runs through would put that deferral on the per-message path."""
+    offenders = [
+        f"{rel}:{line}"
+        for rel, tree in _parsed_sources() if rel.startswith(MESSAGE_PATH)
+        for line in _function_imports(tree)
+    ]
+    assert not offenders, (
+        f"import inside a message-path function at {offenders}: import at "
+        f"module level, or defer it to the entry point that first needs it")

@@ -9,7 +9,7 @@ so that per-site ``tracer.flight.*`` / ``telemetry.*`` hook families cannot
 grow back, and checks that the stage table holds no handlers either.
 
 Likewise the methods every MPI rank offers around its library's
-``send``/``recv`` are written once, on ``repro.ampi.mpi.MpiRank``, and only
+``send``/``recv`` are written once, on ``repro.mpi.MpiRank``, and only
 an app's driver builds a session: per-model runners take the one they are
 given.
 """

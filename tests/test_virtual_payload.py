@@ -5,9 +5,15 @@ touches no byte.  Such a run holds no array, so it must not load NumPy:
 the import-path test runs the default configuration in a fresh
 interpreter, and a source rule keeps module-level ``import numpy`` out of
 the package.
+
+The same fresh-interpreter check pins the rest of a session's import set:
+a session imports what its own run executes, not the other models, the
+collectives engine, the analyses or the fault injector.  Each of those
+loads with the first call that needs it, and gives today's results.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -85,12 +91,139 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 
 
-def test_virtual_run_never_imports_numpy():
+def _fresh(script: str, *args: str) -> str:
+    """``script``'s standard output in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _DEFAULT_RUNS], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_virtual_run_never_imports_numpy():
+    assert _fresh(_DEFAULT_RUNS).strip() == "[]"
+
+
+#: model -> the model packages a session of it runs on
+RUNS_ON = {
+    "charm": ("repro.charm",),
+    "ampi": ("repro.ampi", "repro.charm"),
+    "openmpi": ("repro.openmpi",),
+    "charm4py": ("repro.charm4py", "repro.charm"),
+}
+#: model -> its Jacobi3D program
+JACOBI_IMPL = {"charm": "charm_impl", "ampi": "mpi_impl",
+               "openmpi": "mpi_impl", "charm4py": "charm4py_impl"}
+#: Modules no run without a collective, an analysis or a fault plan loads.
+DEFERRED = (
+    *(f"repro.collectives.{name}" for name in
+      ("engine", "algorithms", "hierarchy", "selection", "value")),
+    *(f"repro.obs.{name}" for name in
+      ("baseline", "cli", "congestion", "critical_path", "export", "flight")),
+    "repro.faults.plan", "repro.faults.injector",
+)
+
+_BUILD_AND_RUN = """
+import json, sys
+import repro.api as api
+from repro.apps.jacobi3d.driver import run_jacobi
+from repro.config import MachineConfig
+
+model = sys.argv[1]
+sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
+built = sorted(sys.modules)
+assert run_jacobi(model, nodes=2, iters=1, warmup=1, session=sess).iter_time > 0
+print(json.dumps([built, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("model", sorted(RUNS_ON))
+def test_a_session_imports_only_what_it_runs(model):
+    """Built with no plan and observation off, then one Jacobi3D run."""
+    built, ran = json.loads(_fresh(_BUILD_AND_RUN, model))
+    own = f"repro.apps.jacobi3d.{JACOBI_IMPL[model]}"
+    unused = {*(p for pkgs in RUNS_ON.values() for p in pkgs), *DEFERRED,
+              *(f"repro.apps.jacobi3d.{impl}" for impl in JACOBI_IMPL.values())}
+    unused -= {*RUNS_ON[model], own}
+    for stage, modules in (("building", built), ("running", ran)):
+        loaded = sorted(m for m in modules for u in unused
+                        if m == u or m.startswith(u + "."))
+        assert not loaded, f"a {model} session imported {loaded} {stage}"
+    assert {*RUNS_ON[model], own} <= set(ran)
+
+
+_FIRST_USE = """
+import json, sys
+import repro.api as api
+from repro.apps.jacobi3d.driver import run_jacobi
+from repro.config import MachineConfig
+
+cfg = MachineConfig.summit(nodes=2)
+out = {}
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+
+def program(mpi, results):
+    buf = mpi.alloc_device(1 << 16)
+    yield from mpi.allreduce_device(buf, 1 << 16)
+    results[mpi.rank] = yield from mpi.allreduce(mpi.rank)
+
+sess = api.session(cfg).model("ampi").build()
+out["collectives"] = [loaded("repro.collectives.")]
+results = {}
+sess.run_until(sess.launch(program, results))
+out["collectives"].append(loaded("repro.collectives."))
+out["collective"] = [sess.now, sorted(set(results.values()))]
+from repro.collectives import available_algorithms
+out["algorithms"] = {c: available_algorithms(c)
+                     for c in ("bcast", "reduce", "allreduce", "allgather")}
+
+sess = api.session(cfg).model("ampi").trace().build()
+run_jacobi("ampi", nodes=2, iters=1, warmup=1, session=sess)
+out["obs"] = [loaded("repro.obs.")]
+out["blame"] = sorted(sess.critical_path().blame.items())
+out["obs"].append(loaded("repro.obs."))
+
+out["faults"] = [loaded("repro.faults")]
+from repro.faults import FaultPlan
+plan = FaultPlan.lossy(drop_p=0.05, seed=3)
+sess = api.session(cfg).model("ampi").faults(plan).build()
+run_jacobi("ampi", nodes=2, iters=1, warmup=1, session=sess)
+out["faults"].append(loaded("repro.faults"))
+out["lossy"] = [sess.now, sess.counters["fault.drop"],
+                sess.counters["fault.retransmit"]]
+print(json.dumps(out))
+"""
+
+_RUNTIME = ["repro.obs.metrics", "repro.obs.stages", "repro.obs.timeline",
+            "repro.obs.tracing"]
+
+
+def test_deferred_modules_load_on_first_use_with_todays_results():
+    """One collective call, one ``critical_path()`` and one ``FaultPlan``
+    each load their modules; the values are those of the eager imports."""
+    out = json.loads(_fresh(_FIRST_USE))
+    assert out["collectives"] == [
+        ["repro.collectives.ops"],
+        ["repro.collectives.algorithms", "repro.collectives.engine",
+         "repro.collectives.hierarchy", "repro.collectives.ops",
+         "repro.collectives.selection", "repro.collectives.value"]]
+    assert out["collective"] == [0.0005326397375298219, [66]]
+    assert out["algorithms"] == {
+        "bcast": ["binomial", "hierarchical", "ring"],
+        "reduce": ["binomial", "hierarchical", "ring"],
+        "allreduce": ["binomial", "hierarchical", "recdbl", "ring"],
+        "allgather": ["ring", "tree"]}
+    assert out["obs"] == [_RUNTIME, sorted(_RUNTIME + ["repro.obs.critical_path"])]
+    assert out["blame"] == [
+        ["host_metadata", 7.454623592599528e-06], ["link", 0.0037161991069047003],
+        ["machine", 1.1532265607057314e-05], ["model", 3.7063671875006816e-05],
+        ["ucx_protocol", 0.00016132392947836472],
+        ["uninstrumented", 0.010109489796807938]]
+    assert out["faults"] == [[], ["repro.faults", "repro.faults.injector",
+                                  "repro.faults.plan"]]
+    assert out["lossy"] == [0.02547911612864067, 16, 16]
 
 
 def _module_level_imports(tree):
