@@ -81,15 +81,12 @@ class MatchEngine:
     def __init__(self) -> None:
         self.unexpected = IndexedMatchQueue()
         self.posted = IndexedMatchQueue()
-        # cumulative virtual scan length (drives the modeled match cost)
-        self.scanned_total = 0
 
     def match_envelope(self, env: AmpiEnvelope) -> tuple[Optional[PostedMpiRecv], int]:
         """Envelope arrived: return (matching posted recv or None, #scanned)."""
         req, scanned = self.posted.match(
             (env.comm, env.src, env.tag), lambda r: r.matches(env)
         )
-        self.scanned_total += scanned
         if req is None:
             self.unexpected.append(env, key=(env.comm, env.src, env.tag))
         return req, scanned
@@ -97,7 +94,6 @@ class MatchEngine:
     def match_recv(self, req: PostedMpiRecv) -> tuple[Optional[AmpiEnvelope], int]:
         """Receive posted: return (matching unexpected envelope or None, #scanned)."""
         env, scanned = self.unexpected.match(_recv_key(req), req.matches)
-        self.scanned_total += scanned
         if env is None:
             self.posted.append(req, key=_recv_key(req))
         return env, scanned

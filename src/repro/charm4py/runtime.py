@@ -21,6 +21,8 @@ from repro.collectives.ops import ReduceOp
 from repro.config import MachineConfig
 from repro.core.device_buffer import DeviceRdmaOp, DeviceRecvType
 from repro.obs.stages import C4P_RECV, METADATA_ARRIVED
+from repro.ucx.protocols.rndv import PIPELINE, rndv_lane
+from repro.ucx.protocols.select import Protocol, choose_send_protocol
 
 
 class _PyInvoker:
@@ -178,12 +180,10 @@ class Charm4py:
         # touched, so mid-size messages pay proportionally.
         delay = 0.0
         ucx = self.charm.cfg.ucx
-        if meta.size >= ucx.device_eager_threshold:
+        if choose_send_protocol(ucx, meta.ptr, meta.size) is Protocol.RNDV:
             chunk_frac = meta.size / ucx.pipeline_chunk
             delay += self.rt.charm4py_rndv_post_overhead * min(1.0, chunk_frac)
-            src_node = self.charm.machine.node_of_gpu(meta.ptr.device)
-            dst_node = self.charm.pe_object(pe_index).node
-            if src_node != dst_node and not ucx.gpudirect_rdma:
+            if rndv_lane(ucx, meta.ptr, buf) is PIPELINE:
                 delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
         future.span = tracer.stage(
             C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))

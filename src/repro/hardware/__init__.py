@@ -11,7 +11,7 @@ from repro.hardware.memory import Buffer, MemoryKind, OutOfMemory
 from repro.hardware.links import Link, path_transfer, path_transfer_time
 from repro.hardware.topology import Location, Machine, Node
 from repro.hardware.gpu import DeviceEventRecord, Gpu, Kernel, Stream
-from repro.hardware.cuda import CudaRuntime, IpcHandle
+from repro.hardware.cuda import CudaRuntime
 from repro.hardware.gdrcopy import GdrCopy
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "DeviceEventRecord",
     "GdrCopy",
     "Gpu",
-    "IpcHandle",
     "Kernel",
     "Link",
     "Location",

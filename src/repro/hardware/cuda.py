@@ -10,23 +10,13 @@ so much slower than GPU-aware transfer for small messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.hardware.gpu import Gpu, Kernel, Stream
 from repro.hardware.links import path_transfer
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
 from repro.sim.primitives import SimEvent
-
-
-@dataclass(frozen=True)
-class IpcHandle:
-    """A CUDA IPC memory handle for a device buffer."""
-
-    buffer_address: int
-    device: int
-    size: int
 
 
 class CudaRuntime:
@@ -40,9 +30,9 @@ class CudaRuntime:
             g: Gpu(self.sim, g, machine.node_of_gpu(g), machine.cfg.topology.gpu_mem_bandwidth)
             for g in range(machine.cfg.topology.total_gpus)
         }
-        self._ipc_registry: Dict[int, Buffer] = {}
-        # (opener_gpu, handle address) -> opened;  models UCX's IPC handle cache
-        self._ipc_open_cache: Dict[Tuple[int, int], bool] = {}
+        # (opener_gpu, base allocation address) pairs already opened: UCX's
+        # IPC handle cache
+        self._ipc_open_cache: set = set()
 
     # -- devices / streams ------------------------------------------------------
     def gpu(self, index: int) -> Gpu:
@@ -115,22 +105,20 @@ class CudaRuntime:
         )
 
     # -- IPC -----------------------------------------------------------------------
-    def ipc_get_handle(self, buf: Buffer) -> IpcHandle:
+    def ipc_open_cost(self, opener_gpu: int, buf: Buffer) -> float:
+        """Cost of mapping ``buf`` into ``opener_gpu`` over CUDA IPC.  The
+        first open by a given GPU is expensive; UCX caches opened handles,
+        so repeats are nearly free (paper §I cites exactly this optimisation
+        burden for hand-rolled IPC).  CUDA IPC opens whole allocations, so a
+        sub-range view (a pooled block, a chunk of one buffer) shares its
+        base allocation's entry.  Counts ``cuda_ipc.open_new`` /
+        ``cuda_ipc.open_cached``."""
         if not buf.on_device:
             raise ValueError("IPC handles are for device buffers")
-        self._ipc_registry[buf.address] = buf
-        return IpcHandle(buf.address, buf.device, buf.size)
-
-    def ipc_open_cost(self, opener_gpu: int, handle: IpcHandle) -> float:
-        """First open of a handle by a given GPU is expensive; UCX caches
-        opened handles, so repeats are nearly free (paper §I cites exactly
-        this optimisation burden for hand-rolled IPC).  Sub-range views
-        share their base allocation's handle — CUDA IPC opens whole
-        allocations, so chunked sends out of one buffer open once."""
-        buf = self._ipc_registry.get(handle.buffer_address)
-        base = buf.base if buf is not None and buf.base is not None else buf
-        key = (opener_gpu, base.address if base is not None else handle.buffer_address)
+        key = (opener_gpu, buf.address if buf.base is None else buf.base.address)
         if key in self._ipc_open_cache:
+            self.machine.tracer.count("cuda_ipc", "open_cached")
             return self.cfg.ipc_cached_open_cost
-        self._ipc_open_cache[key] = True
+        self._ipc_open_cache.add(key)
+        self.machine.tracer.count("cuda_ipc", "open_new")
         return self.cfg.ipc_handle_open_cost

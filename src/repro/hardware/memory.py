@@ -266,7 +266,6 @@ class PooledAllocator:
         self.hits = 0
         self.carves = 0
         self.grows = 0
-        self.returns = 0
         # bytes in live (handed-out) blocks, counted at class granularity
         self.live_bytes = 0
         #: optional telemetry hook called as probe(live_bytes, slab_bytes,
@@ -350,7 +349,6 @@ class PooledAllocator:
             raise RuntimeError("double return of a pooled buffer")
         blk.live = False
         self._free.setdefault(blk.class_size, []).append(blk)
-        self.returns += 1
         self._tick("pool_return")
         self.live_bytes -= blk.class_size
         if self.probe is not None:

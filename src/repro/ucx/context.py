@@ -71,6 +71,20 @@ class UcpContext:
     def _base_address(buf) -> int:
         return buf.address if buf.base is None else buf.base.address
 
+    def first_touch(self, src, dst, worker_a: int, worker_b: int) -> float:
+        """Mapping cost of a transfer from ``src`` to ``dst`` between the
+        ``worker_a``<->``worker_b`` pair: each *device* end is charged
+        :meth:`mapping_charge`, the sender end first (the order feeds the
+        LRU cap).  Host ends map nothing.  The device eager send and every
+        rendezvous lane but ``cma`` pay it.  Call only when
+        :attr:`mapping_enabled`."""
+        cost = 0.0
+        if src.on_device:
+            cost += self.mapping_charge(src, worker_a, worker_b)
+        if dst.on_device:
+            cost += self.mapping_charge(dst, worker_a, worker_b)
+        return cost
+
     def mapping_charge(self, buf, worker_a: int, worker_b: int) -> float:
         """Cost of having ``buf``'s base allocation mapped for the
         ``worker_a``<->``worker_b`` pair: ``mapping_cost`` on first touch,

@@ -23,9 +23,6 @@ class UcpEndpoint:
         # is free, as with ucp_ep_create's deferred connection — the first
         # message through it pays the connection-setup charge and flips this.
         self.established = False
-        # set when the worker LRU-closes the endpoint (UcxConfig.max_endpoints);
-        # a closed endpoint must not be reused
-        self.closed = False
 
     def mark_established(self) -> float:
         """First traffic through the endpoint: returns the one-time

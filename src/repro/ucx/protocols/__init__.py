@@ -9,12 +9,11 @@ The split mirrors how UCX layers UCP protocols over UCT transports:
   buffers stage through GDRCopy (or slow cudaMemcpy staging when GDRCopy is
   not detected — the paper's §IV-B1 caveat).
 * :mod:`repro.ucx.protocols.rndv` — RTS control message, receiver-driven
-  data fetch, FIN back to the sender.  The data path is chosen at *match*
-  time from both buffers' locations.
+  data fetch, FIN back to the sender.  The lane (CMA, CUDA IPC, pipelined
+  staging, GPUDirect RDMA, RDMA get) is chosen at *match* time from both
+  buffers' locations, by one function, ``rndv_lane``.
 * :mod:`repro.ucx.protocols.am` — the host-message (active-message) path
   with the same eager / RTS + single-copy-fetch cost structure.
-* :mod:`repro.ucx.protocols.cuda_ipc` — intra-node device rendezvous cost
-  (IPC handle open/cache + NVLink/X-Bus route).
 * :mod:`repro.ucx.protocols.pipeline` — inter-node device rendezvous via
   chunked host staging with double buffering.
 """

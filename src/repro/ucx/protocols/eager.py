@@ -41,18 +41,18 @@ def start_send(
     """
     ctx = worker.ctx
     copy_in = staging_copy_time(ctx, buf, size)
+    # The bounce travels with the message; by delivery time it logically
+    # lives in the receiver's host memory.
+    bounce = ctx.machine.alloc_host(remote.node, max(size, 1))
     if ctx.mapping_enabled and buf.on_device:
         # device eager stages through the GDRCopy BAR1 window: the window
         # registration is per (buffer base, peer) and cached like any
         # other mapping — first touch pays, reuse (pooled blocks) is free
-        pre_cost += ctx.mapping_charge(buf, worker.worker_id, remote.worker_id)
+        pre_cost += ctx.first_touch(buf, bounce, worker.worker_id, remote.worker_id)
     delay = worker._send_post_cost + copy_in + pre_cost
     tracer = ctx.machine.tracer
     sp = tracer.stage(EAGER_SEND, attrs=(size, tag, buf.on_device))
 
-    # The bounce travels with the message; by delivery time it logically
-    # lives in the receiver's host memory.
-    bounce = ctx.machine.alloc_host(remote.node, max(size, 1))
     bounce.copy_from(buf, size)
     msg = WireMessage(
         kind=WireKind.EAGER,

@@ -48,22 +48,6 @@ def pipeline_extra_time(cfg: MachineConfig, size: int) -> float:
     return fill + drain + odds
 
 
-def pipeline_mapping_time(ctx, src, dst, src_worker: int,
-                          dst_worker: int) -> float:
-    """First-touch mapping charges of the staged path (see
-    ``UcpContext.mapping_charge``): each *device* endpoint's buffer must be
-    registered with the staging transport once per (buffer base, peer) pair
-    before its bounce copies can run.  Pooled buffers share their slab's
-    base, so a pool pays this once per peer; direct allocation pays it for
-    every fresh buffer.  Call only when ``ctx.mapping_enabled``."""
-    cost = 0.0
-    if src.on_device:
-        cost += ctx.mapping_charge(src, src_worker, dst_worker)
-    if dst.on_device:
-        cost += ctx.mapping_charge(dst, src_worker, dst_worker)
-    return cost
-
-
 def pipeline_effective_bandwidth(cfg: MachineConfig, size: int) -> float:
     """Achieved bandwidth of the pipelined path for ``size`` bytes —
     used by tests to assert the bandwidth knee position."""

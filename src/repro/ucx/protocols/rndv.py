@@ -1,18 +1,31 @@
 """Rendezvous protocol: RTS control message, receiver-driven fetch, FIN.
 
 The *lane* for the bulk data is chosen at match time, when both buffer
-locations are known (mirroring UCX's receiver-side rendezvous decision):
+locations are known (mirroring UCX's receiver-side rendezvous decision).
+:func:`rndv_lane` is that one decision; everything a lane changes follows
+from its value:
 
-===============================  ============================================
-endpoints                        lane
-===============================  ============================================
-host <-> host, same node         CMA/xpmem single copy through host memory
-host <-> host, across nodes      RDMA get over the NICs
-device <-> device, same node     CUDA IPC direct copy over NVLink/X-Bus
-any device, across nodes         chunk-pipelined host staging (default) or
-                                 GPUDirect RDMA when configured
-device <-> host, same node       DMA over the GPU's NVLink
-===============================  ============================================
+==============================  ==========  =================================
+endpoints                       lane        bulk data
+==============================  ==========  =================================
+host <-> host, same node        cma         CMA/xpmem single copy through
+                                            host memory
+device <-> host, same node      cma         DMA over the GPU's NVLink
+device <-> device, same node    cuda_ipc    CUDA IPC direct copy over
+                                            NVLink/X-Bus (handle opened once
+                                            per GPU and base allocation)
+any device, across nodes        pipeline    chunk-pipelined host staging
+                                            (the default, Summit)
+any device, across nodes,       gdr         GPUDirect RDMA; reported as
+``gpudirect_rdma``                          ``rdma_get``
+host <-> host, across nodes     rdma_get    RDMA get over the NICs (pages
+                                            pinned once per buffer)
+==============================  ==========  =================================
+
+A failed IPC open (fault injection) turns ``cuda_ipc`` into ``pipeline``
+staged through the node's host memory.  With ``UcxConfig.mapping_cost`` on,
+every lane but ``cma`` pays the first-touch mapping of its device ends
+(:meth:`repro.ucx.context.UcpContext.first_touch`).
 
 The full data route is occupied for the bottleneck serialisation time, so
 concurrent rendezvous transfers contend realistically (six GPUs pushing
@@ -23,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.config import UcxConfig
 from repro.hardware.links import Route, path_transfer
 from repro.hardware.memory import Buffer
 from repro.obs.stages import (
@@ -34,13 +48,8 @@ from repro.obs.stages import (
 )
 from repro.ucx.constants import CTRL_MSG_BYTES
 from repro.ucx.protocols.common import fail_truncated
-from repro.ucx.protocols.cuda_ipc import ipc_setup_cost
 from repro.ucx.protocols.multirail import plan_striping, striped_transfer
-from repro.ucx.protocols.pipeline import (
-    pipeline_chunks,
-    pipeline_extra_time,
-    pipeline_mapping_time,
-)
+from repro.ucx.protocols.pipeline import pipeline_chunks, pipeline_extra_time
 from repro.ucx.request import UcxRequest
 from repro.ucx.status import UcsStatus
 from repro.ucx.transport import end_then
@@ -48,6 +57,21 @@ from repro.ucx.wire import WireKind, WireMessage, next_rndv_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.worker import PostedRecv, UcpWorker
+
+CMA = "cma"
+CUDA_IPC = "cuda_ipc"
+PIPELINE = "pipeline"
+GDR = "gdr"
+RDMA_GET = "rdma_get"
+
+
+def rndv_lane(cfg: UcxConfig, src: Buffer, dst: Buffer) -> str:
+    """The lane a rendezvous from ``src`` into ``dst`` takes (module table)."""
+    if src.node == dst.node:
+        return CUDA_IPC if src.on_device and dst.on_device else CMA
+    if src.on_device or dst.on_device:
+        return GDR if cfg.gpudirect_rdma else PIPELINE
+    return RDMA_GET
 
 
 def start_send(
@@ -109,119 +133,75 @@ def start_transfer(
         return
 
     src, dst = msg.src_buf, posted.buf
-    src_loc = machine.location_of(src)
-    dst_loc = machine.location_of(dst)
-    inter_node = src_loc.node != dst_loc.node
-    any_device = src.on_device or dst.on_device
+    lane = rndv_lane(cfg, src, dst)
 
     # Setup costs delay the start of the bulk transfer but do NOT occupy
     # the wire: IPC handle opening and page registration are CPU/driver
     # work, and the pipeline's fill/drain stages run on the staging NVLinks
     # while the NIC carries earlier chunks of other messages.
     setup = cfg.rndv_rts_cost  # receiver-side RTR/control handling
-    pipelined = inter_node and any_device and not cfg.gpudirect_rdma
-    ipc_fallback = False
-    ipc_pair = not inter_node and src.on_device and dst.on_device
-    if ipc_pair:
+    if lane is CUDA_IPC:
         injector = machine.fault_injector
         if injector is not None and injector.ipc_open_fails():
-            # cuIpcOpenMemHandle failed: fall back to pipelined staging
-            # through host memory instead of mapping the peer buffer
-            ipc_fallback = True
+            # cuIpcOpenMemHandle failed: stage through host memory instead
+            # of mapping the peer buffer
+            lane = PIPELINE
             machine.tracer.count("fault", "fallback_pipeline")
-            setup += pipeline_extra_time(machine.cfg, msg.size)
-            if ctx.mapping_enabled:
-                setup += pipeline_mapping_time(ctx, src, dst,
-                                               msg.src_worker, worker.worker_id)
         else:
-            setup += ipc_setup_cost(ctx, dst.device, src,
-                                    peer_pair=(msg.src_worker, worker.worker_id))
-            if ctx.mapping_enabled:
-                # the receiver's own buffer is registered back to the peer
-                # for the FIN'd direct copy — same first-touch rule
-                setup += ctx.mapping_charge(dst, msg.src_worker, worker.worker_id)
-    elif pipelined:
-        setup += pipeline_extra_time(machine.cfg, msg.size)
-        if ctx.mapping_enabled:
-            setup += pipeline_mapping_time(ctx, src, dst,
-                                           msg.src_worker, worker.worker_id)
-    elif inter_node and any_device:
-        # GPUDirect-RDMA lane: the NIC maps both device buffers (GDR window
-        # registration), first touch per (buffer base, peer) pair
-        if ctx.mapping_enabled:
-            if src.on_device:
-                setup += ctx.mapping_charge(src, msg.src_worker, worker.worker_id)
-            if dst.on_device:
-                setup += ctx.mapping_charge(dst, msg.src_worker, worker.worker_id)
-    elif inter_node and not any_device:
+            setup += ctx.cuda.ipc_open_cost(dst.device, src)
+    elif lane is RDMA_GET and src.address not in ctx.reg_cache:
         # RDMA get of unregistered host pages: pin them with the NIC first
         # (once per buffer -- the registration cache keeps them pinned)
-        if src.address not in ctx.reg_cache:
-            ctx.reg_cache.add(src.address)
-            setup += cfg.host_rndv_reg_overhead
+        ctx.reg_cache.add(src.address)
+        setup += cfg.host_rndv_reg_overhead
+    if lane is PIPELINE:
+        setup += pipeline_extra_time(machine.cfg, msg.size)
+    if ctx.mapping_enabled and lane is not CMA:
+        setup += ctx.first_touch(src, dst, msg.src_worker, worker.worker_id)
 
-    if ipc_fallback:
-        # intra-node staging route: source GPU link down to host memory,
-        # then up the destination GPU's link
-        node = machine.nodes[src_loc.node]
+    src_loc = machine.location_of(src)
+    dst_loc = machine.location_of(dst)
+    stripe = None
+    if lane is PIPELINE and src.node == dst.node:
+        # the IPC fallback, a degraded mode kept on one route: source GPU
+        # link down to host memory, then up the destination GPU's link
+        node = machine.nodes[src.node]
         route = Route((
             node.nvlink_tx[machine.local_gpu(src.device)],
             node.host_mem,
             node.nvlink_rx[machine.local_gpu(dst.device)],
         ))
-    elif pipelined:
-        # chunked host staging decouples the GPU links from the wire: the
-        # NVLink hops overlap the NIC chunk-by-chunk (their cost is the
-        # fill/drain above), so the bulk occupies only the NIC segment,
-        # entering/leaving through the endpoints' socket rails.
-        src_sock = machine.socket_of_gpu(src.device) if src.on_device else src_loc.socket
-        dst_sock = machine.socket_of_gpu(dst.device) if dst.on_device else dst_loc.socket
-        route = machine.route(
-            machine.host_location(src_loc.node, src_sock),
-            machine.host_location(dst_loc.node, dst_sock),
-        )
     else:
+        if lane is PIPELINE:
+            # chunked host staging decouples the GPU links from the wire:
+            # the NVLink hops overlap the NIC chunk-by-chunk (their cost is
+            # the fill/drain above), so the bulk occupies only the NIC
+            # segment, entering/leaving through the device ends' socket rails
+            if src.on_device:
+                src_loc = machine.host_location(src.node, machine.socket_of_gpu(src.device))
+            if dst.on_device:
+                dst_loc = machine.host_location(dst.node, machine.socket_of_gpu(dst.device))
         route = machine.route(src_loc, dst_loc)
-
-    # Multi-rail striping (default off).  Eligible lanes hand the bulk to
-    # the striped engine over the rail set sampled here, at commit time
-    # (like the bandwidth windows, sampled at start-of-transfer).  The GDR
-    # lane is excluded — its route shares the endpoints' NVLink hops, which
-    # capacity-1 serialize any chunks — as is the ipc_fallback path (a
-    # degraded mode, kept on the seed route).  For the pipelined lane the
-    # rails are the NIC pairs of the staged host endpoints, matching the
-    # single-rail bulk route above.
-    stripe = None
-    if machine.cfg.multirail.enabled and not ipc_fallback:
-        if pipelined:
-            stripe = plan_striping(
-                machine,
-                machine.host_location(src_loc.node, src_sock),
-                machine.host_location(dst_loc.node, dst_sock),
-                msg.size,
-            )
-        elif not (inter_node and any_device):
+        # Multi-rail striping (default off) hands the bulk to the striped
+        # engine over the rail set sampled here, at commit time (like the
+        # bandwidth windows, sampled at start-of-transfer).  The GDR lane
+        # is excluded: its route shares the endpoints' NVLink hops, which
+        # capacity-1 serialize any chunks.
+        if machine.cfg.multirail.enabled and lane is not GDR:
             stripe = plan_striping(machine, src_loc, dst_loc, msg.size)
 
     tracer = machine.tracer
-    if pipelined or ipc_fallback:
-        lane = "pipeline"
-    elif ipc_pair:
-        lane = "cuda_ipc"
-    elif inter_node:
-        lane = "rdma_get"
-    else:
-        lane = "cma"
     more = None
     if tracer.enabled:
         # span-only detail, not worth computing for an untraced fetch
         more = {}
-        if pipelined or ipc_fallback:
+        if lane is PIPELINE:
             more["chunks"] = pipeline_chunks(machine.cfg, msg.size)
         if stripe is not None:
             more["rails"] = len(stripe[0])
     sp = tracer.stage(
-        RNDV_FETCH, msg.tag, worker.worker_id, attrs=(msg.size, msg.tag, lane),
+        RNDV_FETCH, msg.tag, worker.worker_id,
+        attrs=(msg.size, msg.tag, RDMA_GET if lane is GDR else lane),
         parent=posted.req.span, more=more,
     )
 

@@ -154,8 +154,7 @@ class UcpWorker:
 
     def _evict_lru_endpoint(self) -> None:
         victim_id = next(iter(self._endpoints))
-        victim = self._endpoints.pop(victim_id)
-        victim.closed = True
+        del self._endpoints[victim_id]
         self.ctx.machine.tracer.count("ucx", "ep_evicted")
         self._ep_table_resized(-1)
         if self.ctx.mapping_enabled:

@@ -132,22 +132,45 @@ class TestKernels:
 class TestIpc:
     def test_first_open_expensive_then_cached(self, rt):
         buf = rt.malloc(0, 1024)
-        handle = rt.ipc_get_handle(buf)
-        first = rt.ipc_open_cost(1, handle)
-        second = rt.ipc_open_cost(1, handle)
+        first = rt.ipc_open_cost(1, buf)
+        second = rt.ipc_open_cost(1, buf)
         assert first == rt.cfg.ipc_handle_open_cost
         assert second == rt.cfg.ipc_cached_open_cost
+        assert rt.machine.tracer.counters["cuda_ipc.open_new"] == 1
+        assert rt.machine.tracer.counters["cuda_ipc.open_cached"] == 1
 
     def test_cache_is_per_opener(self, rt):
         buf = rt.malloc(0, 1024)
-        handle = rt.ipc_get_handle(buf)
-        rt.ipc_open_cost(1, handle)
-        assert rt.ipc_open_cost(2, handle) == rt.cfg.ipc_handle_open_cost
+        rt.ipc_open_cost(1, buf)
+        assert rt.ipc_open_cost(2, buf) == rt.cfg.ipc_handle_open_cost
+
+    def test_views_share_their_base_allocation(self, rt):
+        buf = rt.malloc(0, 1024)
+        rt.ipc_open_cost(1, buf.view(0, 512))
+        assert rt.ipc_open_cost(1, buf.view(512, 512)) == rt.cfg.ipc_cached_open_cost
+        assert rt.ipc_open_cost(1, buf) == rt.cfg.ipc_cached_open_cost
 
     def test_host_buffer_rejected(self, rt):
         h = rt.malloc_host(0, 64)
         with pytest.raises(ValueError):
-            rt.ipc_get_handle(h)
+            rt.ipc_open_cost(1, h)
+
+    def test_counts_opens_when_open_costs_are_equal(self):
+        """Whether an open hit the cache is the cache's answer, not a
+        comparison of the two costs: with equal costs an intra-node device
+        rendezvous still counts its first opens as new."""
+        import repro.api as api
+        from repro.apps.osu.runner import run_latency
+
+        cfg = MachineConfig.summit(nodes=1).override(
+            "cuda.ipc_handle_open_cost=4e-7")
+        assert cfg.cuda.ipc_handle_open_cost == cfg.cuda.ipc_cached_open_cost
+        sess = api.session(cfg).model("openmpi").build()
+        run_latency("openmpi", 64 * 1024, "intra", True, session=sess,
+                    iters=2, skip=1)
+        counters = sess.machine.tracer.counters
+        assert counters["cuda_ipc.open_new"] == 2
+        assert counters["cuda_ipc.open_cached"] == 4
 
 
 class TestDeviceEventRecord:

@@ -3,7 +3,7 @@
 import heapq
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ampi.matching import ANY_SOURCE, ANY_TAG, AmpiEnvelope, MatchEngine, PostedMpiRecv
@@ -132,16 +132,37 @@ def test_matching_engine_agrees_with_oracle(ops):
     a=st.integers(1, 1 << 22),
     b=st.integers(1, 1 << 22),
 )
+@example(a=349533, b=524289)  # one byte past the first chunk
 @settings(max_examples=100)
 def test_pipeline_bandwidth_monotone(a, b):
+    """Pipelined bandwidth rises with size within one chunk count and
+    across whole-chunk multiples.  One byte past a chunk boundary adds a
+    chunk (``pipeline_per_chunk_cost``), so across chunk counts the model
+    is a sawtooth: a larger message may be slower, by at most its extra
+    chunks' cost."""
     from repro.config import MachineConfig
-    from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth
+    from repro.ucx.protocols.pipeline import pipeline_chunks
+    from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth as bw
 
     cfg = MachineConfig.summit()
+    chunk = cfg.ucx.pipeline_chunk
     lo, hi = min(a, b), max(a, b)
-    assert pipeline_effective_bandwidth(cfg, lo) <= (
-        pipeline_effective_bandwidth(cfg, hi) * (1 + 1e-9)
-    )
+    extra = pipeline_chunks(cfg, hi) - pipeline_chunks(cfg, lo)
+    # the larger message's time, less the cost of the chunks it adds
+    hi_time = hi / bw(cfg, hi) - extra * cfg.ucx.pipeline_per_chunk_cost
+    assert bw(cfg, lo) <= hi / hi_time * (1 + 1e-9)
+    whole_lo, whole_hi = (max(1, n // chunk) * chunk for n in (lo, hi))
+    assert bw(cfg, whole_lo) <= bw(cfg, whole_hi) * (1 + 1e-9)
+
+
+def test_pipeline_bandwidth_dips_one_byte_past_a_chunk():
+    from repro.config import MachineConfig
+    from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth as bw
+
+    cfg = MachineConfig.summit()
+    chunk = cfg.ucx.pipeline_chunk
+    assert bw(cfg, 349533) > bw(cfg, chunk + 1)
+    assert bw(cfg, chunk) > bw(cfg, chunk + 1)
 
 
 @given(size=st.integers(0, 1 << 23))

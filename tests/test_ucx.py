@@ -615,6 +615,50 @@ class TestMappingLRUCap:
         assert fingerprint(None) == fingerprint(1 << 30)
 
 
+class TestRendezvousLaneTable:
+    """One rendezvous per lane with the first-touch mapping charge on: the
+    lane it reports and what it counts.  ``cma`` maps nothing even with a
+    device end; the GDR lane reports ``rdma_get``."""
+
+    #: case -> (GPU of each worker, memory of each end ("d"evice /
+    #: "h"ost), config overrides, lane, mapping_new, cuda_ipc.open_new,
+    #: fault.fallback_pipeline)
+    CASES = {
+        "cma host-host": ((0, 1), "hh", {}, "cma", 0, 0, 0),
+        "cma device-host": ((0, 1), "dh", {}, "cma", 0, 0, 0),
+        "cuda_ipc": ((0, 1), "dd", {}, "cuda_ipc", 2, 1, 0),
+        "ipc fallback": ((0, 1), "dd", {"faults": '{"fail_ipc_open": true}'},
+                         "pipeline", 2, 0, 1),
+        "inter-node pipeline": ((0, 6), "dd", {}, "pipeline", 2, 0, 0),
+        "gdr": ((0, 6), "dd", {"ucx.gpudirect_rdma": True}, "rdma_get", 2, 0, 0),
+        "host rdma_get": ((0, 6), "hh", {}, "rdma_get", 0, 0, 0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_lane_and_counts(self, case):
+        gpus, ends, overrides, lane, new, opened, fallback = self.CASES[case]
+        cfg = MachineConfig.summit(nodes=2).override(
+            {"flight": True, "ucx.mapping_cost": 1e-5, **overrides})
+        m, ctx, wa, wb = make_pair(config=cfg, gpus=gpus)
+        size = 256 * KB
+        src, dst = (m.alloc_device(g, size) if kind == "d"
+                    else m.alloc_host(m.node_of_gpu(g), size)
+                    for g, kind in zip(gpus, ends))
+        rreq = wb.tag_recv_nb(dst, size, tag=3)
+        wa.tag_send_nb(wa.ep(1), src, size, tag=3)
+        m.sim.run()
+        assert rreq.completed
+        # the flight log's lane stage: (time, "lane", tag, dst, size, tag, lane)
+        lanes = [entry[6] for entry in m.tracer.log if entry[1] == "lane"]
+        counters = m.tracer.counters
+        assert lanes == [lane]
+        assert counters.get("ucx.mapping_new", 0) == new
+        assert counters.get("ucx.mapping_hit", 0) == 0
+        assert counters.get("cuda_ipc.open_new", 0) == opened
+        assert counters.get("cuda_ipc.open_cached", 0) == 0
+        assert counters.get("fault.fallback_pipeline", 0) == fallback
+
+
 class TestWorkerStats:
     def test_send_recv_counters_and_endpoint_flags(self):
         m = Machine(MachineConfig.summit(nodes=1))
