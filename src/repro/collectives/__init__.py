@@ -1,22 +1,24 @@
-"""Device-aware collectives with topology-aware algorithm selection.
+"""Device allreduce with topology-aware algorithm selection.
 
 The paper's §VI names GPU-data collectives, built by translating to this
 work's GPU-aware point-to-point layer, as future work; this package is that
-subsystem.  Layout:
+subsystem, for the collective the baseline runs: ``allreduce_device``.
+Layout:
 
-* :mod:`~repro.collectives.ops` — the :class:`ReduceOp` enum and device
-  combine/copy kernels shared by every model;
-* :mod:`~repro.collectives.algorithms` — flat ring / binomial-tree /
-  recursive-doubling algorithms over a :class:`CollContext`;
-* :mod:`~repro.collectives.hierarchy` — two-level variants decomposed via
-  ``hardware.topology`` (intra-node phases over NVLink, inter-node over
+* :mod:`~repro.collectives.ops` — the :class:`ReduceOp` enum and the
+  device combine kernel;
+* :mod:`~repro.collectives.algorithms` — the flat binomial and
+  recursive-doubling allreduces over a :class:`CollContext`, and the
+  binomial reduce/bcast trees they and the hierarchy share;
+* :mod:`~repro.collectives.hierarchy` — the two-level allreduce decomposed
+  via ``hardware.topology`` (intra-node phases over NVLink, inter-node over
   the NIC);
 * :mod:`~repro.collectives.selection` — the :class:`AlgorithmSpec`
   registry and link-model-derived cost ranking (``MachineConfig.collectives``
-  holds the override knobs);
+  holds the ``hierarchical_enabled`` ablation switch);
 * :mod:`~repro.collectives.engine` — the execution context, tag
-  namespacing and ``*_device`` entry points, which run on the calling
-  rank (any :class:`~repro.mpi.MpiRank`: its ``coll_send``/
+  namespacing and the ``allreduce_device`` entry point, which runs on the
+  calling rank (any :class:`~repro.mpi.MpiRank`: its ``coll_send``/
   ``coll_recv``, ``node_of`` and ``software_overhead``);
 * :mod:`~repro.collectives.value` — the host-value collectives
   (barrier/bcast/.../alltoall) shared by AMPI world and sub-communicators.
@@ -43,11 +45,8 @@ _EXPORTS = {
     "CollectiveCostModel": "selection",
     "DEVICE_OPS": "ops",
     "ReduceOp": "ops",
-    "allgather_device": "engine",
     "allreduce_device": "engine",
     "available_algorithms": "selection",
-    "bcast_device": "engine",
-    "reduce_device": "engine",
     "select": "selection",
 }
 

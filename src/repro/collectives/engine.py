@@ -1,8 +1,8 @@
-"""Execution context and entry points of the device collectives.
+"""Execution context and entry point of the device allreduce.
 
 ``CollContext`` is what the algorithm generators program against: local
-rank/size, tag derivation, device pt2pt, scratch allocation, combine/copy
-kernels, and per-operation observability spans.  ``sub()`` derives the
+rank/size, tag derivation, device pt2pt, scratch allocation, the combine
+kernel, and per-operation observability spans.  ``sub()`` derives the
 remapped context a hierarchical phase runs in.
 
 Wire-tag namespacing (the fix for the old fixed ``0x10_0000``-style bases):
@@ -11,19 +11,19 @@ and each tag packs ``(seq, phase, step)``::
 
     | seq (11 bits) | phase (3 bits) | step (17 bits) |   < 2**31
 
-Steps are fixed by the algorithm's schedule (round/chunk index), so all
-ranks of an invocation agree on tags without coordination, and overlapping
+Steps are fixed by the algorithm's schedule (round index), so all ranks of
+an invocation agree on tags without coordination, and overlapping
 collectives of any type on one communicator can never alias each other.
 
-Entry points (``bcast_device``/``reduce_device``/``allreduce_device``/
-``allgather_device``) take the calling rank, an
-:class:`~repro.mpi.MpiRank` of any model.  When called they draw the
-sequence number and validate arguments; the generator they return resolves
-the algorithm through :mod:`~repro.collectives.selection` and wraps the run
-in a ``coll`` root span plus ``coll.{collective}.{algorithm}`` counters.  Per-operation child
-spans carry category ``coll.intra`` or ``coll.inter`` (classified by peer
-node, or fixed by the hierarchy phase), which is what lets the
-critical-path analyzer blame intra- vs inter-node phases.
+``allreduce_device`` takes the calling rank, an
+:class:`~repro.mpi.MpiRank` of any model.  When called it draws the
+sequence number and validates its arguments; the generator it returns
+resolves the algorithm through :mod:`~repro.collectives.selection` and
+wraps the run in a ``coll`` root span plus ``coll.allreduce.{algorithm}``
+counters.  Per-operation child spans carry category ``coll.intra`` or
+``coll.inter`` (classified by peer node, or fixed by the hierarchy phase),
+which is what lets the critical-path analyzer blame intra- vs inter-node
+phases.
 """
 
 from __future__ import annotations
@@ -32,18 +32,12 @@ from typing import List, Optional
 
 # the algorithm modules fill the selection registry, in this order
 from repro.collectives import algorithms, hierarchy  # noqa: F401
-from repro.collectives.ops import DEVICE_OPS, ReduceOp, combine_kernel, copy_kernel
+from repro.collectives.ops import DEVICE_OPS, ReduceOp, combine_kernel
 from repro.collectives.selection import CollectiveCostModel, select
 from repro.obs.tracing import NULL_SPAN
+from repro.sim.primitives import Then
 
-__all__ = [
-    "CollContext",
-    "allgather_device",
-    "allreduce_device",
-    "bcast_device",
-    "reduce_device",
-    "tag_base",
-]
+__all__ = ["CollContext", "allreduce_device", "tag_base"]
 
 STEP_BITS = 17
 PHASE_BITS = 3
@@ -68,7 +62,6 @@ class CollContext:
         self,
         comm,
         seq: int,
-        collective: str,
         algorithm: str,
         members: Optional[List[int]] = None,
         phase: int = 0,
@@ -77,12 +70,10 @@ class CollContext:
     ) -> None:
         self.comm = comm
         self.seq = seq
-        self.collective = collective
         self.algorithm = algorithm
         self._members = members  # comm-local ranks, None = whole communicator
         self.rank = comm.rank if members is None else members.index(comm.rank)
         self.size = comm.size if members is None else len(members)
-        self.chunk_bytes = comm.charm.machine.cfg.collectives.ring_chunk
         self.kind = kind  # None = classify per peer; fixed in sub-phases
         self.root_span = root_span
         self._tag_base = tag_base(seq, phase)
@@ -112,7 +103,7 @@ class CollContext:
         """A sub-group context: ``members`` are ranks of *this* context, the
         phase namespaces its tags, ``kind`` fixes span classification."""
         return CollContext(
-            self.comm, self.seq, self.collective, self.algorithm,
+            self.comm, self.seq, self.algorithm,
             members=[self._global(r) for r in members],
             phase=phase, kind="coll." + kind, root_span=self.root_span,
         )
@@ -127,7 +118,7 @@ class CollContext:
         tr = self.comm.charm.machine.tracer
         if tr.enabled:
             sp = tr.span(category, name, parent=self.root_span, **attrs)
-            ev.add_callback(lambda _e, _sp=sp: _sp.end())
+            ev.add_callback(Then((sp.end, ())).run)
         return ev
 
     def _peer_kind(self, peer_global: int) -> str:
@@ -156,93 +147,43 @@ class CollContext:
         return self._wrap(ev, self.kind or "coll.intra",
                           f"{self.algorithm}.combine", bytes=nbytes)
 
-    def copy_local(self, dst, src, nbytes: int):
-        ev = self.comm.charm.cuda.launch(
-            self.comm.gpu, copy_kernel(dst, src, nbytes))
-        return self._wrap(ev, self.kind or "coll.intra",
-                          f"{self.algorithm}.pack", bytes=nbytes)
-
     def scratch(self, nbytes: int):
         return self.comm.charm.cuda.malloc(self.comm.gpu, nbytes)
 
 
-# -- entry points -------------------------------------------------------------------
-def _require_device(buf, nbytes: int, what: str) -> None:
-    if not buf.on_device:
-        raise ValueError(f"{what} requires a device buffer")
-    if nbytes > buf.size:
-        raise ValueError(f"{what} of {nbytes} B from a {buf.size} B buffer")
-
-
-def _device_op(op) -> ReduceOp:
+# -- entry point -----------------------------------------------------------------
+def allreduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM,
+                     algorithm: Optional[str] = None):
+    seq = comm._next_coll_seq()
     op = ReduceOp.of(op)
     if op not in DEVICE_OPS:
         valid = sorted(m.value for m in DEVICE_OPS)
         raise ValueError(f"device collectives support {valid}, not {op.value!r}")
-    return op
+    if not buf.on_device:
+        raise ValueError("allreduce_device requires a device buffer")
+    if nbytes > buf.size:
+        raise ValueError(f"allreduce_device of {nbytes} B from a {buf.size} B buffer")
+    return _run(comm, seq, nbytes, algorithm, buf, op)
 
 
-def _resolve(comm, collective: str, nbytes: int, algorithm: Optional[str]):
+def _run(comm, seq: int, nbytes: int, algorithm: Optional[str], buf, op):
     cfg = comm.charm.machine.cfg
     model = CollectiveCostModel(
         cfg,
         [comm.node_of(r) for r in range(comm.size)],
         comm.software_overhead,
     )
-    return select(collective, model, nbytes, algorithm,
-                  cfg.collectives.hierarchical_enabled)
-
-
-def _run(comm, seq: int, collective: str, nbytes: int,
-         algorithm: Optional[str], args, result=None):
-    spec = _resolve(comm, collective, nbytes, algorithm)
-    ctx = CollContext(comm, seq, collective, spec.name)
+    spec = select(model, nbytes, algorithm, cfg.collectives.hierarchical_enabled)
+    ctx = CollContext(comm, seq, spec.name)
     tr = comm.charm.machine.tracer
-    tr.count("coll", collective)
-    tr.count("coll", f"{collective}.{spec.name}")
+    tr.count("coll", "allreduce")
+    tr.count("coll", f"allreduce.{spec.name}")
     if tr.enabled:
         ctx.root_span = tr.span(
-            "coll", f"{collective}.{spec.name}",
+            "coll", f"allreduce.{spec.name}",
             rank=comm.rank, size=comm.size, bytes=nbytes,
         )
     try:
-        yield from spec.run(ctx, *args)
+        yield from spec.run(ctx, buf, nbytes, op)
     finally:
         ctx.root_span.end()
-    return result
-
-
-def bcast_device(comm, buf, nbytes: int, root: int = 0,
-                 algorithm: Optional[str] = None):
-    seq = comm._next_coll_seq()
-    _require_device(buf, nbytes, "bcast_device")
-    return _run(comm, seq, "bcast", nbytes, algorithm, (buf, nbytes, root))
-
-
-def reduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM, root: int = 0,
-                  algorithm: Optional[str] = None):
-    seq = comm._next_coll_seq()
-    op = _device_op(op)
-    _require_device(buf, nbytes, "reduce_device")
-    return _run(comm, seq, "reduce", nbytes, algorithm, (buf, nbytes, op, root))
-
-
-def allreduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM,
-                     algorithm: Optional[str] = None):
-    seq = comm._next_coll_seq()
-    op = _device_op(op)
-    _require_device(buf, nbytes, "allreduce_device")
-    return _run(comm, seq, "allreduce", nbytes, algorithm, (buf, nbytes, op))
-
-
-def allgather_device(comm, buf, nbytes: int, recvbuf=None,
-                     algorithm: Optional[str] = None):
-    """Gather every rank's ``nbytes`` device block into ``recvbuf`` (rank
-    order); allocates and returns a fresh device buffer when none given."""
-    seq = comm._next_coll_seq()
-    _require_device(buf, nbytes, "allgather_device")
-    if recvbuf is None:
-        recvbuf = comm.charm.cuda.malloc(comm.gpu, comm.size * nbytes)
-    _require_device(recvbuf, comm.size * nbytes, "allgather_device (recvbuf)")
-    return _run(comm, seq, "allgather", nbytes, algorithm,
-                (buf, nbytes, recvbuf), result=recvbuf)

@@ -5,9 +5,9 @@
 at every public boundary and normalized exactly once via :meth:`ReduceOp.of`;
 a typo raises :class:`ValueError` naming the valid set.
 
-The device-side combine kernels (elementwise float64 ``acc = acc <op> in``)
-also live here so AMPI, OpenMPI and the hierarchical collectives launch the
-same kernel with the same roofline cost (2 reads + 1 write per element).
+The device-side combine kernel (elementwise float64 ``acc = acc <op> in``)
+also lives here: every device-allreduce algorithm launches it, with one
+roofline cost (2 reads + 1 write per element).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Union
 from repro.hardware.gpu import Kernel
 from repro.hardware.memory import Buffer, is_ndarray
 
-__all__ = ["ReduceOp", "DEVICE_OPS", "combine_kernel", "copy_kernel"]
+__all__ = ["ReduceOp", "DEVICE_OPS", "combine_kernel"]
 
 
 class ReduceOp(enum.Enum):
@@ -68,11 +68,9 @@ def combine_kernel(acc: Buffer, incoming: Buffer, nbytes: int, op: ReduceOp) -> 
 
     The body computes once either side has bytes (an untouched side reads
     as zeros) and skips otherwise; the modeled roofline cost (2 reads +
-    1 write per element) is identical either way.
+    1 write per element) is identical either way.  ``op`` is one of
+    :data:`DEVICE_OPS` (``allreduce_device`` checks).
     """
-    if op not in DEVICE_OPS:
-        valid = sorted(m.value for m in DEVICE_OPS)
-        raise ValueError(f"device collectives support {valid}, not {op.value!r}")
 
     def body() -> None:
         if acc.is_virtual and incoming.is_virtual:
@@ -92,13 +90,3 @@ def combine_kernel(acc: Buffer, incoming: Buffer, nbytes: int, op: ReduceOp) -> 
             np.minimum(a, b, out=a)
 
     return Kernel(f"combine-{op.value}", bytes_moved=3 * nbytes, body=body)
-
-
-def copy_kernel(dst: Buffer, src: Buffer, nbytes: int) -> Kernel:
-    """Same-GPU pack copy (allgather places each rank's contribution into
-    its block of the result buffer): 1 read + 1 write per element."""
-
-    def body() -> None:
-        dst.copy_from(src, nbytes)
-
-    return Kernel("coll-pack", bytes_moved=2 * nbytes, body=body)

@@ -1,13 +1,13 @@
 """Algorithm registry and link-model-derived selection.
 
-Every collective algorithm is registered as an :class:`AlgorithmSpec` whose
-``cost(model, nbytes)`` predicts the modeled completion time from the same
-:class:`~repro.config.TopologyConfig` numbers the simulator itself charges
-(per-hop alpha/beta of NVLink, X-Bus and the NIC, the GPU memory roofline of
-the combine kernel, and the per-message software overhead of the calling
-MPI library).  Crossover points between algorithms therefore *fall out of
-the link model*: there are no per-algorithm timing constants to tune, and
-changing the machine config moves the crossovers with it.
+Every device-allreduce algorithm is registered as an :class:`AlgorithmSpec`
+whose ``cost(model, nbytes)`` predicts the modeled completion time from the
+same :class:`~repro.config.TopologyConfig` numbers the simulator itself
+charges (per-hop alpha/beta of NVLink, X-Bus and the NIC, the GPU memory
+roofline of the combine kernel, and the per-message software overhead of
+the calling MPI library).  Crossover points between algorithms therefore
+*fall out of the link model*: there are no per-algorithm timing constants
+to tune, and changing the machine config moves the crossovers with it.
 
 ``select()`` takes a per-call ``algorithm=`` override as given, and
 otherwise the minimum-cost supported candidate (ties broken by name for
@@ -53,7 +53,7 @@ class CollectiveCostModel:
 
     __slots__ = (
         "cfg", "rank_nodes", "p", "n_nodes", "max_per_node", "overhead",
-        "chunk_bytes", "alpha_intra", "bw_intra", "alpha_inter", "bw_inter",
+        "alpha_intra", "bw_intra", "alpha_inter", "bw_inter",
         "nic_rails", "kernel_launch", "gpu_mem_bw",
     )
 
@@ -75,7 +75,6 @@ class CollectiveCostModel:
         self.n_nodes = len(counts)
         self.max_per_node = max(counts.values())
         self.overhead = software_overhead
-        self.chunk_bytes = cfg.collectives.ring_chunk
         cross_socket = self.max_per_node > topo.gpus_per_socket
         self.alpha_intra = 2 * topo.nvlink.latency + (
             topo.xbus.latency if cross_socket else 0.0
@@ -123,12 +122,6 @@ class CollectiveCostModel:
         inter = min(self.rounds(), ceil_log2(self.n_nodes))
         return inter, self.rounds() - inter
 
-    def n_chunks(self, nbytes: int) -> int:
-        return max(1, -(-nbytes // self.chunk_bytes))
-
-    def chunk(self, nbytes: int) -> int:
-        return min(nbytes, self.chunk_bytes)
-
     # -- derived groups (hierarchical decomposition) -----------------------------
     def leaders_model(self) -> "CollectiveCostModel":
         """One rank per node (the inter-node phase of a hierarchy)."""
@@ -145,70 +138,61 @@ class CollectiveCostModel:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One registered collective algorithm.
+    """One registered allreduce algorithm.
 
-    ``run(ctx, ...)`` is the generator implementing it over a
+    ``run(ctx, buf, nbytes, op)`` is the generator implementing it over a
     :class:`~repro.collectives.engine.CollContext`; ``cost`` and
     ``supports`` drive selection.
     """
 
     name: str
-    collective: str
     run: Callable = field(repr=False)
     cost: Callable = field(repr=False)
     supports: Callable = field(repr=False)
     hierarchical: bool = False
 
 
-_REGISTRY: Dict[str, Dict[str, AlgorithmSpec]] = {}
+_REGISTRY: Dict[str, AlgorithmSpec] = {}
 
 
 def register(spec: AlgorithmSpec) -> AlgorithmSpec:
-    _REGISTRY.setdefault(spec.collective, {})[spec.name] = spec
+    _REGISTRY[spec.name] = spec
     return spec
 
 
-def available_algorithms(collective: str) -> List[str]:
-    return sorted(_REGISTRY.get(collective, {}))
+def available_algorithms() -> List[str]:
+    return sorted(_REGISTRY)
 
 
 def select(
-    collective: str,
     model: CollectiveCostModel,
     nbytes: int,
     algorithm: Optional[str] = None,
     hierarchical: bool = True,
 ) -> AlgorithmSpec:
-    """Resolve the algorithm for one invocation.
+    """Resolve the algorithm for one allreduce.
 
     A per-call ``algorithm`` is used as given; otherwise the minimum
     predicted cost among supported candidates wins.  With ``hierarchical``
-    false the hierarchical variants do not compete (the
-    ``hierarchical_enabled`` ablation, and the phases inside a hierarchy,
-    which must not recurse).
+    false the hierarchical variant does not compete (the
+    ``hierarchical_enabled`` ablation, and the leader phase inside a
+    hierarchy, which must not recurse).
     """
-    specs = _REGISTRY.get(collective)
-    if not specs:
-        raise ValueError(f"no algorithms registered for {collective!r}")
     if algorithm is not None:
-        spec = specs.get(algorithm)
+        spec = _REGISTRY.get(algorithm)
         if spec is None:
             raise ValueError(
-                f"unknown {collective} algorithm {algorithm!r} "
-                f"(available: {available_algorithms(collective)})"
+                f"unknown allreduce algorithm {algorithm!r} "
+                f"(available: {available_algorithms()})"
             )
         if not spec.supports(model, nbytes):
             raise ValueError(
-                f"{collective} algorithm {algorithm!r} does not support "
+                f"allreduce algorithm {algorithm!r} does not support "
                 f"{model.p} ranks x {nbytes} B on {model.n_nodes} node(s)"
             )
         return spec
     candidates = [
-        s for s in specs.values()
+        s for s in _REGISTRY.values()
         if (hierarchical or not s.hierarchical) and s.supports(model, nbytes)
     ]
-    if not candidates:
-        raise ValueError(
-            f"no {collective} algorithm supports {model.p} ranks x {nbytes} B"
-        )
     return min(candidates, key=lambda s: (s.cost(model, nbytes), s.name))

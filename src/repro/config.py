@@ -241,26 +241,17 @@ class TagConfig:
 
 @dataclass(frozen=True)
 class CollectivesConfig:
-    """Device-collective behaviour (``repro.collectives``).
+    """Device-allreduce behaviour (``repro.collectives``).
 
-    Each collective call picks the algorithm whose predicted completion
+    Each ``allreduce_device`` call picks the algorithm whose predicted completion
     time — derived from the link model, never from per-algorithm constants —
     is smallest for the message size, rank count and topology at hand; a
     per-call ``algorithm=`` argument forces a choice instead.
     """
 
-    # Pipeline granularity of the ring/chain algorithms (8-byte aligned so
-    # chunk boundaries never split a float64 element).
-    ring_chunk: int = 512 * KB
     # Allow the two-level decomposition (intra-node phase over NVLink,
     # inter-node phase over the NIC) to compete in selection.
     hierarchical_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.ring_chunk < 8 or self.ring_chunk % 8:
-            raise ValueError(
-                f"ring_chunk must be a positive multiple of 8, got {self.ring_chunk}"
-            )
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,11 @@ class CudaRuntime:
             g: Gpu(self.sim, g, machine.node_of_gpu(g), machine.cfg.topology.gpu_mem_bandwidth)
             for g in range(machine.cfg.topology.total_gpus)
         }
-        # (opener_gpu, base allocation address) pairs already opened: UCX's
-        # IPC handle cache
-        self._ipc_open_cache: set = set()
+        # base allocation address -> GPUs that opened it: UCX's IPC handle
+        # cache.  A real free drops the allocation's entries (pool returns
+        # run no free hook, so a pooled slab stays open while it lives).
+        self._ipc_open_cache: Dict[int, set] = {}
+        machine.add_device_free_hook(self._drop_ipc_opens)
 
     # -- devices / streams ------------------------------------------------------
     def gpu(self, index: int) -> Gpu:
@@ -115,10 +117,16 @@ class CudaRuntime:
         ``cuda_ipc.open_cached``."""
         if not buf.on_device:
             raise ValueError("IPC handles are for device buffers")
-        key = (opener_gpu, buf.address if buf.base is None else buf.base.address)
-        if key in self._ipc_open_cache:
+        base = buf.address if buf.base is None else buf.base.address
+        openers = self._ipc_open_cache.setdefault(base, set())
+        if opener_gpu in openers:
             self.machine.tracer.count("cuda_ipc", "open_cached")
             return self.cfg.ipc_cached_open_cost
-        self._ipc_open_cache.add(key)
+        openers.add(opener_gpu)
         self.machine.tracer.count("cuda_ipc", "open_new")
         return self.cfg.ipc_handle_open_cost
+
+    def _drop_ipc_opens(self, buf: Buffer) -> None:
+        """Real free of a buffer: its IPC opens die (free-hook callback)."""
+        self._ipc_open_cache.pop(
+            buf.address if buf.base is None else buf.base.address, None)

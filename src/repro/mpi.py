@@ -146,24 +146,11 @@ class MpiRank:
     def waitall(self, requests: List[MpiRequest]) -> SimEvent:
         return waitall(self.sim, requests)
 
-    # -- device-buffer collectives (topology-aware algorithm selection) --------------
+    # -- device-buffer allreduce (topology-aware algorithm selection) ---------------
     # ``_coll.engine`` loads with the first collective call (repro.collectives)
-    def bcast_device(self, buf: Buffer, nbytes: int, root: int = 0, *,
-                     algorithm: Optional[str] = None):
-        return _coll.engine.bcast_device(self, buf, nbytes, root, algorithm)
-
-    def reduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM,
-                      root: int = 0, *, algorithm: Optional[str] = None):
-        return _coll.engine.reduce_device(self, buf, nbytes, op, root, algorithm)
-
     def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
                          algorithm: Optional[str] = None):
         return _coll.engine.allreduce_device(self, buf, nbytes, op, algorithm)
-
-    def allgather_device(self, buf: Buffer, nbytes: int,
-                         recvbuf: Optional[Buffer] = None, *,
-                         algorithm: Optional[str] = None):
-        return _coll.engine.allgather_device(self, buf, nbytes, recvbuf, algorithm)
 
 
 class MpiJob:

@@ -171,24 +171,11 @@ class TestGatherScatter:
 
 
 class TestDeviceCollectives:
-    def test_bcast_device_moves_gpu_payload(self):
-        got = {}
-
-        def program(mpi):
-            buf = mpi.charm.cuda.malloc(mpi.gpu, 2048)
-            if mpi.rank == 0:
-                buf.data[:] = 99
-            yield from mpi.bcast_device(buf, 2048, root=0)
-            got[mpi.rank] = bool((buf.data == 99).all())
-
-        ampi = run_collective(program)
-        assert all(got.values()) and len(got) == ampi.n_ranks
-
-    def test_bcast_device_rejects_host_buffer(self):
+    def test_allreduce_device_rejects_host_buffer(self):
         def program(mpi):
             h = mpi.charm.cuda.malloc_host(mpi.node, 64)
             with pytest.raises(ValueError):
-                list(mpi.bcast_device(h, 64, root=0))
+                list(mpi.allreduce_device(h, 64, "sum"))
             return
             yield  # pragma: no cover
 

@@ -104,8 +104,7 @@ class TestShimModuleRemoved:
     def test_old_positional_signatures_still_work(self):
         def program(rank):
             buf = rank.charm.cuda.malloc(rank.gpu, 64)
-            yield from rank.reduce_device(buf, 64, "sum", 0)
-            yield from rank.bcast_device(buf, 64, 1)
+            yield from rank.allreduce_device(buf, 64, "sum")
             v = yield from rank.reduce(rank.rank, "max", 0)
             if rank.rank == 0:
                 assert v == 3
@@ -195,17 +194,17 @@ class TestSessionFacade:
     def test_collectives_summary_and_knobs(self):
         sess = (api.session(MachineConfig.summit(nodes=2))
                 .model("ampi").ranks(8).trace()
-                .set({"collectives.ring_chunk": 128 * 1024})
+                .set({"collectives.hierarchical_enabled": False})
                 .build())
-        assert sess.config.collectives.ring_chunk == 128 * 1024
+        assert sess.config.collectives.hierarchical_enabled is False
 
         def program(rank):
             buf = rank.charm.cuda.malloc(rank.gpu, 1 << 20)
-            yield from rank.allreduce_device(buf, 1 << 20, algorithm="ring")
+            yield from rank.allreduce_device(buf, 1 << 20, algorithm="recdbl")
 
         sess.run_until(sess.launch(program), max_events=MAX_EVENTS)
         summary = sess.collectives_summary()
         assert summary["invocations"]["allreduce"] == 8
-        assert summary["invocations"]["allreduce.ring"] == 8
+        assert summary["invocations"]["allreduce.recdbl"] == 8
         assert summary["intra_time_us"] > 0
         assert summary["inter_time_us"] > 0

@@ -93,40 +93,6 @@ def test_alltoall_every_count(p):
         assert got[r] == [(s, r) for s in range(p)]
 
 
-@pytest.mark.parametrize("p", [1, 3, 8, 12])
-@pytest.mark.parametrize("root", [0, -1])  # -1 = last rank
-def test_bcast_device_every_count(p, root):
-    root = root % p
-    got = {}
-
-    def program(mpi):
-        buf = mpi.charm.cuda.malloc(mpi.gpu, 512)
-        if mpi.rank == root:
-            buf.data[:] = 55
-        yield from mpi.bcast_device(buf, 512, root=root)
-        got[mpi.rank] = bool((buf.data == 55).all())
-
-    run_collective(p, program)
-    assert all(got.values()) and len(got) == p
-
-
-@pytest.mark.parametrize("p", [2, 5, 12])
-def test_reduce_device_every_count(p):
-    import numpy as np
-
-    got = {}
-
-    def program(mpi):
-        buf = mpi.charm.cuda.malloc(mpi.gpu, 64)
-        buf.data.view(np.float64)[:] = float(mpi.rank + 1)
-        yield from mpi.reduce_device(buf, 64, "sum", root=0)
-        if mpi.rank == 0:
-            got["v"] = float(buf.data.view(np.float64)[0])
-
-    run_collective(p, program)
-    assert got["v"] == p * (p + 1) / 2
-
-
 @pytest.mark.parametrize("p", [3, 5, 12])
 def test_nonzero_root_every_count(p):
     got = {}

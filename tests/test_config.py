@@ -219,9 +219,9 @@ class TestOverride:
         # one (or a new with_* shorthand) has to edit these numbers
         by_type = Counter("Optional" if get_origin(tp) is Union else tp.__name__
                           for _, tp in _leaf_types(MachineConfig))
-        assert by_type == {"float": 48, "int": 24, "bool": 8, "LinkParams": 5,
+        assert by_type == {"float": 48, "int": 23, "bool": 8, "LinkParams": 5,
                            "Optional": 4, "str": 1}, by_type
-        assert sum(by_type.values()) == 90
+        assert sum(by_type.values()) == 89
         assert sorted(n for n in dir(MachineConfig) if n.startswith("with_")) \
             == ["with_faults", "with_pool", "with_ucx", "with_virtual_payload"]
 

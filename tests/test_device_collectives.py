@@ -1,11 +1,11 @@
-"""Functional correctness of the device collectives.
+"""Functional correctness of the device allreduce.
 
-Every registered algorithm is exercised with materialized payloads across
-rank counts including non-powers-of-two (the recursive-doubling fold, ring
-block splits and tree allgather ranges all have remainder paths), on
-single- and multi-node topologies, through the AMPI world communicator,
-sub-communicators, and the forced-algorithm / hierarchical-ablation
-selection paths.
+Every registered algorithm, and the binomial trees the hierarchy's node
+phases run, is exercised with materialized payloads across rank counts
+including non-powers-of-two (the recursive-doubling fold and odd binomial
+trees have remainder paths), on single- and multi-node topologies, through
+the AMPI world communicator, sub-communicators, and the forced-algorithm /
+hierarchical-ablation selection paths.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import pytest
 from repro.ampi.mpi import Ampi
 from repro.charm.charm import Charm
 from repro.collectives import ReduceOp, available_algorithms
+from repro.collectives.algorithms import binomial_bcast, binomial_reduce
+from repro.collectives.engine import CollContext
 from repro.config import MachineConfig
 
 MAX_EVENTS = 50_000_000
@@ -49,39 +51,41 @@ def _f64(buf):
 
 
 class TestFlatAlgorithms:
+    # the binomial trees rooted at rank 0: halves of the binomial allreduce
+    # and the node phases of the hierarchical one, run here on their own
     @pytest.mark.parametrize("p", COUNTS)
-    @pytest.mark.parametrize("algo", ["binomial", "ring"])
+    @pytest.mark.parametrize("algo", ["binomial"])
     def test_bcast(self, algo, p):
         charm, ampi = _build(p)
-        root, out = 1, {}
+        out = {}
 
         def program(rank):
             buf = _dev(rank, fill=100.0 + rank.rank)
-            yield from rank.bcast_device(buf, NBYTES, root, algorithm=algo)
+            ctx = CollContext(rank, rank._next_coll_seq(), algo)
+            yield from binomial_bcast(ctx, buf, NBYTES)
             out[rank.rank] = _f64(buf).copy()
 
         _run(charm, ampi, program)
         for r in range(p):
-            assert np.all(out[r] == 100.0 + root), (algo, p, r)
+            assert np.all(out[r] == 100.0), (algo, p, r)
 
     @pytest.mark.parametrize("p", COUNTS)
-    @pytest.mark.parametrize("algo", ["binomial", "ring"])
+    @pytest.mark.parametrize("algo", ["binomial"])
     def test_reduce(self, algo, p):
         charm, ampi = _build(p)
-        root, out = p - 1, {}
+        out = {}
 
         def program(rank):
             buf = _dev(rank, fill=float(rank.rank))
-            yield from rank.reduce_device(
-                buf, NBYTES, op="max", root=root, algorithm=algo
-            )
+            ctx = CollContext(rank, rank._next_coll_seq(), algo)
+            yield from binomial_reduce(ctx, buf, NBYTES, ReduceOp.MAX)
             out[rank.rank] = _f64(buf).copy()
 
         _run(charm, ampi, program)
-        assert np.all(out[root] == p - 1), (algo, p)
+        assert np.all(out[0] == p - 1), (algo, p)
 
     @pytest.mark.parametrize("p", COUNTS)
-    @pytest.mark.parametrize("algo", ["binomial", "recdbl", "ring"])
+    @pytest.mark.parametrize("algo", ["binomial", "recdbl"])
     def test_allreduce(self, algo, p):
         charm, ampi = _build(p)
         out = {}
@@ -97,22 +101,6 @@ class TestFlatAlgorithms:
         expect = p * (p + 1) / 2
         for r in range(p):
             assert np.all(out[r] == expect), (algo, p, r)
-
-    @pytest.mark.parametrize("p", COUNTS)
-    @pytest.mark.parametrize("algo", ["ring", "tree"])
-    def test_allgather(self, algo, p):
-        charm, ampi = _build(p)
-        out = {}
-
-        def program(rank):
-            buf = _dev(rank, fill=float(rank.rank))
-            full = yield from rank.allgather_device(buf, NBYTES, algorithm=algo)
-            out[rank.rank] = _f64(full).copy()
-
-        _run(charm, ampi, program)
-        expect = np.repeat(np.arange(p, dtype=np.float64), NBYTES // 8)
-        for r in range(p):
-            assert np.array_equal(out[r], expect), (algo, p, r)
 
 
 class TestHierarchical:
@@ -133,37 +121,6 @@ class TestHierarchical:
         for r in range(p):
             assert np.all(out[r] == expect), (p, r)
 
-    @pytest.mark.parametrize("p", [7, 12])
-    def test_bcast_nonzero_root(self, p):
-        charm, ampi = _build(p)
-        root, out = p - 1, {}
-
-        def program(rank):
-            buf = _dev(rank, fill=float(rank.rank))
-            yield from rank.bcast_device(
-                buf, NBYTES, root, algorithm="hierarchical"
-            )
-            out[rank.rank] = _f64(buf).copy()
-
-        _run(charm, ampi, program)
-        for r in range(p):
-            assert np.all(out[r] == root), (p, r)
-
-    @pytest.mark.parametrize("p", [7, 12])
-    def test_reduce_nonzero_root(self, p):
-        charm, ampi = _build(p)
-        root, out = 2, {}
-
-        def program(rank):
-            buf = _dev(rank, fill=float(rank.rank))
-            yield from rank.reduce_device(
-                buf, NBYTES, op="min", root=root, algorithm="hierarchical"
-            )
-            out[rank.rank] = _f64(buf).copy()
-
-        _run(charm, ampi, program)
-        assert np.all(out[root] == 0.0), p
-
     def test_single_node_group_rejected(self):
         charm, ampi = _build(4)
         buf = _dev(ampi.ranks[0])
@@ -175,37 +132,25 @@ class TestHierarchical:
 
 class TestSelectionSurface:
     def test_registry_contents(self):
-        assert available_algorithms("bcast") == ["binomial", "hierarchical", "ring"]
-        assert available_algorithms("reduce") == ["binomial", "hierarchical", "ring"]
-        assert available_algorithms("allreduce") == [
-            "binomial", "hierarchical", "recdbl", "ring",
-        ]
-        assert available_algorithms("allgather") == ["ring", "tree"]
+        assert available_algorithms() == ["binomial", "hierarchical", "recdbl"]
 
     def test_unknown_algorithm_lists_available(self):
         charm, ampi = _build(2)
         buf = _dev(ampi.ranks[0])
         with pytest.raises(ValueError, match="available.*binomial"):
-            next(ampi.ranks[0].bcast_device(buf, NBYTES, algorithm="quantum"))
-
-    def test_forced_unsupported_rejected(self):
-        # ring allreduce needs a non-empty 8B block per rank
-        charm, ampi = _build(5)
-        buf = _dev(ampi.ranks[0], 16)
-        with pytest.raises(ValueError, match="does not support"):
-            next(ampi.ranks[0].allreduce_device(buf, 16, algorithm="ring"))
+            next(ampi.ranks[0].allreduce_device(buf, NBYTES, algorithm="quantum"))
 
     def test_host_buffer_rejected(self):
         charm, ampi = _build(2)
         host = charm.machine.alloc_host(0, NBYTES)
         with pytest.raises(ValueError, match="device buffer"):
-            next(ampi.ranks[0].bcast_device(host, NBYTES))
+            next(ampi.ranks[0].allreduce_device(host, NBYTES))
 
     def test_non_device_op_rejected(self):
         charm, ampi = _build(2)
         buf = _dev(ampi.ranks[0])
         with pytest.raises(ValueError, match="not 'prod'"):
-            next(ampi.ranks[0].reduce_device(buf, NBYTES, op="prod"))
+            next(ampi.ranks[0].allreduce_device(buf, NBYTES, op="prod"))
         with pytest.raises(ValueError, match="unknown reduction op"):
             next(ampi.ranks[0].allreduce_device(buf, NBYTES, op="xor"))
 
@@ -252,21 +197,16 @@ class TestCommView:
             expect = sum(x for x in range(12) if x % 3 == r % 3)
             assert np.all(out[r] == expect), r
 
-    def test_subcommunicator_allgather_device(self):
-        charm, ampi = _build(6)
-        out = {}
+    def test_subcommunicator_rejects_host_buffer(self):
+        charm, ampi = _build(12)
 
         def program(rank):
-            sub = yield from rank.comm_split(rank.rank % 2)
-            buf = _dev(rank, fill=float(rank.rank))
-            full = yield from sub.allgather_device(buf, NBYTES)
-            out[rank.rank] = _f64(full).copy()
+            sub = yield from rank.comm_split(rank.rank % 3)
+            h = rank.charm.cuda.malloc_host(rank.node, 64)
+            with pytest.raises(ValueError):
+                list(sub.allreduce_device(h, 64, "sum"))
 
         _run(charm, ampi, program)
-        for r in range(6):
-            members = [x for x in range(6) if x % 2 == r % 2]
-            expect = np.repeat(np.asarray(members, dtype=np.float64), NBYTES // 8)
-            assert np.array_equal(out[r], expect), r
 
 
 class TestDeviceCollectives:
@@ -276,20 +216,6 @@ class TestDeviceCollectives:
         done = ampi.launch(program)
         charm.run_until(done, max_events=10_000_000)
         return ampi
-
-    def test_reduce_device_sums_on_gpu(self):
-        got = {}
-
-        def program(mpi):
-            buf = mpi.charm.cuda.malloc(mpi.gpu, 64)
-            buf.data.view(np.float64)[:] = float(mpi.rank)
-            yield from mpi.reduce_device(buf, 64, "sum", root=0)
-            if mpi.rank == 0:
-                got["sum"] = buf.data.view(np.float64).copy()
-
-        ampi = self._run(program)
-        expect = sum(range(ampi.n_ranks))
-        assert (got["sum"] == expect).all()
 
     def test_allreduce_device_max(self):
         got = {}
@@ -323,21 +249,11 @@ class TestDeviceCollectives:
         assert ampi.charm.machine.pools and got.pop("recv") == [1.0] * (NBYTES // 8)
         assert got == {r: [p * (p + 1) / 2] * (NBYTES // 8) for r in range(p)}
 
-    def test_reduce_device_rejects_host_buffer(self):
-        def program(mpi):
-            h = mpi.charm.cuda.malloc_host(mpi.node, 64)
-            with pytest.raises(ValueError):
-                list(mpi.reduce_device(h, 64, "sum", root=0))
-            return
-            yield  # pragma: no cover
-
-        self._run(program)
-
-    def test_reduce_device_rejects_unknown_op(self):
+    def test_allreduce_device_rejects_unknown_op(self):
         def program(mpi):
             d = mpi.charm.cuda.malloc(mpi.gpu, 64)
             with pytest.raises(ValueError):
-                list(mpi.reduce_device(d, 64, "xor", root=0))
+                list(mpi.allreduce_device(d, 64, "xor"))
             return
             yield  # pragma: no cover
 

@@ -155,6 +155,30 @@ class TestIpc:
         with pytest.raises(ValueError):
             rt.ipc_open_cost(1, h)
 
+    def test_real_free_drops_the_allocation_s_opens(self, rt):
+        buf = rt.malloc(0, 1024)
+        rt.ipc_open_cost(1, buf)
+        rt.ipc_open_cost(2, buf.view(0, 512))
+        assert len(rt._ipc_open_cache) == 1
+        rt.free(buf)
+        assert len(rt._ipc_open_cache) == 0
+
+    def test_open_cache_does_not_grow_with_run_length(self):
+        """Every shuffle round opens fresh allocations and frees them; the
+        cache holds live allocations only, so its length is the same after
+        2 and 4 rounds while the open counts double."""
+        import repro.api as api
+        from repro.apps.shuffle import run_shuffle
+
+        lengths, opens = [], []
+        for rounds in (2, 4):
+            sess = api.session(MachineConfig.summit(nodes=1)).model("openmpi").build()
+            run_shuffle("openmpi", rounds=rounds, chunk=256 * 1024, session=sess)
+            lengths.append(len(sess.lib.cuda._ipc_open_cache))
+            opens.append(sess.counters["cuda_ipc.open_new"])
+        assert opens == [60, 120]
+        assert lengths[0] == lengths[1], lengths
+
     def test_counts_opens_when_open_costs_are_equal(self):
         """Whether an open hit the cache is the cache's answer, not a
         comparison of the two costs: with equal costs an intra-node device

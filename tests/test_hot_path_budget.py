@@ -246,13 +246,16 @@ def test_no_timeout_is_built_only_to_be_yielded():
 
 
 #: The modules a message passes through between a model's send and its
-#: receive: a continuation one of them hands on is held across events.
+#: receive, and the collectives that drive those messages: a continuation
+#: one of them hands on is held across events.
 MESSAGE_PATH = (
     "core/machine_ucx.py", "core/device_buffer.py",
     "ucx/worker.py", "ucx/transport.py", "ucx/protocols/",
     "ampi/mpi.py", "ampi/matching.py", "openmpi/mpi.py",
     "charm4py/channels.py", "charm4py/runtime.py", "charm4py/futures.py",
     "hardware/gpu.py", "mpi.py",
+    "collectives/engine.py", "collectives/algorithms.py",
+    "collectives/hierarchy.py", "collectives/value.py",
 )
 
 #: Functions nested there that no message holds across an event: matching

@@ -92,8 +92,7 @@ def test_stage_table_is_data():
 #: class is a copy that can drift (a sub-communicator once lacked half).
 RANK_SURFACE = {
     "isend", "irecv", "sendrecv", "waitall", "alloc_device", "free_device",
-    "_cpu_delay", "_next_coll_seq", "bcast_device", "reduce_device",
-    "allreduce_device", "allgather_device",
+    "_cpu_delay", "_next_coll_seq", "allreduce_device",
 }
 
 #: (file, class, method) -> why this homonym is not a rank surface copy.
