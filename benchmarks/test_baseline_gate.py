@@ -244,6 +244,14 @@ class TestCommittedBaseline:
             f"flat {flat['sim_time_us']:.1f}us"
         )
 
+    def test_convergence_workload_stops_before_its_cap(self):
+        """The Jacobi3D convergence point must be pinned, and its residual
+        reduction must have stopped the run at a check, before the cap."""
+        doc = load_baseline(REPO_ROOT / DEFAULT_BASELINE_PATH)
+        fp = doc["entries"]["jacobi_converge_charm_2n"]
+        assert 0 < fp["iterations"] < fp["iteration_cap"]
+        assert fp["iterations"] % 4 == 0  # the check interval
+
     def test_shuffle_workloads_pin_pool_win(self):
         """The shuffle ablation points must be pinned pairwise, the pooled
         variant must actually amortise (one first-touch mapping per

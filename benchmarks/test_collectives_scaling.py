@@ -11,9 +11,7 @@ robust (well away from near-ties) and asserts
 * a run under ``algorithm=None`` costs exactly what the algorithm it
   reports picking costs when forced — selection adds no modeled time,
 * the two-level hierarchical allreduce beats the best flat algorithm at
-  64 ranks / 1 MB across 11 nodes, and auto picks it,
-* AMPI and OpenMPI agree on the chosen algorithm for the same shape
-  (the selector sees the same machine model through either frontend).
+  64 ranks / 1 MB across 11 nodes, and auto picks it.
 
 Rank programs write no payload bytes (buffers stay size-only): the ladder
 measures modeled time, not numerics — functional correctness lives in
@@ -32,12 +30,12 @@ SMALL, LARGE = 64, 8 << 20
 FLAT_ONLY = {"hierarchical_enabled": False}
 
 
-def _measure(nbytes, *, p, nodes, algorithm=None, coll=None, model="ampi"):
+def _measure(nbytes, *, p, nodes, algorithm=None, coll=None):
     """Run one device allreduce of ``nbytes`` over ``p`` ranks and return
     (modeled seconds, which-algorithm counters)."""
     cfg = MachineConfig.summit(nodes=nodes).override(
         {f"collectives.{k}": v for k, v in (coll or {}).items()})
-    sess = api.session(cfg).model(model).ranks(p).build()
+    sess = api.session(cfg).model("ampi").ranks(p).build()
 
     def program(rank):
         buf = rank.charm.cuda.malloc(rank.gpu, nbytes)
@@ -129,19 +127,3 @@ class TestNonPowerOfTwo:
         }
         assert all(t > 0 for t in times.values()), times
 
-
-class TestCrossModelParity:
-    """The selector reads the machine model, not the frontend: AMPI and
-    OpenMPI must pick the same algorithm for the same shape."""
-
-    P, NODES = 8, 2
-
-    @pytest.mark.parametrize("nbytes", [SMALL, LARGE])
-    def test_same_choice(self, nbytes):
-        picks = {}
-        for model in ("ampi", "openmpi"):
-            _, chosen = _measure(nbytes, p=self.P,
-                                 nodes=self.NODES, coll=FLAT_ONLY,
-                                 model=model)
-            picks[model] = _picked(chosen, self.P)
-        assert picks["ampi"] == picks["openmpi"], picks

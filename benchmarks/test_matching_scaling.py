@@ -17,9 +17,9 @@ differential against the linear oracle.)
 
 import time
 
+import repro.api as api
 from repro.config import MachineConfig
 from repro.hardware.topology import Machine
-from repro.openmpi import OpenMpi
 from repro.ucx.context import UcpContext
 
 N_PAIRS = 8
@@ -95,7 +95,8 @@ def test_full_mpi_stack_reversed_tags():
     its receives in reverse tag order; every message is matched exactly
     once and both queues drain."""
     k = 40
-    lib = OpenMpi(MachineConfig.summit(nodes=2))
+    sess = api.session(MachineConfig.summit(nodes=2)).model("openmpi").build()
+    lib = sess.lib
     n = lib.n_ranks
 
     def program(mpi):
@@ -111,8 +112,7 @@ def test_full_mpi_stack_reversed_tags():
             reqs.append(mpi.isend(buf, 64, dst=right, tag=tag))
         yield mpi.waitall(reqs)
 
-    done = lib.launch(program)
-    lib.run_until(done, max_events=50_000_000)
+    sess.run_until(sess.launch(program), max_events=50_000_000)
     workers = list(lib.ucp._workers.values())
     counters = lib.machine.tracer.counters
     assert counters["ucx.expected_hit"] + counters["ucx.unexpected_hit"] == n * k

@@ -47,9 +47,10 @@ def demo_device_allreduce():
 def demo_hierarchical_allreduce():
     print("== 1b. topology-aware algorithm selection at scale ==")
     # 64 ranks / 11 nodes / 1 MB: the selector decomposes the allreduce in
-    # two levels — NVLink reduce-scatter+gather inside each node, an IB
-    # tree among node leaders — because the link model prices it below
-    # every flat algorithm.  Force flat to see what that choice is worth.
+    # two levels — a binomial reduce to each node leader and a binomial
+    # bcast back out over NVLink, the cheapest flat allreduce among the
+    # leaders over IB — because the link model prices it below every flat
+    # algorithm.  Force flat to see what that choice is worth.
     times = {}
     for label, knobs in (("auto (hierarchical)", {}),
                          ("best flat", {"collectives.hierarchical_enabled": False})):

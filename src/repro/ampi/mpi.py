@@ -17,10 +17,12 @@ Host buffers below the eager threshold travel inline in the envelope;
 larger ones use a Zero-Copy-API-style rendezvous (envelope eagerly, data
 fetched after the match, FIN back to the sender).
 
-That wire protocol is what :class:`AmpiRank` and :class:`CommView` add to
-:class:`repro.mpi.MpiRank`, the rank surface they share with OpenMPI's
-ranks.  The collectives they run load with the first collective call
-(``_coll.engine`` / ``_coll.value``, see :mod:`repro.collectives`).
+That wire protocol is what :class:`AmpiRank` adds to
+:class:`repro.mpi.MpiRank`, the rank surface it shares with OpenMPI's
+ranks, together with the collectives built on it: the host-value
+``allreduce`` and ``gather`` and the device ``allreduce_device``.  They load
+with the first collective call (``_coll.engine`` / ``_coll.value``, see
+:mod:`repro.collectives`).
 """
 
 from __future__ import annotations
@@ -50,61 +52,27 @@ from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SE
 from repro.sim.primitives import SimEvent, Then
 from repro.ucx.status import UcsStatus
 
-#: User tags lie in ``[0, MAX_USER_TAG)`` on every communicator (the
-#: ``MPI_TAG_UB`` of this library).  Collective traffic is not bound by it:
-#: it travels on each communicator's own collective context.
+#: User tags lie in ``[0, MAX_USER_TAG)`` (the ``MPI_TAG_UB`` of this
+#: library).  Collective traffic is not bound by it: it travels on its own
+#: communicator id, :data:`COLL_COMM`.
 MAX_USER_TAG = 1 << 24
 
-#: The reserved internal communicator id of world-communicator collectives.
+#: The reserved internal communicator id of collective traffic.
 COLL_COMM = 1
 
 _host_send_ids = itertools.count(1)
 
 
-class _AmpiComm(MpiRank):
-    """An AMPI communicator — the world rank (:class:`AmpiRank`) or a
-    sub-communicator (:class:`CommView`).
-
-    Value collectives ride the envelope path and ``*_device`` collectives
-    the GPU point-to-point path, both through the communicator's
-    ``coll_send``/``coll_recv``."""
-
-    @property
-    def software_overhead(self) -> float:
-        rt = self.charm.machine.cfg.runtime
-        return (rt.ampi_send_overhead + rt.ampi_recv_overhead
-                + 2 * rt.ampi_callback_overhead)
-
-    # -- host-value collectives (``_coll.value`` loads with the first call) ----------
-    def barrier(self):
-        return _coll.value.barrier(self)
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8):
-        return _coll.value.bcast(self, value, root, nbytes)
-
-    def reduce(self, value: Any, op=ReduceOp.SUM, root: int = 0, nbytes: int = 8):
-        return _coll.value.reduce(self, value, op, root, nbytes)
-
-    def allreduce(self, value: Any, op=ReduceOp.SUM, nbytes: int = 8):
-        return _coll.value.allreduce(self, value, op, nbytes)
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8):
-        return _coll.value.gather(self, value, root, nbytes)
-
-    def allgather(self, value: Any, nbytes: int = 8):
-        return _coll.value.allgather(self, value, nbytes)
-
-    def scatter(self, values: Optional[List[Any]], root: int = 0, nbytes: int = 8):
-        return _coll.value.scatter(self, values, root, nbytes)
-
-    def alltoall(self, values: List[Any], nbytes: int = 8):
-        return _coll.value.alltoall(self, values, nbytes)
-
-
-class AmpiRank(_AmpiComm):
+class AmpiRank(MpiRank):
     """One MPI rank (a chare on some PE).  All communication methods return
     yieldable events or :class:`MpiRequest` handles; rank *programs* are
-    generator functions driven by the simulator."""
+    generator functions driven by the simulator.
+
+    Value collectives ride the envelope path and ``allreduce_device`` the
+    GPU point-to-point path, both through ``coll_send``/``coll_recv``; use
+    them with ``yield from``."""
+
+    _coll_seq = 0
 
     def __init__(self, ampi: "Ampi", rank: int, pe: int) -> None:
         self.ampi = ampi
@@ -141,6 +109,13 @@ class AmpiRank(_AmpiComm):
     def node_of(self, rank: int) -> int:
         return self.charm.pe_object(self.ampi.rank_pe(rank)).node
 
+    @property
+    def software_overhead(self) -> float:
+        """The per-message cost the collective cost model charges."""
+        rt = self.ampi.rt
+        return (rt.ampi_send_overhead + rt.ampi_recv_overhead
+                + 2 * rt.ampi_callback_overhead)
+
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         """``MPI_Send`` (yield the returned event to block until the buffer
@@ -164,35 +139,24 @@ class AmpiRank(_AmpiComm):
                   tag: int) -> SimEvent:
         return self._recv_impl(buf, capacity, src, tag, COLL_COMM)
 
-    def coll_local_source(self, source: int) -> int:
-        return source
+    def _next_coll_seq(self) -> int:
+        """Per-rank invocation number; it namespaces a collective's wire
+        tags, so overlapping collectives can never alias."""
+        s = self._coll_seq
+        self._coll_seq = s + 1
+        return s
 
-    # -- probe and sub-communicators ----------------------------------------------
-    def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, comm: int = 0):
-        """``MPI_Iprobe``: non-blocking check of the unexpected queue.
-        Returns ``(flag, status_or_None)`` without consuming the message."""
-        probe = PostedMpiRecv(src=src, tag=tag, comm=comm, buf=None,
-                              capacity=1 << 62, event=None)
-        for env in self.matching.unexpected:
-            if probe.matches(env):
-                return True, MpiStatus(source=env.src, tag=env.tag,
-                                       count=env.size, value=env.value)
-        return False, None
+    # -- collectives (use with ``yield from``) -----------------------------------------
+    def allreduce(self, value: Any, op=ReduceOp.SUM, nbytes: int = 8):
+        return _coll.value.allreduce(self, value, op, nbytes)
 
-    def comm_split(self, color: int, key: Optional[int] = None):
-        """``MPI_Comm_split`` (collective; use with ``yield from``).
-        Returns a :class:`CommView` containing the ranks that passed the
-        same ``color``, ordered by ``key`` (ties broken by world rank)."""
-        if key is None:
-            key = self.rank
-        self._split_count = getattr(self, "_split_count", 0) + 1
-        infos = yield from self.allgather((color, key, self.rank), nbytes=24)
-        colors = sorted({c for c, _k, _r in infos})
-        members = [r for _k, r in sorted(
-            (k, r) for c, k, r in infos if c == color
-        )]
-        comm_id = 1000 + self._split_count * 4096 + colors.index(color)
-        return CommView(self, comm_id, members)
+    def gather(self, value: Any, root: int = 0, nbytes: int = 8):
+        return _coll.value.gather(self, value, root, nbytes)
+
+    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
+                         algorithm: Optional[str] = None):
+        """Device-buffer allreduce with topology-aware algorithm selection."""
+        return _coll.engine.allreduce_device(self, buf, nbytes, op, algorithm)
 
     # -- implementation ----------------------------------------------------------------
     def _next_seq(self, dst: int) -> int:
@@ -528,68 +492,3 @@ class Ampi(MpiJob):
         )
         self.charm.converse.cmi_send(rank.pe, fin)
 
-
-class CommView(_AmpiComm):
-    """A sub-communicator view produced by :meth:`AmpiRank.comm_split`.
-
-    Exposes the whole rank surface (:class:`MpiRank`) and the value
-    collectives in the sub-communicator's rank space; messages travel with
-    the sub-communicator's context id, so they never match
-    world-communicator traffic.  Identity (``sim``, ``charm``, ``gpu``,
-    ``node``) is the world rank's.
-    """
-
-    def __init__(self, world_rank: AmpiRank, comm_id: int, members: List[int]) -> None:
-        if world_rank.rank not in members:
-            raise ValueError("rank is not a member of this communicator")
-        self._world = world_rank
-        self.comm_id = comm_id
-        # collective traffic takes a high-bit namespace, disjoint from user
-        # pt2pt on this communicator (which travels with comm_id)
-        self._coll_comm = (1 << 30) + comm_id
-        self.members = list(members)
-        self.rank = self.members.index(world_rank.rank)
-        self.size = len(self.members)
-        self.sim, self.charm = world_rank.sim, world_rank.charm
-        self.gpu, self.node = world_rank.gpu, world_rank.node
-
-    def _global(self, local_rank: int) -> int:
-        if not 0 <= local_rank < self.size:
-            raise ValueError(f"rank {local_rank} out of range for this communicator")
-        return self.members[local_rank]
-
-    def node_of(self, rank: int) -> int:
-        return self._world.node_of(self.members[rank])
-
-    # -- collective wire protocol ---------------------------------------------------
-    def coll_send(self, buf: Optional[Buffer], nbytes: int, dst: int, tag: int,
-                  value: Any = None) -> SimEvent:
-        return self._world._send_impl(
-            buf, nbytes, self._global(dst), tag, self._coll_comm, value
-        )
-
-    def coll_recv(self, buf: Optional[Buffer], capacity: int, src: int,
-                  tag: int) -> SimEvent:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        return self._world._recv_impl(buf, capacity, gsrc, tag, self._coll_comm)
-
-    def coll_local_source(self, source: int) -> int:
-        return self.members.index(source)
-
-    # -- point-to-point ------------------------------------------------------------
-    def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
-        if not 0 <= tag < MAX_USER_TAG:
-            raise ValueError(f"tag {tag} outside [0, MAX_USER_TAG)")
-        return self._world._send_impl(buf, nbytes, self._global(dst), tag, self.comm_id)
-
-    def recv(self, buf: Buffer, capacity: int, src: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> SimEvent:
-        gsrc = ANY_SOURCE if src == ANY_SOURCE else self._global(src)
-        return self._world._recv_impl(buf, capacity, gsrc, tag, self.comm_id)
-
-    def local_status(self, status: MpiStatus) -> MpiStatus:
-        """Translate a status's world source rank into this communicator."""
-        return MpiStatus(
-            source=self.members.index(status.source),
-            tag=status.tag, count=status.count, value=status.value,
-        )

@@ -18,7 +18,7 @@ occupy the PE while running.
 from repro.charm.callback import CkCallback
 from repro.charm.chare import Chare
 from repro.charm.charm import Charm
-from repro.charm.proxy import ArrayProxy, ChareProxy, GroupProxy
+from repro.charm.proxy import ArrayProxy, ChareProxy
 from repro.charm.zerocopy import DevicePost
 from repro.core.device_buffer import CkDeviceBuffer
 
@@ -30,5 +30,4 @@ __all__ = [
     "CkCallback",
     "CkDeviceBuffer",
     "DevicePost",
-    "GroupProxy",
 ]

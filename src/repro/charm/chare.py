@@ -24,7 +24,7 @@ class Chare:
     * ``self.thisProxy`` — a proxy to this chare,
     * ``self.pe`` — the PE index this chare currently lives on,
     * ``self.gpu`` — the GPU associated with that PE (non-SMP: one each),
-    * ``self.thisIndex`` — the element index for array/group elements.
+    * ``self.thisIndex`` — the element index of an array element.
     """
 
     charm: "Charm"

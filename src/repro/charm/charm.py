@@ -18,7 +18,7 @@ from repro.converse.pe import Pe
 from repro.core.device_buffer import CkDeviceBuffer, DeviceRdmaOp, DeviceRecvType
 from repro.core.machine_ucx import UcxMachineLayer
 from repro.charm.chare import Chare
-from repro.charm.proxy import ArrayProxy, ChareProxy, GroupProxy
+from repro.charm.proxy import ArrayProxy, ChareProxy
 from repro.charm.reduction import ReductionManager
 from repro.charm.zerocopy import PendingInvocation
 from repro.hardware.memory import Buffer, is_ndarray
@@ -97,14 +97,6 @@ class Charm:
     def run_until(self, event: SimEvent, max_events: Optional[int] = None) -> Any:
         return self.machine.sim.run_until_complete(event, max_events=max_events)
 
-    def run_to_quiescence(self, max_events: Optional[int] = None) -> float:
-        """Quiescence detection, simulator-style: run until no event remains
-        on the agenda (no messages in flight, no work pending anywhere) and
-        return the simulated time.  The moral equivalent of Charm++'s
-        ``CkStartQD`` for this in-process model."""
-        self.machine.sim.run(max_events=max_events)
-        return self.machine.sim.now
-
     # -- communication errors ------------------------------------------------------
     def on_comm_error(self, cb: Callable[[str, int, Any], None]) -> None:
         """Register ``cb(kind, tag, status)``, invoked when a device transfer
@@ -181,12 +173,6 @@ class Charm:
         for cid in ids:
             self._chare_coll[cid] = coll
 
-    def create_group(self, cls, *args, **kwargs) -> GroupProxy:
-        """Create a chare group: one element per PE (element i on PE i)."""
-        ids = [self._register(cls, pe, pe, args, kwargs) for pe in range(self.n_pes)]
-        self._register_collection(ids)
-        return GroupProxy(self, ids)
-
     def create_array(
         self,
         cls,
@@ -198,8 +184,9 @@ class Charm:
         """Create a 1-D chare array of ``n`` elements.
 
         ``mapping(i) -> pe`` defaults to round-robin; with n == n_pes that is
-        the paper's no-overdecomposition configuration, with n > n_pes it is
-        overdecomposition (the §VI future-work ablation)."""
+        the paper's no-overdecomposition configuration (element i on PE i,
+        what a Charm++ group is), with n > n_pes it is overdecomposition (the
+        §VI future-work ablation)."""
         mapfn = mapping if mapping is not None else (lambda i: i % self.n_pes)
         ids = [self._register(cls, mapfn(i), i, args, kwargs) for i in range(n)]
         self._register_collection(ids)

@@ -2,8 +2,8 @@
 
 ``proxy.method(args...)`` sends an asynchronous entry-method invocation to
 the chare the proxy names; nothing is returned (message-driven execution).
-Group and array proxies support element indexing (``group[3].foo()``) and
-broadcast (``group.foo()`` with no index selects every element).
+Array proxies support element indexing (``array[3].foo()``) and broadcast
+(``array.foo()`` with no index selects every element).
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class ChareProxy:
 
 
 class _CollectionInvoker:
-    """Broadcast invoker for group/array proxies."""
+    """Broadcast invoker of an array proxy."""
 
     __slots__ = ("_coll", "_method")
 
-    def __init__(self, coll: "_CollectionProxy", method: str) -> None:
+    def __init__(self, coll: "ArrayProxy", method: str) -> None:
         self._coll = coll
         self._method = method
 
@@ -66,8 +66,8 @@ class _CollectionInvoker:
             self._coll._charm.invoke(cid, self._method, args)
 
 
-class _CollectionProxy:
-    """Common behaviour of group and array proxies."""
+class ArrayProxy:
+    """A 1-D chare array with an arbitrary element->PE mapping."""
 
     def __init__(self, charm: "Charm", element_ids: List[int]) -> None:
         self._charm = charm
@@ -83,11 +83,3 @@ class _CollectionProxy:
         if name.startswith("_"):
             raise AttributeError(name)
         return _CollectionInvoker(self, name)
-
-
-class GroupProxy(_CollectionProxy):
-    """One element per PE; ``group[pe]`` addresses the element on ``pe``."""
-
-
-class ArrayProxy(_CollectionProxy):
-    """A 1-D chare array with an arbitrary element->PE mapping."""

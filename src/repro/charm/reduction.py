@@ -1,18 +1,21 @@
 """Tree reductions over chare collections.
 
-Elements of a group/array call ``charm.reductions.contribute(self, value,
+Elements of a chare array call ``charm.reductions.contribute(self, value,
 op, callback)``; partial results combine locally on each PE, flow up a
 4-ary tree over the PEs hosting elements, and the root delivers the final
 value through the :class:`CkCallback`.  Rounds are matched by per-element
 sequence numbers, so back-to-back reductions (one per Jacobi iteration,
-say) pipeline safely.
+say) pipeline safely.  The Jacobi3D convergence check runs on it (the
+``jacobi_converge_charm_2n`` baseline entry).
+
+The operator type loads with the first contribution: a run that reduces
+nothing imports nothing of :mod:`repro.collectives`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.collectives.ops import ReduceOp
 from repro.converse.message import CmiMessage
 from repro.hardware.memory import is_ndarray
 
@@ -28,10 +31,10 @@ def _value_bytes(value: Any) -> int:
 class _RedState:
     __slots__ = ("remaining", "acc", "op", "callback")
 
-    def __init__(self, remaining: int, op: ReduceOp) -> None:
+    def __init__(self, remaining: int) -> None:
         self.remaining = remaining
         self.acc: Any = None
-        self.op = op
+        self.op = None  # set by the contribution or partial that makes it
         self.callback = None
 
     def merge(self, value: Any) -> None:
@@ -79,19 +82,21 @@ class ReductionManager:
         if key not in self._states:
             pe_list, counts = self._layout(coll)
             expected = counts.get(pe, 0) + self._children_count(pe_list, pe)
-            self._states[key] = _RedState(expected, op=ReduceOp.SUM)
+            self._states[key] = _RedState(expected)
         return self._states[key]
 
     # -- API --------------------------------------------------------------------
-    def contribute(self, chare, value: Any, op=ReduceOp.SUM, callback=None) -> None:
+    def contribute(self, chare, value: Any, op="sum", callback=None) -> None:
         """Contribute ``value`` to the current reduction round of the
         collection ``chare`` belongs to.  ``op`` is a
         :class:`~repro.collectives.ops.ReduceOp` or its string name."""
+        from repro.collectives.ops import ReduceOp
+
         op = ReduceOp.of(op)
         cid = chare.thisProxy.chare_id
         coll = self.charm._chare_coll.get(cid)
         if coll is None:
-            raise RuntimeError("contribute() requires a group/array element")
+            raise RuntimeError("contribute() requires a chare array element")
         rnd = getattr(chare, "_red_round", 0)
         chare._red_round = rnd + 1
         pe = self.charm.chare_pe[cid]

@@ -17,7 +17,6 @@ from repro.charm4py.channels import Channel, _Endpoint, _Packet
 from repro.charm4py.chare import PyChare
 from repro.charm4py.cython_layer import CythonLayer
 from repro.charm4py.futures import Future
-from repro.collectives.ops import ReduceOp
 from repro.config import MachineConfig
 from repro.core.device_buffer import DeviceRdmaOp, DeviceRecvType
 from repro.obs.stages import C4P_RECV, METADATA_ARRIVED
@@ -100,32 +99,11 @@ class Charm4py:
     def channel(self, local_chare: PyChare, remote_proxy) -> Channel:
         return Channel(self, local_chare, remote_proxy)
 
-    # -- reductions -------------------------------------------------------------
-    @property
-    def reductions(self):
-        """The underlying Charm++ reduction manager (shared tree)."""
-        return self.charm.reductions
-
-    def contribute(self, chare, value: Any, op=ReduceOp.SUM, callback=None) -> None:
-        """Charm4py-side ``contribute``: pays the Python call and Cython
-        crossing before entering the C++ reduction tree (Fig. 9's stack);
-        ``op`` is a :class:`ReduceOp` or its string name."""
-        self.charm.charge_current_pe(
-            self.rt.py_call_overhead + self.rt.cython_crossing_overhead
-        )
-        self.charm.reductions.contribute(chare, value, op, callback)
-
     # -- chare creation ------------------------------------------------------------
-    def create_chare(self, cls, pe: int, *args, **kwargs) -> PyProxy:
-        return PyProxy(self, self.charm.create_chare(cls, pe, *args, **kwargs))
-
     def create_array(self, cls, n: int, *args, mapping=None, **kwargs):
         return _PyCollection(
             self, self.charm.create_array(cls, n, *args, mapping=mapping, **kwargs)
         )
-
-    def create_group(self, cls, *args, **kwargs):
-        return _PyCollection(self, self.charm.create_group(cls, *args, **kwargs))
 
     # -- channel plumbing -------------------------------------------------------------
     def _endpoint(self, key: Tuple[int, int], owner_id: int) -> _Endpoint:
@@ -206,7 +184,7 @@ class Charm4py:
 
 
 class _PyCollection:
-    """Array/group proxy with Python-cost invokers and indexing."""
+    """Array proxy with Python-cost invokers and indexing."""
 
     def __init__(self, c4p: Charm4py, inner) -> None:
         self._c4p = c4p

@@ -18,19 +18,20 @@ Layout:
   holds the ``hierarchical_enabled`` ablation switch);
 * :mod:`~repro.collectives.engine` — the execution context, tag
   namespacing and the ``allreduce_device`` entry point, which runs on the
-  calling rank (any :class:`~repro.mpi.MpiRank`: its ``coll_send``/
+  calling :class:`~repro.ampi.mpi.AmpiRank` (its ``coll_send``/
   ``coll_recv``, ``node_of`` and ``software_overhead``);
-* :mod:`~repro.collectives.value` — the host-value collectives
-  (barrier/bcast/.../alltoall) shared by AMPI world and sub-communicators.
+* :mod:`~repro.collectives.value` — the host-value ``allreduce`` (a
+  binomial reduce and bcast) and ``gather`` of an AMPI rank.
 
 Applications use the communicator-method API (``mpi.allreduce_device(buf,
 nbytes, op=ReduceOp.SUM, algorithm=...)``) rather than calling this package
 directly.
 
-Importing the package loads nothing: a session imports :mod:`.ops` (the
-``ReduceOp`` its models name in signatures) and the rest loads with the
-first collective call.  The rank classes reach the engine and the value
-collectives as ``collectives.engine`` / ``collectives.value``, and the
+Importing the package loads nothing: an AMPI, Charm++ or Charm4py session
+imports :mod:`.ops` (the ``ReduceOp`` its models name in signatures), an
+OpenMPI session nothing of it, and the rest loads with the first collective
+call.  ``AmpiRank`` reaches the engine and the value collectives as
+``collectives.engine`` / ``collectives.value``, and the
 public names below resolve on first access (PEP 562).  A public name loads
 the engine first, and the engine imports :mod:`.algorithms` and then
 :mod:`.hierarchy`, which fill the selection registry in that order.
@@ -54,7 +55,7 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    if name in ("engine", "value"):  # what the rank classes reach as attributes
+    if name in ("engine", "value"):  # what AmpiRank reaches as attributes
         return importlib.import_module(f"{__name__}.{name}")
     module = _EXPORTS.get(name)
     if module is None:

@@ -6,17 +6,17 @@ kernel, and per-operation observability spans.  ``sub()`` derives the
 remapped context a hierarchical phase runs in.
 
 Wire-tag namespacing (the fix for the old fixed ``0x10_0000``-style bases):
-every invocation draws a sequence number from its communicator's counter,
+every invocation draws a sequence number from its rank's counter,
 and each tag packs ``(seq, phase, step)``::
 
     | seq (11 bits) | phase (3 bits) | step (17 bits) |   < 2**31
 
 Steps are fixed by the algorithm's schedule (round index), so all ranks of
 an invocation agree on tags without coordination, and overlapping
-collectives of any type on one communicator can never alias each other.
+collectives of any type on one rank can never alias each other.
 
 ``allreduce_device`` takes the calling rank, an
-:class:`~repro.mpi.MpiRank` of any model.  When called it draws the
+:class:`~repro.ampi.mpi.AmpiRank`.  When called it draws the
 sequence number and validates its arguments; the generator it returns
 resolves the algorithm through :mod:`~repro.collectives.selection` and
 wraps the run in a ``coll`` root span plus ``coll.allreduce.{algorithm}``
@@ -41,9 +41,9 @@ __all__ = ["CollContext", "allreduce_device", "tag_base"]
 
 STEP_BITS = 17
 PHASE_BITS = 3
-_SEQ_MASK = 0x7FF  # 11 bits of sequence keep tags under 2**31 (OpenMPI's
-# user-tag field is 32 bits); 2048 in-flight collectives per communicator
-# is far beyond any overlap the runtime can produce
+_SEQ_MASK = 0x7FF  # 11 bits of sequence keep tags under 2**31; 2048
+# in-flight collectives per rank is far beyond any overlap the runtime can
+# produce
 
 
 def tag_base(seq: int, phase: int = 0) -> int:
@@ -54,9 +54,9 @@ def tag_base(seq: int, phase: int = 0) -> int:
 class CollContext:
     """One rank's view of one collective invocation (or one phase of it).
 
-    ``comm`` is the calling rank: the context reads its identity, GPU and
-    machine through the :class:`~repro.mpi.MpiRank` surface, and moves
-    data on the rank's collective wire context (``coll_send``/``coll_recv``)."""
+    ``comm`` is the calling AMPI rank: the context reads its identity, GPU
+    and machine through the rank surface, and moves data on the rank's
+    collective wire context (``coll_send``/``coll_recv``)."""
 
     def __init__(
         self,
@@ -71,7 +71,7 @@ class CollContext:
         self.comm = comm
         self.seq = seq
         self.algorithm = algorithm
-        self._members = members  # comm-local ranks, None = whole communicator
+        self._members = members  # world ranks, None = every rank
         self.rank = comm.rank if members is None else members.index(comm.rank)
         self.size = comm.size if members is None else len(members)
         self.kind = kind  # None = classify per peer; fixed in sub-phases
@@ -82,7 +82,7 @@ class CollContext:
 
     # -- rank/topology ----------------------------------------------------------
     def _global(self, r: int) -> int:
-        """Context-local rank -> communicator-local rank."""
+        """Context-local rank -> world rank."""
         return r if self._members is None else self._members[r]
 
     def node_of(self, r: int) -> int:

@@ -46,9 +46,8 @@ class CollectiveCostModel:
       when ``concurrency`` ranks of one node cross at once they share the
       node's ``nic_rails`` rails and serialise in waves.
 
-    ``overhead`` is the calling library's per-message software cost (send +
-    recv side), supplied by the endpoint so AMPI and OpenMPI rank their
-    algorithms against their own envelope/posting costs.
+    ``overhead`` is the calling rank's per-message software cost (send +
+    recv side): AMPI's envelope and callback costs.
     """
 
     __slots__ = (

@@ -231,10 +231,6 @@ class IndexedMatchQueue:
         scanned = self._fen.rank(slot)
         return self._kill(slot), scanned
 
-    def peek(self, key: Any, pred: Callable[[Any], bool]) -> Optional[Any]:
-        slot = self._find(key, pred)
-        return None if slot is None else self._slots[slot]
-
     def remove_first(self, pred: Callable[[Any], bool]) -> Optional[Any]:
         for slot, item in enumerate(self._slots):
             if item is not None and pred(item):

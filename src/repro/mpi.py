@@ -6,16 +6,16 @@ envelope plus a metadata-gated post, or a tagged receive posted directly.
 What every MPI rank offers around its library's ``send``/``recv`` is
 written here once, outside both model packages, so a session of one MPI
 library imports nothing of the other: the status and error types, the
-request handle, :class:`MpiRank` and :class:`MpiJob`.
+request handle, :class:`MpiRank` and :class:`MpiJob`.  It imports nothing of
+:mod:`repro.collectives` either: the device allreduce is AMPI's
+(:class:`repro.ampi.mpi.AmpiRank`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
-import repro.collectives as _coll
-from repro.collectives.ops import ReduceOp
 from repro.hardware.memory import Buffer, OutOfMemory
 from repro.sim.primitives import AllOf, SimEvent
 from repro.sim.process import Process
@@ -74,24 +74,11 @@ class MpiRank:
     """What every MPI rank offers around its library's ``send``/``recv``.
 
     A rank class supplies the difference between the two libraries —
-    ``send`` and ``recv``, plus ``coll_send``/``coll_recv``: the same over
-    the communicator's collective wire context, which value and device
-    collectives share — and its identity: ``rank``, ``size``, ``sim``,
-    ``gpu``, ``node``, ``charm`` (whose ``.cuda`` and ``.machine`` rank
-    programs use), ``node_of(r)`` and ``software_overhead`` (the
-    per-message cost the collective cost model charges).  The rest is
-    written here once; the ``*_device`` collectives run on the calling rank
-    itself and are used with ``yield from``."""
+    ``send`` and ``recv`` — and its identity: ``rank``, ``size``, ``sim``,
+    ``gpu``, ``node`` and ``charm`` (whose ``.cuda`` and ``.machine`` rank
+    programs use).  The rest is written here once."""
 
-    _coll_seq = 0
     _cpu_free = 0.0  # when this rank's core finishes its queued call costs
-
-    def _next_coll_seq(self) -> int:
-        """Per-communicator invocation number; it namespaces a collective's
-        wire tags, so overlapping collectives can never alias."""
-        s = self._coll_seq
-        self._coll_seq = s + 1
-        return s
 
     def _cpu_delay(self, cost: float) -> float:
         """Serialise the CPU cost of a non-blocking call: back-to-back
@@ -126,31 +113,8 @@ class MpiRank:
     ) -> MpiRequest:
         return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
 
-    def sendrecv(
-        self,
-        sendbuf: Buffer,
-        send_bytes: int,
-        dst: int,
-        recvbuf: Buffer,
-        recv_capacity: int,
-        src: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> SimEvent:
-        """``MPI_Sendrecv``: both directions in flight (the receive posted
-        first), completes when both do."""
-        r = self.recv(recvbuf, recv_capacity, src, recvtag)
-        s = self.send(sendbuf, send_bytes, dst, sendtag)
-        return AllOf(self.sim, [s, r])
-
     def waitall(self, requests: List[MpiRequest]) -> SimEvent:
         return waitall(self.sim, requests)
-
-    # -- device-buffer allreduce (topology-aware algorithm selection) ---------------
-    # ``_coll.engine`` loads with the first collective call (repro.collectives)
-    def allreduce_device(self, buf: Buffer, nbytes: int, op=ReduceOp.SUM, *,
-                         algorithm: Optional[str] = None):
-        return _coll.engine.allreduce_device(self, buf, nbytes, op, algorithm)
 
 
 class MpiJob:

@@ -83,6 +83,15 @@ _BW_MR_SIZE = 4 * MB
 _BW_MR_LOOPS = 2
 _BW_MR_WINDOW = 16
 
+#: Shape of the convergence point (the ``jacobi_converge_charm_2n`` entry):
+#: a functional Charm++ Jacobi3D whose max-residual check — a Charm++
+#: reduction to element 0 and a broadcast back — stops it at iteration 20,
+#: before the cap.
+_CONVERGE_DOMAIN = (24, 24, 24)
+_CONVERGE_CAP = 100
+_CONVERGE_INTERVAL = 4
+_CONVERGE_TOLERANCE = 0.05
+
 #: Seeded, so faulty runs fingerprint just as stably as clean ones —
 #: retransmit/drop counters included.
 _LOSSY = FaultPlan.lossy(drop_p=0.08, seed=1234)
@@ -123,6 +132,22 @@ def _jacobi(cfg: MachineConfig, *, model: str, nodes: int, scaling: str):
                         session=sess)
     return sess, {"iter_time_us": result.iter_time * 1e6,
                   "comm_time_us": result.comm_time * 1e6}
+
+
+def _converge(cfg: MachineConfig):
+    import repro.api as api
+    from repro.apps.jacobi3d.charm_impl import run_charm_jacobi
+    from repro.apps.jacobi3d.decomposition import Decomposition
+
+    cfg = cfg.override({"flight": True})
+    sess = api.session(cfg).model("charm").build()
+    decomp = Decomposition.create(_CONVERGE_DOMAIN, cfg.topology.total_gpus)
+    collector = run_charm_jacobi(
+        sess, decomp, gpu_aware=True, iters=_CONVERGE_CAP, warmup=0,
+        functional=True, check_interval=_CONVERGE_INTERVAL,
+        tolerance=_CONVERGE_TOLERANCE)
+    return sess, {"iterations": len(collector.timings[0].iter_times),
+                  "iteration_cap": _CONVERGE_CAP}
 
 
 def _allreduce(cfg: MachineConfig, *, hierarchical: bool):
@@ -278,6 +303,9 @@ WORKLOADS: Dict[str, Callable[[MachineConfig], Dict]] = {
         ladder=(4, 64, 256) if scaling == "weak" else (8, 64, 256))
        for model in ("charm", "ampi", "charm4py")
        for scaling in ("weak", "strong")},
+    # The convergence check the paper's fixed-iteration runs leave out: the
+    # Charm++ reduction and callback a production Jacobi3D stops on.
+    "jacobi_converge_charm_2n": _point(_converge),
     # Device-collective fingerprints: one 64-rank 1 MB allreduce across 11
     # nodes, flat (hierarchical disabled, auto-selected flat algorithm) vs
     # hierarchical (two-level NVLink/IB decomposition); the hierarchical

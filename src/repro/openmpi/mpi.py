@@ -9,17 +9,15 @@ tag — the standard trick of UCX-based MPI implementations::
 posted to UCX immediately — the structural advantage over AMPI's
 metadata-message design that the paper quantifies at ~8 μs per message.
 
-That wire protocol (``send``/``recv``, their collective-context twins
-``coll_send``/``coll_recv``, and ``barrier`` below) is all this module
-adds: the rest of the rank surface is :class:`repro.mpi.MpiRank`'s,
-shared with AMPI.
+That wire protocol (``send``/``recv`` below) is all this module adds: the
+rest of the rank surface is :class:`repro.mpi.MpiRank`'s, shared with AMPI.
+An OpenMPI session imports nothing of :mod:`repro.collectives`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
-import repro.collectives as _coll
 from repro.config import MachineConfig
 from repro.hardware.memory import Buffer
 from repro.hardware.topology import Machine
@@ -42,16 +40,16 @@ _SRC_SHIFT = 32
 _SRC_BITS = 24
 _TAG_BITS = 32
 _FULL = (1 << 64) - 1
-#: UCP tag context of collective traffic, disjoint from user pt2pt (ctx 1)
-_COLL_CTX = 2
+#: the ctx field of every message: the world communicator's
+_WORLD_CTX = 1
 
 
-def encode_mpi_tag(src: int, tag: int, ctx: int = 1) -> int:
+def encode_mpi_tag(src: int, tag: int) -> int:
     if not 0 <= src < (1 << _SRC_BITS):
         raise ValueError(f"source rank {src} out of range")
     if not 0 <= tag < (1 << _TAG_BITS):
         raise ValueError(f"tag {tag} out of range")
-    return (ctx << _CTX_SHIFT) | (src << _SRC_SHIFT) | tag
+    return (_WORLD_CTX << _CTX_SHIFT) | (src << _SRC_SHIFT) | tag
 
 
 def decode_mpi_tag(ucp_tag: int) -> tuple[int, int]:
@@ -91,22 +89,13 @@ class OmpiRank(MpiRank):
     def charm(self):  # API compatibility shim: exposes .cuda and .machine
         return self.lib
 
-    @property
-    def software_overhead(self) -> float:
-        rt = self.lib.rt
-        return rt.ompi_send_overhead + rt.ompi_recv_overhead
-
-    def node_of(self, rank: int) -> int:
-        return self.lib.machine.node_of_gpu(rank)
-
     # -- point-to-point ------------------------------------------------------------
-    def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0, *,
-             _ctx: int = 1) -> SimEvent:
+    def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         if not 0 <= dst < self.lib.n_ranks:
             raise ValueError(f"destination rank {dst} out of range")
         ev = _Request(self.sim, name="ompi.send")
         ev.rank, ev.peer = self, dst
-        ucp_tag = encode_mpi_tag(self.rank, tag, _ctx)
+        ucp_tag = encode_mpi_tag(self.rank, tag)
         ev.span = self.lib.machine.tracer.stage(
             OMPI_SEND, cost=self.lib.rt.ompi_send_overhead,
             attrs=(self.rank, dst, tag, nbytes),
@@ -121,15 +110,14 @@ class OmpiRank(MpiRank):
             self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=ev.sent)
 
     def recv(
-        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-        *, _ctx: int = 1,
+        self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> SimEvent:
         if src != ANY_SOURCE and not 0 <= src < self.lib.n_ranks:
             raise ValueError(f"source rank {src} out of range")
         ev = _Request(self.sim, name="ompi.recv")
         ev.rank = self
         want = encode_mpi_tag(
-            0 if src == ANY_SOURCE else src, 0 if tag == ANY_TAG else tag, _ctx
+            0 if src == ANY_SOURCE else src, 0 if tag == ANY_TAG else tag
         )
         mask = match_mask(src, tag)  # ctx bits are always matched
         ev.span = self.lib.machine.tracer.stage(
@@ -144,35 +132,6 @@ class OmpiRank(MpiRank):
                    ev: "_Request") -> None:
         with self.lib.machine.tracer.under(ev.span):
             self.worker.tag_recv_nb(buf, capacity, want, mask, cb=ev.received)
-
-    def coll_send(self, buf: Buffer, nbytes: int, dst: int, tag: int) -> SimEvent:
-        return self.send(buf, nbytes, dst, tag, _ctx=_COLL_CTX)
-
-    def coll_recv(self, buf: Buffer, capacity: int, src: int, tag: int) -> SimEvent:
-        return self.recv(buf, capacity, src, tag, _ctx=_COLL_CTX)
-
-    # -- collectives (use with ``yield from``) -----------------------------------------
-    def barrier(self):
-        """Dissemination barrier over 1-byte host messages, in the
-        collective tag context and namespaced by the invocation's sequence
-        number (overlapping barriers can never alias)."""
-        base = _coll.engine.tag_base(self._next_coll_seq())
-        p = self.size
-        if p == 1:
-            return
-        token = self.lib.machine.alloc_host(self.node, 1)
-        sink = self.lib.machine.alloc_host(self.node, 1)
-        k = 1
-        round_no = 0
-        while k < p:
-            dst = (self.rank + k) % p
-            src = (self.rank - k) % p
-            tag = base + round_no
-            send = self.coll_send(token, 1, dst, tag)
-            yield self.coll_recv(sink, 1, src, tag)
-            yield send
-            k <<= 1
-            round_no += 1
 
 
 class _Request(SimEvent):
@@ -230,6 +189,3 @@ class OpenMpi(MpiJob):
         if self.n_ranks > total:
             raise ValueError("one process per GPU: too many ranks")
         self.ranks = [OmpiRank(self, r) for r in range(self.n_ranks)]
-
-    def run_until(self, event: SimEvent, max_events: Optional[int] = None) -> Any:
-        return self.machine.sim.run_until_complete(event, max_events=max_events)

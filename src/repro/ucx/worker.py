@@ -232,15 +232,6 @@ class UcpWorker:
         self.posted.append(posted, key=lookup)
         return req
 
-    def tag_probe_nb(self, tag: int, mask: int = TAG_MASK_FULL):
-        """``ucp_tag_probe_nb``: peek the unexpected queue for a matching
-        message without consuming it.  Returns ``(tag, size)`` or ``None``."""
-        lookup = (tag & TAG_MASK_FULL) if mask == TAG_MASK_FULL else None
-        msg = self.unexpected.peek(
-            lookup, lambda m: (m.tag & mask) == (tag & mask)
-        )
-        return None if msg is None else (msg.tag, msg.size)
-
     def cancel(self, req: UcxRequest) -> bool:
         """``ucp_request_cancel``.
 

@@ -46,12 +46,6 @@ class LinearMatchQueue:
                 return item, i + 1
         return None, len(items)
 
-    def peek(self, key: Any, pred: Callable[[Any], bool]) -> Optional[Any]:
-        for item in self._items:
-            if pred(item):
-                return item
-        return None
-
     def remove_first(self, pred: Callable[[Any], bool]) -> Optional[Any]:
         """Remove and return the first entry satisfying ``pred`` (identity
         scans — e.g. cancellation); no modeled cost is attached."""

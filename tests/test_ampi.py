@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.ampi import ANY_SOURCE, ANY_TAG, Ampi
 from repro.ampi.mpi import MAX_USER_TAG, MpiTruncationError
 from repro.charm import Charm
@@ -145,22 +146,6 @@ class TestBasicPt2Pt:
         run_ranks(program)
         assert out["truncated"]
 
-    def test_sendrecv(self):
-        out = {}
-
-        def program(mpi):
-            if mpi.rank > 1:
-                return
-            other = 1 - mpi.rank
-            sb = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            rb = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            sb.data[:] = mpi.rank + 1
-            yield mpi.sendrecv(sb, 8, other, rb, 8, other)
-            out[mpi.rank] = int(rb.data[0])
-
-        run_ranks(program)
-        assert out == {0: 2, 1: 1}
-
     def test_isend_irecv_waitall(self):
         out = {}
 
@@ -282,9 +267,9 @@ class TestVirtualization:
 
 
 def _ring_program(comm, out):
-    """A ring exchange through the whole shared rank surface: device buffers
-    from ``alloc_device`` over ``isend``/``irecv``/``waitall``, host buffers
-    over ``sendrecv``, identity from ``sim``/``charm``/``gpu``/``node``."""
+    """A ring exchange through the whole shared rank surface: device and
+    host buffers over ``isend``/``irecv``/``waitall``, device ones from
+    ``alloc_device``, identity from ``sim``/``charm``/``gpu``/``node``."""
     n = 64
     right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     t0 = comm.sim.now
@@ -294,7 +279,8 @@ def _ring_program(comm, out):
     h_send.data[:] = 100 + comm.rank
     yield comm.waitall([comm.irecv(d_recv, n, src=left, tag=1),
                         comm.isend(d_send, n, dst=right, tag=1)])
-    yield comm.sendrecv(h_send, n, left, h_recv, n, right, sendtag=2, recvtag=2)
+    yield comm.waitall([comm.irecv(h_recv, n, src=right, tag=2),
+                        comm.isend(h_send, n, dst=left, tag=2)])
     for buf in (d_send, d_recv):
         comm.free_device(buf)
     out[comm.rank] = (int(d_recv.data[0]), int(h_recv.data[0]),
@@ -302,9 +288,8 @@ def _ring_program(comm, out):
 
 
 class TestRankSurface:
-    """AMPI's world rank, an AMPI sub-communicator and an OpenMPI rank offer
-    one surface around their wire protocols: a rank program written against
-    it runs unchanged on all three."""
+    """An AMPI rank and an OpenMPI rank offer one surface around their wire
+    protocols: a rank program written against it runs unchanged on both."""
 
     @staticmethod
     def _expected(size):
@@ -315,127 +300,34 @@ class TestRankSurface:
         _charm, ampi = run_ranks(lambda mpi: _ring_program(mpi, out), nodes=1)
         assert out == self._expected(ampi.n_ranks)
 
-    def test_ampi_comm_split(self):
-        outs = {0: {}, 1: {}}
-
-        def program(mpi):
-            sub = yield from mpi.comm_split(mpi.rank % 2)
-            yield from _ring_program(sub, outs[mpi.rank % 2])
-
-        run_ranks(program, nodes=1)  # 6 ranks: two sub-communicators of 3
-        assert outs == {0: self._expected(3), 1: self._expected(3)}
-
     def test_openmpi(self):
-        from repro.openmpi import OpenMpi
-
-        lib = OpenMpi(MachineConfig.summit(nodes=1))
+        sess = api.session(MachineConfig.summit(nodes=1)).model("openmpi").build()
         out = {}
-        lib.run_until(lib.launch(lambda mpi: _ring_program(mpi, out)),
-                      max_events=5_000_000)
-        assert out == self._expected(lib.n_ranks)
+        sess.run_until(sess.launch(lambda mpi: _ring_program(mpi, out)),
+                       max_events=5_000_000)
+        assert out == self._expected(sess.lib.n_ranks)
 
 
-@pytest.mark.parametrize("on_sub", [False, True], ids=["world", "comm_view"])
 @pytest.mark.parametrize("tag", [-5, MAX_USER_TAG, MAX_USER_TAG - 1],
                          ids=["negative", "max", "max_minus_1"])
-def test_user_tag_range_is_checked_on_every_communicator(on_sub, tag):
-    """A user ``send`` takes a tag in ``[0, MAX_USER_TAG)`` on the world
-    rank and on a sub-communicator alike."""
+def test_user_tag_range_is_checked(tag):
+    """A user ``send`` takes a tag in ``[0, MAX_USER_TAG)``."""
     accepted = tag == MAX_USER_TAG - 1
     out = {}
 
     def program(mpi):
-        comm = (yield from mpi.comm_split(0)) if on_sub else mpi
         buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
-        if comm.rank == 0:
+        if mpi.rank == 0:
             if accepted:
-                yield comm.send(buf, 8, 1, tag)
+                yield mpi.send(buf, 8, 1, tag)
             else:
                 with pytest.raises(ValueError):
-                    comm.send(buf, 8, 1, tag)
+                    mpi.send(buf, 8, 1, tag)
                 out["rejected"] = True
-        elif comm.rank == 1 and accepted:
-            status = yield comm.recv(buf, 8, src=0, tag=tag)
+        elif mpi.rank == 1 and accepted:
+            status = yield mpi.recv(buf, 8, src=0, tag=tag)
             out["tag"] = status.tag
 
     run_ranks(program, nodes=1)
     assert out == ({"tag": tag} if accepted else {"rejected": True})
 
-
-class TestIprobeAndCommSplit:
-    def test_iprobe(self):
-        out = {}
-
-        def program(mpi):
-            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            if mpi.rank == 0:
-                yield mpi.send(buf, 8, dst=1, tag=42)
-            elif mpi.rank == 1:
-                from repro.sim.primitives import Timeout
-
-                yield Timeout(mpi.sim, 1e-3)  # let the envelope arrive
-                flag, st = mpi.iprobe(src=0, tag=42)
-                out["flag"] = flag
-                out["tag"] = st.tag if st else None
-                out["miss"] = mpi.iprobe(src=0, tag=7)[0]
-                yield mpi.recv(buf, 8, src=0, tag=42)
-
-        charm = Charm(MachineConfig.summit(nodes=1))
-        ampi = Ampi(charm)
-        charm.run_until(ampi.launch(program), max_events=5_000_000)
-        assert out == {"flag": True, "tag": 42, "miss": False}
-
-    def test_comm_split_even_odd(self):
-        out = {}
-
-        def program(mpi):
-            sub = yield from mpi.comm_split(color=mpi.rank % 2)
-            out[mpi.rank] = (sub.rank, sub.size)
-            # ring exchange inside the sub-communicator
-            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            buf.data[:] = mpi.rank
-            right = (sub.rank + 1) % sub.size
-            left = (sub.rank - 1) % sub.size
-            send = sub.isend(buf, 8, dst=right, tag=1)
-            rbuf = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            st = yield sub.recv(rbuf, 8, src=left, tag=1)
-            yield send.event
-            # the world rank we heard from has the same parity
-            assert int(rbuf.data[0]) % 2 == mpi.rank % 2
-
-        charm = Charm(MachineConfig.summit(nodes=2))
-        ampi = Ampi(charm)
-        charm.run_until(ampi.launch(program), max_events=20_000_000)
-        evens = [r for r in out if r % 2 == 0]
-        assert all(out[r][1] == len(evens) for r in evens)
-        # local ranks are ordered by world rank
-        assert out[0][0] == 0 and out[2][0] == 1
-
-    def test_comm_split_traffic_isolated(self):
-        """Same tag on world and sub-communicator must not cross-match."""
-        out = {}
-
-        def program(mpi):
-            if mpi.rank > 1:
-                yield from mpi.comm_split(color=1)
-                return
-            sub = yield from mpi.comm_split(color=0)
-            buf = mpi.charm.cuda.malloc_host(mpi.node, 8)
-            if mpi.rank == 0:
-                buf.data[:] = 1
-                yield mpi.send(buf, 8, dst=1, tag=7)  # world
-                buf2 = mpi.charm.cuda.malloc_host(mpi.node, 8)
-                buf2.data[:] = 2
-                yield sub.send(buf2, 8, dst=1, tag=7)  # sub-comm
-            else:
-                world = mpi.charm.cuda.malloc_host(mpi.node, 8)
-                subb = mpi.charm.cuda.malloc_host(mpi.node, 8)
-                yield sub.recv(subb, 8, src=0, tag=7)
-                yield mpi.recv(world, 8, src=0, tag=7)
-                out["sub"] = int(subb.data[0])
-                out["world"] = int(world.data[0])
-
-        charm = Charm(MachineConfig.summit(nodes=1))
-        ampi = Ampi(charm)
-        charm.run_until(ampi.launch(program), max_events=20_000_000)
-        assert out == {"sub": 2, "world": 1}

@@ -1,10 +1,15 @@
-"""Tests for the collectives built on point-to-point."""
+"""Tests for the collectives built on point-to-point.
+
+``bcast`` and ``reduce`` are the two halves of the value ``allreduce``; they
+are driven here directly, at every root.
+"""
 
 import numpy as np
 import pytest
 
 from repro.ampi import Ampi
 from repro.charm import Charm
+from repro.collectives import value
 from repro.config import MachineConfig
 
 
@@ -16,23 +21,6 @@ def run_collective(program, nodes=2):
     return ampi
 
 
-class TestBarrier:
-    def test_all_ranks_pass_together(self):
-        release_times = {}
-
-        def program(mpi):
-            from repro.sim.primitives import Timeout
-
-            # stagger arrivals; everyone leaves after the last arrival
-            yield Timeout(mpi.sim, mpi.rank * 1e-6)
-            yield from mpi.barrier()
-            release_times[mpi.rank] = mpi.sim.now
-
-        ampi = run_collective(program)
-        last_arrival = (ampi.n_ranks - 1) * 1e-6
-        assert all(t >= last_arrival for t in release_times.values())
-
-
 class TestBcast:
     @pytest.mark.parametrize("root", [0, 3, 11])
     def test_value_reaches_all(self, root):
@@ -40,7 +28,7 @@ class TestBcast:
 
         def program(mpi):
             v = "payload" if mpi.rank == root else None
-            v = yield from mpi.bcast(v, root=root)
+            v = yield from value.bcast(mpi, v, root=root)
             got[mpi.rank] = v
 
         ampi = run_collective(program)
@@ -57,7 +45,7 @@ class TestReduce:
         got = {}
 
         def program(mpi):
-            v = yield from mpi.reduce(mpi.rank, op, root=0)
+            v = yield from value.reduce(mpi, mpi.rank, op, root=0)
             got[mpi.rank] = v
 
         run_collective(program)
@@ -68,7 +56,7 @@ class TestReduce:
         got = {}
 
         def program(mpi):
-            v = yield from mpi.reduce(1, "sum", root=5)
+            v = yield from value.reduce(mpi, 1, "sum", root=5)
             got[mpi.rank] = v
 
         ampi = run_collective(program)
@@ -78,8 +66,8 @@ class TestReduce:
         got = {}
 
         def program(mpi):
-            v = yield from mpi.reduce(np.full(3, float(mpi.rank)), "sum", root=0,
-                                      nbytes=24)
+            v = yield from value.reduce(mpi, np.full(3, float(mpi.rank)), "sum",
+                                        root=0, nbytes=24)
             got[mpi.rank] = v
 
         ampi = run_collective(program)
@@ -119,55 +107,6 @@ class TestGatherScatter:
         ampi = run_collective(program)
         assert got[2] == [r * 10 for r in range(ampi.n_ranks)]
         assert got[0] is None
-
-    def test_scatter(self):
-        got = {}
-
-        def program(mpi):
-            values = [f"v{r}" for r in range(mpi.size)] if mpi.rank == 1 else None
-            v = yield from mpi.scatter(values, root=1)
-            got[mpi.rank] = v
-
-        ampi = run_collective(program)
-        assert got == {r: f"v{r}" for r in range(ampi.n_ranks)}
-
-    def test_scatter_requires_full_list(self):
-        failures = {}
-
-        def program(mpi):
-            if mpi.rank == 0:
-                try:
-                    yield from mpi.scatter(["too", "short"], root=0)
-                except ValueError:
-                    failures["raised"] = True
-            return
-            yield  # pragma: no cover
-
-        run_collective(program)
-        assert failures["raised"]
-
-    def test_allgather_ring(self):
-        got = {}
-
-        def program(mpi):
-            v = yield from mpi.allgather(mpi.rank ** 2)
-            got[mpi.rank] = v
-
-        ampi = run_collective(program)
-        expect = [r ** 2 for r in range(ampi.n_ranks)]
-        assert all(v == expect for v in got.values())
-
-    def test_alltoall(self):
-        got = {}
-
-        def program(mpi):
-            values = [f"{mpi.rank}->{d}" for d in range(mpi.size)]
-            v = yield from mpi.alltoall(values)
-            got[mpi.rank] = v
-
-        ampi = run_collective(program)
-        for r, received in got.items():
-            assert received == [f"{s}->{r}" for s in range(ampi.n_ranks)]
 
 
 class TestDeviceCollectives:

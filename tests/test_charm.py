@@ -75,7 +75,7 @@ class TestChares:
 class TestGroupsArrays:
     def test_group_one_element_per_pe(self, charm):
         log = []
-        g = charm.create_group(Echo, log)
+        g = charm.create_array(Echo, charm.n_pes, log)
         assert len(g) == charm.n_pes
         for pe in range(charm.n_pes):
             assert charm.chares[g[pe].chare_id].pe == pe
@@ -92,7 +92,7 @@ class TestGroupsArrays:
 
     def test_broadcast_reaches_all(self, charm):
         log = []
-        g = charm.create_group(Echo, log)
+        g = charm.create_array(Echo, charm.n_pes, log)
         g.hit("bcast")
         charm.run()
         assert sorted(i for i, _v, _t in log) == list(range(charm.n_pes))
@@ -371,7 +371,7 @@ class TestProxyMechanics:
 
     def test_collection_len_and_indexing(self):
         charm = Charm(MachineConfig.summit(nodes=1))
-        g = charm.create_group(self.Probe, [])
+        g = charm.create_array(self.Probe, charm.n_pes, [])
         assert len(g) == charm.n_pes
         assert g[0].chare_id != g[1].chare_id
 

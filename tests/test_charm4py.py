@@ -13,6 +13,11 @@ def c4p():
     return Charm4py(MachineConfig.summit(nodes=2))
 
 
+def _chare(c4p, cls, pe, *args):
+    """One Charm4py chare on ``pe``: a one-element array mapped there."""
+    return c4p.create_array(cls, 1, *args, mapping=lambda _i: pe)[0]
+
+
 class Pair(PyChare):
     def __init__(self, out):
         self.out = out
@@ -134,7 +139,7 @@ class TestFutures:
                 out["time"] = self.c4p.sim.now
 
         fut = c4p.make_future()
-        p = c4p.create_chare(Waiter, 0, fut)
+        p = _chare(c4p, Waiter, 0, fut)
         p.wait()
         c4p.sim.schedule(5e-6, fut.send, 99)
         c4p.charm.run(max_events=200000)
@@ -183,8 +188,8 @@ class TestPythonCosts:
         def run_c4p():
             c4p = Charm4py(MachineConfig.summit(nodes=1))
             done = SimEvent(c4p.sim)
-            a = c4p.create_chare(PyBounce, 0, done)
-            b = c4p.create_chare(PyBounce, 1, done)
+            a = _chare(c4p, PyBounce, 0, done)
+            b = _chare(c4p, PyBounce, 1, done)
             a.hit(b)
             return c4p.run_until(done, max_events=100000)
 
@@ -227,8 +232,8 @@ class TestCharm4pyDeviceEntryParams:
                 peer.take(CkDeviceBuffer.wrap(self.buf))
 
         c4p = Charm4py(MachineConfig.summit(nodes=1))
-        s = c4p.create_chare(PySend, 0)
-        r = c4p.create_chare(PyRecv, 3)
+        s = _chare(c4p, PySend, 0)
+        r = _chare(c4p, PyRecv, 3)
         s.go(r)
         c4p.charm.run()
         assert got == {"bytes": 1 * KB, "ok": True}
@@ -261,7 +266,7 @@ class TestCharm4pyDeviceEntryParams:
 
             if py:
                 rt = Charm4py(MachineConfig.summit(nodes=1))
-                s, r = rt.create_chare(S, 0), rt.create_chare(R, 1)
+                s, r = _chare(rt, S, 0), _chare(rt, R, 1)
                 charm = rt.charm
             else:
                 charm = Charm(MachineConfig.summit(nodes=1))

@@ -18,7 +18,7 @@ class TestPyCollections:
     def test_group_broadcast_with_python_costs(self):
         c4p = Charm4py(MachineConfig.summit(nodes=1))
         hits = []
-        g = c4p.create_group(Counter, hits)
+        g = c4p.create_array(Counter, c4p.charm.n_pes, hits)
         g.bump(3)  # broadcast through the Python proxy
         c4p.charm.run()
         assert sorted(i for i, _a in hits) == list(range(c4p.charm.n_pes))

@@ -2,10 +2,10 @@
 
 Covers the :class:`ReduceOp` enum shared by every reduction surface, the
 removal of the old free-function shim module (a clean ImportError with a
-pointer to the communicator methods), the per-communicator sequence-number
-tag namespacing (the fix for overlapping collectives aliasing and for
-device collectives leaking into user tag space), and the session facade's
-collective knobs/summary.
+pointer to the rank methods), the per-rank sequence-number tag namespacing
+(the fix for overlapping collectives aliasing and for device collectives
+leaking into user tag space), and the session facade's collective
+knobs/summary.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import pytest
 import repro.api as api
 from repro.ampi.mpi import Ampi
 from repro.charm import Charm, Chare, CkCallback
-from repro.charm4py.runtime import Charm4py
 from repro.collectives import ReduceOp
 from repro.config import MachineConfig
-from repro.openmpi import OpenMpi
 
 MAX_EVENTS = 20_000_000
 
@@ -64,26 +62,10 @@ class TestReduceOp:
         for op in ("sum", ReduceOp.SUM):
             results = []
             charm = Charm(MachineConfig.summit(nodes=1))
-            group = charm.create_group(Elem)
+            group = charm.create_array(Elem, charm.n_pes)
             group.go(op, CkCallback(fn=results.append))
             charm.run()
             assert results == [2.0 * charm.n_pes]
-
-    def test_charm4py_contribute_surface(self):
-        from repro.charm4py.chare import PyChare
-
-        results = []
-
-        class Elem(PyChare):
-            def go(self, cb):
-                self.c4p.contribute(self, 1.0, ReduceOp.SUM, cb)
-
-        c4p = Charm4py(MachineConfig.summit(nodes=1))
-        group = c4p.create_group(Elem)
-        group.go(CkCallback(fn=results.append))
-        c4p.charm.run()
-        assert results == [float(c4p.charm.n_pes)]
-        assert c4p.reductions is c4p.charm.reductions
 
 
 class TestShimModuleRemoved:
@@ -105,10 +87,11 @@ class TestShimModuleRemoved:
         def program(rank):
             buf = rank.charm.cuda.malloc(rank.gpu, 64)
             yield from rank.allreduce_device(buf, 64, "sum")
-            v = yield from rank.reduce(rank.rank, "max", 0)
+            v = yield from rank.allreduce(rank.rank, "max")
+            assert v == 3
+            v = yield from rank.gather(rank.rank, 0)
             if rank.rank == 0:
-                assert v == 3
-            yield from rank.barrier()
+                assert v == [0, 1, 2, 3]
 
         _time(program)
 
@@ -130,64 +113,46 @@ class TestTagNamespacing:
         assert out["first"] == [("a", r) for r in range(4)]
         assert out["second"] == [("b", r) for r in range(4)]
 
-    @pytest.mark.parametrize("kind", ["ampi_world", "comm_view", "openmpi"])
-    def test_device_collectives_do_not_leak_into_user_tag_space(self, kind):
+    def test_device_collectives_do_not_leak_into_user_tag_space(self):
         # the old device collectives ran on comm=0 with tags below
-        # MAX_USER_TAG; a wildcard user receive could swallow them.  Each
-        # rank kind sends them on its own collective wire context.
+        # MAX_USER_TAG; a wildcard user receive could swallow them.  They
+        # travel on the collective wire context instead.
         out = {}
 
-        def body(comm):
-            buf = comm.charm.cuda.malloc(comm.gpu, 256)
+        def program(rank):
+            buf = rank.charm.cuda.malloc(rank.gpu, 256)
             req = None
-            if comm.rank == 0:
-                user = comm.charm.cuda.malloc(comm.gpu, 256)
-                req = comm.irecv(user, 256)  # ANY_SOURCE, ANY_TAG
-            yield from comm.allreduce_device(buf, 256, op="sum")
-            if comm.rank == 1:
-                yield comm.send(buf, 256, 0, 42)
+            if rank.rank == 0:
+                user = rank.charm.cuda.malloc(rank.gpu, 256)
+                req = rank.irecv(user, 256)  # ANY_SOURCE, ANY_TAG
+            yield from rank.allreduce_device(buf, 256, op="sum")
+            if rank.rank == 1:
+                yield rank.send(buf, 256, 0, 42)
             if req is not None:
-                status = yield req.event
-                out["status"] = status
+                out["status"] = yield req.event
 
-        if kind == "openmpi":
-            lib = OpenMpi(MachineConfig.summit(nodes=1), n_ranks=4)
-            lib.run_until(lib.launch(body), max_events=MAX_EVENTS)
-        else:
-            def program(rank):
-                comm = rank
-                if kind == "comm_view":
-                    comm = yield from rank.comm_split(0)
-                yield from body(comm)
-
-            _time(program)
+        _time(program)
         assert out["status"].source == 1
         assert out["status"].tag == 42
 
-    def test_seq_counters_are_per_communicator(self):
+    def test_each_collective_draws_one_seq_number_when_called(self):
         seqs = {}
         drawn_at_call = []
 
         def program(rank):
-            yield from rank.barrier()
-            sub = yield from rank.comm_split(0)
-            yield from sub.barrier()
+            yield from rank.gather(rank.rank)
             buf = rank.charm.cuda.malloc(rank.gpu, 256)
-            for comm in (rank, sub):
-                before = comm._coll_seq
-                run = comm.allreduce_device(buf, 256)
-                drawn_at_call.append(comm._coll_seq - before)
-                yield from run
-            seqs[rank.rank] = (rank._coll_seq, sub._coll_seq)
+            before = rank._coll_seq
+            run = rank.allreduce_device(buf, 256)
+            drawn_at_call.append(rank._coll_seq - before)
+            yield from run
+            seqs[rank.rank] = rank._coll_seq
 
         _time(program)
-        # world: barrier + the comm_split allgather + one allreduce_device;
-        # sub: its own barrier + one allreduce_device.  Each device call
-        # draws its one number when called, before it runs.
-        assert drawn_at_call == [1] * 8
-        for world_seq, sub_seq in seqs.values():
-            assert world_seq == 3
-            assert sub_seq == 2
+        # the gather and the allreduce_device; the device call draws its
+        # one number when called, before it runs
+        assert drawn_at_call == [1] * 4
+        assert set(seqs.values()) == {2}
 
 
 class TestSessionFacade:

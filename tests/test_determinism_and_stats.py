@@ -127,7 +127,7 @@ def test_reduction_sum_matches_numpy(values):
 
     charm = Charm(MachineConfig.summit(nodes=2))
     results = []
-    g = charm.create_group(W)
+    g = charm.create_array(W, charm.n_pes)
     cb = CkCallback(fn=results.append)
     for pe, v in enumerate(values):
         g[pe].go(v, cb)

@@ -181,34 +181,6 @@ class TestSelectionSurface:
         assert counters["coll.allreduce"] == 12
 
 
-class TestCommView:
-    def test_subcommunicator_device_allreduce(self):
-        charm, ampi = _build(12)
-        out = {}
-
-        def program(rank):
-            sub = yield from rank.comm_split(rank.rank % 3)
-            buf = _dev(rank, fill=float(rank.rank))
-            yield from sub.allreduce_device(buf, NBYTES, op="sum")
-            out[rank.rank] = _f64(buf).copy()
-
-        _run(charm, ampi, program)
-        for r in range(12):
-            expect = sum(x for x in range(12) if x % 3 == r % 3)
-            assert np.all(out[r] == expect), r
-
-    def test_subcommunicator_rejects_host_buffer(self):
-        charm, ampi = _build(12)
-
-        def program(rank):
-            sub = yield from rank.comm_split(rank.rank % 3)
-            h = rank.charm.cuda.malloc_host(rank.node, 64)
-            with pytest.raises(ValueError):
-                list(sub.allreduce_device(h, 64, "sum"))
-
-        _run(charm, ampi, program)
-
-
 class TestDeviceCollectives:
     def _run(self, program, nodes=2):
         charm = Charm(MachineConfig.summit(nodes=nodes))

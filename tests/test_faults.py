@@ -694,7 +694,7 @@ class TestPoolExhaustion:
                 except MpiCommError as exc:
                     caught["status"] = exc.status
                     caught["message"] = str(exc)
-            yield from rank.barrier()
+            yield 0.0  # a rank program is a generator
 
         sess.run_until(sess.launch(program), max_events=1_000_000)
         assert caught["status"] == UcsStatus.ERR_NO_MEMORY
@@ -713,7 +713,7 @@ class TestPoolExhaustion:
                 for _ in range(8):  # 8 MB of traffic through a 1 MB cap
                     buf = rank.alloc_device(1 << 20)
                     rank.free_device(buf)
-            yield from rank.barrier()
+            yield 0.0  # a rank program is a generator
 
         sess.run_until(sess.launch(program), max_events=1_000_000)
         assert sess.counters["mem.pool_hit"] == 7
@@ -735,7 +735,7 @@ class TestPoolExhaustion:
                     rank.alloc_device(9 << 30)
                 except MpiCommError as exc:
                     caught["status"] = exc.status
-            yield from rank.barrier()
+            yield 0.0  # a rank program is a generator
 
         sess.run_until(sess.launch(program), max_events=1_000_000)
         assert caught["status"] == UcsStatus.ERR_NO_MEMORY

@@ -263,7 +263,6 @@ MESSAGE_PATH = (
 #: hook installed once when the runtime is built.
 NOT_HELD = {
     "ucx/worker.py:UcpWorker.tag_recv_nb.<lambda>",
-    "ucx/worker.py:UcpWorker.tag_probe_nb.<lambda>",
     "ucx/worker.py:UcpWorker.cancel.<lambda>",
     "ucx/worker.py:UcpWorker._process_in_order.<lambda>",
     "ampi/matching.py:MatchEngine.match_envelope.<lambda>",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.ampi import Ampi
 from repro.charm import Charm, CkCallback, CkDeviceBuffer
 from repro.charm4py import Charm4py, PyChare
 from repro.config import KB, MachineConfig
@@ -23,7 +22,7 @@ class TestCharm4pyReductions:
     def test_group_reduction_through_pychares(self):
         c4p = Charm4py(MachineConfig.summit(nodes=1))
         results = []
-        g = c4p.create_group(self.Elem, results)
+        g = c4p.create_array(self.Elem, c4p.charm.n_pes, results)
         cb = CkCallback(fn=results.append)
         for pe in range(c4p.charm.n_pes):
             g[pe].go(pe + 1, cb)
@@ -87,15 +86,8 @@ class TestDataIntegrityParity:
                 yield mpi.recv(buf, size, src=0, tag=1)
                 got["data"] = buf.data.copy()
 
-        if lib == "ampi":
-            charm = Charm(MachineConfig.summit(nodes=2))
-            a = Ampi(charm)
-            charm.run_until(a.launch(program), max_events=5_000_000)
-        else:
-            from repro.openmpi import OpenMpi
-
-            o = OpenMpi(MachineConfig.summit(nodes=2))
-            o.run_until(o.launch(program), max_events=5_000_000)
+        sess = api.session(MachineConfig.summit(nodes=2)).model(lib).build()
+        sess.run_until(sess.launch(program), max_events=5_000_000)
         assert (got["data"] == payload).all()
 
     def test_charm4py_path(self):

@@ -1,8 +1,7 @@
-"""Tests for ASCII plotting and quiescence detection."""
+"""Tests for ASCII plotting."""
 
 from repro.bench.plotting import ascii_plot, plot_series_dict
 from repro.bench.reporting import Series
-from repro.config import MachineConfig
 
 
 class TestAsciiPlot:
@@ -29,29 +28,6 @@ class TestAsciiPlot:
         out = capsys.readouterr().out
         assert "(log-log)" in out
         assert "charm-D" in out
-
-
-class TestQuiescence:
-    def test_run_to_quiescence_drains_everything(self):
-        from repro.charm import Charm, Chare
-
-        class Fanout(Chare):
-            def __init__(self, hits):
-                self.hits = hits
-
-            def go(self, peers, depth):
-                self.hits.append(self.thisIndex)
-                if depth > 0:
-                    for i in range(len(peers)):
-                        peers[i].go(peers, depth - 1) if i == self.thisIndex else None
-
-        charm = Charm(MachineConfig.summit(nodes=1))
-        hits = []
-        g = charm.create_group(Fanout, hits)
-        g.go(g, 2)
-        t = charm.run_to_quiescence(max_events=1_000_000)
-        assert t > 0 and len(hits) >= charm.n_pes
-        assert charm.sim.peek() is None  # truly quiescent
 
 
 class TestPlottingInternals:

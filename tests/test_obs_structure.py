@@ -88,10 +88,12 @@ def test_stage_table_is_data():
     assert any(st.flight for st in rows.values())
 
 
-#: Rank methods written once, on ``MpiRank``; a second definition on any
-#: class is a copy that can drift (a sub-communicator once lacked half).
+#: Rank methods written once, on ``MpiRank`` (the device allreduce and its
+#: sequence numbers on ``AmpiRank``, whose ranks alone run it); a second
+#: definition on any class is a copy that can drift (a sub-communicator once
+#: lacked half).
 RANK_SURFACE = {
-    "isend", "irecv", "sendrecv", "waitall", "alloc_device", "free_device",
+    "isend", "irecv", "waitall", "alloc_device", "free_device",
     "_cpu_delay", "_next_coll_seq", "allreduce_device",
 }
 

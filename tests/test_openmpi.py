@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.config import KB, MachineConfig, MB
 from repro.openmpi import ANY_SOURCE, ANY_TAG, OpenMpi
 from repro.openmpi.mpi import decode_mpi_tag, encode_mpi_tag, match_mask
 
 
 def run_ranks(program, nodes=2):
-    lib = OpenMpi(MachineConfig.summit(nodes=nodes))
-    done = lib.launch(program)
-    lib.run_until(done, max_events=5_000_000)
-    return lib
+    sess = api.session(MachineConfig.summit(nodes=nodes)).model("openmpi").build()
+    sess.run_until(sess.launch(program), max_events=5_000_000)
+    return sess.lib
 
 
 class TestTagEncoding:
@@ -116,35 +116,6 @@ class TestPt2Pt:
 
         run_ranks(program)
         assert out["got"] == [0, 1, 2]
-
-    def test_barrier_synchronises(self):
-        times = {}
-
-        def program(mpi):
-            from repro.sim.primitives import Timeout
-
-            yield Timeout(mpi.sim, (mpi.size - mpi.rank) * 1e-6)
-            yield from mpi.barrier()
-            times[mpi.rank] = mpi.sim.now
-
-        lib = run_ranks(program)
-        assert all(t >= lib.n_ranks * 1e-6 - 1e-9 for t in times.values())
-
-    def test_sendrecv_exchange(self):
-        out = {}
-
-        def program(mpi):
-            if mpi.rank > 1:
-                return
-            other = 1 - mpi.rank
-            sb = mpi.charm.cuda.malloc(mpi.gpu, 64)
-            rb = mpi.charm.cuda.malloc(mpi.gpu, 64)
-            sb.data[:] = mpi.rank + 10
-            yield mpi.sendrecv(sb, 64, other, rb, 64, other)
-            out[mpi.rank] = int(rb.data[0])
-
-        run_ranks(program)
-        assert out == {0: 11, 1: 10}
 
 
 class TestStructuralAdvantage:

@@ -69,6 +69,21 @@ def test_no_delete_row_is_left():
     assert not left, f"delete the code of these rows, then the rows: {left}"
 
 
+#: Functions kept only for a test (g) or an opt-in benchmark (c): a new one
+#: needs a production root, or it goes.
+KEPT_FOR_TESTS_MAX = 20
+
+
+def test_few_rows_are_kept_only_for_tests_or_opt_in_benchmarks():
+    kept = [r.group(0) for r in _rows() if r["reason"] in ("g", "c")]
+    assert len(kept) <= KEPT_FOR_TESTS_MAX, kept
+
+
+def test_header_counts_the_rows():
+    header = re.search(r"^# (\d+) of [\d ]+ functions", LEDGER.read_text(), re.M)
+    assert header is not None, "no '# N of M functions' line in the header"
+    assert int(header[1]) == len(_rows())
+
 
 def test_a_root_that_records_nothing_fails(monkeypatch, capsys):
     # a hook that fails to load leaves each root exiting 0, recording nothing

@@ -25,7 +25,7 @@ def charm():
 
 def run_reduction(charm, values, op):
     results = []
-    g = charm.create_group(Worker, results)
+    g = charm.create_array(Worker, charm.n_pes, results)
     cb = CkCallback(fn=results.append)
     for pe, v in enumerate(values):
         g[pe].go(v, op, cb)
@@ -52,7 +52,7 @@ class TestScalarReductions:
         assert run_reduction(charm, vals, "prod") == 7
 
     def test_unknown_op_rejected(self, charm):
-        g = charm.create_group(Worker, [])
+        g = charm.create_array(Worker, charm.n_pes, [])
         obj = charm.chares[g[0].chare_id]
         with pytest.raises(ValueError):
             charm.reductions.contribute(obj, 1, "xor", CkCallback(fn=print))
@@ -82,7 +82,7 @@ class TestReductionSemantics:
 
     def test_back_to_back_rounds_pipeline(self, charm):
         results = []
-        g = charm.create_group(Worker, results)
+        g = charm.create_array(Worker, charm.n_pes, results)
         cb = CkCallback(fn=results.append)
         for _round in range(3):
             for pe in range(charm.n_pes):
@@ -93,12 +93,12 @@ class TestReductionSemantics:
     def test_non_collection_chare_rejected(self, charm):
         p = charm.create_chare(Worker, 0, [])
         obj = charm.chares[p.chare_id]
-        with pytest.raises(RuntimeError, match="group/array"):
+        with pytest.raises(RuntimeError, match="chare array"):
             charm.reductions.contribute(obj, 1, "sum", CkCallback(fn=print))
 
     def test_callback_to_entry_method(self, charm):
         results = []
-        g = charm.create_group(Worker, results)
+        g = charm.create_array(Worker, charm.n_pes, results)
         cb = CkCallback(proxy=g[0], method="take_result")
         for pe in range(charm.n_pes):
             g[pe].go(pe, "sum", cb)
@@ -111,7 +111,7 @@ class TestReductionSemantics:
         charm = Charm(one_gpu)
         assert charm.n_pes == 1
         results = []
-        g = charm.create_group(Worker, results)
+        g = charm.create_array(Worker, charm.n_pes, results)
         g[0].go(42, "sum", CkCallback(fn=results.append))
         charm.run()
         assert results == [42]

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ampi import Ampi
-from repro.charm import Charm
+import repro.api as api
 from repro.config import KB, MachineConfig
-from repro.openmpi import OpenMpi
 
 
 def make_plan(rng, n_ranks, n_msgs, device_fraction=0.0, max_kb=64):
@@ -55,15 +53,8 @@ def run_plan(lib_kind, plan, n_ranks, nodes=2):
         for i, buf, src, tag in recv_bufs:
             received[i] = int(buf.data[0])
 
-    if lib_kind == "ampi":
-        charm = Charm(MachineConfig.summit(nodes=nodes))
-        lib = Ampi(charm)
-        done = lib.launch(program)
-        charm.run_until(done, max_events=50_000_000)
-    else:
-        lib = OpenMpi(MachineConfig.summit(nodes=nodes))
-        done = lib.launch(program)
-        lib.run_until(done, max_events=50_000_000)
+    sess = api.session(MachineConfig.summit(nodes=nodes)).model(lib_kind).build()
+    sess.run_until(sess.launch(program), max_events=50_000_000)
     return received
 
 

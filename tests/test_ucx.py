@@ -491,7 +491,7 @@ class TestPoolFreeHooks:
                 out["hits"] = rank.ampi.gpu_caches[rank.pe].hits
                 out["invalidations"] = \
                     rank.ampi.gpu_caches[rank.pe].invalidations
-            yield from rank.barrier()
+            yield 0.0  # a rank program is a generator
 
         m.sim.run_until_complete(ampi.launch(program), max_events=1_000_000)
         # the return/reuse cycle stays warm: the second check is a hit
@@ -684,15 +684,6 @@ class TestWorkerStats:
 
 
 class TestProbeCancel:
-    def test_probe_sees_unexpected_without_consuming(self):
-        m, wa, wb = make_workers()
-        src = m.alloc_host(0, 64)
-        wa.tag_send_nb(wa.ep(1), src, 64, tag=5)
-        m.sim.run()
-        assert wb.tag_probe_nb(5) == (5, 64)
-        assert wb.tag_probe_nb(6) is None
-        assert len(wb.unexpected) == 1  # still there
-
     def test_cancel_posted_receive(self):
         m, wa, wb = make_workers()
         dst = m.alloc_host(0, 64)

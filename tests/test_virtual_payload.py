@@ -122,6 +122,10 @@ DEFERRED = (
       ("baseline", "cli", "congestion", "critical_path", "export", "flight")),
     "repro.faults.plan", "repro.faults.injector",
 )
+#: The one model whose run loads ``repro.collectives`` (its ranks import
+#: ``ReduceOp``); the others load nothing of the package until a reduction
+#: or collective runs.
+COLLECTIVE_MODEL = "ampi"
 
 _BUILD_AND_RUN = """
 import json, sys
@@ -133,23 +137,35 @@ model = sys.argv[1]
 sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
 built = sorted(sys.modules)
 assert run_jacobi(model, nodes=2, iters=1, warmup=1, session=sess).iter_time > 0
-print(json.dumps([built, sorted(sys.modules)]))
+ran, latency = sorted(sys.modules), None
+if model == "openmpi":  # a latency point (the OSU app loads every model)
+    from repro.apps.osu.runner import run_latency
+
+    sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
+    assert run_latency(model, 8, "inter", True, session=sess) > 0
+    latency = sorted(sys.modules)
+print(json.dumps([built, ran, latency]))
 """
 
 
 @pytest.mark.parametrize("model", sorted(RUNS_ON))
 def test_a_session_imports_only_what_it_runs(model):
-    """Built with no plan and observation off, then one Jacobi3D run."""
-    built, ran = json.loads(_fresh(_BUILD_AND_RUN, model))
+    """Built with no plan and observation off, then one Jacobi3D run (and
+    for OpenMPI a latency point)."""
+    built, ran, latency = json.loads(_fresh(_BUILD_AND_RUN, model))
     own = f"repro.apps.jacobi3d.{JACOBI_IMPL[model]}"
     unused = {*(p for pkgs in RUNS_ON.values() for p in pkgs), *DEFERRED,
               *(f"repro.apps.jacobi3d.{impl}" for impl in JACOBI_IMPL.values())}
+    if model != COLLECTIVE_MODEL:
+        unused.add("repro.collectives")
     unused -= {*RUNS_ON[model], own}
     for stage, modules in (("building", built), ("running", ran)):
         loaded = sorted(m for m in modules for u in unused
                         if m == u or m.startswith(u + "."))
         assert not loaded, f"a {model} session imported {loaded} {stage}"
     assert {*RUNS_ON[model], own} <= set(ran)
+    if latency is not None:
+        assert not [m for m in latency if m.startswith("repro.collectives")]
 
 
 _FIRST_USE = """
