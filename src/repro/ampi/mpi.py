@@ -50,6 +50,7 @@ from repro.mpi import (
 )
 from repro.obs.stages import AMPI_RECV, AMPI_SEND, METADATA_ARRIVED, METADATA_SENT
 from repro.sim.primitives import SimEvent, Then
+from repro.ucx.protocols.common import host_copy_time
 from repro.ucx.status import UcsStatus
 
 #: User tags lie in ``[0, MAX_USER_TAG)`` (the ``MPI_TAG_UB`` of this
@@ -105,16 +106,6 @@ class AmpiRank(MpiRank):
     @property
     def node(self) -> int:
         return self.charm.pe_object(self.pe).node
-
-    def node_of(self, rank: int) -> int:
-        return self.charm.pe_object(self.ampi.rank_pe(rank)).node
-
-    @property
-    def software_overhead(self) -> float:
-        """The per-message cost the collective cost model charges."""
-        rt = self.ampi.rt
-        return (rt.ampi_send_overhead + rt.ampi_recv_overhead
-                + 2 * rt.ampi_callback_overhead)
 
     # -- point-to-point ------------------------------------------------------------
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
@@ -174,7 +165,6 @@ class AmpiRank(MpiRank):
         value: Any = None,
     ) -> SimEvent:
         ampi = self.ampi
-        rt = ampi.rt
         sim = self.sim
         if not 0 <= dst < ampi.n_ranks:
             raise ValueError(f"destination rank {dst} out of range")
@@ -183,7 +173,7 @@ class AmpiRank(MpiRank):
             src=self.rank, dst=dst, tag=tag, comm=comm, size=nbytes,
             seq=self._next_seq(dst),
         )
-        pre = rt.ampi_send_overhead + rt.ampi_metadata_allocs * rt.heap_alloc_cost
+        pre = ampi.send_cost
 
         if buf is not None and nbytes > buf.size:
             raise ValueError(f"send of {nbytes} B from a {buf.size} B buffer")
@@ -223,7 +213,7 @@ class AmpiRank(MpiRank):
             ampi.pending_host_sends[env.host_send_id] = ev
             # AMPI packs the user's host data into its message object
             # before handing it to the runtime (datatype handling).
-            pre += self.ampi.machine.cfg.topology.host_mem.transfer_time(nbytes)
+            pre += host_copy_time(ampi.charm.layer.ucp, nbytes)
 
         tracer.charge("ampi", pre)
         sim.call_later(self._cpu_delay(pre), self._go_host, env, ev, asp)
@@ -347,6 +337,9 @@ class Ampi(MpiJob):
         # host rendezvous threshold (envelope matching must stay eager and
         # therefore strictly ordered per pair)
         self.eager_threshold = charm.cfg.ucx.host_rndv_threshold - 256
+        # message creation and its metadata allocations, summed once
+        self.send_cost = (self.rt.ampi_send_overhead
+                          + self.rt.ampi_metadata_allocs * self.rt.heap_alloc_cost)
         n_pes = charm.n_pes
         self.n_ranks = n_ranks if n_ranks is not None else n_pes * ranks_per_pe
         # block mapping: virtualized ranks share their PE contiguously
@@ -358,6 +351,8 @@ class Ampi(MpiJob):
         # allocations; drop them from every PE's pointer cache
         self.machine.add_device_free_hook(self._on_device_free)
         self.pending_host_sends: Dict[int, SimEvent] = {}
+        # rank group -> the cost model collective selection prices it with
+        self.coll_models: Dict[tuple, Any] = {}
         charm.converse.register_handler("ampi_msg", self._handle_envelope)
         charm.converse.register_handler("ampi_fin", self._handle_fin)
 
@@ -442,30 +437,16 @@ class Ampi(MpiJob):
             return
 
         if env.payload is not None:  # inline eager payload
-            copy = self.machine.cfg.topology.host_mem.transfer_time(env.size)
+            copy = host_copy_time(self.charm.layer.ucp, env.size)
             sim.call_later(copy, self._copied, req, env, status)
             return
 
         if env.src_host_buf is not None:  # zero-copy rendezvous fetch
-            src_node = env.src_host_buf.node
-            src_sock = self.machine.socket_of_gpu(self.rank_pe(env.src))
-            dst_sock = self.machine.socket_of_gpu(rank.pe)
-            route = self.machine.route(
-                self.machine.host_location(src_node, src_sock),
-                self.machine.host_location(rank.node, dst_sock),
-            )
-            pin = 0.0
-            if (
-                self.rt.model_ampi_128k_dip
-                and env.size >= self.rt.ampi_pin_threshold
-            ):
-                # §IV-B2 artifact: registration/pinning cost at the threshold
-                # (delays the fetch; does not occupy the wire)
-                pin = self.rt.ampi_pin_overhead + env.size / self.rt.ampi_pin_bandwidth
-
+            route, pin = self.host_fetch(env.src_host_buf.node, self.rank_pe(env.src),
+                                         rank.node, rank.pe, env.size)
             # unpack from the message object into the user's recv buffer
             # (charged to the receiving PE after the fetch, not to the link)
-            unpack = self.machine.cfg.topology.host_mem.transfer_time(env.size)
+            unpack = host_copy_time(self.charm.layer.ucp, env.size)
             # pinning is CPU work on the receiving rank: serialise it
             sim.call_later(rank._cpu_delay(pin) if pin else 0.0, path_transfer,
                            sim, route, env.size, 0.0, sim.call_later,
@@ -474,6 +455,20 @@ class Ampi(MpiJob):
 
         # value-based message (collectives) or zero-byte message
         req.event.succeed(status)
+
+    def host_fetch(self, src_node: int, src_pe: int, dst_node: int, dst_pe: int,
+                   size: int):
+        """``(route, pin)`` of a zero-copy fetch of ``size`` host bytes from
+        ``src_pe``'s rank into ``dst_pe``'s: the route between the two PEs'
+        socket rails, and the §IV-B2 artifact, a registration/pinning cost
+        at the threshold (it delays the fetch; it does not occupy the wire)."""
+        m, rt = self.machine, self.rt
+        route = m.route(m.host_location(src_node, m.socket_of_gpu(src_pe)),
+                        m.host_location(dst_node, m.socket_of_gpu(dst_pe)))
+        pin = 0.0
+        if rt.model_ampi_128k_dip and size >= rt.ampi_pin_threshold:
+            pin = rt.ampi_pin_overhead + size / rt.ampi_pin_bandwidth
+        return route, pin
 
     def _copied(self, req: PostedMpiRecv, env: AmpiEnvelope, status: MpiStatus) -> None:
         req.buf.copy_from(env.payload, env.size)

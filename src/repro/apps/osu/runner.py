@@ -1,12 +1,19 @@
-"""Sweep runner and CLI for the OSU benchmarks."""
+"""Sweep runner and CLI for the OSU benchmarks.
+
+Latency (paper Figs. 10-11) is half the averaged ping-pong round trip after
+warm-up; bandwidth (Figs. 12-13) streams ``window`` non-blocking sends per
+acknowledgement.  ``-D`` hands device buffers to the communication calls,
+``-H`` stages them through host memory with ``cudaMemcpy`` and
+``cudaStreamSynchronize`` (Fig. 8's upper branch).  Each model's programs
+live in their own module, and a run imports its own model's only.
+"""
 
 from __future__ import annotations
 
+import importlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.api as api
-from repro.apps.osu import bandwidth as bw_mod
-from repro.apps.osu import latency as lat_mod
 from repro.config import KB, MachineConfig, MB, add_override_arg
 
 #: The OSU message-size ladder used in the paper's figures: 1 B to 4 MB.
@@ -14,19 +21,25 @@ OSU_SIZES: List[int] = [1 << i for i in range(23)]  # 1 ... 4 MiB
 
 MODELS = ("charm", "ampi", "openmpi", "charm4py")
 
-_LATENCY_FNS = {
-    "charm": lat_mod.charm_latency,
-    "ampi": lat_mod.mpi_latency,
-    "openmpi": lat_mod.mpi_latency,
-    "charm4py": lat_mod.charm4py_latency,
+#: Messages in flight per bandwidth loop.
+WINDOW = 64
+
+#: model -> (the module of its programs, the name prefix of its runners)
+_PROGRAMS = {
+    "charm": ("charm_impl", "charm"),
+    "ampi": ("mpi_impl", "mpi"),
+    "openmpi": ("mpi_impl", "mpi"),
+    "charm4py": ("charm4py_impl", "charm4py"),
 }
 
-_BANDWIDTH_FNS = {
-    "charm": bw_mod.charm_bandwidth,
-    "ampi": bw_mod.mpi_bandwidth,
-    "openmpi": bw_mod.mpi_bandwidth,
-    "charm4py": bw_mod.charm4py_bandwidth,
-}
+
+def _runner(model: str, benchmark: str):
+    """``model``'s runner of ``benchmark``, importing its programs only."""
+    if model not in _PROGRAMS:
+        raise ValueError(f"unknown model {model!r}; pick from {MODELS}")
+    module, prefix = _PROGRAMS[model]
+    return getattr(importlib.import_module(f"repro.apps.osu.{module}"),
+                   f"{prefix}_{benchmark}")
 
 
 def intra_node_pair(config: MachineConfig) -> Tuple[int, int]:
@@ -63,11 +76,9 @@ def run_latency(
 
     Pass a pre-built :class:`repro.api.Session` (e.g. with tracing enabled)
     to run on it instead of constructing a fresh machine."""
-    if model not in _LATENCY_FNS:
-        raise ValueError(f"unknown model {model!r}; pick from {MODELS}")
+    run = _runner(model, "latency")
     sess = session if session is not None else _session(model, config)
-    return _LATENCY_FNS[model](sess, size, _pair(sess.config, placement),
-                               gpu_aware, iters, skip)
+    return run(sess, size, _pair(sess.config, placement), gpu_aware, iters, skip)
 
 
 def run_bandwidth(
@@ -78,15 +89,14 @@ def run_bandwidth(
     config: Optional[MachineConfig] = None,
     loops: int = 4,
     skip: int = 1,
-    window: int = bw_mod.WINDOW,
+    window: int = WINDOW,
     session=None,
 ) -> float:
     """One bandwidth point; returns bytes/second."""
-    if model not in _BANDWIDTH_FNS:
-        raise ValueError(f"unknown model {model!r}; pick from {MODELS}")
+    run = _runner(model, "bandwidth")
     sess = session if session is not None else _session(model, config)
-    return _BANDWIDTH_FNS[model](sess, size, _pair(sess.config, placement),
-                                 gpu_aware, loops, skip, window)
+    return run(sess, size, _pair(sess.config, placement), gpu_aware, loops, skip,
+               window)
 
 
 def run_latency_sweep(
@@ -112,7 +122,7 @@ def run_bandwidth_sweep(
     config: Optional[MachineConfig] = None,
     loops: int = 4,
     skip: int = 1,
-    window: int = bw_mod.WINDOW,
+    window: int = WINDOW,
 ) -> Dict[int, float]:
     return {
         s: run_bandwidth(model, s, placement, gpu_aware, config, loops, skip, window)

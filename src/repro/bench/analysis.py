@@ -1,42 +1,18 @@
-"""Analysis helpers over measured series: alpha-beta fits, crossovers.
+"""Analysis helpers over measured series: crossovers.
 
-Turns the benchmark outputs into the quantities papers talk about:
-
-* :func:`fit_alpha_beta` — least-squares fit of ``t(s) = alpha + s/beta``
-  to a latency series, recovering effective startup latency and bandwidth
-  (the LogP-style summary of a curve);
-* :func:`crossover` — the message size where one curve overtakes another
-  (e.g. where host staging's fixed costs stop dominating).
-
-Used by tests to assert curve *shapes* rather than individual points.
+:func:`crossover` is the message size where one curve overtakes another
+(e.g. where host staging's fixed costs stop dominating); tests use it to
+assert curve *shapes* rather than individual points.  A curve's startup
+latency and bandwidth need no fit: :mod:`repro.cost` states each point's
+terms exactly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.bench.reporting import Series
-
-
-def fit_alpha_beta(series: Series) -> Tuple[float, float]:
-    """Least-squares fit of ``t = alpha + size/beta`` to a latency series
-    (x in bytes, y in **seconds**).  Returns ``(alpha_seconds, beta_bytes_per_s)``.
-
-    The fit weights all points equally in linear space, so large-message
-    points dominate beta and small-message points pin alpha — which is the
-    conventional reading of such curves.
-    """
-    if len(series.points) < 2:
-        raise ValueError("need at least two points to fit")
-    x = np.asarray(series.xs, dtype=float)
-    y = np.asarray(series.ys, dtype=float)
-    slope, alpha = np.polyfit(x, y, 1)
-    if slope <= 0:
-        raise ValueError("series is not increasing with size; cannot fit beta")
-    return float(alpha), float(1.0 / slope)
 
 
 def crossover(a: Series, b: Series) -> Optional[float]:

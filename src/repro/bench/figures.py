@@ -223,30 +223,18 @@ def ampi_overhead_anatomy(size: int = 8, quiet: bool = False) -> Dict[str, objec
     latency run executes on a traced :mod:`repro.api` session, and the
     metrics snapshot's ``time_by_category`` attributes per-layer CPU time
     (``ampi`` / ``machine`` / ``ucx``) to each device message.  The raw
-    UCX transfer time is additionally measured directly on a pair of
-    workers as an end-to-end cross-check.
+    UCX transfer time is the UCX and link rows of the message's closed form
+    (:mod:`repro.cost`: a pre-posted receive on the device eager path).
     """
     import repro.api as api
-    from repro.apps.osu.runner import run_latency
-    from repro.hardware.topology import Machine
-    from repro.ucx.context import UcpContext
+    from repro.apps.osu.runner import intra_node_pair, run_latency
+    from repro.cost import transfer_terms
 
     cfg = MachineConfig.summit(nodes=2)
-    # raw UCX: pre-posted receive, device eager path
-    m = Machine(cfg)
-    ctx = UcpContext(m)
-    wa = ctx.create_worker(0, 0, 0)
-    wb = ctx.create_worker(1, 0, 0)
-    src = m.alloc_device(0, max(size, 1))
-    dst = m.alloc_device(1, max(size, 1))
-    t0 = m.sim.now
-    req = wb.tag_recv_nb(dst, size, tag=1)
-    wa.tag_send_nb(wa.ep(1), src, size, tag=1)
-    m.sim.run_until_complete(req.event)
-    ucx_time = m.sim.now - t0
-
     sess = api.session(cfg).model("ampi").trace().build()
     ampi_lat = run_latency("ampi", size, "intra", True, session=sess)
+    terms = transfer_terms("ampi", sess.lib, *intra_node_pair(cfg), size)
+    ucx_time = sum(t.seconds for t in terms if t.layer in ("ucx", "link"))
     snap = sess.metrics_snapshot()
     n_msgs = snap["counters"]["converse.send_device"]
     # per-device-message CPU time by layer, both endpoints summed

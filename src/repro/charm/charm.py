@@ -193,9 +193,22 @@ class Charm:
         return ArrayProxy(self, ids)
 
     # -- entry-method send path (paper Fig. 6) -----------------------------------
+    def send_cost(self, host_bytes: int) -> float:
+        """CPU cost of one entry invocation marshalling ``host_bytes``."""
+        cost = self.cfg.runtime.charm_send_overhead
+        if host_bytes > 0:
+            cost += self.cfg.topology.host_mem.transfer_time(host_bytes)
+        return cost
+
+    def dispatch_cost(self, host_bytes: int, chare=None) -> float:
+        """CPU cost of dispatching an entry message of ``host_bytes`` to
+        ``chare`` (a model on Charm++ adds its chares' dispatch cost)."""
+        cost = self.cfg.runtime.entry_dispatch_overhead
+        if host_bytes > 0:
+            cost += self.cfg.topology.host_mem.transfer_time(host_bytes)
+        return cost + getattr(chare, "dispatch_overhead", 0.0)
+
     def invoke(self, chare_id: int, method: str, args: Tuple[Any, ...]) -> None:
-        rt = self.cfg.runtime
-        topo = self.cfg.topology
         dst_pe = self.chare_pe[chare_id]
         dev_bufs = [a for a in args if isinstance(a, CkDeviceBuffer)]
         src_pe = self._current_pe
@@ -208,10 +221,7 @@ class Charm:
         pe = self.converse.pes[src_pe]
 
         host_bytes = marshal_bytes(args)
-        cost = rt.charm_send_overhead
-        if host_bytes > 0:
-            cost += topo.host_mem.transfer_time(host_bytes)
-        pe.charge(cost)
+        pe.charge(self.send_cost(host_bytes))
 
         # (1)-(4): each GPU buffer goes through CmiSendDevice/LrtsSendDevice,
         # which assigns and stores its tag in the metadata object.
@@ -240,15 +250,9 @@ class Charm:
     # -- entry-method receive path (paper §III-B2) ---------------------------------
     def _handle_entry(self, pe: Pe, msg: CmiMessage):
         rt = self.cfg.runtime
-        topo = self.cfg.topology
         chare_id, method, args = msg.payload
         chare = self.chares[chare_id]
-        cost = rt.entry_dispatch_overhead
-        if msg.host_bytes > 0:
-            cost += topo.host_mem.transfer_time(msg.host_bytes)
-        # models layered on Charm++ (Charm4py) add their own dispatch cost
-        cost += getattr(chare, "dispatch_overhead", 0.0)
-        pe.charge(cost)
+        pe.charge(self.dispatch_cost(msg.host_bytes, chare))
 
         if not msg.device_bufs:
             return self._run_entry(pe, chare, method, args)

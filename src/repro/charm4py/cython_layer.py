@@ -17,11 +17,13 @@ class CythonLayer:
     def __init__(self, rt: RuntimeConfig) -> None:
         self.rt = rt
         self.crossings = 0
+        #: one Python-level call entering the Cython layer, summed once
+        self.call_time = rt.py_call_overhead + rt.cython_crossing_overhead
 
     def call_cost(self) -> float:
-        """One Python-level API call entering the Cython layer."""
+        """One Python-level API call entering the Cython layer (counted)."""
         self.crossings += 1
-        return self.rt.py_call_overhead + self.rt.cython_crossing_overhead
+        return self.call_time
 
     def serialize_cost(self, nbytes: int) -> float:
         """Pickling/serialisation of a host payload of ``nbytes``."""

@@ -67,7 +67,7 @@ class Charm4py:
         # (channel key, owner chare id) -> endpoint state
         self._endpoints: Dict[Tuple[Tuple[int, int], int], _Endpoint] = {}
         # inject the Python-runtime attributes before chare __init__ runs
-        overhead = self.rt.py_call_overhead + self.rt.cython_crossing_overhead
+        overhead = self.cython.call_time
 
         def _init_hook(obj) -> None:
             if isinstance(obj, PyChare):
@@ -151,18 +151,7 @@ class Charm4py:
         if meta.size > size:
             raise ValueError(f"incoming GPU data of {meta.size} B exceeds posted {size} B")
         pe_index = self.charm.chare_pe[owner_id]
-        # Rendezvous-size device receives cross the Cython layer several
-        # times (RTS handling, posting, completion); pipelined inter-node
-        # transfers additionally pay a Python-side cost per staged chunk.
-        # Both costs scale with the fraction of a pipeline chunk actually
-        # touched, so mid-size messages pay proportionally.
-        delay = 0.0
-        ucx = self.charm.cfg.ucx
-        if choose_send_protocol(ucx, meta.ptr, meta.size) is Protocol.RNDV:
-            chunk_frac = meta.size / ucx.pipeline_chunk
-            delay += self.rt.charm4py_rndv_post_overhead * min(1.0, chunk_frac)
-            if rndv_lane(ucx, meta.ptr, buf) is PIPELINE:
-                delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
+        delay = self.device_post_delay(meta.ptr, buf, meta.size)
         future.span = tracer.stage(
             C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))
         op = DeviceRdmaOp(
@@ -177,6 +166,19 @@ class Charm4py:
         else:
             with tracer.under(future.span):
                 self.charm.converse.cmi_recv_device(pe_index, op)
+
+    def device_post_delay(self, src, dst, size: int) -> float:
+        """Python-side delay before posting a device receive: a rendezvous
+        crosses the Cython layer several times, a pipelined one also pays
+        per staged chunk; both scale with the fraction of a chunk touched."""
+        delay = 0.0
+        ucx = self.charm.cfg.ucx
+        if choose_send_protocol(ucx, src, size) is Protocol.RNDV:
+            chunk_frac = size / ucx.pipeline_chunk
+            delay += self.rt.charm4py_rndv_post_overhead * min(1.0, chunk_frac)
+            if rndv_lane(ucx, src, dst) is PIPELINE:
+                delay += chunk_frac * self.rt.charm4py_pipeline_chunk_overhead
+        return delay
 
     def _post_device_recv(self, pe_index: int, op: DeviceRdmaOp, rsp) -> None:
         with self.charm.machine.tracer.under(rsp):

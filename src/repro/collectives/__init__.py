@@ -14,12 +14,13 @@ Layout:
   via ``hardware.topology`` (intra-node phases over NVLink, inter-node over
   the NIC);
 * :mod:`~repro.collectives.selection` — the :class:`AlgorithmSpec`
-  registry and link-model-derived cost ranking (``MachineConfig.collectives``
-  holds the ``hierarchical_enabled`` ablation switch);
+  registry and the cost ranking, each hop priced for its rank pair by the
+  transfer oracle :mod:`repro.cost` (``MachineConfig.collectives`` holds the
+  ``hierarchical_enabled`` ablation switch);
 * :mod:`~repro.collectives.engine` — the execution context, tag
   namespacing and the ``allreduce_device`` entry point, which runs on the
   calling :class:`~repro.ampi.mpi.AmpiRank` (its ``coll_send``/
-  ``coll_recv``, ``node_of`` and ``software_overhead``);
+  ``coll_recv``);
 * :mod:`~repro.collectives.value` — the host-value ``allreduce`` (a
   binomial reduce and bcast) and ``gather`` of an AMPI rank.
 

@@ -4,8 +4,9 @@ Each algorithm is a generator over a
 :class:`~repro.collectives.engine.CollContext` (``ctx.send``/``ctx.recv``
 move device buffers through the model's GPU-aware pt2pt path;
 ``ctx.combine`` launches the elementwise reduction kernel) and registers an
-:class:`~repro.collectives.selection.AlgorithmSpec` whose cost function is
-built from the same link model the simulator charges — see selection.py.
+:class:`~repro.collectives.selection.AlgorithmSpec` whose cost function
+prices its rounds of hops, rank pair by rank pair, with the transfer oracle
+the simulator is held equal to — see selection.py.
 
 Algorithms (classical shapes, non-power-of-two rank counts supported):
 
@@ -93,15 +94,20 @@ def binomial_reduce(ctx, buf, nbytes: int, op: ReduceOp, base: int = 0):
         yield ctx.send(buf, nbytes, binomial_parent(me), base + _recv_step(me))
 
 
+def _tree_rounds(p: int):
+    """(child, parent) edges of a P-rank binomial tree, one list per round,
+    smallest mask first (the reduce order; the bcast runs them reversed)."""
+    return [[(v, v - (1 << k)) for v in range(1 << k, p, 2 << k)]
+            for k in range(ceil_log2(p))]
+
+
 def cost_binomial_bcast(m: CollectiveCostModel, n: int) -> float:
-    inter, intra = m.round_split()
-    return inter * m.step_inter(n) + intra * m.step_intra(n)
+    return sum(m.round([(b, a) for a, b in edges], n) for edges in _tree_rounds(m.p))
 
 
 def cost_binomial_reduce(m: CollectiveCostModel, n: int) -> float:
-    inter, intra = m.round_split()
     k = m.combine(n)
-    return inter * (m.step_inter(n) + k) + intra * (m.step_intra(n) + k)
+    return sum(m.round(edges, n) + k for edges in _tree_rounds(m.p))
 
 
 # -- allreduce ----------------------------------------------------------------------
@@ -158,16 +164,26 @@ def cost_binomial_allreduce(m: CollectiveCostModel, n: int) -> float:
     return cost_binomial_reduce(m, n) + cost_binomial_bcast(m, n)
 
 
+def cost_recdbl_fold(m: CollectiveCostModel, n: int) -> float:
+    """The non-power-of-two fold and unfold: the first ``2*rem`` ranks pair
+    up, each even rank's data combined on its odd neighbour and sent back."""
+    rem = m.p - (1 << (m.p.bit_length() - 1))
+    fold = [(2 * i, 2 * i + 1) for i in range(rem)]
+    if not fold:
+        return 0.0
+    return m.round(fold, n) + m.combine(n) + m.round([(b, a) for a, b in fold], n)
+
+
 def cost_recdbl_allreduce(m: CollectiveCostModel, n: int) -> float:
     pof2 = 1 << (m.p.bit_length() - 1)
-    if pof2 > m.p:
-        pof2 >>= 1
     rem = m.p - pof2
-    # in the butterfly every rank of a node crosses at once: the rounds
-    # contend for the node's NIC rails
-    body = ceil_log2(pof2) * (m.step(n, m.max_per_node) + m.combine(n))
-    fold = (m.step_intra(n) + m.combine(n) + m.step_intra(n)) if rem else 0.0
-    return body + fold
+    real = [2 * r + 1 if r < rem else r + rem for r in range(pof2)]
+    # every survivor sends to its peer at once: the rounds contend for links
+    body = sum(
+        m.round([(real[r ^ (1 << i)], real[r]) for r in range(pof2)], n) + m.combine(n)
+        for i in range(ceil_log2(pof2))
+    )
+    return body + cost_recdbl_fold(m, n)
 
 
 # -- registration -------------------------------------------------------------------

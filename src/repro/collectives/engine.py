@@ -67,6 +67,7 @@ class CollContext:
         phase: int = 0,
         kind: Optional[str] = None,
         root_span=NULL_SPAN,
+        model: Optional[CollectiveCostModel] = None,
     ) -> None:
         self.comm = comm
         self.seq = seq
@@ -77,26 +78,19 @@ class CollContext:
         self.kind = kind  # None = classify per peer; fixed in sub-phases
         self.root_span = root_span
         self._tag_base = tag_base(seq, phase)
-        self._my_node = comm.node_of(self._global(self.rank))
-        self._model: Optional[CollectiveCostModel] = None
+        self._model = model
 
     # -- rank/topology ----------------------------------------------------------
     def _global(self, r: int) -> int:
         """Context-local rank -> world rank."""
         return r if self._members is None else self._members[r]
 
-    def node_of(self, r: int) -> int:
-        return self.comm.node_of(self._global(r))
-
     @property
     def model(self) -> CollectiveCostModel:
         """Cost model of this context's group (for phase-level selection)."""
         if self._model is None:
-            self._model = CollectiveCostModel(
-                self.comm.charm.machine.cfg,
-                [self.node_of(r) for r in range(self.size)],
-                self.comm.software_overhead,
-            )
+            self._model = CollectiveCostModel.of(
+                self.comm.ampi, [self._global(r) for r in range(self.size)])
         return self._model
 
     def sub(self, members: List[int], phase: int, kind: str) -> "CollContext":
@@ -121,23 +115,22 @@ class CollContext:
             ev.add_callback(Then((sp.end, ())).run)
         return ev
 
-    def _peer_kind(self, peer_global: int) -> str:
+    def _peer_kind(self, peer: int) -> str:
         if self.kind is not None:
             return self.kind
-        if self.comm.node_of(peer_global) != self._my_node:
-            return "coll.inter"
-        return "coll.intra"
+        nodes = self.model.nodes
+        return "coll.inter" if nodes[peer] != nodes[self.rank] else "coll.intra"
 
     def send(self, buf, nbytes: int, dst: int, step: int):
         g = self._global(dst)
         ev = self.comm.coll_send(buf, nbytes, g, self._tag(step))
-        return self._wrap(ev, self._peer_kind(g), f"{self.algorithm}.send",
+        return self._wrap(ev, self._peer_kind(dst), f"{self.algorithm}.send",
                           peer=g, bytes=nbytes, step=step)
 
     def recv(self, buf, nbytes: int, src: int, step: int):
         g = self._global(src)
         ev = self.comm.coll_recv(buf, nbytes, g, self._tag(step))
-        return self._wrap(ev, self._peer_kind(g), f"{self.algorithm}.recv",
+        return self._wrap(ev, self._peer_kind(src), f"{self.algorithm}.recv",
                           peer=g, bytes=nbytes, step=step)
 
     # -- local work -------------------------------------------------------------
@@ -168,13 +161,9 @@ def allreduce_device(comm, buf, nbytes: int, op=ReduceOp.SUM,
 
 def _run(comm, seq: int, nbytes: int, algorithm: Optional[str], buf, op):
     cfg = comm.charm.machine.cfg
-    model = CollectiveCostModel(
-        cfg,
-        [comm.node_of(r) for r in range(comm.size)],
-        comm.software_overhead,
-    )
+    model = CollectiveCostModel.of(comm.ampi, range(comm.size))
     spec = select(model, nbytes, algorithm, cfg.collectives.hierarchical_enabled)
-    ctx = CollContext(comm, seq, spec.name)
+    ctx = CollContext(comm, seq, spec.name, model=model)
     tr = comm.charm.machine.tracer
     tr.count("coll", "allreduce")
     tr.count("coll", f"allreduce.{spec.name}")

@@ -13,13 +13,11 @@ intra/inter span kind for per-phase blame:
 
 The predicted cost is assembled from the same three phases, so the
 hierarchy competes in selection on equal terms with the flat algorithms
-and wins exactly where the link model says it should (many ranks per node,
+and wins exactly where the cost model says it should (many ranks per node,
 messages large enough that the NIC bandwidth term dominates).
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.collectives.algorithms import (
     binomial_bcast,
@@ -42,18 +40,8 @@ _PHASE_INTER = 2
 _PHASE_INTRA_OUT = 3
 
 
-def _node_groups(ctx) -> List[List[int]]:
-    """Ranks grouped by node, each group in rank order, groups ordered by
-    their first member (the order ranks first meet their node) — identical
-    on every rank by construction."""
-    groups = {}
-    for r in range(ctx.size):
-        groups.setdefault(ctx.node_of(r), []).append(r)
-    return list(groups.values())
-
-
 def run_hier_allreduce(ctx, buf, nbytes: int, op: ReduceOp):
-    groups = _node_groups(ctx)
+    groups = ctx.model.node_groups()
     mine = next(g for g in groups if ctx.rank in g)
     if len(mine) > 1:
         sub = ctx.sub(mine, _PHASE_INTRA_IN, "intra")
@@ -73,7 +61,7 @@ def cost_hier_allreduce(m: CollectiveCostModel, n: int) -> float:
     if intra.p > 1:
         total += cost_binomial_reduce(intra, n) + cost_binomial_bcast(intra, n)
     if inter.p > 1:
-        total += select(inter, n, hierarchical=False).cost(inter, n)
+        total += inter.cost(select(inter, n, hierarchical=False), n)
     return total
 
 

@@ -1,13 +1,15 @@
-"""Algorithm registry and link-model-derived selection.
+"""Algorithm registry and selection priced by the transfer oracle.
 
 Every device-allreduce algorithm is registered as an :class:`AlgorithmSpec`
-whose ``cost(model, nbytes)`` predicts the modeled completion time from the
-same :class:`~repro.config.TopologyConfig` numbers the simulator itself
-charges (per-hop alpha/beta of NVLink, X-Bus and the NIC, the GPU memory
-roofline of the combine kernel, and the per-message software overhead of
-the calling MPI library).  Crossover points between algorithms therefore
-*fall out of the link model*: there are no per-algorithm timing constants
-to tune, and changing the machine config moves the crossovers with it.
+whose ``cost(model, nbytes)`` predicts the modeled completion time over a
+:class:`CollectiveCostModel`: each hop is the one-way time of the AMPI
+device message between the actual rank pair (:func:`repro.cost.transfer_terms`,
+the closed form the OSU ladder holds equal to the simulator), each combine
+is the combine kernel's own time, and a round of concurrent hops costs its
+slowest hop plus the serialisation of the other hops that share its
+busiest link.  Crossover points between algorithms therefore *fall out of
+the machine model*: there are no per-algorithm timing constants to tune,
+and changing the machine config moves the crossovers with it.
 
 ``select()`` takes a per-call ``algorithm=`` override as given, and
 otherwise the minimum-cost supported candidate (ties broken by name for
@@ -16,10 +18,12 @@ determinism).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import MachineConfig
+from repro.collectives.ops import ReduceOp, combine_kernel
+from repro.cost import transfer_terms
 
 __all__ = [
     "AlgorithmSpec",
@@ -35,104 +39,83 @@ def ceil_log2(n: int) -> int:
 
 
 class CollectiveCostModel:
-    """Closed-form per-step costs for a group of ranks, derived from the
-    machine config exactly as ``hardware.topology.Machine._build_route``
-    composes links:
+    """Costs of collective steps over one group of AMPI ranks (``members``,
+    world ranks), priced for the actual rank pairs.  One model per group and
+    job (:meth:`of`): every rank and phase that prices the group shares its
+    hop and algorithm costs."""
 
-    * intra-node device-device hop: NVLink tx + NVLink rx (plus one X-Bus
-      crossing when the group spans both sockets), bandwidth bounded by the
-      slowest link on the path;
-    * inter-node device-device hop: NVLink tx + NIC tx + NIC rx + NVLink rx;
-      when ``concurrency`` ranks of one node cross at once they share the
-      node's ``nic_rails`` rails and serialise in waves.
+    __slots__ = ("ampi", "members", "gpus", "nodes", "p", "n_nodes",
+                 "_hops", "_costs")
 
-    ``overhead`` is the calling rank's per-message software cost (send +
-    recv side): AMPI's envelope and callback costs.
-    """
+    def __init__(self, ampi, members: Sequence[int]) -> None:
+        self.ampi = ampi
+        self.members = tuple(members)
+        pes = [ampi.rank_pe(r) for r in self.members]
+        self.gpus = tuple(ampi.charm.gpu_of_pe(pe) for pe in pes)
+        self.nodes = tuple(ampi.charm.pe_object(pe).node for pe in pes)
+        self.p = len(self.members)
+        self.n_nodes = len(set(self.nodes))
+        self._hops: Dict[tuple, tuple] = {}
+        self._costs: Dict[tuple, float] = {}
 
-    __slots__ = (
-        "cfg", "rank_nodes", "p", "n_nodes", "max_per_node", "overhead",
-        "alpha_intra", "bw_intra", "alpha_inter", "bw_inter",
-        "nic_rails", "kernel_launch", "gpu_mem_bw",
-    )
+    @classmethod
+    def of(cls, ampi, members: Sequence[int]) -> "CollectiveCostModel":
+        key = tuple(members)
+        model = ampi.coll_models.get(key)
+        if model is None:
+            model = ampi.coll_models[key] = cls(ampi, key)
+        return model
 
-    def __init__(
-        self,
-        cfg: MachineConfig,
-        rank_nodes: Sequence[int],
-        software_overhead: float,
-    ) -> None:
-        if not rank_nodes:
-            raise ValueError("cost model needs at least one rank")
-        topo = cfg.topology
-        self.cfg = cfg
-        self.rank_nodes = tuple(rank_nodes)
-        self.p = len(self.rank_nodes)
-        counts: Dict[int, int] = {}
-        for n in self.rank_nodes:
-            counts[n] = counts.get(n, 0) + 1
-        self.n_nodes = len(counts)
-        self.max_per_node = max(counts.values())
-        self.overhead = software_overhead
-        cross_socket = self.max_per_node > topo.gpus_per_socket
-        self.alpha_intra = 2 * topo.nvlink.latency + (
-            topo.xbus.latency if cross_socket else 0.0
-        )
-        self.bw_intra = (
-            min(topo.nvlink.bandwidth, topo.xbus.bandwidth)
-            if cross_socket else topo.nvlink.bandwidth
-        )
-        self.alpha_inter = 2 * topo.nvlink.latency + 2 * topo.nic.latency
-        self.bw_inter = min(topo.nvlink.bandwidth, topo.nic.bandwidth)
-        self.nic_rails = topo.nic_rails
-        self.kernel_launch = cfg.cuda.kernel_launch_overhead
-        self.gpu_mem_bw = topo.gpu_mem_bandwidth
+    def hop(self, a: int, b: int, nbytes: int) -> tuple:
+        """``(seconds, links)`` of one uncontended device message from group
+        rank ``a`` to ``b``: its closed form, and the links its bulk holds."""
+        key = (a, b, nbytes)
+        hop = self._hops.get(key)
+        if hop is None:
+            terms = transfer_terms("ampi", self.ampi, self.gpus[a],
+                                   self.gpus[b], nbytes)
+            bulk = [t.route.ordered for t in terms if t.route is not None]
+            hop = self._hops[key] = (sum(t.seconds for t in terms),
+                                     bulk[0] if bulk else ())
+        return hop
 
-    # -- per-step costs ----------------------------------------------------------
-    @property
-    def spans_nodes(self) -> bool:
-        return self.n_nodes > 1
-
-    def step_intra(self, nbytes: int) -> float:
-        return self.overhead + self.alpha_intra + nbytes / self.bw_intra
-
-    def step_inter(self, nbytes: int, concurrency: int = 1) -> float:
-        waves = -(-concurrency // self.nic_rails)
-        return self.overhead + self.alpha_inter + nbytes * waves / self.bw_inter
-
-    def step(self, nbytes: int, concurrency: int = 1) -> float:
-        """Worst-case hop for a flat algorithm over this group."""
-        if self.spans_nodes:
-            return self.step_inter(nbytes, concurrency)
-        return self.step_intra(nbytes)
+    def round(self, pairs: Sequence[Tuple[int, int]], nbytes: int) -> float:
+        """Concurrent hops ``(src, dst)``: the slowest, each slowed by the
+        other hops whose bulk shares its busiest link."""
+        hops = [self.hop(a, b, nbytes) for a, b in pairs]
+        load = Counter(link for _t, links in hops for link in links)
+        return max(t + max(((load[l] - 1) * nbytes / l.bandwidth for l in links),
+                           default=0.0)
+                   for t, links in hops)
 
     def combine(self, nbytes: int) -> float:
-        """Elementwise combine kernel: 2 reads + 1 write per element."""
-        return self.kernel_launch + 3 * nbytes / self.gpu_mem_bw
+        """The elementwise combine kernel on an idle GPU."""
+        return self.ampi.charm.cuda.kernel_time(
+            self.gpus[0], combine_kernel(None, None, nbytes, ReduceOp.SUM))
 
-    # -- shape helpers -----------------------------------------------------------
-    def rounds(self) -> int:
-        return ceil_log2(self.p)
+    def cost(self, spec: "AlgorithmSpec", nbytes: int) -> float:
+        key = (spec.name, nbytes)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = spec.cost(self, nbytes)
+        return cost
 
-    def round_split(self) -> tuple:
-        """(inter, intra) round counts of a binomial tree under the block
-        rank-to-node mapping: the top ``ceil(log2 n_nodes)`` rounds cross
-        nodes, the rest stay inside one."""
-        inter = min(self.rounds(), ceil_log2(self.n_nodes))
-        return inter, self.rounds() - inter
+    def node_groups(self) -> List[List[int]]:
+        """Group ranks by node (the hierarchical decomposition), in rank
+        order, groups ordered by their first member."""
+        groups: Dict[int, List[int]] = {}
+        for r, node in enumerate(self.nodes):
+            groups.setdefault(node, []).append(r)
+        return list(groups.values())
 
-    # -- derived groups (hierarchical decomposition) -----------------------------
     def leaders_model(self) -> "CollectiveCostModel":
         """One rank per node (the inter-node phase of a hierarchy)."""
-        return CollectiveCostModel(
-            self.cfg, sorted(set(self.rank_nodes)), self.overhead
-        )
+        return self.of(self.ampi, [self.members[g[0]] for g in self.node_groups()])
 
     def intra_model(self) -> "CollectiveCostModel":
-        """The most populated node's local group (worst intra phase)."""
-        return CollectiveCostModel(
-            self.cfg, [0] * self.max_per_node, self.overhead
-        )
+        """The most populated node's group (the worst intra-node phase)."""
+        group = max(self.node_groups(), key=len)
+        return self.of(self.ampi, [self.members[r] for r in group])
 
 
 @dataclass(frozen=True)
@@ -194,4 +177,4 @@ def select(
         s for s in _REGISTRY.values()
         if (hierarchical or not s.hierarchical) and s.supports(model, nbytes)
     ]
-    return min(candidates, key=lambda s: (s.cost(model, nbytes), s.name))
+    return min(candidates, key=lambda s: (model.cost(s, nbytes), s.name))

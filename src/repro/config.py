@@ -244,7 +244,7 @@ class CollectivesConfig:
     """Device-allreduce behaviour (``repro.collectives``).
 
     Each ``allreduce_device`` call picks the algorithm whose predicted completion
-    time — derived from the link model, never from per-algorithm constants —
+    time — priced by the transfer oracle, never by per-algorithm constants —
     is smallest for the message size, rank count and topology at hand; a
     per-call ``algorithm=`` argument forces a choice instead.
     """

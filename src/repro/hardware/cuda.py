@@ -102,9 +102,12 @@ class CudaRuntime:
 
     # -- kernels -------------------------------------------------------------------
     def launch(self, gpu: int, kernel: Kernel, stream: Optional[Stream] = None) -> SimEvent:
-        return self._gpus[gpu].launch_kernel(
-            kernel, stream, launch_overhead=self.cfg.kernel_launch_overhead
-        )
+        return self._gpus[gpu].launch_kernel(kernel, self.kernel_time(gpu, kernel), stream)
+
+    def kernel_time(self, gpu: int, kernel: Kernel) -> float:
+        """Launch to completion of ``kernel`` on ``gpu``'s idle execution units."""
+        g = self._gpus[gpu]
+        return self.cfg.kernel_launch_overhead + kernel.duration(g.mem_bandwidth, g.FLOP_RATE)
 
     # -- IPC -----------------------------------------------------------------------
     def ipc_open_cost(self, opener_gpu: int, buf: Buffer) -> float:

@@ -132,17 +132,17 @@ class Gpu:
     def launch_kernel(
         self,
         kernel: Kernel,
+        dur: float,
         stream: Optional[Stream] = None,
-        launch_overhead: float = 5.0e-6,
     ) -> SimEvent:
-        """Launch ``kernel`` on ``stream`` (default stream if None).
+        """Launch ``kernel`` on ``stream`` (default stream if None) to run for
+        ``dur`` seconds, launch included (``CudaRuntime.kernel_time``).
 
         The functional body (if any) runs when the kernel *completes*, so
         data dependencies through streams behave like CUDA's.
         """
         stream = stream or self.default_stream
         self.kernels_launched += 1
-        dur = launch_overhead + kernel.duration(self.mem_bandwidth, self.FLOP_RATE)
         return stream.enqueue(self._start_kernel, kernel, dur)
 
     def _start_kernel(self, op: StreamOp, kernel: Kernel, dur: float) -> None:

@@ -87,14 +87,17 @@ def _arrive(worker, remote, nbytes: int, payload, extra_rx: float, rndv, seq: in
         return
     if not remote.am_stream.offer(src, seq, transport.PENDING):
         return  # duplicate RTS from a stall-retransmit race: one fetch only
-    cfg = worker.ctx.cfg
-    # receiver fetches the data with a single copy (CMA within a node, RDMA
-    # get across nodes; the latter pins the pages first -- a CPU/driver cost
-    # that delays the get without occupying the wire)
     route = worker.ctx.machine.route(worker.am_loc, remote.am_loc)
-    reg = cfg.host_rndv_reg_overhead if remote.node != worker.node else 0.0
-    worker.sim.call_later(cfg.progress_overhead + cfg.rndv_rts_cost + reg,
+    worker.sim.call_later(fetch_delay(worker, remote),
                           _start_fetch, worker, remote, route, rndv, seq)
+
+
+def fetch_delay(worker, remote) -> float:
+    """From an AM RTS's arrival at ``remote`` to the start of its single-copy
+    fetch (an RDMA get across nodes pins the pages first, off the wire)."""
+    cfg = worker.ctx.cfg
+    reg = cfg.host_rndv_reg_overhead if remote.node != worker.node else 0.0
+    return cfg.progress_overhead + cfg.rndv_rts_cost + reg
 
 
 def _start_fetch(worker, remote, route, rndv, seq: int) -> None:

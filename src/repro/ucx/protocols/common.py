@@ -29,15 +29,22 @@ def staging_copy_time(ctx, buf: Buffer, size: int) -> float:
       pays driver launch/sync overheads (the slow world the paper warns
       about when UCX fails to detect GDRCopy).
     """
+    if not buf.on_device:
+        return host_copy_time(ctx, size)
+    if ctx.gdrcopy.available:
+        ctx.gdrcopy.copies += 1  # the statistic still counts every copy
+    return device_staging_time(ctx, size)
+
+
+def device_staging_time(ctx, size: int) -> float:
+    """The device branch of :func:`staging_copy_time`, without counting a
+    copy: what the cost oracle (:mod:`repro.cost`) reads."""
     # Each branch is a pure function of static config, memoized per size in
     # the context (keyed by path so a mid-run GDRCopy availability change
     # cannot serve a stale branch).  The cached value is computed with the
     # exact expression of the uncached path, so timing is bit-identical.
-    if not buf.on_device:
-        return host_copy_time(ctx, size)
     cache = ctx.staging_time_cache
     if ctx.gdrcopy.available:
-        ctx.gdrcopy.copies += 1  # the statistic still counts every copy
         key = ("gdr", size)
         t = cache.get(key)
         if t is None:

@@ -47,12 +47,3 @@ def pipeline_extra_time(cfg: MachineConfig, size: int) -> float:
     odds = nchunks * ucx.pipeline_per_chunk_cost
     return fill + drain + odds
 
-
-def pipeline_effective_bandwidth(cfg: MachineConfig, size: int) -> float:
-    """Achieved bandwidth of the pipelined path for ``size`` bytes —
-    used by tests to assert the bandwidth knee position."""
-    if size <= 0:
-        return 0.0
-    wire = size / cfg.topology.nic.bandwidth
-    total = wire + pipeline_extra_time(cfg, size) + cfg.topology.nic.latency
-    return size / total

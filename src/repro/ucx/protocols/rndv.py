@@ -74,6 +74,31 @@ def rndv_lane(cfg: UcxConfig, src: Buffer, dst: Buffer) -> str:
     return RDMA_GET
 
 
+def data_route(machine, lane: str, src: Buffer, dst: Buffer):
+    """``(src_loc, dst_loc, route)`` the bulk of a ``lane`` rendezvous from
+    ``src`` into ``dst`` occupies (the locations are ``None`` for the
+    one-route IPC fallback, which is never striped)."""
+    if lane is PIPELINE and src.node == dst.node:
+        # the IPC fallback, a degraded mode kept on one route: source GPU
+        # link down to host memory, then up the destination GPU's link
+        node = machine.nodes[src.node]
+        return None, None, Route((
+            node.nvlink_tx[machine.local_gpu(src.device)],
+            node.host_mem,
+            node.nvlink_rx[machine.local_gpu(dst.device)],
+        ))
+    src_loc, dst_loc = machine.location_of(src), machine.location_of(dst)
+    if lane is PIPELINE:
+        # chunked host staging overlaps the NVLink hops with the NIC (their
+        # cost is pipeline_extra_time's fill/drain): the bulk holds only the
+        # NIC segment, through the device ends' socket rails
+        if src.on_device:
+            src_loc = machine.host_location(src.node, machine.socket_of_gpu(src.device))
+        if dst.on_device:
+            dst_loc = machine.host_location(dst.node, machine.socket_of_gpu(dst.device))
+    return src_loc, dst_loc, machine.route(src_loc, dst_loc)
+
+
 def start_send(
     worker: "UcpWorker",
     remote: "UcpWorker",
@@ -159,36 +184,15 @@ def start_transfer(
     if ctx.mapping_enabled and lane is not CMA:
         setup += ctx.first_touch(src, dst, msg.src_worker, worker.worker_id)
 
-    src_loc = machine.location_of(src)
-    dst_loc = machine.location_of(dst)
+    src_loc, dst_loc, route = data_route(machine, lane, src, dst)
     stripe = None
-    if lane is PIPELINE and src.node == dst.node:
-        # the IPC fallback, a degraded mode kept on one route: source GPU
-        # link down to host memory, then up the destination GPU's link
-        node = machine.nodes[src.node]
-        route = Route((
-            node.nvlink_tx[machine.local_gpu(src.device)],
-            node.host_mem,
-            node.nvlink_rx[machine.local_gpu(dst.device)],
-        ))
-    else:
-        if lane is PIPELINE:
-            # chunked host staging decouples the GPU links from the wire:
-            # the NVLink hops overlap the NIC chunk-by-chunk (their cost is
-            # the fill/drain above), so the bulk occupies only the NIC
-            # segment, entering/leaving through the device ends' socket rails
-            if src.on_device:
-                src_loc = machine.host_location(src.node, machine.socket_of_gpu(src.device))
-            if dst.on_device:
-                dst_loc = machine.host_location(dst.node, machine.socket_of_gpu(dst.device))
-        route = machine.route(src_loc, dst_loc)
-        # Multi-rail striping (default off) hands the bulk to the striped
-        # engine over the rail set sampled here, at commit time (like the
-        # bandwidth windows, sampled at start-of-transfer).  The GDR lane
-        # is excluded: its route shares the endpoints' NVLink hops, which
-        # capacity-1 serialize any chunks.
-        if machine.cfg.multirail.enabled and lane is not GDR:
-            stripe = plan_striping(machine, src_loc, dst_loc, msg.size)
+    # Multi-rail striping (default off) hands the bulk to the striped
+    # engine over the rail set sampled here, at commit time (like the
+    # bandwidth windows, sampled at start-of-transfer).  The GDR lane is
+    # excluded: its route shares the endpoints' NVLink hops, which
+    # capacity-1 serialize any chunks.  So is the one-route IPC fallback.
+    if machine.cfg.multirail.enabled and lane is not GDR and src_loc is not None:
+        stripe = plan_striping(machine, src_loc, dst_loc, msg.size)
 
     tracer = machine.tracer
     more = None

@@ -2,41 +2,31 @@
 
 import pytest
 
-from repro.bench.analysis import crossover, fit_alpha_beta
+from repro.bench.analysis import crossover
 from repro.bench.reporting import Series
 from repro.config import KB, MB
 
 
 class TestAlphaBetaFit:
-    def test_recovers_exact_model(self):
-        alpha, beta = 2e-6, 10e9
-        s = Series("t", [(x, alpha + x / beta) for x in (64, 1024, 65536, 1 << 20)])
-        a, b = fit_alpha_beta(s)
-        assert a == pytest.approx(alpha, rel=1e-6)
-        assert b == pytest.approx(beta, rel=1e-6)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_alpha_beta(Series("t", [(1, 1.0)]))
-
-    def test_decreasing_series_rejected(self):
-        with pytest.raises(ValueError):
-            fit_alpha_beta(Series("t", [(1, 2.0), (1000, 1.0)]))
-
     def test_fits_measured_charm_curve(self):
-        """The fitted beta of the Charm++ GPU-aware intra-node latency curve
-        should recover roughly the NVLink rate; alpha its small-message
-        latency."""
+        """The Charm++ GPU-aware intra-node latency curve is its closed form
+        exactly: per-layer constants plus size over the route's bandwidth,
+        with the NVLink (CUDA IPC) route carrying the rendezvous data."""
+        import repro.api as api
         from repro.apps.osu import run_latency
+        from repro.config import MachineConfig
+        from repro.cost import transfer_terms
 
-        sizes = [8, 64 * KB, 1 * MB, 4 * MB]
-        s = Series("charm-D", [
-            (x, run_latency("charm", x, "intra", True, iters=5, skip=1))
-            for x in sizes
-        ])
-        alpha, beta = fit_alpha_beta(s)
-        assert 2.0 < alpha * 1e6 < 8.0
-        assert 30.0 < beta / 1e9 < 55.0
+        lib = api.session(MachineConfig.summit(nodes=2)).model("charm").build().lib
+        for x in (8, 64 * KB, 1 * MB, 4 * MB):
+            terms = transfer_terms("charm", lib, 0, 1, x)
+            t = sum(term.seconds for term in terms)
+            assert run_latency("charm", x, "intra", True, iters=5, skip=1) == \
+                pytest.approx(t, rel=1e-12, abs=0)
+            if x >= 64 * KB:  # rendezvous: the data rides the IPC lane
+                (data,) = (term for term in terms if term.route is not None)
+                assert data.name == "cuda_ipc data"
+                assert data.seconds == data.route.latency + x / data.route.bottleneck
 
 
 class TestCrossover:

@@ -60,7 +60,7 @@ class TestPlacementContrast:
     def test_cross_socket_pair_slower_than_same_socket(self):
         """X-Bus adds latency for socket-crossing pairs."""
         import repro.api as api
-        from repro.apps.osu.latency import charm_latency
+        from repro.apps.osu.charm_impl import charm_latency
 
         cfg = MachineConfig.summit(nodes=1)
         same = charm_latency(api.session(cfg).build(), 1 * MB, (0, 1), True,

@@ -1,5 +1,6 @@
 """Property-based tests on core invariants (hypothesis)."""
 
+import functools
 import heapq
 
 import numpy as np
@@ -128,6 +129,24 @@ def test_matching_engine_agrees_with_oracle(ops):
 # cost-model monotonicity
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _openmpi(cfg):
+    import repro.api as api
+
+    return api.session(cfg).model("openmpi").build().lib
+
+
+def bw(cfg, size):
+    """``size`` over the closed form's inter-node pipeline-lane time on
+    ``cfg`` (fill, drain, chunks and the NIC data hold), every size on the
+    lane."""
+    from repro.cost import transfer_terms
+
+    lib = _openmpi(cfg.with_ucx(device_eager_threshold=0))
+    terms = transfer_terms("openmpi", lib, 0, cfg.topology.gpus_per_node, size)
+    return size / sum(t.seconds for t in terms if t.name.startswith("pipeline"))
+
+
 @given(
     a=st.integers(1, 1 << 22),
     b=st.integers(1, 1 << 22),
@@ -142,7 +161,6 @@ def test_pipeline_bandwidth_monotone(a, b):
     chunks' cost."""
     from repro.config import MachineConfig
     from repro.ucx.protocols.pipeline import pipeline_chunks
-    from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth as bw
 
     cfg = MachineConfig.summit()
     chunk = cfg.ucx.pipeline_chunk
@@ -157,11 +175,12 @@ def test_pipeline_bandwidth_monotone(a, b):
 
 def test_pipeline_bandwidth_dips_one_byte_past_a_chunk():
     from repro.config import MachineConfig
-    from repro.ucx.protocols.pipeline import pipeline_effective_bandwidth as bw
 
     cfg = MachineConfig.summit()
     chunk = cfg.ucx.pipeline_chunk
-    assert bw(cfg, 349533) > bw(cfg, chunk + 1)
+    # the data hold crosses two NIC links (1.6 us): from 3/4 of a chunk up,
+    # a one-chunk message outruns one a byte past the chunk
+    assert bw(cfg, 7 * chunk // 8) > bw(cfg, chunk + 1)
     assert bw(cfg, chunk) > bw(cfg, chunk + 1)
 
 

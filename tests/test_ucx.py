@@ -6,12 +6,21 @@ import pytest
 from repro.config import KB, MachineConfig, MB
 from repro.hardware.topology import Machine
 from repro.ucx.context import UcpContext
-from repro.ucx.protocols.pipeline import (
-    pipeline_effective_bandwidth,
-    pipeline_extra_time,
-)
+from repro.ucx.protocols.pipeline import pipeline_extra_time
 from repro.ucx.protocols.select import Protocol, choose_send_protocol
 from repro.ucx.status import UcsStatus, UcxError
+
+
+def pipeline_bandwidth(size):
+    """``size`` over the closed form's inter-node pipeline-lane time (fill,
+    drain, chunks and the NIC data hold), every size on the lane."""
+    import repro.api as api
+    from repro.cost import transfer_terms
+
+    cfg = MachineConfig.summit(nodes=2).with_ucx(device_eager_threshold=0)
+    lib = api.session(cfg).model("openmpi").build().lib
+    terms = transfer_terms("openmpi", lib, 0, cfg.topology.gpus_per_node, size)
+    return size / sum(t.seconds for t in terms if t.name.startswith("pipeline"))
 
 
 def make_pair(nodes=2, gpus=(0, 1), config=None):
@@ -251,12 +260,11 @@ class TestPipelineModel:
 
     def test_effective_bandwidth_below_nic(self):
         cfg = MachineConfig.summit()
-        bw = pipeline_effective_bandwidth(cfg, 4 * MB)
+        bw = pipeline_bandwidth(4 * MB)
         assert 0 < bw < cfg.topology.nic.bandwidth
 
     def test_effective_bandwidth_monotone(self):
-        cfg = MachineConfig.summit()
-        bws = [pipeline_effective_bandwidth(cfg, s) for s in (64 * KB, 512 * KB, 4 * MB)]
+        bws = [pipeline_bandwidth(s) for s in (64 * KB, 512 * KB, 4 * MB)]
         assert bws == sorted(bws)
 
 

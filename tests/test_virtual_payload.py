@@ -71,9 +71,9 @@ def test_osu_latency_identical_under_virtual_payload(monkeypatch, model,
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Packages that may import NumPy at module level: the offline analysis
-#: and figure tooling, which no simulated run imports.
-NUMPY_IMPORTERS = ("bench/",)
+#: Packages that may import NumPy at module level: none (the offline
+#: analysis lost its one importer with the alpha-beta fit).
+NUMPY_IMPORTERS = ()
 
 _DEFAULT_RUNS = """
 import sys
@@ -120,8 +120,12 @@ DEFERRED = (
       ("engine", "algorithms", "hierarchy", "selection", "value")),
     *(f"repro.obs.{name}" for name in
       ("baseline", "cli", "congestion", "critical_path", "export", "flight")),
-    "repro.faults.plan", "repro.faults.injector",
+    "repro.faults.plan", "repro.faults.injector", "repro.cost",
 )
+#: model -> the packages its OSU latency point must not load, beyond those
+#: of :data:`DEFERRED`
+LATENCY_FORBIDS = {"openmpi": ("repro.charm", "repro.collectives"),
+                   "ampi": ("repro.charm4py",)}
 #: The one model whose run loads ``repro.collectives`` (its ranks import
 #: ``ReduceOp``); the others load nothing of the package until a reduction
 #: or collective runs.
@@ -133,12 +137,12 @@ import repro.api as api
 from repro.apps.jacobi3d.driver import run_jacobi
 from repro.config import MachineConfig
 
-model = sys.argv[1]
+model, latency_point = sys.argv[1], sys.argv[2] == "latency"
 sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
 built = sorted(sys.modules)
 assert run_jacobi(model, nodes=2, iters=1, warmup=1, session=sess).iter_time > 0
 ran, latency = sorted(sys.modules), None
-if model == "openmpi":  # a latency point (the OSU app loads every model)
+if latency_point:  # an OSU run loads its own model's programs only
     from repro.apps.osu.runner import run_latency
 
     sess = api.session(MachineConfig.summit(nodes=2)).model(model).build()
@@ -151,8 +155,9 @@ print(json.dumps([built, ran, latency]))
 @pytest.mark.parametrize("model", sorted(RUNS_ON))
 def test_a_session_imports_only_what_it_runs(model):
     """Built with no plan and observation off, then one Jacobi3D run (and
-    for OpenMPI a latency point)."""
-    built, ran, latency = json.loads(_fresh(_BUILD_AND_RUN, model))
+    for AMPI and OpenMPI an OSU latency point)."""
+    point = "latency" if model in LATENCY_FORBIDS else ""
+    built, ran, latency = json.loads(_fresh(_BUILD_AND_RUN, model, point))
     own = f"repro.apps.jacobi3d.{JACOBI_IMPL[model]}"
     unused = {*(p for pkgs in RUNS_ON.values() for p in pkgs), *DEFERRED,
               *(f"repro.apps.jacobi3d.{impl}" for impl in JACOBI_IMPL.values())}
@@ -164,8 +169,10 @@ def test_a_session_imports_only_what_it_runs(model):
                         if m == u or m.startswith(u + "."))
         assert not loaded, f"a {model} session imported {loaded} {stage}"
     assert {*RUNS_ON[model], own} <= set(ran)
-    if latency is not None:
-        assert not [m for m in latency if m.startswith("repro.collectives")]
+    if model in LATENCY_FORBIDS:
+        forbidden = (*LATENCY_FORBIDS[model], *DEFERRED)
+        loaded = [m for m in latency if m.startswith(forbidden)]
+        assert not loaded, f"a {model} latency point imported {loaded}"
 
 
 _FIRST_USE = """
