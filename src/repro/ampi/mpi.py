@@ -225,9 +225,7 @@ class AmpiRank(MpiRank):
         dev_meta = env.dev_meta
         with tracer.under(asp):
             ampi.charm.converse.cmi_send_device(
-                self.pe, ampi.rank_pe(env.dst), dev_meta,
-                on_complete=ev.notify_sender, on_error=ev.send_failed,
-            )
+                self.pe, ampi.rank_pe(env.dst), dev_meta, owner=ev)
             ampi._send_envelope(self.pe, env, host_bytes=0)
         tracer.stage(METADATA_SENT, dev_meta.tag)
 
@@ -276,9 +274,9 @@ class AmpiRank(MpiRank):
 
 
 class _DeviceSend(SimEvent):
-    """The event of an AMPI send from device memory.  It carries what the
-    send's ``CkDeviceBuffer`` callbacks need, and they are its bound
-    methods: the in-flight message holds no closure (DESIGN §4.5)."""
+    """The event of an AMPI send from device memory: the owner of the send's
+    ``CkDeviceBuffer``, carrying what its outcome methods need, so the
+    in-flight message holds no closure (DESIGN §4.5)."""
 
     __slots__ = ("rank", "dst", "nbytes")
 
@@ -299,8 +297,7 @@ class _DeviceSend(SimEvent):
 
 class _Recv(SimEvent):
     """The event of an AMPI receive.  Once matched to a device envelope it
-    carries the status, and the ``DeviceRdmaOp`` callbacks are its bound
-    methods."""
+    carries the status and owns the ``DeviceRdmaOp``."""
 
     __slots__ = ("rank", "status")
 
@@ -351,8 +348,10 @@ class Ampi(MpiJob):
         # allocations; drop them from every PE's pointer cache
         self.machine.add_device_free_hook(self._on_device_free)
         self.pending_host_sends: Dict[int, SimEvent] = {}
-        # rank group -> the cost model collective selection prices it with
+        # rank group -> the cost model collective selection prices it with,
+        # and the seconds of one hop by route class, which the models share
         self.coll_models: Dict[tuple, Any] = {}
+        self.coll_hop_seconds: Dict[tuple, float] = {}
         charm.converse.register_handler("ampi_msg", self._handle_envelope)
         charm.converse.register_handler("ampi_fin", self._handle_fin)
 
@@ -422,8 +421,7 @@ class Ampi(MpiJob):
                 size=env.dev_meta.size,
                 tag=env.dev_meta.tag,
                 recv_type=DeviceRecvType.AMPI,
-                on_complete=ev.landed,
-                on_error=ev.failed,
+                owner=ev,
             )
             with self.machine.tracer.under(req.span):
                 self.charm.converse.cmi_recv_device(rank.pe, op)

@@ -21,7 +21,8 @@ class JacobiBlockPy(PyChare):
         self.warmup = warmup
         self.collector = collector
         self.state = BlockState(
-            self.c4p.cuda, self.gpu, decomp, self.thisIndex, functional
+            self.c4p.cuda, self.gpu, decomp, self.thisIndex, functional,
+            host_staging=not gpu_aware,
         )
         self.timings = BlockTimings()
 

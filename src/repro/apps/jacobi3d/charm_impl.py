@@ -33,7 +33,8 @@ class JacobiBlock(Chare):
         self.check_interval = check_interval
         self.tolerance = tolerance
         self.state = BlockState(
-            self.charm.cuda, self.gpu, decomp, self.thisIndex, functional
+            self.charm.cuda, self.gpu, decomp, self.thisIndex, functional,
+            host_staging=not gpu_aware,
         )
         self.timings = BlockTimings()
         self._halo_counts: Dict[int, int] = {}

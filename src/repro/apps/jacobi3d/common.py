@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.apps.jacobi3d.decomposition import Decomposition
 from repro.apps.jacobi3d.kernels import pack_kernel, stencil_kernel, unpack_kernel
@@ -45,7 +45,8 @@ class BlockState:
     bit-for-bit.  Otherwise no kernel touches a byte (the buffers stay
     size-only) and only the cost model runs.  Send and ghost buffers are
     double-buffered by iteration parity so a fast neighbour's
-    next-iteration halo never clobbers in-flight data.
+    next-iteration halo never clobbers in-flight data.  Only a host-staged
+    run has the host buffers ``h_send``/``h_recv``.
     """
 
     def __init__(
@@ -55,6 +56,7 @@ class BlockState:
         decomp: Decomposition,
         rank: int,
         functional: bool = False,
+        host_staging: bool = False,
     ) -> None:
         self.cuda = cuda
         self.gpu = gpu
@@ -79,16 +81,17 @@ class BlockState:
         # interior field on the device (cost/capacity accounting)
         self.d_field = cuda.malloc(gpu, 2 * cells * decomp.dtype_bytes)
 
-        self.d_send: Dict[str, List[Buffer]] = {}
-        self.d_ghost: Dict[str, List[Buffer]] = {}
-        self.h_send: Dict[str, Buffer] = {}
-        self.h_recv: Dict[str, Buffer] = {}
+        self.d_send: Dict[str, Tuple[Buffer, Buffer]] = {}
+        self.d_ghost: Dict[str, Tuple[Buffer, Buffer]] = {}
+        self.h_send: Optional[Dict[str, Buffer]] = {} if host_staging else None
+        self.h_recv: Optional[Dict[str, Buffer]] = {} if host_staging else None
         for d, _nbr in self.neighbors:
             fb = decomp.face_bytes(d)
-            self.d_send[d] = [cuda.malloc(gpu, fb) for _ in range(2)]
-            self.d_ghost[d] = [cuda.malloc(gpu, fb) for _ in range(2)]
-            self.h_send[d] = cuda.malloc_host(self.node, fb)
-            self.h_recv[d] = cuda.malloc_host(self.node, fb)
+            self.d_send[d] = (cuda.malloc(gpu, fb), cuda.malloc(gpu, fb))
+            self.d_ghost[d] = (cuda.malloc(gpu, fb), cuda.malloc(gpu, fb))
+            if host_staging:
+                self.h_send[d] = cuda.malloc_host(self.node, fb)
+                self.h_recv[d] = cuda.malloc_host(self.node, fb)
 
     # -- helpers -------------------------------------------------------------
     def _arr(self, buf: Buffer) -> Optional[np.ndarray]:

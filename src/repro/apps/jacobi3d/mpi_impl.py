@@ -16,7 +16,8 @@ def jacobi_mpi_program(mpi, decomp: Decomposition, gpu_aware: bool, iters: int,
                        warmup: int, functional: bool, collector: ResultCollector):
     if mpi.rank >= decomp.n_blocks:
         return
-    st = BlockState(mpi.charm.cuda, mpi.gpu, decomp, mpi.rank, functional)
+    st = BlockState(mpi.charm.cuda, mpi.gpu, decomp, mpi.rank, functional,
+                    host_staging=not gpu_aware)
     timings = BlockTimings()
     nbrs = st.neighbors
     for it in range(warmup + iters):

@@ -8,7 +8,6 @@ Charm4py instantiate this class and layer themselves over it.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
@@ -226,7 +225,8 @@ class Charm:
         # (1)-(4): each GPU buffer goes through CmiSendDevice/LrtsSendDevice,
         # which assigns and stores its tag in the metadata object.
         for b in dev_bufs:
-            self.converse.cmi_send_device(src_pe, dst_pe, b, on_complete=b.cb)
+            self.converse.cmi_send_device(
+                src_pe, dst_pe, b, owner=None if b.cb is None else b)
 
         # (5): pack metadata with host-side data and send.
         msg = CmiMessage(
@@ -265,8 +265,7 @@ class Charm:
                 f"{type(chare).__name__}.{method} takes nocopydevice parameters "
                 f"but defines no post entry method {method}_post"
             )
-        posts = PendingInvocation.make_posts(msg.device_bufs,
-                                             announced_at=self.sim.now)
+        posts = PendingInvocation.make_posts(msg.device_bufs)
         pe.charge(rt.post_entry_overhead)
         prev, self._current_pe = self._current_pe, pe.index
         try:
@@ -282,39 +281,18 @@ class Charm:
             args=args,
             posts=posts,
             remaining=len(posts),
+            charm=self,
         )
-        arrived = partial(self._on_device_recv, pending)
         for dev_buf, post in zip(msg.device_bufs, posts):
             op = DeviceRdmaOp(
                 dest=post.buffer,
                 size=dev_buf.size,
                 tag=dev_buf.tag,
                 recv_type=DeviceRecvType.CHARM,
-                on_complete=arrived,
+                owner=pending,
             )
             self.converse.cmi_recv_device(pe.index, op)
         return None
-
-    def _on_device_recv(self, pending: PendingInvocation, _op: DeviceRdmaOp) -> None:
-        """Completion of one GPU buffer of a pending invocation.  When the
-        last one lands, the regular entry method is enqueued on the owning
-        PE."""
-        pending.remaining -= 1
-        if pending.remaining > 0:
-            return
-        final_args = []
-        it = iter(pending.posts)
-        for a in pending.args:
-            final_args.append(next(it).buffer if isinstance(a, CkDeviceBuffer) else a)
-        dst_pe = self.chare_pe[pending.chare_id]
-        ready = CmiMessage(
-            handler="charm_entry_ready",
-            payload=(pending.chare_id, pending.method, tuple(final_args)),
-            host_bytes=0,
-            src_pe=dst_pe,
-            dst_pe=dst_pe,
-        )
-        self.converse.pes[dst_pe].enqueue(ready)
 
     def _handle_entry_ready(self, pe: Pe, msg: CmiMessage):
         chare_id, method, args = msg.payload

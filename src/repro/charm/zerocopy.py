@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.core.device_buffer import CmiDeviceBuffer
+from repro.converse.message import CmiMessage
+from repro.core.device_buffer import CkDeviceBuffer, CmiDeviceBuffer
 from repro.hardware.memory import Buffer
 
 
@@ -21,21 +22,18 @@ class PostError(RuntimeError):
     """The post entry method did not name a destination for every buffer."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DevicePost:
     """Receiver-side slot for one incoming GPU buffer.
 
     ``size`` and ``tag`` come from the sender's metadata; the post entry
     method must set ``buffer`` to a device allocation of at least ``size``
-    bytes (the paper's ``data = recv_gpu_data`` line).  ``announced_at``
-    is the simulated time the metadata message was handled — the earliest
-    instant the receiver *could* have posted (introspection only)."""
+    bytes (the paper's ``data = recv_gpu_data`` line)."""
 
     size: int
     tag: int
     src_pe: int
     buffer: Optional[Buffer] = None
-    announced_at: float = 0.0
 
     def validate(self) -> None:
         if self.buffer is None:
@@ -48,21 +46,35 @@ class DevicePost:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingInvocation:
-    """An entry invocation waiting for its GPU buffers to arrive."""
+    """An entry invocation waiting for its GPU buffers to arrive: the owner
+    of their receives (see :mod:`repro.core.device_buffer`)."""
 
     chare_id: int
     method: str
     args: Tuple[Any, ...]
     posts: List[DevicePost]
     remaining: int
+    charm: Any
+
+    def landed(self, _op) -> None:
+        """Completion of one GPU buffer.  When the last one lands, the
+        regular entry method is enqueued on the owning PE."""
+        self.remaining -= 1
+        if self.remaining > 0:
+            return
+        it = iter(self.posts)
+        args = tuple(next(it).buffer if isinstance(a, CkDeviceBuffer) else a
+                     for a in self.args)
+        dst_pe = self.charm.chare_pe[self.chare_id]
+        self.charm.converse.pes[dst_pe].enqueue(CmiMessage(
+            "charm_entry_ready", (self.chare_id, self.method, args), 0, dst_pe, dst_pe))
+
+    def failed(self, op, status) -> None:
+        op.layer._route_error("recv", op.tag, status)
 
     @staticmethod
-    def make_posts(dev_bufs: List[CmiDeviceBuffer],
-                   announced_at: float = 0.0) -> List[DevicePost]:
-        return [
-            DevicePost(size=b.size, tag=b.tag, src_pe=b.src_pe,
-                       announced_at=announced_at)
-            for b in dev_bufs
-        ]
+    def make_posts(dev_bufs: List[CmiDeviceBuffer]) -> List[DevicePost]:
+        return [DevicePost(size=b.size, tag=b.tag, src_pe=b.src_pe)
+                for b in dev_bufs]

@@ -44,10 +44,13 @@ class Future:
         self.runtime.sim.call_later(cost, self._event.succeed, value)
 
     def landed(self, _op) -> None:
-        """``on_complete`` of the device receive posted for this future: its
-        bound method, so the in-flight receive holds no closure."""
+        """The device receive posted for this future completed: the future
+        owns the receive's op, so the in-flight receive holds no closure."""
         self.runtime.charm.machine.tracer.end(self.span)
         self.send(None)
+
+    def failed(self, op, status) -> None:
+        op.layer._route_error("recv", op.tag, status)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Future {self.fid} {'fulfilled' if self.fulfilled else 'pending'}>"

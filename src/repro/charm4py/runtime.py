@@ -159,7 +159,7 @@ class Charm4py:
             size=meta.size,
             tag=meta.tag,
             recv_type=DeviceRecvType.CHARM4PY,
-            on_complete=future.landed,
+            owner=future,
         )
         if delay > 0.0:
             self.sim.call_later(delay, self._post_device_recv, pe_index, op, future.span)

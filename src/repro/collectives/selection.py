@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.collectives.ops import ReduceOp, combine_kernel
-from repro.cost import transfer_terms
+from repro.cost import device_bulk_route, transfer_terms
 
 __all__ = [
     "AlgorithmSpec",
@@ -68,15 +68,21 @@ class CollectiveCostModel:
 
     def hop(self, a: int, b: int, nbytes: int) -> tuple:
         """``(seconds, links)`` of one uncontended device message from group
-        rank ``a`` to ``b``: its closed form, and the links its bulk holds."""
+        rank ``a`` to ``b``: its closed form, priced once per job and route
+        class (local GPUs, same node or not), and the links its bulk holds."""
         key = (a, b, nbytes)
         hop = self._hops.get(key)
         if hop is None:
-            terms = transfer_terms("ampi", self.ampi, self.gpus[a],
-                                   self.gpus[b], nbytes)
-            bulk = [t.route.ordered for t in terms if t.route is not None]
-            hop = self._hops[key] = (sum(t.seconds for t in terms),
-                                     bulk[0] if bulk else ())
+            ampi, src, dst = self.ampi, self.gpus[a], self.gpus[b]
+            machine = ampi.machine
+            route_class = (machine.local_gpu(src), machine.local_gpu(dst),
+                           self.nodes[a] == self.nodes[b], nbytes)
+            seconds = ampi.coll_hop_seconds.get(route_class)
+            if seconds is None:
+                seconds = ampi.coll_hop_seconds[route_class] = sum(
+                    t.seconds for t in transfer_terms("ampi", ampi, src, dst, nbytes))
+            route = device_bulk_route(ampi.charm.layer.ucp, src, dst, nbytes)
+            hop = self._hops[key] = (seconds, () if route is None else route.ordered)
         return hop
 
     def round(self, pairs: Sequence[Tuple[int, int]], nbytes: int) -> float:

@@ -75,11 +75,11 @@ class Converse:
         src_pe: int,
         dst_pe: int,
         dev_buf: CmiDeviceBuffer,
-        on_complete: Optional[Callable[[], None]] = None,
-        on_error: Optional[Callable] = None,
+        owner=None,
     ) -> int:
         """``CmiSendDevice`` (paper Fig. 6, step 2): hand the GPU buffer to
-        the machine layer; the assigned tag lands in ``dev_buf.tag``."""
+        the machine layer; the assigned tag lands in ``dev_buf.tag`` and
+        ``owner`` is told how the send ends."""
         pe = self.pes[src_pe]
         with self.machine.tracer.scope(
             CMI_SEND_DEVICE, attrs=(src_pe, dst_pe, dev_buf.size)
@@ -87,8 +87,7 @@ class Converse:
             return self.layer.lrts_send_device(
                 src_pe, dst_pe, dev_buf,
                 departure_delay=pe.current_delay(),
-                on_complete=on_complete,
-                on_error=on_error,
+                owner=owner,
             )
 
     def cmi_recv_device(self, pe_index: int, op: DeviceRdmaOp) -> None:

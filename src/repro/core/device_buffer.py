@@ -13,6 +13,10 @@ writes its span and itself into them and hands their bound ``sent`` /
 ``received`` to UCP as the request's completion callback, so an in-flight
 device transfer holds no closure (DESIGN §4.5).  Neither holds its
 ``UcxRequest``, so that callback makes no reference cycle.
+Each tells its ``owner``, the model's record of the message, the outcome:
+``notify_sender()`` / ``send_failed(status)`` for a send, ``landed(op)`` /
+``failed(op, status)`` for a receive; without one a failure goes to the
+layer's error handler.
 """
 
 from __future__ import annotations
@@ -46,15 +50,11 @@ class CmiDeviceBuffer:
     size: int
     tag: int = 0
     src_pe: int = -1
-    # written by ``LrtsSendDevice``: the layer sending it, its span and what
-    # to call when UCP completes the send (``on_complete()`` or, on failure,
-    # ``on_error(status)``)
+    # written by ``LrtsSendDevice``: the layer sending it, its span and the
+    # owner told how the send ended
     layer: Any = field(default=None, repr=False, compare=False)
     span: Any = field(default=None, repr=False, compare=False)
-    on_complete: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False)
-    on_error: Optional[Callable[[Any], None]] = field(
-        default=None, repr=False, compare=False)
+    owner: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -70,21 +70,29 @@ class CmiDeviceBuffer:
         """UCP completion callback of the send."""
         layer = self.layer
         layer.machine.tracer.end(self.span)
+        owner = self.owner
         if req.status is not UcsStatus.OK:
-            if self.on_error is not None:
-                self.on_error(req.status)
+            if owner is not None:
+                owner.send_failed(req.status)
             else:
                 layer._route_error("send", self.tag, req.status)
             return
-        if self.on_complete is not None:
-            self.on_complete()
+        if owner is not None:
+            owner.notify_sender()
 
 
 @dataclass(slots=True)
 class CkDeviceBuffer(CmiDeviceBuffer):
-    """Charm++-core metadata: adds the completion callback (CkCallback)."""
+    """Charm++-core metadata: adds the completion callback (CkCallback);
+    a buffer with one owns its own send."""
 
     cb: Optional[Callable[[], None]] = None
+
+    def notify_sender(self) -> None:
+        self.cb()
+
+    def send_failed(self, status) -> None:
+        self.layer._route_error("send", self.tag, status)
 
     @classmethod
     def wrap(cls, buf: Buffer, size: Optional[int] = None,
@@ -99,19 +107,15 @@ class DeviceRdmaOp:
     """Receive descriptor passed to ``LrtsRecvDevice`` (paper §III-A).
 
     Carries everything needed to post ``ucp_tag_recv_nb``: destination GPU
-    buffer, expected size, and the tag set by the sender; plus the posting
-    model's completion handler, invoked as ``on_complete(op)``.
+    buffer, expected size, and the tag set by the sender; plus its
+    ``owner``, the posting model's record of the receive.
     """
 
     dest: Buffer
     size: int
     tag: int
     recv_type: DeviceRecvType
-    on_complete: Optional[Callable[["DeviceRdmaOp"], None]] = None
-    # invoked as ``on_error(op, status)`` when the receive fails (cancelled,
-    # truncated, endpoint timeout); without one the machine layer falls back
-    # to its layer-level error handler, then to raising
-    on_error: Optional[Callable[["DeviceRdmaOp", Any], None]] = None
+    owner: Any = None
     # written by ``LrtsRecvDevice``: the layer receiving it and its span
     layer: Any = field(default=None, repr=False, compare=False)
     span: Any = field(default=None, repr=False, compare=False)
@@ -129,11 +133,12 @@ class DeviceRdmaOp:
         outcome (an error must not leak it)."""
         layer = self.layer
         layer.machine.tracer.end(self.span)
+        owner = self.owner
         if req.status is not UcsStatus.OK:
-            if self.on_error is not None:
-                self.on_error(self, req.status)
+            if owner is not None:
+                owner.failed(self, req.status)
             else:
                 layer._route_error("recv", self.tag, req.status)
             return
-        if self.on_complete is not None:
-            self.on_complete(self)
+        if owner is not None:
+            owner.landed(self)

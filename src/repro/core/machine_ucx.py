@@ -11,9 +11,9 @@ Lowest layer of the Charm++ runtime stack, directly interfacing the
   in the caller's ``CmiDeviceBuffer`` metadata (to be packed with the host
   message), and pushes the GPU buffer into ``ucp_tag_send_nb``;
   ``lrts_recv_device`` posts ``ucp_tag_recv_nb`` for an incoming GPU buffer
-  and completes it through the op the posting model built: its
-  ``on_complete`` is that model's receive handler (Charm++, AMPI or
-  Charm4py), as in the paper's per-model receive handlers.
+  and completes it through the op the posting model built: its ``owner``
+  is that model's record of the receive (Charm++, AMPI or Charm4py), whose
+  ``landed`` is the paper's per-model receive handler.
 
 The metadata object of each transfer is also its in-flight record (see
 :mod:`repro.core.device_buffer`).
@@ -79,7 +79,7 @@ class UcxMachineLayer:
     ) -> None:
         """Install the layer-level communication-error upcall, invoked as
         ``handler(kind, tag, status)`` with kind "send"/"recv" when a device
-        transfer fails and the op carries no ``on_error`` of its own.
+        transfer fails and its record has no owner to tell.
         Without one, a failed device receive raises (the seed behaviour)."""
         self._error_handler = handler
 
@@ -114,12 +114,12 @@ class UcxMachineLayer:
         dst_pe: int,
         dev_buf: CmiDeviceBuffer,
         departure_delay: float = 0.0,
-        on_complete: Optional[Callable[[], None]] = None,
-        on_error: Optional[Callable[[UcsStatus], None]] = None,
+        owner=None,
     ) -> int:
         """``LrtsSendDevice``: assign the device tag, store it in the
-        metadata object, and send the GPU buffer through UCP.  Returns the
-        tag (also written to ``dev_buf.tag``)."""
+        metadata object, and send the GPU buffer through UCP; ``owner`` is
+        told the outcome (``notify_sender()`` / ``send_failed(status)``).
+        Returns the tag (also written to ``dev_buf.tag``)."""
         rt = self.cfg.runtime
         tag = self.tag_gens[src_pe].next_device_tag()
         dev_buf.tag = tag
@@ -128,8 +128,7 @@ class UcxMachineLayer:
         ep = worker.ep(dst_pe)
         delay = departure_delay + rt.lrts_send_device_overhead + rt.heap_alloc_cost
         dev_buf.layer = self
-        dev_buf.on_complete = on_complete
-        dev_buf.on_error = on_error
+        dev_buf.owner = owner
         dev_buf.span = self.machine.tracer.stage(
             LRTS_SEND_DEVICE, tag, dst_pe, self._send_device_charge,
             (src_pe, dst_pe, dev_buf.size, tag),
@@ -144,7 +143,7 @@ class UcxMachineLayer:
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
         """``LrtsRecvDevice``: post the tagged receive for incoming GPU data;
-        on completion, invoke ``op.on_complete(op)``."""
+        on completion, tell ``op.owner`` (``landed(op)``)."""
         rt = self.cfg.runtime
         op.layer = self
         op.span = self.machine.tracer.stage(

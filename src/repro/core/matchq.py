@@ -38,65 +38,56 @@ wildcard entries/lookups.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["IndexedMatchQueue"]
 
 
-class _Fenwick:
-    """Binary indexed tree over slot liveness (1 = live, 0 = removed).
+# -- the Fenwick tree ---------------------------------------------------------
+# A binary indexed tree over slot liveness (1 = live, 0 = removed), kept as a
+# plain list: ``tree[0]`` is unused and ``tree[i]`` covers the 1-based range
+# ``(i - (i & -i), i]``.  ``_prefix(tree, slot + 1)`` -- the number of live
+# slots at positions ``<= slot`` -- is exactly the 1-based position a linear
+# FIFO scan would have reported for the entry at ``slot``, which is what keeps
+# the modeled scan cost of the indexed queue bit-identical to the linear one.
 
-    ``rank(slot)`` — the number of live slots at positions ``<= slot`` — is
-    exactly the 1-based position a linear FIFO scan would have reported for
-    the entry at ``slot``, which is what keeps the modeled scan cost of the
-    indexed queue bit-identical to the linear one.
-    """
+def _prefix(tree: List[int], i: int) -> int:
+    """Sum of 1-based positions ``1..i``."""
+    s = 0
+    while i > 0:
+        s += tree[i]
+        i -= i & -i
+    return s
 
-    __slots__ = ("_tree", "_n")
 
-    def __init__(self) -> None:
-        self._tree: List[int] = [0]  # 1-based; _tree[0] unused
-        self._n = 0
+def _fen_append(tree: List[int], value: int) -> None:
+    """Extend the tree by one slot holding ``value`` (O(log n))."""
+    i = len(tree)
+    lb = i & -i
+    # tree[i] covers (i - lb, i]; everything but the new element is already
+    # summed in existing prefixes
+    s = _prefix(tree, i - 1) - _prefix(tree, i - lb)
+    tree.append(s + value)
 
-    def append(self, value: int) -> None:
-        """Extend the tree by one slot holding ``value`` (O(log n))."""
-        self._n += 1
-        i = self._n
-        lb = i & -i
-        # _tree[i] covers the range (i - lb, i]; everything but the new
-        # element is already summed in existing prefixes.
-        s = self.prefix(i - 1) - self.prefix(i - lb)
-        self._tree.append(s + value)
 
-    def add(self, slot: int, delta: int) -> None:
-        """Add ``delta`` at 0-based ``slot``."""
-        i = slot + 1
-        tree = self._tree
-        n = self._n
-        while i <= n:
-            tree[i] += delta
-            i += i & -i
+def _fen_add(tree: List[int], slot: int, delta: int) -> None:
+    """Add ``delta`` at 0-based ``slot``."""
+    i = slot + 1
+    n = len(tree) - 1
+    while i <= n:
+        tree[i] += delta
+        i += i & -i
 
-    def prefix(self, i: int) -> int:
-        """Sum of 1-based positions ``1..i``."""
-        tree = self._tree
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
 
-    def rank(self, slot: int) -> int:
-        """Number of live slots at 0-based positions ``<= slot``."""
-        return self.prefix(slot + 1)
+def _all_live(n: int) -> List[int]:
+    """A tree of ``n`` slots, all live (O(n))."""
+    return [0] + [(i & -i) for i in range(1, n + 1)]
 
-    @classmethod
-    def all_live(cls, n: int) -> "_Fenwick":
-        """Build a tree of ``n`` slots, all live (O(n))."""
-        fen = cls.__new__(cls)
-        fen._n = n
-        fen._tree = [0] + [(i & -i) for i in range(1, n + 1)]
-        return fen
+
+#: the bucket index of a queue nothing was ever filed in
+_NO_BUCKETS = MappingProxyType({})
 
 
 class IndexedMatchQueue:
@@ -106,7 +97,9 @@ class IndexedMatchQueue:
     they outnumber the live entries, so slots stay small and iteration stays
     amortised O(live).  Buckets and the wildcard list hold the slot indices
     of live entries only: a removal takes its slot out at once, and a bucket
-    goes with its last entry.
+    goes with its last entry.  A queue nothing was ever filed in holds
+    shared empty stand-ins; its containers are built by the first
+    :meth:`append`.
     """
 
     __slots__ = ("_slots", "_keys", "_buckets", "_wild", "_fen", "_live",
@@ -116,11 +109,12 @@ class IndexedMatchQueue:
     _COMPACT_SLACK = 64
 
     def __init__(self) -> None:
-        self._slots: List[Any] = []  # item, or None once removed
-        self._keys: List[Any] = []  # key the item was filed under
-        self._buckets: Dict[Any, List[int]] = {}  # key -> its live slots, FIFO
-        self._wild: List[int] = []  # slots of wildcard entries, FIFO
-        self._fen = _Fenwick()
+        self._slots: Sequence[Any] = ()  # item, or None once removed
+        self._keys: Sequence[Any] = ()  # key the item was filed under
+        # key -> its live slots, FIFO
+        self._buckets: Mapping[Any, List[int]] = _NO_BUCKETS
+        self._wild: Sequence[int] = ()  # slots of wildcard entries, FIFO
+        self._fen: Optional[List[int]] = None  # the Fenwick tree
         self._live = 0
         self._dead = 0
         #: optional telemetry hook: called with +1/-1 on insert/remove
@@ -128,10 +122,14 @@ class IndexedMatchQueue:
 
     # -- mutation -----------------------------------------------------------
     def append(self, item: Any, key: Any = None) -> None:
+        fen = self._fen
+        if fen is None:  # first use
+            self._slots, self._keys, self._wild, self._buckets = [], [], [], {}
+            self._fen = fen = [0]
         slot = len(self._slots)
         self._slots.append(item)
         self._keys.append(key)
-        self._fen.append(1)
+        _fen_append(fen, 1)
         self._live += 1
         if self.depth_probe is not None:
             self.depth_probe(1)
@@ -156,7 +154,7 @@ class IndexedMatchQueue:
                 del self._buckets[key]
             else:
                 bucket.remove(slot)
-        self._fen.add(slot, -1)
+        _fen_add(self._fen, slot, -1)
         self._live -= 1
         self._dead += 1
         if self.depth_probe is not None:
@@ -182,37 +180,27 @@ class IndexedMatchQueue:
                     self._buckets[k] = [slot]
                 else:
                     bucket.append(slot)
-        self._fen = _Fenwick.all_live(len(live))
+        self._fen = _all_live(len(live))
         self._dead = 0
 
     # -- candidate search ----------------------------------------------------
-    def _bucket_head(self, key: Any) -> Optional[int]:
-        """Earliest slot filed under ``key``."""
-        bucket = self._buckets.get(key)
-        return None if bucket is None else bucket[0]
-
-    def _first_wild(self, pred: Callable[[Any], bool], before: Optional[int]) -> Optional[int]:
-        """Earliest wildcard slot ``< before`` whose item satisfies ``pred``."""
-        slots = self._slots
-        for slot in self._wild:
-            if before is not None and slot >= before:
-                return None
-            if pred(slots[slot]):
-                return slot
-        return None
-
     def _find(self, key: Any, pred: Callable[[Any], bool]) -> Optional[int]:
+        slots = self._slots
         if key is None:
             # wildcard lookup: semantics require the earliest live entry of
             # *any* key that satisfies pred — a genuine FIFO scan.
-            for slot, item in enumerate(self._slots):
+            for slot, item in enumerate(slots):
                 if item is not None and pred(item):
                     return slot
             return None
-        exact = self._bucket_head(key)
-        wild = self._first_wild(pred, before=exact)
-        if wild is not None:
-            return wild  # _first_wild only returns slots earlier than exact
+        bucket = self._buckets.get(key)
+        exact = None if bucket is None else bucket[0]
+        # a wildcard entry filed before the bucket's head wins
+        for slot in self._wild:
+            if exact is not None and slot >= exact:
+                break
+            if pred(slots[slot]):
+                return slot
         return exact
 
     # -- queries -------------------------------------------------------------
@@ -228,7 +216,7 @@ class IndexedMatchQueue:
         slot = self._find(key, pred)
         if slot is None:
             return None, self._live
-        scanned = self._fen.rank(slot)
+        scanned = _prefix(self._fen, slot + 1)
         return self._kill(slot), scanned
 
     def remove_first(self, pred: Callable[[Any], bool]) -> Optional[Any]:

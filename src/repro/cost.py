@@ -22,7 +22,7 @@ from repro.ucx.protocols.pipeline import pipeline_extra_time
 from repro.ucx.protocols.rndv import CUDA_IPC, PIPELINE, data_route, rndv_lane
 from repro.ucx.protocols.select import Protocol, choose_send_protocol
 
-__all__ = ["Term", "transfer_terms"]
+__all__ = ["Term", "device_bulk_route", "transfer_terms"]
 
 
 class Term(NamedTuple):
@@ -116,6 +116,16 @@ def transfer_terms(model: str, lib, src_gpu: int, dst_gpu: int, size: int,
     back = machine.route(machine.location_of(dst), machine.device_location(dst_gpu))
     return [Term("cudaMemcpy DtoH + sync", "cuda", out.hold_time(size) + stage), *body,
             Term("cudaMemcpy HtoD + sync", "cuda", back.hold_time(size) + stage)]
+
+
+def device_bulk_route(ucp, src_gpu: int, dst_gpu: int, size: int) -> Optional[Route]:
+    """The route the bulk of that device message occupies: the data route
+    of its :func:`transfer_terms` rendezvous, ``None`` when it is eager."""
+    machine = ucp.machine
+    src, dst = machine.device_location(src_gpu), machine.device_location(dst_gpu)
+    if choose_send_protocol(ucp.cfg, src, size) is Protocol.EAGER:
+        return None
+    return data_route(machine, rndv_lane(ucp.cfg, src, dst), src, dst)[2]
 
 
 def _wire(rt, host_bytes: int = 0, device_bufs: int = 0) -> int:

@@ -30,10 +30,11 @@ class CudaRuntime:
             g: Gpu(self.sim, g, machine.node_of_gpu(g), machine.cfg.topology.gpu_mem_bandwidth)
             for g in range(machine.cfg.topology.total_gpus)
         }
-        # base allocation address -> GPUs that opened it: UCX's IPC handle
-        # cache.  A real free drops the allocation's entries (pool returns
-        # run no free hook, so a pooled slab stays open while it lives).
-        self._ipc_open_cache: Dict[int, set] = {}
+        # base allocation address -> the GPUs that opened it, as a bitmask
+        # (bit g: GPU g): UCX's IPC handle cache.  A real free drops the
+        # allocation's entry (pool returns run no free hook, so a pooled
+        # slab stays open while it lives).
+        self._ipc_open_cache: Dict[int, int] = {}
         machine.add_device_free_hook(self._drop_ipc_opens)
 
     # -- devices / streams ------------------------------------------------------
@@ -121,11 +122,11 @@ class CudaRuntime:
         if not buf.on_device:
             raise ValueError("IPC handles are for device buffers")
         base = buf.address if buf.base is None else buf.base.address
-        openers = self._ipc_open_cache.setdefault(base, set())
-        if opener_gpu in openers:
+        openers = self._ipc_open_cache.get(base, 0)
+        if openers >> opener_gpu & 1:
             self.machine.tracer.count("cuda_ipc", "open_cached")
             return self.cfg.ipc_cached_open_cost
-        openers.add(opener_gpu)
+        self._ipc_open_cache[base] = openers | 1 << opener_gpu
         self.machine.tracer.count("cuda_ipc", "open_new")
         return self.cfg.ipc_handle_open_cost
 

@@ -51,14 +51,14 @@ class Link(Resource):
         self.params = params
         self.link_id = next(_link_ids)
         self.bytes_carried = 0
-        self._parked: list = []  # blocked _Transfers, oldest first
+        self._parked: Sequence[_Transfer] = ()  # blocked, oldest first
 
     def release(self) -> None:
         """Free a slot, then re-examine the transfers parked here, in order."""
         super().release()
         parked = self._parked
         if parked:
-            self._parked = []
+            self._parked = ()
             _examine(parked)
 
     @property
@@ -288,7 +288,10 @@ def _examine(transfers) -> None:
             if link._in_use >= link.capacity:
                 if xfer.telem is not None:
                     xfer.blocked_on = link.name
-                link._parked.append(xfer)
+                if link._parked:
+                    link._parked.append(xfer)
+                else:
+                    link._parked = [xfer]
                 break
         else:
             xfer.start()

@@ -58,11 +58,10 @@ class MpiRequest:
     sends.
     """
 
-    __slots__ = ("event", "kind")
+    __slots__ = ("event",)
 
-    def __init__(self, event: SimEvent, kind: str) -> None:
+    def __init__(self, event: SimEvent) -> None:
         self.event = event
-        self.kind = kind
 
 
 def waitall(sim, requests) -> SimEvent:
@@ -106,12 +105,12 @@ class MpiRank:
 
     # -- point-to-point ------------------------------------------------------------
     def isend(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> MpiRequest:
-        return MpiRequest(self.send(buf, nbytes, dst, tag), "send")
+        return MpiRequest(self.send(buf, nbytes, dst, tag))
 
     def irecv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> MpiRequest:
-        return MpiRequest(self.recv(buf, capacity, src, tag), "recv")
+        return MpiRequest(self.recv(buf, capacity, src, tag))
 
     def waitall(self, requests: List[MpiRequest]) -> SimEvent:
         return waitall(self.sim, requests)

@@ -23,8 +23,9 @@ class EventAlreadyTriggered(RuntimeError):
 class SimEvent:
     """A one-shot occurrence carrying a value or an exception.
 
-    Callbacks added before triggering run when the event triggers; callbacks
-    added after it has triggered run immediately (same simulated instant).
+    Callbacks added before triggering run when the event triggers, first in
+    first out; callbacks added after it has triggered run immediately (same
+    simulated instant).
     """
 
     __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_exc", "name")
@@ -32,7 +33,8 @@ class SimEvent:
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._callbacks: List[Callable[[SimEvent], None]] = []
+        # None, the first callback, or from the second one on a list of them
+        self._callbacks: Any = None
         self._triggered = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
@@ -61,28 +63,32 @@ class SimEvent:
             raise EventAlreadyTriggered(self.name)
         self._triggered = True
         self._value = value
-        # once triggered, add_callback runs callbacks at once: the list is
-        # never appended to again, so it is dropped, not replaced
-        callbacks, self._callbacks = self._callbacks, ()
-        for cb in callbacks:
-            cb(self)
+        # once triggered, add_callback runs callbacks at once
+        callbacks, self._callbacks = self._callbacks, None
+        if type(callbacks) is list:
+            for cb in callbacks:
+                cb(self)
+        elif callbacks is not None:
+            callbacks(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
         if self._triggered:
             raise EventAlreadyTriggered(self.name)
-        self._triggered = True
-        self._exc = exc
-        callbacks, self._callbacks = self._callbacks, ()
-        for cb in callbacks:
-            cb(self)
-        return self
+        self._exc = exc  # ``succeed`` then triggers it as failed
+        return self.succeed()
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
         if self._triggered:
             cb(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = cb
+        elif type(callbacks) is list:
+            callbacks.append(cb)
         else:
-            self._callbacks.append(cb)
+            self._callbacks = [callbacks, cb]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
@@ -130,6 +136,8 @@ class AllOf(SimEvent):
     with the first constituent failure.
     """
 
+    __slots__ = ("_events", "_remaining")
+
     def __init__(self, sim: Simulator, events: Iterable[SimEvent]) -> None:
         super().__init__(sim, name="all_of")
         self._events = list(events)
@@ -137,8 +145,9 @@ class AllOf(SimEvent):
         if self._remaining == 0:
             self.succeed([])
             return
+        on_child = self._on_child  # one bound method for every child
         for ev in self._events:
-            ev.add_callback(self._on_child)
+            ev.add_callback(on_child)
 
     def _on_child(self, ev: SimEvent) -> None:
         if self._triggered:

@@ -36,6 +36,8 @@ class Process(SimEvent):
     nobody is joining, to keep silent failures out of tests.
     """
 
+    __slots__ = ("_gen",)
+
     def __init__(self, sim: Simulator, gen: Generator, name: str = "process") -> None:
         super().__init__(sim, name=name)
         if not hasattr(gen, "send"):
@@ -56,7 +58,7 @@ class Process(SimEvent):
             self.succeed(stop.value)
             return
         except BaseException as err:  # noqa: BLE001 - fail the join event
-            had_joiners = bool(self._callbacks)
+            had_joiners = self._callbacks is not None
             self.fail(err)
             if not had_joiners:
                 raise  # nobody observing: surface loudly instead of silently

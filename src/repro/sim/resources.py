@@ -17,7 +17,7 @@ found busy and ``Link.release`` re-examines them.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.primitives import SimEvent
@@ -33,7 +33,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: list = []  # (fn, args) to run once granted, FIFO
+        self._waiters: Sequence = ()  # (fn, args) to run once granted, FIFO
         # statistics
         self.total_acquisitions = 0
         self.busy_time = 0.0
@@ -63,8 +63,10 @@ class Resource:
         """Run ``fn(*args)`` holding a slot: now, or in FIFO turn on release."""
         if self.try_acquire():
             fn(*args)
-        else:
+        elif self._waiters:
             self._waiters.append((fn, args))
+        else:
+            self._waiters = [(fn, args)]
 
     def try_acquire(self) -> bool:
         """Take a slot now if one is free; never queues: for callers that

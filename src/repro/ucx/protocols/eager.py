@@ -60,7 +60,6 @@ def start_send(
         size=size,
         src_worker=worker.worker_id,
         bounce=bounce,
-        sent_at=worker.sim.now,
         src_was_device=buf.on_device,
         wire_seq=wire_seq,
     )
@@ -79,8 +78,7 @@ def _copied(worker: "UcpWorker", remote: "UcpWorker", msg: WireMessage,
         # or the pair's ordered stream stalls behind it forever
         slot = WireMessage(
             kind=WireKind.ERR, tag=msg.tag, size=0,
-            src_worker=worker.worker_id, sent_at=worker.sim.now,
-            wire_seq=msg.wire_seq, failed_kind=None,
+            src_worker=worker.worker_id, wire_seq=msg.wire_seq, failed_kind=None,
         )
         worker.transmit(remote, slot, CTRL_MSG_BYTES)
         return

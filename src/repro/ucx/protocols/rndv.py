@@ -125,7 +125,6 @@ def start_send(
         src_worker=worker.worker_id,
         src_buf=buf,
         rndv_id=rndv_id,
-        sent_at=worker.sim.now,
         src_was_device=buf.on_device,
         wire_seq=wire_seq,
         send_req=req,
@@ -249,7 +248,7 @@ def _send_fin(worker: "UcpWorker", rts: WireMessage) -> None:
     """Tell the sender of ``rts`` that the receiver is done with its buffer."""
     fin = WireMessage(
         kind=WireKind.FIN, tag=rts.tag, size=0, src_worker=worker.worker_id,
-        rndv_id=rts.rndv_id, sent_at=worker.sim.now,
+        rndv_id=rts.rndv_id,
     )
     worker.transmit(worker.ctx.worker(rts.src_worker), fin, CTRL_MSG_BYTES)
 

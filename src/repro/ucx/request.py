@@ -33,7 +33,7 @@ class UcxRequest:
 
     __slots__ = (
         "sim", "kind", "tag", "size", "cb", "_event",
-        "status", "info", "posted_at", "completed_at", "span", "op",
+        "status", "info", "posted_at", "span", "op",
         "rndv_id", "rndv_remote", "rndv_committed",
     )
 
@@ -54,7 +54,6 @@ class UcxRequest:
         self.status = UcsStatus.INPROGRESS
         self.info: Any = None
         self.posted_at = sim.now
-        self.completed_at: Optional[float] = None
         # observability: the span covering this request, if traced; a handle
         # (Tracer.handle) that completion ends
         self.span: Any = None
@@ -84,7 +83,6 @@ class UcxRequest:
             raise RuntimeError("request completed twice")
         self.status = status
         self.info = info
-        self.completed_at = self.sim.now
         if self.span is not None:
             self.span.end()
         if self.cb is not None:

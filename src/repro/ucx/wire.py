@@ -42,7 +42,6 @@ class WireMessage:
     bounce: Optional[Buffer] = None
     src_buf: Optional[Buffer] = None
     rndv_id: int = 0
-    sent_at: float = 0.0
     src_was_device: bool = False
     #: per-(sender, receiver) wire sequence for matchable messages (EAGER,
     #: RTS).  Transports deliver both on one ordered QP, so matching order

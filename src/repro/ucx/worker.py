@@ -354,7 +354,7 @@ class UcpWorker:
         err = WireMessage(
             kind=WireKind.ERR, tag=msg.tag, size=msg.size,
             src_worker=self.worker_id, rndv_id=msg.rndv_id,
-            sent_at=self.sim.now, wire_seq=msg.wire_seq, failed_kind=msg.kind,
+            wire_seq=msg.wire_seq, failed_kind=msg.kind,
         )
         self.sim.call_later(0.0, remote._on_wire, err)
 

@@ -110,6 +110,20 @@ class TestConverse:
         assert seen == list(range(10))
 
 
+class _Owner:
+    """Stands in for a model's record of a device transfer: it is told the
+    outcome through these methods, in order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def notify_sender(self):
+        self.seen.append("send")
+
+    def landed(self, op):
+        self.seen.append(op)
+
+
 class TestMachineLayer:
     def test_lrts_send_device_assigns_tag(self):
         m, layer, conv = make_stack()
@@ -125,14 +139,14 @@ class TestMachineLayer:
         src = m.alloc_device(0, 256)
         dst = m.alloc_device(1, 256)
         src.data[:] = 77
-        done = []
+        done = _Owner()
         dev = CmiDeviceBuffer(ptr=src, size=256)
         tag = layer.lrts_send_device(0, 1, dev)
         op = DeviceRdmaOp(dest=dst, size=256, tag=tag, recv_type=DeviceRecvType.CHARM,
-                          on_complete=done.append)
+                          owner=done)
         layer.lrts_recv_device(1, op)
         m.sim.run()
-        assert done == [op] and (dst.data == 77).all()
+        assert done.seen == [op] and (dst.data == 77).all()
         counters = m.tracer.counters
         assert counters["machine.send_device"] == 1
         assert counters["machine.recv_device"] == 1
@@ -151,16 +165,16 @@ class TestMachineLayer:
         m, layer, conv = make_stack()
         src = m.alloc_device(0, 64)
         dst = m.alloc_device(1, 64)
-        fired = []
+        fired = _Owner()
         dev = CmiDeviceBuffer(ptr=src, size=64)
-        tag = layer.lrts_send_device(0, 1, dev, on_complete=lambda: fired.append("send"))
+        tag = layer.lrts_send_device(0, 1, dev, owner=fired)
         op = DeviceRdmaOp(
             dest=dst, size=64, tag=tag, recv_type=DeviceRecvType.AMPI,
-            on_complete=lambda _op: fired.append("recv"),
+            owner=fired,
         )
         layer.lrts_recv_device(1, op)
         m.sim.run()
-        assert sorted(fired) == ["recv", "send"]
+        assert len(fired.seen) == 2 and "send" in fired.seen and op in fired.seen
 
 
 class TestDeviceBufferValidation:

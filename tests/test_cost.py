@@ -130,3 +130,37 @@ def test_selection_of_the_pinned_allreduces(model_64r):
     assert select(model_64r, n, hierarchical=False).name == "binomial"
     assert select(model_64r, n).name == "hierarchical"
     assert model_64r.of(model_64r.ampi, range(64)) is model_64r
+
+
+def test_selection_prices_each_route_class_once(monkeypatch):
+    """A fresh 64-rank, 11-node job's first selection calls the closed form
+    once per route class (local GPU on each side, same node or not, size),
+    not once per rank pair; the shared seconds are exactly what the closed
+    form gives every pair of the job, and the links are the pair's own."""
+    import repro.collectives.selection as selection
+    from repro.collectives import CollectiveCostModel, select
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return transfer_terms(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "transfer_terms", counted)
+    cfg = MachineConfig.summit(nodes=11)
+    ampi = api.session(cfg).model("ampi").ranks(64).build().lib
+    model = CollectiveCostModel.of(ampi, range(64))
+    assert select(model, 1 << 20).name == "hierarchical"
+    # 436 while each rank pair was priced on its own
+    assert len(calls) == len(ampi.coll_hop_seconds) == 43
+    for nbytes in {key[3] for key in ampi.coll_hop_seconds}:
+        for a in range(64):
+            for b in range(64):
+                if a == b:
+                    continue
+                terms = transfer_terms("ampi", ampi, model.gpus[a],
+                                       model.gpus[b], nbytes)
+                bulk = [t.route.ordered for t in terms if t.route is not None]
+                assert model.hop(a, b, nbytes) == (
+                    sum(t.seconds for t in terms), bulk[0] if bulk else ())
+    assert len(calls) == len(ampi.coll_hop_seconds)

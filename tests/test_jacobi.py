@@ -138,6 +138,33 @@ class TestFunctionalCorrectness:
         assert np.allclose(col.assemble(decomp), reference_solution(domain, 2))
 
 
+class TestHostStagingBuffers:
+    @pytest.mark.parametrize("model", sorted(RUNNERS))
+    @pytest.mark.parametrize("gpu_aware", [True, False])
+    def test_only_a_host_staged_run_allocates_staging_buffers(
+            self, model, gpu_aware, monkeypatch):
+        """A GPU-aware block never reads host staging buffers, so it has
+        none; a host-staged one has a send and a receive buffer per face."""
+        from repro.hardware.cuda import CudaRuntime
+
+        staging = []
+        malloc_host = CudaRuntime.malloc_host
+
+        def counted(self, node, size):
+            staging.append(size)
+            return malloc_host(self, node, size)
+
+        monkeypatch.setattr(CudaRuntime, "malloc_host", counted)
+        domain = (12, 12, 12)
+        decomp = Decomposition.create(domain, 6)
+        col = RUNNERS[model](_session(MachineConfig.summit(nodes=1), model),
+                             decomp, gpu_aware=gpu_aware, iters=2, warmup=0,
+                             functional=True)
+        faces = sum(len(decomp.neighbors(r)) for r in range(decomp.n_blocks))
+        assert len(staging) == (0 if gpu_aware else 2 * faces) and faces > 0
+        assert np.allclose(col.assemble(decomp), reference_solution(domain, 2))
+
+
 class TestTimingCollection:
     def test_timings_populated_and_positive(self):
         cfg = MachineConfig.summit(nodes=1)

@@ -74,14 +74,16 @@ class TestPipelinedOccupancy:
         # concurrently, gpu0 -> gpu1 intra-node IPC over the same nvlink0.tx
         intra_src = machine.alloc_device(0, size)
         intra_dst = machine.alloc_device(1, size)
-        req = wc.tag_recv_nb(intra_dst, size, tag=2)
+        done_at = []
+        req = wc.tag_recv_nb(intra_dst, size, tag=2,
+                             cb=lambda _r: done_at.append(machine.sim.now))
         wa.tag_send_nb(wa.ep(2), intra_src, size, tag=2)
         machine.sim.run()
         assert req.completed
         # intra transfer finished well before the inter one would have, had
         # the pipeline held nvlink0.tx for its full wire time
         nvlink_time = size / machine.cfg.topology.nvlink.bandwidth
-        assert req.completed_at < 3 * nvlink_time + machine.cfg.cuda.ipc_handle_open_cost
+        assert done_at[0] < 3 * nvlink_time + machine.cfg.cuda.ipc_handle_open_cost
 
     def test_gpudirect_route_does_hold_nvlinks(self):
         from dataclasses import replace

@@ -196,7 +196,7 @@ class TestBucketsGoWithTheirLastEntry:
         assert sess.counters["ucx.send"] > 0
         for q in queues:
             assert len(q) == 0
-            assert q._buckets == {} and q._wild == []
+            assert not q._buckets and not q._wild
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,16 @@ NODES = 8
 #: owned empty deques, these were 12.8 / 57.5 KB (ampi) and 11.3 / 45.9 KB
 #: (charm4py).  While each in-flight message held its continuations as
 #: closures (a function object and a cell per captured name), the peaks were
-#: 44.86 (ampi), 28.54 (charm4py) and 31.07 KB (openmpi).
+#: 44.86 (ampi), 28.54 (charm4py) and 31.07 KB (openmpi).  While every match
+#: queue, link and resource built its containers up front, each in-flight
+#: device record held two bound methods of its owner, each event a callback
+#: list, and each Jacobi3D block host staging buffers it never used, these
+#: were 7.85 / 33.53 (ampi), 6.33 / 26.89 (charm4py) and 5.08 / 26.12 KB
+#: (openmpi).
 BUDGET = {
-    "ampi": {"built": (7.85, 8.1), "peak": (33.53, 34.5)},
-    "charm4py": {"built": (6.33, 6.52), "peak": (26.89, 27.7)},
-    "openmpi": {"built": (5.08, 5.23), "peak": (26.12, 26.9)},
+    "ampi": {"built": (5.89, 6.07), "peak": (27.44, 28.3)},
+    "charm4py": {"built": (5.08, 5.23), "peak": (23.40, 24.1)},
+    "openmpi": {"built": (3.93, 4.05), "peak": (21.79, 22.45)},
 }
 
 

@@ -51,6 +51,67 @@ class TestSimEvent:
         assert seen == ["before", "after"]
 
 
+class TestCallbackOrder:
+    """An event keeps its first callback inline and builds a list only for a
+    second one; either way callbacks run first-in, first-out."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("outcome", ["succeed", "fail"])
+    def test_callbacks_added_before_the_trigger_run_in_order(self, sim, n, outcome):
+        ev = SimEvent(sim)
+        seen = []
+        for i in range(n):
+            ev.add_callback(lambda e, i=i: seen.append((i, e.ok)))
+        assert seen == []
+        if outcome == "succeed":
+            ev.succeed()
+        else:
+            ev.fail(ValueError("boom"))
+        assert seen == [(i, outcome == "succeed") for i in range(n)]
+
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_callbacks_added_after_the_trigger_run_at_once_and_in_order(
+            self, sim, before):
+        ev = SimEvent(sim)
+        seen = []
+        for i in range(before):
+            ev.add_callback(lambda e, i=i: seen.append(i))
+        ev.succeed()
+        for i in range(before, before + 3):
+            ev.add_callback(lambda e, i=i: seen.append(i))
+            assert seen == list(range(i + 1))
+
+    def test_a_callback_added_while_triggering_runs_at_once(self, sim):
+        ev = SimEvent(sim)
+        seen = []
+        ev.add_callback(lambda e: (seen.append("first"),
+                                   e.add_callback(lambda _e: seen.append("nested"))))
+        ev.add_callback(lambda e: seen.append("second"))
+        ev.fail(KeyError("k"))
+        assert seen == ["first", "nested", "second"]
+
+    @pytest.mark.parametrize("outcome", ["succeed", "fail"])
+    def test_allof_listing_one_child_twice(self, sim, outcome):
+        child, other = SimEvent(sim), SimEvent(sim)
+        seen = []
+        child.add_callback(lambda e: seen.append("before"))
+        combo = AllOf(sim, [child, other, child])
+        combo.add_callback(lambda e: seen.append("combo"))
+        child.add_callback(lambda e: seen.append("after"))
+        other.succeed("o")
+        if outcome == "succeed":
+            child.succeed("c")
+            assert combo.result() == ["c", "o", "c"]
+        else:
+            child.fail(ValueError("boom"))
+            with pytest.raises(ValueError, match="boom"):
+                combo.result()
+        # the combo triggers on the child's second entry when it succeeds
+        # (each listing counts) and on its first when it fails; it is told
+        # once, before the callback added after it
+        assert seen == ["before", "combo", "after"]
+
+
 class TestCombinators:
     def test_allof_collects_values_in_input_order(self, sim):
         evs = [SimEvent(sim) for _ in range(3)]

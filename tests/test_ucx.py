@@ -167,12 +167,15 @@ class TestRendezvous:
         m, ctx, wa, wb = make_pair()
         size = 1 * MB
         src, dst = m.alloc_host(0, size), m.alloc_host(0, size)
-        rreq = wb.tag_recv_nb(dst, size, tag=3)
-        sreq = wa.tag_send_nb(wa.ep(1), src, size, tag=3)
+        done_at = {}
+        rreq = wb.tag_recv_nb(dst, size, tag=3,
+                              cb=lambda _r: done_at.setdefault("recv", m.sim.now))
+        sreq = wa.tag_send_nb(wa.ep(1), src, size, tag=3,
+                              cb=lambda _r: done_at.setdefault("send", m.sim.now))
         m.sim.run()
         assert sreq.completed and rreq.completed
         # FIN comes back after the data: sender finishes last
-        assert sreq.completed_at >= rreq.completed_at
+        assert done_at["send"] >= done_at["recv"]
 
     def test_rndv_data_integrity(self):
         m, ctx, wa, wb = make_pair()
