@@ -8,7 +8,7 @@ device buffers, or host staging with explicit CUDA copies.
 from __future__ import annotations
 
 from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector
-from repro.apps.jacobi3d.decomposition import Decomposition
+from repro.apps.jacobi3d.decomposition import DIRS, Decomposition
 from repro.charm4py import PyChare
 
 
@@ -37,10 +37,11 @@ class JacobiBlockPy(PyChare):
             yield st.pack(parity)
             tc0 = c4p.sim.now
             if self.gpu_aware:
+                sends, ghosts = st.d_send[parity], st.d_ghost[parity]
                 for d, _nbr in nbrs:
-                    yield chans[d].send(st.d_send[d][parity], st.face_bytes(d))
+                    yield chans[d].send(sends[DIRS.index(d)], st.face_bytes(d))
                 for d, _nbr in nbrs:
-                    yield chans[d].recv(st.d_ghost[d][parity], st.face_bytes(d))
+                    yield chans[d].recv(ghosts[DIRS.index(d)], st.face_bytes(d))
             else:
                 yield st.stage_out(parity)
                 for d, _nbr in nbrs:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector
-from repro.apps.jacobi3d.decomposition import Decomposition, opposite
+from repro.apps.jacobi3d.decomposition import DIRS, Decomposition, opposite
 from repro.charm import Chare, CkCallback, CkDeviceBuffer
 from repro.sim.primitives import SimEvent
 
@@ -71,7 +71,7 @@ class JacobiBlock(Chare):
             if self.gpu_aware:
                 for d, nbr in nbrs:
                     peers[nbr].halo(
-                        CkDeviceBuffer.wrap(st.d_send[d][parity]),
+                        CkDeviceBuffer.wrap(st.d_send[parity][DIRS.index(d)]),
                         opposite(d), it, parity, st.face_bytes(d),
                     )
             else:
@@ -117,7 +117,7 @@ class JacobiBlock(Chare):
 
     # -- GPU-aware halo reception -----------------------------------------------
     def halo_post(self, posts, direction, it, parity, nbytes):
-        posts[0].buffer = self.state.d_ghost[direction][parity]
+        posts[0].buffer = self.state.d_ghost[parity][DIRS.index(direction)]
 
     def halo(self, data, direction, it, parity, nbytes):
         self._arrived(it)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.apps.jacobi3d.decomposition import Decomposition
+from repro.apps.jacobi3d.decomposition import DIRS, Decomposition
 from repro.apps.jacobi3d.kernels import pack_kernel, stencil_kernel, unpack_kernel
 from repro.hardware.cuda import CudaRuntime
 from repro.hardware.memory import Buffer
@@ -45,8 +45,11 @@ class BlockState:
     bit-for-bit.  Otherwise no kernel touches a byte (the buffers stay
     size-only) and only the cost model runs.  Send and ghost buffers are
     double-buffered by iteration parity so a fast neighbour's
-    next-iteration halo never clobbers in-flight data.  Only a host-staged
-    run has the host buffers ``h_send``/``h_recv``.
+    next-iteration halo never clobbers in-flight data: ``d_send[parity][i]``
+    is the send buffer of direction ``DIRS[i]`` (``None`` where the block
+    has no neighbour), two flat tuples per kind rather than a dict of
+    pairs.  Only a host-staged run has the host buffers
+    ``h_send``/``h_recv`` (by direction).
     """
 
     def __init__(
@@ -81,17 +84,19 @@ class BlockState:
         # interior field on the device (cost/capacity accounting)
         self.d_field = cuda.malloc(gpu, 2 * cells * decomp.dtype_bytes)
 
-        self.d_send: Dict[str, Tuple[Buffer, Buffer]] = {}
-        self.d_ghost: Dict[str, Tuple[Buffer, Buffer]] = {}
+        send, ghost = ([None] * 6, [None] * 6), ([None] * 6, [None] * 6)
         self.h_send: Optional[Dict[str, Buffer]] = {} if host_staging else None
         self.h_recv: Optional[Dict[str, Buffer]] = {} if host_staging else None
         for d, _nbr in self.neighbors:
             fb = decomp.face_bytes(d)
-            self.d_send[d] = (cuda.malloc(gpu, fb), cuda.malloc(gpu, fb))
-            self.d_ghost[d] = (cuda.malloc(gpu, fb), cuda.malloc(gpu, fb))
+            i = DIRS.index(d)
+            send[0][i], send[1][i] = cuda.malloc(gpu, fb), cuda.malloc(gpu, fb)
+            ghost[0][i], ghost[1][i] = cuda.malloc(gpu, fb), cuda.malloc(gpu, fb)
             if host_staging:
                 self.h_send[d] = cuda.malloc_host(self.node, fb)
                 self.h_recv[d] = cuda.malloc_host(self.node, fb)
+        self.d_send: Tuple[Tuple[Optional[Buffer], ...], ...] = tuple(map(tuple, send))
+        self.d_ghost: Tuple[Tuple[Optional[Buffer], ...], ...] = tuple(map(tuple, ghost))
 
     # -- helpers -------------------------------------------------------------
     def _arr(self, buf: Buffer) -> Optional[np.ndarray]:
@@ -103,15 +108,17 @@ class BlockState:
     # -- phases (each returns a stream-synchronised completion event) ------------
     def pack(self, parity: int) -> SimEvent:
         """Pack every outgoing face into its send buffer."""
+        sends = self.d_send[parity]
         for d, _ in self.neighbors:
-            buf = self.d_send[d][parity]
+            buf = sends[DIRS.index(d)]
             k = pack_kernel(d, self.face_bytes(d), self.u, self._arr(buf))
             self.cuda.launch(self.gpu, k, self.stream)
         return self.cuda.stream_synchronize(self.stream)
 
     def unpack(self, parity: int) -> SimEvent:
+        ghosts = self.d_ghost[parity]
         for d, _ in self.neighbors:
-            buf = self.d_ghost[d][parity]
+            buf = ghosts[DIRS.index(d)]
             k = unpack_kernel(d, self.face_bytes(d), self.u, self._arr(buf))
             self.cuda.launch(self.gpu, k, self.stream)
         return self.cuda.stream_synchronize(self.stream)
@@ -155,16 +162,14 @@ class BlockState:
     def stage_out(self, parity: int) -> SimEvent:
         """DtoH-copy every packed face into host staging buffers."""
         for d, _ in self.neighbors:
-            self.cuda.memcpy_dtoh(
-                self.h_send[d], self.d_send[d][parity], self.stream, self.face_bytes(d)
-            )
+            self.cuda.memcpy_dtoh(self.h_send[d], self.d_send[parity][DIRS.index(d)],
+                                  self.stream, self.face_bytes(d))
         return self.cuda.stream_synchronize(self.stream)
 
     def stage_in(self, d: str, parity: int) -> SimEvent:
         """HtoD-copy one received face from host staging to the ghost buffer."""
-        self.cuda.memcpy_htod(
-            self.d_ghost[d][parity], self.h_recv[d], self.stream, self.face_bytes(d)
-        )
+        self.cuda.memcpy_htod(self.d_ghost[parity][DIRS.index(d)], self.h_recv[d],
+                              self.stream, self.face_bytes(d))
         return self.cuda.stream_synchronize(self.stream)
 
 
@@ -229,6 +234,11 @@ class ResultCollector:
         return out
 
 
+#: every halo tag, so that messages share their tag ints
+_HALO_TAGS = tuple(range(700, 700 + 6 * 64))
+
+
 def halo_tag(direction_index: int, iteration: int) -> int:
-    """MPI tag encoding (direction, iteration) for the halo exchange."""
-    return 700 + direction_index * 64 + (iteration % 64)
+    """MPI tag encoding (direction, iteration) for the halo exchange:
+    ``700 + direction_index * 64 + iteration % 64``."""
+    return _HALO_TAGS[direction_index * 64 + iteration % 64]

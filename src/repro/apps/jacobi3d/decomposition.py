@@ -8,8 +8,8 @@ minimizing surface area".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 DIRS = ("-x", "+x", "-y", "+y", "-z", "+z")
 
@@ -68,6 +68,15 @@ class Decomposition:
     domain: Tuple[int, int, int]
     grid: Tuple[int, int, int]
     dtype_bytes: int = 8  # doubles
+    #: bytes of one face by direction, computed once: the messages of a
+    #: run share these ints instead of each holding its own
+    faces: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bx, by, bz = self.block
+        cells = {"x": by * bz, "y": bx * bz, "z": bx * by}
+        object.__setattr__(self, "faces",
+                           {d: cells[d[1]] * self.dtype_bytes for d in DIRS})
 
     @classmethod
     def create(cls, domain: Tuple[int, int, int], p: int) -> "Decomposition":
@@ -121,6 +130,4 @@ class Decomposition:
         return out
 
     def face_bytes(self, direction: str) -> int:
-        bx, by, bz = self.block
-        cells = {"x": by * bz, "y": bx * bz, "z": bx * by}[direction[1]]
-        return cells * self.dtype_bytes
+        return self.faces[direction]

@@ -26,13 +26,14 @@ def jacobi_mpi_program(mpi, decomp: Decomposition, gpu_aware: bool, iters: int,
         yield st.pack(parity)
         tc0 = mpi.sim.now
         if gpu_aware:
+            ghosts, sends = st.d_ghost[parity], st.d_send[parity]
             reqs = [
-                mpi.irecv(st.d_ghost[d][parity], st.face_bytes(d), src=nbr,
+                mpi.irecv(ghosts[DIRS.index(d)], st.face_bytes(d), src=nbr,
                           tag=halo_tag(DIRS.index(d), it))
                 for d, nbr in nbrs
             ]
             reqs += [
-                mpi.isend(st.d_send[d][parity], st.face_bytes(d), dst=nbr,
+                mpi.isend(sends[DIRS.index(d)], st.face_bytes(d), dst=nbr,
                           tag=halo_tag(DIRS.index(opposite(d)), it))
                 for d, nbr in nbrs
             ]
@@ -51,9 +52,8 @@ def jacobi_mpi_program(mpi, decomp: Decomposition, gpu_aware: bool, iters: int,
             ]
             yield mpi.waitall(reqs)
             for d, _nbr in nbrs:
-                st.cuda.memcpy_htod(
-                    st.d_ghost[d][parity], st.h_recv[d], st.stream, st.face_bytes(d)
-                )
+                st.cuda.memcpy_htod(st.d_ghost[parity][DIRS.index(d)], st.h_recv[d],
+                                    st.stream, st.face_bytes(d))
             yield st.cuda.stream_synchronize(st.stream)
         tcomm = mpi.sim.now - tc0
         yield st.unpack(parity)

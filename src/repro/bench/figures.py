@@ -285,50 +285,24 @@ def ablation_early_post(size: int = 1 * MB, quiet: bool = False) -> Dict[str, fl
     proposed user-provided tags) and posts ``ucp_tag_recv_nb`` before the
     data is sent; (b) *metadata-delayed*: the receive is posted only after
     the host-side metadata message has arrived **and been processed by the
-    runtime** (scheduler pick-up, entry dispatch, post entry method,
-    ``LrtsRecvDevice``) — the full posting path of the paper's design.
+    runtime** (scheduler pick-up, entry dispatch and its marshalled-argument
+    copy, post entry method, ``LrtsRecvDevice``) — the full posting path of
+    the paper's design.  Both come from the closed form of one uncontended
+    Charm++ device message inside a node (:mod:`repro.cost`): the penalty
+    is its ``LrtsRecvDevice`` and ``delayed post`` rows, the lag from the
+    frame's arrival to the receive's post.
     """
-    from repro.hardware.topology import Machine
-    from repro.ucx.context import UcpContext
+    import repro.api as api
+    from repro.apps.osu.runner import intra_node_pair
+    from repro.cost import transfer_terms
 
-    def run(pre_post: bool) -> float:
-        cfg = MachineConfig.summit(nodes=2)
-        rt = cfg.runtime
-        m = Machine(cfg)
-        ctx = UcpContext(m)
-        wa = ctx.create_worker(0, 0, 0)
-        wb = ctx.create_worker(1, 0, 1)
-        src = m.alloc_device(0, size)
-        dst = m.alloc_device(1, size)
-        if pre_post:
-            req = wb.tag_recv_nb(dst, size, tag=9)
-            wa.tag_send_nb(wa.ep(1), src, size, tag=9)
-        else:
-            wa.tag_send_nb(wa.ep(1), src, size, tag=9)
-            holder = {}
-            runtime_path = (
-                rt.scheduler_pickup_overhead
-                + rt.entry_dispatch_overhead
-                + rt.post_entry_overhead
-                + rt.lrts_recv_device_overhead
-                + rt.heap_alloc_cost
-            )
-            wb.set_am_handler(
-                lambda payload, sz, src_id: m.sim.call_later(
-                    runtime_path,
-                    lambda: holder.update(req=wb.tag_recv_nb(dst, size, tag=9)),
-                )
-            )
-            wa.am_send(wa.ep(1), 128, None)
-            m.sim.run()
-            req = holder["req"]
-        m.sim.run_until_complete(req.event)
-        return m.sim.now
-
-    pre = run(True)
-    post = run(False)
-    result = {"pre_posted_us": pre * 1e6, "metadata_delayed_us": post * 1e6,
-              "penalty_us": (post - pre) * 1e6}
+    cfg = MachineConfig.summit(nodes=2)
+    lib = api.session(cfg).model("charm").build().lib
+    terms = transfer_terms("charm", lib, *intra_node_pair(cfg), size)
+    post = sum(t.seconds for t in terms)
+    lag = sum(t.seconds for t in terms if t.name in ("LrtsRecvDevice", "delayed post"))
+    result = {"pre_posted_us": (post - lag) * 1e6, "metadata_delayed_us": post * 1e6,
+              "penalty_us": lag * 1e6}
     if not quiet:
         print(f"# Ablation: early-posted receive vs metadata-delayed ({size} B device rndv)")
         for k, v in result.items():

@@ -9,10 +9,11 @@ destination buffer plus the sender's tag, along with the posting model's
 completion handler and its ``DeviceRecvType``.
 
 Both are also the machine layer's in-flight record of their transfer: it
-writes its span and itself into them and hands their bound ``sent`` /
-``received`` to UCP as the request's completion callback, so an in-flight
-device transfer holds no closure (DESIGN §4.5).  Neither holds its
-``UcxRequest``, so that callback makes no reference cycle.
+writes its span and itself into them and hands the record itself to UCP as
+the request's completion callback (``__call__``), so an in-flight device
+transfer holds neither a closure nor a bound method (DESIGN §4.5).
+Neither holds its ``UcxRequest``, so that callback makes no reference
+cycle.
 Each tells its ``owner``, the model's record of the message, the outcome:
 ``notify_sender()`` / ``send_failed(status)`` for a send, ``landed(op)`` /
 ``failed(op, status)`` for a receive; without one a failure goes to the
@@ -66,8 +67,9 @@ class CmiDeviceBuffer:
         if not self.ptr.on_device:
             raise ValueError("CmiDeviceBuffer wraps device memory only")
 
-    def sent(self, req) -> None:
-        """UCP completion callback of the send."""
+    def __call__(self, req) -> None:
+        """UCP completion callback of the send: the request calls its
+        record."""
         layer = self.layer
         layer.machine.tracer.end(self.span)
         owner = self.owner
@@ -128,9 +130,10 @@ class DeviceRdmaOp:
                 f"recv size {self.size} exceeds destination size {self.dest.size}"
             )
 
-    def received(self, req) -> None:
-        """UCP completion callback of the receive: the span closes on every
-        outcome (an error must not leak it)."""
+    def __call__(self, req) -> None:
+        """UCP completion callback of the receive: the request calls its
+        record.  The span closes on every outcome (an error must not leak
+        it)."""
         layer = self.layer
         layer.machine.tracer.end(self.span)
         owner = self.owner

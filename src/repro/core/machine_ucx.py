@@ -139,7 +139,7 @@ class UcxMachineLayer:
     def _launch_send(self, worker, ep, dev_buf: CmiDeviceBuffer) -> None:
         with self.machine.tracer.under(dev_buf.span):
             worker.tag_send_nb(ep, dev_buf.ptr, dev_buf.size, dev_buf.tag,
-                               cb=dev_buf.sent)
+                               cb=dev_buf)
 
     def lrts_recv_device(self, pe: int, op: DeviceRdmaOp, departure_delay: float = 0.0) -> None:
         """``LrtsRecvDevice``: post the tagged receive for incoming GPU data;
@@ -155,4 +155,4 @@ class UcxMachineLayer:
 
     def _post_recv(self, worker, op: DeviceRdmaOp) -> None:
         with self.machine.tracer.under(op.span):
-            worker.tag_recv_nb(op.dest, op.size, op.tag, cb=op.received)
+            worker.tag_recv_nb(op.dest, op.size, op.tag, cb=op)

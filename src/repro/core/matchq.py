@@ -97,9 +97,11 @@ class IndexedMatchQueue:
     they outnumber the live entries, so slots stay small and iteration stays
     amortised O(live).  Buckets and the wildcard list hold the slot indices
     of live entries only: a removal takes its slot out at once, and a bucket
-    goes with its last entry.  A queue nothing was ever filed in holds
-    shared empty stand-ins; its containers are built by the first
-    :meth:`append`.
+    goes with its last entry.  A queue that holds nothing -- never used,
+    or drained -- holds shared empty stand-ins; the next :meth:`append`
+    builds its containers.  Dropping them on drain moves no match and no
+    scan count: every earlier slot is dead, so FIFO order and live ranks
+    restart unchanged at slot 0.
     """
 
     __slots__ = ("_slots", "_keys", "_buckets", "_wild", "_fen", "_live",
@@ -159,7 +161,10 @@ class IndexedMatchQueue:
         self._dead += 1
         if self.depth_probe is not None:
             self.depth_probe(-1)
-        if self._dead > self._live + self._COMPACT_SLACK:
+        if not self._live:  # drained: every slot is dead
+            self._slots = self._keys = self._wild = ()
+            self._buckets, self._fen, self._dead = _NO_BUCKETS, None, 0
+        elif self._dead > self._live + self._COMPACT_SLACK:
             self._compact()
         return item
 

@@ -27,7 +27,7 @@ a failed re-examination is a few attribute reads, not a callback.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.config import LinkParams
 from repro.sim.engine import Simulator
@@ -88,39 +88,38 @@ def path_transfer_time(links: Sequence[Link], size: int) -> float:
     return path_latency(links) + ser
 
 
-class Route(tuple):
+class Route:
     """An immutable link path with its cost terms computed once.
 
-    Behaves as a plain link sequence (iteration, ``len``, truthiness), and
-    carries what :func:`path_transfer` needs on every message: the canonical
-    acquisition order (by ``link_id``), the path latency summed in that
-    order, and the bottleneck bandwidth.  ``hold_time`` memoizes the
-    per-size uncontended hold — halo exchanges and benchmark loops revisit a
-    handful of sizes, so the per-message cost model collapses to a dict
-    lookup.  Build one per path with ``Route(links)``; :meth:`Machine.route
+    Iterates, measures and tests true as its links in path order (``path``),
+    and carries what :func:`path_transfer` reads on every message: the
+    canonical acquisition order ``ordered`` (by ``link_id``; the path tuple
+    itself when already in that order), the path latency summed in that
+    order, and the bottleneck bandwidth.  Slotted and memo-free: the
+    uncontended hold ``latency + size/bottleneck`` is one division, so a
+    route holds four references whatever sizes cross it.  Build one per
+    path with ``Route(links)``; :meth:`Machine.route
     <repro.hardware.topology.Machine.route>` memoizes them per endpoint pair.
     """
 
-    ordered: tuple
-    latency: float
-    bottleneck: float
+    __slots__ = ("path", "ordered", "latency", "bottleneck")
 
-    def __new__(cls, links: Iterable[Link]) -> "Route":
-        self = super().__new__(cls, links)
-        ordered = sorted(self, key=lambda l: l.link_id)
-        self.ordered = tuple(ordered)
+    def __init__(self, links: Iterable[Link]) -> None:
+        self.path = path = tuple(links)
+        ordered = tuple(sorted(path, key=lambda l: l.link_id))
+        self.ordered = path if ordered == path else ordered
         self.latency = path_latency(ordered)
         self.bottleneck = path_bottleneck(ordered)
-        self._holds = {}
-        return self
+
+    def __iter__(self) -> Iterator[Link]:
+        return iter(self.path)
+
+    def __len__(self) -> int:
+        return len(self.path)
 
     def hold_time(self, size: int) -> float:
-        """Uncontended hold for ``size`` bytes (``latency + size/bottleneck``)."""
-        hold = self._holds.get(size)
-        if hold is None:
-            hold = self.latency + (size / self.bottleneck if self.ordered else 0.0)
-            self._holds[size] = hold
-        return hold
+        """Uncontended hold for ``size`` bytes (an empty route: 0.0)."""
+        return self.latency + size / self.bottleneck
 
 
 #: Messages at or below this size bypass link *occupancy* (latency-only):
@@ -138,8 +137,7 @@ def degraded_bottleneck(
     This is the **one** place the scaled bottleneck is derived (the
     shared-composite-sum contract of ``sim/engine.py``).  ``bandwidth * 1.0``
     is exact in IEEE-754, so when every active factor resolves to 1.0 the
-    result is bit-equal to :func:`path_bottleneck` and the caller may reuse
-    the memoized hold.
+    result is bit-equal to :func:`path_bottleneck`, and so is the hold.
 
     A factor of exactly 0.0 marks a link *down* (see
     ``repro.faults.plan.BandwidthWindow``): the multirail rail planner
@@ -189,26 +187,13 @@ def path_transfer(
     injector = sim.fault_injector
     # order and cost terms were computed when the route was built
     ordered = route.ordered
-    if ordered and injector is not None:
-        # degraded-bandwidth windows scale per-link rates; the bottleneck
-        # is re-derived from the scaled rates (a degraded fast link can
-        # become the new bottleneck).  Sampled at start-of-transfer.
-        bw = degraded_bottleneck(ordered, injector, sim.now)
-        if bw == route.bottleneck:
-            # every factor resolved to 1.0: the scaled bottleneck is
-            # bit-equal to the memoized one, so the memoized hold IS the
-            # degraded hold (``latency + size/bw`` with identical
-            # operands) — reuse it instead of re-deriving the division
-            hold = route.hold_time(size)
-        else:
-            hold = route.latency + size / bw
-    else:
-        # Route.hold_time with its memo read in place: one call fewer
-        # on every message that revisits a size
-        hold = route._holds.get(size)
-        if hold is None:
-            hold = route.hold_time(size)
-    hold += extra_time
+    # degraded-bandwidth windows scale per-link rates; the bottleneck is
+    # re-derived from the scaled rates (a degraded fast link can become the
+    # new bottleneck), sampled at start-of-transfer.  When every factor
+    # resolves to 1.0 it is bit-equal to the route's, and so is the hold.
+    bw = (degraded_bottleneck(ordered, injector, sim.now)
+          if ordered and injector is not None else route.bottleneck)
+    hold = route.latency + size / bw + extra_time
 
     if size <= CTRL_BYPASS_BYTES or not ordered:
         for link in ordered:
@@ -244,7 +229,7 @@ class _Transfer:
         self.then = then
         self.then_args = then_args
         self.telem = telem = sim.telemetry
-        self.t_req = sim.now
+        self.t_req = None if telem is None else sim.now  # telemetry only
         self.req_cat = None if telem is None else telem.ambient_category()
         self.blocked_on = None
 

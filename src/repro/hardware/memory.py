@@ -62,8 +62,13 @@ class Buffer:
         are zeros, built on first access to :attr:`data`.
     """
 
-    __slots__ = ("kind", "on_device", "size", "node", "device", "_data",
-                 "address", "freed", "base", "offset")
+    __slots__ = ("on_device", "size", "node", "device", "_data", "address",
+                 "freed")
+
+    #: the buffer a sub-range view slices and the view's byte offset into
+    #: it: class defaults here, slots of the views :meth:`view` returns
+    base: Optional["Buffer"] = None
+    offset = 0
 
     def __init__(
         self,
@@ -86,7 +91,6 @@ class Buffer:
                 raise ValueError(
                     "buffer data must be C-contiguous; pass "
                     "np.ascontiguousarray(data)")
-        self.kind = kind
         self.on_device = kind is MemoryKind.DEVICE  # read on every message
         self.size = size
         self.node = node
@@ -94,8 +98,10 @@ class Buffer:
         self._data = data
         self.address = next(_address_counter)
         self.freed = False
-        self.base: Optional["Buffer"] = None  # set on sub-range views
-        self.offset = 0  # byte offset into ``base``
+
+    @property
+    def kind(self) -> MemoryKind:
+        return MemoryKind.DEVICE if self.on_device else MemoryKind.HOST
 
     @property
     def data(self) -> np.ndarray:
@@ -156,7 +162,7 @@ class Buffer:
             raise ValueError(
                 f"view [{offset}, {offset + nbytes}) outside a {self.size} B buffer"
             )
-        out = Buffer(self.kind, nbytes, self.node, self.device)
+        out = _View(self.kind, nbytes, self.node, self.device)
         out.base = self if self.base is None else self.base
         out.offset = self.offset + offset
         return out
@@ -168,6 +174,12 @@ class Buffer:
         where = f"gpu{self.device}" if self.on_device else f"host(node{self.node})"
         tag = "virtual" if self.is_virtual else "real"
         return f"<Buffer {tag} {self.size}B @{where} addr=0x{self.address:x}>"
+
+
+class _View(Buffer):
+    """A sub-range of another buffer (:meth:`Buffer.view`)."""
+
+    __slots__ = ("base", "offset")
 
 
 class DeviceAllocator:

@@ -93,7 +93,7 @@ class OmpiRank(MpiRank):
     def send(self, buf: Buffer, nbytes: int, dst: int, tag: int = 0) -> SimEvent:
         if not 0 <= dst < self.lib.n_ranks:
             raise ValueError(f"destination rank {dst} out of range")
-        ev = _Request(self.sim, name="ompi.send")
+        ev = _Send(self.sim, name="ompi.send")
         ev.rank, ev.peer = self, dst
         ucp_tag = encode_mpi_tag(self.rank, tag)
         ev.span = self.lib.machine.tracer.stage(
@@ -104,17 +104,17 @@ class OmpiRank(MpiRank):
                             self._post_send, buf, nbytes, ucp_tag, ev)
         return ev
 
-    def _post_send(self, buf: Buffer, nbytes: int, ucp_tag: int, ev: "_Request") -> None:
+    def _post_send(self, buf: Buffer, nbytes: int, ucp_tag: int, ev: "_Send") -> None:
         ep = self.worker.ep(ev.peer)
         with self.lib.machine.tracer.under(ev.span):
-            self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=ev.sent)
+            self.worker.tag_send_nb(ep, buf, nbytes, ucp_tag, cb=ev)
 
     def recv(
         self, buf: Buffer, capacity: int, src: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> SimEvent:
         if src != ANY_SOURCE and not 0 <= src < self.lib.n_ranks:
             raise ValueError(f"source rank {src} out of range")
-        ev = _Request(self.sim, name="ompi.recv")
+        ev = _Recv(self.sim, name="ompi.recv")
         ev.rank = self
         want = encode_mpi_tag(
             0 if src == ANY_SOURCE else src, 0 if tag == ANY_TAG else tag
@@ -129,20 +129,24 @@ class OmpiRank(MpiRank):
         return ev
 
     def _post_recv(self, buf: Buffer, capacity: int, want: int, mask: int,
-                   ev: "_Request") -> None:
+                   ev: "_Recv") -> None:
         with self.lib.machine.tracer.under(ev.span):
-            self.worker.tag_recv_nb(buf, capacity, want, mask, cb=ev.received)
+            self.worker.tag_recv_nb(buf, capacity, want, mask, cb=ev)
 
 
 class _Request(SimEvent):
     """The event of an OpenMPI send or receive.  It carries the posting
-    rank, the destination of a send and the span, and its bound ``sent`` /
-    ``received`` is the UCP request's completion callback: the in-flight
-    message holds no closure (DESIGN §4.5)."""
+    rank, the destination of a send and the span, and is itself the UCP
+    request's completion callback: the in-flight message holds neither a
+    closure nor a bound method (DESIGN §4.5)."""
 
     __slots__ = ("rank", "peer", "span")
 
-    def sent(self, req) -> None:
+
+class _Send(_Request):
+    __slots__ = ()
+
+    def __call__(self, req) -> None:
         rank = self.rank
         rank.lib.machine.tracer.end(self.span)
         if req.status is not UcsStatus.OK:
@@ -153,7 +157,11 @@ class _Request(SimEvent):
             return
         self.succeed(None)
 
-    def received(self, req) -> None:
+
+class _Recv(_Request):
+    __slots__ = ()
+
+    def __call__(self, req) -> None:
         rank = self.rank
         rank.lib.machine.tracer.end(self.span)
         if req.status is UcsStatus.ERR_MESSAGE_TRUNCATED:

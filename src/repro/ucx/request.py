@@ -18,8 +18,10 @@ class RequestKind(enum.Enum):
 class UcxRequest:
     """Handle for one in-flight ``tag_send_nb`` / ``tag_recv_nb``.
 
-    ``cb`` (the UCP completion callback) is invoked from "progress context"
-    — i.e. at the simulated instant of completion.  ``info`` carries the
+    ``cb`` (the UCP completion callback) is invoked as ``cb(request)`` from
+    "progress context" — i.e. at the simulated instant of completion.  The
+    runtimes pass the message's own record, which is callable, so a
+    request holds no bound method (DESIGN §4.5).  ``info`` carries the
     matched tag and received length for receives, mirroring
     ``ucp_tag_recv_info_t``.
 
@@ -33,7 +35,7 @@ class UcxRequest:
 
     __slots__ = (
         "sim", "kind", "tag", "size", "cb", "_event",
-        "status", "info", "posted_at", "span", "op",
+        "status", "info", "span", "op",
         "rndv_id", "rndv_remote", "rndv_committed",
     )
 
@@ -53,7 +55,6 @@ class UcxRequest:
         self._event: Optional[SimEvent] = None
         self.status = UcsStatus.INPROGRESS
         self.info: Any = None
-        self.posted_at = sim.now
         # observability: the span covering this request, if traced; a handle
         # (Tracer.handle) that completion ends
         self.span: Any = None

@@ -17,6 +17,7 @@ its two locations in with the frame.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Callable, Dict
 
 from repro.hardware.links import path_transfer
@@ -29,6 +30,8 @@ __all__ = ["PENDING", "SequencedStream", "end_then", "send"]
 #: AM rendezvous fetch): nothing behind the slot is released until it is
 #: filled by ``offer(..., reserved=True)``.
 PENDING: Any = ("pending",)
+
+_NO_HELD: Any = MappingProxyType({})
 
 
 class SequencedStream:
@@ -50,7 +53,8 @@ class SequencedStream:
         self._release = release
         self._tx: Dict[int, int] = {}  # destination -> next number to assign
         self._next: Dict[int, int] = {}  # source -> next number to release
-        self._held: Dict[int, Dict[int, Any]] = {}  # source -> early arrivals
+        # source -> early arrivals; a shared stand-in until the first one
+        self._held: Dict[int, Dict[int, Any]] = _NO_HELD
 
     def next_seq(self, dst: int) -> int:
         seq = self._tx.get(dst, 0)
@@ -70,6 +74,8 @@ class SequencedStream:
             return False
         if seq != nxt or entry is PENDING:
             if held is None:
+                if self._held is _NO_HELD:
+                    self._held = {}
                 held = self._held[src] = {}
             held[seq] = entry
             return True

@@ -70,6 +70,7 @@ class PostedRecv:
     buf: Buffer
     size: int
     req: UcxRequest
+    posted_at: float  # when ``ucp_tag_recv_nb`` posted it
 
     def matches(self, incoming_tag: int) -> bool:
         return (incoming_tag & self.mask) == (self.tag & self.mask)
@@ -212,7 +213,7 @@ class UcpWorker:
         if size > buf.size:
             raise UcxError(f"recv size {size} exceeds buffer size {buf.size}")
         req = UcxRequest(self.sim, RequestKind.RECV, tag, size, cb)
-        posted = PostedRecv(tag, mask, buf, size, req)
+        posted = PostedRecv(tag, mask, buf, size, req, self.sim.now)
         tracer = self.ctx.machine.tracer
         sp = tracer.stage(TAG_RECV, cost=self._recv_post_cost, attrs=(tag, size))
         if sp:
@@ -418,7 +419,7 @@ class UcpWorker:
         sp = tracer.stage(
             MATCH_UNEXPECTED if unexpected else MATCH_EXPECTED,
             msg.tag, self.worker_id, cost,
-            (msg.tag, scanned, unexpected, posted.req.posted_at),
+            (msg.tag, scanned, unexpected, posted.posted_at),
         )
         if sp:
             tracer.end(sp, self.sim.now + cost)

@@ -16,6 +16,8 @@ Three latent bugs are locked down here:
    structured span() API must account nested spans independently.
 """
 
+import random
+
 import pytest
 
 from repro.ampi.matching import (
@@ -26,7 +28,7 @@ from repro.ampi.matching import (
     PostedMpiRecv,
 )
 from repro.config import MachineConfig, RuntimeConfig
-from repro.core.matchq import IndexedMatchQueue
+from repro.core.matchq import _NO_BUCKETS, IndexedMatchQueue
 from repro.hardware.memory import DeviceAllocator, host_buffer
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
@@ -196,7 +198,70 @@ class TestBucketsGoWithTheirLastEntry:
         assert sess.counters["ucx.send"] > 0
         for q in queues:
             assert len(q) == 0
-            assert not q._buckets and not q._wild
+            assert not q._buckets and not q._wild and q._fen is None
+
+
+def _assert_stand_ins(q):
+    """A queue that holds nothing holds the shared empty stand-ins."""
+    assert q._fen is None and q._buckets is _NO_BUCKETS
+    assert q._slots == q._keys == q._wild == () and q._dead == 0
+
+
+class _Entry:
+    def __init__(self, tag):
+        self.tag = tag
+
+
+class TestDrainAndRefill:
+    """A drained queue drops its containers for the shared stand-ins and the
+    next append rebuilds them.  Across hundreds of drain/refill cycles it
+    must still answer as the linear FIFO oracle does: the same entry, the
+    same virtual scan length, the same order, wildcard entries and wildcard
+    lookups included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drain_refill_cycles_match_linear_oracle(self, seed):
+        rng = random.Random(seed)
+        lin, idx = LinearMatchQueue(), IndexedMatchQueue()
+        _assert_stand_ins(idx)
+        drains = 0
+        for _step in range(6000):
+            tag, depth = rng.randrange(4), len(lin)
+            # shallow: the queue empties every few operations
+            if rng.random() < (0.55 if len(lin) < 3 else 0.2):
+                entry = _Entry(None if rng.random() < 0.25 else tag)
+                for q in (lin, idx):
+                    q.append(entry, key=entry.tag)
+            elif rng.random() < 0.85:
+                if rng.random() < 0.7:
+                    key, pred = tag, lambda e, t=tag: e.tag is None or e.tag == t
+                else:  # a wildcard lookup: a FIFO scan over every key
+                    key, pred = None, lambda e, t=tag: e.tag is None or e.tag % 2 == t % 2
+                assert idx.match(key, pred) == lin.match(key, pred)
+            else:
+                victim = rng.choice(list(lin)) if len(lin) else None
+                assert (idx.remove_first(lambda e: e is victim)
+                        is lin.remove_first(lambda e: e is victim))
+            assert len(idx) == len(lin) and list(idx) == list(lin)
+            if not len(lin):
+                _assert_stand_ins(idx)
+                drains += depth > 0
+        assert drains >= 150
+
+    def test_drained_queue_refills_from_slot_zero(self):
+        q = IndexedMatchQueue()
+        first, wild = _Entry(1), _Entry(None)
+        q.append(first, key=1)
+        q.append(wild)
+        assert q.match(1, lambda e: e.tag in (None, 1)) == (first, 1)
+        assert q.match(None, lambda e: True) == (wild, 1)
+        _assert_stand_ins(q)
+        again = _Entry(1)
+        q.append(again, key=1)
+        assert q._slots == [again] and q._fen == [0, 1]
+        assert q.match(2, lambda e: e.tag == 2) == (None, 1)
+        assert q.match(1, lambda e: e.tag == 1) == (again, 1)
+        _assert_stand_ins(q)
 
 
 # ---------------------------------------------------------------------------
