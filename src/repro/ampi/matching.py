@@ -78,9 +78,10 @@ def _recv_key(req: PostedMpiRecv):
 class MatchEngine:
     """Per-rank unexpected + posted queues (see module docstring)."""
 
-    def __init__(self) -> None:
-        self.unexpected = IndexedMatchQueue()
-        self.posted = IndexedMatchQueue()
+    def __init__(self, unexpected: Optional[IndexedMatchQueue] = None,
+                 posted: Optional[IndexedMatchQueue] = None) -> None:
+        self.unexpected = IndexedMatchQueue() if unexpected is None else unexpected
+        self.posted = IndexedMatchQueue() if posted is None else posted
 
     def match_envelope(self, env: AmpiEnvelope) -> tuple[Optional[PostedMpiRecv], int]:
         """Envelope arrived: return (matching posted recv or None, #scanned)."""

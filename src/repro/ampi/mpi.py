@@ -79,11 +79,10 @@ class AmpiRank(MpiRank):
         self.ampi = ampi
         self.rank = rank
         self.pe = pe
-        self.matching = MatchEngine()
         tracer = ampi.machine.tracer
-        self.matching.posted.depth_probe = tracer.queue_probe("matchq.ampi.posted")
-        self.matching.unexpected.depth_probe = tracer.queue_probe(
-            "matchq.ampi.unexpected")
+        self.matching = MatchEngine(
+            tracer.match_queue("matchq.ampi.unexpected"),
+            tracer.match_queue("matchq.ampi.posted"))
         self._seq_to: Dict[int, int] = {}
 
     # -- identity ---------------------------------------------------------------

@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import (Any, Callable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
-__all__ = ["IndexedMatchQueue"]
+__all__ = ["DepthRecordingQueue", "IndexedMatchQueue"]
 
 
 # -- the Fenwick tree ---------------------------------------------------------
@@ -105,7 +105,7 @@ class IndexedMatchQueue:
     """
 
     __slots__ = ("_slots", "_keys", "_buckets", "_wild", "_fen", "_live",
-                 "_dead", "depth_probe")
+                 "_dead")
 
     #: tombstones tolerated before a physical compaction
     _COMPACT_SLACK = 64
@@ -119,8 +119,6 @@ class IndexedMatchQueue:
         self._fen: Optional[List[int]] = None  # the Fenwick tree
         self._live = 0
         self._dead = 0
-        #: optional telemetry hook: called with +1/-1 on insert/remove
-        self.depth_probe: Optional[Callable[[int], None]] = None
 
     # -- mutation -----------------------------------------------------------
     def append(self, item: Any, key: Any = None) -> None:
@@ -133,8 +131,6 @@ class IndexedMatchQueue:
         self._keys.append(key)
         _fen_append(fen, 1)
         self._live += 1
-        if self.depth_probe is not None:
-            self.depth_probe(1)
         if key is None:
             self._wild.append(slot)
         else:
@@ -159,8 +155,6 @@ class IndexedMatchQueue:
         _fen_add(self._fen, slot, -1)
         self._live -= 1
         self._dead += 1
-        if self.depth_probe is not None:
-            self.depth_probe(-1)
         if not self._live:  # drained: every slot is dead
             self._slots = self._keys = self._wild = ()
             self._buckets, self._fen, self._dead = _NO_BUCKETS, None, 0
@@ -235,3 +229,27 @@ class IndexedMatchQueue:
 
     def __iter__(self) -> Iterator[Any]:
         return (item for item in self._slots if item is not None)
+
+
+class DepthRecordingQueue(IndexedMatchQueue):
+    """An :class:`IndexedMatchQueue` that appends a depth row,
+    ``("add", now, name, +1 or -1, "items")``, to a telemetry record on
+    every insert and removal: what ``Tracer.match_queue`` builds while
+    telemetry is on (``repro.obs.timeline``)."""
+
+    __slots__ = ("_record", "_name")
+
+    def __init__(self, record, name: str) -> None:
+        super().__init__()
+        self._record = record
+        self._name = name
+
+    def append(self, item: Any, key: Any = None) -> None:
+        super().append(item, key)
+        record = self._record
+        record.rows.append(("add", record.sim.now, self._name, 1, "items"))
+
+    def _kill(self, slot: int) -> Any:
+        record = self._record
+        record.rows.append(("add", record.sim.now, self._name, -1, "items"))
+        return super()._kill(slot)

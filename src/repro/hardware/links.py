@@ -213,12 +213,13 @@ class _Transfer:
     re-registers *itself* is a reference cycle, one per transfer, and the
     engine's loop runs with the cyclic collector suspended.
 
-    Telemetry observes acquisition waits and occupancy; it never schedules
-    and never alters ``hold``, so enabling it cannot perturb the simulation.
+    While telemetry is on (``sim.telemetry``) it appends a row to the
+    telemetry record when it parks, takes its links, and gives each back
+    (``repro.obs.timeline``); a row never schedules and never alters
+    ``hold``, so enabling it cannot perturb the simulation.
     """
 
-    __slots__ = ("sim", "ordered", "size", "hold", "then", "then_args",
-                 "telem", "t_req", "req_cat", "blocked_on")
+    __slots__ = ("sim", "ordered", "size", "hold", "then", "then_args")
 
     def __init__(self, sim: Simulator, ordered: Sequence[Link], size: int,
                  hold: float, then, then_args: tuple) -> None:
@@ -228,10 +229,6 @@ class _Transfer:
         self.hold = hold
         self.then = then
         self.then_args = then_args
-        self.telem = telem = sim.telemetry
-        self.t_req = None if telem is None else sim.now  # telemetry only
-        self.req_cat = None if telem is None else telem.ambient_category()
-        self.blocked_on = None
 
     def try_acquire(self) -> None:
         """Submission: start now or park; :meth:`Link.release` does the rest."""
@@ -245,20 +242,24 @@ class _Transfer:
             took = link.try_acquire()
             assert took  # free slot was just checked
         sim = self.sim
-        if self.telem is not None:
-            self.telem.link_acquired(ordered, self.size, sim.now - self.t_req,
-                                     self.blocked_on, self.req_cat)
+        telemetry = sim.telemetry
+        if telemetry is not None:
+            telemetry.rows.append(
+                ("grant", sim.now, ordered, self.size, id(self)))
         sim.call_later(self.hold, self.finish)
 
     def finish(self) -> None:
         ordered = self.ordered
         size = self.size
-        if self.telem is not None:
-            # before release(): parked transfers are re-examined synchronously
-            # and the next one may re-acquire inside the loop below
-            self.telem.link_released(ordered, size)
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            telemetry.rows.append(("release", self.sim.now, ordered, size))
         for link in ordered:
             link.bytes_carried += size
+            if telemetry is not None:
+                # before release(): it re-examines the transfers parked on
+                # the link at once, and the next may take it in the loop
+                telemetry.rows.append(("free", self.sim.now, link))
             link.release()
         self.then(*self.then_args)
 
@@ -271,8 +272,12 @@ def _examine(transfers) -> None:
     for xfer in transfers:
         for link in xfer.ordered:
             if link._in_use >= link.capacity:
-                if xfer.telem is not None:
-                    xfer.blocked_on = link.name
+                telemetry = xfer.sim.telemetry
+                if telemetry is not None:
+                    stack = telemetry.stack
+                    telemetry.rows.append((
+                        "park", xfer.sim.now, id(xfer), link.name,
+                        stack[-1] if stack else None))
                 if link._parked:
                     link._parked.append(xfer)
                 else:

@@ -280,9 +280,6 @@ class PooledAllocator:
         self.grows = 0
         # bytes in live (handed-out) blocks, counted at class granularity
         self.live_bytes = 0
-        #: optional telemetry hook called as probe(live_bytes, slab_bytes,
-        #: slab_count) after every alloc/free (repro.obs.timeline)
-        self.probe = None
 
     # -- introspection -------------------------------------------------------
     @property
@@ -320,9 +317,6 @@ class PooledAllocator:
             self.carves += 1
             self._tick("pool_carve")
         self.live_bytes += cls
-        if self.probe is not None:
-            self.probe(self.live_bytes, self.slab_bytes_total,
-                       len(self._slabs))
         return blk.buffer
 
     def _carve(self, cls: int) -> _Block:
@@ -363,9 +357,33 @@ class PooledAllocator:
         self._free.setdefault(blk.class_size, []).append(blk)
         self._tick("pool_return")
         self.live_bytes -= blk.class_size
-        if self.probe is not None:
-            self.probe(self.live_bytes, self.slab_bytes_total,
-                       len(self._slabs))
+
+
+class RecordingPool(PooledAllocator):
+    """A :class:`PooledAllocator` that appends a pool row, ``("pool", now,
+    gpu, live_bytes, slab_bytes, slabs)``, to a telemetry record after every
+    alloc and free: what a machine builds while telemetry is on
+    (``repro.obs.timeline``)."""
+
+    def __init__(self, backing: DeviceAllocator, policy, count,
+                 record) -> None:
+        super().__init__(backing, policy, count)
+        self._record = record
+
+    def alloc(self, size: int) -> Buffer:
+        buf = super().alloc(size)
+        self._row()
+        return buf
+
+    def free(self, buf: Buffer) -> None:
+        super().free(buf)
+        self._row()
+
+    def _row(self) -> None:
+        record = self._record
+        record.rows.append(("pool", record.sim.now, self.backing.device,
+                            self.live_bytes, self.slab_bytes_total,
+                            len(self._slabs)))
 
 
 def host_buffer(node: int, size: int) -> Buffer:

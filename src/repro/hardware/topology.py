@@ -21,6 +21,7 @@ from repro.hardware.memory import (
     MemoryKind,
     OutOfMemory,
     PooledAllocator,
+    RecordingPool,
     host_buffer,
 )
 from repro.obs.tracing import Tracer
@@ -139,23 +140,22 @@ class Machine:
         # Pooled allocation (MemoryConfig.allocator == "pool"): one slab
         # pool per GPU in front of the bump allocator.  The direct path is
         # untouched when pooling is off — byte-identical to the seed.
+        # With telemetry on, the Tracer has set sim.telemetry to its record
+        # (repro.obs.timeline): the engine and links.py append rows to it
+        # through the simulator handle, like the fault injector's, and so
+        # does each pool, a RecordingPool.  Disabled runs keep
+        # sim.telemetry = None: one None-check per transfer and per event.
         self.pools: Dict[int, PooledAllocator] = {}
         if cfg.memory.pooled:
+            record = self.sim.telemetry
             self.pools = {
                 g: PooledAllocator(self.allocators[g], cfg.memory,
                                    count=self.tracer.count)
+                if record is None else
+                RecordingPool(self.allocators[g], cfg.memory,
+                              self.tracer.count, record)
                 for g in range(topo.total_gpus)
             }
-        # Resource telemetry (repro.obs.timeline): links.py and the engine
-        # reach it through the simulator handle, like the fault injector;
-        # disabled runs keep sim.telemetry = None so the off-path cost is
-        # a single None-check per transfer/event.
-        if cfg.telemetry:
-            timeline = self.tracer.timeline
-            self.sim.telemetry = timeline
-            self.sim.set_probe(timeline.engine_probe(self.sim))
-            for g, pool in self.pools.items():
-                pool.probe = timeline.pool_probe(g)
         self._route_cache: Dict[tuple, Route] = {}
         self._locations: Dict[tuple, Location] = {}  # (node, device, socket)
         # Multi-path transfer planning (repro.hardware.rails): enumerates

@@ -51,8 +51,8 @@ _EXPORTS = {
     "SIZE_BUCKETS": "metrics",
     "Histogram": "metrics",
     "MetricsRegistry": "metrics",
+    "Series": "timeline",
     "Telemetry": "timeline",
-    "TimeSeries": "timeline",
     "timeline_dict": "timeline",
     "NULL_SPAN": "tracing",
     "Span": "tracing",

@@ -7,9 +7,9 @@ acquisition-wait time, which span categories were doing the waiting,
 when each link sat at full occupancy (saturation windows), and whether
 the endpoint LRU is thrashing (evicting about as fast as it connects).
 
-Everything here is derived after the fact from the aggregates
-:class:`repro.obs.timeline.Telemetry` keeps while enabled — building the
-report never touches the simulation.
+Everything here is read from the fold of the telemetry record
+(:class:`repro.obs.timeline.Telemetry`) — building the report never
+touches the simulation.
 """
 
 from __future__ import annotations
@@ -103,22 +103,26 @@ def congestion_report(tracer, top_n: int = 5) -> CongestionReport:
             "the CLI) and re-run")
     now = telem.sim.now
     duration = now if now > 0 else 0.0
-    saturation = telem.saturation_view()
+    taken, saturation = telem.links, telem.saturation
 
-    names = set(telem.links) | set(telem.link_wait_time) | set(saturation)
+    # a link is waited on or saturated only while a transfer holds it
     links: List[LinkCongestion] = []
-    for name in sorted(names):
-        res = telem.links.get(name)
-        busy = res.utilisation() * duration if res is not None else 0.0
+    for name in sorted(taken):
+        (_held, busy, since, transfers, wait_time, wait_count,
+         waiters) = taken[name]
+        if since is not None:
+            busy += now - since
+        # the run's busy share, capped at 1, back in seconds
+        busy = (min(1.0, busy / now) if now > 0 else 0.0) * duration
         sat = saturation.get(name, {})
         links.append(LinkCongestion(
             name=name,
             busy_time=busy,
             busy_frac=busy / duration if duration else 0.0,
-            wait_time=telem.link_wait_time.get(name, 0.0),
-            wait_count=telem.link_wait_count.get(name, 0),
-            transfers=res.total_acquisitions if res is not None else 0,
-            waiters=dict(telem.link_waiters.get(name, {})),
+            wait_time=wait_time,
+            wait_count=wait_count,
+            transfers=transfers,
+            waiters=dict(waiters),
             saturated_time=sat.get("time", 0.0),
             saturation_windows=list(sat.get("windows", [])),
             saturation_truncated=sat.get("truncated", False),

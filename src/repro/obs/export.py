@@ -226,9 +226,10 @@ def _events(tracer: Tracer) -> Tuple[int, List[Tuple[float, str]]]:
     timeline = tracer.timeline
     if timeline.enabled:
         tail = ', "pid": 0, "tid": 0, "args": {"value": '
-        for name in sorted(timeline.series):
+        series = timeline.series
+        for name in sorted(series):
             head = _head(name, "telemetry", "C")
-            for t, value in timeline.series[name].points():
+            for t, value in series[name].points():
                 t_us = t * 1e6
                 ts = stamps.get(t_us)
                 if ts is None:

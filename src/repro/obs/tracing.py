@@ -17,7 +17,8 @@ pinned in), and consume the rows they fold: a later read folds what came since.
 :meth:`Tracer.stage` is the hot path's one door into observation: it feeds
 the always-on counter, the record (``trace``), the stage log flight records
 are folded from (``flight``, :mod:`repro.obs.flight`) and the telemetry
-series (``telemetry``).  Sites name no recorder and test no switch.
+record (``telemetry``, :mod:`repro.obs.timeline`).  Sites name no recorder
+and test no switch.
 
 Determinism contract (enforced by ``tests/test_obs_golden.py``): observation
 code never calls ``sim.schedule``, never changes a modeled delay, and the
@@ -28,7 +29,7 @@ test and returns ``None``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.stages import COUNTER_SERIES, Stage
@@ -114,16 +115,19 @@ class Tracer:
         self.metrics = MetricsRegistry(fold=self._fold)
         self._counts = self.metrics.counts
         self.log: List[tuple] = []  # flight stages, for repro.obs.flight
-        self.timeline = Telemetry(sim, enabled=telemetry)
         self._flight_on = flight
-        self._telemetry_on = telemetry
         self._quiet = not (enabled or flight or telemetry)
         self._record: List[tuple] = []
         self._spans: List[Span] = []     # folded so far
         self._stack: List[tuple] = []    # ambient span rows
-        # link waits are attributed to the ambient span's category
-        self.timeline.ambient_stack = self._stack
         self._next_sid = 0
+        # a parked link transfer names the ambient span it was submitted under
+        self.timeline = Telemetry(sim, enabled=telemetry, stack=self._stack)
+        #: the telemetry record while telemetry is on, else None
+        self._rows: Optional[List[tuple]] = None
+        if telemetry:
+            self._rows = self.timeline.rows
+            sim.telemetry = self.timeline
 
     # -- recording ------------------------------------------------------------------
     def stage(self, st: Stage, tag: Optional[int] = None,
@@ -148,8 +152,8 @@ class Tracer:
             return None
         if self._flight_on and tag is not None and st.flight is not None:
             self.log.append((self.sim.now, st.flight, tag, dst, *attrs))
-        if self._telemetry_on and st.series is not None:
-            self.timeline.bump(st.series)
+        if self._rows is not None and st.series is not None:
+            self._rows.append(("add", self.sim.now, st.series, 1, "count"))
         if not self.enabled:
             return None
         if st.span is None:
@@ -265,27 +269,32 @@ class Tracer:
         return sum(s.end_time - s.start for s in self.spans
                    if s.category == category and s.end_time is not None)
 
-    # -- resource gauges (telemetry-only; see repro.obs.timeline) -------------------
+    # -- resource rows (telemetry-only; see repro.obs.timeline) ---------------------
     def gauge(self, name: str, value: float, unit: str = "") -> None:
         """Sample the current size of a resource (endpoint table, mapping
         cache) into its telemetry series."""
-        if self._telemetry_on:
-            self.timeline.sample(name, value, unit)
+        if self._rows is not None:
+            self._rows.append(("sample", self.sim.now, name, value, unit))
 
-    def queue_probe(self, name: str) -> Optional[Callable[[int], None]]:
-        """The ``depth_probe`` for a match queue named ``name``: ``None``
-        (the queue's own off-switch) unless telemetry is on."""
-        return self.timeline.queue_probe(name) if self._telemetry_on else None
+    def match_queue(self, name: str):
+        """A new match queue; while telemetry is on, one whose every insert
+        and removal moves the depth series ``name``."""
+        # deferred: repro.core loads the machine layer, which loads this module
+        from repro.core.matchq import DepthRecordingQueue, IndexedMatchQueue
+
+        if self._rows is None:
+            return IndexedMatchQueue()
+        return DepthRecordingQueue(self.timeline, name)
 
     # -- counters (identical on/off so fingerprints cannot diverge) ----------------
     def count(self, category: str, event: str, n: int = 1) -> None:
         key = (category, event)
         counts = self._counts
         counts[key] = counts.get(key, 0) + n
-        if self._telemetry_on:
+        if self._rows is not None:
             series = COUNTER_SERIES.get(key)
             if series is not None:
-                self.timeline.bump(series, n)
+                self._rows.append(("add", self.sim.now, series, n, "count"))
 
     @property
     def counters(self):

@@ -150,11 +150,10 @@ class Simulator:
         self._seq: int = 0
         self._event_count = 0
         self._running = False
-        # observation hooks (repro.obs): fault injector and telemetry attach
-        # themselves here; both are read-only with respect to the agenda
+        # observation hooks (repro.obs): the fault injector and the telemetry
+        # record attach themselves here; neither touches the agenda
         self.telemetry = None
         self.fault_injector = None
-        self._probe: Optional[Callable[[], None]] = None
         # the agenda: a heap of (time, seq, fn, args), or (time, seq, None,
         # handle) for a cancellable timer
         self._cur: List[tuple] = []
@@ -169,12 +168,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Live (non-cancelled) events currently scheduled."""
         return len(self._cur) - self._tombstones
-
-    def set_probe(self, fn: Optional[Callable[[], None]]) -> None:
-        """Install an observation probe called every 256 executed events.
-        The probe must only *read* simulator state — it runs after the
-        event's callback and must never schedule."""
-        self._probe = fn
 
     # -- scheduling ----------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -255,9 +248,11 @@ class Simulator:
                 self.now = t
                 self._event_count += 1
                 fn(*args)
-                probe = self._probe
-                if probe is not None and not (self._event_count & 255):
-                    probe()
+                telemetry = self.telemetry
+                if telemetry is not None and not (self._event_count & 255):
+                    telemetry.rows.append((
+                        "sample", t, "engine.pending_events",
+                        self.pending_events, "events"))
                 fired += 1
                 if budget is not None and fired >= budget:
                     break

@@ -12,19 +12,20 @@ A :class:`Resource` knows one kind of waiter: the ``(fn, args)`` pair that
 wants *this* resource, granted in FIFO turn by :meth:`release`.  Waiting for
 several resources at once (every link of a path free at the same moment) is
 ``hardware/links.py``'s business: those waiters park on the ``Link`` they
-found busy and ``Link.release`` re-examines them.
+found busy and ``Link.release`` re-examines them.  How long a link was busy
+is read from the telemetry record (:mod:`repro.obs.timeline`), not kept here.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.primitives import SimEvent
 
 
 class Resource:
-    """A counted resource with FIFO granting and utilisation statistics."""
+    """A counted resource with FIFO granting."""
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
         if capacity < 1:
@@ -34,10 +35,7 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Sequence = ()  # (fn, args) to run once granted, FIFO
-        # statistics
         self.total_acquisitions = 0
-        self.busy_time = 0.0
-        self._busy_since: Optional[float] = None
 
     # -- state -------------------------------------------------------------
     @property
@@ -47,16 +45,6 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
-
-    def utilisation(self) -> float:
-        """Fraction of the run so far during which >=1 slot was held."""
-        span = self.sim.now
-        if span <= 0:
-            return 0.0
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        return min(1.0, busy / span)
 
     # -- acquire/release ----------------------------------------------------
     def _when_granted(self, fn, args: tuple) -> None:
@@ -76,17 +64,12 @@ class Resource:
             return False
         self._in_use += 1
         self.total_acquisitions += 1
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
         return True
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
-            self._busy_since = None
         if self._waiters:
             self.try_acquire()  # the slot just freed
             fn, args = self._waiters.pop(0)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional
 
-from repro.core.matchq import IndexedMatchQueue
 from repro.hardware.memory import Buffer
 from repro.obs.stages import (
     AM_SEND,
@@ -85,12 +84,10 @@ class UcpWorker:
         self.worker_id = worker_id
         self.node = node
         self.socket = socket
-        self.posted = IndexedMatchQueue()
-        self.unexpected = IndexedMatchQueue()
         machine = ctx.machine
         tracer = machine.tracer
-        self.posted.depth_probe = tracer.queue_probe("matchq.ucx.posted")
-        self.unexpected.depth_probe = tracer.queue_probe("matchq.ucx.unexpected")
+        self.posted = tracer.match_queue("matchq.ucx.posted")
+        self.unexpected = tracer.match_queue("matchq.ucx.unexpected")
         self._endpoints: Dict[int, UcpEndpoint] = {}
         # the two frame streams, sequenced independently, and where each
         # enters the fabric (repro.ucx.transport says why these differ)

@@ -6,9 +6,10 @@ transfer registered a one-shot callback on the first busy link
 registered on that link, each of which re-ran the whole of
 ``_Transfer.try_acquire``.  The policy — scan the links in canonical order,
 wait on the first busy one, re-examine in registration order — is the one the
-production code still implements; this is its original spelling, moved here
-verbatim so ``tests/test_link_model.py`` can replay seeded plans through both
-and require identical grants.  Like ``reference_engine`` it is never imported
+production code still implements; this is its original spelling (the
+telemetry park row aside, and with the grant itself ``_Transfer.start``), so
+``tests/test_link_model.py`` can replay seeded plans through both and require
+identical grants.  Like ``reference_engine`` it is never imported
 by the runtime.
 
 Use: build the plan's links as :class:`HookLink` and run ``path_transfer``
@@ -47,18 +48,14 @@ class HookTransfer(_Transfer):
     __slots__ = ()
 
     def try_acquire(self) -> None:
-        ordered = self.ordered
-        for link in ordered:
+        for link in self.ordered:
             if link.in_use >= link.capacity:
-                if self.telem is not None:
-                    self.blocked_on = link.name
+                telemetry = self.sim.telemetry
+                if telemetry is not None:
+                    stack = telemetry.stack
+                    telemetry.rows.append((
+                        "park", self.sim.now, id(self), link.name,
+                        stack[-1] if stack else None))
                 link.on_next_release(self.try_acquire)
                 return
-        for link in ordered:
-            took = link.try_acquire()
-            assert took  # free slot was just checked
-        sim = self.sim
-        if self.telem is not None:
-            self.telem.link_acquired(ordered, self.size, sim.now - self.t_req,
-                                     self.blocked_on, self.req_cat)
-        sim.call_later(self.hold, self.finish)
+        self.start()

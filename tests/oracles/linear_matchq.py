@@ -15,18 +15,13 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 class LinearMatchQueue:
     """Reference FIFO queue: linear scan, O(n) per match (seed semantics)."""
 
-    __slots__ = ("_items", "depth_probe")
+    __slots__ = ("_items",)
 
     def __init__(self) -> None:
         self._items: List[Any] = []
-        #: optional telemetry hook: called with +1/-1 on insert/remove
-        #: (see repro.obs.timeline.Telemetry.queue_probe); observation-only
-        self.depth_probe: Optional[Callable[[int], None]] = None
 
     def append(self, item: Any, key: Any = None) -> None:
         self._items.append(item)
-        if self.depth_probe is not None:
-            self.depth_probe(1)
 
     def match(
         self, key: Any, pred: Callable[[Any], bool]
@@ -41,8 +36,6 @@ class LinearMatchQueue:
         for i, item in enumerate(items):
             if pred(item):
                 del items[i]
-                if self.depth_probe is not None:
-                    self.depth_probe(-1)
                 return item, i + 1
         return None, len(items)
 
@@ -53,8 +46,6 @@ class LinearMatchQueue:
         for i, item in enumerate(items):
             if pred(item):
                 del items[i]
-                if self.depth_probe is not None:
-                    self.depth_probe(-1)
                 return item
         return None
 

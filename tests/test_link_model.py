@@ -14,6 +14,7 @@ from repro.hardware.links import (
     CTRL_BYPASS_BYTES, Link, Route, _Transfer, path_transfer, path_transfer_time,
 )
 from repro.hardware.topology import Machine
+from repro.obs.timeline import Telemetry
 from repro.sim.engine import Simulator
 from repro.ucx.context import UcpContext
 from tests.oracles.hook_wake import HookLink, HookTransfer
@@ -211,24 +212,17 @@ class _GrantLog(Simulator):
     def call_later(self, delay, fn, *args):
         xfer = getattr(fn, "__self__", None)
         if isinstance(xfer, _Transfer):
-            self.grants.append((self.now, xfer.then_args[0], xfer.blocked_on))
+            self.grants.append((self.now, xfer.then_args[0]))
         super().call_later(delay, fn, *args)
 
 
-class _Telemetry:
-    """What ``_Transfer`` asks of ``sim.telemetry``, recorded."""
-
-    def __init__(self) -> None:
-        self.acquired = []
-
-    def ambient_category(self) -> str:
-        return "test"
-
-    def link_acquired(self, links, size, waited, blocker, category) -> None:
-        self.acquired.append((tuple(l.name for l in links), size, waited, blocker))
-
-    def link_released(self, links, size) -> None:
-        pass
+def _folded(telemetry: Telemetry):
+    """What the telemetry fold reports of a replay: every series' points and
+    statistics, each link's slots, busy time, grants and the waits charged
+    to it, and the saturation windows."""
+    return ({name: (ts.points(), ts.stats())
+             for name, ts in telemetry.series.items()},
+            telemetry.links, telemetry.saturation)
 
 
 _LINK_PARAMS = [  # (latency, bandwidth, capacity): L2 takes two at a time
@@ -253,7 +247,7 @@ def _random_plan(seed: int):
 def _replay(plan, link_cls, degraded: bool, telemetry: bool):
     sim = _GrantLog()
     if telemetry:
-        sim.telemetry = _Telemetry()
+        sim.telemetry = Telemetry(sim, enabled=True)
     if degraded:
         # opens and closes mid-plan: holds are sampled inside and outside it
         sim.fault_injector = FaultInjector(FaultPlan(bandwidth_windows=(
@@ -275,9 +269,8 @@ def _replay(plan, link_cls, degraded: bool, telemetry: bool):
         "grants": sim.grants,
         "done": done,
         "events": sim.event_count,
-        "links": [(l.total_acquisitions, l.busy_time, l.bytes_carried)
-                  for l in links],
-        "acquired": sim.telemetry.acquired if telemetry else None,
+        "links": [(l.total_acquisitions, l.bytes_carried) for l in links],
+        "telemetry": _folded(sim.telemetry) if telemetry else None,
     }
 
 
@@ -295,14 +288,15 @@ class TestWakeOrder:
         assert new["done"] == old["done"]
         assert new["events"] == old["events"]
         assert new["links"] == old["links"]
-        assert new["acquired"] == old["acquired"]
+        assert new["telemetry"] == old["telemetry"]
         # the plan did contend: some transfer was granted out of plan order
         # after waiting, and under telemetry it knows on which link
         waited = [g for g in new["grants"] if g[0] > plan[g[1]][0]]
         assert waited and [g[1] for g in new["grants"]] != sorted(
             range(len(plan)), key=lambda i: plan[i][0])
         if telemetry:
-            assert all(g[2] is not None for g in waited)
+            links = new["telemetry"][1].values()
+            assert sum(state[5] for state in links) == len(waited)
 
     def test_a_release_reexamines_only_what_is_still_parked(self):
         """N transfers parked on one capacity-1 link: the k-th release looks
@@ -323,13 +317,9 @@ class TestWakeOrder:
             def name(self, value):
                 self._name = value
 
-        class Telemetry(_Telemetry):
-            def link_acquired(self, *args) -> None:  # reads no name
-                pass
-
         n = 9
         sim = _GrantLog()
-        sim.telemetry = Telemetry()
+        sim.telemetry = Telemetry(sim, enabled=True)
         link = CountingLink(sim, LinkParams(1e-6, 1e9), "hot")
         frames = 0
 

@@ -101,7 +101,7 @@ def _play(ops, telemetry: bool) -> Tracer:
                 ambient.__exit__()
             tracer.end(row)
         elif op[0] == "sample":
-            tracer.timeline.sample(op[2], op[3])
+            tracer.gauge(op[2], op[3])
     return tracer
 
 

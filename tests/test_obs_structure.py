@@ -2,8 +2,8 @@
 rank surface.
 
 Message-path code reports lifecycle stages through ``tracer.stage`` /
-``count`` / ``gauge`` / ``queue_probe`` and never reaches for the flight
-recorder or the telemetry object itself — which recorder hears about a stage
+``count`` / ``gauge`` (and gets its match queues from ``match_queue``) and
+never reaches for the flight recorder or the telemetry record itself — which recorder hears about a stage
 is decided in ``repro.obs`` (``obs/stages.py``).  This walks the source tree
 so that per-site ``tracer.flight.*`` / ``telemetry.*`` hook families cannot
 grow back, and checks that the stage table holds no handlers either.
@@ -27,21 +27,20 @@ RECORDER_ATTRS = {"flight", "timeline", "telemetry"}
 EXEMPT = ("obs/", "bench/", "api.py", "config.py", "apps/osu/runner.py",
           "apps/jacobi3d/driver.py", "apps/shuffle/driver.py")
 
-#: (file, attribute) -> why this access stays.  These are the resource
-#: probes: samples of a resource, not stages of a message, installed once
-#: as ``None``-when-off callables.
+#: (file, attribute) -> why this access stays.  These append resource rows:
+#: facts about a resource, not stages of a message, reaching the telemetry
+#: record through a simulator handle that is ``None`` when telemetry is off.
 ALLOWED = {
     ("hardware/topology.py", "flight"):
         "Machine builds the Tracer from the config's three switches",
     ("hardware/topology.py", "telemetry"):
-        "the same config switch, and wiring sim.telemetry for links.py",
-    ("hardware/topology.py", "timeline"):
-        "the one place the engine, link and pool probes are installed",
+        "the same config switch, and the record a pool appends its rows to",
     ("hardware/links.py", "telemetry"):
-        "path_transfer samples link waits/occupancy via sim.telemetry "
-        "(None when off), like the fault injector handle",
+        "a bulk transfer appends its park, grant and release rows to "
+        "sim.telemetry, like the fault injector handle",
     ("sim/engine.py", "telemetry"):
-        "the Simulator attribute that carries that handle (default None)",
+        "the Simulator attribute that carries that handle (default None), "
+        "and the engine's every-256th-event row",
 }
 
 

@@ -58,15 +58,6 @@ def test_occupy_parallel_with_capacity(sim):
     assert done_times == [2.0, 2.0]
 
 
-def test_utilisation_accounting(sim):
-    r = Resource(sim, capacity=1)
-    r.occupy(2.0)
-    sim.schedule(10.0, lambda: None)
-    sim.run()
-    assert r.utilisation() == pytest.approx(0.2)
-    assert r.total_acquisitions == 1
-
-
 def test_queue_length(sim):
     r = Resource(sim, capacity=1)
     for _ in range(3):
