@@ -77,6 +77,7 @@ class AmpiRank(MpiRank):
 
     def __init__(self, ampi: "Ampi", rank: int, pe: int) -> None:
         self.ampi = ampi
+        self.sim = ampi.charm.sim
         self.rank = rank
         self.pe = pe
         tracer = ampi.machine.tracer
@@ -93,10 +94,6 @@ class AmpiRank(MpiRank):
     @property
     def charm(self) -> Charm:
         return self.ampi.charm
-
-    @property
-    def sim(self):
-        return self.ampi.charm.sim
 
     @property
     def gpu(self) -> Optional[int]:
@@ -224,9 +221,9 @@ class AmpiRank(MpiRank):
         dev_meta = env.dev_meta
         with tracer.under(asp):
             ampi.charm.converse.cmi_send_device(
-                self.pe, ampi.rank_pe(env.dst), dev_meta, owner=ev)
+                self.pe, ampi.ranks[env.dst].pe, dev_meta, owner=ev)
             ampi._send_envelope(self.pe, env, host_bytes=0)
-        tracer.stage(METADATA_SENT, dev_meta.tag)
+        tracer.note(METADATA_SENT, dev_meta.tag)
 
     def _go_host(self, env: AmpiEnvelope, ev: SimEvent, asp) -> None:
         # a rendezvous send completes when the receiver's FIN comes back;
@@ -368,7 +365,7 @@ class Ampi(MpiJob):
             payload=env,
             host_bytes=host_bytes,
             src_pe=src_pe,
-            dst_pe=self.rank_pe(env.dst),
+            dst_pe=self.ranks[env.dst].pe,
         )
         self.charm.converse.cmi_send(src_pe, msg)
 
@@ -376,7 +373,7 @@ class Ampi(MpiJob):
         env: AmpiEnvelope = msg.payload
         tracer = self.machine.tracer
         if env.dev_meta is not None:
-            tracer.stage(METADATA_ARRIVED, env.dev_meta.tag)
+            tracer.note(METADATA_ARRIVED, env.dev_meta.tag)
         rank = self.ranks[env.dst]
         req, scanned = rank.matching.match_envelope(env)
         pe.charge(self.rt.ampi_match_cost * scanned)
@@ -460,8 +457,8 @@ class Ampi(MpiJob):
         socket rails, and the §IV-B2 artifact, a registration/pinning cost
         at the threshold (it delays the fetch; it does not occupy the wire)."""
         m, rt = self.machine, self.rt
-        route = m.route(m.host_location(src_node, m.socket_of_gpu(src_pe)),
-                        m.host_location(dst_node, m.socket_of_gpu(dst_pe)))
+        route = m.route(m.host_location(src_node, m.gpu_socket[src_pe]),
+                        m.host_location(dst_node, m.gpu_socket[dst_pe]))
         pin = 0.0
         if rt.model_ampi_128k_dip and size >= rt.ampi_pin_threshold:
             pin = rt.ampi_pin_overhead + size / rt.ampi_pin_bandwidth

@@ -39,16 +39,16 @@ class JacobiBlockPy(PyChare):
             if self.gpu_aware:
                 sends, ghosts = st.d_send[parity], st.d_ghost[parity]
                 for d, _nbr in nbrs:
-                    yield chans[d].send(sends[DIRS.index(d)], st.face_bytes(d))
+                    yield chans[d].send(sends[DIRS.index(d)], st.faces[d])
                 for d, _nbr in nbrs:
-                    yield chans[d].recv(ghosts[DIRS.index(d)], st.face_bytes(d))
+                    yield chans[d].recv(ghosts[DIRS.index(d)], st.faces[d])
             else:
                 yield st.stage_out(parity)
                 for d, _nbr in nbrs:
                     yield chans[d].send(st.h_send[d])
                 for d, _nbr in nbrs:
                     h = yield chans[d].recv()
-                    st.h_recv[d].copy_from(h, st.face_bytes(d))
+                    st.h_recv[d].copy_from(h, st.faces[d])
                     yield st.stage_in(d, parity)
             tcomm = c4p.sim.now - tc0
             yield st.unpack(parity)

@@ -72,7 +72,7 @@ class JacobiBlock(Chare):
                 for d, nbr in nbrs:
                     peers[nbr].halo(
                         CkDeviceBuffer.wrap(st.d_send[parity][DIRS.index(d)]),
-                        opposite(d), it, parity, st.face_bytes(d),
+                        opposite(d), it, parity, st.faces[d],
                     )
             else:
                 yield st.stage_out(parity)
@@ -125,7 +125,7 @@ class JacobiBlock(Chare):
     # -- host-staged halo reception ([threaded]: blocks on the HtoD copy) --------
     def halo_h(self, host_data, direction, it, parity):
         st = self.state
-        st.h_recv[direction].copy_from(host_data, st.face_bytes(direction))
+        st.h_recv[direction].copy_from(host_data, st.faces[direction])
         yield st.stage_in(direction, parity)
         self._arrived(it)
 

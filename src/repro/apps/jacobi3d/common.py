@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.apps.jacobi3d.decomposition import DIRS, Decomposition
 from repro.apps.jacobi3d.kernels import pack_kernel, stencil_kernel, unpack_kernel
 from repro.hardware.cuda import CudaRuntime
+from repro.hardware.gpu import Kernel
 from repro.hardware.memory import Buffer
 from repro.sim.primitives import SimEvent
 
@@ -97,33 +98,55 @@ class BlockState:
                 self.h_recv[d] = cuda.malloc_host(self.node, fb)
         self.d_send: Tuple[Tuple[Optional[Buffer], ...], ...] = tuple(map(tuple, send))
         self.d_ghost: Tuple[Tuple[Optional[Buffer], ...], ...] = tuple(map(tuple, ghost))
+        #: bytes of one face by direction (the decomposition's own dict)
+        self.faces: Dict[str, int] = decomp.faces
+        if not functional:
+            # each phase's cost-only kernels with their times, built once per
+            # block shape and neighbour directions and shared by the blocks
+            # of one runtime
+            dirs = [d for d, _ in self.neighbors]
+            shape = ("".join(dirs), decomp.block, decomp.dtype_bytes)
+            self._pack = cuda.priced(gpu, ("jacobi.pack", *shape), (
+                pack_kernel(d, self.faces[d]) for d in dirs))
+            self._unpack = cuda.priced(gpu, ("jacobi.unpack", *shape), (
+                unpack_kernel(d, self.faces[d]) for d in dirs))
+            self._compute = cuda.priced(gpu, ("jacobi.sweep", cells),
+                                        (stencil_kernel(cells),))
 
     # -- helpers -------------------------------------------------------------
-    def _arr(self, buf: Buffer) -> Optional[np.ndarray]:
-        return buf.data.view("f8") if self.functional else None
-
-    def face_bytes(self, d: str) -> int:
-        return self.decomp.face_bytes(d)
+    def _run(self, pairs: Tuple[Tuple[Kernel, float], ...]) -> SimEvent:
+        """Launch priced cost-only kernels in order, then synchronise the
+        stream."""
+        launch, stream = self.cuda.gpu(self.gpu).launch_kernel, self.stream
+        for kernel, dur in pairs:
+            launch(kernel, dur, stream)
+        return self.cuda.stream_synchronize(stream)
 
     # -- phases (each returns a stream-synchronised completion event) ------------
     def pack(self, parity: int) -> SimEvent:
         """Pack every outgoing face into its send buffer."""
+        if not self.functional:
+            return self._run(self._pack)
         sends = self.d_send[parity]
         for d, _ in self.neighbors:
-            buf = sends[DIRS.index(d)]
-            k = pack_kernel(d, self.face_bytes(d), self.u, self._arr(buf))
+            out = sends[DIRS.index(d)].data.view("f8")
+            k = pack_kernel(d, self.faces[d], self.u, out)
             self.cuda.launch(self.gpu, k, self.stream)
         return self.cuda.stream_synchronize(self.stream)
 
     def unpack(self, parity: int) -> SimEvent:
+        if not self.functional:
+            return self._run(self._unpack)
         ghosts = self.d_ghost[parity]
         for d, _ in self.neighbors:
-            buf = ghosts[DIRS.index(d)]
-            k = unpack_kernel(d, self.face_bytes(d), self.u, self._arr(buf))
+            src = ghosts[DIRS.index(d)].data.view("f8")
+            k = unpack_kernel(d, self.faces[d], self.u, src)
             self.cuda.launch(self.gpu, k, self.stream)
         return self.cuda.stream_synchronize(self.stream)
 
     def compute(self) -> SimEvent:
+        if not self.functional:
+            return self._run(self._compute)
         k = stencil_kernel(self.decomp.cells_per_block, self.u, self.u_new)
         self.cuda.launch(self.gpu, k, self.stream)
         return self.cuda.stream_synchronize(self.stream)
@@ -132,8 +155,6 @@ class BlockState:
         """Launch the residual kernel (max |u_new - u| over the interior);
         the completion event's local result is read via :attr:`last_residual`.
         Functional mode computes the real value; virtual mode costs only."""
-        from repro.hardware.gpu import Kernel
-
         self.last_residual = 0.0
 
         def body() -> None:
@@ -163,13 +184,13 @@ class BlockState:
         """DtoH-copy every packed face into host staging buffers."""
         for d, _ in self.neighbors:
             self.cuda.memcpy_dtoh(self.h_send[d], self.d_send[parity][DIRS.index(d)],
-                                  self.stream, self.face_bytes(d))
+                                  self.stream, self.faces[d])
         return self.cuda.stream_synchronize(self.stream)
 
     def stage_in(self, d: str, parity: int) -> SimEvent:
         """HtoD-copy one received face from host staging to the ghost buffer."""
         self.cuda.memcpy_htod(self.d_ghost[parity][DIRS.index(d)], self.h_recv[d],
-                              self.stream, self.face_bytes(d))
+                              self.stream, self.faces[d])
         return self.cuda.stream_synchronize(self.stream)
 
 
@@ -238,7 +259,7 @@ class ResultCollector:
 _HALO_TAGS = tuple(range(700, 700 + 6 * 64))
 
 
-def halo_tag(direction_index: int, iteration: int) -> int:
-    """MPI tag encoding (direction, iteration) for the halo exchange:
+def halo_tags(iteration: int) -> Tuple[int, ...]:
+    """The MPI tags of one iteration's halo exchange, by direction index:
     ``700 + direction_index * 64 + iteration % 64``."""
-    return _HALO_TAGS[direction_index * 64 + iteration % 64]
+    return _HALO_TAGS[iteration % 64::64]

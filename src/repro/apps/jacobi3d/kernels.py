@@ -48,47 +48,50 @@ _GHOST_SLICES = {
 def pack_kernel(direction: str, face_bytes: int,
                 u: Optional[np.ndarray] = None,
                 out: Optional[np.ndarray] = None) -> Kernel:
-    """Copy one interior face of ``u`` (ghosted array) into a send buffer."""
+    """Copy one interior face of ``u`` (ghosted array) into a send buffer;
+    without ``u``, a cost-only kernel (no body, no closure)."""
+    if u is None:
+        return Kernel(f"pack{direction}", 2 * face_bytes)
 
     def body() -> None:
-        if u is None or out is None:
+        if out is None:
             return
         interior = u[1:-1, 1:-1, 1:-1]
         face = interior[_FACE_SLICES[direction]]
         out.reshape(-1)[: face.size] = face.reshape(-1)
 
-    return Kernel(
-        name=f"pack{direction}",
-        bytes_moved=2 * face_bytes,
-        body=body if u is not None else None,
-    )
+    return Kernel(name=f"pack{direction}", bytes_moved=2 * face_bytes, body=body)
 
 
 def unpack_kernel(direction: str, face_bytes: int,
                   u: Optional[np.ndarray] = None,
                   src: Optional[np.ndarray] = None) -> Kernel:
-    """Copy a received halo into the ghost shell of ``u``."""
+    """Copy a received halo into the ghost shell of ``u``; without ``u``, a
+    cost-only kernel (no body, no closure)."""
+    if u is None:
+        return Kernel(f"unpack{direction}", 2 * face_bytes)
 
     def body() -> None:
-        if u is None or src is None:
+        if src is None:
             return
         ghost = u[_GHOST_SLICES[direction]]
         ghost[...] = src.reshape(-1)[: ghost.size].reshape(ghost.shape)
 
-    return Kernel(
-        name=f"unpack{direction}",
-        bytes_moved=2 * face_bytes,
-        body=body if u is not None else None,
-    )
+    return Kernel(name=f"unpack{direction}", bytes_moved=2 * face_bytes, body=body)
 
 
 def stencil_kernel(cells: int,
                    u: Optional[np.ndarray] = None,
                    u_new: Optional[np.ndarray] = None) -> Kernel:
-    """One Jacobi sweep over ``cells`` interior points."""
+    """One Jacobi sweep over ``cells`` interior points; without ``u``, a
+    cost-only kernel (no body, no closure)."""
+    bytes_moved = cells * STENCIL_BYTES_PER_CELL
+    flops = cells * STENCIL_FLOPS_PER_CELL
+    if u is None:
+        return Kernel("jacobi", bytes_moved, flops)
 
     def body() -> None:
-        if u is None or u_new is None:
+        if u_new is None:
             return
         u_new[1:-1, 1:-1, 1:-1] = (
             u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
@@ -96,12 +99,7 @@ def stencil_kernel(cells: int,
             + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
         ) / 6.0
 
-    return Kernel(
-        name="jacobi",
-        bytes_moved=cells * STENCIL_BYTES_PER_CELL,
-        flops=cells * STENCIL_FLOPS_PER_CELL,
-        body=body if u is not None else None,
-    )
+    return Kernel(name="jacobi", bytes_moved=bytes_moved, flops=flops, body=body)
 
 
 def jacobi_reference_step(u: np.ndarray) -> np.ndarray:

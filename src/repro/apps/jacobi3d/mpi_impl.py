@@ -8,7 +8,7 @@ staging adds the explicit ``cudaMemcpy`` ladder.
 
 from __future__ import annotations
 
-from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector, halo_tag
+from repro.apps.jacobi3d.common import BlockState, BlockTimings, ResultCollector, halo_tags
 from repro.apps.jacobi3d.decomposition import DIRS, Decomposition, opposite
 
 
@@ -23,37 +23,38 @@ def jacobi_mpi_program(mpi, decomp: Decomposition, gpu_aware: bool, iters: int,
     for it in range(warmup + iters):
         t0 = mpi.sim.now
         parity = it % 2
+        tags = halo_tags(it)
         yield st.pack(parity)
         tc0 = mpi.sim.now
         if gpu_aware:
             ghosts, sends = st.d_ghost[parity], st.d_send[parity]
             reqs = [
-                mpi.irecv(ghosts[DIRS.index(d)], st.face_bytes(d), src=nbr,
-                          tag=halo_tag(DIRS.index(d), it))
+                mpi.irecv(ghosts[DIRS.index(d)], st.faces[d], src=nbr,
+                          tag=tags[DIRS.index(d)])
                 for d, nbr in nbrs
             ]
             reqs += [
-                mpi.isend(sends[DIRS.index(d)], st.face_bytes(d), dst=nbr,
-                          tag=halo_tag(DIRS.index(opposite(d)), it))
+                mpi.isend(sends[DIRS.index(d)], st.faces[d], dst=nbr,
+                          tag=tags[DIRS.index(opposite(d))])
                 for d, nbr in nbrs
             ]
             yield mpi.waitall(reqs)
         else:
             yield st.stage_out(parity)
             reqs = [
-                mpi.irecv(st.h_recv[d], st.face_bytes(d), src=nbr,
-                          tag=halo_tag(DIRS.index(d), it))
+                mpi.irecv(st.h_recv[d], st.faces[d], src=nbr,
+                          tag=tags[DIRS.index(d)])
                 for d, nbr in nbrs
             ]
             reqs += [
-                mpi.isend(st.h_send[d], st.face_bytes(d), dst=nbr,
-                          tag=halo_tag(DIRS.index(opposite(d)), it))
+                mpi.isend(st.h_send[d], st.faces[d], dst=nbr,
+                          tag=tags[DIRS.index(opposite(d))])
                 for d, nbr in nbrs
             ]
             yield mpi.waitall(reqs)
             for d, _nbr in nbrs:
                 st.cuda.memcpy_htod(st.d_ghost[parity][DIRS.index(d)], st.h_recv[d],
-                                    st.stream, st.face_bytes(d))
+                                    st.stream, st.faces[d])
             yield st.cuda.stream_synchronize(st.stream)
         tcomm = mpi.sim.now - tc0
         yield st.unpack(parity)

@@ -60,6 +60,7 @@ class Charm:
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.cfg = config if config is not None else MachineConfig.summit()
         self.machine = Machine(self.cfg)
+        self.sim = self.machine.sim
         n_pes = self.cfg.topology.total_gpus
         # paper §IV-A: one process (= PE) per GPU device, in GPU order
         pe_node = [self.machine.node_of_gpu(g) for g in range(n_pes)]
@@ -82,10 +83,6 @@ class Charm:
         self.reductions = ReductionManager(self)
 
     # -- simulation control ------------------------------------------------------
-    @property
-    def sim(self):
-        return self.machine.sim
-
     @property
     def time(self) -> float:
         return self.machine.sim.now
@@ -239,7 +236,7 @@ class Charm:
         )
         self.converse.cmi_send(src_pe, msg)
         for b in dev_bufs:
-            self.machine.tracer.stage(METADATA_SENT, b.tag)
+            self.machine.tracer.note(METADATA_SENT, b.tag)
 
     def pe_of_gpu(self, gpu: int) -> int:
         """Inverse of the 1:1 PE<->GPU mapping."""
@@ -258,7 +255,7 @@ class Charm:
             return self._run_entry(pe, chare, method, args)
 
         for b in msg.device_bufs:
-            self.machine.tracer.stage(METADATA_ARRIVED, b.tag)
+            self.machine.tracer.note(METADATA_ARRIVED, b.tag)
         post_fn = getattr(chare, f"{method}_post", None)
         if post_fn is None:
             raise RuntimeError(

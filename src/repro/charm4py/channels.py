@@ -113,7 +113,7 @@ class Channel:
             self.charm.converse.cmi_send_device(src_pe, dst_pe, dev_meta)
             pkt = _Packet(kind="dev", dev_meta=dev_meta)
             self._post_packet(src_pe, dst_pe, pkt, host_bytes=0)
-        tracer.stage(METADATA_SENT, dev_meta.tag)
+        tracer.note(METADATA_SENT, dev_meta.tag)
         tracer.end(sp)
 
     def _go_host(self, src_pe: int, dst_pe: int, value: Any, nbytes: int,

@@ -61,6 +61,7 @@ class Charm4py:
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.charm = Charm(config)
+        self.sim = self.charm.sim
         self.rt = self.charm.cfg.runtime
         self.cython = CythonLayer(self.rt)
         self.charm.converse.register_handler("c4p_chan", self._handle_channel_msg)
@@ -77,10 +78,6 @@ class Charm4py:
         self.charm.chare_init_hook = _init_hook
 
     # -- conveniences -----------------------------------------------------------
-    @property
-    def sim(self):
-        return self.charm.sim
-
     @property
     def cuda(self):
         return self.charm.cuda
@@ -120,7 +117,7 @@ class Charm4py:
         tracer = self.charm.machine.tracer
         tracer.charge("charm4py", self.rt.cython_crossing_overhead)
         if pkt.kind == "dev":
-            tracer.stage(METADATA_ARRIVED, pkt.dev_meta.tag)
+            tracer.note(METADATA_ARRIVED, pkt.dev_meta.tag)
         ep = self._endpoint(key, owner_id)
         if ep.waiting:
             future, dst = ep.waiting.pop(0)
@@ -152,7 +149,7 @@ class Charm4py:
             raise ValueError(f"incoming GPU data of {meta.size} B exceeds posted {size} B")
         pe_index = self.charm.chare_pe[owner_id]
         delay = self.device_post_delay(meta.ptr, buf, meta.size)
-        future.span = tracer.stage(
+        future.span = tracer.note(
             C4P_RECV, cost=delay, attrs=(pe_index, meta.size, True))
         op = DeviceRdmaOp(
             dest=buf,

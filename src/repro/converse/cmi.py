@@ -67,7 +67,7 @@ class Converse:
         pe = self.pes[src_pe]
         with self.machine.tracer.scope(CMI_SEND, attrs=(msg.handler, wire)):
             self.layer.send_host_message(
-                src_pe, msg.dst_pe, msg, wire, departure_delay=pe.current_delay()
+                src_pe, msg.dst_pe, msg, wire, departure_delay=pe.debt
             )
 
     def cmi_send_device(
@@ -86,7 +86,7 @@ class Converse:
         ):
             return self.layer.lrts_send_device(
                 src_pe, dst_pe, dev_buf,
-                departure_delay=pe.current_delay(),
+                departure_delay=pe.debt,
                 owner=owner,
             )
 
@@ -95,5 +95,5 @@ class Converse:
         pe = self.pes[pe_index]
         with self.machine.tracer.scope(CMI_RECV_DEVICE, attrs=(pe_index, op.size)):
             self.layer.lrts_recv_device(
-                pe_index, op, departure_delay=pe.current_delay()
+                pe_index, op, departure_delay=pe.debt
             )

@@ -29,7 +29,7 @@ class CmiMessage:
     src_pe: int
     dst_pe: int
     device_bufs: List[CmiDeviceBuffer] = field(default_factory=list)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
 
     def wire_size(self, header_bytes: int, device_metadata_bytes: int) -> int:
         """Total host-side bytes: payload + Converse/Charm headers + the

@@ -35,7 +35,9 @@ class Pe:
         self.node = node
         self.gpu = gpu
         self.queue: SimQueue = SimQueue(self.sim, name=f"pe{index}.queue")
-        self._debt = 0.0
+        #: CPU time accrued so far in the current handler: the departure
+        #: delay of an async operation the handler starts now
+        self.debt = 0.0
         self.messages_processed = 0
         self.busy_time = 0.0
         self._scheduler = Process(self.sim, self._scheduler_loop(), name=f"pe{index}.sched")
@@ -45,15 +47,10 @@ class Pe:
         """Accrue CPU time from inside a run-to-completion handler."""
         if cost < 0:
             raise ValueError("cannot charge negative time")
-        self._debt += cost
-
-    def current_delay(self) -> float:
-        """Debt accrued so far in the current handler — the departure delay
-        async operations started now should observe."""
-        return self._debt
+        self.debt += cost
 
     def take_debt(self) -> float:
-        debt, self._debt = self._debt, 0.0
+        debt, self.debt = self.debt, 0.0
         return debt
 
     # -- scheduling ---------------------------------------------------------------
@@ -69,7 +66,7 @@ class Pe:
             self.messages_processed += 1
             start = self.sim.now
             continuation = self.converse.dispatch(self, msg)
-            debt = self.take_debt()
+            debt, self.debt = self.debt, 0.0   # take_debt, without the call
             if debt > 0.0:
                 yield debt
             if continuation is not None:

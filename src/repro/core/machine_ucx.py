@@ -146,9 +146,9 @@ class UcxMachineLayer:
         on completion, tell ``op.owner`` (``landed(op)``)."""
         rt = self.cfg.runtime
         op.layer = self
-        op.span = self.machine.tracer.stage(
+        op.span = self.machine.tracer.stage(  # _name_: the enum's plain field
             LRTS_RECV_DEVICE, op.tag, pe, self._recv_device_charge,
-            (pe, op.size, op.tag, op.recv_type.name),
+            (pe, op.size, op.tag, op.recv_type._name_),
         )
         delay = departure_delay + rt.lrts_recv_device_overhead + rt.heap_alloc_cost
         self.sim.call_later(delay, self._post_recv, self.workers[pe], op)

@@ -66,6 +66,9 @@ def _fen_append(tree: List[int], value: int) -> None:
     """Extend the tree by one slot holding ``value`` (O(log n))."""
     i = len(tree)
     lb = i & -i
+    if lb == 1:  # tree[i] covers the new element alone
+        tree.append(value)
+        return
     # tree[i] covers (i - lb, i]; everything but the new element is already
     # summed in existing prefixes
     s = _prefix(tree, i - 1) - _prefix(tree, i - lb)
@@ -142,6 +145,10 @@ class IndexedMatchQueue:
 
     def _kill(self, slot: int) -> Any:
         item = self._slots[slot]
+        if self._live == 1:  # the last live entry: the queue drains
+            self._slots = self._keys = self._wild = ()
+            self._buckets, self._fen, self._live, self._dead = _NO_BUCKETS, None, 0, 0
+            return item
         self._slots[slot] = None
         key = self._keys[slot]
         if key is None:
@@ -155,10 +162,7 @@ class IndexedMatchQueue:
         _fen_add(self._fen, slot, -1)
         self._live -= 1
         self._dead += 1
-        if not self._live:  # drained: every slot is dead
-            self._slots = self._keys = self._wild = ()
-            self._buckets, self._fen, self._dead = _NO_BUCKETS, None, 0
-        elif self._dead > self._live + self._COMPACT_SLACK:
+        if self._dead > self._live + self._COMPACT_SLACK:
             self._compact()
         return item
 
@@ -212,10 +216,14 @@ class IndexedMatchQueue:
         length (1-based rank of the match among live entries), or
         ``(None, live_count)`` on a miss.
         """
+        live = self._live
+        if not live:
+            return None, 0
         slot = self._find(key, pred)
         if slot is None:
-            return None, self._live
-        scanned = _prefix(self._fen, slot + 1)
+            return None, live
+        # the only live entry is first in any scan
+        scanned = 1 if live == 1 else _prefix(self._fen, slot + 1)
         return self._kill(slot), scanned
 
     def remove_first(self, pred: Callable[[Any], bool]) -> Optional[Any]:

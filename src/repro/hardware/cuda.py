@@ -10,7 +10,7 @@ so much slower than GPU-aware transfer for small messages.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.hardware.gpu import Gpu, Kernel, Stream
 from repro.hardware.links import path_transfer
@@ -35,6 +35,10 @@ class CudaRuntime:
         # allocation's entry (pool returns run no free hook, so a pooled
         # slab stays open while it lives).
         self._ipc_open_cache: Dict[int, int] = {}
+        # (name, bytes, flops, GPU bandwidth) -> a shared (kernel, time)
+        # pair; (caller's key, GPU bandwidth) -> a shared sequence of them
+        self._priced: Dict[tuple, Tuple[Kernel, float]] = {}
+        self._priced_seqs: Dict[tuple, Tuple[Tuple[Kernel, float], ...]] = {}
         machine.add_device_free_hook(self._drop_ipc_opens)
 
     # -- devices / streams ------------------------------------------------------
@@ -109,6 +113,30 @@ class CudaRuntime:
         """Launch to completion of ``kernel`` on ``gpu``'s idle execution units."""
         g = self._gpus[gpu]
         return self.cfg.kernel_launch_overhead + kernel.duration(g.mem_bandwidth, g.FLOP_RATE)
+
+    def priced(self, gpu: int, key: Hashable, kernels: Iterable[Kernel]
+               ) -> Tuple[Tuple[Kernel, float], ...]:
+        """``kernels`` (body-less), each with its :meth:`kernel_time` on
+        ``gpu``, for a caller that launches them again and again
+        (``gpu(g).launch_kernel(kernel, time, stream)`` is :meth:`launch`
+        with the time known).  ``key`` names the sequence: per key and GPU
+        bandwidth ``kernels`` (which may be a generator) is consumed once
+        and the tuple shared by every caller; a kernel of the same name and
+        size in another sequence is the same shared pair."""
+        bandwidth = self._gpus[gpu].mem_bandwidth
+        seq = self._priced_seqs.get((key, bandwidth))
+        if seq is None:
+            pairs = []
+            for kernel in kernels:
+                if kernel.body is not None:
+                    raise ValueError("only a body-less kernel is shared")
+                k = (kernel.name, kernel.bytes_moved, kernel.flops, bandwidth)
+                pair = self._priced.get(k)
+                if pair is None:
+                    pair = self._priced[k] = (kernel, self.kernel_time(gpu, kernel))
+                pairs.append(pair)
+            seq = self._priced_seqs[(key, bandwidth)] = tuple(pairs)
+        return seq
 
     # -- IPC -----------------------------------------------------------------------
     def ipc_open_cost(self, opener_gpu: int, buf: Buffer) -> float:

@@ -146,7 +146,10 @@ class Gpu:
         return stream.enqueue(self._start_kernel, kernel, dur)
 
     def _start_kernel(self, op: StreamOp, kernel: Kernel, dur: float) -> None:
-        self.exec_units.occupy(dur, self._kernel_done, (op, kernel))
+        if kernel.body is None:   # cost only: completion is the op's
+            self.exec_units.occupy(dur, op.succeed, (None,))
+        else:
+            self.exec_units.occupy(dur, self._kernel_done, (op, kernel))
 
     @staticmethod
     def _kernel_done(op: StreamOp, kernel: Kernel) -> None:

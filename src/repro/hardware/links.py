@@ -50,7 +50,6 @@ class Link(Resource):
         super().__init__(sim, capacity=capacity, name=name)
         self.params = params
         self.link_id = next(_link_ids)
-        self.bytes_carried = 0
         self._parked: Sequence[_Transfer] = ()  # blocked, oldest first
 
     def release(self) -> None:
@@ -59,7 +58,7 @@ class Link(Resource):
         parked = self._parked
         if parked:
             self._parked = ()
-            _examine(parked)
+            _examine(parked, self)
 
     @property
     def latency(self) -> float:
@@ -196,8 +195,6 @@ def path_transfer(
     hold = route.latency + size / bw + extra_time
 
     if size <= CTRL_BYPASS_BYTES or not ordered:
-        for link in ordered:
-            link.bytes_carried += size
         sim.call_later(hold, then, *then_args)
     else:
         _Transfer(sim, ordered, size, hold, then, then_args).try_acquire()
@@ -255,7 +252,6 @@ class _Transfer:
         if telemetry is not None:
             telemetry.rows.append(("release", self.sim.now, ordered, size))
         for link in ordered:
-            link.bytes_carried += size
             if telemetry is not None:
                 # before release(): it re-examines the transfers parked on
                 # the link at once, and the next may take it in the loop
@@ -264,16 +260,21 @@ class _Transfer:
         self.then(*self.then_args)
 
 
-def _examine(transfers) -> None:
+def _examine(transfers, parked_on: Optional[Link] = None) -> None:
     """Start each transfer whose links all have a free slot; park every other
     on its first busy link.  The one statement of the wake policy (see the
     module docstring): who is granted a contended link next follows from the
-    order of this loop and of the ``_parked`` lists it appends to."""
+    order of this loop and of the ``_parked`` lists it appends to.
+
+    ``parked_on`` is the link ``transfers`` were parked on (``None`` at
+    submission): a transfer that parks there again appends no telemetry
+    row, since its last park row already names that link (the fold reads a
+    transfer's first park and the link of its last)."""
     for xfer in transfers:
         for link in xfer.ordered:
             if link._in_use >= link.capacity:
                 telemetry = xfer.sim.telemetry
-                if telemetry is not None:
+                if telemetry is not None and link is not parked_on:
                     stack = telemetry.stack
                     telemetry.rows.append((
                         "park", xfer.sim.now, id(xfer), link.name,

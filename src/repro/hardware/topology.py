@@ -36,14 +36,16 @@ class Location:
     leaves/enters through the NIC rail of that socket (socket-affine HCA
     binding).  Device locations derive their socket from the GPU.
 
-    A route-cache key on every message: ``on_device`` and the hash are
-    computed once, and :class:`Machine` interns one instance per place.
+    :class:`Machine` interns one instance per place and numbers it:
+    ``ident`` (its index in interning order) is what the route memo is keyed
+    by, and ``on_device`` and the hash are computed once.
     """
 
     node: int
     kind: MemoryKind
     device: Optional[int] = None  # global GPU index for DEVICE locations
     socket: int = 0
+    ident: int = field(default=-1, compare=False, repr=False)
     on_device: bool = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -131,6 +133,11 @@ class Machine:
         self.tracer = Tracer(self.sim, enabled=cfg.trace, flight=cfg.flight,
                              telemetry=cfg.telemetry)
         topo = cfg.topology
+        #: by global GPU index: the GPU's index on its node, and its socket
+        self.gpu_local: List[int] = [g % topo.gpus_per_node
+                                     for g in range(topo.total_gpus)]
+        self.gpu_socket: List[int] = [g // topo.gpus_per_socket
+                                      for g in self.gpu_local]
         self.nodes: List[Node] = [Node(self, n) for n in range(topo.nodes)]
         self.allocators: Dict[int, DeviceAllocator] = {
             g: DeviceAllocator(topo.gpu_memory_capacity, g, self.node_of_gpu(g))
@@ -156,7 +163,7 @@ class Machine:
                               self.tracer.count, record)
                 for g in range(topo.total_gpus)
             }
-        self._route_cache: Dict[tuple, Route] = {}
+        self._route_cache: Dict[tuple, Route] = {}  # (src, dst) idents
         self._locations: Dict[tuple, Location] = {}  # (node, device, socket)
         # Multi-path transfer planning (repro.hardware.rails): enumerates
         # disjoint link paths per (src, dst) pair for the striped protocols.
@@ -181,14 +188,20 @@ class Machine:
         return gpu // self.cfg.topology.gpus_per_node
 
     def local_gpu(self, gpu: int) -> int:
-        return gpu % self.cfg.topology.gpus_per_node
+        return self.gpu_local[gpu]
 
     def socket_of_gpu(self, gpu: int) -> int:
-        return self.local_gpu(gpu) // self.cfg.topology.gpus_per_socket
+        return self.gpu_socket[gpu]
 
     def location_of(self, buf: Buffer) -> Location:
         return (self._locations.get((buf.node, buf.device, 0))
                 or self._location(buf.node, buf.device))
+
+    def staging_location(self, buf: Buffer) -> Location:
+        """Host memory on ``buf``'s socket for a device buffer (where a
+        pipelined transfer stages it), else ``buf``'s own location."""
+        key = (buf.node, None, self.gpu_socket[buf.device] if buf.on_device else 0)
+        return self._locations.get(key) or self._location(*key)
 
     def _location(self, node: int, device: Optional[int], socket: int = 0) -> Location:
         """The interned location: ``device`` is ``None`` for host memory."""
@@ -196,7 +209,8 @@ class Machine:
         loc = self._locations.get(key)
         if loc is None:
             kind = MemoryKind.HOST if device is None else MemoryKind.DEVICE
-            loc = self._locations[key] = Location(node, kind, device, socket)
+            loc = self._locations[key] = Location(
+                node, kind, device, socket, len(self._locations))
         return loc
 
     # -- allocation -------------------------------------------------------------
@@ -251,15 +265,16 @@ class Machine:
         route is usable (e.g. inter-node device transfers normally stage
         through host memory instead of taking the GPUDirect route below).
 
-        Routes are memoized per ``(src, dst)`` pair: the link graph is
-        static after construction, so the per-message path is a dict lookup
-        returning a :class:`Route` whose acquisition order and cost terms
-        were computed once (``path_transfer`` consumes them directly).
+        Routes are memoized per ``(src, dst)`` pair, keyed by the two
+        interned locations' ``ident`` ints: the link graph is static after
+        construction, so the per-message path is a dict lookup returning a
+        :class:`Route` whose acquisition order and cost terms were computed
+        once (``path_transfer`` consumes them directly).
         """
-        cached = self._route_cache.get((src, dst))
+        key = (src.ident, dst.ident)
+        cached = self._route_cache.get(key)
         if cached is None:
-            cached = Route(self._build_route(src, dst))
-            self._route_cache[(src, dst)] = cached
+            cached = self._route_cache[key] = Route(self._build_route(src, dst))
         return cached
 
     def _build_route(self, src: Location, dst: Location) -> List[Link]:

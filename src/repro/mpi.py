@@ -25,7 +25,7 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MpiStatus:
     """What ``MPI_Recv`` reports (plus ``value`` for value-based internals)."""
 

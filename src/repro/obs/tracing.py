@@ -23,8 +23,16 @@ and test no switch.
 Determinism contract (enforced by ``tests/test_obs_golden.py``): observation
 code never calls ``sim.schedule``, never changes a modeled delay, and the
 per-event counters are incremented identically whatever is switched on.
-With nothing switched on ``stage`` is one dict increment and one boolean
-test and returns ``None``.
+
+What an unobserved run pays: ``stage`` and ``scope`` are one Python call
+each, which increments the stage's counter (counters are in every
+fingerprint), tests one boolean and returns ``None`` or :data:`NULL_SPAN`.
+A stage with no counter is reported through ``note``, which with nothing
+switched on is an instance attribute bound to a C callable
+(:data:`_IGNORE`); while ``trace`` is off, so are ``end``, ``charge`` and
+``under`` (:data:`_NO_PARENT`), and the ``with`` block and ``end()`` of
+:data:`NULL_SPAN` are C calls too.  Sites call all of them unconditionally;
+none of them runs Python code.
 """
 
 from __future__ import annotations
@@ -42,23 +50,29 @@ __all__ = [
 ]
 
 
+#: A C callable that takes any arguments, positional or keyword, and returns
+#: ``None``: the empty tuple's ``__init__``, which is ``object.__init__``,
+#: and that ignores its arguments for a type with its own ``__new__``.  A
+#: door that does nothing and runs no Python code.
+_IGNORE = ().__init__
+
+
 class _Null(tuple):
     """The empty row ``span``/``scope``/``handle``/``under`` return when
-    there is no span: falsy; ``end()`` or a ``with`` block does nothing."""
+    there is no span: falsy; ``end()`` or a ``with`` block does nothing, by
+    :data:`_IGNORE` (whose ``None`` as ``__exit__`` lets an exception
+    through)."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_Null":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def end(self) -> None:
-        return None
+    __enter__ = __exit__ = end = _IGNORE
 
 
 NULL_SPAN = _Null()
+
+#: What ``under`` is while nothing traces: a span handle is then ``None``
+#: (from ``stage``) or :data:`NULL_SPAN` (from ``span``/``handle``).
+_NO_PARENT = dict.fromkeys((None, NULL_SPAN), NULL_SPAN).get
 
 _SPAN_ROW = 7   # the fields of a span row; a _Scope adds its tracer and a flag
 
@@ -104,8 +118,9 @@ class Tracer:
     """Span-tree tracer + metrics registry for one simulated machine.
 
     Cheap to keep around disabled: ``count`` and ``stage`` are a dict
-    increment, ``span`` returns :data:`NULL_SPAN`, ``charge`` returns
-    immediately.  The three switches are fixed at construction.
+    increment, ``span`` returns :data:`NULL_SPAN`, and ``end``, ``charge``
+    and ``under`` run no Python code (module docstring).  The three switches
+    are fixed at construction.
     """
 
     def __init__(self, sim, enabled: bool = False, flight: bool = False,
@@ -128,6 +143,11 @@ class Tracer:
         if telemetry:
             self._rows = self.timeline.rows
             sim.telemetry = self.timeline
+        if not enabled:
+            self.end = self.charge = _IGNORE
+            self.under = _NO_PARENT
+        if self._quiet:
+            self.note = _IGNORE
 
     # -- recording ------------------------------------------------------------------
     def stage(self, st: Stage, tag: Optional[int] = None,
@@ -171,9 +191,20 @@ class Tracer:
         self._record.append(row)
         return row
 
+    #: :meth:`stage` for a stage whose row has no ``counter``: with nothing
+    #: switched on there is nothing to do, and ``note`` is :data:`_IGNORE`.
+    note = stage
+
     def scope(self, st: Stage, attrs: tuple = ()):
         """``with tracer.scope(STAGE, attrs=(...)):`` — :meth:`stage`, with
         its span the ambient parent inside the block and ended after it."""
+        if self._quiet:
+            # the counter, as in ``stage``, without the call into it
+            key = st.counter
+            if key is not None:
+                counts = self._counts
+                counts[key] = counts.get(key, 0) + 1
+            return NULL_SPAN
         row = self.stage(st, attrs=attrs)
         return _Scope((*row, self, True)) if row else NULL_SPAN
 
@@ -194,20 +225,22 @@ class Tracer:
 
     def end(self, row: Optional[tuple], at: Optional[float] = None) -> None:
         """End ``row``'s span now, or at the modelled instant ``at`` (no event
-        is scheduled); the fold ignores a second end, clamps one to the start."""
+        is scheduled); the fold ignores a second end, clamps one to the start.
+        Untraced, ``end`` is :data:`_IGNORE`."""
         if row:
             self._record.append((row, self.sim.now if at is None else at))
 
     def under(self, row: Optional[tuple]):
         """Context manager making the open span ``row`` the ambient parent
-        (:data:`NULL_SPAN`, which does nothing, for ``None``)."""
+        (:data:`NULL_SPAN`, which does nothing, for ``None``).  Untraced,
+        ``under`` is :data:`_NO_PARENT`."""
         return _Scope((*row[:_SPAN_ROW], self, False)) if row else NULL_SPAN
 
     def charge(self, category: str, seconds: float) -> None:
-        """Attribute modeled CPU time to a layer (enabled-only; simulated
-        delays are computed before this call and never depend on it)."""
-        if self.enabled:
-            self._record.append((category, seconds))
+        """Attribute modeled CPU time to a layer (simulated delays are
+        computed before this call and never depend on it).  Only a tracing
+        tracer runs this method; otherwise ``charge`` is :data:`_IGNORE`."""
+        self._record.append((category, seconds))
 
     # -- the views ------------------------------------------------------------------
     def _fold(self) -> None:

@@ -71,6 +71,7 @@ class OmpiRank(MpiRank):
 
     def __init__(self, lib: "OpenMpi", rank: int) -> None:
         self.lib = lib
+        self.sim = lib.machine.sim
         self.rank = rank
         self.gpu = rank
         self.node = lib.machine.node_of_gpu(rank)
@@ -80,10 +81,6 @@ class OmpiRank(MpiRank):
     @property
     def size(self) -> int:
         return self.lib.n_ranks
-
-    @property
-    def sim(self):
-        return self.lib.machine.sim
 
     @property
     def charm(self):  # API compatibility shim: exposes .cuda and .machine

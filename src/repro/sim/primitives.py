@@ -160,7 +160,8 @@ class AllOf(SimEvent):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([e.result() for e in self._events])
+            # every child succeeded: its value is its result
+            self.succeed([e._value for e in self._events])
 
 
 class SimQueue:

@@ -63,9 +63,7 @@ class Process(SimEvent):
             if not had_joiners:
                 raise  # nobody observing: surface loudly instead of silently
             return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
+        # what the generator waits on next
         if target is None:
             self.sim.call_later(0.0, self._resume, None, None)
             return

@@ -49,7 +49,9 @@ class Resource:
     # -- acquire/release ----------------------------------------------------
     def _when_granted(self, fn, args: tuple) -> None:
         """Run ``fn(*args)`` holding a slot: now, or in FIFO turn on release."""
-        if self.try_acquire():
+        if self._in_use < self.capacity:   # try_acquire, without the call
+            self._in_use += 1
+            self.total_acquisitions += 1
             fn(*args)
         elif self._waiters:
             self._waiters.append((fn, args))

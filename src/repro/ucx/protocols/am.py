@@ -103,7 +103,7 @@ def fetch_delay(worker, remote) -> float:
 def _start_fetch(worker, remote, route, rndv, seq: int) -> None:
     tracer = worker.ctx.machine.tracer
     path_transfer(worker.sim, route, rndv[0], then=_fetched,
-                  then_args=(tracer.stage(AM_FETCH, attrs=(rndv[0],)),
+                  then_args=(tracer.note(AM_FETCH, attrs=(rndv[0],)),
                              worker, remote, rndv, seq))
 
 

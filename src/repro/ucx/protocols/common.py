@@ -69,5 +69,5 @@ def fail_truncated(worker, msg, posted) -> None:
     Also closes the flight record — a truncated transfer never reaches
     ``completed()``, and an open record would absorb the stages of the next
     same-tag transfer."""
-    worker.ctx.machine.tracer.stage(TRUNCATED, msg.tag, worker.worker_id)
+    worker.ctx.machine.tracer.note(TRUNCATED, msg.tag, worker.worker_id)
     posted.req.complete(UcsStatus.ERR_MESSAGE_TRUNCATED, (msg.tag, msg.size))

@@ -51,7 +51,7 @@ def start_send(
         pre_cost += ctx.first_touch(buf, bounce, worker.worker_id, remote.worker_id)
     delay = worker._send_post_cost + copy_in + pre_cost
     tracer = ctx.machine.tracer
-    sp = tracer.stage(EAGER_SEND, attrs=(size, tag, buf.on_device))
+    sp = tracer.note(EAGER_SEND, attrs=(size, tag, buf.on_device))
 
     bounce.copy_from(buf, size)
     msg = WireMessage(
@@ -72,7 +72,7 @@ def _copied(worker: "UcpWorker", remote: "UcpWorker", msg: WireMessage,
     """The payload is staged: complete the send and put it on the wire."""
     tracer = worker.ctx.machine.tracer
     tracer.end(sp)
-    if req.completed:
+    if req.status is not UcsStatus.INPROGRESS:
         # cancelled while staging: the payload never ships, but the
         # assigned wire_seq slot must still be consumed at the receiver
         # or the pair's ordered stream stalls behind it forever
@@ -82,7 +82,7 @@ def _copied(worker: "UcpWorker", remote: "UcpWorker", msg: WireMessage,
         )
         worker.transmit(remote, slot, CTRL_MSG_BYTES)
         return
-    tracer.stage(SEND_COMPLETED, msg.tag, remote.worker_id)
+    tracer.note(SEND_COMPLETED, msg.tag, remote.worker_id)
     req.complete(UcsStatus.OK)
     worker.transmit(remote, msg)
 
@@ -100,7 +100,7 @@ def finish_recv(
         return
     copy_out = staging_copy_time(ctx, posted.buf, msg.size)
     tracer = ctx.machine.tracer
-    sp = tracer.stage(
+    sp = tracer.note(
         EAGER_RECV, attrs=(msg.size, msg.tag, posted.buf.on_device),
         parent=posted.req.span,
     )
@@ -112,5 +112,5 @@ def _done(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv", sp) -> No
     posted.buf.copy_from(msg.bounce, msg.size)
     tracer = worker.ctx.machine.tracer
     tracer.end(sp)
-    tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
+    tracer.note(DATA_LANDED, msg.tag, worker.worker_id)
     posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))

@@ -83,19 +83,17 @@ def data_route(machine, lane: str, src: Buffer, dst: Buffer):
         # link down to host memory, then up the destination GPU's link
         node = machine.nodes[src.node]
         return None, None, Route((
-            node.nvlink_tx[machine.local_gpu(src.device)],
+            node.nvlink_tx[machine.gpu_local[src.device]],
             node.host_mem,
-            node.nvlink_rx[machine.local_gpu(dst.device)],
+            node.nvlink_rx[machine.gpu_local[dst.device]],
         ))
-    src_loc, dst_loc = machine.location_of(src), machine.location_of(dst)
     if lane is PIPELINE:
         # chunked host staging overlaps the NVLink hops with the NIC (their
         # cost is pipeline_extra_time's fill/drain): the bulk holds only the
         # NIC segment, through the device ends' socket rails
-        if src.on_device:
-            src_loc = machine.host_location(src.node, machine.socket_of_gpu(src.device))
-        if dst.on_device:
-            dst_loc = machine.host_location(dst.node, machine.socket_of_gpu(dst.device))
+        src_loc, dst_loc = machine.staging_location(src), machine.staging_location(dst)
+    else:
+        src_loc, dst_loc = machine.location_of(src), machine.location_of(dst)
     return src_loc, dst_loc, machine.route(src_loc, dst_loc)
 
 
@@ -118,6 +116,7 @@ def start_send(
     worker.pending_rndv_sends[rndv_id] = req
     worker._rndv_high = req.rndv_id = rndv_id
     req.rndv_remote = remote.worker_id
+    req.rndv_committed = False
     msg = WireMessage(
         kind=WireKind.RTS,
         tag=tag,
@@ -131,7 +130,7 @@ def start_send(
     )
     fire, args = worker.transmit, (remote, msg, CTRL_MSG_BYTES)
     tracer = worker.ctx.machine.tracer
-    sp = tracer.stage(RNDV_RTS, attrs=(size, tag, msg.src_was_device))
+    sp = tracer.note(RNDV_RTS, attrs=(size, tag, msg.src_was_device))
     if sp:
         fire, args = end_then, (tracer, sp, fire, args)
     worker.sim.call_later(worker._rts_post_cost + pre_cost, fire, *args)
@@ -202,7 +201,7 @@ def start_transfer(
             more["chunks"] = pipeline_chunks(machine.cfg, msg.size)
         if stripe is not None:
             more["rails"] = len(stripe[0])
-    sp = tracer.stage(
+    sp = tracer.note(
         RNDV_FETCH, msg.tag, worker.worker_id,
         attrs=(msg.size, msg.tag, RDMA_GET if lane is GDR else lane),
         parent=posted.req.span, more=more,
@@ -224,7 +223,7 @@ def _begin(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv",
            route: Route, stripe, sp) -> None:
     """Setup is over: put the bulk data on the wire (striped or not)."""
     machine = worker.ctx.machine
-    wire_sp = machine.tracer.stage(RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
+    wire_sp = machine.tracer.note(RNDV_DATA, attrs=(msg.tag, msg.size), parent=sp)
     args = (worker, msg, posted, sp, wire_sp)
     if stripe is not None:
         striped_transfer(worker.sim, machine, stripe, _data_arrived, args,
@@ -239,7 +238,7 @@ def _data_arrived(worker: "UcpWorker", msg: WireMessage, posted: "PostedRecv",
     tracer = worker.ctx.machine.tracer
     tracer.end(wire_sp)
     tracer.end(sp)
-    tracer.stage(DATA_LANDED, msg.tag, worker.worker_id)
+    tracer.note(DATA_LANDED, msg.tag, worker.worker_id)
     posted.req.complete(UcsStatus.OK, (msg.tag, msg.size))
     _send_fin(worker, msg)
 
@@ -263,5 +262,5 @@ def finish_send(worker: "UcpWorker", msg: WireMessage) -> None:
             worker.ctx.machine.tracer.count("ucx", "late_fin_ignored")
             return
         raise RuntimeError(f"FIN for unknown rendezvous id {msg.rndv_id}")
-    worker.ctx.machine.tracer.stage(SEND_COMPLETED, msg.tag, msg.src_worker)
+    worker.ctx.machine.tracer.note(SEND_COMPLETED, msg.tag, msg.src_worker)
     req.complete(UcsStatus.OK)

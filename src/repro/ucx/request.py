@@ -23,7 +23,7 @@ class UcxRequest:
     runtimes pass the message's own record, which is callable, so a
     request holds no bound method (DESIGN §4.5).  ``info`` carries the
     matched tag and received length for receives, mirroring
-    ``ucp_tag_recv_info_t``.
+    ``ucp_tag_recv_info_t``; it is stored at completion.
 
     ``event`` is a :class:`SimEvent` that processes may yield on.  It is
     created on first access (already succeeded if the request has completed):
@@ -31,13 +31,22 @@ class UcxRequest:
     event whose value is its own request is a reference cycle — one per
     message would break the engine's no-cyclic-garbage contract
     (``sim/engine.py``).
+
+    What only some requests carry is a class default here, stored only by
+    the subclass that needs it: :class:`RndvSendRequest` (a rendezvous
+    send's ``rndv_*`` state) and :class:`AmSendRequest` (``op``).
     """
 
-    __slots__ = (
-        "sim", "kind", "tag", "size", "cb", "_event",
-        "status", "info", "span", "op",
-        "rndv_id", "rndv_remote", "rndv_committed",
-    )
+    __slots__ = ("sim", "kind", "tag", "size", "cb", "_event",
+                 "status", "info", "span")
+
+    #: which API created the request: "tag" (cancellable) or "am"
+    op = "tag"
+    #: rendezvous sends: the id the FIN will carry (0 = not one), the worker
+    #: the RTS went to, whether that receiver committed to the data fetch
+    rndv_id = 0
+    rndv_remote = -1
+    rndv_committed = False
 
     def __init__(
         self,
@@ -54,17 +63,9 @@ class UcxRequest:
         self.cb = cb
         self._event: Optional[SimEvent] = None
         self.status = UcsStatus.INPROGRESS
-        self.info: Any = None
         # observability: the span covering this request, if traced; a handle
         # (Tracer.handle) that completion ends
         self.span: Any = None
-        # which API created the request: "tag" (cancellable) or "am"
-        self.op = "tag"
-        # rendezvous sends: the id the FIN will carry (0 = not one), the worker
-        # the RTS went to, whether that receiver committed to the data fetch
-        self.rndv_id = 0
-        self.rndv_remote = -1
-        self.rndv_committed = False
 
     @property
     def completed(self) -> bool:
@@ -75,12 +76,12 @@ class UcxRequest:
         ev = self._event
         if ev is None:
             ev = self._event = SimEvent(self.sim, name="ucx.request")
-            if self.completed:
+            if self.status is not UcsStatus.INPROGRESS:
                 ev.succeed(self)
         return ev
 
     def complete(self, status: UcsStatus = UcsStatus.OK, info: Any = None) -> None:
-        if self.completed:
+        if self.status is not UcsStatus.INPROGRESS:
             raise RuntimeError("request completed twice")
         self.status = status
         self.info = info
@@ -96,3 +97,17 @@ class UcxRequest:
             f"<UcxRequest {self.kind.value} tag=0x{self.tag:x} size={self.size} "
             f"{self.status.name}>"
         )
+
+
+class RndvSendRequest(UcxRequest):
+    """A ``tag_send_nb`` that goes by rendezvous: it stores the ``rndv_*``
+    state (set by ``protocols.rndv``) that cancellation reads."""
+
+    __slots__ = ("rndv_id", "rndv_remote", "rndv_committed")
+
+
+class AmSendRequest(UcxRequest):
+    """An AM host-message send: not cancellable (no UCP handle)."""
+
+    __slots__ = ()
+    op = "am"

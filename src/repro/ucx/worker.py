@@ -55,7 +55,9 @@ from repro.ucx.protocols import am as am_proto
 from repro.ucx.protocols import eager as eager_proto
 from repro.ucx.protocols import rndv as rndv_proto
 from repro.ucx.protocols.select import Protocol, choose_send_protocol
-from repro.ucx.request import RequestKind, UcxRequest
+from repro.ucx.request import (
+    AmSendRequest, RequestKind, RndvSendRequest, UcxRequest,
+)
 from repro.ucx.status import UcsStatus, UcxError
 from repro.ucx.wire import WireKind, WireMessage
 
@@ -172,14 +174,15 @@ class UcpWorker:
             raise UcxError("endpoint does not belong to this worker")
         if size > buf.size:
             raise UcxError(f"send size {size} exceeds buffer size {buf.size}")
-        cfg = self.ctx.cfg
-        req = UcxRequest(self.sim, RequestKind.SEND, tag, size, cb)
-        proto = choose_send_protocol(cfg, buf, size)
+        proto = choose_send_protocol(self.ctx.cfg, buf, size)
+        req = (UcxRequest if proto is Protocol.EAGER else RndvSendRequest)(
+            self.sim, RequestKind.SEND, tag, size, cb)
         tracer = self.ctx.machine.tracer
-        # only a device send has a flight record: a host send passes no tag
+        # only a device send has a flight record: a host send passes no tag;
+        # an enum's ``_value_`` is its plain field (``.value`` is a call)
         sp = tracer.stage(
             TAG_SEND, tag if buf.on_device else None, ep.remote.worker_id,
-            self._send_post_cost, (tag, size, proto.value, self.worker_id),
+            self._send_post_cost, (tag, size, proto._value_, self.worker_id),
         )
         if sp:
             req.span = tracer.handle(sp)
@@ -291,8 +294,7 @@ class UcpWorker:
         Python object; not copied) to ``ep.remote``'s AM handler."""
         if ep.local is not self:
             raise UcxError("endpoint does not belong to this worker")
-        req = UcxRequest(self.sim, RequestKind.SEND, 0, size, None)
-        req.op = "am"
+        req = AmSendRequest(self.sim, RequestKind.SEND, 0, size, None)
         tracer = self.ctx.machine.tracer
         sp = tracer.stage(
             AM_SEND, cost=self._send_post_cost,
@@ -327,8 +329,8 @@ class UcpWorker:
             # two attribute dicts per frame: only worth building when traced
             retry_attrs = {"kind": kind.name, "tag": msg.tag}
             spans = (TAG_WIRE, dict(retry_attrs, bytes=nbytes), retry_attrs)
-        transport.send(self, remote, (
-            nbytes, None if kind is WireKind.ERR else kind.value,
+        transport.send(self, remote, (  # _value_: the enum's plain field
+            nbytes, None if kind is WireKind.ERR else kind._value_,
             self.tag_loc, remote.tag_loc, spans,
             msg.tag if kind is WireKind.EAGER or kind is WireKind.RTS else None,
             UcpWorker._on_wire, (remote, msg), self._give_up,
@@ -346,7 +348,7 @@ class UcpWorker:
         if msg.kind is not WireKind.FIN:
             # (a lost FIN's destination is the original rendezvous sender:
             # the ERR below lets it fail its still-pending send)
-            self.ctx.machine.tracer.stage(TIMED_OUT, msg.tag, remote.worker_id)
+            self.ctx.machine.tracer.note(TIMED_OUT, msg.tag, remote.worker_id)
             if msg.kind is WireKind.RTS:
                 self._fail_rndv_send(msg.rndv_id)
         err = WireMessage(

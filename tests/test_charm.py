@@ -380,9 +380,9 @@ class TestPeDebtMechanics:
     def test_current_delay_accumulates_and_resets(self):
         charm = Charm(MachineConfig.summit(nodes=1))
         pe = charm.pe_object(0)
-        assert pe.current_delay() == 0.0
+        assert pe.debt == 0.0
         pe.charge(2e-6)
         pe.charge(3e-6)
-        assert pe.current_delay() == pytest.approx(5e-6)
+        assert pe.debt == pytest.approx(5e-6)
         assert pe.take_debt() == pytest.approx(5e-6)
-        assert pe.current_delay() == 0.0
+        assert pe.debt == 0.0

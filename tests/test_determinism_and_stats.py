@@ -45,6 +45,13 @@ class TestDeterminism:
         assert run() == run()
 
 
+def _granted_bytes(machine, link) -> int:
+    """Bytes of the bulk transfers granted ``link``: the telemetry record's
+    ``("grant", t, links, size, key)`` rows (telemetry must be on)."""
+    return sum(row[3] for row in machine.tracer.timeline.rows
+               if row[0] == "grant" and link in row[2])
+
+
 class TestLinkStatistics:
     def test_jacobi_moves_expected_halo_bytes(self):
         """Conservation check: with faces above the device eager threshold,
@@ -54,7 +61,7 @@ class TestLinkStatistics:
         from repro.apps.jacobi3d.charm_impl import JacobiBlock
         from repro.apps.jacobi3d.common import ResultCollector
 
-        cfg = MachineConfig.summit(nodes=1)
+        cfg = MachineConfig.summit(nodes=1).override("telemetry=true")
         decomp = Decomposition.create((48, 48, 48), 6)
         # every face actually exchanged is >= the device eager threshold
         exchanged = {d for r in range(decomp.n_blocks) for d, _ in decomp.neighbors(r)}
@@ -71,9 +78,8 @@ class TestLinkStatistics:
         charm.run_until(collector.done, max_events=10_000_000)
         total_halo = sum(decomp.face_bytes(d) for r in range(decomp.n_blocks)
                          for d, _ in decomp.neighbors(r))
-        nv_bytes = sum(
-            l.bytes_carried for l in charm.machine.nodes[0].nvlink_tx
-        )
+        nv_bytes = sum(_granted_bytes(charm.machine, l)
+                       for l in charm.machine.nodes[0].nvlink_tx)
         assert nv_bytes >= 2 * total_halo  # 2 measured iterations
 
     def test_small_halos_ride_the_eager_host_path(self):
@@ -83,7 +89,7 @@ class TestLinkStatistics:
         from repro.apps.jacobi3d.charm_impl import JacobiBlock
         from repro.apps.jacobi3d.common import ResultCollector
 
-        cfg = MachineConfig.summit(nodes=1)
+        cfg = MachineConfig.summit(nodes=1).override("telemetry=true")
         decomp = Decomposition.create((24, 24, 24), 6)  # faces < 4 KB
         charm = _Charm(cfg)
         collector = ResultCollector(charm.sim, decomp.n_blocks, warmup=0)
@@ -94,8 +100,9 @@ class TestLinkStatistics:
         for i in range(decomp.n_blocks):
             peers[i].start(peers)
         charm.run_until(collector.done, max_events=10_000_000)
-        assert sum(l.bytes_carried for l in charm.machine.nodes[0].nvlink_tx) == 0
-        assert charm.machine.nodes[0].host_mem.bytes_carried > 0
+        node = charm.machine.nodes[0]
+        assert sum(_granted_bytes(charm.machine, l) for l in node.nvlink_tx) == 0
+        assert _granted_bytes(charm.machine, node.host_mem) > 0
 
     def test_pe_busy_time_positive_after_work(self):
         class Busy(Chare):

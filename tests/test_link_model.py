@@ -25,6 +25,13 @@ def machine():
     return Machine(MachineConfig.summit(nodes=2))
 
 
+def _granted_bytes(machine, link) -> int:
+    """Bytes of the bulk transfers granted ``link``: the telemetry record's
+    ``("grant", t, links, size, key)`` rows (telemetry must be on)."""
+    return sum(row[3] for row in machine.tracer.timeline.rows
+               if row[0] == "grant" and link in row[2])
+
+
 class TestControlBypass:
     def test_small_messages_skip_occupancy(self, machine):
         """A control message is not delayed by a bulk transfer holding the
@@ -52,10 +59,14 @@ class TestControlBypass:
         assert t["done"] > path_transfer_time(route, 4 * MB)
 
     def test_bypass_still_counts_bytes(self, machine):
+        """A control message crosses its whole route (its time is every
+        link's latency plus its bytes at the bottleneck) and holds no link."""
         route = machine.route(machine.host_location(0), machine.host_location(1))
-        path_transfer(machine.sim, route, 64)
+        done = path_transfer(machine.sim, route, 64)
         machine.sim.run()
-        assert all(l.bytes_carried == 64 for l in route)
+        assert done.triggered
+        assert machine.sim.now == path_transfer_time(route, 64)
+        assert all(l.total_acquisitions == 0 for l in route)
 
 
 class TestPipelinedOccupancy:
@@ -89,7 +100,7 @@ class TestPipelinedOccupancy:
     def test_gpudirect_route_does_hold_nvlinks(self):
         from dataclasses import replace
 
-        cfg = MachineConfig.summit(nodes=2)
+        cfg = MachineConfig.summit(nodes=2).override("telemetry=true")
         cfg = replace(cfg, ucx=replace(cfg.ucx, gpudirect_rdma=True))
         machine = Machine(cfg)
         ctx = UcpContext(machine)
@@ -101,11 +112,12 @@ class TestPipelinedOccupancy:
         wb.tag_recv_nb(dst, size, tag=1)
         wa.tag_send_nb(wa.ep(1), src, size, tag=1)
         machine.sim.run()
-        assert machine.nodes[0].nvlink_tx[0].bytes_carried >= size
+        assert _granted_bytes(machine, machine.nodes[0].nvlink_tx[0]) >= size
 
 
 class TestRailAffinity:
-    def test_sockets_use_distinct_rails(self, machine):
+    def test_sockets_use_distinct_rails(self):
+        machine = Machine(MachineConfig.summit(nodes=2).override("telemetry=true"))
         ctx = UcpContext(machine)
         # gpu 0 (socket 0) and gpu 3 (socket 1) each stream to node 1
         w0 = ctx.create_worker(0, 0, machine.socket_of_gpu(0))
@@ -120,8 +132,8 @@ class TestRailAffinity:
         w3.tag_send_nb(w3.ep(9), bufs[3], size, tag=2)
         machine.sim.run()
         node0 = machine.nodes[0]
-        assert node0.nic_tx[0].bytes_carried >= size
-        assert node0.nic_tx[1].bytes_carried >= size
+        assert _granted_bytes(machine, node0.nic_tx[0]) >= size
+        assert _granted_bytes(machine, node0.nic_tx[1]) >= size
 
 
 class TestContinuationForm:
@@ -269,7 +281,9 @@ def _replay(plan, link_cls, degraded: bool, telemetry: bool):
         "grants": sim.grants,
         "done": done,
         "events": sim.event_count,
-        "links": [(l.total_acquisitions, l.bytes_carried) for l in links],
+        # every plan transfer is bulk, so the bytes each link carried
+        # follow from the grants and the plan
+        "links": [l.total_acquisitions for l in links],
         "telemetry": _folded(sim.telemetry) if telemetry else None,
     }
 
@@ -301,12 +315,25 @@ class TestWakeOrder:
     def test_a_release_reexamines_only_what_is_still_parked(self):
         """N transfers parked on one capacity-1 link: the k-th release looks
         at the N-k+1 still parked, starts exactly the oldest, re-parks the
-        rest in order — and no ``try_acquire`` frame runs after submission."""
+        rest in order — and no ``try_acquire`` frame runs after submission.
+        Under telemetry a transfer's first park appends a row, and parking
+        again on the same link does not."""
 
         class CountingLink(Link):
-            # under telemetry a failed examination records the blocking
-            # link's name, and nothing else here reads it
-            name_reads = 0
+            # examining a transfer reads the capacity of the link it checks,
+            # and so does the grant (Resource.try_acquire); under telemetry
+            # a park row records the blocking link's name; nothing else
+            # here reads either
+            capacity_reads = name_reads = 0
+
+            @property
+            def capacity(self):
+                self.capacity_reads += 1
+                return self._capacity
+
+            @capacity.setter
+            def capacity(self, value):
+                self._capacity = value
 
             @property
             def name(self):
@@ -334,13 +361,17 @@ class TestWakeOrder:
             for i in range(n + 1):  # transfer 0 takes the link, 1..n park
                 path_transfer(sim, Route([link]), 4 * KB, then=finished.append,
                               then_args=(i,))
+            # n + 1 examinations, one grant, n park rows
             assert frames == n + 1 and link.name_reads == n
+            assert link.capacity_reads == n + 2
             assert [x.then_args[0] for x in link._parked] == list(range(1, n + 1))
             for k in range(1, n + 1):
-                reads = link.name_reads
+                reads, names = link.capacity_reads, link.name_reads
                 assert len(link._parked) == n - k + 1
                 assert sim.step()  # transfer k-1 finishes: the k-th release
-                assert link.name_reads - reads == n - k  # the ones re-parked
+                # the n-k+1 still parked examined once each, one grant
+                assert link.capacity_reads - reads == n - k + 2
+                assert link.name_reads == names  # re-parked here: no new row
                 assert [x.then_args[0] for x in link._parked] == list(
                     range(k + 1, n + 1))
                 assert sim.grants[-1][1] == k and len(sim.grants) == k + 1

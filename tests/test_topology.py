@@ -169,8 +169,13 @@ class TestPathTransfer:
         machine.sim.run()
         assert done.triggered and machine.sim.now == pytest.approx(1.5e-6)
 
-    def test_bytes_accounted(self, machine):
+    def test_bytes_accounted(self):
+        """The transfer's bytes are granted its route's links, in acquisition
+        order (the telemetry record's grant row)."""
+        machine = Machine(MachineConfig.summit(nodes=2).override("telemetry=true"))
         route = machine.route(machine.device_location(0), machine.device_location(1))
         path_transfer(machine.sim, route, 999)
         machine.sim.run()
-        assert all(l.bytes_carried == 999 for l in route)
+        grants = [(row[2], row[3]) for row in machine.tracer.timeline.rows
+                  if row[0] == "grant"]
+        assert grants == [(route.ordered, 999)]
